@@ -84,7 +84,6 @@ from .multipliers import (
     ColoringSchedule,
     StageSchedule,
     WirePermutation,
-    cancel_pairs,
     gbb_self_mult_schedule,
     ghost_read_permutation,
     ghost_write_permutation,

@@ -127,9 +127,6 @@ class Circuit:
     def gate_count(self) -> int:
         return len(self.gates)
 
-    def __len__(self) -> int:
-        return len(self.gates)
-
 
 @dataclass(frozen=True)
 class ResourceEstimate:
@@ -276,37 +273,44 @@ def run_packed(gates: Iterable[Gate], state: list[int]) -> list[int]:
     return state
 
 
-def pack_inputs(width: int, rows: Sequence[Sequence[int]]) -> list[int]:
-    """Pack pattern rows (each a width-long 0/1 sequence) into per-wire ints."""
+def pack_patterns(width: int, wires: Sequence[int], patterns: Iterable[int]) -> list[int]:
+    """Bit-sliced state for a batch: bit i of patterns[b] sits on wire
+    wires[i] in pattern slot b; every other wire is zero."""
     state = [0] * width
-    for b, row in enumerate(rows):
-        if len(row) != width:
-            raise WidthMismatch(f"input row {b} has {len(row)} bits, circuit has {width}")
-        for w, bit in enumerate(row):
-            if bit:
-                state[w] |= 1 << b
+    for b, pat in enumerate(patterns):
+        for i, wire in enumerate(wires):
+            if (pat >> i) & 1:
+                state[wire] |= 1 << b
     return state
 
 
+def register_value(state: Sequence[int], b: int, start: int, length: int) -> int:
+    """Pattern b's value of the register on wires start..start+length-1."""
+    v = 0
+    for i in range(length):
+        v |= ((state[start + i] >> b) & 1) << i
+    return v
+
+
+def pack_inputs(width: int, rows: Sequence[Sequence[int]]) -> list[int]:
+    """Pack pattern rows (each a width-long 0/1 sequence) into per-wire ints."""
+    for b, row in enumerate(rows):
+        if len(row) != width:
+            raise WidthMismatch(f"input row {b} has {len(row)} bits, circuit has {width}")
+    patterns = [sum(1 << i for i, bit in enumerate(row) if bit) for row in rows]
+    return pack_patterns(width, range(width), patterns)
+
+
 def unpack_outputs(width: int, state: Sequence[int], count: int) -> list[list[int]]:
-    return [[(state[w] >> b) & 1 for w in range(width)] for b in range(count)]
+    values = (register_value(state, b, 0, width) for b in range(count))
+    return [[(v >> i) & 1 for i in range(width)] for v in values]
 
 
 def simulate(c: Circuit, bits: Sequence[int]) -> list[int]:
     """Classical basis-state simulation of a single input pattern."""
     if len(bits) != c.width:
         raise WidthMismatch(f"input has {len(bits)} bits, circuit has {c.width}")
-    state = []
-    for b in bits:
-        if b not in (0, 1):
-            raise ValueError(f"input bits must be 0 or 1, got {b!r}")
-        state.append(b)
-    for g in c.gates:
-        if len(g) == 3:
-            state[g[2]] ^= state[g[0]] & state[g[1]]
-        else:
-            state[g[1]] ^= state[g[0]]
-    return state
+    return simulate_batch(c, [bits])[0]
 
 
 def simulate_batch(c: Circuit, rows: Sequence[Sequence[int]]) -> list[list[int]]:

@@ -12,6 +12,13 @@ Commands
 * ``table``: measured depth/gates next to the closed-form bounds for a list
   of degrees, plus the asymptotic comparison against a polynomial basis.
 
+Field oracles, inverse checks and bounds come from the spec's
+representation object (``spec.rep``), so the commands never branch on the
+representation; ``synth_circuit`` is the one place that maps a kind onto the
+per-representation synthesizers. ``verify_kind`` is a single path driven by
+a per-kind table row: input bits, kept wires, ancilla spans that must return
+to zero, output span, and the check with its counterexample text.
+
 Exit codes: 0 success / verification passed, 1 verification failed,
 2 domain error (unsupported degree, bad parameters, bad usage),
 3 I/O or netlist parse failure.
@@ -23,39 +30,28 @@ import argparse
 import random
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .circuits import (
     Circuit,
     Gate,
-    ResourceEstimate,
     emit_lines,
     measure_stream,
+    pack_patterns,
     parse,
+    register_value,
     resources,
     run_packed,
 )
 from .errors import ParseError, WidthMismatch
 from .fields import (
     FieldSpec,
-    GhostBitElement,
-    GnbElement,
-    PolyElement,
     Representation,
     check_ghost_bit_support,
     find_gnb_type,
-    gbb_frobenius,
-    gbb_mult,
-    gnb_frobenius,
-    gnb_identity,
-    gnb_mult,
-    phi_retract,
-    poly_inverse,
+    make_gnb_params,
 )
 from .inverters import (
-    bounds_ghost,
-    bounds_gnb,
-    check_bounds,
     inverter_gates,
     inverter_structure,
     synth_inverter,
@@ -106,33 +102,80 @@ def _pack_patterns(
 
     ``patterns=None`` means all 2^nbits patterns in order.
     """
+    if patterns is not None:
+        return pack_patterns(width, input_wires, patterns), len(patterns)
+    count = 1 << nbits
     state = [0] * width
-    if patterns is None:
-        count = 1 << nbits
-        for i, wire in enumerate(input_wires):
-            state[wire] = _exhaustive_wire_pattern(i, count)
-    else:
-        count = len(patterns)
-        for b, pat in enumerate(patterns):
-            for i, wire in enumerate(input_wires):
-                if (pat >> i) & 1:
-                    state[wire] |= 1 << b
+    for i, wire in enumerate(input_wires):
+        state[wire] = _exhaustive_wire_pattern(i, count)
     return state, count
-
-
-def _reg_value(state: list[int], b: int, start: int, length: int) -> int:
-    v = 0
-    for i in range(length):
-        v |= ((state[start + i] >> b) & 1) << i
-    return v
 
 
 def _bitstr(v: int, n: int) -> str:
     return "".join(str((v >> i) & 1) for i in range(n))
 
 
-def _pattern_at(patterns: Optional[list[int]], b: int) -> int:
-    return b if patterns is None else patterns[b]
+@dataclass(frozen=True)
+class _Row:
+    """One row of the verification table; spans are (start, length)."""
+
+    nbits: int  # simulated input bits, on wires 0..nbits-1
+    width: int  # wires the circuit must have
+    name: str  # what a width mismatch calls the circuit
+    gates: Callable[[], Iterable[Gate]]  # the synthesized gates, if no netlist is given
+    kept: tuple[int, int]  # span that must come back unchanged
+    kept_label: str  # how a counterexample names a wire of that span
+    ancillas: tuple[tuple[int, int], ...]  # spans that must return to zero
+    output: int  # first wire of the register-wide output
+    check: Callable[[int, int], Optional[str]]  # (pattern, output) -> counterexample
+
+
+def _register_check(w: int, n_in: int, expected: Callable[..., int]):
+    """Check of a raw-register kind: the output equals ``expected`` of the
+    n_in w-bit operands packed into the pattern."""
+    mask = (1 << w) - 1
+
+    def check(pat: int, got: int) -> Optional[str]:
+        ops = [(pat >> (i * w)) & mask for i in range(n_in)]
+        exp = expected(*ops)
+        if got == exp:
+            return None
+        shown = " ".join(f"{name}={_bitstr(v, w)}" for name, v in zip("ab", ops))
+        return f"{shown} got={_bitstr(got, w)} expected={_bitstr(exp, w)}"
+
+    return check
+
+
+def _verify_row(spec: FieldSpec, kind: str, r: Optional[int]) -> _Row:
+    """The verification table, one row per kind. add/mult/selfmult are
+    checked on raw register patterns; invert on embedded field elements."""
+    rep, w = spec.rep, spec.width
+    if kind == "invert":
+        s = inverter_structure(spec)
+        regs = s.registers
+        ancillas = tuple(span for name, span in regs.items() if name not in ("input", "output"))
+
+        def inverse(v: int, got: int) -> Optional[str]:
+            if rep.inverse_ok(v, got):
+                return None
+            return f"input={_bitstr(v, spec.m)} output={_bitstr(got, w)}"
+
+        return _Row(
+            nbits=spec.m, width=s.width, name="inverter", gates=lambda: inverter_gates(spec),
+            kept=regs["input"], kept_label="input wire", ancillas=ancillas,
+            output=regs["output"][0], check=inverse,
+        )
+    # (operands, wires kept = first output wire, expected output)
+    n_in, out, expected = {
+        "add": (2, w, lambda a, b: a ^ b),
+        "mult": (2, 2 * w, rep.mult),
+        "selfmult": (1, w, lambda a: rep.mult(a, rep.frobenius(a, r))),
+    }[kind]
+    return _Row(
+        nbits=n_in * w, width=out + w, name=kind, gates=lambda: synth_circuit(spec, kind, r=r).gates,
+        kept=(0, out), kept_label="wire", ancillas=(), output=out,
+        check=_register_check(w, n_in, expected),
+    )
 
 
 def verify_kind(
@@ -156,19 +199,10 @@ def verify_kind(
     """
     if kind not in KINDS:
         raise ValueError(f"unknown verification kind {kind!r}")
-    w = spec.width
-    ghost = spec.representation is Representation.GHOST_BIT
-
-    if kind == "add":
-        nbits = 2 * w
-    elif kind == "mult":
-        nbits = 2 * w
-    elif kind == "selfmult":
-        if r is None:
-            raise ValueError("selfmult verification needs the exponent r")
-        nbits = w
-    else:
-        nbits = spec.m  # field elements, not raw vectors
+    if kind == "selfmult" and r is None:
+        raise ValueError("selfmult verification needs the exponent r")
+    row = _verify_row(spec, kind, r)
+    nbits = row.nbits
 
     if mode == "auto":
         mode = "exhaustive" if (1 << nbits) <= EXHAUSTIVE_CAP else "random"
@@ -184,146 +218,32 @@ def verify_kind(
         patterns = None
         used_seed = None
 
-    # Layout and gate source. The positional layout is part of the netlist
-    # contract, so verification derives spans from the spec, not the file.
-    if kind == "invert":
-        struct = inverter_structure(spec)
-        width = struct.width
-        registers = struct.registers
-        gates: Iterable[Gate] = (
-            circuit.gates if circuit is not None else inverter_gates(spec)
-        )
-        if circuit is not None and circuit.width != width:
-            raise WidthMismatch(
-                f"netlist has {circuit.width} wires, inverter needs {width}"
-            )
-    else:
-        if circuit is None:
-            circuit = synth_circuit(spec, kind, r=r)
-        expected_width = {"add": 2 * w, "mult": 3 * w, "selfmult": 2 * w}[kind]
-        if circuit.width != expected_width:
-            raise WidthMismatch(
-                f"netlist has {circuit.width} wires, {kind} needs {expected_width}"
-            )
-        width = circuit.width
-        registers = None
-        gates = circuit.gates
+    # The positional layout is part of the netlist contract, so verification
+    # derives spans from the spec, not the file.
+    if circuit is not None and circuit.width != row.width:
+        raise WidthMismatch(f"netlist has {circuit.width} wires, {row.name} needs {row.width}")
+    gates = row.gates() if circuit is None else circuit.gates
 
-    if kind == "invert" and ghost:
-        # Embedded inputs carry a zero ghost coefficient: wire m stays 0.
-        input_wires = list(range(spec.m))
-    else:
-        input_wires = list(range(nbits))
-
-    state, count = _pack_patterns(width, input_wires, patterns, nbits)
-    baseline = list(state)
+    state, count = _pack_patterns(row.width, list(range(nbits)), patterns, nbits)
+    kept_start, kept_length = row.kept
+    before = state[kept_start : kept_start + kept_length]
     run_packed(gates, state)
 
-    mask_w = (1 << w) - 1
-    if kind == "add":
-        for wire in range(w):  # first register must be untouched
-            if state[wire] != baseline[wire]:
-                return VerifyResult(False, count, mode, used_seed, f"wire {wire} modified")
-        for b in range(count):
-            pat = _pattern_at(patterns, b)
-            a, bb = pat & mask_w, pat >> w
-            got = _reg_value(state, b, w, w)
-            if got != a ^ bb:
-                return VerifyResult(
-                    False, count, mode, used_seed,
-                    f"a={_bitstr(a, w)} b={_bitstr(bb, w)} got={_bitstr(got, w)} "
-                    f"expected={_bitstr(a ^ bb, w)}",
-                )
-        return VerifyResult(True, count, mode, used_seed)
+    def fail(reason: str) -> VerifyResult:
+        return VerifyResult(False, count, mode, used_seed, reason)
 
-    if kind == "mult":
-        for wire in range(2 * w):
-            if state[wire] != baseline[wire]:
-                return VerifyResult(False, count, mode, used_seed, f"wire {wire} modified")
-        for b in range(count):
-            pat = _pattern_at(patterns, b)
-            a, bb = pat & mask_w, pat >> w
-            if ghost:
-                exp = gbb_mult(
-                    GhostBitElement.from_int(spec.m, a),
-                    GhostBitElement.from_int(spec.m, bb),
-                ).to_int()
-            else:
-                exp = gnb_mult(
-                    spec.gnb_params,
-                    GnbElement.from_int(spec.m, a),
-                    GnbElement.from_int(spec.m, bb),
-                ).to_int()
-            got = _reg_value(state, b, 2 * w, w)
-            if got != exp:
-                return VerifyResult(
-                    False, count, mode, used_seed,
-                    f"a={_bitstr(a, w)} b={_bitstr(bb, w)} got={_bitstr(got, w)} "
-                    f"expected={_bitstr(exp, w)}",
-                )
-        return VerifyResult(True, count, mode, used_seed)
-
-    if kind == "selfmult":
-        for wire in range(w):
-            if state[wire] != baseline[wire]:
-                return VerifyResult(False, count, mode, used_seed, f"wire {wire} modified")
-        for b in range(count):
-            a = _pattern_at(patterns, b)
-            if ghost:
-                ea = GhostBitElement.from_int(spec.m, a)
-                exp = gbb_mult(ea, gbb_frobenius(ea, r)).to_int()
-            else:
-                ea = GnbElement.from_int(spec.m, a)
-                exp = gnb_mult(spec.gnb_params, ea, gnb_frobenius(ea, r)).to_int()
-            got = _reg_value(state, b, w, w)
-            if got != exp:
-                return VerifyResult(
-                    False, count, mode, used_seed,
-                    f"a={_bitstr(a, w)} got={_bitstr(got, w)} expected={_bitstr(exp, w)}",
-                )
-        return VerifyResult(True, count, mode, used_seed)
-
-    # invert
-    in_start, _ = registers["input"]
-    out_start, _ = registers["output"]
-    ancilla_spans = [
-        span for name, span in registers.items() if name not in ("input", "output")
-    ]
-    for wire in range(in_start, in_start + w):
-        if state[wire] != baseline[wire]:
-            return VerifyResult(False, count, mode, used_seed, f"input wire {wire} modified")
-    for start, length in ancilla_spans:
+    for wire, value in enumerate(before, kept_start):
+        if state[wire] != value:
+            return fail(f"{row.kept_label} {wire} modified")
+    for start, length in row.ancillas:
         for wire in range(start, start + length):
             if state[wire] != 0:
-                return VerifyResult(
-                    False, count, mode, used_seed, f"ancilla wire {wire} not returned to zero"
-                )
-    one = None if ghost else gnb_identity(spec.m)
+                return fail(f"ancilla wire {wire} not returned to zero")
     for b in range(count):
-        v = _pattern_at(patterns, b)
-        got = _reg_value(state, b, out_start, w)
-        if ghost:
-            out_elem = GhostBitElement.from_int(spec.m, got)
-            if v == 0:
-                ok = phi_retract(out_elem).to_int() == 0
-            else:
-                inv = poly_inverse(PolyElement.from_int(spec.m, v))
-                ok = phi_retract(out_elem) == inv
-        else:
-            if v == 0:
-                ok = got == 0
-            else:
-                prod = gnb_mult(
-                    spec.gnb_params,
-                    GnbElement.from_int(spec.m, v),
-                    GnbElement.from_int(spec.m, got),
-                )
-                ok = prod == one
-        if not ok:
-            return VerifyResult(
-                False, count, mode, used_seed,
-                f"input={_bitstr(v, spec.m)} output={_bitstr(got, w)}",
-            )
+        pattern = b if patterns is None else patterns[b]
+        problem = row.check(pattern, register_value(state, b, row.output, spec.width))
+        if problem:
+            return fail(problem)
     return VerifyResult(True, count, mode, used_seed)
 
 
@@ -354,18 +274,13 @@ def synth_circuit(spec: FieldSpec, kind: str, r: Optional[int] = None) -> Circui
 
 
 def _spec_from_args(args) -> FieldSpec:
-    rep = Representation(args.rep)
-    if rep is Representation.GHOST_BIT:
-        if args.t is not None:
-            raise ValueError("-t only applies to --rep gnb")
-        return FieldSpec.ghost_bit(args.m)
-    return FieldSpec.gnb(args.m, t=args.t)
+    return FieldSpec.of(args.rep, args.m, t=args.t)
 
 
 def _context_lines(spec: FieldSpec, kind: str, r: Optional[int]) -> list[str]:
     out = [f"command={kind}", f"rep={spec.representation.value}", f"m={spec.m}"]
-    if spec.representation is Representation.GNB:
-        out.append(f"t={spec.gnb_params.t}")
+    if spec.rep.t is not None:
+        out.append(f"t={spec.rep.t}")
     if kind == "selfmult" and r is not None:
         out.append(f"r={r}")
     return out
@@ -377,18 +292,10 @@ def cmd_params(args) -> int:
     ghost_ok = check_ghost_bit_support(m)
     gnb_params = None
     if args.rep != "gbb":
-        if args.t is not None:
-            from .fields import make_gnb_params
-
-            try:
-                gnb_params = make_gnb_params(m, args.t)
-            except ValueError:
-                gnb_params = None
-        else:
-            try:
-                gnb_params = find_gnb_type(m)
-            except ValueError:
-                gnb_params = None
+        try:
+            gnb_params = make_gnb_params(m, args.t) if args.t is not None else find_gnb_type(m)
+        except ValueError:
+            gnb_params = None
 
     if args.rep in (None, "gbb"):
         lines.append(f"ghost_bit={'yes' if ghost_ok else 'no'}")
@@ -463,33 +370,18 @@ def cmd_verify(args) -> int:
     return 0 if result.passed else 1
 
 
-def _table_rows_for(m: int, rep: Representation) -> list[tuple]:
-    """(op, depth, gates, depth_bound, gate_bound) rows for one (m, rep)."""
-    if rep is Representation.GHOST_BIT:
-        spec = FieldSpec.ghost_bit(m)
-        w = m + 1
-        mult = resources(synth_gbb_mult(m))
-        mult_bounds = (m + 1, (m + 1) * (m + 1))
-        inv_bound = bounds_ghost(m)
-    else:
-        spec = FieldSpec.gnb(m)
-        t = spec.gnb_params.t
-        w = m
-        mult = resources(synth_gnb_mult(spec.gnb_params))
-        T = t + (t % 2)
-        mult_bounds = (T * m - 1, T * m * m - m)
-        inv_bound = bounds_gnb(m, t)
+def _table_rows_for(spec: FieldSpec) -> list[tuple]:
+    """(op, depth, gates, depth_bound, gate_bound) rows for one spec."""
+    w = spec.width
     add = resources(synth_add(w))
-    rows = [
+    mult = resources(synth_circuit(spec, "mult"))
+    inv = measure_stream(inverter_structure(spec).width, inverter_gates(spec))
+    inv_bound = spec.rep.inverter_bounds()
+    return [
         ("add", add.depth, add.gate_count, 1, w),
-        ("mult", mult.depth, mult.gate_count, mult_bounds[0], mult_bounds[1]),
+        ("mult", mult.depth, mult.gate_count, *spec.rep.mult_bounds()),
+        ("invert", inv.depth, inv.gate_count, inv_bound.depth_bound, inv_bound.gate_bound),
     ]
-    struct = inverter_structure(spec)
-    inv = measure_stream(struct.width, inverter_gates(spec))
-    rows.append(
-        ("invert", inv.depth, inv.gate_count, inv_bound.depth_bound, inv_bound.gate_bound)
-    )
-    return rows
 
 
 def cmd_table(args) -> int:
@@ -499,20 +391,14 @@ def cmd_table(args) -> int:
     print("-" * len(header))
     printed = 0
     for m in degrees:
-        reps = []
-        if check_ghost_bit_support(m):
-            reps.append(Representation.GHOST_BIT)
-        try:
-            find_gnb_type(m)
-            reps.append(Representation.GNB)
-        except ValueError:
-            pass
-        if args.rep:
-            reps = [rp for rp in reps if rp.value == args.rep]
-        for rep in reps:
-            if m < 3:
+        for rep in Representation:
+            if m < 3 or args.rep not in (None, rep.value):
                 continue
-            for op, d, gc, db, gb in _table_rows_for(m, rep):
+            try:
+                spec = FieldSpec.of(rep, m)
+            except ValueError:  # m does not admit this representation
+                continue
+            for op, d, gc, db, gb in _table_rows_for(spec):
                 print(f"{m:>5} {rep.value:>4} {op:>8} {d:>9} {gc:>10} {db:>9} {gb:>10}")
                 printed += 1
     print()

@@ -14,15 +14,23 @@ Three element layouts appear throughout the package, all little-endian
 Everything in this module is plain integer arithmetic (bit-packed vectors);
 it serves as the ground truth the synthesized circuits are checked against
 and never imports the circuit layer.
+
+A ``FieldSpec`` hands out its representation object (``spec.rep``, a
+``GhostBit`` or a ``Gnb``). That object is the one place where the two
+representations differ: register width, int-level product, Frobenius and
+identity, the inverse check, the read/write wire permutations, the stage
+structure of the two multiplier cores (as coefficient indices, which
+``multipliers`` turns into gates) and the closed-form bounds. Everything else
+(the Itoh-Tsujii plan, uncompute, verification, netlist I/O) is shared.
 """
 
 from __future__ import annotations
 
 import enum
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .errors import (
     ConstructionFailed,
@@ -38,6 +46,7 @@ from .gf2poly import (
     gf2_inv_mod,
     gf2_mulmod,
     gf2_powmod,
+    prime_divisors,
 )
 
 # ---------------------------------------------------------------------------
@@ -84,27 +93,13 @@ def _miller_rabin(n: int) -> bool:
     return True
 
 
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def multiplicative_order(a: int, p: int) -> int:
     """Order of a in (Z/pZ)* for prime p."""
     a %= p
     if a == 0:
         raise ValueError("zero has no multiplicative order")
     order = p - 1
-    for q in _prime_factors(p - 1):
+    for q in prime_divisors(p - 1):
         while order % q == 0 and pow(a, order // q, p) == 1:
             order //= q
     return order
@@ -155,65 +150,42 @@ def _check_bits(coeffs, expected_len: int, what: str) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True)
-class PolyElement:
+class _Coefficients:
+    """m field degree plus a tuple of 0/1 coefficients, little-endian."""
+
+    m: int
+    coeffs: tuple[int, ...]
+    _extra = 0  # coefficients beyond m
+
+    def __post_init__(self):
+        if self.m < 2:
+            raise ValueError("field degree must be at least 2")
+        n = self.m + self._extra
+        object.__setattr__(self, "coeffs", _check_bits(self.coeffs, n, type(self).__name__))
+
+    def to_int(self) -> int:
+        return bits_to_int(self.coeffs)
+
+    @classmethod
+    def from_int(cls, m: int, v: int):
+        return cls(m, int_to_bits(v, m + cls._extra))
+
+
+@dataclass(frozen=True)
+class PolyElement(_Coefficients):
     """Element of F_{2^m} over the polynomial basis, m little-endian bits."""
 
-    m: int
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.m < 2:
-            raise ValueError("field degree must be at least 2")
-        object.__setattr__(self, "coeffs", _check_bits(self.coeffs, self.m, "PolyElement"))
-
-    def to_int(self) -> int:
-        return bits_to_int(self.coeffs)
-
-    @classmethod
-    def from_int(cls, m: int, v: int) -> "PolyElement":
-        return cls(m, int_to_bits(v, m))
-
 
 @dataclass(frozen=True)
-class GhostBitElement:
+class GhostBitElement(_Coefficients):
     """Redundant m+1 bit representative in F_2[x]/(x^(m+1) + 1)."""
 
-    m: int
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.m < 2:
-            raise ValueError("field degree must be at least 2")
-        object.__setattr__(
-            self, "coeffs", _check_bits(self.coeffs, self.m + 1, "GhostBitElement")
-        )
-
-    def to_int(self) -> int:
-        return bits_to_int(self.coeffs)
-
-    @classmethod
-    def from_int(cls, m: int, v: int) -> "GhostBitElement":
-        return cls(m, int_to_bits(v, m + 1))
+    _extra = 1
 
 
 @dataclass(frozen=True)
-class GnbElement:
+class GnbElement(_Coefficients):
     """Coordinates over a Gaussian normal basis, m little-endian bits."""
-
-    m: int
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.m < 2:
-            raise ValueError("field degree must be at least 2")
-        object.__setattr__(self, "coeffs", _check_bits(self.coeffs, self.m, "GnbElement"))
-
-    def to_int(self) -> int:
-        return bits_to_int(self.coeffs)
-
-    @classmethod
-    def from_int(cls, m: int, v: int) -> "GnbElement":
-        return cls(m, int_to_bits(v, m))
 
 
 FieldElement = Union[GhostBitElement, GnbElement]
@@ -245,9 +217,7 @@ def _require_ghost(m: int) -> None:
 
 def ghost_square_perm(m: int) -> tuple[int, ...]:
     """Squaring permutation: coefficient i moves to position 2i mod (m+1)."""
-    _require_ghost(m)
-    n = m + 1
-    return tuple(2 * i % n for i in range(n))
+    return GhostBit(m).write_permutation
 
 
 def phi_embed(a: PolyElement) -> GhostBitElement:
@@ -350,11 +320,22 @@ class GnbParams:
         return self.f_table[k - 1]
 
 
-def _gnb_conditions_ok(m: int, t: int) -> bool:
+def _gnb_violation(m: int, t: int) -> Optional[str]:
+    """Why no type-t Gaussian normal basis exists for m, or None if one does.
+
+    The conditions: p = t*m + 1 is prime and the index of the subgroup
+    generated by 2 mod p is coprime to m.
+    """
+    if m < 2:
+        return "field degree must be at least 2"
+    if t < 1:
+        return "type must be at least 1"
     p = t * m + 1
     if not is_prime(p):
-        return False
-    return gcd((p - 1) // multiplicative_order(2, p), m) == 1
+        return f"p = t*m + 1 = {p} is not prime"
+    if gcd((p - 1) // multiplicative_order(2, p), m) != 1:
+        return f"index of the subgroup generated by 2 mod {p} is not coprime to m={m}"
+    return None
 
 
 def _build_f_table(m: int, t: int, p: int, u: int) -> tuple[int, ...]:
@@ -378,17 +359,10 @@ def make_gnb_params(m: int, t: int) -> GnbParams:
 
     Picks the smallest u of order exactly t mod p = t*m + 1.
     """
-    if m < 2:
-        raise InvalidParams("field degree must be at least 2")
-    if t < 1:
-        raise InvalidParams("type must be at least 1")
+    problem = _gnb_violation(m, t)
+    if problem:
+        raise InvalidParams(problem)
     p = t * m + 1
-    if not is_prime(p):
-        raise InvalidParams(f"p = t*m + 1 = {p} is not prime")
-    if gcd((p - 1) // multiplicative_order(2, p), m) != 1:
-        raise InvalidParams(
-            f"index of the subgroup generated by 2 mod {p} is not coprime to m={m}"
-        )
     u = next(c for c in range(1, p) if multiplicative_order(c, p) == t)
     return GnbParams(m=m, t=t, p=p, u=u, f_table=_build_f_table(m, t, p, u))
 
@@ -396,18 +370,11 @@ def make_gnb_params(m: int, t: int) -> GnbParams:
 def validate_gnb_params(params: GnbParams) -> None:
     """Raise InvalidParams unless params satisfy all defining conditions."""
     m, t, p, u = params.m, params.t, params.p, params.u
-    if m < 2:
-        raise InvalidParams("field degree must be at least 2")
-    if t < 1:
-        raise InvalidParams("type must be at least 1")
+    problem = _gnb_violation(m, t)
+    if problem:
+        raise InvalidParams(problem)
     if p != t * m + 1:
         raise InvalidParams(f"p={p} is not t*m + 1 = {t * m + 1}")
-    if not is_prime(p):
-        raise InvalidParams(f"p={p} is not prime")
-    if gcd((p - 1) // multiplicative_order(2, p), m) != 1:
-        raise InvalidParams(
-            f"index of the subgroup generated by 2 mod {p} is not coprime to m={m}"
-        )
     if not 1 <= u < p or multiplicative_order(u, p) != t:
         raise InvalidParams(f"u={u} does not have order {t} mod {p}")
     if len(params.f_table) != p - 1:
@@ -425,7 +392,7 @@ def find_gnb_type(m: int, t_bound: int = 30) -> GnbParams:
     if m < 2:
         raise UnsupportedDegree("field degree must be at least 2")
     for t in range(1, t_bound + 1):
-        if _gnb_conditions_ok(m, t):
+        if _gnb_violation(m, t) is None:
             return make_gnb_params(m, t)
     raise NoGnbFound(f"no Gaussian normal basis of type <= {t_bound} exists for m={m}")
 
@@ -578,126 +545,6 @@ def addition_chain(m: int) -> InverterPlan:
 
 
 # ---------------------------------------------------------------------------
-# field specification and generic dispatch
-
-
-class Representation(enum.Enum):
-    GHOST_BIT = "gbb"
-    GNB = "gnb"
-
-
-@dataclass(frozen=True)
-class FieldSpec:
-    """A field degree together with the chosen circuit representation."""
-
-    m: int
-    representation: Representation
-    gnb_params: Optional[GnbParams] = None
-
-    def __post_init__(self):
-        if self.m < 2:
-            raise UnsupportedDegree("field degree must be at least 2")
-        if self.representation is Representation.GHOST_BIT:
-            _require_ghost(self.m)
-            if self.gnb_params is not None:
-                raise ValueError("ghost-bit spec must not carry normal-basis params")
-        else:
-            if self.gnb_params is None:
-                raise InvalidParams("normal-basis spec needs GnbParams")
-            if self.gnb_params.m != self.m:
-                raise InvalidParams(
-                    f"params are for m={self.gnb_params.m}, spec says m={self.m}"
-                )
-            validate_gnb_params(self.gnb_params)
-
-    @classmethod
-    def ghost_bit(cls, m: int) -> "FieldSpec":
-        return cls(m=m, representation=Representation.GHOST_BIT)
-
-    @classmethod
-    def gnb(cls, m: int, t: Optional[int] = None, t_bound: int = 30) -> "FieldSpec":
-        params = make_gnb_params(m, t) if t is not None else find_gnb_type(m, t_bound)
-        return cls(m=m, representation=Representation.GNB, gnb_params=params)
-
-    @property
-    def width(self) -> int:
-        """Wires per register: m+1 ghost-bit, m normal basis."""
-        if self.representation is Representation.GHOST_BIT:
-            return self.m + 1
-        return self.m
-
-    @property
-    def ghost_square_perm(self) -> Optional[tuple[int, ...]]:
-        if self.representation is Representation.GHOST_BIT:
-            return ghost_square_perm(self.m)
-        return None
-
-
-def field_zero(spec: FieldSpec) -> FieldElement:
-    if spec.representation is Representation.GHOST_BIT:
-        return gbb_zero(spec.m)
-    return gnb_zero(spec.m)
-
-
-def field_identity(spec: FieldSpec) -> FieldElement:
-    if spec.representation is Representation.GHOST_BIT:
-        return gbb_identity(spec.m)
-    return gnb_identity(spec.m)
-
-
-def element_from_int(spec: FieldSpec, v: int) -> FieldElement:
-    if spec.representation is Representation.GHOST_BIT:
-        return GhostBitElement.from_int(spec.m, v)
-    return GnbElement.from_int(spec.m, v)
-
-
-def field_mult(spec: FieldSpec, a: FieldElement, b: FieldElement) -> FieldElement:
-    if spec.representation is Representation.GHOST_BIT:
-        return gbb_mult(a, b)
-    return gnb_mult(spec.gnb_params, a, b)
-
-
-def field_square(spec: FieldSpec, a: FieldElement) -> FieldElement:
-    if spec.representation is Representation.GHOST_BIT:
-        return gbb_square(a)
-    return gnb_square(a)
-
-
-def field_frobenius(spec: FieldSpec, a: FieldElement, r: int) -> FieldElement:
-    if spec.representation is Representation.GHOST_BIT:
-        return gbb_frobenius(a, r)
-    return gnb_frobenius(a, r)
-
-
-def itoh_tsujii_inverse(spec: FieldSpec, a: FieldElement) -> FieldElement:
-    """Run the inversion plan on classical values; zero maps to zero.
-
-    This follows the multiplication schedule register by register, exactly
-    like the synthesized circuit does, and serves as the reference for the
-    plan itself (independent tests check it against extended-Euclid and
-    product-equals-identity oracles).
-    """
-    expected = GhostBitElement if spec.representation is Representation.GHOST_BIT else GnbElement
-    if not isinstance(a, expected):
-        raise TypeError(f"expected {expected.__name__} for this spec")
-    if a.m != spec.m:
-        raise DegreeMismatch(f"element degree {a.m} vs spec degree {spec.m}")
-    plan = addition_chain(spec.m)
-    regs: list[Optional[FieldElement]] = [None] * plan.register_count
-    regs[0] = a
-    for st in plan.ladder:
-        x = regs[st.source_reg]
-        regs[st.target_reg] = field_mult(spec, x, field_frobenius(spec, x, st.r))
-    for st in plan.combine:
-        regs[st.target_reg] = field_mult(
-            spec,
-            regs[st.acc_reg],
-            field_frobenius(spec, regs[st.operand_reg], st.operand_exponent),
-        )
-    return field_square(spec, regs[plan.output_reg])
-
-
-# ---------------------------------------------------------------------------
 # polynomial-basis ground truth for the ghost-bit field
 
 
@@ -718,6 +565,395 @@ def poly_inverse(a: PolyElement) -> PolyElement:
     """Inverse mod the all-one polynomial via extended Euclid."""
     f = ghost_field_modulus(a.m)
     return PolyElement.from_int(a.m, gf2_inv_mod(a.to_int(), f))
+
+
+# ---------------------------------------------------------------------------
+# closed-form inverter bounds
+
+
+@dataclass(frozen=True)
+class ResourceBound:
+    """Upper bounds for one inverter; per-kind gate splits only exist for the
+    ghost-bit construction (``gate_bound`` covers both representations)."""
+
+    m: int
+    depth_bound: int
+    gate_bound: int
+    qubit_bound: int
+    t_depth_bound: int
+    t_count_bound: int
+    toffoli_bound: Optional[int] = None
+    cnot_bound: Optional[int] = None
+
+
+def _chain_shape(m: int) -> tuple[int, int]:
+    if m < 3:
+        raise DegreeTooSmall("inversion bounds need m >= 3")
+    e = m - 1
+    return e.bit_length() - 1, bin(e).count("1")
+
+
+def bounds_ghost(m: int) -> ResourceBound:
+    """Ghost-bit inverter bounds: the ladder is counted twice (compute and
+    uncompute) at the self-power costs, the merges twice at the general
+    multiplier costs, and one register per chain value."""
+    if not check_ghost_bit_support(m):
+        raise UnsupportedDegree(f"m={m} has no ghost-bit representation")
+    log2, hw = _chain_shape(m)
+    n = m + 1
+    toffoli = 2 * log2 * (m * m + m) + 2 * (hw - 1) * (m * m + 2 * m + 1)
+    cnot_b = 2 * log2 * n
+    return ResourceBound(
+        m=m,
+        depth_bound=2 * log2 * (2 * m + 2) + 2 * (hw - 1) * n,
+        gate_bound=toffoli + cnot_b,
+        qubit_bound=(1 + log2) * n + (hw - 1) * n,
+        t_depth_bound=12 * log2 * (2 * m + 2) + 12 * (hw - 1) * n,
+        t_count_bound=14 * log2 * (m * m + m) + 14 * (hw - 1) * (m * m + 2 * m + 1),
+        toffoli_bound=toffoli,
+        cnot_bound=cnot_b,
+    )
+
+
+def bounds_gnb(m: int, t: int) -> ResourceBound:
+    """Normal-basis inverter bounds with T = t rounded up to even."""
+    log2, hw = _chain_shape(m)
+    T = t + (t % 2)
+    per_block = T * m * m - m
+    return ResourceBound(
+        m=m,
+        depth_bound=log2 * (6 * T * m - 6) + 2 * (hw - 1) * (T * m - 1),
+        gate_bound=2 * log2 * per_block + 2 * (hw - 1) * per_block,
+        qubit_bound=(1 + log2) * m + (hw - 1) * m,
+        t_depth_bound=6 * log2 * (6 * T * m - 6) + (12 * hw - 6) * (T * m - 1),
+        t_count_bound=14 * log2 * per_block + 14 * (hw - 1) * per_block,
+    )
+
+
+# ---------------------------------------------------------------------------
+# representation objects
+
+
+class Representation(enum.Enum):
+    GHOST_BIT = "gbb"
+    GNB = "gnb"
+
+
+def ghost_read_perm(m: int, e: int) -> tuple[int, ...]:
+    """Where coefficient x of b^(2^e) sits in b's ghost-bit register: x * 2^-e."""
+    n = m + 1
+    inv = pow(2, -e, n)
+    return tuple(x * inv % n for x in range(n))
+
+
+def gnb_read_perm(m: int, e: int) -> tuple[int, ...]:
+    """Where coefficient x of b^(2^e) sits in b's normal-basis register: x - e."""
+    return tuple((x - e) % m for x in range(m))
+
+
+IndexGate = tuple[int, ...]  # (x, y, target) Toffoli or (x, target) CNOT, as coefficient indices
+
+
+class SelfPowerStage(NamedTuple):
+    """One wire-disjoint stage of a self-power multiplier a * a^(2^r).
+
+    ``classes`` are the stage's depth-1 color classes in emission order, each
+    a tuple of index gates: ``(x, y, c)`` is a Toffoli on input coefficients
+    x and y into output coefficient c, ``(x, c)`` a CNOT. ``pairing`` is
+    ``(first, second, step)``: term i of the stage multiplies coefficient
+    first + i by coefficient second + step * i (indices mod the width).
+    """
+
+    label: str
+    kind: str  # "toffoli" or "cnot"
+    delta: Optional[int]  # raw index difference (normal basis only)
+    pairing: tuple[int, int, int]
+    classes: tuple[tuple[IndexGate, ...], ...]
+
+
+class GhostBit:
+    """The ghost-bit representation: m+1 coefficients mod x^(m+1) + 1."""
+
+    representation = Representation.GHOST_BIT
+    element = GhostBitElement
+    t = None
+
+    def __init__(self, m: int, gnb_params: Optional[GnbParams] = None):
+        _require_ghost(m)
+        if gnb_params is not None:
+            raise ValueError("ghost-bit spec must not carry normal-basis params")
+        self.m = m
+        self.width = m + 1
+        self.identity = 1
+
+    def mult(self, a: int, b: int) -> int:
+        m = self.m
+        return gbb_mult(GhostBitElement.from_int(m, a), GhostBitElement.from_int(m, b)).to_int()
+
+    def frobenius(self, a: int, r: int) -> int:
+        return gbb_frobenius(GhostBitElement.from_int(self.m, a), r).to_int()
+
+    def square(self, a: int) -> int:
+        return gbb_square(GhostBitElement.from_int(self.m, a)).to_int()
+
+    def inverse_ok(self, v: int, got: int) -> bool:
+        """Does ``got`` retract to the inverse of the polynomial-basis value v
+        (extended Euclid; zero maps to zero)?"""
+        out = phi_retract(GhostBitElement.from_int(self.m, got))
+        if v == 0:
+            return out.to_int() == 0
+        return out == poly_inverse(PolyElement.from_int(self.m, v))
+
+    def read_permutation(self, e: int) -> tuple[int, ...]:
+        return ghost_read_perm(self.m, e)
+
+    @property
+    def write_permutation(self) -> tuple[int, ...]:
+        """Squared write: coefficient i lands on wire 2i mod (m+1)."""
+        return self.read_permutation(-1)
+
+    def mult_stages(self) -> list[tuple[int, int, int, int]]:
+        """General product stages as (a, b, c, c_step): gate j of a stage
+        multiplies a_(a+j) by b_(b+j) into coefficient c + c_step*j. Stage
+        sigma collects the products a_j * b_(sigma+j) hitting sigma + 2j."""
+        return [(0, sigma, sigma, 2) for sigma in range(self.width)]
+
+    def self_mult_stages(self, r: int):
+        """Stages of a * a^(2^r); a single CNOT layer when 2^r == 1 mod m+1
+        (r in {0, m}: the map is plain squaring).
+
+        Stage sigma holds every product a_j * a_(sigma-j). Unordered pairs
+        {j, sigma-j} contribute two Toffolis sharing both controls (distinct
+        targets), one per orientation, which forces the two-coloring; the
+        unique self-paired j (n is odd) degenerates to a CNOT that is
+        wire-disjoint from the first color class and rides along with it.
+        """
+        n = self.width
+        p2r = pow(2, r, n)
+        if p2r == 1:
+            layer = tuple((i, 2 * i % n) for i in range(n))
+            yield SelfPowerStage("squaring", "cnot", None, (0, 0, 1), (layer,))
+            return
+        inv2 = pow(2, -1, n)
+        for sigma in range(n):
+            first: list[IndexGate] = []
+            second: list[IndexGate] = []
+            for j in range(n):
+                c = (sigma - j) % n
+                if j < c:
+                    first.append((j, c, (j + p2r * c) % n))
+                    second.append((j, c, (c + p2r * j) % n))
+            jstar = sigma * inv2 % n
+            first.append((jstar, jstar * (1 + p2r) % n))
+            classes = (tuple(first), tuple(second))
+            yield SelfPowerStage(f"sigma={sigma}", "toffoli", None, (0, sigma, -1), classes)
+
+    def mult_bounds(self) -> tuple[int, int]:
+        """(depth, gates) of the general multiplier."""
+        return self.width, self.width * self.width
+
+    def inverter_bounds(self) -> ResourceBound:
+        return bounds_ghost(self.m)
+
+
+class Gnb:
+    """A type-t Gaussian normal basis: m coordinates, squaring is a shift."""
+
+    representation = Representation.GNB
+    element = GnbElement
+
+    def __init__(self, m: int, gnb_params: Optional[GnbParams]):
+        if gnb_params is None:
+            raise InvalidParams("normal-basis spec needs GnbParams")
+        if gnb_params.m != m:
+            raise InvalidParams(f"params are for m={gnb_params.m}, spec says m={m}")
+        validate_gnb_params(gnb_params)
+        self.params = gnb_params
+        self.m = self.width = m
+        self.t = gnb_params.t
+        self.identity = (1 << m) - 1
+
+    def mult(self, a: int, b: int) -> int:
+        m = self.m
+        return gnb_mult(self.params, GnbElement.from_int(m, a), GnbElement.from_int(m, b)).to_int()
+
+    def frobenius(self, a: int, r: int) -> int:
+        return gnb_frobenius(GnbElement.from_int(self.m, a), r).to_int()
+
+    def square(self, a: int) -> int:
+        return gnb_square(GnbElement.from_int(self.m, a)).to_int()
+
+    def inverse_ok(self, v: int, got: int) -> bool:
+        """Is v * got the all-ones identity (zero maps to zero)?"""
+        if v == 0:
+            return got == 0
+        return self.mult(v, got) == self.identity
+
+    def read_permutation(self, e: int) -> tuple[int, ...]:
+        return gnb_read_perm(self.m, e)
+
+    @property
+    def write_permutation(self) -> tuple[int, ...]:
+        """Squared write: coefficient i lands on wire i+1 mod m."""
+        return self.read_permutation(-1)
+
+    def _stage_bases(self, second_shift: int) -> list[tuple[str, int, int]]:
+        """(label, first_base, second_base_raw) per stage, in emission order.
+
+        Main stages k = 1..tm-1 pair offsets F(k+1) and F(p-k) - second_shift;
+        odd type appends the wrap stages pairing k-1 with k-1+m/2 both ways.
+        ``second_base_raw`` is kept unreduced so delta displays match the index
+        arithmetic; all wire math reduces mod m.
+        """
+        m, t, p = self.m, self.t, self.params.p
+        ft = self.params.f_table
+        out = [(f"k={k}", ft[k], ft[p - k - 1] - second_shift) for k in range(1, t * m)]
+        if t % 2:
+            half = m // 2
+            for k in range(1, half + 1):
+                out.append((f"tail={k}a", k - 1, k - 1 + half - second_shift))
+                out.append((f"tail={k}b", k - 1 + half, k - 1 - second_shift))
+        return out
+
+    def mult_stages(self) -> list[tuple[int, int, int, int]]:
+        """General product stages as (a, b, c, c_step), one depth-1 stage per
+        index-table term: gate i multiplies a_(a+i) by b_(b+i) into c_i."""
+        return [(fa, fb, 0, 1) for _, fa, fb in self._stage_bases(0)]
+
+    def self_mult_stages(self, r: int):
+        """Stages of a * a^(2^r), colored along the cosets of each delta.
+
+        A stage's products pair coefficient f with f + delta for every f. A
+        zero delta (mod m) collapses each product to a single coefficient: a
+        layer of CNOTs. Otherwise the pairs are the edges of the
+        shift-by-delta cycles on Z_m; walking each cycle and alternating
+        colors two-colors them, with a third color picking up the closing edge
+        of odd-length cycles.
+        """
+        m = self.m
+        for label, fa, fb in self._stage_bases(r):
+            delta = fb - fa
+            d = delta % m
+            if d == 0:
+                layer = tuple(((fa + i) % m, i) for i in range(m))
+                yield SelfPowerStage(label, "cnot", delta, (fa, fb, 1), (layer,))
+                continue
+            g = gcd(d, m)
+            cycle_len = m // g
+            classes: tuple[list[IndexGate], ...] = ([], [], [])
+            for v in range(g):
+                f = v
+                for s in range(cycle_len):
+                    color = 2 if (s == cycle_len - 1 and cycle_len % 2 == 1) else s % 2
+                    classes[color].append((f, (f + d) % m, (f - fa) % m))
+                    f = (f + d) % m
+            colored = tuple(tuple(cls) for cls in classes if cls)
+            yield SelfPowerStage(label, "toffoli", delta, (fa, fb, 1), colored)
+
+    def mult_bounds(self) -> tuple[int, int]:
+        """(depth, gates) of the general multiplier, T = t rounded up to even."""
+        T = self.t + self.t % 2
+        return T * self.m - 1, T * self.m * self.m - self.m
+
+    def inverter_bounds(self) -> ResourceBound:
+        return bounds_gnb(self.m, self.t)
+
+
+_REPRESENTATIONS = {cls.representation: cls for cls in (GhostBit, Gnb)}
+
+
+# ---------------------------------------------------------------------------
+# field specification and element-level helpers
+
+
+@dataclass(frozen=True)
+class FieldSpec:
+    """A field degree together with the chosen circuit representation;
+    ``rep`` is the representation object built from them."""
+
+    m: int
+    representation: Representation
+    gnb_params: Optional[GnbParams] = None
+    rep: Union[GhostBit, Gnb] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.m < 2:
+            raise UnsupportedDegree("field degree must be at least 2")
+        rep = _REPRESENTATIONS[self.representation](self.m, self.gnb_params)
+        object.__setattr__(self, "rep", rep)
+
+    @classmethod
+    def ghost_bit(cls, m: int) -> "FieldSpec":
+        return cls(m=m, representation=Representation.GHOST_BIT)
+
+    @classmethod
+    def gnb(cls, m: int, t: Optional[int] = None, t_bound: int = 30) -> "FieldSpec":
+        params = make_gnb_params(m, t) if t is not None else find_gnb_type(m, t_bound)
+        return cls(m=m, representation=Representation.GNB, gnb_params=params)
+
+    @classmethod
+    def of(cls, representation: Union[Representation, str], m: int, t: Optional[int] = None) -> "FieldSpec":
+        """Spec for a representation given by member or name ("gbb"/"gnb");
+        a type t only applies to the normal basis."""
+        if Representation(representation) is Representation.GNB:
+            return cls.gnb(m, t=t)
+        if t is not None:
+            raise ValueError("a type t only applies to the gnb representation")
+        return cls.ghost_bit(m)
+
+    @property
+    def width(self) -> int:
+        """Wires per register: m+1 ghost-bit, m normal basis."""
+        return self.rep.width
+
+
+def _value(spec: FieldSpec, a: FieldElement) -> int:
+    if not isinstance(a, spec.rep.element):
+        raise TypeError(f"expected {spec.rep.element.__name__} for this spec")
+    if a.m != spec.m:
+        raise DegreeMismatch(f"element degree {a.m} vs spec degree {spec.m}")
+    return a.to_int()
+
+
+def element_from_int(spec: FieldSpec, v: int) -> FieldElement:
+    return spec.rep.element.from_int(spec.m, v)
+
+
+def field_identity(spec: FieldSpec) -> FieldElement:
+    return element_from_int(spec, spec.rep.identity)
+
+
+def field_mult(spec: FieldSpec, a: FieldElement, b: FieldElement) -> FieldElement:
+    return element_from_int(spec, spec.rep.mult(_value(spec, a), _value(spec, b)))
+
+
+def field_square(spec: FieldSpec, a: FieldElement) -> FieldElement:
+    return element_from_int(spec, spec.rep.square(_value(spec, a)))
+
+
+def field_frobenius(spec: FieldSpec, a: FieldElement, r: int) -> FieldElement:
+    return element_from_int(spec, spec.rep.frobenius(_value(spec, a), r))
+
+
+def itoh_tsujii_inverse(spec: FieldSpec, a: FieldElement) -> FieldElement:
+    """Run the inversion plan on classical values; zero maps to zero.
+
+    This follows the multiplication schedule register by register, exactly
+    like the synthesized circuit does, and serves as the reference for the
+    plan itself (independent tests check it against extended-Euclid and
+    product-equals-identity oracles).
+    """
+    rep = spec.rep
+    plan = addition_chain(spec.m)
+    regs = [0] * plan.register_count
+    regs[0] = _value(spec, a)
+    for st in plan.ladder:
+        x = regs[st.source_reg]
+        regs[st.target_reg] = rep.mult(x, rep.frobenius(x, st.r))
+    for st in plan.combine:
+        operand = rep.frobenius(regs[st.operand_reg], st.operand_exponent)
+        regs[st.target_reg] = rep.mult(regs[st.acc_reg], operand)
+    return element_from_int(spec, rep.square(regs[plan.output_reg]))
 
 
 # ---------------------------------------------------------------------------
@@ -856,9 +1092,7 @@ def gnb_verify_isomorphism(
 def _gnb_verify_by_properties(params: GnbParams, *, trials: int, seed: int) -> bool:
     """Fallback certification when t*m exceeds the construction cap."""
     m, t, p, u = params.m, params.t, params.p, params.u
-    if multiplicative_order(u, p) != t:
-        return False
-    if gcd((p - 1) // multiplicative_order(2, p), m) != 1:
+    if multiplicative_order(u, p) != t or _gnb_violation(m, t):
         return False
     try:
         if params.f_table != _build_f_table(m, t, p, u):

@@ -107,7 +107,7 @@ def gf2_is_irreducible(f: int) -> bool:
         h = gf2_mulmod(h, h, f)
     if h != gf2_mod(x, f):
         return False
-    for q in _prime_divisors(n):
+    for q in prime_divisors(n):
         h = x
         for _ in range(n // q):
             h = gf2_mulmod(h, h, f)
@@ -116,7 +116,8 @@ def gf2_is_irreducible(f: int) -> bool:
     return True
 
 
-def _prime_divisors(n: int) -> list[int]:
+def prime_divisors(n: int) -> list[int]:
+    """The distinct prime factors of n, in increasing order."""
     out = []
     d = 2
     while d * d <= n:
@@ -124,7 +125,7 @@ def _prime_divisors(n: int) -> list[int]:
             out.append(d)
             while n % d == 0:
                 n //= d
-        d += 1
+        d += 1 if d == 2 else 2
     if n > 1:
         out.append(n)
     return out

@@ -24,22 +24,17 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
 from .circuits import Circuit, Gate, ResourceEstimate, cnot, measure_stream
-from .errors import DegreeTooSmall, UnsupportedDegree
-from .fields import (
+from .errors import DegreeTooSmall
+from .fields import (  # noqa: F401  (the bounds are re-exported from here)
     FieldSpec,
     InverterPlan,
     Representation,
+    ResourceBound,
     addition_chain,
-    check_ghost_bit_support,
-    find_gnb_type,
-    make_gnb_params,
+    bounds_ghost,
+    bounds_gnb,
 )
-from .multipliers import (
-    _gbb_mult_gates,
-    _gbb_self_mult_gates,
-    _gnb_mult_gates,
-    _gnb_self_mult_gates,
-)
+from .multipliers import mult_gates, self_mult_gates
 
 
 @dataclass(frozen=True)
@@ -71,10 +66,6 @@ class InverterStructure:
     registers: dict[str, tuple[int, int]]
     forward: tuple[MultiplierBlock, ...]
     uncompute: tuple[MultiplierBlock, ...]  # execution order; gates reversed
-
-    @property
-    def output_register(self) -> str:
-        return "output"
 
 
 def inverter_structure(spec: FieldSpec) -> InverterStructure:
@@ -136,31 +127,10 @@ def inverter_structure(spec: FieldSpec) -> InverterStructure:
 def _block_gates(spec: FieldSpec, block: MultiplierBlock, w: int) -> Iterator[Gate]:
     src = block.source_reg * w
     tgt = block.target_reg * w
-    if spec.representation is Representation.GHOST_BIT:
-        if block.kind == "self_power":
-            return _gbb_self_mult_gates(
-                spec.m, block.r, src, tgt, square_write=block.squared_write
-            )
-        return _gbb_mult_gates(
-            spec.m,
-            src,
-            block.operand_reg * w,
-            tgt,
-            b_exp=block.operand_exponent,
-            square_write=block.squared_write,
-        )
     if block.kind == "self_power":
-        return _gnb_self_mult_gates(
-            spec.gnb_params, block.r, src, tgt, square_write=block.squared_write
-        )
-    return _gnb_mult_gates(
-        spec.gnb_params,
-        src,
-        block.operand_reg * w,
-        tgt,
-        b_exp=block.operand_exponent,
-        square_write=block.squared_write,
-    )
+        return self_mult_gates(spec.rep, block.r, src, tgt, block.squared_write)
+    operand = block.operand_reg * w
+    return mult_gates(spec.rep, src, operand, tgt, block.operand_exponent, block.squared_write)
 
 
 def inverter_gates(spec: FieldSpec) -> Iterator[Gate]:
@@ -197,66 +167,7 @@ def synth_inverter(spec: FieldSpec, in_place: bool = False) -> Circuit:
 
 
 # ---------------------------------------------------------------------------
-# closed-form resource bounds
-
-
-@dataclass(frozen=True)
-class ResourceBound:
-    """Upper bounds for one inverter; per-kind gate splits only exist for the
-    ghost-bit construction (``gate_bound`` covers both representations)."""
-
-    m: int
-    depth_bound: int
-    gate_bound: int
-    qubit_bound: int
-    t_depth_bound: int
-    t_count_bound: int
-    toffoli_bound: Optional[int] = None
-    cnot_bound: Optional[int] = None
-
-
-def _chain_shape(m: int) -> tuple[int, int]:
-    if m < 3:
-        raise DegreeTooSmall("inversion bounds need m >= 3")
-    e = m - 1
-    return e.bit_length() - 1, bin(e).count("1")
-
-
-def bounds_ghost(m: int) -> ResourceBound:
-    """Ghost-bit inverter bounds: the ladder is counted twice (compute and
-    uncompute) at the self-power costs, the merges twice at the general
-    multiplier costs, and one register per chain value."""
-    if not check_ghost_bit_support(m):
-        raise UnsupportedDegree(f"m={m} has no ghost-bit representation")
-    log2, hw = _chain_shape(m)
-    n = m + 1
-    toffoli = 2 * log2 * (m * m + m) + 2 * (hw - 1) * (m * m + 2 * m + 1)
-    cnot_b = 2 * log2 * n
-    return ResourceBound(
-        m=m,
-        depth_bound=2 * log2 * (2 * m + 2) + 2 * (hw - 1) * n,
-        gate_bound=toffoli + cnot_b,
-        qubit_bound=(1 + log2) * n + (hw - 1) * n,
-        t_depth_bound=12 * log2 * (2 * m + 2) + 12 * (hw - 1) * n,
-        t_count_bound=14 * log2 * (m * m + m) + 14 * (hw - 1) * (m * m + 2 * m + 1),
-        toffoli_bound=toffoli,
-        cnot_bound=cnot_b,
-    )
-
-
-def bounds_gnb(m: int, t: int) -> ResourceBound:
-    """Normal-basis inverter bounds with T = t rounded up to even."""
-    log2, hw = _chain_shape(m)
-    T = t + (t % 2)
-    per_block = T * m * m - m
-    return ResourceBound(
-        m=m,
-        depth_bound=log2 * (6 * T * m - 6) + 2 * (hw - 1) * (T * m - 1),
-        gate_bound=2 * log2 * per_block + 2 * (hw - 1) * per_block,
-        qubit_bound=(1 + log2) * m + (hw - 1) * m,
-        t_depth_bound=6 * log2 * (6 * T * m - 6) + (12 * hw - 6) * (T * m - 1),
-        t_count_bound=14 * log2 * per_block + 14 * (hw - 1) * per_block,
-    )
+# closed-form resource bounds (the formulas live with the representations)
 
 
 def bounds_t(
@@ -266,15 +177,7 @@ def bounds_t(
 ) -> tuple[int, int]:
     """(T-depth bound, T-count bound) for the inverter in the given
     representation; the normal-basis type is looked up when not supplied."""
-    rep = Representation(representation) if isinstance(representation, str) else representation
-    if rep is Representation.GHOST_BIT:
-        b = bounds_ghost(m)
-    else:
-        if t is None:
-            t = find_gnb_type(m).t
-        else:
-            make_gnb_params(m, t)  # validates the (m, t) pair
-        b = bounds_gnb(m, t)
+    b = FieldSpec.of(representation, m, t).rep.inverter_bounds()
     return b.t_depth_bound, b.t_count_bound
 
 
@@ -315,12 +218,7 @@ def check_bounds(spec: FieldSpec) -> BoundsReport:
     """Measure the synthesized inverter stream against the closed-form bounds."""
     s = inverter_structure(spec)
     est = measure_stream(s.width, inverter_gates(spec))
-    if spec.representation is Representation.GHOST_BIT:
-        b = bounds_ghost(spec.m)
-        t = None
-    else:
-        t = spec.gnb_params.t
-        b = bounds_gnb(spec.m, t)
+    b = spec.rep.inverter_bounds()
     checks = [
         BoundCheck("depth", est.depth, b.depth_bound),
         BoundCheck("gates", est.gate_count, b.gate_bound),
@@ -334,7 +232,7 @@ def check_bounds(spec: FieldSpec) -> BoundsReport:
     return BoundsReport(
         m=spec.m,
         representation=spec.representation,
-        t=t,
+        t=spec.rep.t,
         estimate=est,
         checks=tuple(checks),
     )

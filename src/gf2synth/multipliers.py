@@ -4,7 +4,8 @@ Every multiplier here maps |a>|b>|c> to |a>|b>|c + a*b> (or |a>|c> to
 |a>|c + a * a^(2^r)> for the self-power variants): targets are only ever
 XORed into, so the circuits add the product onto whatever the output register
 holds. All constructions schedule their Toffolis into explicit wire-disjoint
-stages:
+stages, which the representation object (``fields.GhostBit`` /
+``fields.Gnb``) describes as coefficient indices:
 
 * Ghost-bit product: cyclic convolution, one stage per output-shift class,
   m+1 stages of m+1 parallel Toffolis.
@@ -18,27 +19,34 @@ stages:
   the coefficient ring, colored along the cosets walked by that delta; a
   zero delta degenerates the stage to parallel CNOTs.
 
-The generator cores take register offsets, an operand exponent (the second
-operand can be read through a power-of-two Frobenius permutation of its
-wires) and a squared-write flag (the output can be written through the
-squaring permutation), which is what lets the inverter fold Frobenius maps
-and its final squaring into the wiring for free.
+The two gate cores below (general and self-power) place those stages on
+wires for any representation. They take register offsets, an operand
+exponent (the second operand is read through the representation's read
+permutation, which yields its power-of-two Frobenius image) and a
+squared-write flag (the output is written through the write permutation),
+which is what lets the inverter fold Frobenius maps and its final squaring
+into the wiring for free.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional, Union
 
-from .circuits import Circuit, Cnot, Gate, Toffoli, cnot, toffoli
+from .circuits import Circuit, Gate, cnot, toffoli
 from .errors import ExponentOutOfRange
 from .fields import (
+    GhostBit,
+    Gnb,
     GnbParams,
-    _require_ghost,
+    IndexGate,
+    ghost_read_perm,
     ghost_square_perm,
+    gnb_read_perm,
     validate_gnb_params,
 )
+
+Rep = Union[GhostBit, Gnb]
 
 
 # ---------------------------------------------------------------------------
@@ -84,20 +92,18 @@ def ghost_write_permutation(m: int) -> WirePermutation:
 
 def gnb_write_permutation(m: int) -> WirePermutation:
     """Normal-basis squared write: coefficient i lands on wire i+1 mod m."""
-    return WirePermutation(tuple((i + 1) % m for i in range(m)))
+    return gnb_read_permutation(m, -1)
 
 
 def ghost_read_permutation(m: int, e: int) -> WirePermutation:
     """Reading operand wires through this permutation yields the operand's
     2^e-th power: logical coefficient x of b^(2^e) lives on wire x * 2^-e."""
-    n = m + 1
-    inv = pow(2, -e, n)
-    return WirePermutation(tuple(x * inv % n for x in range(n)))
+    return WirePermutation(ghost_read_perm(m, e))
 
 
 def gnb_read_permutation(m: int, e: int) -> WirePermutation:
     """Normal-basis analogue: coefficient x of b^(2^e) lives on wire x - e."""
-    return WirePermutation(tuple((x - e) % m for x in range(m)))
+    return WirePermutation(gnb_read_perm(m, e))
 
 
 # ---------------------------------------------------------------------------
@@ -151,164 +157,52 @@ class ColoringSchedule:
 
 
 # ---------------------------------------------------------------------------
-# ghost-bit cores
+# gate cores
 
 
-def _gbb_mult_gates(
-    m: int, a0: int, b0: int, c0: int, b_exp: int = 0, square_write: bool = False
+def _wires(start: int, perm: Iterable[int]) -> list[int]:
+    """Wire of each logical coefficient of the register at ``start``. Gates
+    share these int objects, which keeps materialized netlists smaller."""
+    return [start + i for i in perm]
+
+
+def _targets(rep: Rep, c0: int, square_write: bool) -> list[int]:
+    """Output wire of each logical coefficient, optionally pre-squared."""
+    return _wires(c0, rep.write_permutation if square_write else range(rep.width))
+
+
+def _class_gates(cls: Iterable[IndexGate], a: list[int], tgt: list[int]) -> Iterator[Gate]:
+    """Place one color class of a self-power stage on wires."""
+    for g in cls:
+        if len(g) == 3:
+            yield toffoli(a[g[0]], a[g[1]], tgt[g[2]])
+        else:
+            yield cnot(a[g[0]], tgt[g[1]])
+
+
+def mult_gates(
+    rep: Rep, a0: int, b0: int, c0: int, b_exp: int = 0, square_write: bool = False
 ) -> Iterator[Gate]:
-    """|a>|b>|c>  ->  |a>|b>|c + a * b^(2^b_exp)>, m+1 stages of m+1 Toffolis.
-
-    Stage sigma collects the products a_j * b'_(sigma+j) hitting target
-    sigma + 2j; within a stage all controls and targets are distinct, so each
-    stage is one depth-1 layer.
-    """
-    n = m + 1
-    inv2e = pow(2, -b_exp, n)
-    if square_write:
-        tgt = [c0 + 2 * i % n for i in range(n)]
-    else:
-        tgt = [c0 + i for i in range(n)]
-    for sigma in range(n):
+    """|a>|b>|c>  ->  |a>|b>|c + a * b^(2^b_exp)>, one depth-1 layer per stage;
+    within a stage all controls and targets are distinct."""
+    n = rep.width
+    a = _wires(a0, range(n))
+    b = _wires(b0, rep.read_permutation(b_exp))
+    tgt = _targets(rep, c0, square_write)
+    for sa, sb, sc, step in rep.mult_stages():
         for j in range(n):
-            i = (sigma + 2 * j) % n
-            bw = b0 + (sigma + j) * inv2e % n
-            yield toffoli(a0 + j, bw, tgt[i])
+            yield toffoli(a[(sa + j) % n], b[(sb + j) % n], tgt[(sc + step * j) % n])
 
 
-def _gbb_self_stage_classes(
-    m: int, r: int, sigma: int, a0: int, tgt: list[int]
-) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[Gate, ...], ...]]:
-    """Terms and color classes of one ghost self-power stage.
-
-    Stage sigma holds every product a_j * a_(sigma-j). Unordered pairs
-    {j, sigma-j} contribute two Toffolis sharing both controls (distinct
-    targets), one per orientation, which forces the two-coloring; the unique
-    self-paired j (n is odd) degenerates to a CNOT that is wire-disjoint from
-    the first color class and rides along with it.
-    """
-    n = m + 1
-    p2r = pow(2, r, n)
-    inv2 = pow(2, -1, n)
-    jstar = sigma * inv2 % n
-    terms = tuple((j, (sigma - j) % n) for j in range(n))
-    first: list[Gate] = []
-    second: list[Gate] = []
-    for j in range(n):
-        c = (sigma - j) % n
-        if j < c:
-            first.append(toffoli(a0 + j, a0 + c, tgt[(j + p2r * c) % n]))
-            second.append(toffoli(a0 + j, a0 + c, tgt[(c + p2r * j) % n]))
-    first.append(cnot(a0 + jstar, tgt[jstar * (1 + p2r) % n]))
-    return terms, (tuple(first), tuple(second))
-
-
-def _gbb_self_mult_gates(
-    m: int, r: int, a0: int, c0: int, square_write: bool = False
+def self_mult_gates(
+    rep: Rep, r: int, a0: int, c0: int, square_write: bool = False
 ) -> Iterator[Gate]:
-    """|a>|c>  ->  |a>|c + a * a^(2^r)>. Depth 2 per stage, or a single layer
-    of CNOTs when 2^r == 1 mod m+1 (r in {0, m}: the map is plain squaring)."""
-    n = m + 1
-    if square_write:
-        tgt = [c0 + 2 * i % n for i in range(n)]
-    else:
-        tgt = [c0 + i for i in range(n)]
-    if pow(2, r, n) == 1:
-        for src in range(n):
-            yield cnot(a0 + src, tgt[2 * src % n])
-        return
-    for sigma in range(n):
-        _, classes = _gbb_self_stage_classes(m, r, sigma, a0, tgt)
-        for cls in classes:
-            yield from cls
-
-
-# ---------------------------------------------------------------------------
-# normal-basis cores
-
-
-def _gnb_stage_bases(params: GnbParams, second_shift: int):
-    """(label, first_base, second_base_raw) per stage, in emission order.
-
-    Main stages k = 1..tm-1 pair offsets F(k+1) and F(p-k) - second_shift;
-    odd type appends the wrap stages pairing k-1 with k-1+m/2 both ways.
-    ``second_base_raw`` is kept unreduced so delta displays match the index
-    arithmetic; all wire math reduces mod m.
-    """
-    m, t, p = params.m, params.t, params.p
-    ft = params.f_table
-    out = []
-    for k in range(1, t * m):
-        out.append((f"k={k}", ft[k], ft[p - k - 1] - second_shift))
-    if t % 2:
-        half = m // 2
-        for k in range(1, half + 1):
-            out.append((f"tail={k}a", k - 1, k - 1 + half - second_shift))
-            out.append((f"tail={k}b", k - 1 + half, k - 1 - second_shift))
-    return out
-
-
-def _gnb_mult_gates(
-    params: GnbParams,
-    a0: int,
-    b0: int,
-    c0: int,
-    b_exp: int = 0,
-    square_write: bool = False,
-) -> Iterator[Gate]:
-    """|a>|b>|c>  ->  |a>|b>|c + a * b^(2^b_exp)>, one depth-1 stage per term."""
-    m = params.m
-    if square_write:
-        tgt = [c0 + (i + 1) % m for i in range(m)]
-    else:
-        tgt = [c0 + i for i in range(m)]
-    for _, fa, fb in _gnb_stage_bases(params, b_exp):
-        for i in range(m):
-            yield toffoli(a0 + (fa + i) % m, b0 + (fb + i) % m, tgt[i])
-
-
-def _gnb_self_stage_classes(
-    m: int, fa: int, delta_raw: int, a0: int, tgt: list[int]
-) -> tuple[str, tuple[tuple[int, int], ...], tuple[tuple[Gate, ...], ...]]:
-    """One normal-basis self-power stage as (kind, terms, color classes).
-
-    The stage's products pair coefficient f with f + delta for every f. A zero
-    delta (mod m) collapses each product to a single coefficient: a layer of
-    CNOTs. Otherwise the pairs are the edges of the shift-by-delta cycles on
-    Z_m; walking each cycle and alternating colors two-colors them, with a
-    third color picking up the closing edge of odd-length cycles.
-    """
-    terms = tuple(((fa + i) % m, (fa + delta_raw + i) % m) for i in range(m))
-    d = delta_raw % m
-    if d == 0:
-        layer = tuple(cnot(a0 + (fa + i) % m, tgt[i]) for i in range(m))
-        return "cnot", terms, (layer,)
-    g = gcd(d, m)
-    cycle_len = m // g
-    classes: list[list[Gate]] = [[], [], []]
-    for v in range(g):
-        f = v
-        for s in range(cycle_len):
-            gate = toffoli(a0 + f, a0 + (f + d) % m, tgt[(f - fa) % m])
-            color = 2 if (s == cycle_len - 1 and cycle_len % 2 == 1) else s % 2
-            classes[color].append(gate)
-            f = (f + d) % m
-    return "toffoli", terms, tuple(tuple(cls) for cls in classes if cls)
-
-
-def _gnb_self_mult_gates(
-    params: GnbParams, r: int, a0: int, c0: int, square_write: bool = False
-) -> Iterator[Gate]:
-    """|a>|c>  ->  |a>|c + a * a^(2^r)>, stages colored along delta cosets."""
-    m = params.m
-    if square_write:
-        tgt = [c0 + (i + 1) % m for i in range(m)]
-    else:
-        tgt = [c0 + i for i in range(m)]
-    for _, fa, fb in _gnb_stage_bases(params, r):
-        _, _, classes = _gnb_self_stage_classes(m, fa % m, fb - fa, a0, tgt)
-        for cls in classes:
-            yield from cls
+    """|a>|c>  ->  |a>|c + a * a^(2^r)>, stage by stage, color class by class."""
+    a = _wires(a0, range(rep.width))
+    tgt = _targets(rep, c0, square_write)
+    for stage in rep.self_mult_stages(r):
+        for cls in stage.classes:
+            yield from _class_gates(cls, a, tgt)
 
 
 # ---------------------------------------------------------------------------
@@ -330,101 +224,65 @@ def _check_exponent(r: int, m: int) -> None:
         raise ExponentOutOfRange(f"exponent r={r} outside 0..{m}")
 
 
+def _mult_circuit(rep: Rep) -> Circuit:
+    w = rep.width
+    gates = tuple(mult_gates(rep, 0, w, 2 * w))
+    return Circuit(3 * w, gates, {"input_a": (0, w), "input_b": (w, w), "output": (2 * w, w)})
+
+
+def _self_mult_circuit(rep: Rep, r: int) -> Circuit:
+    _check_exponent(r, rep.m)
+    w = rep.width
+    gates = tuple(self_mult_gates(rep, r, 0, w))
+    return Circuit(2 * w, gates, {"input": (0, w), "output": (w, w)})
+
+
+def _self_mult_schedule(rep: Rep, r: int) -> ColoringSchedule:
+    """Stage-by-stage view of the self-power circuit (same gates, same order)."""
+    _check_exponent(r, rep.m)
+    n = rep.width
+    a = _wires(0, range(n))
+    tgt = _targets(rep, n, False)
+    stages = []
+    for st in rep.self_mult_stages(r):
+        first, second, step = st.pairing
+        terms = tuple(((first + i) % n, (second + step * i) % n) for i in range(n))
+        classes = tuple(tuple(_class_gates(cls, a, tgt)) for cls in st.classes)
+        stages.append(StageSchedule(st.label, st.kind, st.delta, terms, classes))
+    return ColoringSchedule(m=rep.m, r=r, width=2 * n, stages=tuple(stages))
+
+
 def synth_gbb_mult(m: int) -> Circuit:
     """Ghost-bit product on 3(m+1) wires: (m+1)^2 Toffolis in m+1 layers."""
-    _require_ghost(m)
-    n = m + 1
-    gates = tuple(_gbb_mult_gates(m, 0, n, 2 * n))
-    return Circuit(
-        3 * n,
-        gates,
-        {"input_a": (0, n), "input_b": (n, n), "output": (2 * n, n)},
-    )
+    return _mult_circuit(GhostBit(m))
 
 
 def synth_gbb_self_mult(m: int, r: int) -> Circuit:
     """Ghost-bit a * a^(2^r) on 2(m+1) wires; depth 2(m+1) in the generic
     case, depth 1 when the power collapses to a squaring (r in {0, m})."""
-    _require_ghost(m)
-    _check_exponent(r, m)
-    n = m + 1
-    gates = tuple(_gbb_self_mult_gates(m, r, 0, n))
-    return Circuit(2 * n, gates, {"input": (0, n), "output": (n, n)})
+    return _self_mult_circuit(GhostBit(m), r)
 
 
 def gbb_self_mult_schedule(m: int, r: int) -> ColoringSchedule:
     """Stage-by-stage view of ``synth_gbb_self_mult`` (same gates, same order)."""
-    _require_ghost(m)
-    _check_exponent(r, m)
-    n = m + 1
-    tgt = [n + i for i in range(n)]
-    if pow(2, r, n) == 1:
-        layer = tuple(cnot(i, tgt[2 * i % n]) for i in range(n))
-        stage = StageSchedule(
-            label="squaring",
-            kind="cnot",
-            delta=None,
-            terms=tuple((i, i) for i in range(n)),
-            color_classes=(layer,),
-        )
-        return ColoringSchedule(m=m, r=r, width=2 * n, stages=(stage,))
-    stages = []
-    for sigma in range(n):
-        terms, classes = _gbb_self_stage_classes(m, r, sigma, 0, tgt)
-        stages.append(
-            StageSchedule(
-                label=f"sigma={sigma}",
-                kind="toffoli",
-                delta=None,
-                terms=terms,
-                color_classes=classes,
-            )
-        )
-    return ColoringSchedule(m=m, r=r, width=2 * n, stages=tuple(stages))
+    return _self_mult_schedule(GhostBit(m), r)
 
 
 def synth_gnb_mult(params: GnbParams) -> Circuit:
     """Normal-basis product on 3m wires: Tm^2 - m Toffolis in Tm - 1 layers
     (T = t rounded up to even)."""
-    validate_gnb_params(params)
-    m = params.m
-    gates = tuple(_gnb_mult_gates(params, 0, m, 2 * m))
-    return Circuit(
-        3 * m,
-        gates,
-        {"input_a": (0, m), "input_b": (m, m), "output": (2 * m, m)},
-    )
+    return _mult_circuit(Gnb(params.m, params))
 
 
 def synth_gnb_self_mult(params: GnbParams, r: int) -> Circuit:
     """Normal-basis a * a^(2^r) on 2m wires; stage depth follows the coset
     structure of each stage's index delta (1, 2 or 3 layers per stage)."""
-    validate_gnb_params(params)
-    _check_exponent(r, params.m)
-    m = params.m
-    gates = tuple(_gnb_self_mult_gates(params, r, 0, m))
-    return Circuit(2 * m, gates, {"input": (0, m), "output": (m, m)})
+    return _self_mult_circuit(Gnb(params.m, params), r)
 
 
 def gnb_self_mult_schedule(params: GnbParams, r: int) -> ColoringSchedule:
     """Stage-by-stage view of ``synth_gnb_self_mult`` (same gates, same order)."""
-    validate_gnb_params(params)
-    _check_exponent(r, params.m)
-    m = params.m
-    tgt = [m + i for i in range(m)]
-    stages = []
-    for label, fa, fb in _gnb_stage_bases(params, r):
-        kind, terms, classes = _gnb_self_stage_classes(m, fa % m, fb - fa, 0, tgt)
-        stages.append(
-            StageSchedule(
-                label=label,
-                kind=kind,
-                delta=fb - fa,
-                terms=terms,
-                color_classes=classes,
-            )
-        )
-    return ColoringSchedule(m=m, r=r, width=2 * m, stages=tuple(stages))
+    return _self_mult_schedule(Gnb(params.m, params), r)
 
 
 def gnb_self_mult_deltas(params: GnbParams, r: int) -> dict[int, int]:
@@ -436,41 +294,3 @@ def gnb_self_mult_deltas(params: GnbParams, r: int) -> dict[int, int]:
     return {
         k: (ft[p - k - 1] - r) - ft[k] for k in range(1, params.t * params.m)
     }
-
-
-# ---------------------------------------------------------------------------
-# peephole cancellation
-
-
-def _blocks_motion(h: Gate, g: Gate) -> bool:
-    """True if h prevents commuting g past it.
-
-    Two CNOT/Toffoli gates commute unless one's target feeds the other's
-    controls; shared controls or shared targets are harmless (reads commute,
-    XOR writes commute).
-    """
-    ht, gt = h[-1], g[-1]
-    return ht in g[:-1] or gt in h[:-1]
-
-
-def cancel_pairs(c: Circuit) -> Circuit:
-    """Remove pairs of identical gates separated only by commuting gates.
-
-    CNOT and Toffoli are involutions, so such a pair is the identity. The scan
-    is quadratic in the worst case and intended for multiplier-sized circuits;
-    synthesizers do not call it implicitly, the caller opts in.
-    """
-    out: list[Gate] = []
-    for g in c.gates:
-        cancelled = False
-        for idx in range(len(out) - 1, -1, -1):
-            h = out[idx]
-            if h == g:
-                del out[idx]
-                cancelled = True
-                break
-            if _blocks_motion(h, g):
-                break
-        if not cancelled:
-            out.append(g)
-    return Circuit(c.width, tuple(out), dict(c.registers))

@@ -125,6 +125,37 @@ def test_inverter_random_ghost_m10():
     )
 
 
+def check_complemented_ghost_inputs(m, values):
+    """Feed each value on its complemented representative (ghost bit 1): the
+    input register is preserved, every ancilla returns to zero and the output
+    retracts to the extended-Euclid inverse (zero to zero)."""
+    spec = FieldSpec.ghost_bit(m)
+    circ = synth_inverter(spec)
+    s = inverter_structure(spec)
+    w = s.reg_width
+    out_lo = s.registers["output"][0]
+    full = (1 << w) - 1
+    rows = embedded_rows(spec, [v ^ full for v in values], s.width)
+    for v, row, out in zip(values, rows, run_rows(circ, rows)):
+        assert row[m] == 1, "the representative must carry ghost bit 1"
+        assert out[:w] == row[:w], "input register was not preserved"
+        for name, (lo, ln) in s.registers.items():
+            if name not in ("input", "output"):
+                assert not any(out[lo : lo + ln]), f"{name} not cleaned"
+        got = phi_retract(GhostBitElement(m, tuple(out[out_lo : out_lo + w])))
+        a = PolyElement.from_int(m, v)
+        assert got == (a if v == 0 else poly_inverse(a))
+
+
+def test_inverter_complemented_ghost_m4_exhaustive():
+    check_complemented_ghost_inputs(4, list(range(16)))
+
+
+def test_inverter_complemented_ghost_m10_sampled():
+    rng = random.Random(0xC0DE)
+    check_complemented_ghost_inputs(10, [0] + [rng.getrandbits(10) for _ in range(63)])
+
+
 def test_inverter_random_gnb_m11():
     rng = random.Random(0xB10F)
     check_inverter(FieldSpec.gnb(11), [rng.getrandbits(11) for _ in range(40)])

@@ -13,7 +13,6 @@ from gf2synth.circuits import resources, simulate_batch
 from gf2synth.errors import ExponentOutOfRange, UnsupportedDegree
 from gf2synth.fields import GhostBitElement, gbb_frobenius, gbb_mult, gbb_square
 from gf2synth.multipliers import (
-    cancel_pairs,
     gbb_self_mult_schedule,
     ghost_read_permutation,
     ghost_write_permutation,
@@ -202,12 +201,3 @@ def test_write_permutation_is_square_movement():
     b = bits(m, rng.getrandbits(m + 1))
     assert perm.apply_bits(b.coeffs) == gbb_square(b).coeffs
     assert perm.inverse().apply_bits(perm.apply_bits(b.coeffs)) == b.coeffs
-
-
-def test_cancel_pairs_preserves_function():
-    m, n = 4, 5
-    c = synth_gbb_self_mult(m, 1)
-    slim = cancel_pairs(c)
-    assert slim.gate_count <= c.gate_count
-    rows = [row + [0] * n for row in all_patterns(n)]
-    assert simulate_batch(slim, rows) == simulate_batch(c, rows)

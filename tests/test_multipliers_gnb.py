@@ -15,7 +15,6 @@ from gf2synth.fields import (
     make_gnb_params,
 )
 from gf2synth.multipliers import (
-    cancel_pairs,
     gnb_read_permutation,
     gnb_self_mult_deltas,
     gnb_self_mult_schedule,
@@ -184,14 +183,3 @@ def test_write_permutation_is_square_movement():
     perm = gnb_write_permutation(m)
     b = bits(m, rng.getrandbits(m))
     assert perm.apply_bits(b.coeffs) == gnb_square(b).coeffs
-
-
-def test_cancel_pairs_preserves_function():
-    m = 5
-    c = synth_gnb_self_mult(P52, 1)
-    slim = cancel_pairs(c)
-    assert slim.gate_count <= c.gate_count
-    rows = [
-        [(v >> i) & 1 for i in range(m)] + [0] * m for v in range(1 << m)
-    ]
-    assert simulate_batch(slim, rows) == simulate_batch(c, rows)
