@@ -147,8 +147,9 @@ def _register_check(w: int, n_in: int, expected: Callable[..., int]):
 
 
 def _verify_row(spec: FieldSpec, kind: str, r: Optional[int]) -> _Row:
-    """The verification table, one row per kind. add/mult/selfmult are
-    checked on raw register patterns; invert on embedded field elements."""
+    """The verification table, one row per kind. Every kind is checked on
+    raw register patterns; an invert input may be either ghost-bit
+    representative of its element."""
     rep, w = spec.rep, spec.width
     if kind == "invert":
         s = inverter_structure(spec)
@@ -158,10 +159,10 @@ def _verify_row(spec: FieldSpec, kind: str, r: Optional[int]) -> _Row:
         def inverse(v: int, got: int) -> Optional[str]:
             if rep.inverse_ok(v, got):
                 return None
-            return f"input={_bitstr(v, spec.m)} output={_bitstr(got, w)}"
+            return f"input={_bitstr(v, w)} output={_bitstr(got, w)}"
 
         return _Row(
-            nbits=spec.m, width=s.width, name="inverter", gates=lambda: inverter_gates(spec),
+            nbits=w, width=s.width, name="inverter", gates=lambda: inverter_gates(spec),
             kept=regs["input"], kept_label="input wire", ancillas=ancillas,
             output=regs["output"][0], check=inverse,
         )
@@ -190,17 +191,21 @@ def verify_kind(
 ) -> VerifyResult:
     """Check a netlist against the classical oracles.
 
-    add/mult/selfmult are verified on raw register patterns (the convolution
-    identities hold on every bit vector, embedded or not); invert is verified
-    on embedded field elements with three checks per input: the output
-    register inverts the input (extended Euclid in the polynomial basis for
-    ghost-bit, product-equals-identity for the normal basis), the input
-    register is preserved, and every ancilla register returns to zero.
+    Inputs are raw register patterns (the convolution identities hold on
+    every bit vector, embedded or not), so a ghost-bit inverter is also fed
+    inputs whose ghost bit is 1. invert has three checks per input: the
+    output register inverts the input (both retracted and compared by
+    extended Euclid in the polynomial basis for ghost-bit,
+    product-equals-identity for the normal basis), the input register is
+    preserved, and every ancilla register returns to zero. Random mode
+    draws at most 2^20 samples, the exhaustive cap.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown verification kind {kind!r}")
     if kind == "selfmult" and r is None:
         raise ValueError("selfmult verification needs the exponent r")
+    if samples > EXHAUSTIVE_CAP:
+        raise ValueError(f"random mode draws at most 2^20 samples, got {samples}")
     row = _verify_row(spec, kind, r)
     nbits = row.nbits
 

@@ -13,7 +13,11 @@ Three element layouts appear throughout the package, all little-endian
 
 Everything in this module is plain integer arithmetic (bit-packed vectors);
 it serves as the ground truth the synthesized circuits are checked against
-and never imports the circuit layer.
+and never imports the circuit layer. The normal-basis product ``gnb_mult`` is
+computed in the cyclotomic ring F_2[x]/(x^p - 1) and never reads the index
+table; the multiplier circuits are built from that table through
+``gnb_stage_bases``, and ``gnb_verify_isomorphism`` certifies a table by
+comparing the two on m products.
 
 A ``FieldSpec`` hands out its representation object (``spec.rep``, a
 ``GhostBit`` or a ``Gnb``). That object is the one place where the two
@@ -27,8 +31,8 @@ structure of the two multiplier cores (as coefficient indices, which
 from __future__ import annotations
 
 import enum
-import random
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import gcd
 from typing import NamedTuple, Optional, Union
 
@@ -40,14 +44,7 @@ from .errors import (
     NoGnbFound,
     UnsupportedDegree,
 )
-from .gf2poly import (
-    all_one_poly,
-    find_irreducible,
-    gf2_inv_mod,
-    gf2_mulmod,
-    gf2_powmod,
-    prime_divisors,
-)
+from .gf2poly import all_one_poly, gf2_inv_mod, gf2_mul, gf2_mulmod, prime_divisors
 
 # ---------------------------------------------------------------------------
 # small number theory helpers
@@ -128,11 +125,6 @@ def _rotl(v: int, s: int, n: int) -> int:
         return v
     mask = (1 << n) - 1
     return ((v << s) | (v >> (n - s))) & mask
-
-
-def _rotr(v: int, s: int, n: int) -> int:
-    """Cyclic right rotation within n bits: bit i of result is bit (i+s) of v."""
-    return _rotl(v, n - (s % n), n)
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +293,8 @@ class GnbParams:
 
     p == t*m + 1 is prime, u has order t mod p, and ``f_table`` is the index
     table F(1..p-1): F(2^i * u^j mod p) == i for 0 <= i < m, 0 <= j < t.
+    Only the circuits read the table (through ``gnb_stage_bases``); the
+    reference product ``gnb_mult`` needs just m, t and p.
     The constructor performs no validation on purpose, so that deliberately
     corrupted tables can be fed to ``gnb_verify_isomorphism`` and reported
     false; use the factories ``make_gnb_params`` / ``find_gnb_type`` to obtain
@@ -424,29 +418,66 @@ def gnb_add(a: GnbElement, b: GnbElement) -> GnbElement:
     return GnbElement(a.m, tuple(x ^ y for x, y in zip(a.coeffs, b.coeffs)))
 
 
-def gnb_mult(params: GnbParams, a: GnbElement, b: GnbElement) -> GnbElement:
-    """Sum-of-rotations product formula driven by the index table.
+@lru_cache(maxsize=None)
+def _gauss_period_images(m: int, t: int, p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Images of the basis in F_2[x]/(x^p - 1), and where coordinate i is read.
 
-    Coordinate i of the product collects a_(F(k+1)+i) * b_(F(p-k)+i) over
-    k = 1..tm-1, plus for odd t the wrap terms pairing offsets k-1 and
-    k-1+m/2 for k = 1..m/2 (odd type forces m even). Index arithmetic is
-    mod m, so each term is an AND of two rotations.
+    K = {k^m mod p} is the order-t subgroup of (Z/p)*; basis element i maps
+    to the sum of x^(2^i * k mod p) over k in K, and coordinate i of a
+    product sits at exponent 2^i mod p.
+    """
+    subgroup = {pow(k, m, p) for k in range(1, p)}
+    positions = tuple(pow(2, i, p) for i in range(m))
+    images = tuple(sum(1 << (q * k % p) for k in subgroup) for q in positions)
+    return images, positions
+
+
+def gnb_mult(params: GnbParams, a: GnbElement, b: GnbElement) -> GnbElement:
+    """Gauss-period product in the cyclotomic ring F_2[x]/(x^p - 1).
+
+    Both operands are mapped into the ring (``_gauss_period_images``),
+    multiplied carry-less and folded mod x^p - 1. The product is a sum of
+    basis images plus a multiple of 1 = sum of all basis elements, so
+    coordinate i is bit 2^i mod p XOR bit 0 (Gao, von zur Gathen, Panario
+    and Shoup, J. Symb. Comput. 29, 2000). Only m, t and p are read: the
+    index table that drives the circuits plays no part, which keeps this an
+    independent oracle for them.
     """
     m, t, p = params.m, params.t, params.p
     if a.m != m or b.m != m:
         raise DegreeMismatch(f"elements of degree {a.m}/{b.m} vs params for {m}")
+    images, positions = _gauss_period_images(m, t, p)
+    av = bv = 0
+    for x, y, image in zip(a.coeffs, b.coeffs, images):
+        if x:
+            av ^= image
+        if y:
+            bv ^= image
+    c = gf2_mul(av, bv)
+    c = (c ^ (c >> p)) & ((1 << p) - 1)
+    bits = format(c, f"0{p}b")[::-1]
+    return GnbElement(m, tuple(int(bits[q] != bits[0]) for q in positions))
+
+
+def gnb_stage_bases(params: GnbParams, second_shift: int = 0) -> list[tuple[str, int, int]]:
+    """(label, first_base, second_base_raw) per multiplier stage, in emission order.
+
+    This is the one place the index table becomes a product formula: main
+    stages k = 1..tm-1 pair offsets F(k+1) and F(p-k) - second_shift; odd
+    type appends the wrap stages pairing k-1 with k-1+m/2 both ways (odd
+    type forces m even). ``second_base_raw`` is kept unreduced so delta
+    displays match the index arithmetic; all wire math reduces mod m. The
+    params are not validated, so a corrupted table can be certified false.
+    """
+    m, t, p = params.m, params.t, params.p
     ft = params.f_table
-    av = a.to_int()
-    bv = b.to_int()
-    acc = 0
-    for k in range(1, t * m):
-        acc ^= _rotr(av, ft[k], m) & _rotr(bv, ft[p - k - 1], m)
+    out = [(f"k={k}", ft[k], ft[p - k - 1] - second_shift) for k in range(1, t * m)]
     if t % 2:
         half = m // 2
         for k in range(1, half + 1):
-            acc ^= _rotr(av, k - 1, m) & _rotr(bv, k - 1 + half, m)
-            acc ^= _rotr(av, k - 1 + half, m) & _rotr(bv, k - 1, m)
-    return GnbElement.from_int(m, acc)
+            out.append((f"tail={k}a", k - 1, k - 1 + half - second_shift))
+            out.append((f"tail={k}b", k - 1 + half, k - 1 - second_shift))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -697,12 +728,12 @@ class GhostBit:
         return gbb_square(GhostBitElement.from_int(self.m, a)).to_int()
 
     def inverse_ok(self, v: int, got: int) -> bool:
-        """Does ``got`` retract to the inverse of the polynomial-basis value v
-        (extended Euclid; zero maps to zero)?"""
+        """Does ``got`` retract to the inverse of what the representative v
+        retracts to (extended Euclid; zero maps to zero)? Either
+        representative of an element (ghost bit 0 or 1) may be given."""
+        a = phi_retract(GhostBitElement.from_int(self.m, v))
         out = phi_retract(GhostBitElement.from_int(self.m, got))
-        if v == 0:
-            return out.to_int() == 0
-        return out == poly_inverse(PolyElement.from_int(self.m, v))
+        return out == (a if a.to_int() == 0 else poly_inverse(a))
 
     def read_permutation(self, e: int) -> tuple[int, ...]:
         return ghost_read_perm(self.m, e)
@@ -797,28 +828,10 @@ class Gnb:
         """Squared write: coefficient i lands on wire i+1 mod m."""
         return self.read_permutation(-1)
 
-    def _stage_bases(self, second_shift: int) -> list[tuple[str, int, int]]:
-        """(label, first_base, second_base_raw) per stage, in emission order.
-
-        Main stages k = 1..tm-1 pair offsets F(k+1) and F(p-k) - second_shift;
-        odd type appends the wrap stages pairing k-1 with k-1+m/2 both ways.
-        ``second_base_raw`` is kept unreduced so delta displays match the index
-        arithmetic; all wire math reduces mod m.
-        """
-        m, t, p = self.m, self.t, self.params.p
-        ft = self.params.f_table
-        out = [(f"k={k}", ft[k], ft[p - k - 1] - second_shift) for k in range(1, t * m)]
-        if t % 2:
-            half = m // 2
-            for k in range(1, half + 1):
-                out.append((f"tail={k}a", k - 1, k - 1 + half - second_shift))
-                out.append((f"tail={k}b", k - 1 + half, k - 1 - second_shift))
-        return out
-
     def mult_stages(self) -> list[tuple[int, int, int, int]]:
         """General product stages as (a, b, c, c_step), one depth-1 stage per
         index-table term: gate i multiplies a_(a+i) by b_(b+i) into c_i."""
-        return [(fa, fb, 0, 1) for _, fa, fb in self._stage_bases(0)]
+        return [(fa, fb, 0, 1) for _, fa, fb in gnb_stage_bases(self.params)]
 
     def self_mult_stages(self, r: int):
         """Stages of a * a^(2^r), colored along the cosets of each delta.
@@ -831,7 +844,7 @@ class Gnb:
         of odd-length cycles.
         """
         m = self.m
-        for label, fa, fb in self._stage_bases(r):
+        for label, fa, fb in gnb_stage_bases(self.params, r):
             delta = fb - fa
             d = delta % m
             if d == 0:
@@ -960,165 +973,36 @@ def itoh_tsujii_inverse(spec: FieldSpec, a: FieldElement) -> FieldElement:
 # certification of a normal-basis parameter set
 
 
-def gnb_verify_isomorphism(
-    params: GnbParams,
-    *,
-    max_ext_degree: int = 24,
-    trials: int = 512,
-    seed: int = 0xB10F,
-) -> bool:
-    """Certify that ``gnb_mult`` realizes F_{2^m} multiplication.
+def gnb_verify_isomorphism(params: GnbParams) -> bool:
+    """Certify that the circuits' index-table product is F_{2^m} multiplication.
 
-    Builds the basis explicitly inside F_2[x]/(g) with g irreducible of
-    degree t*m: picks an element of order p, sums the t conjugates indexed
-    by powers of u into a Gauss period, and checks that its m squarings are
-    linearly independent and that coordinate-wise ``gnb_mult`` matches field
-    multiplication (all element pairs when 4^m <= 2^16, otherwise structured
-    plus seeded random pairs). Squarings and the all-ones identity are
-    checked as well.
+    The stage formula (``gnb_stage_bases``) is compared with ``gnb_mult``, the
+    Gauss-period product in F_2[x]/(x^p - 1), on e_0 * e_d for d = 0..m-1.
+    Both products are bilinear and commute with the cyclic shift (squaring),
+    so agreeing on those m products means agreeing on every pair. The stage
+    side is read straight off the stage list: gate i of a stage with bases
+    (fa, fb) multiplies a_(fa+i) by b_(fb+i) into c_i, so it sets bit -fa
+    mod m of e_0 * e_d for d = fb - fa mod m.
 
-    Above ``max_ext_degree`` the explicit construction is skipped: the index
-    table is recomputed from (m, t, p, u) and algebraic properties of the
-    product (identity, commutativity, Frobenius compatibility, associativity
-    samples) are tested instead.
-
-    Returns False on any mismatch (e.g. a corrupted index table). Raises
-    ConstructionFailed only if the ambient field cannot be built at all
-    (p not prime or inconsistent with t*m + 1).
+    Returns False if no type-t normal basis exists for m, u does not have
+    order t, or the products differ (e.g. a corrupted index table). Raises
+    ConstructionFailed if the ring itself cannot be set up (p not prime or
+    not t*m + 1, u not a unit, a table of the wrong length).
     """
     m, t, p, u = params.m, params.t, params.p, params.u
     if m < 2 or t < 1 or p != t * m + 1 or not is_prime(p):
-        raise ConstructionFailed(
-            f"cannot build an ambient field for m={m}, t={t}, p={p}"
-        )
+        raise ConstructionFailed(f"cannot build an ambient field for m={m}, t={t}, p={p}")
     if not 1 <= u < p:
         raise ConstructionFailed(f"u={u} is not a unit mod {p}")
     if len(params.f_table) != p - 1:
         raise ConstructionFailed("index table length must be p - 1")
-
-    if t * m > max_ext_degree:
-        return _gnb_verify_by_properties(params, trials=trials, seed=seed)
-
-    n = t * m
-    g = find_irreducible(n)
-    group_order = (1 << n) - 1
-    if group_order % p != 0:
-        # p | 2^(tm) - 1 whenever ord_p(2) divides tm; a failure here means
-        # the parameters do not describe a subgroup of the right size.
-        raise ConstructionFailed(f"{p} does not divide 2^{n} - 1")
-
-    cofactor = group_order // p
-    alpha = 0
-    for c in range(2, 2 + 64):
-        cand = gf2_powmod(c, cofactor, g)
-        if cand != 1:
-            alpha = cand
-            break
-    if alpha == 0:
-        raise ConstructionFailed("found no element of the required order")
-
-    # Gauss period: sum of the conjugates of alpha over the order-t subgroup.
-    eta = 0
-    for j in range(t):
-        eta ^= gf2_powmod(alpha, pow(u, j, p), g)
-
-    cols = []
-    v = eta
-    for _ in range(m):
-        cols.append(v)
-        v = gf2_mulmod(v, v, g)
-
-    # Row-reduce the basis columns once; each pivot remembers which original
-    # columns combine into it so membership tests also yield coordinates.
-    pivots: list[tuple[int, int, int]] = []  # (pivot bit, reduced vec, mask)
-    for idx, col in enumerate(cols):
-        vec, mask = col, 1 << idx
-        for pb, rv, rm in pivots:
-            if (vec >> pb) & 1:
-                vec ^= rv
-                mask ^= rm
-        if vec == 0:
-            return False  # squarings are linearly dependent: not a basis
-        pivots.append((vec.bit_length() - 1, vec, mask))
-
-    def to_coords(z: int) -> Optional[int]:
-        mask = 0
-        for pb, rv, rm in pivots:
-            if (z >> pb) & 1:
-                z ^= rv
-                mask ^= rm
-        return mask if z == 0 else None
-
-    def lift(coords: int) -> int:
-        z = 0
-        i = 0
-        while coords:
-            if coords & 1:
-                z ^= cols[i]
-            coords >>= 1
-            i += 1
-        return z
-
-    if to_coords(1) != (1 << m) - 1:
-        return False  # identity must sit at the all-ones coordinate vector
-
-    def agree(ac: int, bc: int) -> bool:
-        prod = gf2_mulmod(lift(ac), lift(bc), g)
-        got = gnb_mult(params, GnbElement.from_int(m, ac), GnbElement.from_int(m, bc))
-        return to_coords(prod) == got.to_int()
-
-    size = 1 << m
-    if size * size <= 1 << 16:
-        pairs = ((ac, bc) for ac in range(size) for bc in range(size))
-    else:
-        rng = random.Random(seed)
-        structured = [(1, rng.getrandbits(m) or 1) for _ in range(8)]
-        structured += [((1 << m) - 1, rng.getrandbits(m)) for _ in range(8)]
-        sampled = [
-            (rng.getrandbits(m), rng.getrandbits(m)) for _ in range(trials)
-        ]
-        pairs = iter(structured + sampled)
-    for ac, bc in pairs:
-        if not agree(ac, bc):
-            return False
-
-    for ac in range(size) if size <= 1 << 12 else (random.Random(seed ^ 1).getrandbits(m) for _ in range(64)):
-        sq = gf2_mulmod(lift(ac), lift(ac), g)
-        if to_coords(sq) != gnb_square(GnbElement.from_int(m, ac)).to_int():
-            return False
-    return True
-
-
-def _gnb_verify_by_properties(params: GnbParams, *, trials: int, seed: int) -> bool:
-    """Fallback certification when t*m exceeds the construction cap."""
-    m, t, p, u = params.m, params.t, params.p, params.u
-    if multiplicative_order(u, p) != t or _gnb_violation(m, t):
+    if _gnb_violation(m, t) or multiplicative_order(u, p) != t:
         return False
-    try:
-        if params.f_table != _build_f_table(m, t, p, u):
-            return False
-    except InvalidParams:
-        return False
-
-    rng = random.Random(seed)
-    one = gnb_identity(m)
-    samples = [GnbElement.from_int(m, rng.getrandbits(m)) for _ in range(max(8, trials // 16))]
-    for a in samples:
-        if gnb_mult(params, one, a) != a:
-            return False
-        b = GnbElement.from_int(m, rng.getrandbits(m))
-        if gnb_mult(params, a, b) != gnb_mult(params, b, a):
-            return False
-        lhs = gnb_square(gnb_mult(params, a, b))
-        rhs = gnb_mult(params, gnb_square(a), gnb_square(b))
-        if lhs != rhs:
-            return False
-    for _ in range(4):
-        a = GnbElement.from_int(m, rng.getrandbits(m))
-        b = GnbElement.from_int(m, rng.getrandbits(m))
-        c = GnbElement.from_int(m, rng.getrandbits(m))
-        if gnb_mult(params, gnb_mult(params, a, b), c) != gnb_mult(
-            params, a, gnb_mult(params, b, c)
-        ):
-            return False
-    return True
+    stage_products = [0] * m
+    for _, fa, fb in gnb_stage_bases(params):
+        stage_products[(fb - fa) % m] ^= 1 << (-fa % m)
+    e0 = GnbElement.from_int(m, 1)
+    return all(
+        gnb_mult(params, e0, GnbElement.from_int(m, 1 << d)).to_int() == stage_products[d]
+        for d in range(m)
+    )

@@ -18,13 +18,16 @@ def gf2_degree(a: int) -> int:
 
 
 def gf2_mul(a: int, b: int) -> int:
-    """Carry-less product in GF(2)[x]."""
+    """Carry-less product in GF(2)[x]: the denser factor, shifted by each set
+    bit of the sparser one, so a sparse factor costs only its weight."""
+    if a.bit_count() > b.bit_count():
+        a, b = b, a
     out = 0
-    while b:
-        if b & 1:
-            out ^= a
-        a <<= 1
-        b >>= 1
+    bits = bin(a)[:1:-1]
+    j = bits.find("1")
+    while j >= 0:
+        out ^= b << j
+        j = bits.find("1", j + 1)
     return out
 
 
@@ -47,20 +50,6 @@ def gf2_mod(a: int, b: int) -> int:
 
 def gf2_mulmod(a: int, b: int, mod: int) -> int:
     return gf2_mod(gf2_mul(a, b), mod)
-
-
-def gf2_powmod(a: int, e: int, mod: int) -> int:
-    """a**e mod `mod` by square and multiply."""
-    if e < 0:
-        raise ValueError("negative exponent")
-    result = 1
-    base = gf2_mod(a, mod)
-    while e:
-        if e & 1:
-            result = gf2_mulmod(result, base, mod)
-        base = gf2_mulmod(base, base, mod)
-        e >>= 1
-    return result
 
 
 def gf2_gcd(a: int, b: int) -> int:
@@ -135,23 +124,3 @@ def all_one_poly(m: int) -> int:
     """x^m + x^(m-1) + ... + x + 1 as a bit-packed int."""
     return (1 << (m + 1)) - 1
 
-
-def find_irreducible(n: int) -> int:
-    """Smallest (by integer value) irreducible polynomial of degree n.
-
-    Preference order: the all-one polynomial when it is irreducible, otherwise
-    the lexicographically smallest irreducible of degree n. The all-one
-    polynomial of degree n is irreducible exactly when n+1 is prime with 2
-    primitive mod n+1, which ties the reduction polynomial to the redundant
-    representation whenever both exist.
-    """
-    if n < 1:
-        raise ValueError("degree must be positive")
-    candidate = all_one_poly(n)
-    if gf2_is_irreducible(candidate):
-        return candidate
-    for low in range(1, 1 << n, 2):  # constant term must be 1 for n >= 2
-        f = (1 << n) | low
-        if gf2_is_irreducible(f):
-            return f
-    raise ValueError(f"no irreducible polynomial of degree {n} found")  # unreachable

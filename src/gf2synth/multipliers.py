@@ -43,6 +43,7 @@ from .fields import (
     ghost_read_perm,
     ghost_square_perm,
     gnb_read_perm,
+    gnb_stage_bases,
     validate_gnb_params,
 )
 
@@ -289,8 +290,5 @@ def gnb_self_mult_deltas(params: GnbParams, r: int) -> dict[int, int]:
     """Raw index deltas of the main stages: {k: F(p-k) - r - F(k+1)}."""
     validate_gnb_params(params)
     _check_exponent(r, params.m)
-    ft = params.f_table
-    p = params.p
-    return {
-        k: (ft[p - k - 1] - r) - ft[k] for k in range(1, params.t * params.m)
-    }
+    main = gnb_stage_bases(params, r)[: params.t * params.m - 1]
+    return {k: fb - fa for k, (_, fa, fb) in enumerate(main, 1)}

@@ -149,6 +149,28 @@ def test_verify_exhaustive_cap(capsys):
     assert "cap" in err
 
 
+def test_verify_random_cap(capsys):
+    code, out, err = run(
+        capsys, "verify", "add", "-m", "4", "--rep", "gbb", "--random", str((1 << 20) + 1)
+    )
+    assert code == 2
+    assert out == ""
+    assert "2^20" in err
+
+
+def test_verify_gbb_invert_feeds_ghost_bit(capsys, tmp_path):
+    """A gate that only fires when the input's ghost wire is 1 must be caught."""
+    path = tmp_path / "inv.qc"
+    run(capsys, "synth", "invert", "-m", "4", "--rep", "gbb", "--out", str(path))
+    out_start = parse(path.read_text()).registers["output"][0]
+    with path.open("a") as fh:
+        fh.write(f"cx 4 {out_start}\n")
+    code, out, _ = run(capsys, "verify", "invert", "-m", "4", "--rep", "gbb", "--in", str(path))
+    assert code == 1
+    assert "inputs=32" in out
+    assert "result=fail" in out
+
+
 def test_verify_invert_roundtrip_through_file(capsys, tmp_path):
     path = tmp_path / "inv.qc"
     run(capsys, "synth", "invert", "-m", "5", "--rep", "gnb", "--out", str(path))

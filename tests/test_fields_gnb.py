@@ -1,11 +1,15 @@
 """Gaussian normal basis parameters, arithmetic, and the isomorphism check."""
 
 import random
+import time
 
 import pytest
 
+from gf2synth import fields
+from gf2synth.cli import verify_kind
 from gf2synth.errors import ConstructionFailed, InvalidParams, NoGnbFound
 from gf2synth.fields import (
+    FieldSpec,
     GnbElement,
     GnbParams,
     find_gnb_type,
@@ -135,9 +139,64 @@ def test_odd_type_params():
 
 
 def test_isomorphism_verifier_accepts_valid_tables():
-    assert gnb_verify_isomorphism(make_gnb_params(5, 2))
-    assert gnb_verify_isomorphism(make_gnb_params(4, 3))
-    assert gnb_verify_isomorphism(make_gnb_params(7, 4))
+    certified = set()
+    for m in range(2, 65):
+        for t in range(1, 7):
+            try:
+                params = make_gnb_params(m, t)
+            except InvalidParams:
+                continue
+            assert gnb_verify_isomorphism(params), (m, t)
+            certified.add((m, t))
+    assert {(5, 2), (4, 3), (7, 4), (6, 3), (60, 1)} <= certified
+
+
+def test_isomorphism_verifier_certifies_nist_degrees():
+    params = [find_gnb_type(m) for m in (163, 233, 283, 409, 571)]
+    t0 = time.monotonic()
+    assert all(gnb_verify_isomorphism(p) for p in params)
+    elapsed = time.monotonic() - t0
+    assert elapsed < 2, f"certifying the NIST degrees took {elapsed:.2f}s"
+
+
+def test_gnb_mult_ignores_index_table():
+    rng = random.Random(21)
+    for m, t in ((5, 2), (4, 3), (6, 3), (163, 4)):
+        good = make_gnb_params(m, t)
+        blank = GnbParams(m, t, good.p, good.u, (0,) * (good.p - 1))
+        for _ in range(16):
+            a, b = rand_elem(rng, m), rand_elem(rng, m)
+            assert gnb_mult(blank, a, b) == gnb_mult(good, a, b)
+
+
+def _swap_two_table_entries(monkeypatch):
+    """Make every table construction (and so its validation) swap F(2) and F(3)."""
+    original = fields._build_f_table
+
+    def swapped(*args):
+        table = list(original(*args))
+        table[1], table[2] = table[2], table[1]
+        return tuple(table)
+
+    monkeypatch.setattr(fields, "_build_f_table", swapped)
+
+
+def test_swapped_index_table_fails_verification_m163(monkeypatch):
+    good = find_gnb_type(163)
+    _swap_two_table_entries(monkeypatch)
+    spec = FieldSpec.gnb(163)
+    assert spec.gnb_params.f_table != good.f_table
+    assert not verify_kind(spec, "mult").passed
+    assert not verify_kind(spec, "selfmult", r=3).passed
+    assert gnb_verify_isomorphism(spec.gnb_params) is False
+
+
+def test_dropped_stage_fails_verification_m163(monkeypatch):
+    original = fields.gnb_stage_bases
+    monkeypatch.setattr(
+        fields, "gnb_stage_bases", lambda params, shift=0: original(params, shift)[1:]
+    )
+    assert not verify_kind(FieldSpec.gnb(163), "mult").passed
 
 
 def test_isomorphism_verifier_rejects_corrupt_table():

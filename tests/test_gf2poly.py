@@ -6,7 +6,6 @@ import pytest
 
 from gf2synth.gf2poly import (
     all_one_poly,
-    find_irreducible,
     gf2_degree,
     gf2_divmod,
     gf2_ext_gcd,
@@ -16,7 +15,6 @@ from gf2synth.gf2poly import (
     gf2_mod,
     gf2_mul,
     gf2_mulmod,
-    gf2_powmod,
 )
 
 
@@ -69,15 +67,6 @@ def test_inv_mod():
         gf2_inv_mod(0, f)
 
 
-def test_powmod_matches_repeated_mult():
-    f = find_irreducible(8)
-    a = 0b1011001
-    acc = 1
-    for e in range(20):
-        assert gf2_powmod(a, e, f) == acc
-        acc = gf2_mulmod(acc, a, f)
-
-
 def test_irreducibility_small():
     # degree 2: x^2 + x + 1 is the only irreducible
     assert gf2_is_irreducible(0b111)
@@ -103,13 +92,3 @@ def test_all_one_poly_irreducible_iff_ghost_condition():
     for m in range(2, 40):
         assert gf2_is_irreducible(all_one_poly(m)) == check_ghost_bit_support(m)
 
-
-def test_find_irreducible_prefers_all_one():
-    assert find_irreducible(4) == all_one_poly(4)
-    assert find_irreducible(10) == all_one_poly(10)
-    # degree 5 has no irreducible all-one polynomial; smallest is x^5 + x^2 + 1
-    f5 = find_irreducible(5)
-    assert f5 == 0b100101
-    assert gf2_is_irreducible(f5)
-    f8 = find_irreducible(8)
-    assert gf2_degree(f8) == 8 and gf2_is_irreducible(f8)
