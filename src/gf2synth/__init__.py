@@ -17,7 +17,6 @@ from .circuits import (
     Toffoli,
     cnot,
     concat,
-    depth,
     emit,
     emit_lines,
     measure_stream,
@@ -55,7 +54,6 @@ from .fields import (
     gbb_identity,
     gbb_mult,
     gbb_square,
-    ghost_square_perm,
     gnb_frobenius,
     gnb_identity,
     gnb_mult,
@@ -83,14 +81,9 @@ from .inverters import (
 from .multipliers import (
     ColoringSchedule,
     StageSchedule,
-    WirePermutation,
     gbb_self_mult_schedule,
-    ghost_read_permutation,
-    ghost_write_permutation,
-    gnb_read_permutation,
     gnb_self_mult_deltas,
     gnb_self_mult_schedule,
-    gnb_write_permutation,
     synth_add,
     synth_gbb_mult,
     synth_gbb_self_mult,

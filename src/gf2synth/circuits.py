@@ -6,6 +6,16 @@ as-soon-as-possible layering: gates are taken in sequence order and each is
 placed in the earliest layer where all of its wires are free. ``toffoli_depth``
 applies the same rule to the Toffoli subsequence with CNOTs transparent.
 
+Two rules say what a circuit may hold, each written once, here:
+``validated_gates`` (a CNOT has two distinct wires, a Toffoli three, all in
+0..width-1; Toffoli controls are stored lower-first) and
+``validated_registers`` (a name is one token the netlist format can carry,
+a span is non-empty and inside the width, spans do not overlap).
+``Circuit``, the gate factories and ``parse`` all go through them, and the
+multiplier cores check their register layout with the second. The streamed
+consumers (``measure_stream``, ``run_packed``) trust their gates: the cores
+emit valid gates whenever that per-block precondition holds.
+
 Simulation is bit-sliced: one Python int per wire, bit b of that int holding
 wire's value for input pattern b, so a whole batch of inputs costs a single
 pass over the gates. T-gate figures use the standard 7 T / T-depth 6
@@ -14,10 +24,12 @@ decomposition of the Toffoli.
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
-from .errors import ParseError, WidthMismatch
+from .errors import CircuitRuleError, ParseError, WidthMismatch
 
 
 class Cnot(NamedTuple):
@@ -36,71 +48,72 @@ Gate = Union[Cnot, Toffoli]
 T_PER_TOFFOLI = 7
 T_DEPTH_PER_TOFFOLI = 6
 
+UNBOUNDED = float("inf")  # the width of a gate or register that belongs to no circuit yet
+
+
+def validated_gates(gates: Iterable[Gate], width: Union[int, float]) -> tuple[Gate, ...]:
+    """The gate rule, in one loop: every gate is a CNOT of two or a Toffoli
+    of three distinct wires in 0..width-1. Returns the gates as Cnot and
+    Toffoli tuples with Toffoli controls lower-first; raises CircuitRuleError
+    at the first gate that breaks the rule."""
+    out: list[Gate] = []
+    append = out.append
+    for g in gates:
+        n = len(g)
+        if n == 3:
+            a, b, t = g
+            if a != b != t != a and 0 <= a < width and 0 <= b < width and 0 <= t < width:
+                if a < b:
+                    append(g if type(g) is Toffoli else Toffoli(a, b, t))
+                else:
+                    append(Toffoli(b, a, t))
+                continue
+        elif n == 2:
+            c, t = g
+            if c != t and 0 <= c < width and 0 <= t < width:
+                append(g if type(g) is Cnot else Cnot(c, t))
+                continue
+        raise CircuitRuleError(
+            f"gate {tuple(g)} is not 2 or 3 distinct wires in 0..{width - 1}", "gate", len(out)
+        )
+    return tuple(out)
+
+
+def validated_registers(
+    registers: dict[str, tuple[int, int]], width: Union[int, float]
+) -> dict[str, tuple[int, int]]:
+    """The register rule: each name is one token without '#' (what a netlist
+    line can carry), each span (start, length) is non-empty and inside
+    0..width-1, and no span overlaps an earlier one. Raises CircuitRuleError
+    at the first register, in map order, that breaks the rule."""
+    clean: dict[str, tuple[int, int]] = {}
+    taken: list[tuple[int, int, str]] = []  # accepted spans, disjoint and sorted
+    for i, (name, (start, length)) in enumerate(registers.items()):
+        end = start + length
+        k = bisect(taken, (start, end))
+        if name.split() != [name] or "#" in name:
+            problem = f"register name {name!r} must be one token without '#'"
+        elif length < 1 or start < 0 or end > width:
+            problem = f"register {name} spans [{start}, {end}) outside 0..{width - 1}"
+        elif k and taken[k - 1][1] > start:
+            problem = f"register {name} overlaps {taken[k - 1][2]}"
+        elif k < len(taken) and taken[k][0] < end:
+            problem = f"register {name} overlaps {taken[k][2]}"
+        else:
+            clean[name] = (start, length)
+            taken.insert(k, (start, end, name))
+            continue
+        raise CircuitRuleError(problem, "register", i)
+    return clean
+
 
 def cnot(control: int, target: int) -> Cnot:
-    if control == target:
-        raise ValueError(f"cnot control and target coincide on wire {control}")
-    if control < 0 or target < 0:
-        raise ValueError("wire indices must be non-negative")
-    return Cnot(control, target)
+    return validated_gates((Cnot(control, target),), UNBOUNDED)[0]
 
 
 def toffoli(control_a: int, control_b: int, target: int) -> Toffoli:
     """Toffoli with controls stored lower-index-first (they commute)."""
-    if control_a == control_b or control_a == target or control_b == target:
-        raise ValueError(
-            f"toffoli wires must be distinct, got {(control_a, control_b, target)}"
-        )
-    if min(control_a, control_b, target) < 0:
-        raise ValueError("wire indices must be non-negative")
-    if control_a > control_b:
-        control_a, control_b = control_b, control_a
-    return Toffoli(control_a, control_b, target)
-
-
-def _validated_gates(gates: Iterable[Gate], width: int) -> tuple[Gate, ...]:
-    out = []
-    for g in gates:
-        if len(g) == 2:
-            c, t = g
-            if c == t:
-                raise ValueError(f"cnot control and target coincide on wire {c}")
-            if c < 0 or t < 0 or c >= width or t >= width:
-                raise ValueError(f"gate {g} exceeds width {width}")
-            out.append(g if type(g) is Cnot else Cnot(c, t))
-        elif len(g) == 3:
-            a, b, t = g
-            if a == b or a == t or b == t:
-                raise ValueError(f"toffoli wires must be distinct, got {tuple(g)}")
-            if min(a, b, t) < 0 or max(a, b, t) >= width:
-                raise ValueError(f"gate {g} exceeds width {width}")
-            if a > b:
-                a, b = b, a
-            out.append(Toffoli(a, b, t))
-        else:
-            raise ValueError(f"unsupported gate {g!r}")
-    return tuple(out)
-
-
-def _validated_registers(
-    registers: dict[str, tuple[int, int]], width: int
-) -> dict[str, tuple[int, int]]:
-    clean: dict[str, tuple[int, int]] = {}
-    spans = []
-    for name, (start, length) in registers.items():
-        if not name or any(ch.isspace() for ch in name):
-            raise ValueError(f"register name {name!r} must be a single token")
-        if length < 1 or start < 0 or start + length > width:
-            raise ValueError(
-                f"register {name} spans [{start}, {start + length}) outside width {width}"
-            )
-        clean[name] = (start, length)
-        spans.append((start, start + length, name))
-    spans.sort()
-    for (s0, e0, n0), (s1, e1, n1) in zip(spans, spans[1:]):
-        if s1 < e0:
-            raise ValueError(f"registers {n0} and {n1} overlap")
-    return clean
+    return validated_gates((Toffoli(control_a, control_b, target),), UNBOUNDED)[0]
 
 
 @dataclass(frozen=True, eq=True)
@@ -112,20 +125,14 @@ class Circuit:
     registers: dict[str, tuple[int, int]] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.width < 0:
-            raise ValueError("width must be non-negative")
-        object.__setattr__(self, "gates", _validated_gates(self.gates, self.width))
-        object.__setattr__(
-            self, "registers", _validated_registers(dict(self.registers), self.width)
-        )
+        if self.width < 1:
+            raise ValueError("width must be positive")
+        object.__setattr__(self, "registers", validated_registers(self.registers, self.width))
+        object.__setattr__(self, "gates", validated_gates(self.gates, self.width))
 
     def register_slice(self, name: str) -> range:
         start, length = self.registers[name]
         return range(start, start + length)
-
-    @property
-    def gate_count(self) -> int:
-        return len(self.gates)
 
 
 @dataclass(frozen=True)
@@ -219,12 +226,6 @@ def measure_stream(width: int, gates: Iterable[Gate]) -> ResourceEstimate:
 
 def resources(c: Circuit) -> ResourceEstimate:
     return measure_stream(c.width, c.gates)
-
-
-def depth(c: Circuit) -> tuple[int, int]:
-    """(greedy depth, greedy Toffoli depth) of the circuit."""
-    est = resources(c)
-    return est.depth, est.toffoli_depth
 
 
 def schedule(c: Circuit) -> list[list[Gate]]:
@@ -357,31 +358,28 @@ def emit(c: Circuit, header: Iterable[str] = ()) -> str:
     return "\n".join(emit_lines(c.width, c.registers, c.gates, header)) + "\n"
 
 
+def _directives(text: str) -> Iterator[tuple[int, list[str]]]:
+    """(1-based line number, tokens) of every line that is not blank or a comment."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        toks = raw.split("#", 1)[0].split()
+        if toks:
+            yield lineno, toks
+
+
 def parse(text: str) -> Circuit:
     """Parse the netlist format back into a Circuit.
 
-    Raises ParseError carrying the 1-based line number for malformed input;
-    ``parse(emit(c)) == c`` for every valid circuit.
+    The parser reads the format only: the header, directive names, arity,
+    integer tokens, register order and duplicate register names. The gates
+    and registers it reads go through the circuit rules once, when the
+    Circuit is built. Raises ParseError carrying the 1-based line number of
+    the first malformed line, or else of the first gate or register that
+    breaks a rule; ``parse(emit(c)) == c`` for every valid circuit.
     """
     width: Optional[int] = None
     registers: dict[str, tuple[int, int]] = {}
     gates: list[Gate] = []
-    spans: list[tuple[int, int, str]] = []
-
-    def wire(tok: str, lineno: int) -> int:
-        try:
-            w = int(tok)
-        except ValueError:
-            raise ParseError(f"expected a wire index, got {tok!r}", lineno) from None
-        if w < 0 or w >= width:  # width is set before any gate line is accepted
-            raise ParseError(f"wire {w} outside 0..{width - 1}", lineno)
-        return w
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        toks = line.split()
+    for lineno, toks in _directives(text):
         op = toks[0]
         if width is None:
             if op != "qubits":
@@ -394,54 +392,41 @@ def parse(text: str) -> Circuit:
                 raise ParseError(f"bad qubit count {toks[1]!r}", lineno) from None
             if width < 1:
                 raise ParseError("qubit count must be positive", lineno)
-            continue
-        if op == "qubits":
-            raise ParseError("duplicate qubits line", lineno)
-        if op == "reg":
+        elif op == "ccx":
+            if len(toks) != 4:
+                raise ParseError("ccx needs exactly 3 wires", lineno)
+            try:
+                gates.append(Toffoli(int(toks[1]), int(toks[2]), int(toks[3])))
+            except ValueError:
+                raise ParseError(f"expected wire indices, got {toks[1:]}", lineno) from None
+        elif op == "cx":
+            if len(toks) != 3:
+                raise ParseError("cx needs exactly 2 wires", lineno)
+            try:
+                gates.append(Cnot(int(toks[1]), int(toks[2])))
+            except ValueError:
+                raise ParseError(f"expected wire indices, got {toks[1:]}", lineno) from None
+        elif op == "reg":
             if gates:
                 raise ParseError("register lines must precede gates", lineno)
             if len(toks) != 4:
                 raise ParseError("reg line needs: reg <name> <start> <len>", lineno)
-            name = toks[1]
-            if name in registers:
-                raise ParseError(f"duplicate register {name}", lineno)
+            if toks[1] in registers:
+                raise ParseError(f"duplicate register {toks[1]}", lineno)
             try:
-                start, length = int(toks[2]), int(toks[3])
+                registers[toks[1]] = (int(toks[2]), int(toks[3]))
             except ValueError:
                 raise ParseError("register bounds must be integers", lineno) from None
-            if length < 1 or start < 0 or start + length > width:
-                raise ParseError(
-                    f"register {name} spans [{start}, {start + length}) outside width {width}",
-                    lineno,
-                )
-            for s0, e0, n0 in spans:
-                if start < e0 and s0 < start + length:
-                    raise ParseError(f"register {name} overlaps {n0}", lineno)
-            registers[name] = (start, length)
-            spans.append((start, start + length, name))
-            continue
-        if op == "cx":
-            if len(toks) != 3:
-                raise ParseError("cx needs exactly 2 wires", lineno)
-            c0, t0 = wire(toks[1], lineno), wire(toks[2], lineno)
-            if c0 == t0:
-                raise ParseError(f"cx wires must be distinct, got {c0}", lineno)
-            gates.append(Cnot(c0, t0))
-            continue
-        if op == "ccx":
-            if len(toks) != 4:
-                raise ParseError("ccx needs exactly 3 wires", lineno)
-            a0, b0, t0 = (wire(t, lineno) for t in toks[1:4])
-            if a0 == b0 or a0 == t0 or b0 == t0:
-                raise ParseError(
-                    f"ccx wires must be distinct, got {(a0, b0, t0)}", lineno
-                )
-            if a0 > b0:
-                a0, b0 = b0, a0
-            gates.append(Toffoli(a0, b0, t0))
-            continue
-        raise ParseError(f"unknown directive {op!r}", lineno)
+        elif op == "qubits":
+            raise ParseError("duplicate qubits line", lineno)
+        else:
+            raise ParseError(f"unknown directive {op!r}", lineno)
 
     if width is None:
         raise ParseError("empty netlist: missing qubits line", 1)
-    return Circuit(width=width, gates=tuple(gates), registers=registers)
+    try:
+        return Circuit(width, gates, registers)
+    except CircuitRuleError as e:
+        ops = ("reg",) if e.kind == "register" else ("cx", "ccx")
+        lines = (lineno for lineno, toks in _directives(text) if toks[0] in ops)
+        raise ParseError(str(e), next(islice(lines, e.index, None))) from None

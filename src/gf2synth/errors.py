@@ -38,6 +38,16 @@ class WidthMismatch(ValueError):
     """An input vector's length does not match the circuit width."""
 
 
+class CircuitRuleError(ValueError):
+    """A gate or register breaks the circuit rules. ``kind`` is "gate" or
+    "register"; ``index`` is the item's position in the order given."""
+
+    def __init__(self, message: str, kind: str, index: int):
+        super().__init__(message)
+        self.kind = kind
+        self.index = index
+
+
 class ParseError(ValueError):
     """A netlist file is malformed; carries the 1-based line number."""
 

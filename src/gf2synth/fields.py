@@ -207,11 +207,6 @@ def _require_ghost(m: int) -> None:
         )
 
 
-def ghost_square_perm(m: int) -> tuple[int, ...]:
-    """Squaring permutation: coefficient i moves to position 2i mod (m+1)."""
-    return GhostBit(m).write_permutation
-
-
 def phi_embed(a: PolyElement) -> GhostBitElement:
     """Embed a polynomial-basis element by appending a zero ghost coefficient."""
     _require_ghost(a.m)
@@ -690,7 +685,7 @@ class SelfPowerStage(NamedTuple):
 
     ``classes`` are the stage's depth-1 color classes in emission order, each
     a tuple of index gates: ``(x, y, c)`` is a Toffoli on input coefficients
-    x and y into output coefficient c, ``(x, c)`` a CNOT. ``pairing`` is
+    x < y into output coefficient c, ``(x, c)`` a CNOT. ``pairing`` is
     ``(first, second, step)``: term i of the stage multiplies coefficient
     first + i by coefficient second + step * i (indices mod the width).
     """
@@ -858,8 +853,10 @@ class Gnb:
                 f = v
                 for s in range(cycle_len):
                     color = 2 if (s == cycle_len - 1 and cycle_len % 2 == 1) else s % 2
-                    classes[color].append((f, (f + d) % m, (f - fa) % m))
-                    f = (f + d) % m
+                    nxt = (f + d) % m
+                    c = (f - fa) % m
+                    classes[color].append((f, nxt, c) if f < nxt else (nxt, f, c))
+                    f = nxt
             colored = tuple(tuple(cls) for cls in classes if cls)
             yield SelfPowerStage(label, "toffoli", delta, (fa, fb, 1), colored)
 

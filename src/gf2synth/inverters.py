@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
-from .circuits import Circuit, Gate, ResourceEstimate, cnot, measure_stream
+from .circuits import Circuit, Cnot, Gate, ResourceEstimate, measure_stream
 from .errors import DegreeTooSmall
 from .fields import (  # noqa: F401  (the bounds are re-exported from here)
     FieldSpec,
@@ -160,9 +160,9 @@ def synth_inverter(spec: FieldSpec, in_place: bool = False) -> Circuit:
         a0 = s.registers["input"][0]
         b0 = s.registers["output"][0]
         for i in range(s.reg_width):
-            gates.append(cnot(a0 + i, b0 + i))
-            gates.append(cnot(b0 + i, a0 + i))
-            gates.append(cnot(a0 + i, b0 + i))
+            gates.append(Cnot(a0 + i, b0 + i))
+            gates.append(Cnot(b0 + i, a0 + i))
+            gates.append(Cnot(a0 + i, b0 + i))
     return Circuit(s.width, tuple(gates), s.registers)
 
 

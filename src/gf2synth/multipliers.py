@@ -26,6 +26,13 @@ permutation, which yields its power-of-two Frobenius image) and a
 squared-write flag (the output is written through the write permutation),
 which is what lets the inverter fold Frobenius maps and its final squaring
 into the wiring for free.
+
+The cores build ``Cnot``/``Toffoli`` tuples directly and check no gate on
+its own. Each block first checks its register layout with the register
+rule of ``circuits`` (non-negative, pairwise disjoint spans); the stage
+formulas then give every gate distinct wires with Toffoli controls
+lower-first. ``Circuit`` applies the gate rule when a netlist is
+materialized, and the streamed consumers trust the cores.
 """
 
 from __future__ import annotations
@@ -33,78 +40,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Union
 
-from .circuits import Circuit, Gate, cnot, toffoli
+from .circuits import UNBOUNDED, Circuit, Cnot, Gate, Toffoli, validated_registers
 from .errors import ExponentOutOfRange
 from .fields import (
     GhostBit,
     Gnb,
     GnbParams,
     IndexGate,
-    ghost_read_perm,
-    ghost_square_perm,
-    gnb_read_perm,
     gnb_stage_bases,
     validate_gnb_params,
 )
 
 Rep = Union[GhostBit, Gnb]
-
-
-# ---------------------------------------------------------------------------
-# wire permutations (operand reads and squared writes)
-
-
-@dataclass(frozen=True)
-class WirePermutation:
-    """A bijection on wire offsets; ``mapping[i]`` is where position i goes."""
-
-    mapping: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "mapping", tuple(self.mapping))
-        n = len(self.mapping)
-        if sorted(self.mapping) != list(range(n)):
-            raise ValueError("mapping is not a permutation")
-
-    def __call__(self, i: int) -> int:
-        return self.mapping[i]
-
-    def __len__(self) -> int:
-        return len(self.mapping)
-
-    def inverse(self) -> "WirePermutation":
-        inv = [0] * len(self.mapping)
-        for i, j in enumerate(self.mapping):
-            inv[j] = i
-        return WirePermutation(tuple(inv))
-
-    def apply_bits(self, bits) -> tuple[int, ...]:
-        """Route bit i to position mapping[i]."""
-        out = [0] * len(self.mapping)
-        for i, b in enumerate(bits):
-            out[self.mapping[i]] = b
-        return tuple(out)
-
-
-def ghost_write_permutation(m: int) -> WirePermutation:
-    """Where ghost-bit coefficients land when the write is squared."""
-    return WirePermutation(ghost_square_perm(m))
-
-
-def gnb_write_permutation(m: int) -> WirePermutation:
-    """Normal-basis squared write: coefficient i lands on wire i+1 mod m."""
-    return gnb_read_permutation(m, -1)
-
-
-def ghost_read_permutation(m: int, e: int) -> WirePermutation:
-    """Reading operand wires through this permutation yields the operand's
-    2^e-th power: logical coefficient x of b^(2^e) lives on wire x * 2^-e."""
-    return WirePermutation(ghost_read_perm(m, e))
-
-
-def gnb_read_permutation(m: int, e: int) -> WirePermutation:
-    """Normal-basis analogue: coefficient x of b^(2^e) lives on wire x - e."""
-    return WirePermutation(gnb_read_perm(m, e))
 
 
 # ---------------------------------------------------------------------------
@@ -173,12 +120,14 @@ def _targets(rep: Rep, c0: int, square_write: bool) -> list[int]:
 
 
 def _class_gates(cls: Iterable[IndexGate], a: list[int], tgt: list[int]) -> Iterator[Gate]:
-    """Place one color class of a self-power stage on wires."""
+    """Place one color class of a self-power stage on wires. Index
+    Toffolis name their controls lower-first and ``a`` increases, so the
+    wire controls are lower-first too."""
     for g in cls:
         if len(g) == 3:
-            yield toffoli(a[g[0]], a[g[1]], tgt[g[2]])
+            yield Toffoli(a[g[0]], a[g[1]], tgt[g[2]])
         else:
-            yield cnot(a[g[0]], tgt[g[1]])
+            yield Cnot(a[g[0]], tgt[g[1]])
 
 
 def mult_gates(
@@ -187,19 +136,24 @@ def mult_gates(
     """|a>|b>|c>  ->  |a>|b>|c + a * b^(2^b_exp)>, one depth-1 layer per stage;
     within a stage all controls and targets are distinct."""
     n = rep.width
+    validated_registers({"a": (a0, n), "b": (b0, n), "c": (c0, n)}, UNBOUNDED)  # the precondition
     a = _wires(a0, range(n))
     b = _wires(b0, rep.read_permutation(b_exp))
     tgt = _targets(rep, c0, square_write)
     for sa, sb, sc, step in rep.mult_stages():
+        # the lower register's wire is the first control of every gate
+        (x, sx), (y, sy) = ((a, sa), (b, sb)) if a0 < b0 else ((b, sb), (a, sa))
         for j in range(n):
-            yield toffoli(a[(sa + j) % n], b[(sb + j) % n], tgt[(sc + step * j) % n])
+            yield Toffoli(x[(sx + j) % n], y[(sy + j) % n], tgt[(sc + step * j) % n])
 
 
 def self_mult_gates(
     rep: Rep, r: int, a0: int, c0: int, square_write: bool = False
 ) -> Iterator[Gate]:
     """|a>|c>  ->  |a>|c + a * a^(2^r)>, stage by stage, color class by class."""
-    a = _wires(a0, range(rep.width))
+    n = rep.width
+    validated_registers({"a": (a0, n), "c": (c0, n)}, UNBOUNDED)  # the precondition
+    a = _wires(a0, range(n))
     tgt = _targets(rep, c0, square_write)
     for stage in rep.self_mult_stages(r):
         for cls in stage.classes:
@@ -214,7 +168,7 @@ def synth_add(width: int) -> Circuit:
     """|a>|b> -> |a>|a+b>: transversal CNOTs, depth 1."""
     if width < 1:
         raise ValueError("width must be positive")
-    gates = tuple(cnot(i, width + i) for i in range(width))
+    gates = tuple(Cnot(i, width + i) for i in range(width))
     return Circuit(
         2 * width, gates, {"input_a": (0, width), "input_b": (width, width)}
     )

@@ -10,7 +10,6 @@ from gf2synth.circuits import (
     Toffoli,
     cnot,
     concat,
-    depth,
     measure_stream,
     pack_inputs,
     resources,
@@ -48,6 +47,10 @@ def test_circuit_validates_wires():
         Circuit(3, (toffoli(0, 1, 3),))
     with pytest.raises(ValueError):
         Circuit(4, (), {"a": (0, 3), "b": (2, 2)})  # overlap
+    with pytest.raises(ValueError):
+        Circuit(4, (), {"a#b": (0, 2)})  # '#' starts a netlist comment
+    with pytest.raises(ValueError):
+        Circuit(0, ())  # a netlist header names a positive width
 
 
 def test_register_slice():
@@ -59,10 +62,14 @@ def test_register_slice():
 
 def test_depth_greedy_layering():
     # disjoint gates share a layer; dependent gates do not
-    assert depth(Circuit(4, (cnot(0, 1), cnot(2, 3)))) == (1, 0)
-    assert depth(Circuit(3, (cnot(0, 1), cnot(1, 2)))) == (2, 0)
+    def depths(c):
+        est = resources(c)
+        return est.depth, est.toffoli_depth
+
+    assert depths(Circuit(4, (cnot(0, 1), cnot(2, 3)))) == (1, 0)
+    assert depths(Circuit(3, (cnot(0, 1), cnot(1, 2)))) == (2, 0)
     # control reuse also serializes under the unit-cost model
-    assert depth(Circuit(3, (cnot(0, 1), cnot(0, 2)))) == (2, 0)
+    assert depths(Circuit(3, (cnot(0, 1), cnot(0, 2)))) == (2, 0)
 
 
 def test_schedule_layers_partition_gates():
@@ -75,7 +82,7 @@ def test_schedule_layers_partition_gates():
     layers = schedule(c)
     flat = [g for layer in layers for g in layer]
     assert sorted(flat) == sorted(gates)
-    assert len(layers) == depth(c)[0]
+    assert len(layers) == resources(c).depth
     for layer in layers:
         used = set()
         for g in layer:

@@ -3,7 +3,8 @@
 import pytest
 
 from gf2synth.circuits import Circuit, cnot, emit, parse, toffoli
-from gf2synth.cli import main
+from gf2synth.cli import main, verify_kind
+from gf2synth.fields import FieldSpec
 
 
 def run(capsys, *argv):
@@ -156,6 +157,12 @@ def test_verify_random_cap(capsys):
     assert code == 2
     assert out == ""
     assert "2^20" in err
+    # a verification that tests nothing must not report a pass
+    code, out, err = run(capsys, "verify", "add", "-m", "4", "--rep", "gbb", "--random", "0")
+    assert (code, out) == (2, "")
+    for samples in (0, -3):
+        with pytest.raises(ValueError):
+            verify_kind(FieldSpec.gnb(163), "invert", mode="random", samples=samples)
 
 
 def test_verify_gbb_invert_feeds_ghost_bit(capsys, tmp_path):

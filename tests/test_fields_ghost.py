@@ -6,6 +6,7 @@ import pytest
 
 from gf2synth.errors import DegreeMismatch, UnsupportedDegree
 from gf2synth.fields import (
+    FieldSpec,
     GhostBitElement,
     PolyElement,
     check_ghost_bit_support,
@@ -16,7 +17,6 @@ from gf2synth.fields import (
     gbb_square,
     gbb_zero,
     ghost_field_modulus,
-    ghost_square_perm,
     phi_embed,
     phi_retract,
     poly_inverse,
@@ -66,7 +66,7 @@ def test_retract_collapses_redundancy():
 
 def test_square_is_coordinate_permutation():
     m = 4
-    perm = ghost_square_perm(m)
+    perm = FieldSpec.ghost_bit(m).rep.write_permutation
     assert perm == (0, 2, 4, 1, 3)  # bit i lands at position 2i mod 5
     a = GhostBitElement(m, (1, 1, 0, 1, 0))
     sq = gbb_square(a)
@@ -143,7 +143,7 @@ def test_unsupported_degree_raises():
     with pytest.raises(UnsupportedDegree):
         phi_embed(PolyElement.from_int(5, 3))
     with pytest.raises(UnsupportedDegree):
-        ghost_square_perm(8)
+        FieldSpec.ghost_bit(8).rep.write_permutation
 
 
 def test_degree_mismatch_raises():

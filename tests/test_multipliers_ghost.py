@@ -11,11 +11,9 @@ import pytest
 
 from gf2synth.circuits import resources, simulate_batch
 from gf2synth.errors import ExponentOutOfRange, UnsupportedDegree
-from gf2synth.fields import GhostBitElement, gbb_frobenius, gbb_mult, gbb_square
+from gf2synth.fields import FieldSpec, GhostBitElement, gbb_frobenius, gbb_mult, gbb_square
 from gf2synth.multipliers import (
     gbb_self_mult_schedule,
-    ghost_read_permutation,
-    ghost_write_permutation,
     synth_add,
     synth_gbb_mult,
     synth_gbb_self_mult,
@@ -186,18 +184,28 @@ def test_read_permutation_is_frobenius_lookup():
     # wire perm(x) of the raw operand carries coefficient x of its 2^e power
     m = 10
     rng = random.Random(7)
+    rep = FieldSpec.ghost_bit(m).rep
     for e in range(m + 1):
-        perm = ghost_read_permutation(m, e)
+        perm = rep.read_permutation(e)
         b = bits(m, rng.getrandbits(m + 1))
         fb = gbb_frobenius(b, e)
         for x in range(m + 1):
-            assert fb.coeffs[x] == b.coeffs[perm(x)]
+            assert fb.coeffs[x] == b.coeffs[perm[x]]
+
+
+def route(perm, values):
+    """Move values[i] to position perm[i]."""
+    out = [0] * len(perm)
+    for i, v in enumerate(values):
+        out[perm[i]] = v
+    return tuple(out)
 
 
 def test_write_permutation_is_square_movement():
     m = 10
     rng = random.Random(8)
-    perm = ghost_write_permutation(m)
+    perm = FieldSpec.ghost_bit(m).rep.write_permutation
+    inverse = route(perm, range(len(perm)))  # inverse[perm[i]] == i
     b = bits(m, rng.getrandbits(m + 1))
-    assert perm.apply_bits(b.coeffs) == gbb_square(b).coeffs
-    assert perm.inverse().apply_bits(perm.apply_bits(b.coeffs)) == b.coeffs
+    assert route(perm, b.coeffs) == gbb_square(b).coeffs
+    assert route(inverse, route(perm, b.coeffs)) == b.coeffs

@@ -8,6 +8,7 @@ import pytest
 from gf2synth.circuits import resources, simulate_batch
 from gf2synth.errors import ExponentOutOfRange
 from gf2synth.fields import (
+    FieldSpec,
     GnbElement,
     gnb_frobenius,
     gnb_mult,
@@ -15,10 +16,10 @@ from gf2synth.fields import (
     make_gnb_params,
 )
 from gf2synth.multipliers import (
-    gnb_read_permutation,
     gnb_self_mult_deltas,
     gnb_self_mult_schedule,
-    gnb_write_permutation,
+    mult_gates,
+    self_mult_gates,
     synth_gnb_mult,
     synth_gnb_self_mult,
 )
@@ -169,17 +170,33 @@ def test_greedy_depth_at_most_stage_sum():
 def test_read_permutation_is_frobenius_lookup():
     m = 7
     rng = random.Random(11)
+    rep = FieldSpec.gnb(m).rep
     for e in range(m + 1):
-        perm = gnb_read_permutation(m, e)
+        perm = rep.read_permutation(e)
         b = bits(m, rng.getrandbits(m))
         fb = gnb_frobenius(b, e)
         for x in range(m):
-            assert fb.coeffs[x] == b.coeffs[perm(x)]
+            assert fb.coeffs[x] == b.coeffs[perm[x]]
 
 
 def test_write_permutation_is_square_movement():
     m = 7
     rng = random.Random(12)
-    perm = gnb_write_permutation(m)
+    perm = FieldSpec.gnb(m).rep.write_permutation
     b = bits(m, rng.getrandbits(m))
-    assert perm.apply_bits(b.coeffs) == gnb_square(b).coeffs
+    moved = [0] * m
+    for i, v in enumerate(b.coeffs):  # coefficient i moves to wire perm[i]
+        moved[perm[i]] = v
+    assert tuple(moved) == gnb_square(b).coeffs
+
+
+@pytest.mark.parametrize("spec", [FieldSpec.ghost_bit(4), FieldSpec.gnb(5)], ids=["gbb", "gnb"])
+def test_cores_reject_bad_register_layout(spec):
+    # the precondition is checked once per block, before the first gate
+    rep, w = spec.rep, spec.width
+    for a0, b0, c0 in [(0, w - 1, 2 * w), (0, w, w + 1), (-1, w, 2 * w), (0, w, -w)]:
+        with pytest.raises(ValueError):
+            next(mult_gates(rep, a0, b0, c0))
+    for a0, c0 in [(0, w - 1), (w, 1), (-1, w), (0, -w)]:
+        with pytest.raises(ValueError):
+            next(self_mult_gates(rep, 1, a0, c0))

@@ -74,6 +74,8 @@ def test_parse_normalizes_toffoli_controls():
         ("qubits 4\nqubits 4\n", 2),  # duplicate header
         ("qubits 4\ncx 0\n", 2),  # arity
         ("qubits 4\ncx 0 4\n", 2),  # out of range
+        ("qubits 4\nccx 0 1 4\n", 2),
+        ("qubits 4\ncx a 1\n", 2),  # not an integer
         ("qubits 4\ncx 1 1\n", 2),  # equal wires
         ("qubits 4\nccx 0 0 1\n", 2),
         ("qubits 4\nccx 0 1 1\n", 2),
