@@ -1,40 +1,43 @@
 """Walk through both field representations on small degrees."""
 from gf2synth import (
     FieldSpec,
-    GhostBitElement,
-    PolyElement,
     find_gnb_type,
+    gbb_frobenius,
     gbb_mult,
-    gbb_square,
-    gnb_identity,
+    gnb_frobenius,
     gnb_mult,
-    gnb_square,
     make_gnb_params,
-    phi_embed,
     phi_retract,
 )
 
+
+def bits(v, n):
+    """Coefficient vector of v, constant term first."""
+    return tuple((v >> i) & 1 for i in range(n))
+
+
 # --- ghost-bit representation of F_16 --------------------------------------
 # One redundant coefficient turns squaring into a pure wire permutation.
+# Elements are ints: bit i is coefficient i, bit 4 is the ghost bit.
 
-a = phi_embed(PolyElement.from_int(4, 0b0101))  # x^2 + 1
-print("embedded   ", a.coeffs)
+a = 0b0101  # x^2 + 1, embedded with ghost bit 0
+print("embedded   ", bits(a, 5))
 
-sq = gbb_square(a)
-print("squared    ", sq.coeffs)
-assert sq.coeffs == (1, 0, 0, 0, 1)
+sq = gbb_frobenius(4, a, 1)
+print("squared    ", bits(sq, 5))
+assert bits(sq, 5) == (1, 0, 0, 0, 1)
 
-back = phi_retract(sq)
-print("retracted  ", back.coeffs)  # x^3 + x^2 + x
-assert back.to_int() == 0b1110
+back = phi_retract(4, sq)
+print("retracted  ", bits(back, 4))  # x^3 + x^2 + x
+assert back == 0b1110
 
 # the vector and its complement name the same element
-flip = GhostBitElement(4, tuple(1 - c for c in sq.coeffs))
-assert phi_retract(flip) == back
+flip = sq ^ 0b11111
+assert phi_retract(4, flip) == back
 
 # multiplication is a cyclic convolution of the 5-bit vectors
-b = phi_embed(PolyElement.from_int(4, 0b0011))
-print("product    ", phi_retract(gbb_mult(a, b)).coeffs)
+b = 0b0011
+print("product    ", bits(phi_retract(4, gbb_mult(4, a, b)), 4))
 
 # --- Gaussian normal basis for F_32 ----------------------------------------
 # Coordinates over conjugates alpha^(2^i); squaring is a cyclic shift.
@@ -43,9 +46,9 @@ params = make_gnb_params(5, 2)
 print("\nnormal basis m=5: type", params.t, "p =", params.p, "u =", params.u)
 print("index table", params.f_table)
 
-one = gnb_identity(5)
-print("identity   ", one.coeffs)  # all ones over a normal basis
-assert gnb_square(one) == one
+one = FieldSpec.gnb(5).rep.identity
+print("identity   ", bits(one, 5))  # all ones over a normal basis
+assert gnb_frobenius(5, one, 1) == one
 
 x = gnb_mult(params, one, one)
 assert x == one

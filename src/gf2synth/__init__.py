@@ -30,7 +30,6 @@ from .circuits import (
 )
 from .errors import (
     ConstructionFailed,
-    DegreeMismatch,
     DegreeTooSmall,
     ExponentOutOfRange,
     InvalidParams,
@@ -41,27 +40,19 @@ from .errors import (
 )
 from .fields import (
     FieldSpec,
-    GhostBitElement,
-    GnbElement,
     GnbParams,
     InverterPlan,
-    PolyElement,
     Representation,
     addition_chain,
     check_ghost_bit_support,
     find_gnb_type,
     gbb_frobenius,
-    gbb_identity,
     gbb_mult,
-    gbb_square,
     gnb_frobenius,
-    gnb_identity,
     gnb_mult,
-    gnb_square,
     gnb_verify_isomorphism,
     itoh_tsujii_inverse,
     make_gnb_params,
-    phi_embed,
     phi_retract,
     validate_gnb_params,
 )

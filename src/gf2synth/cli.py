@@ -20,8 +20,8 @@ a per-kind table row: input bits, kept wires, ancilla spans that must return
 to zero, output span, and the check with its counterexample text.
 
 Exit codes: 0 success / verification passed, 1 verification failed,
-2 domain error (unsupported degree, bad parameters, bad usage),
-3 I/O or netlist parse failure.
+2 domain error (unsupported degree, bad parameters, bad usage) or out of
+memory, 3 I/O or netlist parse failure.
 """
 
 from __future__ import annotations
@@ -57,6 +57,8 @@ from .inverters import (
     synth_inverter,
 )
 from .multipliers import (
+    mult_gates,
+    self_mult_gates,
     synth_add,
     synth_gbb_mult,
     synth_gbb_self_mult,
@@ -166,14 +168,16 @@ def _verify_row(spec: FieldSpec, kind: str, r: Optional[int]) -> _Row:
             kept=regs["input"], kept_label="input wire", ancillas=ancillas,
             output=regs["output"][0], check=inverse,
         )
-    # (operands, wires kept = first output wire, expected output)
-    n_in, out, expected = {
-        "add": (2, w, lambda a, b: a ^ b),
-        "mult": (2, 2 * w, rep.mult),
-        "selfmult": (1, w, lambda a: rep.mult(a, rep.frobenius(a, r))),
+    # (operands, wires kept = first output wire, expected output, gates)
+    n_in, out, expected, gates = {
+        "add": (2, w, lambda a, b: a ^ b, lambda: synth_add(w).gates),
+        "mult": (2, 2 * w, rep.mult, lambda: mult_gates(rep, 0, w, 2 * w)),
+        "selfmult": (
+            1, w, lambda a: rep.mult(a, rep.frobenius(a, r)), lambda: self_mult_gates(rep, r, 0, w)
+        ),
     }[kind]
     return _Row(
-        nbits=n_in * w, width=out + w, name=kind, gates=lambda: synth_circuit(spec, kind, r=r).gates,
+        nbits=n_in * w, width=out + w, name=kind, gates=gates,
         kept=(0, out), kept_label="wire", ancillas=(), output=out,
         check=_register_check(w, n_in, expected),
     )
@@ -377,7 +381,7 @@ def _table_rows_for(spec: FieldSpec) -> list[tuple]:
     """(op, depth, gates, depth_bound, gate_bound) rows for one spec."""
     w = spec.width
     add = resources(synth_add(w))
-    mult = resources(synth_circuit(spec, "mult"))
+    mult = measure_stream(3 * w, mult_gates(spec.rep, 0, w, 2 * w))
     inv = measure_stream(inverter_structure(spec).width, inverter_gates(spec))
     inv_bound = spec.rep.inverter_bounds()
     return [
@@ -491,6 +495,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 3
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory (the circuit is too large for this host)", file=sys.stderr)
         return 2
 
 

@@ -10,10 +10,6 @@ class UnsupportedDegree(ValueError):
     """The field degree does not admit the requested representation."""
 
 
-class DegreeMismatch(ValueError):
-    """Two elements from fields of different degrees were combined."""
-
-
 class NoGnbFound(ValueError):
     """No Gaussian normal basis of type <= the search bound exists for m."""
 

@@ -1,23 +1,25 @@
 """Classical reference arithmetic for F_{2^m} in the supported representations.
 
-Three element layouts appear throughout the package, all little-endian
-(``coeffs[i]`` multiplies the i-th basis vector):
+A field element is a Python int whose bit i is coefficient i (the
+coefficient of the i-th basis vector). Three layouts appear:
 
-* ``PolyElement`` - m coefficients over the polynomial basis 1, x, ..., x^(m-1).
-* ``GhostBitElement`` - m+1 coefficients in the redundant quotient ring
-  F_2[x]/(x^(m+1) + 1). Available when m+1 is prime and 2 generates the
-  multiplicative group mod m+1; then multiplication is a plain cyclic
-  convolution and squaring permutes coefficients.
-* ``GnbElement`` - m coefficients over a Gaussian normal basis of type t.
-  Squaring is a cyclic shift and the identity is the all-ones vector.
+* polynomial basis 1, x, ..., x^(m-1): m bits (what ``phi_retract``
+  returns and ``poly_inverse`` works on).
+* ghost-bit: m+1 bits in the redundant quotient ring F_2[x]/(x^(m+1) + 1).
+  Available when m+1 is prime and 2 generates the multiplicative group mod
+  m+1; then multiplication is a carry-less product folded once and squaring
+  permutes the bits. Bit m is the ghost bit; a vector and its complement
+  name the same element.
+* Gaussian normal basis of type t: m bits. Squaring is a cyclic rotation and
+  the identity is the all-ones vector.
 
-Everything in this module is plain integer arithmetic (bit-packed vectors);
-it serves as the ground truth the synthesized circuits are checked against
-and never imports the circuit layer. The normal-basis product ``gnb_mult`` is
-computed in the cyclotomic ring F_2[x]/(x^p - 1) and never reads the index
-table; the multiplier circuits are built from that table through
-``gnb_stage_bases``, and ``gnb_verify_isomorphism`` certifies a table by
-comparing the two on m products.
+Everything in this module is plain integer arithmetic; it serves as the
+ground truth the synthesized circuits are checked against and never imports
+the circuit layer. The normal-basis product ``gnb_mult`` is computed in the
+cyclotomic ring F_2[x]/(x^p - 1) and never reads the index table; the
+multiplier circuits are built from that table through ``gnb_stage_bases``,
+and ``gnb_verify_isomorphism`` certifies a table by comparing the two on m
+products.
 
 A ``FieldSpec`` hands out its representation object (``spec.rep``, a
 ``GhostBit`` or a ``Gnb``). That object is the one place where the two
@@ -38,13 +40,12 @@ from typing import NamedTuple, Optional, Union
 
 from .errors import (
     ConstructionFailed,
-    DegreeMismatch,
     DegreeTooSmall,
     InvalidParams,
     NoGnbFound,
     UnsupportedDegree,
 )
-from .gf2poly import all_one_poly, gf2_inv_mod, gf2_mul, gf2_mulmod, prime_divisors
+from .gf2poly import all_one_poly, gf2_inv_mod, gf2_mul, prime_divisors
 
 # ---------------------------------------------------------------------------
 # small number theory helpers
@@ -103,87 +104,6 @@ def multiplicative_order(a: int, p: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# bit vector conversions
-
-def bits_to_int(bits) -> int:
-    """Little-endian bit tuple to int (bit i of the result is bits[i])."""
-    v = 0
-    for i, b in enumerate(bits):
-        if b:
-            v |= 1 << i
-    return v
-
-
-def int_to_bits(v: int, n: int) -> tuple[int, ...]:
-    return tuple((v >> i) & 1 for i in range(n))
-
-
-def _rotl(v: int, s: int, n: int) -> int:
-    """Cyclic left rotation within n bits: bit i of result is bit (i-s) of v."""
-    s %= n
-    if s == 0:
-        return v
-    mask = (1 << n) - 1
-    return ((v << s) | (v >> (n - s))) & mask
-
-
-# ---------------------------------------------------------------------------
-# element containers
-
-
-def _check_bits(coeffs, expected_len: int, what: str) -> tuple[int, ...]:
-    coeffs = tuple(coeffs)
-    if len(coeffs) != expected_len:
-        raise ValueError(f"{what} needs {expected_len} coefficients, got {len(coeffs)}")
-    for c in coeffs:
-        if c not in (0, 1):
-            raise ValueError(f"{what} coefficients must be 0 or 1, got {c!r}")
-    return coeffs
-
-
-@dataclass(frozen=True)
-class _Coefficients:
-    """m field degree plus a tuple of 0/1 coefficients, little-endian."""
-
-    m: int
-    coeffs: tuple[int, ...]
-    _extra = 0  # coefficients beyond m
-
-    def __post_init__(self):
-        if self.m < 2:
-            raise ValueError("field degree must be at least 2")
-        n = self.m + self._extra
-        object.__setattr__(self, "coeffs", _check_bits(self.coeffs, n, type(self).__name__))
-
-    def to_int(self) -> int:
-        return bits_to_int(self.coeffs)
-
-    @classmethod
-    def from_int(cls, m: int, v: int):
-        return cls(m, int_to_bits(v, m + cls._extra))
-
-
-@dataclass(frozen=True)
-class PolyElement(_Coefficients):
-    """Element of F_{2^m} over the polynomial basis, m little-endian bits."""
-
-
-@dataclass(frozen=True)
-class GhostBitElement(_Coefficients):
-    """Redundant m+1 bit representative in F_2[x]/(x^(m+1) + 1)."""
-
-    _extra = 1
-
-
-@dataclass(frozen=True)
-class GnbElement(_Coefficients):
-    """Coordinates over a Gaussian normal basis, m little-endian bits."""
-
-
-FieldElement = Union[GhostBitElement, GnbElement]
-
-
-# ---------------------------------------------------------------------------
 # ghost-bit representation
 
 
@@ -200,82 +120,35 @@ def check_ghost_bit_support(m: int) -> bool:
     return is_prime(q) and multiplicative_order(2, q) == m
 
 
-def _require_ghost(m: int) -> None:
-    if not check_ghost_bit_support(m):
-        raise UnsupportedDegree(
-            f"m={m} has no ghost-bit representation (need m+1 prime with 2 primitive)"
-        )
-
-
-def phi_embed(a: PolyElement) -> GhostBitElement:
-    """Embed a polynomial-basis element by appending a zero ghost coefficient."""
-    _require_ghost(a.m)
-    return GhostBitElement(a.m, a.coeffs + (0,))
-
-
-def phi_retract(a: GhostBitElement) -> PolyElement:
-    """Reduce mod the all-one polynomial: xor the ghost bit into every other bit.
+def phi_retract(m: int, a: int) -> int:
+    """Reduce an (m+1)-bit representative mod the all-one polynomial: if the
+    ghost bit (bit m) is set, complement the low m bits.
 
     Both representatives of a field element (a vector and its complement)
     retract to the same polynomial-basis element.
     """
-    _require_ghost(a.m)
-    top = a.coeffs[a.m]
-    return PolyElement(a.m, tuple(c ^ top for c in a.coeffs[: a.m]))
+    low = (1 << m) - 1
+    return (a ^ low if a >> m & 1 else a) & low
 
 
-def gbb_zero(m: int) -> GhostBitElement:
-    _require_ghost(m)
-    return GhostBitElement(m, (0,) * (m + 1))
-
-
-def gbb_identity(m: int) -> GhostBitElement:
-    _require_ghost(m)
-    return GhostBitElement(m, (1,) + (0,) * m)
-
-
-def gbb_square(a: GhostBitElement) -> GhostBitElement:
-    """Square by permuting coefficients (x^i -> x^(2i) in the quotient ring)."""
-    n = a.m + 1
-    out = [0] * n
-    for i, c in enumerate(a.coeffs):
-        out[2 * i % n] = c
-    return GhostBitElement(a.m, tuple(out))
-
-
-def gbb_frobenius(a: GhostBitElement, r: int) -> GhostBitElement:
-    """a^(2^r) by r applications of the squaring permutation."""
-    if r < 0:
-        raise ValueError("Frobenius exponent must be non-negative")
-    n = a.m + 1
+def gbb_frobenius(m: int, a: int, r: int) -> int:
+    """a^(2^r): bit i moves to bit i * 2^r mod (m+1)."""
+    n = m + 1
     p2r = pow(2, r, n)
-    out = [0] * n
-    for i, c in enumerate(a.coeffs):
-        out[i * p2r % n] = c
-    return GhostBitElement(a.m, tuple(out))
+    return sum(1 << (i * p2r % n) for i, c in enumerate(bin(a)[:1:-1][:n]) if c == "1")
 
 
-def gbb_mult(a: GhostBitElement, b: GhostBitElement) -> GhostBitElement:
-    """Cyclic convolution of the two coefficient vectors mod x^(m+1) + 1."""
-    if a.m != b.m:
-        raise DegreeMismatch(f"degree mismatch: {a.m} vs {b.m}")
-    n = a.m + 1
-    av = a.to_int()
-    bv = b.to_int()
-    acc = 0
-    j = 0
-    while av:
-        if av & 1:
-            acc ^= _rotl(bv, j, n)
-        av >>= 1
-        j += 1
-    return GhostBitElement.from_int(a.m, acc)
+def gbb_mult(m: int, a: int, b: int) -> int:
+    """Cyclic convolution mod x^(m+1) + 1: the carry-less product folded once."""
+    n = m + 1
+    c = gf2_mul(a, b)
+    return (c ^ (c >> n)) & ((1 << n) - 1)
 
 
-def gbb_add(a: GhostBitElement, b: GhostBitElement) -> GhostBitElement:
-    if a.m != b.m:
-        raise DegreeMismatch(f"degree mismatch: {a.m} vs {b.m}")
-    return GhostBitElement(a.m, tuple(x ^ y for x, y in zip(a.coeffs, b.coeffs)))
+def poly_inverse(m: int, a: int) -> int:
+    """Inverse of a polynomial-basis element mod the all-one polynomial
+    (extended Euclid)."""
+    return gf2_inv_mod(a, all_one_poly(m))
 
 
 # ---------------------------------------------------------------------------
@@ -386,31 +259,10 @@ def find_gnb_type(m: int, t_bound: int = 30) -> GnbParams:
     raise NoGnbFound(f"no Gaussian normal basis of type <= {t_bound} exists for m={m}")
 
 
-def gnb_zero(m: int) -> GnbElement:
-    return GnbElement(m, (0,) * m)
-
-
-def gnb_identity(m: int) -> GnbElement:
-    """The multiplicative identity has all-ones coordinates over a normal basis."""
-    return GnbElement(m, (1,) * m)
-
-
-def gnb_square(a: GnbElement) -> GnbElement:
-    """Squaring is a cyclic right shift of the coordinates."""
-    return GnbElement(a.m, tuple(a.coeffs[(i - 1) % a.m] for i in range(a.m)))
-
-
-def gnb_frobenius(a: GnbElement, r: int) -> GnbElement:
-    """a^(2^r): shift the coordinates right by r positions."""
-    if r < 0:
-        raise ValueError("Frobenius exponent must be non-negative")
-    return GnbElement(a.m, tuple(a.coeffs[(i - r) % a.m] for i in range(a.m)))
-
-
-def gnb_add(a: GnbElement, b: GnbElement) -> GnbElement:
-    if a.m != b.m:
-        raise DegreeMismatch(f"degree mismatch: {a.m} vs {b.m}")
-    return GnbElement(a.m, tuple(x ^ y for x, y in zip(a.coeffs, b.coeffs)))
+def gnb_frobenius(m: int, a: int, r: int) -> int:
+    """a^(2^r): rotate the m coordinates left by r mod m."""
+    s = r % m
+    return ((a << s) | (a >> (m - s))) & ((1 << m) - 1)
 
 
 @lru_cache(maxsize=None)
@@ -427,31 +279,30 @@ def _gauss_period_images(m: int, t: int, p: int) -> tuple[tuple[int, ...], tuple
     return images, positions
 
 
-def gnb_mult(params: GnbParams, a: GnbElement, b: GnbElement) -> GnbElement:
+def gnb_mult(params: GnbParams, a: int, b: int) -> int:
     """Gauss-period product in the cyclotomic ring F_2[x]/(x^p - 1).
 
-    Both operands are mapped into the ring (``_gauss_period_images``),
-    multiplied carry-less and folded mod x^p - 1. The product is a sum of
-    basis images plus a multiple of 1 = sum of all basis elements, so
-    coordinate i is bit 2^i mod p XOR bit 0 (Gao, von zur Gathen, Panario
-    and Shoup, J. Symb. Comput. 29, 2000). Only m, t and p are read: the
-    index table that drives the circuits plays no part, which keeps this an
-    independent oracle for them.
+    Both operands are mapped into the ring (the sum of the images, from
+    ``_gauss_period_images``, of their set bits), multiplied carry-less and
+    folded mod x^p - 1. The product is a sum of basis images plus a multiple
+    of 1 = sum of all basis elements, so coordinate i is bit 2^i mod p XOR
+    bit 0 (Gao, von zur Gathen, Panario and Shoup, J. Symb. Comput. 29,
+    2000). Only m, t and p are read: the index table that drives the
+    circuits plays no part, which keeps this an independent oracle for them.
     """
-    m, t, p = params.m, params.t, params.p
-    if a.m != m or b.m != m:
-        raise DegreeMismatch(f"elements of degree {a.m}/{b.m} vs params for {m}")
-    images, positions = _gauss_period_images(m, t, p)
+    p = params.p
+    images, positions = _gauss_period_images(params.m, params.t, p)
     av = bv = 0
-    for x, y, image in zip(a.coeffs, b.coeffs, images):
-        if x:
+    for image, x in zip(images, bin(a)[:1:-1]):
+        if x == "1":
             av ^= image
-        if y:
+    for image, y in zip(images, bin(b)[:1:-1]):
+        if y == "1":
             bv ^= image
     c = gf2_mul(av, bv)
     c = (c ^ (c >> p)) & ((1 << p) - 1)
     bits = format(c, f"0{p}b")[::-1]
-    return GnbElement(m, tuple(int(bits[q] != bits[0]) for q in positions))
+    return sum(1 << i for i, q in enumerate(positions) if bits[q] != bits[0])
 
 
 def gnb_stage_bases(params: GnbParams, second_shift: int = 0) -> list[tuple[str, int, int]]:
@@ -571,29 +422,6 @@ def addition_chain(m: int) -> InverterPlan:
 
 
 # ---------------------------------------------------------------------------
-# polynomial-basis ground truth for the ghost-bit field
-
-
-def ghost_field_modulus(m: int) -> int:
-    """The all-one irreducible polynomial that phi_retract reduces by."""
-    _require_ghost(m)
-    return all_one_poly(m)
-
-
-def poly_mult(a: PolyElement, b: PolyElement) -> PolyElement:
-    if a.m != b.m:
-        raise DegreeMismatch(f"degree mismatch: {a.m} vs {b.m}")
-    f = ghost_field_modulus(a.m)
-    return PolyElement.from_int(a.m, gf2_mulmod(a.to_int(), b.to_int(), f))
-
-
-def poly_inverse(a: PolyElement) -> PolyElement:
-    """Inverse mod the all-one polynomial via extended Euclid."""
-    f = ghost_field_modulus(a.m)
-    return PolyElement.from_int(a.m, gf2_inv_mod(a.to_int(), f))
-
-
-# ---------------------------------------------------------------------------
 # closed-form inverter bounds
 
 
@@ -701,11 +529,13 @@ class GhostBit:
     """The ghost-bit representation: m+1 coefficients mod x^(m+1) + 1."""
 
     representation = Representation.GHOST_BIT
-    element = GhostBitElement
     t = None
 
     def __init__(self, m: int, gnb_params: Optional[GnbParams] = None):
-        _require_ghost(m)
+        if not check_ghost_bit_support(m):
+            raise UnsupportedDegree(
+                f"m={m} has no ghost-bit representation (need m+1 prime with 2 primitive)"
+            )
         if gnb_params is not None:
             raise ValueError("ghost-bit spec must not carry normal-basis params")
         self.m = m
@@ -713,22 +543,18 @@ class GhostBit:
         self.identity = 1
 
     def mult(self, a: int, b: int) -> int:
-        m = self.m
-        return gbb_mult(GhostBitElement.from_int(m, a), GhostBitElement.from_int(m, b)).to_int()
+        return gbb_mult(self.m, a, b)
 
     def frobenius(self, a: int, r: int) -> int:
-        return gbb_frobenius(GhostBitElement.from_int(self.m, a), r).to_int()
-
-    def square(self, a: int) -> int:
-        return gbb_square(GhostBitElement.from_int(self.m, a)).to_int()
+        return gbb_frobenius(self.m, a, r)
 
     def inverse_ok(self, v: int, got: int) -> bool:
         """Does ``got`` retract to the inverse of what the representative v
         retracts to (extended Euclid; zero maps to zero)? Either
         representative of an element (ghost bit 0 or 1) may be given."""
-        a = phi_retract(GhostBitElement.from_int(self.m, v))
-        out = phi_retract(GhostBitElement.from_int(self.m, got))
-        return out == (a if a.to_int() == 0 else poly_inverse(a))
+        m = self.m
+        a = phi_retract(m, v)
+        return phi_retract(m, got) == (poly_inverse(m, a) if a else 0)
 
     def read_permutation(self, e: int) -> tuple[int, ...]:
         return ghost_read_perm(self.m, e)
@@ -786,7 +612,6 @@ class Gnb:
     """A type-t Gaussian normal basis: m coordinates, squaring is a shift."""
 
     representation = Representation.GNB
-    element = GnbElement
 
     def __init__(self, m: int, gnb_params: Optional[GnbParams]):
         if gnb_params is None:
@@ -800,14 +625,10 @@ class Gnb:
         self.identity = (1 << m) - 1
 
     def mult(self, a: int, b: int) -> int:
-        m = self.m
-        return gnb_mult(self.params, GnbElement.from_int(m, a), GnbElement.from_int(m, b)).to_int()
+        return gnb_mult(self.params, a, b)
 
     def frobenius(self, a: int, r: int) -> int:
-        return gnb_frobenius(GnbElement.from_int(self.m, a), r).to_int()
-
-    def square(self, a: int) -> int:
-        return gnb_square(GnbElement.from_int(self.m, a)).to_int()
+        return gnb_frobenius(self.m, a, r)
 
     def inverse_ok(self, v: int, got: int) -> bool:
         """Is v * got the all-ones identity (zero maps to zero)?"""
@@ -873,7 +694,7 @@ _REPRESENTATIONS = {cls.representation: cls for cls in (GhostBit, Gnb)}
 
 
 # ---------------------------------------------------------------------------
-# field specification and element-level helpers
+# field specification and the inversion plan on classical values
 
 
 @dataclass(frozen=True)
@@ -917,35 +738,7 @@ class FieldSpec:
         return self.rep.width
 
 
-def _value(spec: FieldSpec, a: FieldElement) -> int:
-    if not isinstance(a, spec.rep.element):
-        raise TypeError(f"expected {spec.rep.element.__name__} for this spec")
-    if a.m != spec.m:
-        raise DegreeMismatch(f"element degree {a.m} vs spec degree {spec.m}")
-    return a.to_int()
-
-
-def element_from_int(spec: FieldSpec, v: int) -> FieldElement:
-    return spec.rep.element.from_int(spec.m, v)
-
-
-def field_identity(spec: FieldSpec) -> FieldElement:
-    return element_from_int(spec, spec.rep.identity)
-
-
-def field_mult(spec: FieldSpec, a: FieldElement, b: FieldElement) -> FieldElement:
-    return element_from_int(spec, spec.rep.mult(_value(spec, a), _value(spec, b)))
-
-
-def field_square(spec: FieldSpec, a: FieldElement) -> FieldElement:
-    return element_from_int(spec, spec.rep.square(_value(spec, a)))
-
-
-def field_frobenius(spec: FieldSpec, a: FieldElement, r: int) -> FieldElement:
-    return element_from_int(spec, spec.rep.frobenius(_value(spec, a), r))
-
-
-def itoh_tsujii_inverse(spec: FieldSpec, a: FieldElement) -> FieldElement:
+def itoh_tsujii_inverse(spec: FieldSpec, a: int) -> int:
     """Run the inversion plan on classical values; zero maps to zero.
 
     This follows the multiplication schedule register by register, exactly
@@ -956,14 +749,14 @@ def itoh_tsujii_inverse(spec: FieldSpec, a: FieldElement) -> FieldElement:
     rep = spec.rep
     plan = addition_chain(spec.m)
     regs = [0] * plan.register_count
-    regs[0] = _value(spec, a)
+    regs[0] = a
     for st in plan.ladder:
         x = regs[st.source_reg]
         regs[st.target_reg] = rep.mult(x, rep.frobenius(x, st.r))
     for st in plan.combine:
         operand = rep.frobenius(regs[st.operand_reg], st.operand_exponent)
         regs[st.target_reg] = rep.mult(regs[st.acc_reg], operand)
-    return element_from_int(spec, rep.square(regs[plan.output_reg]))
+    return rep.frobenius(regs[plan.output_reg], 1)
 
 
 # ---------------------------------------------------------------------------
@@ -998,8 +791,4 @@ def gnb_verify_isomorphism(params: GnbParams) -> bool:
     stage_products = [0] * m
     for _, fa, fb in gnb_stage_bases(params):
         stage_products[(fb - fa) % m] ^= 1 << (-fa % m)
-    e0 = GnbElement.from_int(m, 1)
-    return all(
-        gnb_mult(params, e0, GnbElement.from_int(m, 1 << d)).to_int() == stage_products[d]
-        for d in range(m)
-    )
+    return all(gnb_mult(params, 1, 1 << d) == stage_products[d] for d in range(m))

@@ -38,6 +38,7 @@ materialized, and the streamed consumers trust the cores.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Iterator, Optional, Union
 
 from .circuits import UNBOUNDED, Circuit, Cnot, Gate, Toffoli, validated_registers
@@ -150,7 +151,9 @@ def mult_gates(
 def self_mult_gates(
     rep: Rep, r: int, a0: int, c0: int, square_write: bool = False
 ) -> Iterator[Gate]:
-    """|a>|c>  ->  |a>|c + a * a^(2^r)>, stage by stage, color class by class."""
+    """|a>|c>  ->  |a>|c + a * a^(2^r)>, stage by stage, color class by class.
+    The exponent must lie in 0..m."""
+    _check_exponent(r, rep.m)
     n = rep.width
     validated_registers({"a": (a0, n), "c": (c0, n)}, UNBOUNDED)  # the precondition
     a = _wires(a0, range(n))
@@ -186,23 +189,21 @@ def _mult_circuit(rep: Rep) -> Circuit:
 
 
 def _self_mult_circuit(rep: Rep, r: int) -> Circuit:
-    _check_exponent(r, rep.m)
     w = rep.width
     gates = tuple(self_mult_gates(rep, r, 0, w))
     return Circuit(2 * w, gates, {"input": (0, w), "output": (w, w)})
 
 
 def _self_mult_schedule(rep: Rep, r: int) -> ColoringSchedule:
-    """Stage-by-stage view of the self-power circuit (same gates, same order)."""
-    _check_exponent(r, rep.m)
+    """Stage-by-stage view of the self-power circuit: its gates, cut along
+    the stages and color classes they were emitted by."""
     n = rep.width
-    a = _wires(0, range(n))
-    tgt = _targets(rep, n, False)
+    gates = self_mult_gates(rep, r, 0, n)
     stages = []
     for st in rep.self_mult_stages(r):
         first, second, step = st.pairing
         terms = tuple(((first + i) % n, (second + step * i) % n) for i in range(n))
-        classes = tuple(tuple(_class_gates(cls, a, tgt)) for cls in st.classes)
+        classes = tuple(tuple(islice(gates, len(cls))) for cls in st.classes)
         stages.append(StageSchedule(st.label, st.kind, st.delta, terms, classes))
     return ColoringSchedule(m=rep.m, r=r, width=2 * n, stages=tuple(stages))
 

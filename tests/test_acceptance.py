@@ -14,11 +14,10 @@ from gf2synth.circuits import resources
 from gf2synth.errors import NoGnbFound
 from gf2synth.fields import (
     FieldSpec,
-    GhostBitElement,
     GnbParams,
     check_ghost_bit_support,
     find_gnb_type,
-    gbb_square,
+    gbb_frobenius,
     gnb_verify_isomorphism,
     make_gnb_params,
     phi_retract,
@@ -73,10 +72,10 @@ def test_criterion_04_index_table():
 
 
 def test_criterion_05_square_retract_example():
-    a = GhostBitElement(4, (1, 0, 1, 0, 0))
-    sq = gbb_square(a)
-    assert sq.coeffs == (1, 0, 0, 0, 1)
-    assert phi_retract(sq).coeffs == (0, 1, 1, 1)
+    a = 0b00101  # coefficients (1, 0, 1, 0, 0), constant term first
+    sq = gbb_frobenius(4, a, 1)
+    assert sq == 0b10001  # (1, 0, 0, 0, 1)
+    assert phi_retract(4, sq) == 0b1110  # (0, 1, 1, 1)
     ok(5, "ghost-bit squaring worked example")
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from gf2synth import cli
 from gf2synth.circuits import Circuit, cnot, emit, parse, toffoli
 from gf2synth.cli import main, verify_kind
 from gf2synth.fields import FieldSpec
@@ -111,6 +112,17 @@ def test_synth_unsupported_degree(capsys):
     assert "error" in err
 
 
+def test_out_of_memory_exits_2(capsys, monkeypatch):
+    # exit 1 means "verification failed"; running out of memory is not that
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "synth_circuit", exhausted)
+    code, out, err = run(capsys, "synth", "mult", "-m", "4", "--rep", "gnb")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: out of memory")
+
+
 # -- verify -----------------------------------------------------------------
 
 
@@ -148,6 +160,14 @@ def test_verify_exhaustive_cap(capsys):
     )
     assert code == 2
     assert "cap" in err
+
+
+def test_verify_selfmult_exponent_range(capsys):
+    # the streamed multiplier checks r itself, before any gate is simulated
+    for kind in ("synth", "verify"):
+        code, out, err = run(capsys, kind, "selfmult", "-m", "4", "--rep", "gbb", "-r", "5")
+        assert (code, out) == (2, "")
+        assert err == "error: exponent r=5 outside 0..4\n"
 
 
 def test_verify_random_cap(capsys):

@@ -4,35 +4,23 @@ import random
 
 import pytest
 
-from gf2synth.errors import DegreeMismatch, UnsupportedDegree
+from gf2synth.errors import UnsupportedDegree
 from gf2synth.fields import (
     FieldSpec,
-    GhostBitElement,
-    PolyElement,
     check_ghost_bit_support,
-    gbb_add,
     gbb_frobenius,
-    gbb_identity,
     gbb_mult,
-    gbb_square,
-    gbb_zero,
-    ghost_field_modulus,
-    phi_embed,
     phi_retract,
     poly_inverse,
-    poly_mult,
 )
-from gf2synth.gf2poly import gf2_mulmod
+from gf2synth.gf2poly import all_one_poly, gf2_mulmod
 
 SUPPORTED = [2, 4, 10, 12, 18, 28, 36, 52, 58, 60]
+WIDE = (178, 226)  # the benchmark's ghost-bit degrees
 
 
-def embed(m, v):
-    return phi_embed(PolyElement.from_int(m, v))
-
-
-def retract(e):
-    return phi_retract(e).to_int()
+def bits(v, n):
+    return tuple((v >> i) & 1 for i in range(n))
 
 
 def test_supported_degrees_up_to_64():
@@ -48,115 +36,112 @@ def test_support_requires_primitive_root():
 
 
 def test_embed_retract_roundtrip():
+    # an m-bit polynomial-basis value is its own representative, ghost bit 0
     for m in (4, 10, 12):
         for v in range(min(1 << m, 4096)):
-            e = embed(m, v)
-            assert len(e.coeffs) == m + 1 and e.coeffs[m] == 0
-            assert retract(e) == v
+            assert v >> m == 0
+            assert phi_retract(m, v) == v
 
 
 def test_retract_collapses_redundancy():
     # complementing every bit of a ghost-bit vector names the same element
     m = 4
     for v in range(1 << m):
-        e = embed(m, v)
-        flipped = GhostBitElement(m, tuple(b ^ 1 for b in e.coeffs))
-        assert retract(flipped) == v
+        flipped = v ^ ((1 << (m + 1)) - 1)
+        assert phi_retract(m, flipped) == v
+    rng = random.Random(17)
+    for m in WIDE:
+        full = (1 << (m + 1)) - 1
+        for _ in range(50):
+            a = rng.getrandbits(m + 1)
+            assert phi_retract(m, a) == phi_retract(m, a ^ full)
 
 
 def test_square_is_coordinate_permutation():
     m = 4
     perm = FieldSpec.ghost_bit(m).rep.write_permutation
     assert perm == (0, 2, 4, 1, 3)  # bit i lands at position 2i mod 5
-    a = GhostBitElement(m, (1, 1, 0, 1, 0))
-    sq = gbb_square(a)
+    a = 0b01011  # (1, 1, 0, 1, 0)
+    sq = bits(gbb_frobenius(m, a, 1), m + 1)
     for i in range(m + 1):
-        assert sq.coeffs[perm[i]] == a.coeffs[i]
+        assert sq[perm[i]] == bits(a, m + 1)[i]
 
 
 def test_worked_square_example():
     """(1,0,1,0,0) squares to (1,0,0,0,1); its retraction is x^3 + x^2 + x,
     coefficient vector (0,1,1,1) from the constant term up."""
-    a = GhostBitElement(4, (1, 0, 1, 0, 0))
-    sq = gbb_square(a)
-    assert sq.coeffs == (1, 0, 0, 0, 1)
-    r = phi_retract(sq)
-    assert r.coeffs == (0, 1, 1, 1)
-    assert r.to_int() == 0b1110
+    a = 0b00101  # (1, 0, 1, 0, 0)
+    sq = gbb_frobenius(4, a, 1)
+    assert bits(sq, 5) == (1, 0, 0, 0, 1)
+    r = phi_retract(4, sq)
+    assert bits(r, 4) == (0, 1, 1, 1)
+    assert r == 0b1110
 
 
 def test_mult_matches_polynomial_oracle():
     m = 4
-    mod = ghost_field_modulus(m)
+    mod = all_one_poly(m)
     for x in range(1 << m):
         for y in range(1 << m):
-            got = retract(gbb_mult(embed(m, x), embed(m, y)))
+            got = phi_retract(m, gbb_mult(m, x, y))
             assert got == gf2_mulmod(x, y, mod)
 
 
 def test_mult_matches_oracle_random_m10():
     m = 10
-    mod = ghost_field_modulus(m)
+    mod = all_one_poly(m)
     rng = random.Random(0xB10F)
     for _ in range(300):
         x, y = rng.getrandbits(m), rng.getrandbits(m)
-        got = retract(gbb_mult(embed(m, x), embed(m, y)))
+        got = phi_retract(m, gbb_mult(m, x, y))
         assert got == gf2_mulmod(x, y, mod)
 
 
 def test_add_identity_zero():
     m = 4
-    z = gbb_zero(m)
-    one = gbb_identity(m)
-    a = embed(m, 0b1011)
-    assert retract(gbb_add(a, z)) == 0b1011
-    assert retract(gbb_mult(a, one)) == 0b1011
-    assert retract(gbb_mult(a, z)) == 0
-    assert retract(gbb_add(a, a)) == 0
+    z = 0
+    one = FieldSpec.ghost_bit(m).rep.identity
+    a = 0b1011
+    assert phi_retract(m, a ^ z) == 0b1011
+    assert phi_retract(m, gbb_mult(m, a, one)) == 0b1011
+    assert phi_retract(m, gbb_mult(m, a, z)) == 0
+    assert phi_retract(m, a ^ a) == 0
 
 
 def test_frobenius_iterates_square():
     m = 10
     rng = random.Random(3)
-    a = embed(m, rng.getrandbits(m))
+    a = rng.getrandbits(m)
     b = a
     for r in range(2 * m + 1):
-        assert gbb_frobenius(a, r) == b
-        b = gbb_square(b)
+        assert gbb_frobenius(m, a, r) == b
+        b = gbb_frobenius(m, b, 1)
     # Frobenius of order m fixes every field element
-    assert retract(gbb_frobenius(a, m)) == retract(a)
+    assert phi_retract(m, gbb_frobenius(m, a, m)) == phi_retract(m, a)
+    # at full width: Frobenius is a ring map, the product commutes
+    for m in WIDE:
+        for _ in range(8):
+            a, b = rng.getrandbits(m + 1), rng.getrandbits(m + 1)
+            assert gbb_mult(m, a, b) == gbb_mult(m, b, a)
+            assert gbb_frobenius(m, a, m) == a
+            for r in (1, m - 1, m + 3):
+                fa, fb = gbb_frobenius(m, a, r), gbb_frobenius(m, b, r)
+                assert gbb_frobenius(m, gbb_mult(m, a, b), r) == gbb_mult(m, fa, fb)
 
 
 def test_poly_oracles_agree():
     m = 4
-    mod = ghost_field_modulus(m)
+    mod = all_one_poly(m)
     for v in range(1, 1 << m):
-        a = PolyElement.from_int(m, v)
-        inv = poly_inverse(a)
-        assert poly_mult(a, inv).to_int() == 1
-        assert gf2_mulmod(v, inv.to_int(), mod) == 1
+        inv = poly_inverse(m, v)
+        assert phi_retract(m, gbb_mult(m, v, inv)) == 1
+        assert gf2_mulmod(v, inv, mod) == 1
     with pytest.raises(ZeroDivisionError):
-        poly_inverse(PolyElement.from_int(m, 0))
+        poly_inverse(m, 0)
 
 
 def test_unsupported_degree_raises():
     with pytest.raises(UnsupportedDegree):
-        phi_embed(PolyElement.from_int(5, 3))
+        FieldSpec.ghost_bit(5)
     with pytest.raises(UnsupportedDegree):
         FieldSpec.ghost_bit(8).rep.write_permutation
-
-
-def test_degree_mismatch_raises():
-    a = embed(4, 3)
-    b = embed(10, 3)
-    with pytest.raises(DegreeMismatch):
-        gbb_add(a, b)
-    with pytest.raises(DegreeMismatch):
-        gbb_mult(a, b)
-
-
-def test_element_validation():
-    with pytest.raises(ValueError):
-        GhostBitElement(4, (1, 0, 2, 0, 0))
-    with pytest.raises(ValueError):
-        GhostBitElement(4, (1, 0, 0, 0))  # wrong width

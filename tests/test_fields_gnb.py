@@ -10,24 +10,26 @@ from gf2synth.cli import verify_kind
 from gf2synth.errors import ConstructionFailed, InvalidParams, NoGnbFound
 from gf2synth.fields import (
     FieldSpec,
-    GnbElement,
     GnbParams,
     find_gnb_type,
-    gnb_add,
     gnb_frobenius,
-    gnb_identity,
     gnb_mult,
-    gnb_square,
     gnb_verify_isomorphism,
-    gnb_zero,
     make_gnb_params,
     multiplicative_order,
     validate_gnb_params,
 )
 
 
+WIDE = (163, 233, 409)  # the benchmark's normal-basis degrees
+
+
 def rand_elem(rng, m):
-    return GnbElement(m, tuple(rng.getrandbits(1) for _ in range(m)))
+    return rng.getrandbits(m)
+
+
+def bits(v, n):
+    return tuple((v >> i) & 1 for i in range(n))
 
 
 def test_find_type_small_degrees():
@@ -80,34 +82,34 @@ def test_params_invalid_type():
 
 
 def test_square_is_right_rotation():
-    a = GnbElement(5, (1, 1, 0, 1, 0))
-    assert gnb_square(a).coeffs == (0, 1, 1, 0, 1)
+    a = 0b01011  # (1, 1, 0, 1, 0)
+    assert bits(gnb_frobenius(5, a, 1), 5) == (0, 1, 1, 0, 1)
     # identity is the all-ones vector and is fixed by squaring
-    one = gnb_identity(5)
-    assert one.coeffs == (1, 1, 1, 1, 1)
-    assert gnb_square(one) == one
+    one = FieldSpec.gnb(5).rep.identity
+    assert bits(one, 5) == (1, 1, 1, 1, 1)
+    assert gnb_frobenius(5, one, 1) == one
 
 
 def test_mult_identity_and_zero():
     p = make_gnb_params(5, 2)
     rng = random.Random(5)
-    one, zero = gnb_identity(5), gnb_zero(5)
+    one, zero = FieldSpec.gnb(5).rep.identity, 0
     for _ in range(32):
         a = rand_elem(rng, 5)
         assert gnb_mult(p, a, one) == a
         assert gnb_mult(p, a, zero) == zero
-        assert gnb_add(a, a) == zero
+        assert a ^ a == zero
 
 
 def test_mult_commutative_and_distributive():
-    p = make_gnb_params(7, 4)
     rng = random.Random(9)
-    for _ in range(64):
-        a, b, c = (rand_elem(rng, 7) for _ in range(3))
-        assert gnb_mult(p, a, b) == gnb_mult(p, b, a)
-        left = gnb_mult(p, a, gnb_add(b, c))
-        right = gnb_add(gnb_mult(p, a, b), gnb_mult(p, a, c))
-        assert left == right
+    for p, n in [(make_gnb_params(7, 4), 64)] + [(find_gnb_type(m), 8) for m in WIDE]:
+        for _ in range(n):
+            a, b, c = (rand_elem(rng, p.m) for _ in range(3))
+            assert gnb_mult(p, a, b) == gnb_mult(p, b, a)
+            left = gnb_mult(p, a, b ^ c)
+            right = gnb_mult(p, a, b) ^ gnb_mult(p, a, c)
+            assert left == right
 
 
 def test_squaring_distributes_over_mult():
@@ -115,26 +117,37 @@ def test_squaring_distributes_over_mult():
     rng = random.Random(13)
     for _ in range(64):
         a, b = rand_elem(rng, 6), rand_elem(rng, 6)
-        assert gnb_square(gnb_mult(p, a, b)) == gnb_mult(
-            p, gnb_square(a), gnb_square(b)
+        assert gnb_frobenius(6, gnb_mult(p, a, b), 1) == gnb_mult(
+            p, gnb_frobenius(6, a, 1), gnb_frobenius(6, b, 1)
         )
+    # at full width, for r beyond one turn as well
+    for p in map(find_gnb_type, WIDE):
+        m = p.m
+        for _ in range(4):
+            a, b = rand_elem(rng, m), rand_elem(rng, m)
+            for r in (1, m - 1, m + 3):
+                fa, fb = gnb_frobenius(m, a, r), gnb_frobenius(m, b, r)
+                assert gnb_frobenius(m, gnb_mult(p, a, b), r) == gnb_mult(p, fa, fb)
 
 
 def test_frobenius_order():
     p = make_gnb_params(5, 2)
-    a = GnbElement(5, (1, 0, 1, 1, 0))
-    assert gnb_frobenius(a, 5) == a
-    assert gnb_frobenius(a, 2) == gnb_square(gnb_square(a))
-    assert gnb_mult(p, a, a) == gnb_square(a)
+    a = 0b01101  # (1, 0, 1, 1, 0)
+    assert gnb_frobenius(5, a, 5) == a
+    assert gnb_frobenius(5, a, 2) == gnb_frobenius(5, gnb_frobenius(5, a, 1), 1)
+    assert gnb_mult(p, a, a) == gnb_frobenius(5, a, 1)
+    rng = random.Random(15)
+    for m in WIDE:
+        a = rand_elem(rng, m)
+        assert gnb_frobenius(m, a, m) == a
 
 
 def test_odd_type_params():
     p = make_gnb_params(4, 3)
     assert p.p == 13
     validate_gnb_params(p)
-    one = gnb_identity(4)
-    for v in range(1, 16):
-        a = GnbElement.from_int(4, v)
+    one = 0b1111
+    for a in range(1, 16):
         assert gnb_mult(p, a, one) == a
 
 

@@ -7,17 +7,7 @@ import pytest
 
 from gf2synth.circuits import resources, simulate_batch
 from gf2synth.errors import DegreeTooSmall
-from gf2synth.fields import (
-    FieldSpec,
-    GhostBitElement,
-    GnbElement,
-    PolyElement,
-    field_identity,
-    field_mult,
-    gnb_mult,
-    phi_retract,
-    poly_inverse,
-)
+from gf2synth.fields import FieldSpec, gnb_mult, phi_retract, poly_inverse
 from gf2synth.inverters import inverter_gates, inverter_structure, synth_inverter
 
 
@@ -63,14 +53,17 @@ def run_rows(circ, rows):
     return simulate_batch(circ, rows)
 
 
-def embedded_rows(spec, values, width_total):
-    from gf2synth.fields import element_from_int
+def bits(v, n):
+    return tuple((v >> i) & 1 for i in range(n))
 
-    rows = []
-    for v in values:
-        e = element_from_int(spec, v)
-        rows.append(list(e.coeffs) + [0] * (width_total - len(e.coeffs)))
-    return rows
+
+def value(row_bits):
+    return sum(b << i for i, b in enumerate(row_bits))
+
+
+def embedded_rows(spec, values, width_total):
+    w = spec.width
+    return [list(bits(v, w)) + [0] * (width_total - w) for v in values]
 
 
 def check_inverter(spec, values):
@@ -82,7 +75,7 @@ def check_inverter(spec, values):
     rows = embedded_rows(spec, values, s.width)
     outs = run_rows(circ, rows)
     out_lo = s.registers["output"][0]
-    one = field_identity(spec)
+    one = spec.rep.identity
     for v, row, out in zip(values, rows, outs):
         assert out[:w] == row[:w], "input register was not preserved"
         got = tuple(out[out_lo : out_lo + w])
@@ -91,19 +84,17 @@ def check_inverter(spec, values):
                 continue
             assert all(b == 0 for b in out[lo : lo + ln]), f"{name} not cleaned"
         if spec.representation.value == "gbb":
-            inv = phi_retract(GhostBitElement(spec.m, got))
+            inv = phi_retract(spec.m, value(got))
             if v == 0:
-                assert inv.to_int() == 0
+                assert inv == 0
             else:
-                expect = poly_inverse(PolyElement.from_int(spec.m, v))
+                expect = poly_inverse(spec.m, v)
                 assert inv == expect
         else:
-            elem = GnbElement(spec.m, got)
-            src = GnbElement.from_int(spec.m, v)
             if v == 0:
                 assert got == (0,) * w
             else:
-                assert gnb_mult(spec.gnb_params, elem, src) == one
+                assert gnb_mult(spec.gnb_params, value(got), v) == one
 
 
 def test_inverter_exhaustive_ghost_m4():
@@ -142,9 +133,8 @@ def check_complemented_ghost_inputs(m, values):
         for name, (lo, ln) in s.registers.items():
             if name not in ("input", "output"):
                 assert not any(out[lo : lo + ln]), f"{name} not cleaned"
-        got = phi_retract(GhostBitElement(m, tuple(out[out_lo : out_lo + w])))
-        a = PolyElement.from_int(m, v)
-        assert got == (a if v == 0 else poly_inverse(a))
+        got = phi_retract(m, value(out[out_lo : out_lo + w]))
+        assert got == (v if v == 0 else poly_inverse(m, v))
 
 
 def test_inverter_complemented_ghost_m4_exhaustive():
@@ -188,12 +178,12 @@ def test_inverse_of_inverse_is_identity_map():
         v = rng.getrandbits(7) or 1
         row = embedded_rows(spec, [v], s.width)[0]
         out = run_rows(circ, [row])[0]
-        inv = GnbElement(7, tuple(out[lo : lo + w]))
+        inv = value(out[lo : lo + w])
         # feed the inverse back in
-        row2 = embedded_rows(spec, [inv.to_int()], s.width)[0]
+        row2 = embedded_rows(spec, [inv], s.width)[0]
         out2 = run_rows(circ, [row2])[0]
-        back = GnbElement(7, tuple(out2[lo : lo + w]))
-        assert back == GnbElement.from_int(7, v)
+        back = value(out2[lo : lo + w])
+        assert back == v
 
 
 def test_resources_scale_with_plan():

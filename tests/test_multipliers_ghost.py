@@ -11,7 +11,7 @@ import pytest
 
 from gf2synth.circuits import resources, simulate_batch
 from gf2synth.errors import ExponentOutOfRange, UnsupportedDegree
-from gf2synth.fields import FieldSpec, GhostBitElement, gbb_frobenius, gbb_mult, gbb_square
+from gf2synth.fields import FieldSpec, gbb_frobenius, gbb_mult
 from gf2synth.multipliers import (
     gbb_self_mult_schedule,
     synth_add,
@@ -25,7 +25,8 @@ def all_patterns(w):
 
 
 def bits(m, v):
-    return GhostBitElement(m, tuple((v >> i) & 1 for i in range(m + 1)))
+    """The m+1 ghost-bit coefficients of v, constant term first."""
+    return tuple((v >> i) & 1 for i in range(m + 1))
 
 
 def test_add_circuit():
@@ -72,7 +73,7 @@ def test_mult_functional_exhaustive_m4():
     outs = simulate_batch(c, rows)
     for row, out, (av, bv) in zip(rows, outs, pairs):
         assert out[: 2 * n] == row[: 2 * n]
-        expect = gbb_mult(bits(m, av), bits(m, bv)).coeffs
+        expect = bits(m, gbb_mult(m, av, bv))
         assert tuple(out[2 * n :]) == expect
 
 
@@ -87,7 +88,7 @@ def test_mult_accumulates_into_output():
         row += [(bv >> i) & 1 for i in range(n)]
         row += [(cv >> i) & 1 for i in range(n)]
         out = simulate_batch(c, [row])[0]
-        prod = gbb_mult(bits(m, av), bits(m, bv)).coeffs
+        prod = bits(m, gbb_mult(m, av, bv))
         assert tuple(out[2 * n :]) == tuple(c0 ^ p for c0, p in zip(row[2 * n :], prod))
 
 
@@ -107,9 +108,8 @@ def test_self_mult_functional_all_r():
         rows = [row + [0] * n for row in all_patterns(n)]
         outs = simulate_batch(c, rows)
         for av, out in zip(range(1 << n), outs):
-            a = bits(m, av)
-            expect = gbb_mult(a, gbb_frobenius(a, r)).coeffs
-            assert tuple(out[:n]) == a.coeffs
+            expect = bits(m, gbb_mult(m, av, gbb_frobenius(m, av, r)))
+            assert tuple(out[:n]) == bits(m, av)
             assert tuple(out[n:]) == expect, (r, av)
 
 
@@ -187,10 +187,10 @@ def test_read_permutation_is_frobenius_lookup():
     rep = FieldSpec.ghost_bit(m).rep
     for e in range(m + 1):
         perm = rep.read_permutation(e)
-        b = bits(m, rng.getrandbits(m + 1))
-        fb = gbb_frobenius(b, e)
+        b = rng.getrandbits(m + 1)
+        fb = bits(m, gbb_frobenius(m, b, e))
         for x in range(m + 1):
-            assert fb.coeffs[x] == b.coeffs[perm[x]]
+            assert fb[x] == bits(m, b)[perm[x]]
 
 
 def route(perm, values):
@@ -206,6 +206,6 @@ def test_write_permutation_is_square_movement():
     rng = random.Random(8)
     perm = FieldSpec.ghost_bit(m).rep.write_permutation
     inverse = route(perm, range(len(perm)))  # inverse[perm[i]] == i
-    b = bits(m, rng.getrandbits(m + 1))
-    assert route(perm, b.coeffs) == gbb_square(b).coeffs
-    assert route(inverse, route(perm, b.coeffs)) == b.coeffs
+    b = rng.getrandbits(m + 1)
+    assert route(perm, bits(m, b)) == bits(m, gbb_frobenius(m, b, 1))
+    assert route(inverse, route(perm, bits(m, b))) == bits(m, b)

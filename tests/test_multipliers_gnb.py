@@ -9,10 +9,8 @@ from gf2synth.circuits import resources, simulate_batch
 from gf2synth.errors import ExponentOutOfRange
 from gf2synth.fields import (
     FieldSpec,
-    GnbElement,
     gnb_frobenius,
     gnb_mult,
-    gnb_square,
     make_gnb_params,
 )
 from gf2synth.multipliers import (
@@ -29,7 +27,8 @@ P43 = make_gnb_params(4, 3)  # odd type exercises the wrap stages
 
 
 def bits(m, v):
-    return GnbElement(m, tuple((v >> i) & 1 for i in range(m)))
+    """The m normal-basis coordinates of v, coordinate 0 first."""
+    return tuple((v >> i) & 1 for i in range(m))
 
 
 def test_mult_resources_t2():
@@ -66,7 +65,7 @@ def test_mult_functional_exhaustive_t2():
     outs = simulate_batch(c, rows)
     for row, out, (av, bv) in zip(rows, outs, pairs):
         assert out[: 2 * m] == row[: 2 * m]
-        expect = gnb_mult(P52, bits(m, av), bits(m, bv)).coeffs
+        expect = bits(m, gnb_mult(P52, av, bv))
         assert tuple(out[2 * m :]) == expect
 
 
@@ -79,7 +78,7 @@ def test_mult_functional_exhaustive_odd_type():
             row += [(bv >> i) & 1 for i in range(m)]
             row += [0] * m
             out = simulate_batch(c, [row])[0]
-            expect = gnb_mult(P43, bits(m, av), bits(m, bv)).coeffs
+            expect = bits(m, gnb_mult(P43, av, bv))
             assert tuple(out[2 * m :]) == expect, (av, bv)
 
 
@@ -89,10 +88,10 @@ def test_self_mult_functional_all_r():
             c = synth_gnb_self_mult(params, r)
             for av in range(1 << m):
                 a = bits(m, av)
-                row = list(a.coeffs) + [0] * m
+                row = list(a) + [0] * m
                 out = simulate_batch(c, [row])[0]
-                expect = gnb_mult(params, a, gnb_frobenius(a, r)).coeffs
-                assert tuple(out[:m]) == a.coeffs
+                expect = bits(m, gnb_mult(params, av, gnb_frobenius(m, av, r)))
+                assert tuple(out[:m]) == a
                 assert tuple(out[m:]) == expect, (params.t, r, av)
 
 
@@ -173,21 +172,21 @@ def test_read_permutation_is_frobenius_lookup():
     rep = FieldSpec.gnb(m).rep
     for e in range(m + 1):
         perm = rep.read_permutation(e)
-        b = bits(m, rng.getrandbits(m))
-        fb = gnb_frobenius(b, e)
+        b = rng.getrandbits(m)
+        fb = bits(m, gnb_frobenius(m, b, e))
         for x in range(m):
-            assert fb.coeffs[x] == b.coeffs[perm[x]]
+            assert fb[x] == bits(m, b)[perm[x]]
 
 
 def test_write_permutation_is_square_movement():
     m = 7
     rng = random.Random(12)
     perm = FieldSpec.gnb(m).rep.write_permutation
-    b = bits(m, rng.getrandbits(m))
+    b = rng.getrandbits(m)
     moved = [0] * m
-    for i, v in enumerate(b.coeffs):  # coefficient i moves to wire perm[i]
+    for i, v in enumerate(bits(m, b)):  # coefficient i moves to wire perm[i]
         moved[perm[i]] = v
-    assert tuple(moved) == gnb_square(b).coeffs
+    assert tuple(moved) == bits(m, gnb_frobenius(m, b, 1))
 
 
 @pytest.mark.parametrize("spec", [FieldSpec.ghost_bit(4), FieldSpec.gnb(5)], ids=["gbb", "gnb"])
