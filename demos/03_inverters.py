@@ -3,7 +3,7 @@ from gf2synth import (
     FieldSpec,
     addition_chain,
     check_bounds,
-    inverter_gates,
+    inverter_batches,
     inverter_structure,
     measure_stream,
 )
@@ -35,9 +35,10 @@ for spec in (FieldSpec.ghost_bit(10), FieldSpec.gnb(11), FieldSpec.gnb(163)):
         print(f"  {chk.metric:<9} {chk.actual:>10} <= {chk.bound:>10}")
     assert report.passed
 
-# the gate stream never has to be materialized; measuring m=233 touches
-# about two million gates in a single pass
+# the gate stream never has to be materialized; measuring m=233 reads about
+# two million gates in a single pass, as column batches (one run of one gate
+# kind per batch) that no Toffoli tuple is built for
 spec = FieldSpec.gnb(233)
-est = measure_stream(inverter_structure(spec).width, inverter_gates(spec))
+est = measure_stream(inverter_structure(spec).width, inverter_batches(spec))
 print(f"\nm=233 streamed: {est.gate_count} gates, depth {est.depth}, "
       f"{est.qubits} qubits, T-count {est.t_count}")

@@ -65,6 +65,7 @@ from .inverters import (
     bounds_gnb,
     bounds_t,
     check_bounds,
+    inverter_batches,
     inverter_gates,
     inverter_structure,
     synth_inverter,

@@ -16,6 +16,14 @@ multiplier cores check their register layout with the second. The streamed
 consumers (``measure_stream``, ``run_packed``) trust their gates: the cores
 emit valid gates whenever that per-block precondition holds.
 
+Generated gates travel as column batches (``Batch``): one run of a single
+gate kind as equal-length wire lists ``(controls_a, controls_b, targets)``,
+with ``controls_b`` None for a run of CNOTs. The multiplier cores produce
+them stage by stage and ``measure_stream`` reads them as they come, with no
+gate tuple built. ``flat_gates`` is the flat view, the ``Cnot``/``Toffoli``
+sequence that ``Circuit``, emit and ``run_packed`` use; ``gate_runs`` cuts a
+flat sequence back into batches.
+
 Simulation is bit-sliced: one Python int per wire, bit b of that int holding
 wire's value for input pattern b, so a whole batch of inputs costs a single
 pass over the gates. T-gate figures use the standard 7 T / T-depth 6
@@ -26,7 +34,7 @@ from __future__ import annotations
 
 from bisect import bisect
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, groupby, islice
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .errors import CircuitRuleError, ParseError, WidthMismatch
@@ -44,6 +52,12 @@ class Toffoli(NamedTuple):
 
 
 Gate = Union[Cnot, Toffoli]
+
+# One run of gates of one kind as equal-length wire columns (controls_a,
+# controls_b, targets): gate i is Toffoli(a[i], b[i], t[i]), or Cnot(a[i], t[i])
+# when the middle column is None.
+Batch = tuple[Sequence[int], Optional[Sequence[int]], Sequence[int]]
+RUN_CHUNK = 1 << 8  # gates per batch when gate_runs cuts a flat stream; fastest of 2^6..2^12
 
 T_PER_TOFFOLI = 7
 T_DEPTH_PER_TOFFOLI = 6
@@ -118,7 +132,9 @@ def toffoli(control_a: int, control_b: int, target: int) -> Toffoli:
 
 @dataclass(frozen=True, eq=True)
 class Circuit:
-    """Immutable gate list over ``width`` wires with named register spans."""
+    """Immutable gate list over ``width`` wires with named register spans.
+    ``gates`` may be any iterable; it is validated and stored once, as a
+    tuple."""
 
     width: int
     gates: tuple[Gate, ...]
@@ -163,60 +179,68 @@ class ResourceEstimate:
         ]
 
 
-def measure_stream(width: int, gates: Iterable[Gate]) -> ResourceEstimate:
-    """Single-pass resource count over a gate stream (nothing is stored).
+def gate_runs(gates: Iterable[Gate]) -> Iterator[Batch]:
+    """Cut a flat gate stream into column batches: maximal same-kind runs,
+    split every RUN_CHUNK gates so that no run is held whole."""
+    for n, run in groupby(gates, len):
+        while chunk := list(islice(run, RUN_CHUNK)):
+            cols = tuple(zip(*chunk))
+            yield (cols[0], cols[1], cols[2]) if n == 3 else (cols[0], None, cols[1])
+
+
+def flat_gates(batches: Iterable[Batch]) -> Iterator[Gate]:
+    """The flat view of column batches: their gates in order, as tuples."""
+    for a, b, t in batches:
+        yield from map(Cnot, a, t) if b is None else map(Toffoli, a, b, t)
+
+
+def measure_stream(width: int, stream: Iterable[Union[Batch, Gate]]) -> ResourceEstimate:
+    """Single-pass resource count over column batches (nothing is stored).
 
     This is what the bound checks use for inverters with millions of gates:
     the greedy layering only needs one per-wire counter, so the stream never
-    has to be materialized.
+    has to be materialized. Gates are applied one at a time in stream order,
+    so the count is exact whether or not a batch is wire-disjoint. A flat
+    gate stream is accepted too and cut into runs by ``gate_runs``.
     """
+    batches = iter(stream)
+    first = next(batches, None)
+    if first is not None:
+        batches = chain((first,), batches)
+        if isinstance(first[0], int):  # a flat gate stream
+            batches = gate_runs(batches)
     ready = [0] * width  # earliest free layer per wire
     tof_ready = [0] * width  # same, counting only Toffolis
-    depth = 0
-    tof_depth = 0
     n_tof = 0
     n_cnot = 0
-    for g in gates:
-        if len(g) == 3:
-            a, b, t = g
+    for ca, cb, ct in batches:
+        if cb is None:
+            n_cnot += len(ct)
+            for c, t in zip(ca, ct):
+                layer = ready[c]
+                if ready[t] > layer:
+                    layer = ready[t]
+                ready[c] = ready[t] = layer + 1
+            continue
+        n_tof += len(ct)
+        for a, b, t in zip(ca, cb, ct):
             layer = ready[a]
             if ready[b] > layer:
                 layer = ready[b]
             if ready[t] > layer:
                 layer = ready[t]
-            nxt = layer + 1
-            ready[a] = nxt
-            ready[b] = nxt
-            ready[t] = nxt
-            if nxt > depth:
-                depth = nxt
+            ready[a] = ready[b] = ready[t] = layer + 1
             layer = tof_ready[a]
             if tof_ready[b] > layer:
                 layer = tof_ready[b]
             if tof_ready[t] > layer:
                 layer = tof_ready[t]
-            nxt = layer + 1
-            tof_ready[a] = nxt
-            tof_ready[b] = nxt
-            tof_ready[t] = nxt
-            if nxt > tof_depth:
-                tof_depth = nxt
-            n_tof += 1
-        else:
-            c, t = g
-            layer = ready[c]
-            if ready[t] > layer:
-                layer = ready[t]
-            nxt = layer + 1
-            ready[c] = nxt
-            ready[t] = nxt
-            if nxt > depth:
-                depth = nxt
-            n_cnot += 1
+            tof_ready[a] = tof_ready[b] = tof_ready[t] = layer + 1
+    tof_depth = max(tof_ready, default=0)
     return ResourceEstimate(
         toffoli_count=n_tof,
         cnot_count=n_cnot,
-        depth=depth,
+        depth=max(ready, default=0),
         toffoli_depth=tof_depth,
         qubits=width,
         t_count=T_PER_TOFFOLI * n_tof,
@@ -225,7 +249,7 @@ def measure_stream(width: int, gates: Iterable[Gate]) -> ResourceEstimate:
 
 
 def resources(c: Circuit) -> ResourceEstimate:
-    return measure_stream(c.width, c.gates)
+    return measure_stream(c.width, gate_runs(c.gates))
 
 
 def schedule(c: Circuit) -> list[list[Gate]]:

@@ -52,11 +52,13 @@ from .fields import (
     make_gnb_params,
 )
 from .inverters import (
+    inverter_batches,
     inverter_gates,
     inverter_structure,
     synth_inverter,
 )
 from .multipliers import (
+    mult_batches,
     mult_gates,
     self_mult_gates,
     synth_add,
@@ -381,8 +383,8 @@ def _table_rows_for(spec: FieldSpec) -> list[tuple]:
     """(op, depth, gates, depth_bound, gate_bound) rows for one spec."""
     w = spec.width
     add = resources(synth_add(w))
-    mult = measure_stream(3 * w, mult_gates(spec.rep, 0, w, 2 * w))
-    inv = measure_stream(inverter_structure(spec).width, inverter_gates(spec))
+    mult = measure_stream(3 * w, mult_batches(spec.rep, 0, w, 2 * w))
+    inv = measure_stream(inverter_structure(spec).width, inverter_batches(spec))
     inv_bound = spec.rep.inverter_bounds()
     return [
         ("add", add.depth, add.gate_count, 1, w),

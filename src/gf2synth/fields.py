@@ -26,8 +26,9 @@ A ``FieldSpec`` hands out its representation object (``spec.rep``, a
 representations differ: register width, int-level product, Frobenius and
 identity, the inverse check, the read/write wire permutations, the stage
 structure of the two multiplier cores (as coefficient indices, which
-``multipliers`` turns into gates) and the closed-form bounds. Everything else
-(the Itoh-Tsujii plan, uncompute, verification, netlist I/O) is shared.
+``multipliers`` places on wires as column batches) and the closed-form
+bounds. Everything else (the Itoh-Tsujii plan, uncompute, verification,
+netlist I/O) is shared.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import enum
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd
-from typing import NamedTuple, Optional, Union
+from typing import Iterator, NamedTuple, Optional, Union
 
 from .errors import (
     ConstructionFailed,
@@ -505,24 +506,27 @@ def gnb_read_perm(m: int, e: int) -> tuple[int, ...]:
     return tuple((x - e) % m for x in range(m))
 
 
-IndexGate = tuple[int, ...]  # (x, y, target) Toffoli or (x, target) CNOT, as coefficient indices
+# A run of index gates as equal-length columns (x, y, c): Toffolis on input
+# coefficients x[i] < y[i] into output coefficient c[i], or CNOTs from x[i]
+# into c[i] when y is None.
+IndexBatch = tuple[list[int], Optional[list[int]], list[int]]
 
 
 class SelfPowerStage(NamedTuple):
     """One wire-disjoint stage of a self-power multiplier a * a^(2^r).
 
     ``classes`` are the stage's depth-1 color classes in emission order, each
-    a tuple of index gates: ``(x, y, c)`` is a Toffoli on input coefficients
-    x < y into output coefficient c, ``(x, c)`` a CNOT. ``pairing`` is
-    ``(first, second, step)``: term i of the stage multiplies coefficient
-    first + i by coefficient second + step * i (indices mod the width).
+    a tuple of index batches (one per run of a single gate kind).
+    ``pairing`` is ``(first, second, step)``: term i of the stage multiplies
+    coefficient first + i by coefficient second + step * i (indices mod the
+    width).
     """
 
     label: str
     kind: str  # "toffoli" or "cnot"
     delta: Optional[int]  # raw index difference (normal basis only)
     pairing: tuple[int, int, int]
-    classes: tuple[tuple[IndexGate, ...], ...]
+    classes: tuple[tuple[IndexBatch, ...], ...]
 
 
 class GhostBit:
@@ -570,35 +574,34 @@ class GhostBit:
         sigma collects the products a_j * b_(sigma+j) hitting sigma + 2j."""
         return [(0, sigma, sigma, 2) for sigma in range(self.width)]
 
-    def self_mult_stages(self, r: int):
-        """Stages of a * a^(2^r); a single CNOT layer when 2^r == 1 mod m+1
-        (r in {0, m}: the map is plain squaring).
+    def self_mult_stages(self, r: int, reverse: bool = False) -> Iterator[SelfPowerStage]:
+        """Stages of a * a^(2^r), last stage first with ``reverse``; a single
+        CNOT layer when 2^r == 1 mod m+1 (r in {0, m}: plain squaring).
 
         Stage sigma holds every product a_j * a_(sigma-j). Unordered pairs
         {j, sigma-j} contribute two Toffolis sharing both controls (distinct
         targets), one per orientation, which forces the two-coloring; the
         unique self-paired j (n is odd) degenerates to a CNOT that is
-        wire-disjoint from the first color class and rides along with it.
+        wire-disjoint from the first color class and rides along after its
+        Toffolis.
         """
         n = self.width
         p2r = pow(2, r, n)
         if p2r == 1:
-            layer = tuple((i, 2 * i % n) for i in range(n))
-            yield SelfPowerStage("squaring", "cnot", None, (0, 0, 1), (layer,))
+            layer = (list(range(n)), None, [2 * i % n for i in range(n)])
+            yield SelfPowerStage("squaring", "cnot", None, (0, 0, 1), ((layer,),))
             return
         inv2 = pow(2, -1, n)
-        for sigma in range(n):
-            first: list[IndexGate] = []
-            second: list[IndexGate] = []
-            for j in range(n):
-                c = (sigma - j) % n
-                if j < c:
-                    first.append((j, c, (j + p2r * c) % n))
-                    second.append((j, c, (c + p2r * j) % n))
+        for sigma in range(n - 1, -1, -1) if reverse else range(n):
+            x = [j for j in range(n) if j < (sigma - j) % n]
+            y = [(sigma - j) % n for j in x]
             jstar = sigma * inv2 % n
-            first.append((jstar, jstar * (1 + p2r) % n))
-            classes = (tuple(first), tuple(second))
-            yield SelfPowerStage(f"sigma={sigma}", "toffoli", None, (0, sigma, -1), classes)
+            first = (x, y, [(j + p2r * c) % n for j, c in zip(x, y)])
+            fixed = ([jstar], None, [jstar * (1 + p2r) % n])
+            second = (x, y, [(c + p2r * j) % n for j, c in zip(x, y)])
+            yield SelfPowerStage(
+                f"sigma={sigma}", "toffoli", None, (0, sigma, -1), ((first, fixed), (second,))
+            )
 
     def mult_bounds(self) -> tuple[int, int]:
         """(depth, gates) of the general multiplier."""
@@ -606,6 +609,33 @@ class GhostBit:
 
     def inverter_bounds(self) -> ResourceBound:
         return bounds_ghost(self.m)
+
+
+_COLORING_CACHE = 1 << 18  # index entries of delta colorings one Gnb keeps (a few MB)
+
+Coloring = tuple[tuple[list[int], list[int], list[int]], ...]
+
+
+def _coset_colors(idx: list[int], d: int) -> Coloring:
+    """Color the edges {f, f + d} of the shift-by-d cycles on Z_m: walk each
+    cycle from its least element, alternating two colors, with a third color
+    picking up the closing edge of an odd-length cycle. Returns, per
+    non-empty color in order, the columns (lower end, upper end, f) in walk
+    order. ``idx`` is list(range(m)); the columns share its int objects."""
+    m = len(idx)
+    g = gcd(d, m)
+    cycle_len = m // g
+    colors = ([], [], []), ([], [], []), ([], [], [])
+    for v in range(g):
+        f = idx[v]
+        for s in range(cycle_len):
+            lo, hi, at = colors[2 if (s == cycle_len - 1 and cycle_len % 2 == 1) else s % 2]
+            nxt = idx[(f + d) % m]
+            lo.append(f if f < nxt else nxt)
+            hi.append(nxt if f < nxt else f)
+            at.append(f)
+            f = nxt
+    return tuple(c for c in colors if c[0])
 
 
 class Gnb:
@@ -623,6 +653,8 @@ class Gnb:
         self.m = self.width = m
         self.t = gnb_params.t
         self.identity = (1 << m) - 1
+        self._idx = list(range(m))  # index columns hold these int objects
+        self._colorings: dict[int, Coloring] = {}
 
     def mult(self, a: int, b: int) -> int:
         return gnb_mult(self.params, a, b)
@@ -649,37 +681,36 @@ class Gnb:
         index-table term: gate i multiplies a_(a+i) by b_(b+i) into c_i."""
         return [(fa, fb, 0, 1) for _, fa, fb in gnb_stage_bases(self.params)]
 
-    def self_mult_stages(self, r: int):
-        """Stages of a * a^(2^r), colored along the cosets of each delta.
+    def self_mult_stages(self, r: int, reverse: bool = False) -> Iterator[SelfPowerStage]:
+        """Stages of a * a^(2^r), colored along the cosets of each delta; last
+        stage first with ``reverse``.
 
-        A stage's products pair coefficient f with f + delta for every f. A
-        zero delta (mod m) collapses each product to a single coefficient: a
-        layer of CNOTs. Otherwise the pairs are the edges of the
-        shift-by-delta cycles on Z_m; walking each cycle and alternating
-        colors two-colors them, with a third color picking up the closing edge
-        of odd-length cycles.
+        A stage's products pair coefficient f with f + delta for every f, into
+        output coefficient f - first. A zero delta (mod m) collapses each
+        product to a single coefficient: a layer of CNOTs. Otherwise the
+        pairs are the edges of the shift-by-delta cycles on Z_m, colored by
+        ``_coset_colors``; that coloring depends on delta mod m only, so it is
+        kept per delta (at most _COLORING_CACHE index entries per basis).
         """
         m = self.m
-        for label, fa, fb in gnb_stage_bases(self.params, r):
+        idx = self._idx
+        bases = gnb_stage_bases(self.params, r)
+        for label, fa, fb in reversed(bases) if reverse else bases:
             delta = fb - fa
             d = delta % m
+            k = fa % m
             if d == 0:
-                layer = tuple(((fa + i) % m, i) for i in range(m))
-                yield SelfPowerStage(label, "cnot", delta, (fa, fb, 1), (layer,))
+                layer = (idx[k:] + idx[:k], None, idx)
+                yield SelfPowerStage(label, "cnot", delta, (fa, fb, 1), ((layer,),))
                 continue
-            g = gcd(d, m)
-            cycle_len = m // g
-            classes: tuple[list[IndexGate], ...] = ([], [], [])
-            for v in range(g):
-                f = v
-                for s in range(cycle_len):
-                    color = 2 if (s == cycle_len - 1 and cycle_len % 2 == 1) else s % 2
-                    nxt = (f + d) % m
-                    c = (f - fa) % m
-                    classes[color].append((f, nxt, c) if f < nxt else (nxt, f, c))
-                    f = nxt
-            colored = tuple(tuple(cls) for cls in classes if cls)
-            yield SelfPowerStage(label, "toffoli", delta, (fa, fb, 1), colored)
+            colors = self._colorings.get(d)
+            if colors is None:
+                colors = _coset_colors(idx, d)
+                if len(self._colorings) * m < _COLORING_CACHE:
+                    self._colorings[d] = colors
+            out = idx[m - k:] + idx[:m - k]  # out[f] = (f - fa) mod m
+            classes = tuple(((x, y, list(map(out.__getitem__, f))),) for x, y, f in colors)
+            yield SelfPowerStage(label, "toffoli", delta, (fa, fb, 1), classes)
 
     def mult_bounds(self) -> tuple[int, int]:
         """(depth, gates) of the general multiplier, T = t rounded up to even."""

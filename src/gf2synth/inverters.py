@@ -13,17 +13,21 @@ with the inverse in the last register and the input untouched. Register
 layout (and the ``registers`` map of the emitted circuit) is: input, ladder
 ancillas in exponent order, merge ancillas, output = last written register.
 
-``check_bounds`` measures an inverter against the closed-form bounds without
-materializing it; the gate stream is consumed by a single counting pass, so
-even multi-million-gate instances fit in modest memory.
+``inverter_batches`` streams the inverter as column batches (see
+``circuits``). Uncompute blocks are generated backwards, stage by stage, so
+none is ever held in memory; ``inverter_gates`` is the flat view.
+``check_bounds`` measures the batches against the closed-form bounds in a
+single counting pass, so even multi-million-gate instances fit in modest
+memory.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from itertools import chain
+from typing import Iterable, Iterator, Optional, Union
 
-from .circuits import Circuit, Cnot, Gate, ResourceEstimate, measure_stream
+from .circuits import Batch, Circuit, Cnot, Gate, ResourceEstimate, flat_gates, measure_stream
 from .errors import DegreeTooSmall
 from .fields import (  # noqa: F401  (the bounds are re-exported from here)
     FieldSpec,
@@ -34,7 +38,7 @@ from .fields import (  # noqa: F401  (the bounds are re-exported from here)
     bounds_ghost,
     bounds_gnb,
 )
-from .multipliers import mult_gates, self_mult_gates
+from .multipliers import mult_batches, self_mult_batches
 
 
 @dataclass(frozen=True)
@@ -124,26 +128,35 @@ def inverter_structure(spec: FieldSpec) -> InverterStructure:
     )
 
 
-def _block_gates(spec: FieldSpec, block: MultiplierBlock, w: int) -> Iterator[Gate]:
+def _block_batches(
+    spec: FieldSpec, block: MultiplierBlock, w: int, reverse: bool = False
+) -> Iterator[Batch]:
     src = block.source_reg * w
     tgt = block.target_reg * w
     if block.kind == "self_power":
-        return self_mult_gates(spec.rep, block.r, src, tgt, block.squared_write)
+        return self_mult_batches(spec.rep, block.r, src, tgt, block.squared_write, reverse)
     operand = block.operand_reg * w
-    return mult_gates(spec.rep, src, operand, tgt, block.operand_exponent, block.squared_write)
+    return mult_batches(
+        spec.rep, src, operand, tgt, block.operand_exponent, block.squared_write, reverse
+    )
+
+
+def inverter_batches(spec: FieldSpec) -> Iterator[Batch]:
+    """Stream the inverter as column batches: the forward blocks, then each
+    uncompute block generated backwards (stages last-first, every batch
+    reversed). Batches are built as they are drawn, so no block is ever held
+    in memory."""
+    s = inverter_structure(spec)
+    for block in s.forward:
+        yield from _block_batches(spec, block, s.reg_width)
+    for block in s.uncompute:
+        yield from _block_batches(spec, block, s.reg_width, reverse=True)
 
 
 def inverter_gates(spec: FieldSpec) -> Iterator[Gate]:
-    """Stream the full inverter gate sequence (forward pass, then uncompute).
-
-    Uncomputed blocks regenerate their gates on demand, so at most one block
-    is ever held in memory.
-    """
-    s = inverter_structure(spec)
-    for block in s.forward:
-        yield from _block_gates(spec, block, s.reg_width)
-    for block in s.uncompute:
-        yield from reversed(list(_block_gates(spec, block, s.reg_width)))
+    """The flat view of ``inverter_batches`` (forward pass, then uncompute),
+    one gate at a time."""
+    return flat_gates(inverter_batches(spec))
 
 
 def synth_inverter(spec: FieldSpec, in_place: bool = False) -> Circuit:
@@ -155,15 +168,16 @@ def synth_inverter(spec: FieldSpec, in_place: bool = False) -> Circuit:
     form only.
     """
     s = inverter_structure(spec)
-    gates = list(inverter_gates(spec))
+    gates: Iterable[Gate] = inverter_gates(spec)
     if in_place:
         a0 = s.registers["input"][0]
         b0 = s.registers["output"][0]
-        for i in range(s.reg_width):
-            gates.append(Cnot(a0 + i, b0 + i))
-            gates.append(Cnot(b0 + i, a0 + i))
-            gates.append(Cnot(a0 + i, b0 + i))
-    return Circuit(s.width, tuple(gates), s.registers)
+        swap = (
+            (Cnot(a0 + i, b0 + i), Cnot(b0 + i, a0 + i), Cnot(a0 + i, b0 + i))
+            for i in range(s.reg_width)
+        )
+        gates = chain(gates, *swap)
+    return Circuit(s.width, gates, s.registers)
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +231,7 @@ class BoundsReport:
 def check_bounds(spec: FieldSpec) -> BoundsReport:
     """Measure the synthesized inverter stream against the closed-form bounds."""
     s = inverter_structure(spec)
-    est = measure_stream(s.width, inverter_gates(spec))
+    est = measure_stream(s.width, inverter_batches(spec))
     b = spec.rep.inverter_bounds()
     checks = [
         BoundCheck("depth", est.depth, b.depth_bound),

@@ -27,12 +27,20 @@ squared-write flag (the output is written through the write permutation),
 which is what lets the inverter fold Frobenius maps and its final squaring
 into the wiring for free.
 
-The cores build ``Cnot``/``Toffoli`` tuples directly and check no gate on
-its own. Each block first checks its register layout with the register
-rule of ``circuits`` (non-negative, pairwise disjoint spans); the stage
-formulas then give every gate distinct wires with Toffoli controls
-lower-first. ``Circuit`` applies the gate rule when a netlist is
-materialized, and the streamed consumers trust the cores.
+The cores (``mult_batches``, ``self_mult_batches``) produce column batches
+(see ``circuits``), one per run of one gate kind: a general stage is one
+Toffoli batch whose wire lists are rotations of the registers' wire lists,
+and a self-power color class is the representation's index columns mapped
+onto wires (the ghost-bit first class is a Toffoli batch followed by a
+one-CNOT batch). With ``reverse`` a core yields the inverse block: stages
+last-first, each stage's batches last-first, every list reversed.
+``mult_gates`` and ``self_mult_gates`` are the flat views, gate by gate.
+
+The cores check no gate on its own. Each block first checks its register
+layout with the register rule of ``circuits`` (non-negative, pairwise
+disjoint spans); the stage formulas then give every gate distinct wires
+with Toffoli controls lower-first. ``Circuit`` applies the gate rule when a
+netlist is materialized, and the streamed consumers trust the cores.
 """
 
 from __future__ import annotations
@@ -41,13 +49,12 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Iterator, Optional, Union
 
-from .circuits import UNBOUNDED, Circuit, Cnot, Gate, Toffoli, validated_registers
+from .circuits import UNBOUNDED, Batch, Circuit, Cnot, Gate, flat_gates, validated_registers
 from .errors import ExponentOutOfRange
 from .fields import (
     GhostBit,
     Gnb,
     GnbParams,
-    IndexGate,
     gnb_stage_bases,
     validate_gnb_params,
 )
@@ -120,47 +127,77 @@ def _targets(rep: Rep, c0: int, square_write: bool) -> list[int]:
     return _wires(c0, rep.write_permutation if square_write else range(rep.width))
 
 
-def _class_gates(cls: Iterable[IndexGate], a: list[int], tgt: list[int]) -> Iterator[Gate]:
-    """Place one color class of a self-power stage on wires. Index
-    Toffolis name their controls lower-first and ``a`` increases, so the
-    wire controls are lower-first too."""
-    for g in cls:
-        if len(g) == 3:
-            yield Toffoli(a[g[0]], a[g[1]], tgt[g[2]])
-        else:
-            yield Cnot(a[g[0]], tgt[g[1]])
+def _walk(wires: list[int], start: int, step: int = 1) -> list[int]:
+    """wires[(start + step * j) % n] for j in 0..n-1, by slicing: position
+    step * j of the rotation laid out step times is rotation[step * j % n]."""
+    k = start % len(wires)
+    rotated = wires[k:] + wires[:k]
+    return rotated if step == 1 else (rotated * step)[::step]
 
 
-def mult_gates(
-    rep: Rep, a0: int, b0: int, c0: int, b_exp: int = 0, square_write: bool = False
-) -> Iterator[Gate]:
-    """|a>|b>|c>  ->  |a>|b>|c + a * b^(2^b_exp)>, one depth-1 layer per stage;
-    within a stage all controls and targets are distinct."""
+def _stage(batches: list[Batch], reverse: bool) -> list[Batch]:
+    """One stage's batches, or with ``reverse`` those of its inverse: last
+    first, every column reversed (both gate kinds are involutions)."""
+    if not reverse:
+        return batches
+    return [(a[::-1], None if b is None else b[::-1], t[::-1]) for a, b, t in reversed(batches)]
+
+
+def mult_batches(
+    rep: Rep, a0: int, b0: int, c0: int, b_exp: int = 0, square_write: bool = False,
+    reverse: bool = False,
+) -> Iterator[Batch]:
+    """|a>|b>|c>  ->  |a>|b>|c + a * b^(2^b_exp)>, one batch per stage; a
+    stage is one depth-1 layer whose controls and targets are all distinct.
+    With ``reverse`` the inverse block: stages last-first, columns reversed."""
     n = rep.width
     validated_registers({"a": (a0, n), "b": (b0, n), "c": (c0, n)}, UNBOUNDED)  # the precondition
     a = _wires(a0, range(n))
     b = _wires(b0, rep.read_permutation(b_exp))
     tgt = _targets(rep, c0, square_write)
-    for sa, sb, sc, step in rep.mult_stages():
-        # the lower register's wire is the first control of every gate
-        (x, sx), (y, sy) = ((a, sa), (b, sb)) if a0 < b0 else ((b, sb), (a, sa))
-        for j in range(n):
-            yield Toffoli(x[(sx + j) % n], y[(sy + j) % n], tgt[(sc + step * j) % n])
+    lower_first = a0 < b0  # the lower register's wire is the first control of every gate
+    x, y = (a, b) if lower_first else (b, a)
+    stages = rep.mult_stages()
+    for sa, sb, sc, step in reversed(stages) if reverse else stages:
+        sx, sy = (sa, sb) if lower_first else (sb, sa)
+        yield from _stage([(_walk(x, sx), _walk(y, sy), _walk(tgt, sc, step))], reverse)
+
+
+def self_mult_batches(
+    rep: Rep, r: int, a0: int, c0: int, square_write: bool = False, reverse: bool = False
+) -> Iterator[Batch]:
+    """|a>|c>  ->  |a>|c + a * a^(2^r)>, stage by stage, color class by
+    class, one batch per run of one gate kind. The exponent must lie in
+    0..m. With ``reverse`` the inverse block: stages last-first, each
+    stage's batches last-first, columns reversed."""
+    _check_exponent(r, rep.m)
+    n = rep.width
+    validated_registers({"a": (a0, n), "c": (c0, n)}, UNBOUNDED)  # the precondition
+    a = _wires(a0, range(n)).__getitem__
+    tgt = _targets(rep, c0, square_write).__getitem__
+    # Index Toffolis name their controls lower-first and the wires of a
+    # increase, so the wire controls are lower-first too.
+    for stage in rep.self_mult_stages(r, reverse):
+        batches = [
+            (list(map(a, x)), None if y is None else list(map(a, y)), list(map(tgt, c)))
+            for cls in stage.classes
+            for x, y, c in cls
+        ]
+        yield from _stage(batches, reverse)
+
+
+def mult_gates(
+    rep: Rep, a0: int, b0: int, c0: int, b_exp: int = 0, square_write: bool = False
+) -> Iterator[Gate]:
+    """The flat view of ``mult_batches``: one gate at a time."""
+    return flat_gates(mult_batches(rep, a0, b0, c0, b_exp, square_write))
 
 
 def self_mult_gates(
     rep: Rep, r: int, a0: int, c0: int, square_write: bool = False
 ) -> Iterator[Gate]:
-    """|a>|c>  ->  |a>|c + a * a^(2^r)>, stage by stage, color class by class.
-    The exponent must lie in 0..m."""
-    _check_exponent(r, rep.m)
-    n = rep.width
-    validated_registers({"a": (a0, n), "c": (c0, n)}, UNBOUNDED)  # the precondition
-    a = _wires(a0, range(n))
-    tgt = _targets(rep, c0, square_write)
-    for stage in rep.self_mult_stages(r):
-        for cls in stage.classes:
-            yield from _class_gates(cls, a, tgt)
+    """The flat view of ``self_mult_batches``: one gate at a time."""
+    return flat_gates(self_mult_batches(rep, r, a0, c0, square_write))
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +240,7 @@ def _self_mult_schedule(rep: Rep, r: int) -> ColoringSchedule:
     for st in rep.self_mult_stages(r):
         first, second, step = st.pairing
         terms = tuple(((first + i) % n, (second + step * i) % n) for i in range(n))
-        classes = tuple(tuple(islice(gates, len(cls))) for cls in st.classes)
+        classes = tuple(tuple(islice(gates, sum(len(c) for _, _, c in cls))) for cls in st.classes)
         stages.append(StageSchedule(st.label, st.kind, st.delta, terms, classes))
     return ColoringSchedule(m=rep.m, r=r, width=2 * n, stages=tuple(stages))
 
