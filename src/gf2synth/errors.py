@@ -11,7 +11,7 @@ class UnsupportedDegree(ValueError):
 
 
 class NoGnbFound(ValueError):
-    """No Gaussian normal basis of type <= the search bound exists for m."""
+    """No Gaussian normal basis of type <= ``fields.GNB_MAX_TYPE`` exists for m."""
 
 
 class InvalidParams(ValueError):
@@ -27,7 +27,10 @@ class ExponentOutOfRange(ValueError):
 
 
 class DegreeTooSmall(ValueError):
-    """Inversion needs m >= 3; smaller degrees have no multiplier ladder."""
+    """The degree is too small for the operation. An inversion plan
+    (``addition_chain``, ``itoh_tsujii_inverse``) needs m >= 2; at m = 2 it
+    has no block and the inverse is one squaring. Inverter synthesis and the
+    closed-form bounds need m >= 3, at least one block."""
 
 
 class WidthMismatch(ValueError):

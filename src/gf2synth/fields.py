@@ -27,8 +27,11 @@ representations differ: register width, int-level product, Frobenius and
 identity, the inverse check, the read/write wire permutations, the stage
 structure of the two multiplier cores (as coefficient indices, which
 ``multipliers`` places on wires as column batches) and the closed-form
-bounds. Everything else (the Itoh-Tsujii plan, uncompute, verification,
-netlist I/O) is shared.
+bounds. Everything else is shared.
+
+``addition_chain`` owns the Itoh-Tsujii chain: its ``MultiplierBlock``s,
+one per multiplication, are the blocks the inverter synthesizes and the
+steps ``itoh_tsujii_inverse`` and the closed-form bounds read.
 """
 
 from __future__ import annotations
@@ -52,10 +55,13 @@ from .gf2poly import all_one_poly, gf2_inv_mod, gf2_mul, prime_divisors
 # small number theory helpers
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+GNB_MAX_TYPE = 30  # largest normal-basis type ``find_gnb_type`` tries
 
 
 def is_prime(n: int) -> bool:
-    """Trial division for the sizes that occur here; Miller-Rabin above 2^32."""
+    """Trial division by the primes below 41, then Miller-Rabin to those twelve
+    bases, which is exact below 3.18 * 10^23: far above any p = t*m + 1 whose
+    p - 1 ``multiplicative_order`` can factor."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -63,23 +69,12 @@ def is_prime(n: int) -> bool:
             return n == p
     if n < 41 * 41:
         return True
-    if n < 1 << 32:
-        d = 41
-        while d * d <= n:
-            if n % d == 0:
-                return False
-            d += 2
-        return True
-    return _miller_rabin(n)
-
-
-def _miller_rabin(n: int) -> bool:
     d = n - 1
     s = 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _SMALL_PRIMES:  # deterministic far beyond any size used here
+    for a in _SMALL_PRIMES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -246,18 +241,18 @@ def validate_gnb_params(params: GnbParams) -> None:
         raise InvalidParams("index table does not match its defining construction")
 
 
-def find_gnb_type(m: int, t_bound: int = 30) -> GnbParams:
-    """Smallest-type Gaussian normal basis for m, searching t = 1..t_bound.
+def find_gnb_type(m: int) -> GnbParams:
+    """Smallest-type Gaussian normal basis for m, searching t = 1..GNB_MAX_TYPE.
 
     Degrees divisible by 8 never admit one (2 would have to generate a group
     of even index), so the search is guaranteed to fail there.
     """
     if m < 2:
         raise UnsupportedDegree("field degree must be at least 2")
-    for t in range(1, t_bound + 1):
+    for t in range(1, GNB_MAX_TYPE + 1):
         if _gnb_violation(m, t) is None:
             return make_gnb_params(m, t)
-    raise NoGnbFound(f"no Gaussian normal basis of type <= {t_bound} exists for m={m}")
+    raise NoGnbFound(f"no Gaussian normal basis of type <= {GNB_MAX_TYPE} exists for m={m}")
 
 
 def gnb_frobenius(m: int, a: int, r: int) -> int:
@@ -332,26 +327,22 @@ def gnb_stage_bases(params: GnbParams, second_shift: int = 0) -> list[tuple[str,
 
 
 @dataclass(frozen=True)
-class LadderStep:
-    """One doubling: target holds beta_(2r) = beta_r * beta_r^(2^r).
+class MultiplierBlock:
+    """One multiplication of the inversion chain.
 
-    ``source_reg`` holds beta_r = alpha^(2^r - 1); the operand is the same
-    register read through r squarings.
+    ``self_power`` blocks compute target += source * source^(2^r); ``general``
+    blocks compute target += source * operand^(2^operand_exponent). The
+    inverter sets ``squared_write`` on its final forward block so the result
+    lands pre-squared; a plan's blocks leave it False.
     """
 
+    kind: str  # "self_power" | "general"
     source_reg: int
     target_reg: int
-    r: int
-
-
-@dataclass(frozen=True)
-class CombineStep:
-    """One addition-chain merge: target = acc * operand^(2^operand_exponent)."""
-
-    acc_reg: int
-    operand_reg: int
-    operand_exponent: int
-    target_reg: int
+    r: int = 0
+    operand_reg: int = -1
+    operand_exponent: int = 0
+    squared_write: bool = False
 
 
 @dataclass(frozen=True)
@@ -359,20 +350,21 @@ class InverterPlan:
     """Multiplication schedule computing alpha^(2^m - 2) = alpha^(-1).
 
     ``k_list`` holds the exponents of the set bits of m-1 in decreasing
-    order. The ladder doubles beta_1 = alpha up to beta_(2^k1); the combine
-    steps fold in beta_(2^k) for the remaining set bits, reading each operand
-    through a power-of-two Frobenius shift. A single final squaring (free in
-    both representations) turns alpha^(2^(m-1) - 1) into the inverse; circuit
-    synthesis folds it into the last multiplier's write permutation.
+    order. The ladder's self-power blocks double beta_1 = alpha up to
+    beta_(2^k1); the combine's general blocks fold in beta_(2^k) for the
+    remaining set bits, reading each operand through a power-of-two Frobenius
+    shift. A single final squaring (free in both representations) turns
+    alpha^(2^(m-1) - 1) into the inverse; circuit synthesis folds it into the
+    last block's write permutation.
 
     Register indices: 0 is the input, 1..k1 the ladder targets, then one
-    register per combine step. The overall product lands in ``output_reg``.
+    register per combine block. The overall product lands in ``output_reg``.
     """
 
     m: int
     k_list: tuple[int, ...]
-    ladder: tuple[LadderStep, ...]
-    combine: tuple[CombineStep, ...]
+    ladder: tuple[MultiplierBlock, ...]
+    combine: tuple[MultiplierBlock, ...]
 
     @property
     def floor_log(self) -> int:
@@ -403,19 +395,12 @@ def addition_chain(m: int) -> InverterPlan:
     e = m - 1
     k_list = tuple(k for k in range(e.bit_length() - 1, -1, -1) if (e >> k) & 1)
     k1 = k_list[0]
-    ladder = tuple(
-        LadderStep(source_reg=j, target_reg=j + 1, r=1 << j) for j in range(k1)
-    )
+    ladder = tuple(MultiplierBlock("self_power", j, j + 1, r=1 << j) for j in range(k1))
     combine = []
     partial = 1 << k1
     for s, k in enumerate(k_list[1:], start=1):
         combine.append(
-            CombineStep(
-                acc_reg=k1 + s - 1,
-                operand_reg=k,
-                operand_exponent=partial,
-                target_reg=k1 + s,
-            )
+            MultiplierBlock("general", k1 + s - 1, k1 + s, operand_reg=k, operand_exponent=partial)
         )
         partial += 1 << k
     assert partial == e
@@ -444,8 +429,8 @@ class ResourceBound:
 def _chain_shape(m: int) -> tuple[int, int]:
     if m < 3:
         raise DegreeTooSmall("inversion bounds need m >= 3")
-    e = m - 1
-    return e.bit_length() - 1, bin(e).count("1")
+    plan = addition_chain(m)
+    return plan.floor_log, plan.hamming_weight
 
 
 def bounds_ghost(m: int) -> ResourceBound:
@@ -611,7 +596,10 @@ class GhostBit:
         return bounds_ghost(self.m)
 
 
-_COLORING_CACHE = 1 << 18  # index entries of delta colorings one Gnb keeps (a few MB)
+# One Gnb keeps delta colorings while their count times m stays below this;
+# a coloring holds three m-long columns, so at most about 3 * 2^18 index
+# entries (a few MB) are kept per basis.
+_COLORING_CACHE = 1 << 18
 
 Coloring = tuple[tuple[list[int], list[int], list[int]], ...]
 
@@ -690,7 +678,8 @@ class Gnb:
         product to a single coefficient: a layer of CNOTs. Otherwise the
         pairs are the edges of the shift-by-delta cycles on Z_m, colored by
         ``_coset_colors``; that coloring depends on delta mod m only, so it is
-        kept per delta (at most _COLORING_CACHE index entries per basis).
+        kept per delta while colorings * m < _COLORING_CACHE (three m-long
+        columns each, so at most about 3 * 2^18 index entries per basis).
         """
         m = self.m
         idx = self._idx
@@ -749,8 +738,8 @@ class FieldSpec:
         return cls(m=m, representation=Representation.GHOST_BIT)
 
     @classmethod
-    def gnb(cls, m: int, t: Optional[int] = None, t_bound: int = 30) -> "FieldSpec":
-        params = make_gnb_params(m, t) if t is not None else find_gnb_type(m, t_bound)
+    def gnb(cls, m: int, t: Optional[int] = None) -> "FieldSpec":
+        params = make_gnb_params(m, t) if t is not None else find_gnb_type(m)
         return cls(m=m, representation=Representation.GNB, gnb_params=params)
 
     @classmethod
@@ -781,12 +770,12 @@ def itoh_tsujii_inverse(spec: FieldSpec, a: int) -> int:
     plan = addition_chain(spec.m)
     regs = [0] * plan.register_count
     regs[0] = a
-    for st in plan.ladder:
-        x = regs[st.source_reg]
-        regs[st.target_reg] = rep.mult(x, rep.frobenius(x, st.r))
-    for st in plan.combine:
-        operand = rep.frobenius(regs[st.operand_reg], st.operand_exponent)
-        regs[st.target_reg] = rep.mult(regs[st.acc_reg], operand)
+    for b in plan.ladder + plan.combine:
+        if b.kind == "self_power":
+            operand = rep.frobenius(regs[b.source_reg], b.r)
+        else:
+            operand = rep.frobenius(regs[b.operand_reg], b.operand_exponent)
+        regs[b.target_reg] = rep.mult(regs[b.source_reg], operand)
     return rep.frobenius(regs[plan.output_reg], 1)
 
 

@@ -1,11 +1,12 @@
 """Out-of-place field inversion and the closed-form resource bounds.
 
-The inverter raises the input to 2^m - 2 by an addition chain on the exponent
-(see ``fields.addition_chain``): floor(log2(m-1)) doubling multiplications,
-then HW(m-1) - 1 merges, every operand power-of-two read folded into wiring,
-and the final squaring folded into the last multiplier's write permutation.
-After the forward pass, all blocks except the final one are run backwards to
-return the ancilla registers to zero, so the circuit maps
+The inverter raises the input to 2^m - 2 by an addition chain on the exponent:
+floor(log2(m-1)) doubling multiplications, then HW(m-1) - 1 merges, every
+operand power-of-two read folded into wiring. The chain's blocks come from
+``fields.addition_chain`` unchanged; this module adds the register layout,
+the final squaring folded into the last block's write permutation, and the
+uncompute: after the forward pass, all blocks except the final one are run
+backwards to return the ancilla registers to zero, so the circuit maps
 
     |a> |0...0>  ->  |a> |0...0> |a^-1>
 
@@ -23,15 +24,16 @@ memory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain
 from typing import Iterable, Iterator, Optional, Union
 
 from .circuits import Batch, Circuit, Cnot, Gate, ResourceEstimate, flat_gates, measure_stream
 from .errors import DegreeTooSmall
-from .fields import (  # noqa: F401  (the bounds are re-exported from here)
+from .fields import (  # noqa: F401  (the block type and bounds are re-exported from here)
     FieldSpec,
     InverterPlan,
+    MultiplierBlock,
     Representation,
     ResourceBound,
     addition_chain,
@@ -39,24 +41,6 @@ from .fields import (  # noqa: F401  (the bounds are re-exported from here)
     bounds_gnb,
 )
 from .multipliers import mult_batches, self_mult_batches
-
-
-@dataclass(frozen=True)
-class MultiplierBlock:
-    """One multiplier in the inverter schedule.
-
-    ``self_power`` blocks compute target += source * source^(2^r); ``general``
-    blocks compute target += source * operand^(2^operand_exponent). The final
-    forward block carries ``squared_write`` so its result lands pre-squared.
-    """
-
-    kind: str  # "self_power" | "general"
-    source_reg: int
-    target_reg: int
-    r: int = 0
-    operand_reg: int = -1
-    operand_exponent: int = 0
-    squared_write: bool = False
 
 
 @dataclass(frozen=True)
@@ -87,44 +71,16 @@ def inverter_structure(spec: FieldSpec) -> InverterStructure:
     names[plan.output_reg] = "output"
     registers = {names[i]: (i * w, w) for i in range(plan.register_count)}
 
-    forward: list[MultiplierBlock] = []
-    for st in plan.ladder:
-        forward.append(
-            MultiplierBlock(
-                kind="self_power",
-                source_reg=st.source_reg,
-                target_reg=st.target_reg,
-                r=st.r,
-            )
-        )
-    for st in plan.combine:
-        forward.append(
-            MultiplierBlock(
-                kind="general",
-                source_reg=st.acc_reg,
-                target_reg=st.target_reg,
-                operand_reg=st.operand_reg,
-                operand_exponent=st.operand_exponent,
-            )
-        )
-    last = forward[-1]
-    forward[-1] = MultiplierBlock(
-        kind=last.kind,
-        source_reg=last.source_reg,
-        target_reg=last.target_reg,
-        r=last.r,
-        operand_reg=last.operand_reg,
-        operand_exponent=last.operand_exponent,
-        squared_write=True,
-    )
+    *head, last = plan.ladder + plan.combine
+    forward = (*head, replace(last, squared_write=True))
     return InverterStructure(
         spec=spec,
         plan=plan,
         reg_width=w,
         width=width,
         registers=registers,
-        forward=tuple(forward),
-        uncompute=tuple(reversed(forward[:-1])),
+        forward=forward,
+        uncompute=tuple(reversed(head)),
     )
 
 

@@ -95,3 +95,24 @@ def test_inverse_random_gnb_m30():
     for _ in range(25):
         a = rng.getrandbits(30) or 1
         assert spec.rep.mult(a, itoh_tsujii_inverse(spec, a)) == one
+
+
+
+@pytest.mark.parametrize("spec", [FieldSpec.gnb(2, t=1), FieldSpec.gnb(3)], ids=["gnb2", "gnb3"])
+def test_inverse_exhaustive_gnb_plans_with_zero_and_one_block(spec):
+    # m = 2: no block, the inverse is the closing squaring alone; m = 3: one
+    # self-power block, which the inverter gives the squared write
+    m = spec.m
+    assert addition_chain(m).multiplications == m - 2
+    assert itoh_tsujii_inverse(spec, 0) == 0
+    for a in range(1, 1 << m):
+        assert spec.rep.mult(a, itoh_tsujii_inverse(spec, a)) == spec.rep.identity
+
+
+def test_inverse_exhaustive_ghost_m2_plan_without_block():
+    # both representatives of every element of F_4, ghost bit included
+    spec = FieldSpec.ghost_bit(2)
+    assert addition_chain(2).multiplications == 0
+    for v in range(8):
+        a = phi_retract(2, v)
+        assert phi_retract(2, itoh_tsujii_inverse(spec, v)) == (poly_inverse(2, a) if a else 0)
