@@ -16,16 +16,13 @@ from .circuits import (
     ResourceEstimate,
     Toffoli,
     cnot,
-    concat,
     emit,
     emit_lines,
     measure_stream,
     parse,
     resources,
-    reverse,
     schedule,
     simulate,
-    simulate_batch,
     toffoli,
 )
 from .errors import (
@@ -63,7 +60,6 @@ from .inverters import (
     ResourceBound,
     bounds_ghost,
     bounds_gnb,
-    bounds_t,
     check_bounds,
     inverter_batches,
     inverter_gates,
@@ -71,11 +67,6 @@ from .inverters import (
     synth_inverter,
 )
 from .multipliers import (
-    ColoringSchedule,
-    StageSchedule,
-    gbb_self_mult_schedule,
-    gnb_self_mult_deltas,
-    gnb_self_mult_schedule,
     synth_add,
     synth_gbb_mult,
     synth_gbb_self_mult,

@@ -26,8 +26,11 @@ flat sequence back into batches.
 
 Simulation is bit-sliced: one Python int per wire, bit b of that int holding
 wire's value for input pattern b, so a whole batch of inputs costs a single
-pass over the gates. T-gate figures use the standard 7 T / T-depth 6
-decomposition of the Toffoli.
+pass over the gates. There is one route: ``pack_patterns`` builds the state,
+``run_packed`` applies the gates and ``register_value`` reads a pattern
+back. ``verify`` drives it register by register; ``simulate`` runs it on a
+``Circuit`` with whole-width ints (bit w is wire w) in and out. T-gate
+figures use the standard 7 T / T-depth 6 decomposition of the Toffoli.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from dataclasses import dataclass, field
 from itertools import chain, groupby, islice
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
-from .errors import CircuitRuleError, ParseError, WidthMismatch
+from .errors import CircuitRuleError, ParseError
 
 
 class Cnot(NamedTuple):
@@ -145,10 +148,6 @@ class Circuit:
             raise ValueError("width must be positive")
         object.__setattr__(self, "registers", validated_registers(self.registers, self.width))
         object.__setattr__(self, "gates", validated_gates(self.gates, self.width))
-
-    def register_slice(self, name: str) -> range:
-        start, length = self.registers[name]
-        return range(start, start + length)
 
 
 @dataclass(frozen=True)
@@ -266,23 +265,6 @@ def schedule(c: Circuit) -> list[list[Gate]]:
     return layers
 
 
-def reverse(c: Circuit) -> Circuit:
-    """Inverse circuit: both gate kinds are involutions, so just flip order."""
-    return Circuit(c.width, tuple(reversed(c.gates)), dict(c.registers))
-
-
-def concat(a: Circuit, b: Circuit) -> Circuit:
-    """Sequential composition; register maps must agree where names collide."""
-    if a.width != b.width:
-        raise WidthMismatch(f"cannot concatenate widths {a.width} and {b.width}")
-    regs = dict(a.registers)
-    for name, span in b.registers.items():
-        if name in regs and regs[name] != span:
-            raise ValueError(f"register {name} maps differently in the two circuits")
-        regs[name] = span
-    return Circuit(a.width, a.gates + b.gates, regs)
-
-
 # ---------------------------------------------------------------------------
 # simulation
 
@@ -317,36 +299,15 @@ def register_value(state: Sequence[int], b: int, start: int, length: int) -> int
     return v
 
 
-def pack_inputs(width: int, rows: Sequence[Sequence[int]]) -> list[int]:
-    """Pack pattern rows (each a width-long 0/1 sequence) into per-wire ints."""
-    for b, row in enumerate(rows):
-        if len(row) != width:
-            raise WidthMismatch(f"input row {b} has {len(row)} bits, circuit has {width}")
-    patterns = [sum(1 << i for i, bit in enumerate(row) if bit) for row in rows]
-    return pack_patterns(width, range(width), patterns)
-
-
-def unpack_outputs(width: int, state: Sequence[int], count: int) -> list[list[int]]:
-    values = (register_value(state, b, 0, width) for b in range(count))
-    return [[(v >> i) & 1 for i in range(width)] for v in values]
-
-
-def simulate(c: Circuit, bits: Sequence[int]) -> list[int]:
-    """Classical basis-state simulation of a single input pattern."""
-    if len(bits) != c.width:
-        raise WidthMismatch(f"input has {len(bits)} bits, circuit has {c.width}")
-    return simulate_batch(c, [bits])[0]
-
-
-def simulate_batch(c: Circuit, rows: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Simulate many input patterns in one pass (bit-sliced)."""
-    for row in rows:
-        for b in row:
-            if b not in (0, 1):
-                raise ValueError(f"input bits must be 0 or 1, got {b!r}")
-    state = pack_inputs(c.width, rows)
-    run_packed(c.gates, state)
-    return unpack_outputs(c.width, state, len(rows))
+def simulate(c: Circuit, inputs: Sequence[int]) -> list[int]:
+    """Basis-state outputs of a circuit, all inputs in one bit-sliced pass.
+    Each input and output is a whole-width int whose bit w is wire w; an
+    input outside 0..2^width - 1 is rejected."""
+    for v in inputs:
+        if not 0 <= v < 1 << c.width:
+            raise ValueError(f"input {v!r} outside 0..2^{c.width} - 1")
+    state = run_packed(c.gates, pack_patterns(c.width, range(c.width), inputs))
+    return [register_value(state, b, 0, c.width) for b in range(len(inputs))]
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +345,7 @@ def emit(c: Circuit, header: Iterable[str] = ()) -> str:
 
 def _directives(text: str) -> Iterator[tuple[int, list[str]]]:
     """(1-based line number, tokens) of every line that is not blank or a comment."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         toks = raw.split("#", 1)[0].split()
         if toks:
             yield lineno, toks

@@ -27,7 +27,10 @@ representations differ: register width, int-level product, Frobenius and
 identity, the inverse check, the read/write wire permutations, the stage
 structure of the two multiplier cores (as coefficient indices, which
 ``multipliers`` places on wires as column batches) and the closed-form
-bounds. Everything else is shared.
+bounds. Everything else is shared. ``self_mult_stages(r)`` is the one
+description of a self-power multiplier's stages: each ``SelfPowerStage``
+carries its label, index delta (normal basis) and color classes as index
+columns, and nothing rebuilds it from gates.
 
 ``addition_chain`` owns the Itoh-Tsujii chain: its ``MultiplierBlock``s,
 one per multiplication, are the blocks the inverter synthesizes and the
@@ -502,15 +505,11 @@ class SelfPowerStage(NamedTuple):
 
     ``classes`` are the stage's depth-1 color classes in emission order, each
     a tuple of index batches (one per run of a single gate kind).
-    ``pairing`` is ``(first, second, step)``: term i of the stage multiplies
-    coefficient first + i by coefficient second + step * i (indices mod the
-    width).
     """
 
     label: str
     kind: str  # "toffoli" or "cnot"
     delta: Optional[int]  # raw index difference (normal basis only)
-    pairing: tuple[int, int, int]
     classes: tuple[tuple[IndexBatch, ...], ...]
 
 
@@ -574,7 +573,7 @@ class GhostBit:
         p2r = pow(2, r, n)
         if p2r == 1:
             layer = (list(range(n)), None, [2 * i % n for i in range(n)])
-            yield SelfPowerStage("squaring", "cnot", None, (0, 0, 1), ((layer,),))
+            yield SelfPowerStage("squaring", "cnot", None, ((layer,),))
             return
         inv2 = pow(2, -1, n)
         for sigma in range(n - 1, -1, -1) if reverse else range(n):
@@ -584,9 +583,7 @@ class GhostBit:
             first = (x, y, [(j + p2r * c) % n for j, c in zip(x, y)])
             fixed = ([jstar], None, [jstar * (1 + p2r) % n])
             second = (x, y, [(c + p2r * j) % n for j, c in zip(x, y)])
-            yield SelfPowerStage(
-                f"sigma={sigma}", "toffoli", None, (0, sigma, -1), ((first, fixed), (second,))
-            )
+            yield SelfPowerStage(f"sigma={sigma}", "toffoli", None, ((first, fixed), (second,)))
 
     def mult_bounds(self) -> tuple[int, int]:
         """(depth, gates) of the general multiplier."""
@@ -690,7 +687,7 @@ class Gnb:
             k = fa % m
             if d == 0:
                 layer = (idx[k:] + idx[:k], None, idx)
-                yield SelfPowerStage(label, "cnot", delta, (fa, fb, 1), ((layer,),))
+                yield SelfPowerStage(label, "cnot", delta, ((layer,),))
                 continue
             colors = self._colorings.get(d)
             if colors is None:
@@ -699,7 +696,7 @@ class Gnb:
                     self._colorings[d] = colors
             out = idx[m - k:] + idx[:m - k]  # out[f] = (f - fa) mod m
             classes = tuple(((x, y, list(map(out.__getitem__, f))),) for x, y, f in colors)
-            yield SelfPowerStage(label, "toffoli", delta, (fa, fb, 1), classes)
+            yield SelfPowerStage(label, "toffoli", delta, classes)
 
     def mult_bounds(self) -> tuple[int, int]:
         """(depth, gates) of the general multiplier, T = t rounded up to even."""

@@ -25,14 +25,12 @@ memory.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import chain
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterator, Optional
 
-from .circuits import Batch, Circuit, Cnot, Gate, ResourceEstimate, flat_gates, measure_stream
+from .circuits import Batch, Circuit, Gate, ResourceEstimate, flat_gates, measure_stream
 from .errors import DegreeTooSmall
 from .fields import (  # noqa: F401  (the block type and bounds are re-exported from here)
     FieldSpec,
-    InverterPlan,
     MultiplierBlock,
     Representation,
     ResourceBound,
@@ -47,8 +45,6 @@ from .multipliers import mult_batches, self_mult_batches
 class InverterStructure:
     """Block-level layout of an inverter for one field spec."""
 
-    spec: FieldSpec
-    plan: InverterPlan
     reg_width: int
     width: int
     registers: dict[str, tuple[int, int]]
@@ -74,8 +70,6 @@ def inverter_structure(spec: FieldSpec) -> InverterStructure:
     *head, last = plan.ladder + plan.combine
     forward = (*head, replace(last, squared_write=True))
     return InverterStructure(
-        spec=spec,
-        plan=plan,
         reg_width=w,
         width=width,
         registers=registers,
@@ -115,40 +109,14 @@ def inverter_gates(spec: FieldSpec) -> Iterator[Gate]:
     return flat_gates(inverter_batches(spec))
 
 
-def synth_inverter(spec: FieldSpec, in_place: bool = False) -> Circuit:
-    """Materialize the inverter netlist.
-
-    With ``in_place`` a transversal swap (three CNOT layers) is appended so
-    the inverse replaces the input register and the input value parks in the
-    output register; the closed-form bounds describe the default out-of-place
-    form only.
-    """
+def synth_inverter(spec: FieldSpec) -> Circuit:
+    """Materialize the inverter netlist."""
     s = inverter_structure(spec)
-    gates: Iterable[Gate] = inverter_gates(spec)
-    if in_place:
-        a0 = s.registers["input"][0]
-        b0 = s.registers["output"][0]
-        swap = (
-            (Cnot(a0 + i, b0 + i), Cnot(b0 + i, a0 + i), Cnot(a0 + i, b0 + i))
-            for i in range(s.reg_width)
-        )
-        gates = chain(gates, *swap)
-    return Circuit(s.width, gates, s.registers)
+    return Circuit(s.width, inverter_gates(spec), s.registers)
 
 
 # ---------------------------------------------------------------------------
 # closed-form resource bounds (the formulas live with the representations)
-
-
-def bounds_t(
-    m: int,
-    representation: Union[Representation, str],
-    t: Optional[int] = None,
-) -> tuple[int, int]:
-    """(T-depth bound, T-count bound) for the inverter in the given
-    representation; the normal-basis type is looked up when not supplied."""
-    b = FieldSpec.of(representation, m, t).rep.inverter_bounds()
-    return b.t_depth_bound, b.t_count_bound
 
 
 @dataclass(frozen=True)

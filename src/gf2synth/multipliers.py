@@ -19,6 +19,11 @@ stages, which the representation object (``fields.GhostBit`` /
   the coefficient ring, colored along the cosets walked by that delta; a
   zero delta degenerates the stage to parallel CNOTs.
 
+Those index stages are the only description of the stage structure: to
+inspect a self-power stage (its label, index delta and color classes), read
+``rep.self_mult_stages(r)`` directly; this module only places stages on
+wires.
+
 The two gate cores below (general and self-power) place those stages on
 wires for any representation. They take register offsets, an operand
 exponent (the second operand is read through the representation's read
@@ -45,71 +50,13 @@ netlist is materialized, and the streamed consumers trust the cores.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import islice
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Union
 
 from .circuits import UNBOUNDED, Batch, Circuit, Cnot, Gate, flat_gates, validated_registers
 from .errors import ExponentOutOfRange
-from .fields import (
-    GhostBit,
-    Gnb,
-    GnbParams,
-    gnb_stage_bases,
-    validate_gnb_params,
-)
+from .fields import GhostBit, Gnb, GnbParams
 
 Rep = Union[GhostBit, Gnb]
-
-
-# ---------------------------------------------------------------------------
-# stage containers (used by the self-power schedules)
-
-
-@dataclass(frozen=True)
-class StageSchedule:
-    """One wire-disjoint stage: its terms and its parallel color classes.
-
-    ``terms`` lists the coefficient-index pairs (first, second) whose products
-    the stage accumulates. ``delta`` is the raw second-minus-first index
-    difference for normal-basis stages (None for ghost-bit stages). The gates
-    of ``color_classes`` appear in emission order; each class is a depth-1
-    layer.
-    """
-
-    label: str
-    kind: str  # "toffoli" or "cnot"
-    delta: Optional[int]
-    terms: tuple[tuple[int, int], ...]
-    color_classes: tuple[tuple[Gate, ...], ...]
-
-    @property
-    def gates(self) -> tuple[Gate, ...]:
-        return tuple(g for cls in self.color_classes for g in cls)
-
-    @property
-    def stage_depth(self) -> int:
-        return len(self.color_classes)
-
-
-@dataclass(frozen=True)
-class ColoringSchedule:
-    """The per-stage structure of a self-power circuit, in emission order."""
-
-    m: int
-    r: int
-    width: int
-    stages: tuple[StageSchedule, ...]
-
-    @property
-    def gates(self) -> tuple[Gate, ...]:
-        return tuple(g for st in self.stages for g in st.gates)
-
-    def stage(self, label: str) -> StageSchedule:
-        for st in self.stages:
-            if st.label == label:
-                return st
-        raise KeyError(label)
 
 
 # ---------------------------------------------------------------------------
@@ -231,20 +178,6 @@ def _self_mult_circuit(rep: Rep, r: int) -> Circuit:
     return Circuit(2 * w, gates, {"input": (0, w), "output": (w, w)})
 
 
-def _self_mult_schedule(rep: Rep, r: int) -> ColoringSchedule:
-    """Stage-by-stage view of the self-power circuit: its gates, cut along
-    the stages and color classes they were emitted by."""
-    n = rep.width
-    gates = self_mult_gates(rep, r, 0, n)
-    stages = []
-    for st in rep.self_mult_stages(r):
-        first, second, step = st.pairing
-        terms = tuple(((first + i) % n, (second + step * i) % n) for i in range(n))
-        classes = tuple(tuple(islice(gates, sum(len(c) for _, _, c in cls))) for cls in st.classes)
-        stages.append(StageSchedule(st.label, st.kind, st.delta, terms, classes))
-    return ColoringSchedule(m=rep.m, r=r, width=2 * n, stages=tuple(stages))
-
-
 def synth_gbb_mult(m: int) -> Circuit:
     """Ghost-bit product on 3(m+1) wires: (m+1)^2 Toffolis in m+1 layers."""
     return _mult_circuit(GhostBit(m))
@@ -254,11 +187,6 @@ def synth_gbb_self_mult(m: int, r: int) -> Circuit:
     """Ghost-bit a * a^(2^r) on 2(m+1) wires; depth 2(m+1) in the generic
     case, depth 1 when the power collapses to a squaring (r in {0, m})."""
     return _self_mult_circuit(GhostBit(m), r)
-
-
-def gbb_self_mult_schedule(m: int, r: int) -> ColoringSchedule:
-    """Stage-by-stage view of ``synth_gbb_self_mult`` (same gates, same order)."""
-    return _self_mult_schedule(GhostBit(m), r)
 
 
 def synth_gnb_mult(params: GnbParams) -> Circuit:
@@ -271,16 +199,3 @@ def synth_gnb_self_mult(params: GnbParams, r: int) -> Circuit:
     """Normal-basis a * a^(2^r) on 2m wires; stage depth follows the coset
     structure of each stage's index delta (1, 2 or 3 layers per stage)."""
     return _self_mult_circuit(Gnb(params.m, params), r)
-
-
-def gnb_self_mult_schedule(params: GnbParams, r: int) -> ColoringSchedule:
-    """Stage-by-stage view of ``synth_gnb_self_mult`` (same gates, same order)."""
-    return _self_mult_schedule(Gnb(params.m, params), r)
-
-
-def gnb_self_mult_deltas(params: GnbParams, r: int) -> dict[int, int]:
-    """Raw index deltas of the main stages: {k: F(p-k) - r - F(k+1)}."""
-    validate_gnb_params(params)
-    _check_exponent(r, params.m)
-    main = gnb_stage_bases(params, r)[: params.t * params.m - 1]
-    return {k: fb - fa for k, (_, fa, fb) in enumerate(main, 1)}

@@ -18,6 +18,7 @@ from gf2synth.fields import (
     check_ghost_bit_support,
     find_gnb_type,
     gbb_frobenius,
+    gnb_stage_bases,
     gnb_verify_isomorphism,
     make_gnb_params,
     phi_retract,
@@ -25,9 +26,6 @@ from gf2synth.fields import (
 from gf2synth.cli import main, verify_kind
 from gf2synth.inverters import check_bounds, inverter_gates, inverter_structure
 from gf2synth.multipliers import (
-    gbb_self_mult_schedule,
-    gnb_self_mult_deltas,
-    gnb_self_mult_schedule,
     synth_gbb_mult,
     synth_gbb_self_mult,
     synth_gnb_mult,
@@ -47,14 +45,18 @@ def test_criterion_01_ghost_mult_resources():
     ok(1, "ghost-bit multiplier m=4 counts")
 
 
-def test_criterion_02_ghost_self_mult_schedule():
+def test_criterion_02_ghost_self_mult_stages():
     r = resources(synth_gbb_self_mult(4, 2))
     assert r.depth == 10
     assert r.toffoli_count == 20
     assert r.cnot_count == 5
-    stage = gbb_self_mult_schedule(4, 2).stage("sigma=0")
-    assert stage.terms == ((0, 0), (1, 4), (2, 3), (3, 2), (4, 1))
-    ok(2, "ghost-bit self-power m=4 r=2 schedule")
+    stages = FieldSpec.ghost_bit(4).rep.self_mult_stages(2)
+    stage = next(st for st in stages if st.label == "sigma=0")
+    assert len(stage.classes) == 2
+    (x, y, _), (diag, _, _) = stage.classes[0]
+    pairs = set(zip(x, y)) | set(zip(y, x)) | set(zip(diag, diag))
+    assert sorted(pairs) == sorted(((0, 0), (1, 4), (2, 3), (3, 2), (4, 1)))
+    ok(2, "ghost-bit self-power m=4 r=2 stages")
 
 
 def test_criterion_03_gnb_mult_resources():
@@ -80,13 +82,14 @@ def test_criterion_05_square_retract_example():
 
 
 def test_criterion_06_delta_table_and_coloring():
-    params = make_gnb_params(5, 2)
-    deltas = gnb_self_mult_deltas(params, 1)
-    assert {k: deltas[k] for k in (2, 5, 6, 7, 8)} == {
+    spec = FieldSpec.gnb(5, t=2)
+    deltas = {label: fb - fa for label, fa, fb in gnb_stage_bases(spec.gnb_params, 1)}
+    assert {k: deltas[f"k={k}"] for k in (2, 5, 6, 7, 8)} == {
         2: -3, 5: -1, 6: 1, 7: -2, 8: 1,
     }
-    sched = gnb_self_mult_schedule(params, 1)
-    assert sched.stage("k=5").stage_depth == 3
+    stage = next(st for st in spec.rep.self_mult_stages(1) if st.label == "k=5")
+    assert stage.delta == -1
+    assert len(stage.classes) == 3
     ok(6, "self-power index deltas and odd-cycle coloring")
 
 

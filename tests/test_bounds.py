@@ -9,7 +9,6 @@ from gf2synth.fields import FieldSpec
 from gf2synth.inverters import (
     bounds_ghost,
     bounds_gnb,
-    bounds_t,
     check_bounds,
 )
 
@@ -39,12 +38,16 @@ def test_gnb_bounds_m163():
 
 
 def test_t_bounds():
-    assert bounds_t(4, "gbb") == (180, 630)
-    assert bounds_t(5, "gnb", 2) == (702, 1260)
+    def t_bounds(*args):
+        b = FieldSpec.of(*args).rep.inverter_bounds()
+        return b.t_depth_bound, b.t_count_bound
+
+    assert t_bounds("gbb", 4) == (180, 630)
+    assert t_bounds("gnb", 5, 2) == (702, 1260)
     # type is looked up when omitted
-    assert bounds_t(5, "gnb") == (702, 1260)
+    assert t_bounds("gnb", 5) == (702, 1260)
     with pytest.raises(InvalidParams):
-        bounds_t(5, "gnb", 3)
+        t_bounds("gnb", 5, 3)
 
 
 def test_t_metrics_relate_to_toffoli_metrics():

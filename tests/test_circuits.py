@@ -9,17 +9,14 @@ from gf2synth.circuits import (
     Cnot,
     Toffoli,
     cnot,
-    concat,
     measure_stream,
-    pack_inputs,
+    pack_patterns,
+    register_value,
     resources,
-    reverse,
     run_packed,
     schedule,
     simulate,
-    simulate_batch,
     toffoli,
-    unpack_outputs,
 )
 
 
@@ -51,13 +48,6 @@ def test_circuit_validates_wires():
         Circuit(4, (), {"a#b": (0, 2)})  # '#' starts a netlist comment
     with pytest.raises(ValueError):
         Circuit(0, ())  # a netlist header names a positive width
-
-
-def test_register_slice():
-    c = Circuit(6, (), {"x": (0, 3), "y": (3, 3)})
-    assert list(c.register_slice("y")) == [3, 4, 5]
-    with pytest.raises(KeyError):
-        c.register_slice("z")
 
 
 def test_depth_greedy_layering():
@@ -122,55 +112,59 @@ def test_measure_stream_matches_resources():
 
 
 def test_simulate_cnot_toffoli():
+    # inputs and outputs are whole-width ints, bit w is wire w
     c = Circuit(3, (cnot(0, 1), toffoli(0, 1, 2)))
-    assert simulate(c, (1, 0, 0)) == [1, 1, 1]
-    assert simulate(c, (0, 1, 0)) == [0, 1, 0]
-    assert simulate(c, (1, 1, 0)) == [1, 0, 0]
+    assert simulate(c, [0b001, 0b010, 0b011]) == [0b111, 0b010, 0b001]
+    assert simulate(c, []) == []
     with pytest.raises(ValueError):
-        simulate(c, (1, 0))
+        simulate(c, [0b1000])
     with pytest.raises(ValueError):
-        simulate(c, (1, 0, 2))
+        simulate(c, [-1])
+
+
+def random_gates(rng, width, n):
+    gates = []
+    for _ in range(n):
+        a, b, t = rng.sample(range(width), 3)
+        gates.append(toffoli(a, b, t) if rng.random() < 0.5 else cnot(a, t))
+    return tuple(gates)
 
 
 def test_reverse_is_inverse():
+    # both gate kinds are involutions, so the reversed gate order undoes a circuit
     rng = random.Random(31)
-    gates = []
-    for _ in range(100):
-        a, b, t = rng.sample(range(6), 3)
-        gates.append(toffoli(a, b, t) if rng.random() < 0.5 else cnot(a, t))
-    c = Circuit(6, tuple(gates))
-    undo = reverse(c)
-    for _ in range(20):
-        x = [rng.getrandbits(1) for _ in range(6)]
-        assert simulate(undo, simulate(c, x)) == x
+    gates = random_gates(rng, 6, 100)
+    c, undo = Circuit(6, gates), Circuit(6, gates[::-1])
+    inputs = [rng.getrandbits(6) for _ in range(20)]
+    assert simulate(undo, simulate(c, inputs)) == inputs
 
 
-def test_concat_appends():
-    a = Circuit(3, (cnot(0, 1),), {"x": (0, 2)})
-    b = Circuit(3, (cnot(1, 2),))
-    c = concat(a, b)
-    assert c.gates == (Cnot(0, 1), Cnot(1, 2))
-    assert c.registers == {"x": (0, 2)}
-    with pytest.raises(ValueError):
-        concat(a, Circuit(4, ()))
+def reference_run(gates, x):
+    """One input pattern, one gate at a time, on a plain int."""
+    for g in gates:
+        if len(g) == 3:
+            x ^= ((x >> g[0]) & (x >> g[1]) & 1) << g[2]
+        else:
+            x ^= ((x >> g[0]) & 1) << g[1]
+    return x
 
 
 def test_batch_simulation_is_bit_sliced():
     rng = random.Random(41)
-    gates = []
-    for _ in range(80):
-        a, b, t = rng.sample(range(7), 3)
-        gates.append(toffoli(a, b, t) if rng.random() < 0.5 else cnot(a, t))
-    c = Circuit(7, tuple(gates))
-    inputs = [[rng.getrandbits(1) for _ in range(7)] for _ in range(64)]
-    batched = simulate_batch(c, inputs)
-    assert batched == [simulate(c, x) for x in inputs]
+    gates = random_gates(rng, 7, 80)
+    c = Circuit(7, gates)
+    inputs = [rng.getrandbits(7) for _ in range(64)]
+    assert simulate(c, inputs) == [reference_run(gates, x) for x in inputs]
 
 
 def test_pack_unpack_roundtrip():
-    rows = [[1, 0, 1], [0, 1, 1], [1, 1, 0]]
-    state = pack_inputs(3, rows)
-    assert unpack_outputs(3, state, 3) == rows
+    patterns = [0b101, 0b110, 0b011]
+    state = pack_patterns(3, range(3), patterns)
+    assert state == [0b101, 0b110, 0b011]  # wire w packs bit w of every pattern
+    assert [register_value(state, b, 0, 3) for b in range(3)] == patterns
+    # a register elsewhere in a wider state reads back the same values
+    state = pack_patterns(5, [2, 3, 4], patterns)
+    assert [register_value(state, b, 2, 3) for b in range(3)] == patterns
 
 
 def test_run_packed_patterns():

@@ -1,4 +1,4 @@
-"""Golden CLI transcripts and demo smoke runs.
+"""Golden CLI transcripts, demo smoke runs and the README's examples.
 
 Every case runs a short list of command lines through ``cli.main`` inside a
 fresh working directory and compares each step's exit code, its stdout bytes
@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -128,3 +129,13 @@ def test_demo_runs(demo):
         [sys.executable, str(ROOT / "demos" / demo)], env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_python_blocks_run():
+    """Every fenced ``python`` block of README.md runs, in order, in one
+    namespace, so the docs cannot keep naming a deleted function."""
+    blocks = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S)
+    assert blocks
+    namespace: dict = {}
+    for i, block in enumerate(blocks):
+        exec(compile(block, f"README.md python block {i}", "exec"), namespace)

@@ -9,19 +9,14 @@ import random
 
 import pytest
 
-from gf2synth.circuits import resources, simulate_batch
+from gf2synth.circuits import flat_gates, resources, simulate
 from gf2synth.errors import ExponentOutOfRange, UnsupportedDegree
-from gf2synth.fields import FieldSpec, gbb_frobenius, gbb_mult
+from gf2synth.fields import FieldSpec, GhostBit, gbb_frobenius, gbb_mult
 from gf2synth.multipliers import (
-    gbb_self_mult_schedule,
     synth_add,
     synth_gbb_mult,
     synth_gbb_self_mult,
 )
-
-
-def all_patterns(w):
-    return [[(v >> i) & 1 for i in range(w)] for v in range(1 << w)]
 
 
 def bits(m, v):
@@ -33,10 +28,10 @@ def test_add_circuit():
     c = synth_add(5)
     r = resources(c)
     assert (r.cnot_count, r.toffoli_count, r.depth) == (5, 0, 1)
-    rows = [[1, 0, 1, 1, 0, 0, 1, 1, 0, 1]]
-    out = simulate_batch(c, rows)[0]
-    assert out[:5] == rows[0][:5]
-    assert out[5:] == [a ^ b for a, b in zip(rows[0][:5], rows[0][5:])]
+    a, b = 0b01101, 0b10110
+    out = simulate(c, [a | b << 5])[0]
+    assert out & 0b11111 == a
+    assert out >> 5 == a ^ b
 
 
 def test_mult_m4_resources():
@@ -60,21 +55,11 @@ def test_mult_functional_exhaustive_m4():
     classical product; the inputs must come back unchanged."""
     m, n = 4, 5
     c = synth_gbb_mult(m)
-    rows = []
-    pairs = []
-    for av in range(1 << n):
-        for bv in range(1 << n):
-            rows.append(
-                [(av >> i) & 1 for i in range(n)]
-                + [(bv >> i) & 1 for i in range(n)]
-                + [0] * n
-            )
-            pairs.append((av, bv))
-    outs = simulate_batch(c, rows)
-    for row, out, (av, bv) in zip(rows, outs, pairs):
-        assert out[: 2 * n] == row[: 2 * n]
-        expect = bits(m, gbb_mult(m, av, bv))
-        assert tuple(out[2 * n :]) == expect
+    pairs = [(av, bv) for av in range(1 << n) for bv in range(1 << n)]
+    inputs = [av | bv << n for av, bv in pairs]
+    for x, out, (av, bv) in zip(inputs, simulate(c, inputs), pairs):
+        assert out & ((1 << 2 * n) - 1) == x
+        assert out >> 2 * n == gbb_mult(m, av, bv)
 
 
 def test_mult_accumulates_into_output():
@@ -84,12 +69,8 @@ def test_mult_accumulates_into_output():
     rng = random.Random(2)
     for _ in range(50):
         av, bv, cv = (rng.getrandbits(n) for _ in range(3))
-        row = [(av >> i) & 1 for i in range(n)]
-        row += [(bv >> i) & 1 for i in range(n)]
-        row += [(cv >> i) & 1 for i in range(n)]
-        out = simulate_batch(c, [row])[0]
-        prod = bits(m, gbb_mult(m, av, bv))
-        assert tuple(out[2 * n :]) == tuple(c0 ^ p for c0, p in zip(row[2 * n :], prod))
+        out = simulate(c, [av | bv << n | cv << 2 * n])[0]
+        assert out >> 2 * n == cv ^ gbb_mult(m, av, bv)
 
 
 def test_self_mult_m4_r2_resources():
@@ -105,12 +86,11 @@ def test_self_mult_functional_all_r():
     m, n = 4, 5
     for r in range(m + 1):
         c = synth_gbb_self_mult(m, r)
-        rows = [row + [0] * n for row in all_patterns(n)]
-        outs = simulate_batch(c, rows)
-        for av, out in zip(range(1 << n), outs):
-            expect = bits(m, gbb_mult(m, av, gbb_frobenius(m, av, r)))
-            assert tuple(out[:n]) == bits(m, av)
-            assert tuple(out[n:]) == expect, (r, av)
+        inputs = range(1 << n)
+        for av, out in zip(inputs, simulate(c, inputs)):
+            expect = gbb_mult(m, av, gbb_frobenius(m, av, r))
+            assert out & ((1 << n) - 1) == av
+            assert out >> n == expect, (r, av)
 
 
 def test_self_mult_degenerate_exponents():
@@ -139,45 +119,54 @@ def test_unsupported_degree():
 
 
 def test_schedule_matches_circuit():
+    # the stages' index columns, input on wires 0..n-1 and output on n..2n-1,
+    # are the circuit's gates in emission order
+    rep = GhostBit(4)
+    n = rep.width
     for r in (1, 2, 3):
-        sched = gbb_self_mult_schedule(4, r)
+        stages = list(rep.self_mult_stages(r))
+        shifted = (
+            (x, y, [n + k for k in c]) for st in stages for cls in st.classes for x, y, c in cls
+        )
         circ = synth_gbb_self_mult(4, r)
-        assert sched.gates == circ.gates
-        assert sched.width == circ.width
-        assert len(sched.stages) == 5
+        assert tuple(flat_gates(shifted)) == circ.gates
+        assert circ.width == 2 * n
+        assert len(stages) == 5
 
 
 def test_schedule_stage_structure_m4_r2():
-    sched = gbb_self_mult_schedule(4, 2)
-    st = sched.stage("sigma=0")
-    assert st.terms == ((0, 0), (1, 4), (2, 3), (3, 2), (4, 1))
-    assert st.stage_depth == 2
+    st = next(s for s in GhostBit(4).self_mult_stages(2) if s.label == "sigma=0")
+    assert st.kind == "toffoli" and st.delta is None
+    assert len(st.classes) == 2  # stage depth
     # two Toffolis per orientation of each unordered pair, plus the merged
-    # diagonal CNOT riding in the first class
-    kinds = [len(g) for cls in st.color_classes for g in cls]
-    assert kinds.count(3) == 4 and kinds.count(2) == 1
-    first = st.color_classes[0]
-    assert len(first[-1]) == 2  # the CNOT sits at the end of color 0
-    with pytest.raises(KeyError):
-        sched.stage("sigma=9")
+    # diagonal CNOT riding at the end of the first class
+    (tof_a, diag), (tof_b,) = st.classes
+    assert diag[1] is None and len(diag[0]) == 1
+    assert tof_a[1] is not None and tof_b[1] is not None
+    assert len(tof_a[2]) + len(tof_b[2]) == 4
+    assert tof_a[:2] == tof_b[:2]  # the orientations share both controls
+    x, y, _ = tof_a
+    pairs = set(zip(x, y)) | set(zip(y, x)) | set(zip(diag[0], diag[0]))
+    assert sorted(pairs) == sorted(((0, 0), (1, 4), (2, 3), (3, 2), (4, 1)))
 
 
 def test_schedule_degenerate_single_stage():
-    sched = gbb_self_mult_schedule(4, 0)
-    assert len(sched.stages) == 1
-    assert sched.stages[0].kind == "cnot"
-    assert sched.stages[0].stage_depth == 1
+    stages = list(GhostBit(4).self_mult_stages(0))
+    assert len(stages) == 1
+    assert stages[0].kind == "cnot"
+    assert len(stages[0].classes) == 1
 
 
 def test_stage_layers_are_wire_disjoint():
-    sched = gbb_self_mult_schedule(10, 3)
-    for st in sched.stages:
-        for cls in st.color_classes:
-            used = set()
-            for g in cls:
-                w = set(g)
-                assert not (w & used)
-                used |= w
+    # input and output registers are disjoint, so a class is wire-disjoint
+    # when its controls are distinct input coefficients and its targets
+    # distinct output coefficients
+    for st in GhostBit(10).self_mult_stages(3):
+        for cls in st.classes:
+            controls = [i for x, y, _ in cls for i in (*x, *(y or ()))]
+            targets = [k for _, _, c in cls for k in c]
+            assert len(set(controls)) == len(controls)
+            assert len(set(targets)) == len(targets)
 
 
 def test_read_permutation_is_frobenius_lookup():

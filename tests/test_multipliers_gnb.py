@@ -5,17 +5,17 @@ import random
 
 import pytest
 
-from gf2synth.circuits import resources, simulate_batch
+from gf2synth.circuits import flat_gates, resources, simulate
 from gf2synth.errors import ExponentOutOfRange
 from gf2synth.fields import (
     FieldSpec,
+    Gnb,
     gnb_frobenius,
     gnb_mult,
+    gnb_stage_bases,
     make_gnb_params,
 )
 from gf2synth.multipliers import (
-    gnb_self_mult_deltas,
-    gnb_self_mult_schedule,
     mult_gates,
     self_mult_gates,
     synth_gnb_mult,
@@ -24,6 +24,19 @@ from gf2synth.multipliers import (
 
 P52 = make_gnb_params(5, 2)
 P43 = make_gnb_params(4, 3)  # odd type exercises the wrap stages
+
+
+def stages(params, r):
+    return list(Gnb(params.m, params).self_mult_stages(r))
+
+
+def stage(params, r, label):
+    return next(st for st in stages(params, r) if st.label == label)
+
+
+def terms(st):
+    """The stage's products by output coefficient: {c: {x, y}}."""
+    return {k: {i, j} for cls in st.classes for x, y, c in cls for i, j, k in zip(x, y, c)}
 
 
 def bits(m, v):
@@ -52,21 +65,11 @@ def test_mult_resources_odd_type():
 def test_mult_functional_exhaustive_t2():
     m = 5
     c = synth_gnb_mult(P52)
-    rows = []
-    pairs = []
-    for av in range(1 << m):
-        for bv in range(1 << m):
-            rows.append(
-                [(av >> i) & 1 for i in range(m)]
-                + [(bv >> i) & 1 for i in range(m)]
-                + [0] * m
-            )
-            pairs.append((av, bv))
-    outs = simulate_batch(c, rows)
-    for row, out, (av, bv) in zip(rows, outs, pairs):
-        assert out[: 2 * m] == row[: 2 * m]
-        expect = bits(m, gnb_mult(P52, av, bv))
-        assert tuple(out[2 * m :]) == expect
+    pairs = [(av, bv) for av in range(1 << m) for bv in range(1 << m)]
+    inputs = [av | bv << m for av, bv in pairs]
+    for x, out, (av, bv) in zip(inputs, simulate(c, inputs), pairs):
+        assert out & ((1 << 2 * m) - 1) == x
+        assert out >> 2 * m == gnb_mult(P52, av, bv)
 
 
 def test_mult_functional_exhaustive_odd_type():
@@ -74,12 +77,8 @@ def test_mult_functional_exhaustive_odd_type():
     c = synth_gnb_mult(P43)
     for av in range(1 << m):
         for bv in range(1 << m):
-            row = [(av >> i) & 1 for i in range(m)]
-            row += [(bv >> i) & 1 for i in range(m)]
-            row += [0] * m
-            out = simulate_batch(c, [row])[0]
-            expect = bits(m, gnb_mult(P43, av, bv))
-            assert tuple(out[2 * m :]) == expect, (av, bv)
+            out = simulate(c, [av | bv << m])[0]
+            assert out >> 2 * m == gnb_mult(P43, av, bv), (av, bv)
 
 
 def test_self_mult_functional_all_r():
@@ -87,12 +86,10 @@ def test_self_mult_functional_all_r():
         for r in range(m + 1):
             c = synth_gnb_self_mult(params, r)
             for av in range(1 << m):
-                a = bits(m, av)
-                row = list(a) + [0] * m
-                out = simulate_batch(c, [row])[0]
-                expect = bits(m, gnb_mult(params, av, gnb_frobenius(m, av, r)))
-                assert tuple(out[:m]) == a
-                assert tuple(out[m:]) == expect, (params.t, r, av)
+                out = simulate(c, [av])[0]
+                expect = gnb_mult(params, av, gnb_frobenius(m, av, r))
+                assert out & ((1 << m) - 1) == av
+                assert out >> m == expect, (params.t, r, av)
 
 
 def test_self_mult_exponent_range():
@@ -101,66 +98,69 @@ def test_self_mult_exponent_range():
 
 
 def test_delta_table_m5_t2_r1():
-    deltas = gnb_self_mult_deltas(P52, 1)
-    assert deltas == {1: -2, 2: -3, 3: 0, 4: -3, 5: -1, 6: 1, 7: -2, 8: 1, 9: 0}
+    table = [-2, -3, 0, -3, -1, 1, -2, 1, 0]  # k = 1..9
+    assert [fb - fa for _, fa, fb in gnb_stage_bases(P52, 1)] == table
+    assert [st.delta for st in stages(P52, 1)] == table
 
 
 def test_schedule_matches_circuit():
+    # the stages' index columns, input on wires 0..m-1 and output on m..2m-1,
+    # are the circuit's gates in emission order
     for params, rs in ((P52, (0, 1, 2, 5)), (P43, (0, 1, 3))):
+        m = params.m
         for r in rs:
-            sched = gnb_self_mult_schedule(params, r)
+            shifted = (
+                (x, y, [m + k for k in c])
+                for st in stages(params, r) for cls in st.classes for x, y, c in cls
+            )
             circ = synth_gnb_self_mult(params, r)
-            assert sched.gates == circ.gates
+            assert tuple(flat_gates(shifted)) == circ.gates
 
 
 def test_schedule_stage_kinds_m5_t2_r1():
-    sched = gnb_self_mult_schedule(P52, 1)
-    assert [st.label for st in sched.stages] == [f"k={k}" for k in range(1, 10)]
-    deltas = gnb_self_mult_deltas(P52, 1)
-    for k, st in enumerate(sched.stages, start=1):
-        assert st.delta == deltas[k]
-        if deltas[k] % 5 == 0:
-            assert st.kind == "cnot" and st.stage_depth == 1
+    sts = stages(P52, 1)
+    assert [st.label for st in sts] == [f"k={k}" for k in range(1, 10)]
+    for st in sts:
+        if st.delta % 5 == 0:
+            assert st.kind == "cnot" and len(st.classes) == 1
         else:
             assert st.kind == "toffoli"
 
 
 def test_schedule_odd_cycle_needs_three_colors():
     # delta -1 on Z_5 is one 5-cycle; its closing edge takes a third color
-    sched = gnb_self_mult_schedule(P52, 1)
-    st = sched.stage("k=5")
+    st = stage(P52, 1, "k=5")
     assert st.delta == -1
-    assert st.stage_depth == 3
-    assert st.terms == tuple(((4 + i) % 5, (3 + i) % 5) for i in range(5))
-    assert [len(cls) for cls in st.color_classes] == [2, 2, 1]
+    assert len(st.classes) == 3
+    assert terms(st) == {i: {(4 + i) % 5, (3 + i) % 5} for i in range(5)}
+    assert [sum(len(t) for _, _, t in cls) for cls in st.classes] == [2, 2, 1]
 
 
 def test_schedule_tail_stages_for_odd_type():
-    sched = gnb_self_mult_schedule(P43, 1)
-    labels = [st.label for st in sched.stages]
+    labels = [st.label for st in stages(P43, 1)]
     assert labels[:11] == [f"k={k}" for k in range(1, 12)]
     assert labels[11:] == ["tail=1a", "tail=1b", "tail=2a", "tail=2b"]
     # wrap stages pair offsets k-1 and k-1+m/2 (before the shift by r)
-    st = sched.stage("tail=1a")
-    assert st.terms == tuple(((0 + i) % 4, (1 + i) % 4) for i in range(4))
+    st = stage(P43, 1, "tail=1a")
+    assert terms(st) == {i: {(0 + i) % 4, (1 + i) % 4} for i in range(4)}
 
 
 def test_stage_color_classes_are_wire_disjoint():
+    # input and output registers are disjoint, so a class is wire-disjoint
+    # when its controls are distinct input coefficients and its targets
+    # distinct output coefficients
     for params, r in ((P52, 1), (P43, 2), (make_gnb_params(6, 2), 3)):
-        sched = gnb_self_mult_schedule(params, r)
-        for st in sched.stages:
-            for cls in st.color_classes:
-                used = set()
-                for g in cls:
-                    w = set(g)
-                    assert not (w & used)
-                    used |= w
+        for st in stages(params, r):
+            for cls in st.classes:
+                controls = [i for x, y, _ in cls for i in (*x, *(y or ()))]
+                targets = [k for _, _, c in cls for k in c]
+                assert len(set(controls)) == len(controls)
+                assert len(set(targets)) == len(targets)
 
 
 def test_greedy_depth_at_most_stage_sum():
     for params, r in ((P52, 1), (P52, 2), (P43, 1), (P43, 3)):
-        sched = gnb_self_mult_schedule(params, r)
-        intended = sum(st.stage_depth for st in sched.stages)
+        intended = sum(len(st.classes) for st in stages(params, r))
         greedy = resources(synth_gnb_self_mult(params, r)).depth
         t_even = params.t + (params.t % 2)
         assert greedy <= intended <= 3 * (t_even * params.m - 1)

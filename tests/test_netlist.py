@@ -60,6 +60,17 @@ def test_parse_tolerates_comments_blanks_whitespace():
     assert c.gates == (cnot(0, 1), toffoli(1, 2, 3))
 
 
+@pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+def test_parse_comment_holding_a_line_separator_adds_no_gate(sep):
+    # only "\n" ends a line, so the rest of the comment stays a comment
+    assert parse(f"qubits 3\n# note{sep}cx 0 1\n").gates == ()
+
+
+def test_parse_reads_crlf_lines():
+    c = random_circuit(7)
+    assert parse(emit(c).replace("\n", "\r\n")) == c
+
+
 def test_parse_normalizes_toffoli_controls():
     c = parse("qubits 3\nccx 2 0 1\n")
     assert c.gates == (toffoli(0, 2, 1),)
@@ -85,6 +96,8 @@ def test_parse_normalizes_toffoli_controls():
         ("qubits 4\nreg a 2 3\n", 2),  # past the end
         ("qubits 4\nreg a 0 0\n", 2),  # empty register
         ("qubits 4\ncx 0 1\nreg a 0 2\n", 3),  # reg after gates
+        ("qubits 4\n# a\x0ccx 0 1\ncx 0 4\n", 3),  # a form feed does not end a line
+        ("qubits 4\n# a\u2028cx 0 1\nfoo\n", 3),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, lineno):
