@@ -20,6 +20,7 @@ from .circuits import (
     emit_lines,
     measure_stream,
     parse,
+    read_netlist,
     resources,
     schedule,
     simulate,

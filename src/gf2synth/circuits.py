@@ -10,11 +10,19 @@ Two rules say what a circuit may hold, each written once, here:
 ``validated_gates`` (a CNOT has two distinct wires, a Toffoli three, all in
 0..width-1; Toffoli controls are stored lower-first) and
 ``validated_registers`` (a name is one token the netlist format can carry,
-a span is non-empty and inside the width, spans do not overlap).
-``Circuit``, the gate factories and ``parse`` all go through them, and the
-multiplier cores check their register layout with the second. The streamed
-consumers (``measure_stream``, ``run_packed``) trust their gates: the cores
-emit valid gates whenever that per-block precondition holds.
+a span is non-empty and inside the width, spans do not overlap). The gate
+rule is a stream: it yields each gate as it checks it, so a checked gate
+stream costs no memory, and ``Circuit`` stores what it yields as a tuple.
+``Circuit``, the gate factories and the netlist reader all go through them,
+and the multiplier cores check their register layout with the second. The
+streamed consumers (``measure_stream``, ``run_packed``) trust their gates:
+the cores emit valid gates whenever that per-block precondition holds.
+
+Netlist text is read by one reader, ``read_netlist``: it pulls a file
+READ_SIZE characters at a time, checks the header (the register rule
+applied once) and then yields the gates through the gate rule as they are
+drawn, so a file of any length is read in constant memory. ``parse`` is a
+``Circuit`` over that reader.
 
 Generated gates travel as column batches (``Batch``): one run of a single
 gate kind as equal-length wire lists ``(controls_a, controls_b, targets)``,
@@ -35,10 +43,11 @@ figures use the standard 7 T / T-depth 6 decomposition of the Toffoli.
 
 from __future__ import annotations
 
+import io
 from bisect import bisect
 from dataclasses import dataclass, field
 from itertools import chain, groupby, islice
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Generator, Iterable, Iterator, NamedTuple, Optional, Sequence, TextIO, Union
 
 from .errors import CircuitRuleError, ParseError
 
@@ -55,12 +64,14 @@ class Toffoli(NamedTuple):
 
 
 Gate = Union[Cnot, Toffoli]
+_new = tuple.__new__  # builds a Cnot or Toffoli without the slower generated __new__
 
 # One run of gates of one kind as equal-length wire columns (controls_a,
 # controls_b, targets): gate i is Toffoli(a[i], b[i], t[i]), or Cnot(a[i], t[i])
 # when the middle column is None.
 Batch = tuple[Sequence[int], Optional[Sequence[int]], Sequence[int]]
 RUN_CHUNK = 1 << 8  # gates per batch when gate_runs cuts a flat stream; fastest of 2^6..2^12
+READ_SIZE = 1 << 16  # characters per read when a netlist file is streamed
 
 T_PER_TOFFOLI = 7
 T_DEPTH_PER_TOFFOLI = 6
@@ -68,32 +79,29 @@ T_DEPTH_PER_TOFFOLI = 6
 UNBOUNDED = float("inf")  # the width of a gate or register that belongs to no circuit yet
 
 
-def validated_gates(gates: Iterable[Gate], width: Union[int, float]) -> tuple[Gate, ...]:
+def validated_gates(gates: Iterable[Gate], width: Union[int, float]) -> Iterator[Gate]:
     """The gate rule, in one loop: every gate is a CNOT of two or a Toffoli
-    of three distinct wires in 0..width-1. Returns the gates as Cnot and
-    Toffoli tuples with Toffoli controls lower-first; raises CircuitRuleError
-    at the first gate that breaks the rule."""
-    out: list[Gate] = []
-    append = out.append
-    for g in gates:
+    of three distinct wires in 0..width-1. Yields the gates as they are
+    drawn, as Cnot and Toffoli tuples with Toffoli controls lower-first;
+    raises CircuitRuleError at the first gate that breaks the rule."""
+    for i, g in enumerate(gates):
         n = len(g)
         if n == 3:
             a, b, t = g
             if a != b != t != a and 0 <= a < width and 0 <= b < width and 0 <= t < width:
                 if a < b:
-                    append(g if type(g) is Toffoli else Toffoli(a, b, t))
+                    yield g if type(g) is Toffoli else _new(Toffoli, (a, b, t))
                 else:
-                    append(Toffoli(b, a, t))
+                    yield _new(Toffoli, (b, a, t))
                 continue
         elif n == 2:
             c, t = g
             if c != t and 0 <= c < width and 0 <= t < width:
-                append(g if type(g) is Cnot else Cnot(c, t))
+                yield g if type(g) is Cnot else _new(Cnot, (c, t))
                 continue
         raise CircuitRuleError(
-            f"gate {tuple(g)} is not 2 or 3 distinct wires in 0..{width - 1}", "gate", len(out)
+            f"gate {tuple(g)} is not 2 or 3 distinct wires in 0..{width - 1}", i
         )
-    return tuple(out)
 
 
 def validated_registers(
@@ -120,17 +128,17 @@ def validated_registers(
             clean[name] = (start, length)
             taken.insert(k, (start, end, name))
             continue
-        raise CircuitRuleError(problem, "register", i)
+        raise CircuitRuleError(problem, i)
     return clean
 
 
 def cnot(control: int, target: int) -> Cnot:
-    return validated_gates((Cnot(control, target),), UNBOUNDED)[0]
+    return next(validated_gates(((control, target),), UNBOUNDED))
 
 
 def toffoli(control_a: int, control_b: int, target: int) -> Toffoli:
     """Toffoli with controls stored lower-index-first (they commute)."""
-    return validated_gates((Toffoli(control_a, control_b, target),), UNBOUNDED)[0]
+    return next(validated_gates(((control_a, control_b, target),), UNBOUNDED))
 
 
 @dataclass(frozen=True, eq=True)
@@ -147,7 +155,7 @@ class Circuit:
         if self.width < 1:
             raise ValueError("width must be positive")
         object.__setattr__(self, "registers", validated_registers(self.registers, self.width))
-        object.__setattr__(self, "gates", validated_gates(self.gates, self.width))
+        object.__setattr__(self, "gates", tuple(validated_gates(self.gates, self.width)))
 
 
 @dataclass(frozen=True)
@@ -343,28 +351,54 @@ def emit(c: Circuit, header: Iterable[str] = ()) -> str:
     return "\n".join(emit_lines(c.width, c.registers, c.gates, header)) + "\n"
 
 
-def _directives(text: str) -> Iterator[tuple[int, list[str]]]:
-    """(1-based line number, tokens) of every line that is not blank or a comment."""
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        toks = raw.split("#", 1)[0].split()
-        if toks:
-            yield lineno, toks
+class Netlist(NamedTuple):
+    """A netlist as it is read: the header, checked, and the gates still to
+    come, a one-pass stream that the gate rule checks as it is drawn."""
+
+    width: int
+    registers: dict[str, tuple[int, int]]
+    gates: Iterator[Gate]
 
 
-def parse(text: str) -> Circuit:
-    """Parse the netlist format back into a Circuit.
+def _lines(fh: TextIO) -> Iterator[str]:
+    """The lines of a text file, split on "\\n" only, drawn READ_SIZE
+    characters at a time; a line may straddle reads."""
+    tail = ""
+    while data := fh.read(READ_SIZE):
+        lines = (tail + data).split("\n")
+        tail = lines.pop()
+        yield from lines
+    yield tail
 
-    The parser reads the format only: the header, directive names, arity,
-    integer tokens, register order and duplicate register names. The gates
-    and registers it reads go through the circuit rules once, when the
-    Circuit is built. Raises ParseError carrying the 1-based line number of
-    the first malformed line, or else of the first gate or register that
-    breaks a rule; ``parse(emit(c)) == c`` for every valid circuit.
+
+def _tokens(raw: str) -> list[str]:
+    """The tokens of a line once its comment is cut off."""
+    return (raw.split("#", 1)[0] if "#" in raw else raw).split()
+
+
+def read_netlist(fh: TextIO) -> Netlist:
+    """Read the header of a netlist file and stream its gates.
+
+    The header (the qubits line and the reg lines before the first gate) is
+    read now and its registers go through the register rule. The gates are
+    read as ``Netlist.gates`` is drawn, each through the gate rule, so no
+    more than one read of the file is held at a time. The reader checks the
+    format only: the header, directive names, arity, integer tokens,
+    register order and duplicate register names. Raises ParseError carrying
+    the 1-based line number of the first line that is malformed or holds a
+    gate or register that breaks a rule, except that the registers are
+    checked when the header ends.
     """
+    lines = _lines(fh)
+    lineno = 0
     width: Optional[int] = None
     registers: dict[str, tuple[int, int]] = {}
-    gates: list[Gate] = []
-    for lineno, toks in _directives(text):
+    reg_lines: list[int] = []
+    for raw in lines:
+        lineno += 1
+        toks = _tokens(raw)
+        if not toks:
+            continue
         op = toks[0]
         if width is None:
             if op != "qubits":
@@ -377,23 +411,7 @@ def parse(text: str) -> Circuit:
                 raise ParseError(f"bad qubit count {toks[1]!r}", lineno) from None
             if width < 1:
                 raise ParseError("qubit count must be positive", lineno)
-        elif op == "ccx":
-            if len(toks) != 4:
-                raise ParseError("ccx needs exactly 3 wires", lineno)
-            try:
-                gates.append(Toffoli(int(toks[1]), int(toks[2]), int(toks[3])))
-            except ValueError:
-                raise ParseError(f"expected wire indices, got {toks[1:]}", lineno) from None
-        elif op == "cx":
-            if len(toks) != 3:
-                raise ParseError("cx needs exactly 2 wires", lineno)
-            try:
-                gates.append(Cnot(int(toks[1]), int(toks[2])))
-            except ValueError:
-                raise ParseError(f"expected wire indices, got {toks[1:]}", lineno) from None
         elif op == "reg":
-            if gates:
-                raise ParseError("register lines must precede gates", lineno)
             if len(toks) != 4:
                 raise ParseError("reg line needs: reg <name> <start> <len>", lineno)
             if toks[1] in registers:
@@ -402,16 +420,64 @@ def parse(text: str) -> Circuit:
                 registers[toks[1]] = (int(toks[2]), int(toks[3]))
             except ValueError:
                 raise ParseError("register bounds must be integers", lineno) from None
+            reg_lines.append(lineno)
+        else:  # the first gate line, or a line the gate reader refuses
+            lines = chain((raw,), lines)
+            lineno -= 1
+            break
+    if width is None:
+        raise ParseError("empty netlist: missing qubits line", 1)
+    try:
+        registers = validated_registers(registers, width)
+    except CircuitRuleError as e:
+        raise ParseError(str(e), reg_lines[e.index]) from None
+    return Netlist(width, registers, _checked_gates(lines, lineno, width))
+
+
+def _checked_gates(lines: Iterator[str], lineno: int, width: int) -> Iterator[Gate]:
+    """The gates of the lines after the header, through the gate rule."""
+    gates = _gate_lines(lines, lineno)
+    try:
+        yield from validated_gates(gates, width)
+    except CircuitRuleError as e:
+        gates.throw(e)  # re-raised as a ParseError at the line that gate came from
+
+
+def _gate_lines(lines: Iterator[str], lineno: int) -> Generator[Gate, None, None]:
+    """The gate of every gate line, unchecked. A gate the rule refuses is
+    thrown back in while this is paused at it, and leaves as a ParseError
+    carrying its line number."""
+    for raw in lines:
+        lineno += 1
+        toks = _tokens(raw)
+        if not toks:
+            continue
+        op = toks[0]
+        if op == "ccx":
+            if len(toks) != 4:
+                raise ParseError("ccx needs exactly 3 wires", lineno)
+        elif op == "cx":
+            if len(toks) != 3:
+                raise ParseError("cx needs exactly 2 wires", lineno)
+        elif op == "reg":
+            raise ParseError("register lines must precede gates", lineno)
         elif op == "qubits":
             raise ParseError("duplicate qubits line", lineno)
         else:
             raise ParseError(f"unknown directive {op!r}", lineno)
+        try:
+            gate = tuple(map(int, toks[1:]))
+        except ValueError:
+            raise ParseError(f"expected wire indices, got {toks[1:]}", lineno) from None
+        try:
+            yield gate
+        except CircuitRuleError as e:
+            raise ParseError(str(e), lineno) from None
 
-    if width is None:
-        raise ParseError("empty netlist: missing qubits line", 1)
-    try:
-        return Circuit(width, gates, registers)
-    except CircuitRuleError as e:
-        ops = ("reg",) if e.kind == "register" else ("cx", "ccx")
-        lines = (lineno for lineno, toks in _directives(text) if toks[0] in ops)
-        raise ParseError(str(e), next(islice(lines, e.index, None))) from None
+
+def parse(text: str) -> Circuit:
+    """Parse the netlist format back into a Circuit: ``read_netlist`` over
+    the text, with the same ParseError line numbers. ``parse(emit(c)) == c``
+    for every valid circuit."""
+    netlist = read_netlist(io.StringIO(text))
+    return Circuit(netlist.width, netlist.gates, netlist.registers)

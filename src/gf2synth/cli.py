@@ -4,20 +4,26 @@ Commands
 --------
 * ``params``: report which representations a degree supports.
 * ``synth {add|mult|selfmult|invert}``: emit a netlist and its resource
-  summary as key=value lines. With ``--out`` the summary is recomputed from
-  the re-parsed file, so the printed numbers describe what was written.
+  summary as key=value lines. With ``--out`` the summary is measured from
+  the file read back, so the printed numbers describe what was written.
+  The inverter is streamed: its gates go through the gate rule into the
+  file (or, without ``--out``, into ``measure_stream``) as they are
+  generated, and the file is read back as a stream, so neither the circuit
+  nor the file is ever held whole.
 * ``verify {add|mult|selfmult|invert}``: simulate a synthesized (or, with
   ``--in``, previously emitted) netlist against the classical field oracles,
-  exhaustively or on seeded random samples.
+  exhaustively or on seeded random samples. ``--in`` streams the file's
+  gates from ``read_netlist`` into ``run_packed``.
 * ``table``: measured depth/gates next to the closed-form bounds for a list
   of degrees, plus the asymptotic comparison against a polynomial basis.
 
 Field oracles, inverse checks and bounds come from the spec's
 representation object (``spec.rep``), so the commands never branch on the
-representation; ``synth_circuit`` is the one place that maps a kind onto the
-per-representation synthesizers. ``verify_kind`` is a single path driven by
-a per-kind table row: input bits, kept wires, ancilla spans that must return
-to zero, output span, and the check with its counterexample text.
+representation; ``synth_circuit`` is the one place that maps add, mult
+and selfmult onto the per-representation synthesizers. ``verify_kind`` is
+a single path driven by a per-kind table row: input bits, kept wires,
+ancilla spans that must return to zero, output span, and the check with
+its counterexample text.
 
 Exit codes: 0 success / verification passed, 1 verification failed,
 2 domain error (unsupported degree, bad parameters, bad usage) or out of
@@ -29,19 +35,25 @@ from __future__ import annotations
 import argparse
 import random
 import sys
+from collections import deque
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-from .circuits import (
+from .circuits import (  # noqa: F401  (parse is kept for the benchmark tracer)
     Circuit,
     Gate,
+    Netlist,
     emit_lines,
     measure_stream,
     pack_patterns,
     parse,
+    read_netlist,
     register_value,
     resources,
     run_packed,
+    validated_gates,
+    validated_registers,
 )
 from .errors import ParseError, WidthMismatch
 from .fields import (
@@ -51,7 +63,7 @@ from .fields import (
     find_gnb_type,
     make_gnb_params,
 )
-from .inverters import (
+from .inverters import (  # noqa: F401  (synth_inverter is kept for the benchmark tracer)
     inverter_batches,
     inverter_gates,
     inverter_structure,
@@ -190,7 +202,7 @@ def verify_kind(
     kind: str,
     *,
     r: Optional[int] = None,
-    circuit: Optional[Circuit] = None,
+    netlist: Optional[Netlist] = None,
     mode: str = "auto",
     samples: int = DEFAULT_SAMPLES,
     seed: int = DEFAULT_SEED,
@@ -205,6 +217,12 @@ def verify_kind(
     product-equals-identity for the normal basis), the input register is
     preserved, and every ancilla register returns to zero. Random mode
     draws 1 to 2^20 samples, the exhaustive cap.
+
+    ``netlist`` (a ``read_netlist`` stream, or anything else with a width
+    and gates) is checked in place of the synthesized gates; its gates are
+    drawn once, straight into the simulator. A netlist of the wrong width
+    is read to its end before WidthMismatch is raised, so that a malformed
+    line still raises its ParseError first.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown verification kind {kind!r}")
@@ -231,9 +249,10 @@ def verify_kind(
 
     # The positional layout is part of the netlist contract, so verification
     # derives spans from the spec, not the file.
-    if circuit is not None and circuit.width != row.width:
-        raise WidthMismatch(f"netlist has {circuit.width} wires, {row.name} needs {row.width}")
-    gates = row.gates() if circuit is None else circuit.gates
+    if netlist is not None and netlist.width != row.width:
+        deque(netlist.gates, 0)
+        raise WidthMismatch(f"netlist has {netlist.width} wires, {row.name} needs {row.width}")
+    gates = row.gates() if netlist is None else netlist.gates
 
     state, count = _pack_patterns(row.width, list(range(nbits)), patterns, nbits)
     kept_start, kept_length = row.kept
@@ -275,8 +294,6 @@ def synth_circuit(spec: FieldSpec, kind: str, r: Optional[int] = None) -> Circui
         if spec.representation is Representation.GHOST_BIT:
             return synth_gbb_self_mult(spec.m, r)
         return synth_gnb_self_mult(spec.gnb_params, r)
-    if kind == "invert":
-        return synth_inverter(spec)
     raise ValueError(f"unknown synthesis kind {kind!r}")
 
 
@@ -328,29 +345,31 @@ def cmd_params(args) -> int:
 def cmd_synth(args) -> int:
     spec = _spec_from_args(args)
     r = args.r
-    circuit = synth_circuit(spec, args.kind, r=r)
+    if args.kind == "invert":
+        s = inverter_structure(spec)
+        width, registers = s.width, validated_registers(s.registers, s.width)
+        gates: Iterable[Gate] = validated_gates(inverter_gates(spec), width)
+    else:
+        circuit = synth_circuit(spec, args.kind, r=r)
+        width, registers, gates = circuit.width, circuit.registers, circuit.gates
     header = _context_lines(spec, args.kind, r)
     if args.out:
         with open(args.out, "w") as fh:
-            for line in emit_lines(circuit.width, circuit.registers, circuit.gates, header):
+            for line in emit_lines(width, registers, gates, header):
                 fh.write(line)
                 fh.write("\n")
         with open(args.out) as fh:
-            reparsed = parse(fh.read())
-        est = resources(reparsed)
+            written = read_netlist(fh)
+            est = measure_stream(written.width, written.gates)
         header.append(f"out={args.out}")
     else:
-        est = resources(circuit)
+        est = measure_stream(width, gates)
     print("\n".join(header + est.summary_lines()))
     return 0
 
 
 def cmd_verify(args) -> int:
     spec = _spec_from_args(args)
-    circuit = None
-    if getattr(args, "infile", None):
-        with open(args.infile) as fh:
-            circuit = parse(fh.read())
     if args.exhaustive:
         mode = "exhaustive"
     elif args.random is not None:
@@ -358,15 +377,18 @@ def cmd_verify(args) -> int:
     else:
         mode = "auto"
     samples = args.random if args.random is not None else DEFAULT_SAMPLES
-    result = verify_kind(
-        spec,
-        args.kind,
-        r=args.r,
-        circuit=circuit,
-        mode=mode,
-        samples=samples,
-        seed=args.seed,
-    )
+    infile = getattr(args, "infile", None)
+    # with --in, the file's gates are read as they are simulated
+    with open(infile) if infile else nullcontext() as fh:
+        result = verify_kind(
+            spec,
+            args.kind,
+            r=args.r,
+            netlist=None if fh is None else read_netlist(fh),
+            mode=mode,
+            samples=samples,
+            seed=args.seed,
+        )
     lines = _context_lines(spec, args.kind, args.r)
     lines.append(f"mode={result.mode}")
     lines.append(f"inputs={result.tested}")

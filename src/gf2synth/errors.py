@@ -38,12 +38,11 @@ class WidthMismatch(ValueError):
 
 
 class CircuitRuleError(ValueError):
-    """A gate or register breaks the circuit rules. ``kind`` is "gate" or
-    "register"; ``index`` is the item's position in the order given."""
+    """A gate or register breaks the circuit rules; ``index`` is the item's
+    position in the order given."""
 
-    def __init__(self, message: str, kind: str, index: int):
+    def __init__(self, message: str, index: int):
         super().__init__(message)
-        self.kind = kind
         self.index = index
 
 

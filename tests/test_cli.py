@@ -3,7 +3,7 @@
 import pytest
 
 from gf2synth import cli
-from gf2synth.circuits import Circuit, cnot, emit, parse, toffoli
+from gf2synth.circuits import Circuit, emit, parse, toffoli
 from gf2synth.cli import main, verify_kind
 from gf2synth.fields import FieldSpec
 
@@ -254,6 +254,20 @@ def test_verify_width_mismatch(capsys, tmp_path):
     )
     assert code == 2
     assert "wires" in err
+
+
+def test_verify_width_mismatch_after_parse_errors(capsys, tmp_path):
+    # a malformed line anywhere in the file wins over a wrong qubit count
+    path = tmp_path / "wrong.qc"
+    run(capsys, "synth", "mult", "-m", "4", "--rep", "gbb", "--out", str(path))
+    with path.open("a") as fh:
+        fh.write("cx 0 1\nccx 0 1\n")
+    lineno = len(path.read_text().splitlines())
+    code, _, err = run(
+        capsys, "verify", "mult", "-m", "10", "--rep", "gbb", "--in", str(path)
+    )
+    assert code == 3
+    assert f"line {lineno}:" in err
 
 
 def test_verify_malformed_netlist(capsys, tmp_path):

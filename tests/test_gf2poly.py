@@ -12,7 +12,6 @@ from gf2synth.gf2poly import (
     gf2_gcd,
     gf2_inv_mod,
     gf2_is_irreducible,
-    gf2_mod,
     gf2_mul,
     gf2_mulmod,
 )

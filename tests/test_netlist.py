@@ -1,10 +1,12 @@
 """Text netlist format: emission, parsing, strictness of the parser."""
 
+import io
 import random
 
 import pytest
 
-from gf2synth.circuits import Circuit, cnot, emit, emit_lines, parse, toffoli
+from gf2synth import circuits
+from gf2synth.circuits import Circuit, cnot, emit, emit_lines, parse, read_netlist, toffoli
 from gf2synth.errors import ParseError
 
 
@@ -15,6 +17,15 @@ def random_circuit(seed, width=9, n=120):
         a, b, t = rng.sample(range(width), 3)
         gates.append(toffoli(a, b, t) if rng.random() < 0.5 else cnot(a, t))
     return Circuit(width, tuple(gates), {"in": (0, 4), "out": (4, 4)})
+
+
+def read_file(path, monkeypatch, read_size=3):
+    """A Circuit over ``read_netlist`` on a file, drawn a few characters per
+    read so that lines straddle reads; "\r" is left for the reader to see."""
+    monkeypatch.setattr(circuits, "READ_SIZE", read_size)
+    with open(path, newline="") as fh:
+        netlist = read_netlist(fh)
+        return Circuit(netlist.width, netlist.gates, netlist.registers)
 
 
 def test_emit_shape():
@@ -71,6 +82,50 @@ def test_parse_reads_crlf_lines():
     assert parse(emit(c).replace("\n", "\r\n")) == c
 
 
+@pytest.mark.parametrize(
+    "n,text_of",
+    [
+        (120, lambda c: emit(c).replace("\n", "\r\n")),
+        (120, lambda c: emit(c)[:-1]),
+        (0, emit),
+    ],
+    ids=["crlf", "no-final-newline", "header-only"],
+)
+def test_roundtrip_through_file(n, text_of, tmp_path, monkeypatch):
+    c = random_circuit(3, n=n)
+    path = tmp_path / "c.qc"
+    path.write_bytes(text_of(c).encode())
+    assert parse(text_of(c)) == c
+    assert read_file(path, monkeypatch) == c
+
+
+class ReadOnlyFile:
+    """A file with nothing but ``read(n)``, counting what it hands out."""
+
+    def __init__(self, text):
+        self._text = io.StringIO(text)
+        self.given = 0
+
+    def read(self, n):
+        data = self._text.read(n)
+        self.given += len(data)
+        return data
+
+
+def test_read_netlist_streams_a_file(monkeypatch):
+    monkeypatch.setattr(circuits, "READ_SIZE", 64)
+    c = random_circuit(4, n=3000)
+    fh = ReadOnlyFile(emit(c))
+    netlist = read_netlist(fh)
+    assert (netlist.width, netlist.registers) == (c.width, c.registers)
+    assert fh.given == 64  # the header came from the first read; the gates are still unread
+    gates = netlist.gates
+    assert [next(gates) for _ in range(3)] == list(c.gates[:3])
+    assert fh.given == 64
+    assert (*c.gates[:3], *gates) == c.gates
+    assert fh.given == len(emit(c))
+
+
 def test_parse_normalizes_toffoli_controls():
     c = parse("qubits 3\nccx 2 0 1\n")
     assert c.gates == (toffoli(0, 2, 1),)
@@ -98,11 +153,20 @@ def test_parse_normalizes_toffoli_controls():
         ("qubits 4\ncx 0 1\nreg a 0 2\n", 3),  # reg after gates
         ("qubits 4\n# a\x0ccx 0 1\ncx 0 4\n", 3),  # a form feed does not end a line
         ("qubits 4\n# a\u2028cx 0 1\nfoo\n", 3),
+        ("qubits 4\ncx 0 4\nfoo\n", 2),  # the first bad line, whatever its fault
+        ("qubits 4\nreg a 0 3\nreg b 2 2\ncx 0 1\ncx 0 9\n", 3),
+        ("qubits 4\ncx 0 1\ncx 2 3\n\n# end\nccx 3 2 3", 6),
     ],
 )
-def test_parse_errors_carry_line_numbers(text, lineno):
+def test_parse_errors_carry_line_numbers(text, lineno, tmp_path, monkeypatch):
     with pytest.raises(ParseError) as exc:
         parse(text)
+    assert exc.value.line == lineno
+    # the same line through a file read a few characters at a time
+    path = tmp_path / "bad.qc"
+    path.write_bytes(text.encode())
+    with pytest.raises(ParseError) as exc:
+        read_file(path, monkeypatch)
     assert exc.value.line == lineno
 
 

@@ -4,7 +4,10 @@
 ``inverters``, ``fields`` and ``circuits`` with no default, so a rename in
 the package breaks every traced benchmark round. This runs the tracer in a
 fresh interpreter, as the benchmark child does, over one command of each
-kind and one ``check_bounds``.
+kind and one ``check_bounds``. The traced ``open`` hands out a reader
+with nothing but ``read``, so the netlist round trip (``synth invert --out``
+then ``verify --in``) also shows that the streamed reader only calls
+``read(n)``.
 """
 
 import json
@@ -28,6 +31,8 @@ for argv in (
     ["verify", "invert", "-m", "5", "--rep", "gnb"],
     ["synth", "mult", "-m", "4", "--rep", "gbb"],
     ["table", "-m", "5"],
+    ["synth", "invert", "-m", "5", "--rep", "gnb", "--out", "inv.qc"],
+    ["verify", "invert", "-m", "5", "--rep", "gnb", "--in", "inv.qc"],
 ):
     with contextlib.redirect_stdout(io.StringIO()):
         rcs.append(cli.main(argv))
@@ -41,19 +46,20 @@ print(json.dumps({
 """
 
 
-def test_tracer_installs_and_closes_every_span():
+def test_tracer_installs_and_closes_every_span(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")]))
     proc = subprocess.run(
         [sys.executable, "-c", SCRIPT],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout.splitlines()[-1])
-    assert out["rcs"] == [0, 0, 0]
+    assert out["rcs"] == [0, 0, 0, 0, 0]
     assert out["passed"]
     assert out["open"] == []
     for name in (
         "cli.main", "cli.verify", "fields.params", "fields.oracle", "inverters.generate",
         "inverters.check_bounds", "circuits.simulate", "circuits.measure", "multipliers.synth",
+        "circuits.emit", "cli.read",
     ):
         assert name in out["names"], name
