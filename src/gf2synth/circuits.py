@@ -13,24 +13,38 @@ Two rules say what a circuit may hold, each written once, here:
 a span is non-empty and inside the width, spans do not overlap). The gate
 rule is a stream: it yields each gate as it checks it, so a checked gate
 stream costs no memory, and ``Circuit`` stores what it yields as a tuple.
-``Circuit``, the gate factories and the netlist reader all go through them,
-and the multiplier cores check their register layout with the second. The
-streamed consumers (``measure_stream``, ``run_packed``) trust their gates:
-the cores emit valid gates whenever that per-block precondition holds.
+``batch_passes`` is the column check: it says whether a whole column batch
+passes the gate rule as it stands, a few C-level passes per column, and
+anything it refuses goes to the gate rule itself, which normalizes it or
+names the gate at fault. ``validated_batches`` is the gate rule on a batch
+stream, built that way. ``Circuit``, the gate factories and the netlist
+reader all go through these rules, and the multiplier cores check their
+register layout with the second. The streamed consumers
+(``measure_stream``, ``run_packed``) trust their gates: the cores emit
+valid gates whenever that per-block precondition holds.
 
 Netlist text is read by one reader, ``read_netlist``: it pulls a file
-READ_SIZE characters at a time, checks the header (the register rule
-applied once) and then yields the gates through the gate rule as they are
-drawn, so a file of any length is read in constant memory. ``parse`` is a
-``Circuit`` over that reader.
+READ_SIZE characters at a time, cut after the last "\n" of each read,
+checks the header (the register rule applied once) and then yields the
+gates as column batches, one per same-kind run of a read, as they are
+drawn, so a file of any length is read in constant memory. A read of
+strict gate lines (``ccx a b t`` / ``cx c t``, single spaces, plain
+decimal wires) is matched by one regular expression, the wire tokens of
+each same-kind run are converted in one ``map(int, ...)`` and cut into
+columns by slicing, and its batches go through the column check; any other read, or one the check
+refuses, goes line by line through the gate rule, so every ParseError
+keeps its text and line number. ``Netlist.gates`` is the flat view, and
+``parse`` is a ``Circuit`` over the reader.
 
-Generated gates travel as column batches (``Batch``): one run of a single
-gate kind as equal-length wire lists ``(controls_a, controls_b, targets)``,
-with ``controls_b`` None for a run of CNOTs. The multiplier cores produce
-them stage by stage and ``measure_stream`` reads them as they come, with no
-gate tuple built. ``flat_gates`` is the flat view, the ``Cnot``/``Toffoli``
-sequence that ``Circuit``, emit and ``run_packed`` use; ``gate_runs`` cuts a
-flat sequence back into batches.
+Gates travel as column batches (``Batch``) from generator to file and
+back: one run of a single gate kind as equal-length wire lists
+``(controls_a, controls_b, targets)``, with ``controls_b`` None for a run
+of CNOTs. The multiplier cores produce them stage by stage, ``emit_lines``
+writes one string per batch, the reader yields them, and
+``measure_stream`` and ``run_packed`` read them as they come, with no gate
+tuple built; both also take a flat gate stream. ``flat_gates`` is the
+flat view, the ``Cnot``/``Toffoli`` sequence that ``Circuit`` holds;
+``gate_runs`` cuts a flat sequence back into batches.
 
 Simulation is bit-sliced: one Python int per wire, bit b of that int holding
 wire's value for input pattern b, so a whole batch of inputs costs a single
@@ -44,9 +58,11 @@ figures use the standard 7 T / T-depth 6 decomposition of the Toffoli.
 from __future__ import annotations
 
 import io
+import re
 from bisect import bisect
 from dataclasses import dataclass, field
 from itertools import chain, groupby, islice
+from operator import lt, ne
 from typing import Generator, Iterable, Iterator, NamedTuple, Optional, Sequence, TextIO, Union
 
 from .errors import CircuitRuleError, ParseError
@@ -71,7 +87,10 @@ _new = tuple.__new__  # builds a Cnot or Toffoli without the slower generated __
 # when the middle column is None.
 Batch = tuple[Sequence[int], Optional[Sequence[int]], Sequence[int]]
 RUN_CHUNK = 1 << 8  # gates per batch when gate_runs cuts a flat stream; fastest of 2^6..2^12
-READ_SIZE = 1 << 16  # characters per read when a netlist file is streamed
+# Characters per read when a netlist file is streamed. The wire tokens of a
+# whole read are held at once, so reads are kept small: at 1 << 16 they
+# raised the peak RSS of reading the m=163 inverter back by about 3.5 MB.
+READ_SIZE = 1 << 12
 
 T_PER_TOFFOLI = 7
 T_DEPTH_PER_TOFFOLI = 6
@@ -102,6 +121,39 @@ def validated_gates(gates: Iterable[Gate], width: Union[int, float]) -> Iterator
         raise CircuitRuleError(
             f"gate {tuple(g)} is not 2 or 3 distinct wires in 0..{width - 1}", i
         )
+
+
+def batch_passes(batch: Batch, width: Union[int, float]) -> bool:
+    """The gate rule on a whole column batch at once: True when every gate
+    of the batch passes ``validated_gates`` unchanged (wires in 0..width-1,
+    distinct, Toffoli controls already lower-first). False says only that
+    some gate does not; the gate rule decides which one, and how."""
+    a, b, t = batch
+    if not t:
+        return True
+    if min(a) < 0 or min(t) < 0 or max(a) >= width or max(t) >= width:
+        return False
+    if b is None:
+        return all(map(ne, a, t))
+    return max(b) < width and all(map(lt, a, b)) and all(map(ne, a, t)) and all(map(ne, b, t))
+
+
+def validated_batches(batches: Iterable[Batch], width: Union[int, float]) -> Iterator[Batch]:
+    """The gate rule on a stream of column batches. A batch that passes
+    ``batch_passes`` is yielded as it is; any other goes gate by gate through
+    ``validated_gates``, which yields it normalized (re-cut into batches) or
+    raises CircuitRuleError carrying the gate's index in the whole stream."""
+    done = 0
+    for batch in batches:
+        if batch_passes(batch, width):
+            yield batch
+        else:
+            try:
+                gates = list(validated_gates(flat_gates((batch,)), width))
+            except CircuitRuleError as e:
+                raise CircuitRuleError(str(e), done + e.index) from None
+            yield from gate_runs(gates)
+        done += len(batch[2])
 
 
 def validated_registers(
@@ -201,6 +253,16 @@ def flat_gates(batches: Iterable[Batch]) -> Iterator[Gate]:
         yield from map(Cnot, a, t) if b is None else map(Toffoli, a, b, t)
 
 
+def _peek_flat(stream: Iterable[Union[Batch, Gate]]) -> tuple[bool, Iterator]:
+    """Whether a stream holds flat gates rather than column batches (told by
+    its first item), and the stream itself, whole."""
+    items = iter(stream)
+    first = next(items, None)
+    if first is None:
+        return False, items
+    return isinstance(first[0], int), chain((first,), items)
+
+
 def measure_stream(width: int, stream: Iterable[Union[Batch, Gate]]) -> ResourceEstimate:
     """Single-pass resource count over column batches (nothing is stored).
 
@@ -210,12 +272,9 @@ def measure_stream(width: int, stream: Iterable[Union[Batch, Gate]]) -> Resource
     so the count is exact whether or not a batch is wire-disjoint. A flat
     gate stream is accepted too and cut into runs by ``gate_runs``.
     """
-    batches = iter(stream)
-    first = next(batches, None)
-    if first is not None:
-        batches = chain((first,), batches)
-        if isinstance(first[0], int):  # a flat gate stream
-            batches = gate_runs(batches)
+    flat, batches = _peek_flat(stream)
+    if flat:
+        batches = gate_runs(batches)
     ready = [0] * width  # earliest free layer per wire
     tof_ready = [0] * width  # same, counting only Toffolis
     n_tof = 0
@@ -277,14 +336,25 @@ def schedule(c: Circuit) -> list[list[Gate]]:
 # simulation
 
 
-def run_packed(gates: Iterable[Gate], state: list[int]) -> list[int]:
-    """Apply gates to a bit-sliced state in place (state[w] packs wire w
-    across all patterns). Gates are trusted; callers validate beforehand."""
-    for g in gates:
-        if len(g) == 3:
-            state[g[2]] ^= state[g[0]] & state[g[1]]
+def run_packed(stream: Iterable[Union[Batch, Gate]], state: list[int]) -> list[int]:
+    """Apply column batches, or flat gates, to a bit-sliced state in place
+    (state[w] packs wire w across all patterns). Gates are trusted; callers
+    validate beforehand."""
+    flat, items = _peek_flat(stream)
+    if flat:
+        for g in items:
+            if len(g) == 3:
+                state[g[2]] ^= state[g[0]] & state[g[1]]
+            else:
+                state[g[1]] ^= state[g[0]]
+        return state
+    for ca, cb, ct in items:
+        if cb is None:
+            for c, t in zip(ca, ct):
+                state[t] ^= state[c]
         else:
-            state[g[1]] ^= state[g[0]]
+            for a, b, t in zip(ca, cb, ct):
+                state[t] ^= state[a] & state[b]
     return state
 
 
@@ -331,20 +401,32 @@ def simulate(c: Circuit, inputs: Sequence[int]) -> list[int]:
 def emit_lines(
     width: int,
     registers: dict[str, tuple[int, int]],
-    gates: Iterable[Gate],
+    gates: Iterable[Union[Batch, Gate]],
     header: Iterable[str] = (),
 ) -> Iterator[str]:
-    """Stream netlist lines (no trailing newlines); header lines become comments."""
+    """Stream netlist text without trailing newlines: one line per header
+    comment, the qubits line and each reg line, then one line per gate of a
+    flat gate stream, or one "\\n"-joined string per batch of a batch
+    stream. Header lines become comments."""
     for line in header:
         yield f"# {line}" if line else "#"
     yield f"qubits {width}"
     for name, (start, length) in registers.items():
         yield f"reg {name} {start} {length}"
-    for g in gates:
-        if len(g) == 3:
-            yield f"ccx {g[0]} {g[1]} {g[2]}"
-        else:
-            yield f"cx {g[0]} {g[1]}"
+    flat, items = _peek_flat(gates)
+    if flat:
+        for g in items:
+            if len(g) == 3:
+                yield f"ccx {g[0]} {g[1]} {g[2]}"
+            else:
+                yield f"cx {g[0]} {g[1]}"
+        return
+    for a, b, t in items:
+        if t:  # an empty batch writes no line, as an empty flat stream
+            if b is None:
+                yield "\n".join(map("cx {} {}".format, a, t))
+            else:
+                yield "\n".join(map("ccx {} {} {}".format, a, b, t))
 
 
 def emit(c: Circuit, header: Iterable[str] = ()) -> str:
@@ -353,22 +435,33 @@ def emit(c: Circuit, header: Iterable[str] = ()) -> str:
 
 class Netlist(NamedTuple):
     """A netlist as it is read: the header, checked, and the gates still to
-    come, a one-pass stream that the gate rule checks as it is drawn."""
+    come, a one-pass stream of column batches that the gate rule checks as
+    it is drawn."""
 
     width: int
     registers: dict[str, tuple[int, int]]
-    gates: Iterator[Gate]
+    batches: Iterator[Batch]
+
+    @property
+    def gates(self) -> Iterator[Gate]:
+        """The flat view of ``batches``, drawing on the same one-pass stream."""
+        return flat_gates(self.batches)
 
 
-def _lines(fh: TextIO) -> Iterator[str]:
-    """The lines of a text file, split on "\\n" only, drawn READ_SIZE
-    characters at a time; a line may straddle reads."""
+def _chunks(fh: TextIO) -> Iterator[str]:
+    """The text of a file in pieces that each end at a "\\n", drawn READ_SIZE
+    characters at a time, so that no line straddles two pieces; whatever
+    follows the last "\\n" comes last."""
     tail = ""
     while data := fh.read(READ_SIZE):
-        lines = (tail + data).split("\n")
-        tail = lines.pop()
-        yield from lines
-    yield tail
+        cut = data.rfind("\n") + 1
+        if cut:
+            yield tail + data[:cut]
+            tail = data[cut:]
+        else:
+            tail += data
+    if tail:
+        yield tail
 
 
 def _tokens(raw: str) -> list[str]:
@@ -381,7 +474,7 @@ def read_netlist(fh: TextIO) -> Netlist:
 
     The header (the qubits line and the reg lines before the first gate) is
     read now and its registers go through the register rule. The gates are
-    read as ``Netlist.gates`` is drawn, each through the gate rule, so no
+    read as ``Netlist.batches`` is drawn, each through the gate rule, so no
     more than one read of the file is held at a time. The reader checks the
     format only: the header, directive names, arity, integer tokens,
     register order and duplicate register names. Raises ParseError carrying
@@ -389,29 +482,36 @@ def read_netlist(fh: TextIO) -> Netlist:
     gate or register that breaks a rule, except that the registers are
     checked when the header ends.
     """
-    lines = _lines(fh)
+    chunks = _chunks(fh)
     lineno = 0
     width: Optional[int] = None
     registers: dict[str, tuple[int, int]] = {}
     reg_lines: list[int] = []
-    for raw in lines:
-        lineno += 1
-        toks = _tokens(raw)
-        if not toks:
-            continue
-        op = toks[0]
-        if width is None:
-            if op != "qubits":
-                raise ParseError("netlist must start with a qubits line", lineno)
-            if len(toks) != 2:
-                raise ParseError("qubits line takes exactly one count", lineno)
-            try:
-                width = int(toks[1])
-            except ValueError:
-                raise ParseError(f"bad qubit count {toks[1]!r}", lineno) from None
-            if width < 1:
-                raise ParseError("qubit count must be positive", lineno)
-        elif op == "reg":
+    rest = ""  # the text from the first gate line (or line the gate reader refuses) on
+    for chunk in chunks:
+        pos = 0
+        while pos < len(chunk):
+            end = chunk.find("\n", pos) + 1 or len(chunk)
+            toks = _tokens(chunk[pos:end])
+            if toks and width is not None and toks[0] != "reg":
+                rest = chunk[pos:]
+                break
+            pos = end
+            lineno += 1
+            if not toks:
+                continue
+            if width is None:
+                if toks[0] != "qubits":
+                    raise ParseError("netlist must start with a qubits line", lineno)
+                if len(toks) != 2:
+                    raise ParseError("qubits line takes exactly one count", lineno)
+                try:
+                    width = int(toks[1])
+                except ValueError:
+                    raise ParseError(f"bad qubit count {toks[1]!r}", lineno) from None
+                if width < 1:
+                    raise ParseError("qubit count must be positive", lineno)
+                continue
             if len(toks) != 4:
                 raise ParseError("reg line needs: reg <name> <start> <len>", lineno)
             if toks[1] in registers:
@@ -421,9 +521,7 @@ def read_netlist(fh: TextIO) -> Netlist:
             except ValueError:
                 raise ParseError("register bounds must be integers", lineno) from None
             reg_lines.append(lineno)
-        else:  # the first gate line, or a line the gate reader refuses
-            lines = chain((raw,), lines)
-            lineno -= 1
+        if rest:
             break
     if width is None:
         raise ParseError("empty netlist: missing qubits line", 1)
@@ -431,11 +529,56 @@ def read_netlist(fh: TextIO) -> Netlist:
         registers = validated_registers(registers, width)
     except CircuitRuleError as e:
         raise ParseError(str(e), reg_lines[e.index]) from None
-    return Netlist(width, registers, _checked_gates(lines, lineno, width))
+    return Netlist(width, registers, _gate_batches(chain((rest,), chunks), lineno, width))
 
 
-def _checked_gates(lines: Iterator[str], lineno: int, width: int) -> Iterator[Gate]:
-    """The gates of the lines after the header, through the gate rule."""
+# A piece of strict gate lines: "ccx a b t" or "cx c t", single spaces,
+# wires in decimal without a sign or leading zero, each line ended by "\n".
+_WIRE = "(?:[1-9][0-9]*|0)"
+_STRICT_GATE_LINES = re.compile(f"(?:(?:ccx {_WIRE}|cx) {_WIRE} {_WIRE}\n)*")
+_KIND_RUNS = re.compile(r"(?:ccx [^\n]*\n)+|(?:cx [^\n]*\n)+")
+
+
+def _strict_batches(chunk: str, width: int) -> Optional[list[Batch]]:
+    """The gates of a piece of strict gate lines as column batches, one per
+    same-kind run, or None unless the piece is strict lines only and every
+    batch passes ``batch_passes``: then the line reader would yield the same
+    gates."""
+    if not _STRICT_GATE_LINES.fullmatch(chunk):
+        return None
+    batches: list[Batch] = []
+    for run in _KIND_RUNS.findall(chunk):
+        toks = run.split()
+        step = 4 if toks[0] == "ccx" else 3  # tokens per line
+        del toks[::step]
+        wires = list(map(int, toks))
+        if step == 4:
+            batch: Batch = (wires[0::3], wires[1::3], wires[2::3])
+        else:
+            batch = (wires[0::2], None, wires[1::2])
+        if not batch_passes(batch, width):
+            return None
+        batches.append(batch)
+    return batches
+
+
+def _gate_batches(chunks: Iterator[str], lineno: int, width: int) -> Iterator[Batch]:
+    """The gates of the pieces after the header (the first starting at line
+    lineno + 1), as column batches. A piece of strict gate lines that passes
+    the column check is cut into columns whole; any other piece is read line
+    by line through the gate rule, which raises the ParseError of its first
+    bad line."""
+    for chunk in chunks:
+        batches = _strict_batches(chunk, width)
+        if batches is None:
+            yield from gate_runs(_checked_gates(chunk.split("\n"), lineno, width))
+        else:
+            yield from batches
+        lineno += chunk.count("\n")
+
+
+def _checked_gates(lines: Iterable[str], lineno: int, width: int) -> Iterator[Gate]:
+    """The gates of some lines after the header, through the gate rule."""
     gates = _gate_lines(lines, lineno)
     try:
         yield from validated_gates(gates, width)
@@ -443,7 +586,7 @@ def _checked_gates(lines: Iterator[str], lineno: int, width: int) -> Iterator[Ga
         gates.throw(e)  # re-raised as a ParseError at the line that gate came from
 
 
-def _gate_lines(lines: Iterator[str], lineno: int) -> Generator[Gate, None, None]:
+def _gate_lines(lines: Iterable[str], lineno: int) -> Generator[Gate, None, None]:
     """The gate of every gate line, unchecked. A gate the rule refuses is
     thrown back in while this is paused at it, and leaves as a ParseError
     carrying its line number."""

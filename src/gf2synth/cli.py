@@ -6,14 +6,16 @@ Commands
 * ``synth {add|mult|selfmult|invert}``: emit a netlist and its resource
   summary as key=value lines. With ``--out`` the summary is measured from
   the file read back, so the printed numbers describe what was written.
-  The inverter is streamed: its gates go through the gate rule into the
-  file (or, without ``--out``, into ``measure_stream``) as they are
-  generated, and the file is read back as a stream, so neither the circuit
-  nor the file is ever held whole.
+  The inverter is streamed as column batches: each batch goes through the
+  gate rule (``validated_batches``) into the file, one string per batch
+  (or, without ``--out``, into ``measure_stream``) as it is generated, and
+  the file is read back as a stream of batches, so neither the circuit nor
+  the file is ever held whole.
 * ``verify {add|mult|selfmult|invert}``: simulate a synthesized (or, with
   ``--in``, previously emitted) netlist against the classical field oracles,
   exhaustively or on seeded random samples. ``--in`` streams the file's
-  gates from ``read_netlist`` into ``run_packed``.
+  column batches from ``read_netlist`` into ``run_packed``; without it the
+  synthesized gates are simulated one flat gate at a time.
 * ``table``: measured depth/gates next to the closed-form bounds for a list
   of degrees, plus the asymptotic comparison against a polynomial basis.
 
@@ -38,9 +40,10 @@ import sys
 from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Union
 
 from .circuits import (  # noqa: F401  (parse is kept for the benchmark tracer)
+    Batch,
     Circuit,
     Gate,
     Netlist,
@@ -52,7 +55,7 @@ from .circuits import (  # noqa: F401  (parse is kept for the benchmark tracer)
     register_value,
     resources,
     run_packed,
-    validated_gates,
+    validated_batches,
     validated_registers,
 )
 from .errors import ParseError, WidthMismatch
@@ -219,10 +222,10 @@ def verify_kind(
     draws 1 to 2^20 samples, the exhaustive cap.
 
     ``netlist`` (a ``read_netlist`` stream, or anything else with a width
-    and gates) is checked in place of the synthesized gates; its gates are
-    drawn once, straight into the simulator. A netlist of the wrong width
-    is read to its end before WidthMismatch is raised, so that a malformed
-    line still raises its ParseError first.
+    and column batches) is checked in place of the synthesized gates; its
+    batches are drawn once, straight into the simulator. A netlist of the
+    wrong width is read to its end before WidthMismatch is raised, so that
+    a malformed line still raises its ParseError first.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown verification kind {kind!r}")
@@ -250,9 +253,9 @@ def verify_kind(
     # The positional layout is part of the netlist contract, so verification
     # derives spans from the spec, not the file.
     if netlist is not None and netlist.width != row.width:
-        deque(netlist.gates, 0)
+        deque(netlist.batches, 0)
         raise WidthMismatch(f"netlist has {netlist.width} wires, {row.name} needs {row.width}")
-    gates = row.gates() if netlist is None else netlist.gates
+    gates = row.gates() if netlist is None else netlist.batches
 
     state, count = _pack_patterns(row.width, list(range(nbits)), patterns, nbits)
     kept_start, kept_length = row.kept
@@ -348,19 +351,19 @@ def cmd_synth(args) -> int:
     if args.kind == "invert":
         s = inverter_structure(spec)
         width, registers = s.width, validated_registers(s.registers, s.width)
-        gates: Iterable[Gate] = validated_gates(inverter_gates(spec), width)
+        gates: Iterable[Union[Batch, Gate]] = validated_batches(inverter_batches(spec), width)
     else:
         circuit = synth_circuit(spec, args.kind, r=r)
         width, registers, gates = circuit.width, circuit.registers, circuit.gates
     header = _context_lines(spec, args.kind, r)
     if args.out:
         with open(args.out, "w") as fh:
-            for line in emit_lines(width, registers, gates, header):
-                fh.write(line)
+            for text in emit_lines(width, registers, gates, header):
+                fh.write(text)
                 fh.write("\n")
         with open(args.out) as fh:
             written = read_netlist(fh)
-            est = measure_stream(written.width, written.gates)
+            est = measure_stream(written.width, written.batches)
         header.append(f"out={args.out}")
     else:
         est = measure_stream(width, gates)

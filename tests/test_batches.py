@@ -1,9 +1,11 @@
-"""Column batches: exact measurement and the order of the flat gate stream.
+"""Column batches: exact measurement, the gate rule and simulation on
+batches, and the order of the flat gate stream.
 
 The inverters are measured from column batches. These tests hold that
 measurement to a reference written here from the definition of greedy ASAP
-layering, applied one flat gate at a time, and pin the flat stream against
-the multiplier cores' own gate order.
+layering, applied one flat gate at a time, hold the column check and the
+batch simulator to the flat gate rule and flat simulator, and pin the flat
+stream against the multiplier cores' own gate order.
 """
 
 import random
@@ -11,8 +13,15 @@ from itertools import zip_longest
 
 import pytest
 
-from gf2synth.circuits import flat_gates, measure_stream
-from gf2synth.errors import InvalidParams
+from gf2synth.circuits import (
+    batch_passes,
+    flat_gates,
+    measure_stream,
+    run_packed,
+    validated_batches,
+    validated_gates,
+)
+from gf2synth.errors import CircuitRuleError, InvalidParams
 from gf2synth.fields import FieldSpec, Representation, check_ghost_bit_support, make_gnb_params
 from gf2synth.inverters import check_bounds, inverter_gates, inverter_structure
 from gf2synth.multipliers import mult_gates, self_mult_gates
@@ -104,6 +113,71 @@ def test_random_overlapping_batches_match_reference():
         batches.append((a, None, t) if rng.random() < 0.3 else (a, b, t))
     flat = list(flat_gates(batches))
     assert summary(measure_stream(width, batches)) == reference_estimate(width, flat)
+
+
+def random_batches(seed, width=9, n=60):
+    """Batches of random valid gates, some with Toffoli controls reversed."""
+    rng = random.Random(seed)
+    batches = []
+    for _ in range(n):
+        cols = [rng.sample(range(width), 3) for _ in range(rng.randint(1, 12))]
+        a, b, t = (list(col) for col in zip(*cols))
+        batches.append((a, None, t) if rng.random() < 0.3 else (a, b, t))
+    return batches
+
+
+def test_column_check_passes_only_batches_the_gate_rule_keeps_as_they_are():
+    for batch in random_batches(3, n=200):
+        flat = list(flat_gates([batch]))
+        for width in (8, 9):  # at width 8 a gate on wire 8 breaks the rule
+            try:
+                unchanged = list(validated_gates(flat, width)) == flat
+            except CircuitRuleError:
+                unchanged = False
+            assert batch_passes(batch, width) == unchanged
+    assert batch_passes(([], [], []), 1)
+    assert not batch_passes(([0, 1], None, [1, -1]), 4)
+    assert not batch_passes(([0, 1], None, [1, 4]), 4)
+    assert not batch_passes(([3], None, [3]), 4)
+    assert not batch_passes(([0], [1], [0]), 4)
+
+
+def test_generated_batches_with_reversed_controls_come_out_as_the_gate_rule_gives_them():
+    batches = random_batches(5)
+    assert any(not batch_passes(b, 9) for b in batches)  # some controls are reversed
+    checked = list(validated_batches(iter(batches), 9))
+    assert all(batch_passes(b, 9) for b in checked)
+    assert list(flat_gates(checked)) == list(validated_gates(flat_gates(batches), 9))
+    assert [type(g) for g in flat_gates(checked)] == [
+        type(g) for g in validated_gates(flat_gates(batches), 9)
+    ]
+
+
+@pytest.mark.parametrize("k", [0, 1, 17, 59])
+@pytest.mark.parametrize("bad", [(4, 4), (-1, 2), (1, 2, 9), (3, 3, 0), (5, 2, 5)])
+def test_bad_gate_in_kth_batch_reports_the_flat_rules_index(k, bad):
+    batches = random_batches(11)  # earlier batches with reversed controls are re-cut
+    gates = list(flat_gates([batches[k]]))
+    if len(gates[0]) != len(bad):
+        gates = [(0, 1, 2) if len(bad) == 3 else (0, 1)] * 5
+    j = len(gates) // 2
+    gates[j] = bad
+    cols = [list(col) for col in zip(*gates)]
+    batches[k] = (cols[0], cols[1], cols[2]) if len(bad) == 3 else (cols[0], None, cols[1])
+    with pytest.raises(CircuitRuleError) as flat:
+        list(validated_gates(flat_gates(batches), 9))
+    with pytest.raises(CircuitRuleError) as batched:
+        list(validated_batches(batches, 9))
+    assert (str(batched.value), batched.value.index) == (str(flat.value), flat.value.index)
+    assert flat.value.index == sum(len(t) for _, _, t in batches[:k]) + j
+
+
+def test_run_packed_on_batches_matches_the_flat_stream():
+    rng = random.Random(2)
+    batches = random_batches(9, n=80)
+    state = [rng.getrandbits(64) for _ in range(9)]
+    assert run_packed(batches, list(state)) == run_packed(flat_gates(batches), list(state))
+    assert run_packed(iter(()), list(state)) == state
 
 
 def _block_gates(spec, block, w):

@@ -126,6 +126,79 @@ def test_read_netlist_streams_a_file(monkeypatch):
     assert fh.given == len(emit(c))
 
 
+def read_outcome(text, monkeypatch, read_size, per_line=False):
+    """What ``read_netlist`` gives for a text read ``read_size`` characters
+    at a time: the header and the flat gates, or the ParseError's message and
+    line. ``per_line`` sends every piece of the file through the line
+    reader, the path the batched reader must agree with."""
+    monkeypatch.setattr(circuits, "READ_SIZE", read_size)
+    if per_line:
+        monkeypatch.setattr(circuits, "_strict_batches", lambda chunk, width: None)
+    try:
+        netlist = read_netlist(ReadOnlyFile(text))
+        return netlist.width, netlist.registers, list(netlist.gates)
+    except ParseError as e:
+        return str(e), e.line
+    finally:
+        monkeypatch.undo()
+
+
+CLEAN = emit(random_circuit(8, n=400))
+
+
+def _with_line(line, at=200):
+    """CLEAN with its line ``at`` (a gate line inside a clean block) replaced."""
+    lines = CLEAN.split("\n")
+    lines[at] = line
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        CLEAN,
+        _with_line("ccx 007 1 2"),
+        _with_line("cx +5 3"),
+        _with_line("ccx\t1 2 3"),
+        CLEAN.replace("\n", "\r\n"),
+        _with_line("cx 0 1  # trailing comment"),
+        _with_line("cx 0 1\n\n\nccx 1 2 3"),
+        _with_line("ccx 5 2 7"),
+        _with_line("cx 3 3"),
+        _with_line("cx 0 9"),  # the wire equal to the width
+        _with_line("ccx 9 1 2"),
+        CLEAN[:-1],  # no final newline
+        _with_line("cx 3 3") + "foo\n",
+        _with_line("ccx 1 2 3") + "cx 0 1",
+    ],
+    ids=[
+        "clean", "leading-zeros", "plus-sign", "tab", "crlf", "trailing-comment",
+        "blank-lines", "reversed-controls", "equal-wires", "wire-equal-to-width",
+        "control-equal-to-width", "no-final-newline", "first-of-two-faults", "last-line-unended",
+    ],
+)
+@pytest.mark.parametrize("read_size", [3, 64, circuits.READ_SIZE])
+def test_batched_reader_agrees_with_the_line_reader(text, read_size, monkeypatch):
+    assert read_outcome(text, monkeypatch, read_size) == read_outcome(
+        text, monkeypatch, read_size, per_line=True
+    )
+
+
+def test_clean_pieces_are_read_as_columns(monkeypatch):
+    cut = []
+    strict = circuits._strict_batches
+
+    def counted(chunk, width):
+        batches = strict(chunk, width)
+        cut.append(batches is not None)
+        return batches
+
+    monkeypatch.setattr(circuits, "_strict_batches", counted)
+    c = random_circuit(8, n=400)
+    assert read_outcome(CLEAN, monkeypatch, 64) == (c.width, c.registers, list(c.gates))
+    assert len(cut) > 50 and all(cut)
+
+
 def test_parse_normalizes_toffoli_controls():
     c = parse("qubits 3\nccx 2 0 1\n")
     assert c.gates == (toffoli(0, 2, 1),)
