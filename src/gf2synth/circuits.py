@@ -30,11 +30,20 @@ gates as column batches, one per same-kind run of a read, as they are
 drawn, so a file of any length is read in constant memory. A read of
 strict gate lines (``ccx a b t`` / ``cx c t``, single spaces, plain
 decimal wires) is matched by one regular expression, the wire tokens of
-each same-kind run are converted in one ``map(int, ...)`` and cut into
-columns by slicing, and its batches go through the column check; any other read, or one the check
-refuses, goes line by line through the gate rule, so every ParseError
-keeps its text and line number. ``Netlist.gates`` is the flat view, and
-``parse`` is a ``Circuit`` over the reader.
+each same-kind run are looked up in a name-to-wire table and cut into
+columns by slicing, and its batches go through the width-free part of the
+column check; any other read, or one the table or the check refuses, goes
+line by line through the gate rule, so every ParseError keeps its text
+and line number. ``Netlist.gates`` is the flat view, and ``parse`` is a
+``Circuit`` over the reader.
+
+Wire names go through a wire-name table (``_NameTable``) both ways: the
+reader's maps a token to its wire, calling ``int`` and refusing a wire
+past the width the first time it sees the token, so a lookup is the range
+check; ``emit_lines``' maps a wire to its ``str``. A netlist has few
+distinct wires however many gates it has, so almost every token costs one
+dict lookup. A table stores at most NAME_TABLE_SIZE names, and only those
+it has seen, so its size never follows the width.
 
 Gates travel as column batches (``Batch``) from generator to file and
 back: one run of a single gate kind as equal-length wire lists
@@ -61,7 +70,8 @@ import io
 import re
 from bisect import bisect
 from dataclasses import dataclass, field
-from itertools import chain, groupby, islice
+from functools import partial
+from itertools import chain, groupby, islice, repeat
 from operator import lt, ne
 from typing import Generator, Iterable, Iterator, NamedTuple, Optional, Sequence, TextIO, Union
 
@@ -91,6 +101,9 @@ RUN_CHUNK = 1 << 8  # gates per batch when gate_runs cuts a flat stream; fastest
 # whole read are held at once, so reads are kept small: at 1 << 16 they
 # raised the peak RSS of reading the m=163 inverter back by about 3.5 MB.
 READ_SIZE = 1 << 12
+# Entries a wire-name table stores before it converts without storing: a
+# table grows only with the distinct wires it sees, never with the width.
+NAME_TABLE_SIZE = 1 << 14
 
 T_PER_TOFFOLI = 7
 T_DEPTH_PER_TOFFOLI = 6
@@ -133,9 +146,17 @@ def batch_passes(batch: Batch, width: Union[int, float]) -> bool:
         return True
     if min(a) < 0 or min(t) < 0 or max(a) >= width or max(t) >= width:
         return False
+    return (b is None or max(b) < width) and _shape_passes(batch)
+
+
+def _shape_passes(batch: Batch) -> bool:
+    """The part of ``batch_passes`` that needs no width: the wires of each
+    gate are distinct and Toffoli controls come lower-first (so a control b
+    is never below 0 when its a is not)."""
+    a, b, t = batch
     if b is None:
         return all(map(ne, a, t))
-    return max(b) < width and all(map(lt, a, b)) and all(map(ne, a, t)) and all(map(ne, b, t))
+    return all(map(lt, a, b)) and all(map(ne, a, t)) and all(map(ne, b, t))
 
 
 def validated_batches(batches: Iterable[Batch], width: Union[int, float]) -> Iterator[Batch]:
@@ -398,6 +419,32 @@ def simulate(c: Circuit, inputs: Sequence[int]) -> list[int]:
 #   ccx <control> <control> <target>
 
 
+class _NameTable(dict):
+    """One direction of the map between wires and their decimal names (see
+    the module docstring): a key is converted the first time it is looked
+    up, and stored while the table holds fewer than NAME_TABLE_SIZE
+    entries; past that it is converted on every lookup."""
+
+    def __init__(self, convert):
+        super().__init__()
+        self.convert = convert
+
+    def __missing__(self, key):
+        value = self.convert(key)
+        if len(self) < NAME_TABLE_SIZE:
+            self[key] = value
+        return value
+
+
+def _wire_named(width: int, name: str) -> int:
+    """The wire a canonical decimal name stands for; KeyError when it is not
+    below the width, ValueError when ``int`` refuses it (too many digits)."""
+    wire = int(name)
+    if wire >= width:
+        raise KeyError(name)
+    return wire
+
+
 def emit_lines(
     width: int,
     registers: dict[str, tuple[int, int]],
@@ -421,12 +468,14 @@ def emit_lines(
             else:
                 yield f"cx {g[0]} {g[1]}"
         return
+    name = _NameTable(str).__getitem__
     for a, b, t in items:
         if t:  # an empty batch writes no line, as an empty flat stream
             if b is None:
-                yield "\n".join(map("cx {} {}".format, a, t))
+                cols = zip(repeat("cx"), map(name, a), map(name, t))
             else:
-                yield "\n".join(map("ccx {} {} {}".format, a, b, t))
+                cols = zip(repeat("ccx"), map(name, a), map(name, b), map(name, t))
+            yield "\n".join(map(" ".join, cols))
 
 
 def emit(c: Circuit, header: Iterable[str] = ()) -> str:
@@ -451,16 +500,18 @@ class Netlist(NamedTuple):
 def _chunks(fh: TextIO) -> Iterator[str]:
     """The text of a file in pieces that each end at a "\\n", drawn READ_SIZE
     characters at a time, so that no line straddles two pieces; whatever
-    follows the last "\\n" comes last."""
-    tail = ""
+    follows the last "\\n" comes last. The reads of a line longer than one
+    read are joined once, when its "\\n" (or the end) comes."""
+    parts: list[str] = []
     while data := fh.read(READ_SIZE):
         cut = data.rfind("\n") + 1
         if cut:
-            yield tail + data[:cut]
-            tail = data[cut:]
+            parts.append(data[:cut])
+            yield "".join(parts)
+            parts = [data[cut:]]
         else:
-            tail += data
-    if tail:
+            parts.append(data)
+    if tail := "".join(parts):
         yield tail
 
 
@@ -539,24 +590,30 @@ _STRICT_GATE_LINES = re.compile(f"(?:(?:ccx {_WIRE}|cx) {_WIRE} {_WIRE}\n)*")
 _KIND_RUNS = re.compile(r"(?:ccx [^\n]*\n)+|(?:cx [^\n]*\n)+")
 
 
-def _strict_batches(chunk: str, width: int) -> Optional[list[Batch]]:
+def _strict_batches(chunk: str, wires: _NameTable) -> Optional[list[Batch]]:
     """The gates of a piece of strict gate lines as column batches, one per
     same-kind run, or None unless the piece is strict lines only and every
-    batch passes ``batch_passes``: then the line reader would yield the same
-    gates."""
+    batch passes the gate rule unchanged: then the line reader would yield
+    the same gates. ``wires`` is the reader's name-to-wire table; looking a
+    token up in it is the range check, so the column check left is
+    ``_shape_passes``."""
     if not _STRICT_GATE_LINES.fullmatch(chunk):
         return None
     batches: list[Batch] = []
+    wire = wires.__getitem__
     for run in _KIND_RUNS.findall(chunk):
         toks = run.split()
         step = 4 if toks[0] == "ccx" else 3  # tokens per line
         del toks[::step]
-        wires = list(map(int, toks))
+        try:
+            cols = list(map(wire, toks))
+        except (KeyError, ValueError):  # a wire past the width, or too long for int()
+            return None
         if step == 4:
-            batch: Batch = (wires[0::3], wires[1::3], wires[2::3])
+            batch: Batch = (cols[0::3], cols[1::3], cols[2::3])
         else:
-            batch = (wires[0::2], None, wires[1::2])
-        if not batch_passes(batch, width):
+            batch = (cols[0::2], None, cols[1::2])
+        if not _shape_passes(batch):
             return None
         batches.append(batch)
     return batches
@@ -568,8 +625,9 @@ def _gate_batches(chunks: Iterator[str], lineno: int, width: int) -> Iterator[Ba
     the column check is cut into columns whole; any other piece is read line
     by line through the gate rule, which raises the ParseError of its first
     bad line."""
+    wires = _NameTable(partial(_wire_named, width))
     for chunk in chunks:
-        batches = _strict_batches(chunk, width)
+        batches = _strict_batches(chunk, wires)
         if batches is None:
             yield from gate_runs(_checked_gates(chunk.split("\n"), lineno, width))
         else:

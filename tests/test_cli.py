@@ -280,6 +280,18 @@ def test_verify_malformed_netlist(capsys, tmp_path):
     assert "line 2" in err
 
 
+def test_verify_over_long_wire_token_is_a_parse_error(capsys, tmp_path):
+    # 5,000 digits is past what int() converts by default; that is a
+    # malformed line (exit 3), not a usage error (exit 2)
+    path = tmp_path / "long.qc"
+    path.write_text("qubits 4\ncx 0 " + "1" * 5000 + "\n")
+    code, _, err = run(
+        capsys, "verify", "add", "-m", "2", "--rep", "gbb", "--in", str(path)
+    )
+    assert code == 3
+    assert "line 2:" in err
+
+
 def test_verify_missing_file(capsys, tmp_path):
     code, _, err = run(
         capsys, "verify", "mult", "-m", "4", "--rep", "gbb",

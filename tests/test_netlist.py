@@ -2,11 +2,21 @@
 
 import io
 import random
+import tracemalloc
 
 import pytest
 
 from gf2synth import circuits
-from gf2synth.circuits import Circuit, cnot, emit, emit_lines, parse, read_netlist, toffoli
+from gf2synth.circuits import (
+    Circuit,
+    cnot,
+    emit,
+    emit_lines,
+    gate_runs,
+    parse,
+    read_netlist,
+    toffoli,
+)
 from gf2synth.errors import ParseError
 
 
@@ -144,11 +154,13 @@ def read_outcome(text, monkeypatch, read_size, per_line=False):
 
 
 CLEAN = emit(random_circuit(8, n=400))
+# wires of one to three digits, so the digit count varies from token to token
+WIDE = emit(random_circuit(8, width=1000, n=400))
 
 
-def _with_line(line, at=200):
-    """CLEAN with its line ``at`` (a gate line inside a clean block) replaced."""
-    lines = CLEAN.split("\n")
+def _with_line(line, at=200, base=CLEAN):
+    """``base`` with its line ``at`` (a gate line inside a clean block) replaced."""
+    lines = base.split("\n")
     lines[at] = line
     return "\n".join(lines)
 
@@ -170,11 +182,23 @@ def _with_line(line, at=200):
         CLEAN[:-1],  # no final newline
         _with_line("cx 3 3") + "foo\n",
         _with_line("ccx 1 2 3") + "cx 0 1",
+        _with_line("cx 0 " + "1" * 5000),  # past int()'s default digit limit
+        _with_line("cx \u0661 2"),  # a Unicode digit, which int() reads
+        _with_line("cx 1_0 2"),  # an underscore, which int() reads
+        WIDE,
+        _with_line("cx 0 1000", base=WIDE),
+        _with_line("ccx 999 1000 5", base=WIDE),
+        _with_line("ccx 10 9 999", base=WIDE),
+        _with_line("cx 0100 99", base=WIDE),
+        _with_line("cx \u0661\u0660 2", base=WIDE),
     ],
     ids=[
         "clean", "leading-zeros", "plus-sign", "tab", "crlf", "trailing-comment",
         "blank-lines", "reversed-controls", "equal-wires", "wire-equal-to-width",
         "control-equal-to-width", "no-final-newline", "first-of-two-faults", "last-line-unended",
+        "over-long-wire", "unicode-digit", "underscore", "wide-clean", "wide-wire-equal-to-width",
+        "wide-control-equal-to-width", "wide-reversed-controls", "wide-leading-zero",
+        "wide-unicode-digits",
     ],
 )
 @pytest.mark.parametrize("read_size", [3, 64, circuits.READ_SIZE])
@@ -184,19 +208,81 @@ def test_batched_reader_agrees_with_the_line_reader(text, read_size, monkeypatch
     )
 
 
-def test_clean_pieces_are_read_as_columns(monkeypatch):
+def assert_read_as_columns(text, c, monkeypatch):
+    """Every piece of ``text`` (the netlist of ``c``) takes the column path."""
     cut = []
     strict = circuits._strict_batches
 
-    def counted(chunk, width):
-        batches = strict(chunk, width)
+    def counted(chunk, wires):
+        batches = strict(chunk, wires)
         cut.append(batches is not None)
         return batches
 
     monkeypatch.setattr(circuits, "_strict_batches", counted)
-    c = random_circuit(8, n=400)
-    assert read_outcome(CLEAN, monkeypatch, 64) == (c.width, c.registers, list(c.gates))
+    assert read_outcome(text, monkeypatch, 64) == (c.width, c.registers, list(c.gates))
     assert len(cut) > 50 and all(cut)
+
+
+def test_clean_pieces_are_read_as_columns(monkeypatch):
+    assert_read_as_columns(CLEAN, random_circuit(8, n=400), monkeypatch)
+
+
+def test_wide_clean_pieces_are_read_as_columns(monkeypatch):
+    assert_read_as_columns(WIDE, random_circuit(8, width=1000, n=400), monkeypatch)
+
+
+def test_batch_emit_is_flat_emit_on_wide_circuits():
+    c = random_circuit(5, width=1000, n=3000)
+    flat = list(emit_lines(c.width, c.registers, c.gates, ["wide"]))
+    batched = list(emit_lines(c.width, c.registers, gate_runs(c.gates), ["wide"]))
+    assert len(batched) < len(flat)
+    assert "\n".join(batched) == "\n".join(flat)
+
+
+class CountedTable(circuits._NameTable):
+    """A wire-name table that records every instance made."""
+
+    made = []
+
+    def __init__(self, convert):
+        super().__init__(convert)
+        self.made.append(self)
+
+
+def test_read_table_holds_only_the_wires_seen_up_to_its_size(monkeypatch):
+    width = 10**9
+    few = [cnot(width - 1, 7), toffoli(3, width - 2, 7)]
+    n = circuits.NAME_TABLE_SIZE  # gates, over 2n distinct wires
+    many = [cnot(width - 1 - 2 * i, width - 2 - 2 * i) for i in range(n)]
+    for gates, size in ((few, 4), (many, circuits.NAME_TABLE_SIZE)):
+        monkeypatch.setattr(circuits, "_NameTable", CountedTable)
+        CountedTable.made.clear()
+        text = emit(Circuit(width, gates))
+        assert read_outcome(text, monkeypatch, circuits.READ_SIZE) == (width, {}, gates)
+        read_table = CountedTable.made[-1]
+        assert len(read_table) == size
+        assert all(isinstance(k, str) for k in read_table)
+
+
+def test_emit_table_stays_bounded_at_a_huge_width(monkeypatch):
+    width = 10**9
+    c = Circuit(width, [cnot(width - 1, 0), toffoli(1, width - 2, width - 1)], {"x": (0, width)})
+    tracemalloc.start()
+    try:
+        text = emit(c)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert text == f"qubits {width}\nreg x 0 {width}\ncx {width - 1} 0\nccx 1 {width - 2} {width - 1}\n"
+    assert peak < 1 << 16
+    monkeypatch.setattr(circuits, "_NameTable", CountedTable)
+    CountedTable.made.clear()
+    n = circuits.NAME_TABLE_SIZE
+    a = [width - 1 - 2 * i for i in range(n)]
+    t = [w - 1 for w in a]
+    lines = list(emit_lines(width, {}, [(a, None, t)]))
+    assert lines[1:] == ["\n".join(f"cx {x} {y}" for x, y in zip(a, t))]
+    assert [len(table) for table in CountedTable.made] == [circuits.NAME_TABLE_SIZE]
 
 
 def test_parse_normalizes_toffoli_controls():
