@@ -51,17 +51,20 @@ back: one run of a single gate kind as equal-length wire lists
 of CNOTs. The multiplier cores produce them stage by stage, ``emit_lines``
 writes one string per batch, the reader yields them, and
 ``measure_stream`` and ``run_packed`` read them as they come, with no gate
-tuple built; both also take a flat gate stream. ``flat_gates`` is the
-flat view, the ``Cnot``/``Toffoli`` sequence that ``Circuit`` holds;
-``gate_runs`` cuts a flat sequence back into batches.
+tuple built. ``run_packed`` takes batches only; ``measure_stream`` and
+``emit_lines`` also take a flat gate stream, the form the benchmark's
+certifier hands them. ``flat_gates`` is the flat view, the
+``Cnot``/``Toffoli`` sequence that ``Circuit`` holds; ``gate_runs`` cuts a
+flat sequence back into batches.
 
 Simulation is bit-sliced: one Python int per wire, bit b of that int holding
 wire's value for input pattern b, so a whole batch of inputs costs a single
 pass over the gates. There is one route: ``pack_patterns`` builds the state,
 ``run_packed`` applies the gates and ``register_value`` reads a pattern
 back. ``verify`` drives it register by register; ``simulate`` runs it on a
-``Circuit`` with whole-width ints (bit w is wire w) in and out. T-gate
-figures use the standard 7 T / T-depth 6 decomposition of the Toffoli.
+``Circuit``'s gates, cut by ``gate_runs``, with whole-width ints (bit w is
+wire w) in and out. T-gate figures use the standard 7 T / T-depth 6
+decomposition of the Toffoli.
 """
 
 from __future__ import annotations
@@ -73,7 +76,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, groupby, islice, repeat
 from operator import lt, ne
-from typing import Generator, Iterable, Iterator, NamedTuple, Optional, Sequence, TextIO, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, TextIO, Union
 
 from .errors import CircuitRuleError, ParseError
 
@@ -291,7 +294,8 @@ def measure_stream(width: int, stream: Iterable[Union[Batch, Gate]]) -> Resource
     the greedy layering only needs one per-wire counter, so the stream never
     has to be materialized. Gates are applied one at a time in stream order,
     so the count is exact whether or not a batch is wire-disjoint. A flat
-    gate stream is accepted too and cut into runs by ``gate_runs``.
+    gate stream is accepted too and cut into runs by ``gate_runs``: the
+    benchmark's certifier (``perfbench/certify.py``) measures flat gates.
     """
     flat, batches = _peek_flat(stream)
     if flat:
@@ -357,19 +361,12 @@ def schedule(c: Circuit) -> list[list[Gate]]:
 # simulation
 
 
-def run_packed(stream: Iterable[Union[Batch, Gate]], state: list[int]) -> list[int]:
-    """Apply column batches, or flat gates, to a bit-sliced state in place
-    (state[w] packs wire w across all patterns). Gates are trusted; callers
-    validate beforehand."""
-    flat, items = _peek_flat(stream)
-    if flat:
-        for g in items:
-            if len(g) == 3:
-                state[g[2]] ^= state[g[0]] & state[g[1]]
-            else:
-                state[g[1]] ^= state[g[0]]
-        return state
-    for ca, cb, ct in items:
+def run_packed(batches: Iterable[Batch], state: list[int]) -> list[int]:
+    """Apply column batches to a bit-sliced state in place (state[w] packs
+    wire w across all patterns), gate by gate in stream order. Gates are
+    trusted; callers validate beforehand. A flat gate stream goes through
+    ``gate_runs`` first."""
+    for ca, cb, ct in batches:
         if cb is None:
             for c, t in zip(ca, ct):
                 state[t] ^= state[c]
@@ -405,7 +402,7 @@ def simulate(c: Circuit, inputs: Sequence[int]) -> list[int]:
     for v in inputs:
         if not 0 <= v < 1 << c.width:
             raise ValueError(f"input {v!r} outside 0..2^{c.width} - 1")
-    state = run_packed(c.gates, pack_patterns(c.width, range(c.width), inputs))
+    state = run_packed(gate_runs(c.gates), pack_patterns(c.width, range(c.width), inputs))
     return [register_value(state, b, 0, c.width) for b in range(len(inputs))]
 
 
@@ -454,7 +451,9 @@ def emit_lines(
     """Stream netlist text without trailing newlines: one line per header
     comment, the qubits line and each reg line, then one line per gate of a
     flat gate stream, or one "\\n"-joined string per batch of a batch
-    stream. Header lines become comments."""
+    stream. Header lines become comments. The flat form stays because the
+    benchmark's certifier (``perfbench/certify.py``) passes flat gates and
+    hashes one line per gate."""
     for line in header:
         yield f"# {line}" if line else "#"
     yield f"qubits {width}"
@@ -629,25 +628,16 @@ def _gate_batches(chunks: Iterator[str], lineno: int, width: int) -> Iterator[Ba
     for chunk in chunks:
         batches = _strict_batches(chunk, wires)
         if batches is None:
-            yield from gate_runs(_checked_gates(chunk.split("\n"), lineno, width))
+            yield from gate_runs(_gate_lines(chunk.split("\n"), lineno, width))
         else:
             yield from batches
         lineno += chunk.count("\n")
 
 
-def _checked_gates(lines: Iterable[str], lineno: int, width: int) -> Iterator[Gate]:
-    """The gates of some lines after the header, through the gate rule."""
-    gates = _gate_lines(lines, lineno)
-    try:
-        yield from validated_gates(gates, width)
-    except CircuitRuleError as e:
-        gates.throw(e)  # re-raised as a ParseError at the line that gate came from
-
-
-def _gate_lines(lines: Iterable[str], lineno: int) -> Generator[Gate, None, None]:
-    """The gate of every gate line, unchecked. A gate the rule refuses is
-    thrown back in while this is paused at it, and leaves as a ParseError
-    carrying its line number."""
+def _gate_lines(lines: Iterable[str], lineno: int, width: int) -> Iterator[Gate]:
+    """The gate of every gate line, each through the gate rule on its own
+    line, so a malformed line or a gate the rule refuses raises a ParseError
+    carrying that line's number."""
     for raw in lines:
         lineno += 1
         toks = _tokens(raw)
@@ -671,9 +661,10 @@ def _gate_lines(lines: Iterable[str], lineno: int) -> Generator[Gate, None, None
         except ValueError:
             raise ParseError(f"expected wire indices, got {toks[1:]}", lineno) from None
         try:
-            yield gate
+            gate = next(validated_gates((gate,), width))
         except CircuitRuleError as e:
             raise ParseError(str(e), lineno) from None
+        yield gate
 
 
 def parse(text: str) -> Circuit:

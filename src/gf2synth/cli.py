@@ -13,9 +13,10 @@ Commands
   the file is ever held whole.
 * ``verify {add|mult|selfmult|invert}``: simulate a synthesized (or, with
   ``--in``, previously emitted) netlist against the classical field oracles,
-  exhaustively or on seeded random samples. ``--in`` streams the file's
-  column batches from ``read_netlist`` into ``run_packed``; without it the
-  synthesized gates are simulated one flat gate at a time.
+  exhaustively or on seeded random samples. The simulator, ``run_packed``,
+  takes column batches only: ``--in`` streams the file's batches from
+  ``read_netlist``; without it mult and selfmult simulate the multiplier
+  cores' batches, and add and invert their flat gates cut by ``gate_runs``.
 * ``table``: measured depth/gates next to the closed-form bounds for a list
   of degrees, plus the asymptotic comparison against a polynomial basis.
 
@@ -48,6 +49,7 @@ from .circuits import (  # noqa: F401  (parse is kept for the benchmark tracer)
     Gate,
     Netlist,
     emit_lines,
+    gate_runs,
     measure_stream,
     pack_patterns,
     parse,
@@ -74,8 +76,7 @@ from .inverters import (  # noqa: F401  (synth_inverter is kept for the benchmar
 )
 from .multipliers import (
     mult_batches,
-    mult_gates,
-    self_mult_gates,
+    self_mult_batches,
     synth_add,
     synth_gbb_mult,
     synth_gbb_self_mult,
@@ -141,7 +142,7 @@ class _Row:
     nbits: int  # simulated input bits, on wires 0..nbits-1
     width: int  # wires the circuit must have
     name: str  # what a width mismatch calls the circuit
-    gates: Callable[[], Iterable[Gate]]  # the synthesized gates, if no netlist is given
+    batches: Callable[[], Iterable[Batch]]  # the synthesized gates, if no netlist is given
     kept: tuple[int, int]  # span that must come back unchanged
     kept_label: str  # how a counterexample names a wire of that span
     ancillas: tuple[tuple[int, int], ...]  # spans that must return to zero
@@ -180,21 +181,24 @@ def _verify_row(spec: FieldSpec, kind: str, r: Optional[int]) -> _Row:
                 return None
             return f"input={_bitstr(v, w)} output={_bitstr(got, w)}"
 
+        # inverter_gates, not inverter_batches: the benchmark tracer times generation there only
         return _Row(
-            nbits=w, width=s.width, name="inverter", gates=lambda: inverter_gates(spec),
+            nbits=w, width=s.width, name="inverter",
+            batches=lambda: gate_runs(inverter_gates(spec)),
             kept=regs["input"], kept_label="input wire", ancillas=ancillas,
             output=regs["output"][0], check=inverse,
         )
-    # (operands, wires kept = first output wire, expected output, gates)
-    n_in, out, expected, gates = {
-        "add": (2, w, lambda a, b: a ^ b, lambda: synth_add(w).gates),
-        "mult": (2, 2 * w, rep.mult, lambda: mult_gates(rep, 0, w, 2 * w)),
+    # (operands, wires kept = first output wire, expected output, batches)
+    n_in, out, expected, batches = {
+        "add": (2, w, lambda a, b: a ^ b, lambda: gate_runs(synth_add(w).gates)),
+        "mult": (2, 2 * w, rep.mult, lambda: mult_batches(rep, 0, w, 2 * w)),
         "selfmult": (
-            1, w, lambda a: rep.mult(a, rep.frobenius(a, r)), lambda: self_mult_gates(rep, r, 0, w)
+            1, w, lambda a: rep.mult(a, rep.frobenius(a, r)),
+            lambda: self_mult_batches(rep, r, 0, w),
         ),
     }[kind]
     return _Row(
-        nbits=n_in * w, width=out + w, name=kind, gates=gates,
+        nbits=n_in * w, width=out + w, name=kind, batches=batches,
         kept=(0, out), kept_label="wire", ancillas=(), output=out,
         check=_register_check(w, n_in, expected),
     )
@@ -255,12 +259,12 @@ def verify_kind(
     if netlist is not None and netlist.width != row.width:
         deque(netlist.batches, 0)
         raise WidthMismatch(f"netlist has {netlist.width} wires, {row.name} needs {row.width}")
-    gates = row.gates() if netlist is None else netlist.batches
+    batches = row.batches() if netlist is None else netlist.batches
 
     state, count = _pack_patterns(row.width, list(range(nbits)), patterns, nbits)
     kept_start, kept_length = row.kept
     before = state[kept_start : kept_start + kept_length]
-    run_packed(gates, state)
+    run_packed(batches, state)
 
     def fail(reason: str) -> VerifyResult:
         return VerifyResult(False, count, mode, used_seed, reason)

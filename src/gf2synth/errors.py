@@ -46,9 +46,18 @@ class CircuitRuleError(ValueError):
         self.index = index
 
 
+# Characters a ParseError keeps of its message: a message quotes tokens of
+# the bad line, and a line may be megabytes long.
+PARSE_MESSAGE_LIMIT = 200
+
+
 class ParseError(ValueError):
-    """A netlist file is malformed; carries the 1-based line number."""
+    """A netlist file is malformed; carries the 1-based line number. A
+    message longer than PARSE_MESSAGE_LIMIT characters is cut to that
+    length, ending in "..."."""
 
     def __init__(self, message: str, line: int):
+        if len(message) > PARSE_MESSAGE_LIMIT:
+            message = message[: PARSE_MESSAGE_LIMIT - 3] + "..."
         super().__init__(f"line {line}: {message}")
         self.line = line

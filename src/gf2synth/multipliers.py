@@ -38,8 +38,10 @@ Toffoli batch whose wire lists are rotations of the registers' wire lists,
 and a self-power color class is the representation's index columns mapped
 onto wires (the ghost-bit first class is a Toffoli batch followed by a
 one-CNOT batch). With ``reverse`` a core yields the inverse block: stages
-last-first, each stage's batches last-first, every list reversed.
-``mult_gates`` and ``self_mult_gates`` are the flat views, gate by gate.
+last-first, each stage's batches last-first, every list reversed. The
+batches go as they are to measurement (``measure_stream``) and simulation
+(``run_packed``), and through the inverter's block chain to the netlist
+writer; only ``Circuit`` takes their flat view, ``circuits.flat_gates``.
 
 The cores check no gate on its own. Each block first checks its register
 layout with the register rule of ``circuits`` (non-negative, pairwise
@@ -52,7 +54,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Union
 
-from .circuits import UNBOUNDED, Batch, Circuit, Cnot, Gate, flat_gates, validated_registers
+from .circuits import UNBOUNDED, Batch, Circuit, Cnot, flat_gates, validated_registers
 from .errors import ExponentOutOfRange
 from .fields import GhostBit, Gnb, GnbParams
 
@@ -133,20 +135,6 @@ def self_mult_batches(
         yield from _stage(batches, reverse)
 
 
-def mult_gates(
-    rep: Rep, a0: int, b0: int, c0: int, b_exp: int = 0, square_write: bool = False
-) -> Iterator[Gate]:
-    """The flat view of ``mult_batches``: one gate at a time."""
-    return flat_gates(mult_batches(rep, a0, b0, c0, b_exp, square_write))
-
-
-def self_mult_gates(
-    rep: Rep, r: int, a0: int, c0: int, square_write: bool = False
-) -> Iterator[Gate]:
-    """The flat view of ``self_mult_batches``: one gate at a time."""
-    return flat_gates(self_mult_batches(rep, r, a0, c0, square_write))
-
-
 # ---------------------------------------------------------------------------
 # public synthesizers
 
@@ -168,13 +156,13 @@ def _check_exponent(r: int, m: int) -> None:
 
 def _mult_circuit(rep: Rep) -> Circuit:
     w = rep.width
-    gates = tuple(mult_gates(rep, 0, w, 2 * w))
+    gates = flat_gates(mult_batches(rep, 0, w, 2 * w))
     return Circuit(3 * w, gates, {"input_a": (0, w), "input_b": (w, w), "output": (2 * w, w)})
 
 
 def _self_mult_circuit(rep: Rep, r: int) -> Circuit:
     w = rep.width
-    gates = tuple(self_mult_gates(rep, r, 0, w))
+    gates = flat_gates(self_mult_batches(rep, r, 0, w))
     return Circuit(2 * w, gates, {"input": (0, w), "output": (w, w)})
 
 

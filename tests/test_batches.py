@@ -3,9 +3,10 @@ batches, and the order of the flat gate stream.
 
 The inverters are measured from column batches. These tests hold that
 measurement to a reference written here from the definition of greedy ASAP
-layering, applied one flat gate at a time, hold the column check and the
-batch simulator to the flat gate rule and flat simulator, and pin the flat
-stream against the multiplier cores' own gate order.
+layering, applied one flat gate at a time, hold the column check to the
+flat gate rule and the batch simulator to a one-gate-at-a-time simulator
+written here, and pin the flat stream against the multiplier cores' own
+gate order.
 """
 
 import random
@@ -24,7 +25,7 @@ from gf2synth.circuits import (
 from gf2synth.errors import CircuitRuleError, InvalidParams
 from gf2synth.fields import FieldSpec, Representation, check_ghost_bit_support, make_gnb_params
 from gf2synth.inverters import check_bounds, inverter_gates, inverter_structure
-from gf2synth.multipliers import mult_gates, self_mult_gates
+from gf2synth.multipliers import mult_batches, self_mult_batches
 
 
 def reference_estimate(width, gates):
@@ -172,20 +173,37 @@ def test_bad_gate_in_kth_batch_reports_the_flat_rules_index(k, bad):
     assert flat.value.index == sum(len(t) for _, _, t in batches[:k]) + j
 
 
+def reference_run(gates, state):
+    """Bit-sliced simulation one flat gate at a time: a CNOT XORs its
+    control into its target, a Toffoli the AND of its controls."""
+    state = list(state)
+    for g in gates:
+        if len(g) == 3:
+            state[g[2]] ^= state[g[0]] & state[g[1]]
+        else:
+            state[g[1]] ^= state[g[0]]
+    return state
+
+
 def test_run_packed_on_batches_matches_the_flat_stream():
     rng = random.Random(2)
-    batches = random_batches(9, n=80)
+    # in each of these batches a later gate reads a wire an earlier one targets
+    chained = [([0, 1, 2], [1, 3, 3], [2, 0, 4]), ([2, 3, 0], None, [3, 0, 5])]
+    batches = random_batches(9, n=80) + chained
     state = [rng.getrandbits(64) for _ in range(9)]
-    assert run_packed(batches, list(state)) == run_packed(flat_gates(batches), list(state))
+    assert run_packed(batches, list(state)) == reference_run(flat_gates(batches), state)
+    assert run_packed(chained, list(state)) == reference_run(flat_gates(chained), state)
     assert run_packed(iter(()), list(state)) == state
 
 
 def _block_gates(spec, block, w):
     src, tgt = block.source_reg * w, block.target_reg * w
     if block.kind == "self_power":
-        return self_mult_gates(spec.rep, block.r, src, tgt, block.squared_write)
+        return flat_gates(self_mult_batches(spec.rep, block.r, src, tgt, block.squared_write))
     operand = block.operand_reg * w
-    return mult_gates(spec.rep, src, operand, tgt, block.operand_exponent, block.squared_write)
+    return flat_gates(
+        mult_batches(spec.rep, src, operand, tgt, block.operand_exponent, block.squared_write)
+    )
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ from gf2synth.circuits import (
     Cnot,
     Toffoli,
     cnot,
+    gate_runs,
     measure_stream,
     pack_patterns,
     register_value,
@@ -171,7 +172,7 @@ def test_run_packed_patterns():
     # packed wires carry one bit pattern per wire, gate action is bitwise
     gates = [cnot(0, 1), toffoli(0, 1, 2)]
     wires = [0b1010, 0b0110, 0b0000]
-    out = run_packed(gates, wires)
+    out = run_packed(gate_runs(gates), wires)
     assert out[0] == 0b1010
     assert out[1] == 0b1010 ^ 0b0110
     assert out[2] == 0b1010 & (0b1010 ^ 0b0110)

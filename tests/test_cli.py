@@ -290,6 +290,7 @@ def test_verify_over_long_wire_token_is_a_parse_error(capsys, tmp_path):
     )
     assert code == 3
     assert "line 2:" in err
+    assert len(err.encode()) < 300  # the message quotes a bounded prefix of the line
 
 
 def test_verify_missing_file(capsys, tmp_path):

@@ -16,8 +16,8 @@ from gf2synth.fields import (
     make_gnb_params,
 )
 from gf2synth.multipliers import (
-    mult_gates,
-    self_mult_gates,
+    mult_batches,
+    self_mult_batches,
     synth_gnb_mult,
     synth_gnb_self_mult,
 )
@@ -195,7 +195,7 @@ def test_cores_reject_bad_register_layout(spec):
     rep, w = spec.rep, spec.width
     for a0, b0, c0 in [(0, w - 1, 2 * w), (0, w, w + 1), (-1, w, 2 * w), (0, w, -w)]:
         with pytest.raises(ValueError):
-            next(mult_gates(rep, a0, b0, c0))
+            next(mult_batches(rep, a0, b0, c0))
     for a0, c0 in [(0, w - 1), (w, 1), (-1, w), (0, -w)]:
         with pytest.raises(ValueError):
-            next(self_mult_gates(rep, 1, a0, c0))
+            next(self_mult_batches(rep, 1, a0, c0))

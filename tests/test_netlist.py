@@ -17,7 +17,7 @@ from gf2synth.circuits import (
     read_netlist,
     toffoli,
 )
-from gf2synth.errors import ParseError
+from gf2synth.errors import PARSE_MESSAGE_LIMIT, ParseError
 
 
 def random_circuit(seed, width=9, n=120):
@@ -315,12 +315,15 @@ def test_parse_normalizes_toffoli_controls():
         ("qubits 4\ncx 0 4\nfoo\n", 2),  # the first bad line, whatever its fault
         ("qubits 4\nreg a 0 3\nreg b 2 2\ncx 0 1\ncx 0 9\n", 3),
         ("qubits 4\ncx 0 1\ncx 2 3\n\n# end\nccx 3 2 3", 6),
+        pytest.param("qubits 4\n" + "f" * 10_000 + " 0 1\n", 2, id="long-unknown-directive"),
+        pytest.param("qubits " + "x" * 10_000 + "\n", 1, id="long-bad-qubit-count"),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, lineno, tmp_path, monkeypatch):
     with pytest.raises(ParseError) as exc:
         parse(text)
     assert exc.value.line == lineno
+    assert len(str(exc.value)) <= len(f"line {lineno}: ") + PARSE_MESSAGE_LIMIT
     # the same line through a file read a few characters at a time
     path = tmp_path / "bad.qc"
     path.write_bytes(text.encode())

@@ -7,7 +7,8 @@ fresh interpreter, as the benchmark child does, over one command of each
 kind and one ``check_bounds``. The traced ``open`` hands out a reader
 with nothing but ``read``, so the netlist round trip (``synth invert --out``
 then ``verify --in``) also shows that the streamed reader only calls
-``read(n)``.
+``read(n)``, and ``verify mult`` / ``verify selfmult`` feed the traced
+simulator the multiplier cores' batch generators.
 """
 
 import json
@@ -33,6 +34,8 @@ for argv in (
     ["table", "-m", "5"],
     ["synth", "invert", "-m", "5", "--rep", "gnb", "--out", "inv.qc"],
     ["verify", "invert", "-m", "5", "--rep", "gnb", "--in", "inv.qc"],
+    ["verify", "mult", "-m", "4", "--rep", "gbb"],
+    ["verify", "selfmult", "-m", "4", "--rep", "gbb", "-r", "1"],
 ):
     with contextlib.redirect_stdout(io.StringIO()):
         rcs.append(cli.main(argv))
@@ -54,7 +57,7 @@ def test_tracer_installs_and_closes_every_span(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout.splitlines()[-1])
-    assert out["rcs"] == [0, 0, 0, 0, 0]
+    assert out["rcs"] == [0, 0, 0, 0, 0, 0, 0]
     assert out["passed"]
     assert out["open"] == []
     for name in (
