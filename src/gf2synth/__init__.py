@@ -22,7 +22,6 @@ from .circuits import (
     parse,
     read_netlist,
     resources,
-    schedule,
     simulate,
     toffoli,
 )

@@ -343,20 +343,6 @@ def resources(c: Circuit) -> ResourceEstimate:
     return measure_stream(c.width, gate_runs(c.gates))
 
 
-def schedule(c: Circuit) -> list[list[Gate]]:
-    """Materialized greedy layers; layer k holds the gates placed at depth k."""
-    ready = [0] * c.width
-    layers: list[list[Gate]] = []
-    for g in c.gates:
-        layer = max(ready[w] for w in g)
-        if layer == len(layers):
-            layers.append([])
-        layers[layer].append(g)
-        for w in g:
-            ready[w] = layer + 1
-    return layers
-
-
 # ---------------------------------------------------------------------------
 # simulation
 
@@ -482,9 +468,9 @@ def emit(c: Circuit, header: Iterable[str] = ()) -> str:
 
 
 class Netlist(NamedTuple):
-    """A netlist as it is read: the header, checked, and the gates still to
-    come, a one-pass stream of column batches that the gate rule checks as
-    it is drawn."""
+    """A netlist as a stream: the header, and the gates still to come, a
+    one-pass stream of column batches (from ``read_netlist``, checked by the
+    gate rule as they are drawn, or from a synthesizer)."""
 
     width: int
     registers: dict[str, tuple[int, int]]
@@ -500,23 +486,28 @@ def _chunks(fh: TextIO) -> Iterator[str]:
     """The text of a file in pieces that each end at a "\\n", drawn READ_SIZE
     characters at a time, so that no line straddles two pieces; whatever
     follows the last "\\n" comes last. The reads of a line longer than one
-    read are joined once, when its "\\n" (or the end) comes."""
+    read are joined once, when its "\\n" (or the end) comes, and let go
+    before the joined piece is yielded, so a piece is held once."""
     parts: list[str] = []
     while data := fh.read(READ_SIZE):
         cut = data.rfind("\n") + 1
         if cut:
             parts.append(data[:cut])
-            yield "".join(parts)
+            piece = "".join(parts)
             parts = [data[cut:]]
+            yield piece
         else:
             parts.append(data)
     if tail := "".join(parts):
+        parts.clear()
         yield tail
 
 
-def _tokens(raw: str) -> list[str]:
-    """The tokens of a line once its comment is cut off."""
-    return (raw.split("#", 1)[0] if "#" in raw else raw).split()
+def _tokens(text: str, start: int = 0, end: Optional[int] = None) -> list[str]:
+    """The tokens of the line text[start:end] once its comment is cut off.
+    The comment is cut by index, so it is never copied."""
+    cut = text.find("#", start, end)
+    return text[start : end if cut < 0 else cut].split()
 
 
 def read_netlist(fh: TextIO) -> Netlist:
@@ -542,7 +533,7 @@ def read_netlist(fh: TextIO) -> Netlist:
         pos = 0
         while pos < len(chunk):
             end = chunk.find("\n", pos) + 1 or len(chunk)
-            toks = _tokens(chunk[pos:end])
+            toks = _tokens(chunk, pos, end)
             if toks and width is not None and toks[0] != "reg":
                 rest = chunk[pos:]
                 break

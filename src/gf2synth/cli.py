@@ -4,13 +4,12 @@ Commands
 --------
 * ``params``: report which representations a degree supports.
 * ``synth {add|mult|selfmult|invert}``: emit a netlist and its resource
-  summary as key=value lines. With ``--out`` the summary is measured from
-  the file read back, so the printed numbers describe what was written.
-  The inverter is streamed as column batches: each batch goes through the
-  gate rule (``validated_batches``) into the file, one string per batch
-  (or, without ``--out``, into ``measure_stream``) as it is generated, and
-  the file is read back as a stream of batches, so neither the circuit nor
-  the file is ever held whole.
+  summary as key=value lines. Every kind is streamed as column batches from
+  ``synth_circuit``: each batch goes through the gate rule
+  (``validated_batches``) into ``measure_stream`` as it is generated, and
+  with ``--out`` into the file first, one string per batch, in the same
+  pass, so the printed numbers describe exactly what was written and
+  neither the circuit nor the file is ever held whole.
 * ``verify {add|mult|selfmult|invert}``: simulate a synthesized (or, with
   ``--in``, previously emitted) netlist against the classical field oracles,
   exhaustively or on seeded random samples. The simulator, ``run_packed``,
@@ -22,11 +21,12 @@ Commands
 
 Field oracles, inverse checks and bounds come from the spec's
 representation object (``spec.rep``), so the commands never branch on the
-representation; ``synth_circuit`` is the one place that maps add, mult
-and selfmult onto the per-representation synthesizers. ``verify_kind`` is
-a single path driven by a per-kind table row: input bits, kept wires,
-ancilla spans that must return to zero, output span, and the check with
-its counterexample text.
+representation. ``synth_circuit`` is the kind table: for each kind it gives
+the width, the register map and the column batches, which ``synth``,
+``verify`` and ``table`` all draw from. ``verify_kind`` is a single path
+driven by a per-kind table row: input bits, kept wires, ancilla spans that
+must return to zero, output span, and the check with its counterexample
+text.
 
 Exit codes: 0 success / verification passed, 1 verification failed,
 2 domain error (unsupported degree, bad parameters, bad usage) or out of
@@ -41,12 +41,11 @@ import sys
 from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Union
+from itertools import islice, tee
+from typing import Callable, Iterable, Iterator, Optional, TextIO
 
 from .circuits import (  # noqa: F401  (parse is kept for the benchmark tracer)
     Batch,
-    Circuit,
-    Gate,
     Netlist,
     emit_lines,
     gate_runs,
@@ -55,7 +54,6 @@ from .circuits import (  # noqa: F401  (parse is kept for the benchmark tracer)
     parse,
     read_netlist,
     register_value,
-    resources,
     run_packed,
     validated_batches,
     validated_registers,
@@ -74,9 +72,9 @@ from .inverters import (  # noqa: F401  (synth_inverter is kept for the benchmar
     inverter_structure,
     synth_inverter,
 )
-from .multipliers import (
-    mult_batches,
-    self_mult_batches,
+from .multipliers import (  # noqa: F401  (synth_g*_* are kept for the benchmark tracer)
+    mult_netlist,
+    self_mult_netlist,
     synth_add,
     synth_gbb_mult,
     synth_gbb_self_mult,
@@ -188,17 +186,15 @@ def _verify_row(spec: FieldSpec, kind: str, r: Optional[int]) -> _Row:
             kept=regs["input"], kept_label="input wire", ancillas=ancillas,
             output=regs["output"][0], check=inverse,
         )
-    # (operands, wires kept = first output wire, expected output, batches)
-    n_in, out, expected, batches = {
-        "add": (2, w, lambda a, b: a ^ b, lambda: gate_runs(synth_add(w).gates)),
-        "mult": (2, 2 * w, rep.mult, lambda: mult_batches(rep, 0, w, 2 * w)),
-        "selfmult": (
-            1, w, lambda a: rep.mult(a, rep.frobenius(a, r)),
-            lambda: self_mult_batches(rep, r, 0, w),
-        ),
+    # (operands, wires kept = first output wire, expected output)
+    n_in, out, expected = {
+        "add": (2, w, lambda a, b: a ^ b),
+        "mult": (2, 2 * w, rep.mult),
+        "selfmult": (1, w, lambda a: rep.mult(a, rep.frobenius(a, r))),
     }[kind]
     return _Row(
-        nbits=n_in * w, width=out + w, name=kind, batches=batches,
+        nbits=n_in * w, width=out + w, name=kind,
+        batches=lambda: synth_circuit(spec, kind, r).batches,
         kept=(0, out), kept_label="wire", ancillas=(), output=out,
         check=_register_check(w, n_in, expected),
     )
@@ -288,19 +284,21 @@ def verify_kind(
 # synthesis dispatch
 
 
-def synth_circuit(spec: FieldSpec, kind: str, r: Optional[int] = None) -> Circuit:
+def synth_circuit(spec: FieldSpec, kind: str, r: Optional[int] = None) -> Netlist:
+    """The kind table: one kind's width, register map and column batches for
+    ``spec.rep``. A domain error raises now; batches are built as drawn."""
     if kind == "add":
-        return synth_add(spec.width)
+        adder = synth_add(spec.width)
+        return Netlist(adder.width, adder.registers, gate_runs(adder.gates))
     if kind == "mult":
-        if spec.representation is Representation.GHOST_BIT:
-            return synth_gbb_mult(spec.m)
-        return synth_gnb_mult(spec.gnb_params)
+        return mult_netlist(spec.rep)
     if kind == "selfmult":
         if r is None:
             raise ValueError("selfmult needs -r <exponent>")
-        if spec.representation is Representation.GHOST_BIT:
-            return synth_gbb_self_mult(spec.m, r)
-        return synth_gnb_self_mult(spec.gnb_params, r)
+        return self_mult_netlist(spec.rep, r)
+    if kind == "invert":
+        s = inverter_structure(spec)
+        return Netlist(s.width, s.registers, inverter_batches(spec))
     raise ValueError(f"unknown synthesis kind {kind!r}")
 
 
@@ -349,28 +347,29 @@ def cmd_params(args) -> int:
     return 0 if available else 2
 
 
+def _written(fh: TextIO, netlist: Netlist, header: list[str]) -> Iterator[Batch]:
+    """``netlist``'s batches, one per line ``emit_lines`` writes to ``fh``:
+    measuring them writes the file, at most a header's length behind."""
+    to_file, batches = tee(netlist.batches)
+    for text in emit_lines(netlist.width, netlist.registers, to_file, header):
+        fh.write(text)
+        fh.write("\n")
+        yield from islice(batches, 1)
+    yield from batches
+
+
 def cmd_synth(args) -> int:
     spec = _spec_from_args(args)
-    r = args.r
-    if args.kind == "invert":
-        s = inverter_structure(spec)
-        width, registers = s.width, validated_registers(s.registers, s.width)
-        gates: Iterable[Union[Batch, Gate]] = validated_batches(inverter_batches(spec), width)
-    else:
-        circuit = synth_circuit(spec, args.kind, r=r)
-        width, registers, gates = circuit.width, circuit.registers, circuit.gates
-    header = _context_lines(spec, args.kind, r)
+    width, registers, batches = synth_circuit(spec, args.kind, r=args.r)
+    registers = validated_registers(registers, width)
+    batches = validated_batches(batches, width)
+    header = _context_lines(spec, args.kind, args.r)
     if args.out:
         with open(args.out, "w") as fh:
-            for text in emit_lines(width, registers, gates, header):
-                fh.write(text)
-                fh.write("\n")
-        with open(args.out) as fh:
-            written = read_netlist(fh)
-            est = measure_stream(written.width, written.batches)
+            est = measure_stream(width, _written(fh, Netlist(width, registers, batches), header))
         header.append(f"out={args.out}")
     else:
-        est = measure_stream(width, gates)
+        est = measure_stream(width, batches)
     print("\n".join(header + est.summary_lines()))
     return 0
 
@@ -410,16 +409,17 @@ def cmd_verify(args) -> int:
 
 def _table_rows_for(spec: FieldSpec) -> list[tuple]:
     """(op, depth, gates, depth_bound, gate_bound) rows for one spec."""
-    w = spec.width
-    add = resources(synth_add(w))
-    mult = measure_stream(3 * w, mult_batches(spec.rep, 0, w, 2 * w))
-    inv = measure_stream(inverter_structure(spec).width, inverter_batches(spec))
     inv_bound = spec.rep.inverter_bounds()
-    return [
-        ("add", add.depth, add.gate_count, 1, w),
-        ("mult", mult.depth, mult.gate_count, *spec.rep.mult_bounds()),
-        ("invert", inv.depth, inv.gate_count, inv_bound.depth_bound, inv_bound.gate_bound),
-    ]
+    rows = []
+    for op, bound in (
+        ("add", (1, spec.width)),
+        ("mult", spec.rep.mult_bounds()),
+        ("invert", (inv_bound.depth_bound, inv_bound.gate_bound)),
+    ):
+        netlist = synth_circuit(spec, op)
+        est = measure_stream(netlist.width, netlist.batches)
+        rows.append((op, est.depth, est.gate_count, *bound))
+    return rows
 
 
 def cmd_table(args) -> int:

@@ -41,20 +41,20 @@ one-CNOT batch). With ``reverse`` a core yields the inverse block: stages
 last-first, each stage's batches last-first, every list reversed. The
 batches go as they are to measurement (``measure_stream``) and simulation
 (``run_packed``), and through the inverter's block chain to the netlist
-writer; only ``Circuit`` takes their flat view, ``circuits.flat_gates``.
+writer; ``mult_netlist`` and ``self_mult_netlist`` hold their register maps.
 
 The cores check no gate on its own. Each block first checks its register
 layout with the register rule of ``circuits`` (non-negative, pairwise
 disjoint spans); the stage formulas then give every gate distinct wires
 with Toffoli controls lower-first. ``Circuit`` applies the gate rule when a
-netlist is materialized, and the streamed consumers trust the cores.
+netlist is materialized, ``synth`` as it streams one; the rest trust the cores.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator, Union
 
-from .circuits import UNBOUNDED, Batch, Circuit, Cnot, flat_gates, validated_registers
+from .circuits import UNBOUNDED, Batch, Circuit, Cnot, Netlist, validated_registers
 from .errors import ExponentOutOfRange
 from .fields import GhostBit, Gnb, GnbParams
 
@@ -117,8 +117,8 @@ def self_mult_batches(
 ) -> Iterator[Batch]:
     """|a>|c>  ->  |a>|c + a * a^(2^r)>, stage by stage, color class by
     class, one batch per run of one gate kind. The exponent must lie in
-    0..m. With ``reverse`` the inverse block: stages last-first, each
-    stage's batches last-first, columns reversed."""
+    0..m, checked at the call. With ``reverse`` the inverse block: stages
+    last-first, each stage's batches last-first, columns reversed."""
     _check_exponent(r, rep.m)
     n = rep.width
     validated_registers({"a": (a0, n), "c": (c0, n)}, UNBOUNDED)  # the precondition
@@ -126,13 +126,17 @@ def self_mult_batches(
     tgt = _targets(rep, c0, square_write).__getitem__
     # Index Toffolis name their controls lower-first and the wires of a
     # increase, so the wire controls are lower-first too.
-    for stage in rep.self_mult_stages(r, reverse):
-        batches = [
-            (list(map(a, x)), None if y is None else list(map(a, y)), list(map(tgt, c)))
-            for cls in stage.classes
-            for x, y, c in cls
-        ]
-        yield from _stage(batches, reverse)
+
+    def stages() -> Iterator[Batch]:
+        for stage in rep.self_mult_stages(r, reverse):
+            batches = [
+                (list(map(a, x)), None if y is None else list(map(a, y)), list(map(tgt, c)))
+                for cls in stage.classes
+                for x, y, c in cls
+            ]
+            yield from _stage(batches, reverse)
+
+    return stages()
 
 
 # ---------------------------------------------------------------------------
@@ -154,36 +158,41 @@ def _check_exponent(r: int, m: int) -> None:
         raise ExponentOutOfRange(f"exponent r={r} outside 0..{m}")
 
 
-def _mult_circuit(rep: Rep) -> Circuit:
+def mult_netlist(rep: Rep) -> Netlist:
+    """The general product on 3w wires as registers and streamed batches."""
     w = rep.width
-    gates = flat_gates(mult_batches(rep, 0, w, 2 * w))
-    return Circuit(3 * w, gates, {"input_a": (0, w), "input_b": (w, w), "output": (2 * w, w)})
+    registers = {"input_a": (0, w), "input_b": (w, w), "output": (2 * w, w)}
+    return Netlist(3 * w, registers, mult_batches(rep, 0, w, 2 * w))
 
 
-def _self_mult_circuit(rep: Rep, r: int) -> Circuit:
+def self_mult_netlist(rep: Rep, r: int) -> Netlist:
+    """a * a^(2^r) on 2w wires as registers and streamed batches."""
     w = rep.width
-    gates = flat_gates(self_mult_batches(rep, r, 0, w))
-    return Circuit(2 * w, gates, {"input": (0, w), "output": (w, w)})
+    return Netlist(2 * w, {"input": (0, w), "output": (w, w)}, self_mult_batches(rep, r, 0, w))
+
+
+def _circuit(netlist: Netlist) -> Circuit:
+    return Circuit(netlist.width, netlist.gates, netlist.registers)
 
 
 def synth_gbb_mult(m: int) -> Circuit:
     """Ghost-bit product on 3(m+1) wires: (m+1)^2 Toffolis in m+1 layers."""
-    return _mult_circuit(GhostBit(m))
+    return _circuit(mult_netlist(GhostBit(m)))
 
 
 def synth_gbb_self_mult(m: int, r: int) -> Circuit:
     """Ghost-bit a * a^(2^r) on 2(m+1) wires; depth 2(m+1) in the generic
     case, depth 1 when the power collapses to a squaring (r in {0, m})."""
-    return _self_mult_circuit(GhostBit(m), r)
+    return _circuit(self_mult_netlist(GhostBit(m), r))
 
 
 def synth_gnb_mult(params: GnbParams) -> Circuit:
     """Normal-basis product on 3m wires: Tm^2 - m Toffolis in Tm - 1 layers
     (T = t rounded up to even)."""
-    return _mult_circuit(Gnb(params.m, params))
+    return _circuit(mult_netlist(Gnb(params.m, params)))
 
 
 def synth_gnb_self_mult(params: GnbParams, r: int) -> Circuit:
     """Normal-basis a * a^(2^r) on 2m wires; stage depth follows the coset
     structure of each stage's index delta (1, 2 or 3 layers per stage)."""
-    return _self_mult_circuit(Gnb(params.m, params), r)
+    return _circuit(self_mult_netlist(Gnb(params.m, params), r))

@@ -1,4 +1,4 @@
-"""Reversible-circuit container: gates, scheduling, resources, simulation."""
+"""Reversible-circuit container: gates, depth, resources, simulation."""
 
 import random
 
@@ -15,7 +15,6 @@ from gf2synth.circuits import (
     register_value,
     resources,
     run_packed,
-    schedule,
     simulate,
     toffoli,
 )
@@ -61,25 +60,6 @@ def test_depth_greedy_layering():
     assert depths(Circuit(3, (cnot(0, 1), cnot(1, 2)))) == (2, 0)
     # control reuse also serializes under the unit-cost model
     assert depths(Circuit(3, (cnot(0, 1), cnot(0, 2)))) == (2, 0)
-
-
-def test_schedule_layers_partition_gates():
-    rng = random.Random(17)
-    gates = []
-    for _ in range(60):
-        a, b, t = rng.sample(range(8), 3)
-        gates.append(toffoli(a, b, t) if rng.random() < 0.5 else cnot(a, t))
-    c = Circuit(8, tuple(gates))
-    layers = schedule(c)
-    flat = [g for layer in layers for g in layer]
-    assert sorted(flat) == sorted(gates)
-    assert len(layers) == resources(c).depth
-    for layer in layers:
-        used = set()
-        for g in layer:
-            w = set(g)
-            assert not (w & used)
-            used |= w
 
 
 def test_resources_counts():

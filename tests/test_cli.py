@@ -3,7 +3,7 @@
 import pytest
 
 from gf2synth import cli
-from gf2synth.circuits import Circuit, emit, parse, toffoli
+from gf2synth.circuits import Circuit, emit, measure_stream, parse, read_netlist, toffoli
 from gf2synth.cli import main, verify_kind
 from gf2synth.fields import FieldSpec
 
@@ -76,8 +76,33 @@ def test_synth_writes_parseable_netlist(capsys, tmp_path):
     c = parse(path.read_text())
     assert c.width == 15
     assert set(c.registers) == {"input_a", "input_b", "output"}
-    # the summary is computed from the file just written
     assert "toffoli=25" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("add", "-m", "4", "--rep", "gbb"),
+        ("add", "-m", "5", "--rep", "gnb"),
+        ("mult", "-m", "4", "--rep", "gbb"),
+        ("mult", "-m", "5", "--rep", "gnb"),
+        ("selfmult", "-m", "4", "--rep", "gbb", "-r", "2"),
+        ("selfmult", "-m", "5", "--rep", "gnb", "-r", "1"),
+        ("invert", "-m", "4", "--rep", "gbb"),
+        ("invert", "-m", "5", "--rep", "gnb"),
+    ],
+)
+def test_synth_out_summary_describes_the_file(argv, capsys, tmp_path):
+    path = tmp_path / "netlist.qc"
+    code, out, _ = run(capsys, "synth", *argv, "--out", str(path))
+    assert code == 0
+    with open(path) as fh:
+        written = read_netlist(fh)
+        expected = measure_stream(written.width, written.batches).summary_lines()
+    assert out.splitlines()[-len(expected):] == expected
+    assert out.splitlines()[-len(expected) - 1] == f"out={path}"
+    # and the same summary without --out
+    assert run(capsys, "synth", *argv)[1].splitlines()[-len(expected):] == expected
 
 
 def test_synth_deterministic_bytes(capsys, tmp_path):
@@ -91,6 +116,24 @@ def test_synth_selfmult_needs_exponent(capsys):
     code, _, err = run(capsys, "synth", "selfmult", "-m", "4", "--rep", "gbb")
     assert code == 2
     assert "-r" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("selfmult", "-m", "4", "--rep", "gbb", "-r", "9"),
+        ("selfmult", "-m", "5", "--rep", "gnb", "-r", "-1"),
+        ("selfmult", "-m", "4", "--rep", "gbb"),
+        ("invert", "-m", "2", "--rep", "gbb"),
+        ("mult", "-m", "5", "--rep", "gbb"),
+    ],
+)
+def test_synth_domain_error_opens_no_file(argv, capsys, tmp_path):
+    path = tmp_path / "F"
+    code, out, err = run(capsys, "synth", *argv, "--out", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+    assert not path.exists()
 
 
 def test_synth_t_rejected_for_ghost(capsys):

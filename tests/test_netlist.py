@@ -285,6 +285,39 @@ def test_emit_table_stays_bounded_at_a_huge_width(monkeypatch):
     assert [len(table) for table in CountedTable.made] == [circuits.NAME_TABLE_SIZE]
 
 
+HUGE_LINE = 1 << 22  # characters of the one long comment line below
+
+
+@pytest.mark.parametrize(
+    "text,outcome",
+    [
+        pytest.param("#" + "x" * (HUGE_LINE - 1), 1, id="alone-without-newline"),
+        pytest.param("qubits 2\n#" + "x" * HUGE_LINE, [], id="in-the-header"),
+        pytest.param(
+            "qubits 2\ncx 0 1\n#" + "x" * HUGE_LINE + "\ncx 1 0\n",
+            [cnot(0, 1), cnot(1, 0)],
+            id="between-gates",
+        ),
+    ],
+)
+def test_a_huge_comment_line_is_held_about_once(text, outcome, tmp_path):
+    path = tmp_path / "huge.qc"
+    path.write_text(text)
+    tracemalloc.start()
+    try:
+        with open(path) as fh:
+            try:
+                got = list(read_netlist(fh).gates)
+            except ParseError as e:
+                got = e.line
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == outcome
+    # joining the line's reads needs the reads and the line at once; no more
+    assert peak < 2.25 * HUGE_LINE
+
+
 def test_parse_normalizes_toffoli_controls():
     c = parse("qubits 3\nccx 2 0 1\n")
     assert c.gates == (toffoli(0, 2, 1),)
