@@ -60,11 +60,15 @@ flat sequence back into batches.
 Simulation is bit-sliced: one Python int per wire, bit b of that int holding
 wire's value for input pattern b, so a whole batch of inputs costs a single
 pass over the gates. There is one route: ``pack_patterns`` builds the state,
-``run_packed`` applies the gates and ``register_value`` reads a pattern
-back. ``verify`` drives it register by register; ``simulate`` runs it on a
-``Circuit``'s gates, cut by ``gate_runs``, with whole-width ints (bit w is
-wire w) in and out. T-gate figures use the standard 7 T / T-depth 6
-decomposition of the Toffoli.
+``run_packed`` applies the gates and ``register_values`` reads every
+pattern's value of a register back. The two ends are bit-matrix transposes
+at C speed, PACK_SLICE patterns at a time: patterns (or wire ints) become
+fixed-width binary strings, ``zip`` turns their columns out, and
+``int(column, 2)`` reads each column, so no loop runs per (pattern, bit)
+pair. ``verify`` drives the route register by register; ``simulate`` runs
+it on a ``Circuit``'s gates, cut by ``gate_runs``, with whole-width ints
+(bit w is wire w) in and out. T-gate figures use the standard 7 T /
+T-depth 6 decomposition of the Toffoli.
 """
 
 from __future__ import annotations
@@ -107,6 +111,9 @@ READ_SIZE = 1 << 12
 # Entries a wire-name table stores before it converts without storing: a
 # table grows only with the distinct wires it sees, never with the width.
 NAME_TABLE_SIZE = 1 << 14
+# Patterns packed or read back per transpose: one slice's binary strings are
+# held at a time, however many patterns a batch has.
+PACK_SLICE = 1 << 12
 
 T_PER_TOFFOLI = 7
 T_DEPTH_PER_TOFFOLI = 6
@@ -272,9 +279,13 @@ def gate_runs(gates: Iterable[Gate]) -> Iterator[Batch]:
 
 
 def flat_gates(batches: Iterable[Batch]) -> Iterator[Gate]:
-    """The flat view of column batches: their gates in order, as tuples."""
+    """The flat view of column batches: their gates in order, as Cnot and
+    Toffoli tuples, each built in C by ``_new`` from its zipped columns."""
     for a, b, t in batches:
-        yield from map(Cnot, a, t) if b is None else map(Toffoli, a, b, t)
+        if b is None:
+            yield from map(_new, repeat(Cnot), zip(a, t))
+        else:
+            yield from map(_new, repeat(Toffoli), zip(a, b, t))
 
 
 def _peek_flat(stream: Iterable[Union[Batch, Gate]]) -> tuple[bool, Iterator]:
@@ -363,22 +374,43 @@ def run_packed(batches: Iterable[Batch], state: list[int]) -> list[int]:
 
 
 def pack_patterns(width: int, wires: Sequence[int], patterns: Iterable[int]) -> list[int]:
-    """Bit-sliced state for a batch: bit i of patterns[b] sits on wire
-    wires[i] in pattern slot b; every other wire is zero."""
+    """Bit-sliced state for a batch: bit i of the b-th pattern sits on wire
+    wires[i] in pattern slot b; every other wire, and every pattern bit at or
+    above len(wires), is zero. Built by transpose, PACK_SLICE patterns at a
+    time: each pattern of a slice becomes a fixed-width binary string, the
+    strings' columns are zipped out, and each column is one
+    ``int(column, 2)`` ORed in at the slice's offset."""
     state = [0] * width
-    for b, pat in enumerate(patterns):
-        for i, wire in enumerate(wires):
-            if (pat >> i) & 1:
-                state[wire] |= 1 << b
+    n = len(wires)
+    mask = (1 << n) - 1
+    row = f"{{:0{n}b}}".format
+    top_first = list(reversed(wires))  # a row's first character is its top bit
+    items = iter(patterns)
+    offset = 0
+    while chunk := list(islice(items, PACK_SLICE)):
+        # last pattern first, so that each column's string reads slot k-1 down to 0
+        rows = [row(pat & mask) for pat in reversed(chunk)]
+        for wire, column in zip(top_first, map("".join, zip(*rows))):
+            state[wire] |= int(column, 2) << offset
+        offset += len(chunk)
     return state
 
 
-def register_value(state: Sequence[int], b: int, start: int, length: int) -> int:
-    """Pattern b's value of the register on wires start..start+length-1."""
-    v = 0
-    for i in range(length):
-        v |= ((state[start + i] >> b) & 1) << i
-    return v
+def register_values(state: Sequence[int], count: int, start: int, length: int) -> list[int]:
+    """Every pattern's value of the register on wires start..start+length-1,
+    for patterns 0..count-1: the transpose of ``pack_patterns``, read
+    PACK_SLICE patterns at a time."""
+    wires = range(start + length - 1, start - 1, -1)  # top bit first
+    values: list[int] = []
+    for offset in range(0, count, PACK_SLICE):
+        k = min(PACK_SLICE, count - offset)
+        mask = (1 << k) - 1
+        row = f"{{:0{k}b}}".format
+        # each wire's string reads slot offset+k-1 down to offset, so its
+        # columns come out last pattern first
+        rows = [row(state[w] >> offset & mask) for w in wires]
+        values += reversed([int(s, 2) for s in map("".join, zip(*rows))])
+    return values
 
 
 def simulate(c: Circuit, inputs: Sequence[int]) -> list[int]:
@@ -389,7 +421,7 @@ def simulate(c: Circuit, inputs: Sequence[int]) -> list[int]:
         if not 0 <= v < 1 << c.width:
             raise ValueError(f"input {v!r} outside 0..2^{c.width} - 1")
     state = run_packed(gate_runs(c.gates), pack_patterns(c.width, range(c.width), inputs))
-    return [register_value(state, b, 0, c.width) for b in range(len(inputs))]
+    return register_values(state, len(inputs), 0, c.width)
 
 
 # ---------------------------------------------------------------------------

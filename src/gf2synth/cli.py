@@ -53,7 +53,7 @@ from .circuits import (  # noqa: F401  (parse is kept for the benchmark tracer)
     pack_patterns,
     parse,
     read_netlist,
-    register_value,
+    register_values,
     run_packed,
     validated_batches,
     validated_registers,
@@ -73,6 +73,7 @@ from .inverters import (  # noqa: F401  (synth_inverter is kept for the benchmar
     synth_inverter,
 )
 from .multipliers import (  # noqa: F401  (synth_g*_* are kept for the benchmark tracer)
+    check_exponent,
     mult_netlist,
     self_mult_netlist,
     synth_add,
@@ -250,6 +251,8 @@ def verify_kind(
         patterns = None
         used_seed = None
 
+    if kind == "selfmult":
+        check_exponent(r, spec.m)  # a netlist file does not carry its exponent
     # The positional layout is part of the netlist contract, so verification
     # derives spans from the spec, not the file.
     if netlist is not None and netlist.width != row.width:
@@ -272,9 +275,9 @@ def verify_kind(
         for wire in range(start, start + length):
             if state[wire] != 0:
                 return fail(f"ancilla wire {wire} not returned to zero")
-    for b in range(count):
-        pattern = b if patterns is None else patterns[b]
-        problem = row.check(pattern, register_value(state, b, row.output, spec.width))
+    outputs = register_values(state, count, row.output, spec.width)
+    for pattern, got in zip(range(count) if patterns is None else patterns, outputs):
+        problem = row.check(pattern, got)
         if problem:
             return fail(problem)
     return VerifyResult(True, count, mode, used_seed)

@@ -72,12 +72,23 @@ def gf2_ext_gcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def gf2_inv_mod(a: int, mod: int) -> int:
-    """Multiplicative inverse of a modulo `mod`; a must be a unit."""
-    a = gf2_mod(a, mod)
-    g, s, _ = gf2_ext_gcd(a, mod)
-    if g != 1:
-        raise ZeroDivisionError("element is not invertible modulo the given polynomial")
-    return gf2_mod(s, mod)
+    """Multiplicative inverse of a modulo `mod`; a must be a unit. The
+    shift-and-add extended Euclid (Hankerson, Menezes and Vanstone, Guide to
+    Elliptic Curve Cryptography, Alg. 2.48): g1 * a == u and g2 * a == v
+    modulo `mod` throughout, and each step cancels u's leading term with v
+    shifted, so no quotient is formed. Raises ZeroDivisionError when u
+    reaches 0, that is when a shares a factor with `mod`."""
+    u, v = gf2_mod(a, mod), mod
+    g1, g2 = 1, 0
+    while u != 1:
+        if not u:
+            raise ZeroDivisionError("element is not invertible modulo the given polynomial")
+        j = u.bit_length() - v.bit_length()
+        if j < 0:
+            u, v, g1, g2, j = v, u, g2, g1, -j
+        u ^= v << j
+        g1 ^= g2 << j
+    return g1
 
 
 def gf2_is_irreducible(f: int) -> bool:

@@ -119,7 +119,7 @@ def self_mult_batches(
     class, one batch per run of one gate kind. The exponent must lie in
     0..m, checked at the call. With ``reverse`` the inverse block: stages
     last-first, each stage's batches last-first, columns reversed."""
-    _check_exponent(r, rep.m)
+    check_exponent(r, rep.m)
     n = rep.width
     validated_registers({"a": (a0, n), "c": (c0, n)}, UNBOUNDED)  # the precondition
     a = _wires(a0, range(n)).__getitem__
@@ -153,7 +153,10 @@ def synth_add(width: int) -> Circuit:
     )
 
 
-def _check_exponent(r: int, m: int) -> None:
+def check_exponent(r: int, m: int) -> None:
+    """The self-power exponent's range, 0..m: the one check of it, which
+    ``self_mult_batches`` runs at its call and ``cli.verify_kind`` runs
+    before it draws a netlist, since a netlist file does not carry r."""
     if not 0 <= r <= m:
         raise ExponentOutOfRange(f"exponent r={r} outside 0..{m}")
 

@@ -7,12 +7,14 @@ import pytest
 from gf2synth.circuits import (
     Circuit,
     Cnot,
+    PACK_SLICE,
     Toffoli,
     cnot,
+    flat_gates,
     gate_runs,
     measure_stream,
     pack_patterns,
-    register_value,
+    register_values,
     resources,
     run_packed,
     simulate,
@@ -142,10 +144,51 @@ def test_pack_unpack_roundtrip():
     patterns = [0b101, 0b110, 0b011]
     state = pack_patterns(3, range(3), patterns)
     assert state == [0b101, 0b110, 0b011]  # wire w packs bit w of every pattern
-    assert [register_value(state, b, 0, 3) for b in range(3)] == patterns
+    assert register_values(state, 3, 0, 3) == patterns
     # a register elsewhere in a wider state reads back the same values
     state = pack_patterns(5, [2, 3, 4], patterns)
-    assert [register_value(state, b, 2, 3) for b in range(3)] == patterns
+    assert register_values(state, 3, 2, 3) == patterns
+
+
+def reference_pack(width, wires, patterns):
+    """Bit i of patterns[b] on wire wires[i] in slot b, one bit at a time."""
+    state = [0] * width
+    for b, pat in enumerate(patterns):
+        for i, wire in enumerate(wires):
+            if (pat >> i) & 1:
+                state[wire] |= 1 << b
+    return state
+
+
+def reference_values(state, count, start, length):
+    """Each pattern's register value, one bit at a time."""
+    return [
+        sum(((state[start + i] >> b) & 1) << i for i in range(length)) for b in range(count)
+    ]
+
+
+@pytest.mark.parametrize("count", [0, 1, 37, PACK_SLICE + 1])
+def test_transpose_pack_and_read_back_match_the_bitwise_reference(count):
+    rng = random.Random(count)
+    wires = [9, 2, 14, 5, 11]  # unsorted, with gaps
+    # bits at or above len(wires) are ignored
+    patterns = [rng.getrandbits(len(wires) + 3) for _ in range(count)]
+    state = pack_patterns(16, wires, patterns)
+    assert state == reference_pack(16, wires, patterns)
+    assert register_values(state, count, 0, 16) == reference_values(state, count, 0, 16)
+    # a register not at wire 0 reads its packed values back
+    state = pack_patterns(16, range(4, 4 + len(wires)), patterns)
+    mask = (1 << len(wires)) - 1
+    assert register_values(state, count, 4, len(wires)) == [p & mask for p in patterns]
+    assert register_values(state, count, 3, 7) == reference_values(state, count, 3, 7)
+
+
+def test_flat_gates_builds_the_gate_types():
+    batches = [([0, 1], [2, 3], [4, 5]), ([6], None, [7]), ([], None, [])]
+    flat = list(flat_gates(batches))
+    assert flat == [*map(Toffoli, [0, 1], [2, 3], [4, 5]), *map(Cnot, [6], [7])]
+    assert [type(g) for g in flat] == [Toffoli, Toffoli, Cnot]
+    assert flat[0].target == 4 and flat[2].control == 6
 
 
 def test_run_packed_patterns():

@@ -213,6 +213,18 @@ def test_verify_selfmult_exponent_range(capsys):
         assert err == "error: exponent r=5 outside 0..4\n"
 
 
+@pytest.mark.parametrize("r", ["9", "6", "-1"])
+def test_verify_selfmult_in_checks_the_exponent(capsys, tmp_path, r):
+    # a netlist file does not carry r; r=9 is r=1 mod the ghost-bit Frobenius period
+    path = tmp_path / "self1.qc"
+    run(capsys, "synth", "selfmult", "-m", "4", "--rep", "gbb", "-r", "1", "--out", str(path))
+    code, out, err = run(
+        capsys, "verify", "selfmult", "-m", "4", "--rep", "gbb", "-r", r, "--in", str(path)
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: exponent r={r} outside 0..4\n"
+
+
 def test_verify_random_cap(capsys):
     code, out, err = run(
         capsys, "verify", "add", "-m", "4", "--rep", "gbb", "--random", str((1 << 20) + 1)

@@ -1,6 +1,7 @@
 """Polynomial arithmetic over GF(2) on bit-packed ints."""
 
 import random
+import signal
 
 import pytest
 
@@ -64,6 +65,45 @@ def test_inv_mod():
         assert gf2_mulmod(a, inv, f) == 1
     with pytest.raises(ZeroDivisionError):
         gf2_inv_mod(0, f)
+
+
+def reference_inverse(a, f):
+    """The inverse by the quotient-forming extended Euclid."""
+    g, s, _ = gf2_ext_gcd(a, f)
+    assert g == 1
+    return gf2_divmod(s, f)[1]
+
+
+@pytest.mark.parametrize("m", [4, 10, 12])
+def test_inv_mod_agrees_with_ext_gcd_on_every_element(m):
+    f = all_one_poly(m)
+    for a in range(1, 1 << m):
+        assert gf2_inv_mod(a, f) == reference_inverse(a, f)
+
+
+def test_inv_mod_agrees_with_ext_gcd_at_m178():
+    f = all_one_poly(178)
+    rng = random.Random(178)
+    for _ in range(500):
+        a = rng.getrandbits(178) or 1
+        assert gf2_inv_mod(a, f) == reference_inverse(a, f)
+
+
+def test_inv_mod_of_a_non_unit_raises_promptly():
+    def too_slow(signum, frame):
+        raise TimeoutError("gf2_inv_mod did not return")
+
+    f = gf2_mul(0b11, 0b111)  # (x + 1)(x^2 + x + 1), reducible
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.setitimer(signal.ITIMER_REAL, 2.0)
+    try:
+        for a in (0b11, 0b111, gf2_mul(0b11, 0b11)):  # x + 1, x^2 + x + 1, (x + 1)^2
+            with pytest.raises(ZeroDivisionError):
+                gf2_inv_mod(a, f)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert gf2_mulmod(0b10, gf2_inv_mod(0b10, f), f) == 1  # x is a unit
 
 
 def test_irreducibility_small():
