@@ -60,14 +60,15 @@ flat sequence back into batches.
 Simulation is bit-sliced: one Python int per wire, bit b of that int holding
 wire's value for input pattern b, so a whole batch of inputs costs a single
 pass over the gates. There is one route: ``pack_patterns`` builds the state,
-``run_packed`` applies the gates and ``register_values`` reads every
-pattern's value of a register back. The two ends are bit-matrix transposes
-at C speed, PACK_SLICE patterns at a time: patterns (or wire ints) become
-fixed-width binary strings, ``zip`` turns their columns out, and
-``int(column, 2)`` reads each column, so no loop runs per (pattern, bit)
-pair. ``verify`` drives the route register by register; ``simulate`` runs
-it on a ``Circuit``'s gates, cut by ``gate_runs``, with whole-width ints
-(bit w is wire w) in and out. T-gate figures use the standard 7 T /
+``run_packed`` applies the gates and ``register_values`` reads the
+patterns' values of a register back, from any pattern on. The two ends are
+bit-matrix transposes at C speed, PACK_SLICE patterns at a time: patterns
+(or wire ints) become fixed-width binary strings, ``zip`` turns their
+columns out, and ``int(column, 2)`` reads each column, so no loop runs per
+(pattern, bit) pair. ``verify`` checks the packed state itself and reads
+back only its first failing pattern (or, for the ghost-bit inverse, one
+slice at a time); ``simulate`` runs the route on a ``Circuit``'s gates, cut
+by ``gate_runs``, with whole-width ints (bit w is wire w) in and out. T-gate figures use the standard 7 T /
 T-depth 6 decomposition of the Toffoli.
 """
 
@@ -396,14 +397,17 @@ def pack_patterns(width: int, wires: Sequence[int], patterns: Iterable[int]) -> 
     return state
 
 
-def register_values(state: Sequence[int], count: int, start: int, length: int) -> list[int]:
+def register_values(
+    state: Sequence[int], count: int, start: int, length: int, first: int = 0
+) -> list[int]:
     """Every pattern's value of the register on wires start..start+length-1,
-    for patterns 0..count-1: the transpose of ``pack_patterns``, read
-    PACK_SLICE patterns at a time."""
+    for patterns first..first+count-1: the transpose of ``pack_patterns``,
+    read PACK_SLICE patterns at a time."""
     wires = range(start + length - 1, start - 1, -1)  # top bit first
     values: list[int] = []
-    for offset in range(0, count, PACK_SLICE):
-        k = min(PACK_SLICE, count - offset)
+    end = first + count
+    for offset in range(first, end, PACK_SLICE):
+        k = min(PACK_SLICE, end - offset)
         mask = (1 << k) - 1
         row = f"{{:0{k}b}}".format
         # each wire's string reads slot offset+k-1 down to offset, so its

@@ -10,12 +10,16 @@ Commands
   with ``--out`` into the file first, one string per batch, in the same
   pass, so the printed numbers describe exactly what was written and
   neither the circuit nor the file is ever held whole.
-* ``verify {add|mult|selfmult|invert}``: simulate a synthesized (or, with
+* ``verify {add|mult|selfmult|invert}``: check a synthesized (or, with
   ``--in``, previously emitted) netlist against the classical field oracles,
-  exhaustively or on seeded random samples. The simulator, ``run_packed``,
-  takes column batches only: ``--in`` streams the file's batches from
-  ``read_netlist``; without it mult and selfmult simulate the multiplier
-  cores' batches, and add and invert their flat gates cut by ``gate_runs``.
+  exhaustively or on seeded random samples (``--seed`` is non-negative).
+  The route is pack, run, packed oracle, XOR: every pattern is packed into
+  one bit-sliced state and simulated in one pass, and the output wires are
+  XORed with the packed oracle's wires for the same patterns, so a pass
+  reads nothing back. The simulator, ``run_packed``, takes column batches
+  only: ``--in`` streams the file's batches from ``read_netlist``; without
+  it mult and selfmult simulate the multiplier cores' batches, and add and
+  invert their flat gates cut by ``gate_runs``.
 * ``table``: measured depth/gates next to the closed-form bounds for a list
   of degrees, plus the asymptotic comparison against a polynomial basis.
 
@@ -25,8 +29,10 @@ representation. ``synth_circuit`` is the kind table: for each kind it gives
 the width, the register map and the column batches, which ``synth``,
 ``verify`` and ``table`` all draw from. ``verify_kind`` is a single path
 driven by a per-kind table row: input bits, kept wires, ancilla spans that
-must return to zero, output span, and the check with its counterexample
-text.
+must return to zero, output span, the packed check, and the same check on
+one pattern, which words the counterexample of the first failing pattern.
+The ghost-bit inverse has no packed form; its row scans the patterns with
+extended Euclid, reading the output back one PACK_SLICE at a time.
 
 Exit codes: 0 success / verification passed, 1 verification failed,
 2 domain error (unsupported degree, bad parameters, bad usage) or out of
@@ -41,10 +47,13 @@ import sys
 from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial, reduce
 from itertools import islice, tee
-from typing import Callable, Iterable, Iterator, Optional, TextIO
+from operator import or_, xor
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO
 
 from .circuits import (  # noqa: F401  (parse is kept for the benchmark tracer)
+    PACK_SLICE,
     Batch,
     Netlist,
     emit_lines,
@@ -136,7 +145,14 @@ def _bitstr(v: int, n: int) -> str:
 
 @dataclass(frozen=True)
 class _Row:
-    """One row of the verification table; spans are (start, length)."""
+    """One row of the verification table; spans are (start, length).
+
+    ``misses`` gets the packed input bits (as packed, before the gates ran),
+    the packed output register and the patterns, and returns an int whose
+    lowest set bit is the first pattern that fails (0 if none does).
+    ``check`` is the same check on one pattern and its output, and words
+    the counterexample.
+    """
 
     nbits: int  # simulated input bits, on wires 0..nbits-1
     width: int  # wires the circuit must have
@@ -146,6 +162,7 @@ class _Row:
     kept_label: str  # how a counterexample names a wire of that span
     ancillas: tuple[tuple[int, int], ...]  # spans that must return to zero
     output: int  # first wire of the register-wide output
+    misses: Callable[[list[int], list[int], Sequence[int]], int]  # (inputs, outputs, patterns)
     check: Callable[[int, int], Optional[str]]  # (pattern, output) -> counterexample
 
 
@@ -165,6 +182,34 @@ def _register_check(w: int, n_in: int, expected: Callable[..., int]):
     return check
 
 
+def _register_misses(w: int, n_in: int, expected: Callable[..., Iterable[int]]):
+    """``_register_check`` on every pattern at once: the output wires XOR
+    ``expected`` of the operands' packed wires, ORed together."""
+
+    def misses(inputs: list[int], outputs: list[int], patterns: Sequence[int]) -> int:
+        ops = [inputs[i * w : (i + 1) * w] for i in range(n_in)]
+        return reduce(or_, map(xor, expected(*ops), outputs), 0)
+
+    return misses
+
+
+def _scan_misses(check: Callable[[int, int], Optional[str]]):
+    """Misses found by ``check`` pattern by pattern, reading the output back
+    one PACK_SLICE at a time; stops at the first."""
+
+    def misses(inputs: list[int], outputs: list[int], patterns: Sequence[int]) -> int:
+        w = len(outputs)
+        for first in range(0, len(patterns), PACK_SLICE):
+            chunk = patterns[first : first + PACK_SLICE]
+            values = register_values(outputs, len(chunk), 0, w, first)
+            for b, (pattern, got) in enumerate(zip(chunk, values), first):
+                if check(pattern, got):
+                    return 1 << b
+        return 0
+
+    return misses
+
+
 def _verify_row(spec: FieldSpec, kind: str, r: Optional[int]) -> _Row:
     """The verification table, one row per kind. Every kind is checked on
     raw register patterns; an invert input may be either ghost-bit
@@ -180,24 +225,33 @@ def _verify_row(spec: FieldSpec, kind: str, r: Optional[int]) -> _Row:
                 return None
             return f"input={_bitstr(v, w)} output={_bitstr(got, w)}"
 
+        scan = _scan_misses(inverse)
+
+        def misses(inputs: list[int], outputs: list[int], patterns: Sequence[int]) -> int:
+            packed = rep.packed_inverse_misses(inputs, outputs)
+            return scan(inputs, outputs, patterns) if packed is None else packed
+
         # inverter_gates, not inverter_batches: the benchmark tracer times generation there only
         return _Row(
             nbits=w, width=s.width, name="inverter",
             batches=lambda: gate_runs(inverter_gates(spec)),
             kept=regs["input"], kept_label="input wire", ancillas=ancillas,
-            output=regs["output"][0], check=inverse,
+            output=regs["output"][0], misses=misses, check=inverse,
         )
-    # (operands, wires kept = first output wire, expected output)
-    n_in, out, expected = {
-        "add": (2, w, lambda a, b: a ^ b),
-        "mult": (2, 2 * w, rep.mult),
-        "selfmult": (1, w, lambda a: rep.mult(a, rep.frobenius(a, r))),
+    # (operands, wires kept = first output wire, expected output, packed expected output)
+    n_in, out, expected, packed = {
+        "add": (2, w, lambda a, b: a ^ b, partial(map, xor)),
+        "mult": (2, 2 * w, rep.mult, rep.packed_mult),
+        "selfmult": (
+            1, w, lambda a: rep.mult(a, rep.frobenius(a, r)),
+            lambda a: rep.packed_mult(a, rep.packed_frobenius(a, r)),
+        ),
     }[kind]
     return _Row(
         nbits=n_in * w, width=out + w, name=kind,
         batches=lambda: synth_circuit(spec, kind, r).batches,
         kept=(0, out), kept_label="wire", ancillas=(), output=out,
-        check=_register_check(w, n_in, expected),
+        misses=_register_misses(w, n_in, packed), check=_register_check(w, n_in, expected),
     )
 
 
@@ -220,7 +274,15 @@ def verify_kind(
     extended Euclid in the polynomial basis for ghost-bit,
     product-equals-identity for the normal basis), the input register is
     preserved, and every ancilla register returns to zero. Random mode
-    draws 1 to 2^20 samples, the exhaustive cap.
+    draws 1 to 2^20 samples, the exhaustive cap, from a non-negative seed.
+
+    All patterns are packed, simulated in one bit-sliced pass and checked
+    at once: the kept and ancilla wires first, then the output against the
+    representation's packed oracle, whose lowest differing bit is the
+    first failing pattern. Only that pattern is read back, and its
+    counterexample comes from the per-pattern oracle. The ghost-bit inverse
+    is checked per pattern by extended Euclid, reading the output back one
+    PACK_SLICE at a time.
 
     ``netlist`` (a ``read_netlist`` stream, or anything else with a width
     and column batches) is checked in place of the synthesized gates; its
@@ -244,6 +306,8 @@ def verify_kind(
             f"exhaustive mode needs 2^{nbits} simulated inputs; the cap is 2^20"
         )
     if mode == "random":
+        if seed < 0:
+            raise ValueError(f"the seed must be non-negative, got {seed}")
         rng = random.Random(seed)
         patterns: Optional[list[int]] = [rng.getrandbits(nbits) for _ in range(samples)]
         used_seed: Optional[int] = seed
@@ -261,6 +325,7 @@ def verify_kind(
     batches = row.batches() if netlist is None else netlist.batches
 
     state, count = _pack_patterns(row.width, list(range(nbits)), patterns, nbits)
+    inputs = state[:nbits]
     kept_start, kept_length = row.kept
     before = state[kept_start : kept_start + kept_length]
     run_packed(batches, state)
@@ -275,11 +340,16 @@ def verify_kind(
         for wire in range(start, start + length):
             if state[wire] != 0:
                 return fail(f"ancilla wire {wire} not returned to zero")
-    outputs = register_values(state, count, row.output, spec.width)
-    for pattern, got in zip(range(count) if patterns is None else patterns, outputs):
-        problem = row.check(pattern, got)
-        if problem:
-            return fail(problem)
+    tested = range(count) if patterns is None else patterns
+    outputs = state[row.output : row.output + spec.width]
+    misses = row.misses(inputs, outputs, tested)
+    if misses:
+        first = (misses & -misses).bit_length() - 1
+        (got,) = register_values(outputs, 1, 0, spec.width, first)
+        problem = row.check(tested[first], got)
+        if problem is None:
+            raise RuntimeError(f"packed and per-pattern oracles disagree on pattern {first}")
+        return fail(problem)
     return VerifyResult(True, count, mode, used_seed)
 
 
@@ -467,6 +537,19 @@ def _add_common(p: argparse.ArgumentParser, need_rep: bool) -> None:
     p.add_argument("-t", type=int, default=None, help="normal-basis type override")
 
 
+def _seed(text: str) -> int:
+    """A --seed value: a non-negative int in any base ``int(text, 0)`` reads.
+    ``random.Random`` seeds with the absolute value, so -5 would draw the
+    inputs of 5."""
+    try:
+        seed = int(text, 0)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"the seed must be non-negative, got {text}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="gf2synth",
@@ -495,7 +578,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--random", type=int, default=None, metavar="N", help="sample N inputs")
     p.add_argument(
         "--seed",
-        type=lambda s: int(s, 0),
+        type=_seed,
         default=DEFAULT_SEED,
         help="PRNG seed for random mode (default 0xB10F)",
     )

@@ -32,6 +32,19 @@ description of a self-power multiplier's stages: each ``SelfPowerStage``
 carries its label, index delta (normal basis) and color classes as index
 columns, and nothing rebuilds it from gates.
 
+Each representation object also has the oracles' packed (bit-sliced)
+forms, which check a whole batch of patterns at once in the simulator's
+layout: a packed element is a list of ints, one per coordinate, whose bit b
+is that coordinate in pattern b. ``packed_mult`` is built from the same
+definitions as ``mult`` (the cyclic convolution for ghost-bit, the
+Gauss-period product in F_2[x]/(x^p - 1) for the normal basis), so it reads
+neither the index table nor the stage bases; it yields the product's
+coordinates one at a time, so a caller that folds them holds one at a time.
+``packed_frobenius`` moves coordinates as ``frobenius`` moves the basis
+vectors, and ``packed_inverse_misses`` is the normal basis's
+product-equals-identity check. The ghost-bit inverse has no packed form:
+extended Euclid, per pattern, is its independent check.
+
 ``addition_chain`` owns the Itoh-Tsujii chain: its ``MultiplierBlock``s,
 one per multiplication, are the blocks the inverter synthesizes and the
 steps ``itoh_tsujii_inverse`` and the closed-form bounds read.
@@ -41,9 +54,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import gcd
-from typing import Iterator, NamedTuple, Optional, Union
+from operator import and_, or_, xor
+from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 from .errors import (
     ConstructionFailed,
@@ -142,6 +156,28 @@ def gbb_mult(m: int, a: int, b: int) -> int:
     n = m + 1
     c = gf2_mul(a, b)
     return (c ^ (c >> n)) & ((1 << n) - 1)
+
+
+def gbb_packed_mult(a: Sequence[int], b: Sequence[int]) -> Iterator[int]:
+    """Cyclic convolution of packed coordinates, n = len(a) = len(b):
+    c_k = XOR over i of a_i & b_(k-i mod n), yielded for k = 0..n-1."""
+    n = len(a)
+    back = list(b[::-1]) * 2  # back[n-1-k+i] is b_(k-i mod n)
+    return (reduce(xor, map(and_, a, back[n - 1 - k : 2 * n - 1 - k])) for k in range(n))
+
+
+def _packed_image(columns: Sequence[int], a: Sequence[int], size: int) -> list[int]:
+    """Packed image of a under the F_2-linear map that sends basis vector i to
+    columns[i], an int whose set bits are its coordinates (of ``size``). A
+    coordinate that one wire reaches is that wire's int, not a copy."""
+    out = [0] * size
+    for column, wire in zip(columns, a):
+        while column:
+            low = column & -column
+            k = low.bit_length() - 1
+            out[k] = out[k] ^ wire if out[k] else wire
+            column ^= low
+    return out
 
 
 def poly_inverse(m: int, a: int) -> int:
@@ -302,6 +338,27 @@ def gnb_mult(params: GnbParams, a: int, b: int) -> int:
     c = (c ^ (c >> p)) & ((1 << p) - 1)
     bits = format(c, f"0{p}b")[::-1]
     return sum(1 << i for i, q in enumerate(positions) if bits[q] != bits[0])
+
+
+def gnb_packed_mult(params: GnbParams, a: Sequence[int], b: Sequence[int]) -> Iterator[int]:
+    """``gnb_mult`` on packed coordinates, from the same definitions.
+
+    Each operand is mapped into the p packed coordinates of F_2[x]/(x^p - 1)
+    through the basis images of ``_gauss_period_images``; with C(k) the XOR
+    over e of A_e & B_(k-e mod p), coordinate i of the product is
+    C(2^i mod p) XOR C(0), yielded for i = 0..m-1. Only m, t and p are
+    read, as in ``gnb_mult``.
+    """
+    p = params.p
+    images, positions = _gauss_period_images(params.m, params.t, p)
+    ring_a = _packed_image(images, a, p)
+    back = _packed_image(images, b, p)[::-1] * 2  # back[p-1-k+e] is B_(k-e mod p)
+
+    def coefficient(k: int) -> int:
+        return reduce(xor, map(and_, ring_a, back[p - 1 - k : 2 * p - 1 - k]))
+
+    constant = coefficient(0)
+    return (coefficient(q) ^ constant for q in positions)
 
 
 def gnb_stage_bases(params: GnbParams, second_shift: int = 0) -> list[tuple[str, int, int]]:
@@ -536,6 +593,17 @@ class GhostBit:
     def frobenius(self, a: int, r: int) -> int:
         return gbb_frobenius(self.m, a, r)
 
+    def packed_mult(self, a: Sequence[int], b: Sequence[int]) -> Iterator[int]:
+        return gbb_packed_mult(a, b)
+
+    def packed_frobenius(self, a: Sequence[int], r: int) -> list[int]:
+        return _packed_frobenius(self, a, r)
+
+    def packed_inverse_misses(self, v: Sequence[int], got: Sequence[int]) -> None:
+        """No packed form: the ghost-bit inverse is checked per pattern by
+        extended Euclid (``inverse_ok``), its independent check."""
+        return None
+
     def inverse_ok(self, v: int, got: int) -> bool:
         """Does ``got`` retract to the inverse of what the representative v
         retracts to (extended Euclid; zero maps to zero)? Either
@@ -653,6 +721,20 @@ class Gnb:
             return got == 0
         return self.mult(v, got) == self.identity
 
+    def packed_mult(self, a: Sequence[int], b: Sequence[int]) -> Iterator[int]:
+        return gnb_packed_mult(self.params, a, b)
+
+    def packed_frobenius(self, a: Sequence[int], r: int) -> list[int]:
+        return _packed_frobenius(self, a, r)
+
+    def packed_inverse_misses(self, v: Sequence[int], got: Sequence[int]) -> int:
+        """``inverse_ok`` on packed coordinates: the patterns (as set bits)
+        where v * got is not all ones although v is nonzero, or got is
+        nonzero although v is zero."""
+        nonzero = reduce(or_, v, 0)
+        product = reduce(or_, (c ^ nonzero for c in self.packed_mult(v, got)), 0)
+        return product | reduce(or_, got, 0) & ~nonzero
+
     def read_permutation(self, e: int) -> tuple[int, ...]:
         return gnb_read_perm(self.m, e)
 
@@ -705,6 +787,13 @@ class Gnb:
 
     def inverter_bounds(self) -> ResourceBound:
         return bounds_gnb(self.m, self.t)
+
+
+def _packed_frobenius(rep: Union[GhostBit, Gnb], a: Sequence[int], r: int) -> list[int]:
+    """a^(2^r) on packed coordinates: each coordinate goes where ``frobenius``
+    sends its basis vector."""
+    w = rep.width
+    return _packed_image([rep.frobenius(1 << i, r) for i in range(w)], a, w)
 
 
 _REPRESENTATIONS = {cls.representation: cls for cls in (GhostBit, Gnb)}

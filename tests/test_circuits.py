@@ -183,6 +183,17 @@ def test_transpose_pack_and_read_back_match_the_bitwise_reference(count):
     assert register_values(state, count, 3, 7) == reference_values(state, count, 3, 7)
 
 
+@pytest.mark.parametrize("first", [0, 1, PACK_SLICE - 1, PACK_SLICE + 5])
+def test_read_back_from_a_later_pattern(first):
+    rng = random.Random(first)
+    count = 3 * PACK_SLICE
+    patterns = [rng.getrandbits(9) for _ in range(count)]
+    state = pack_patterns(12, range(2, 11), patterns)
+    for k in (1, 7, PACK_SLICE + 1):
+        assert register_values(state, k, 2, 9, first) == patterns[first : first + k]
+    assert register_values(state, 5, 0, 12, first) == reference_values(state, count, 0, 12)[first : first + 5]
+
+
 def test_flat_gates_builds_the_gate_types():
     batches = [([0, 1], [2, 3], [4, 5]), ([6], None, [7]), ([], None, [])]
     flat = list(flat_gates(batches))

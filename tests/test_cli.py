@@ -196,6 +196,18 @@ def test_verify_random_sample_count(capsys):
     assert "seed=0x5" in out
 
 
+@pytest.mark.parametrize("seed", ["-5", "-1"])
+def test_verify_rejects_a_negative_seed(capsys, seed):
+    # random.Random seeds with the absolute value, so -5 would sample the inputs of 5
+    code, out, err = run(
+        capsys, "verify", "mult", "-m", "4", "--rep", "gbb", "--random", "3", "--seed", seed
+    )
+    assert (code, out) == (2, "")
+    assert f"error: argument --seed: the seed must be non-negative, got {seed}" in err
+    with pytest.raises(ValueError):
+        verify_kind(FieldSpec.ghost_bit(4), "mult", mode="random", samples=3, seed=-5)
+
+
 def test_verify_exhaustive_cap(capsys):
     code, _, err = run(
         capsys, "verify", "selfmult", "-m", "28", "--rep", "gbb", "-r", "1",
