@@ -31,8 +31,6 @@ the width, the register map and the column batches, which ``synth``,
 driven by a per-kind table row: input bits, kept wires, ancilla spans that
 must return to zero, output span, the packed check, and the same check on
 one pattern, which words the counterexample of the first failing pattern.
-The ghost-bit inverse has no packed form; its row scans the patterns with
-extended Euclid, reading the output back one PACK_SLICE at a time.
 
 Exit codes: 0 success / verification passed, 1 verification failed,
 2 domain error (unsupported degree, bad parameters, bad usage) or out of
@@ -50,17 +48,16 @@ from dataclasses import dataclass
 from functools import partial, reduce
 from itertools import islice, tee
 from operator import or_, xor
-from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Optional, TextIO
 
-from .circuits import (  # noqa: F401  (parse is kept for the benchmark tracer)
-    PACK_SLICE,
+from .circuits import parse  # noqa: F401  (kept for the benchmark tracer)
+from .circuits import (
     Batch,
     Netlist,
     emit_lines,
     gate_runs,
     measure_stream,
     pack_patterns,
-    parse,
     read_netlist,
     register_values,
     run_packed,
@@ -75,21 +72,14 @@ from .fields import (
     find_gnb_type,
     make_gnb_params,
 )
-from .inverters import (  # noqa: F401  (synth_inverter is kept for the benchmark tracer)
-    inverter_batches,
-    inverter_gates,
-    inverter_structure,
-    synth_inverter,
-)
-from .multipliers import (  # noqa: F401  (synth_g*_* are kept for the benchmark tracer)
-    check_exponent,
-    mult_netlist,
-    self_mult_netlist,
-    synth_add,
-    synth_gbb_mult,
-    synth_gbb_self_mult,
-    synth_gnb_mult,
-    synth_gnb_self_mult,
+from .inverters import inverter_batches, inverter_gates, inverter_structure
+from .inverters import synth_inverter  # noqa: F401  (kept for the benchmark tracer)
+from .multipliers import check_exponent, mult_netlist, self_mult_netlist, synth_add
+from .multipliers import (  # kept for the benchmark tracer
+    synth_gbb_mult,  # noqa: F401
+    synth_gbb_self_mult,  # noqa: F401
+    synth_gnb_mult,  # noqa: F401
+    synth_gnb_self_mult,  # noqa: F401
 )
 
 DEFAULT_SEED = 0xB10F
@@ -97,6 +87,7 @@ DEFAULT_SAMPLES = 100
 EXHAUSTIVE_CAP = 1 << 20
 
 KINDS = ("add", "mult", "selfmult", "invert")
+MODES = ("auto", "exhaustive", "random")
 
 
 # ---------------------------------------------------------------------------
@@ -123,19 +114,17 @@ def _exhaustive_wire_pattern(bit: int, count: int) -> int:
     return block & ((1 << count) - 1)
 
 
-def _pack_patterns(
-    width: int, input_wires: list[int], patterns: Optional[list[int]], nbits: int
-) -> tuple[list[int], int]:
-    """Bit-sliced state for a batch: wire input_wires[i] carries pattern bit i.
+def _pack_patterns(width: int, patterns: Optional[list[int]], nbits: int) -> tuple[list[int], int]:
+    """Bit-sliced state for a batch: wire i carries pattern bit i, i < nbits.
 
     ``patterns=None`` means all 2^nbits patterns in order.
     """
     if patterns is not None:
-        return pack_patterns(width, input_wires, patterns), len(patterns)
+        return pack_patterns(width, range(nbits), patterns), len(patterns)
     count = 1 << nbits
     state = [0] * width
-    for i, wire in enumerate(input_wires):
-        state[wire] = _exhaustive_wire_pattern(i, count)
+    for i in range(nbits):
+        state[i] = _exhaustive_wire_pattern(i, count)
     return state, count
 
 
@@ -147,9 +136,9 @@ def _bitstr(v: int, n: int) -> str:
 class _Row:
     """One row of the verification table; spans are (start, length).
 
-    ``misses`` gets the packed input bits (as packed, before the gates ran),
-    the packed output register and the patterns, and returns an int whose
-    lowest set bit is the first pattern that fails (0 if none does).
+    ``misses`` gets the packed input bits (as packed, before the gates ran)
+    and the packed output register, and returns an int whose lowest set bit
+    is the first pattern that fails (0 if none does).
     ``check`` is the same check on one pattern and its output, and words
     the counterexample.
     """
@@ -162,7 +151,7 @@ class _Row:
     kept_label: str  # how a counterexample names a wire of that span
     ancillas: tuple[tuple[int, int], ...]  # spans that must return to zero
     output: int  # first wire of the register-wide output
-    misses: Callable[[list[int], list[int], Sequence[int]], int]  # (inputs, outputs, patterns)
+    misses: Callable[[list[int], list[int]], int]  # (inputs, outputs)
     check: Callable[[int, int], Optional[str]]  # (pattern, output) -> counterexample
 
 
@@ -186,26 +175,9 @@ def _register_misses(w: int, n_in: int, expected: Callable[..., Iterable[int]]):
     """``_register_check`` on every pattern at once: the output wires XOR
     ``expected`` of the operands' packed wires, ORed together."""
 
-    def misses(inputs: list[int], outputs: list[int], patterns: Sequence[int]) -> int:
+    def misses(inputs: list[int], outputs: list[int]) -> int:
         ops = [inputs[i * w : (i + 1) * w] for i in range(n_in)]
         return reduce(or_, map(xor, expected(*ops), outputs), 0)
-
-    return misses
-
-
-def _scan_misses(check: Callable[[int, int], Optional[str]]):
-    """Misses found by ``check`` pattern by pattern, reading the output back
-    one PACK_SLICE at a time; stops at the first."""
-
-    def misses(inputs: list[int], outputs: list[int], patterns: Sequence[int]) -> int:
-        w = len(outputs)
-        for first in range(0, len(patterns), PACK_SLICE):
-            chunk = patterns[first : first + PACK_SLICE]
-            values = register_values(outputs, len(chunk), 0, w, first)
-            for b, (pattern, got) in enumerate(zip(chunk, values), first):
-                if check(pattern, got):
-                    return 1 << b
-        return 0
 
     return misses
 
@@ -225,18 +197,12 @@ def _verify_row(spec: FieldSpec, kind: str, r: Optional[int]) -> _Row:
                 return None
             return f"input={_bitstr(v, w)} output={_bitstr(got, w)}"
 
-        scan = _scan_misses(inverse)
-
-        def misses(inputs: list[int], outputs: list[int], patterns: Sequence[int]) -> int:
-            packed = rep.packed_inverse_misses(inputs, outputs)
-            return scan(inputs, outputs, patterns) if packed is None else packed
-
         # inverter_gates, not inverter_batches: the benchmark tracer times generation there only
         return _Row(
             nbits=w, width=s.width, name="inverter",
             batches=lambda: gate_runs(inverter_gates(spec)),
             kept=regs["input"], kept_label="input wire", ancillas=ancillas,
-            output=regs["output"][0], misses=misses, check=inverse,
+            output=regs["output"][0], misses=rep.packed_inverse_misses, check=inverse,
         )
     # (operands, wires kept = first output wire, expected output, packed expected output)
     n_in, out, expected, packed = {
@@ -270,19 +236,18 @@ def verify_kind(
     Inputs are raw register patterns (the convolution identities hold on
     every bit vector, embedded or not), so a ghost-bit inverter is also fed
     inputs whose ghost bit is 1. invert has three checks per input: the
-    output register inverts the input (both retracted and compared by
-    extended Euclid in the polynomial basis for ghost-bit,
-    product-equals-identity for the normal basis), the input register is
-    preserved, and every ancilla register returns to zero. Random mode
-    draws 1 to 2^20 samples, the exhaustive cap, from a non-negative seed.
+    output register inverts the input (product-equals-identity, on either
+    ghost-bit representative), the input register is preserved, and every
+    ancilla register returns to zero. ``mode`` is auto, exhaustive or
+    random; random mode draws 1 to 2^20 samples, the exhaustive cap, from
+    a non-negative seed.
 
     All patterns are packed, simulated in one bit-sliced pass and checked
     at once: the kept and ancilla wires first, then the output against the
     representation's packed oracle, whose lowest differing bit is the
     first failing pattern. Only that pattern is read back, and its
-    counterexample comes from the per-pattern oracle. The ghost-bit inverse
-    is checked per pattern by extended Euclid, reading the output back one
-    PACK_SLICE at a time.
+    counterexample comes from the per-pattern oracle (for the ghost-bit
+    inverse, extended Euclid in the polynomial basis), which must agree.
 
     ``netlist`` (a ``read_netlist`` stream, or anything else with a width
     and column batches) is checked in place of the synthesized gates; its
@@ -292,6 +257,8 @@ def verify_kind(
     """
     if kind not in KINDS:
         raise ValueError(f"unknown verification kind {kind!r}")
+    if mode not in MODES:
+        raise ValueError(f"unknown verification mode {mode!r}; use {'|'.join(MODES)}")
     if kind == "selfmult" and r is None:
         raise ValueError("selfmult verification needs the exponent r")
     if not 1 <= samples <= EXHAUSTIVE_CAP:
@@ -324,7 +291,7 @@ def verify_kind(
         raise WidthMismatch(f"netlist has {netlist.width} wires, {row.name} needs {row.width}")
     batches = row.batches() if netlist is None else netlist.batches
 
-    state, count = _pack_patterns(row.width, list(range(nbits)), patterns, nbits)
+    state, count = _pack_patterns(row.width, patterns, nbits)
     inputs = state[:nbits]
     kept_start, kept_length = row.kept
     before = state[kept_start : kept_start + kept_length]
@@ -340,13 +307,12 @@ def verify_kind(
         for wire in range(start, start + length):
             if state[wire] != 0:
                 return fail(f"ancilla wire {wire} not returned to zero")
-    tested = range(count) if patterns is None else patterns
     outputs = state[row.output : row.output + spec.width]
-    misses = row.misses(inputs, outputs, tested)
+    misses = row.misses(inputs, outputs)
     if misses:
         first = (misses & -misses).bit_length() - 1
         (got,) = register_values(outputs, 1, 0, spec.width, first)
-        problem = row.check(tested[first], got)
+        problem = row.check(first if patterns is None else patterns[first], got)
         if problem is None:
             raise RuntimeError(f"packed and per-pattern oracles disagree on pattern {first}")
         return fail(problem)
@@ -496,29 +462,29 @@ def _table_rows_for(spec: FieldSpec) -> list[tuple]:
 
 
 def cmd_table(args) -> int:
-    degrees = args.m
-    header = f"{'m':>5} {'rep':>4} {'op':>8} {'depth':>9} {'gates':>10} {'depth<=':>9} {'gates<=':>10}"
-    print(header)
-    print("-" * len(header))
-    printed = 0
-    for m in degrees:
+    specs = []
+    for m in args.m:
         for rep in Representation:
             if m < 3 or args.rep not in (None, rep.value):
                 continue
             try:
-                spec = FieldSpec.of(rep, m)
+                specs.append(FieldSpec.of(rep, m))
             except ValueError:  # m does not admit this representation
                 continue
-            for op, d, gc, db, gb in _table_rows_for(spec):
-                print(f"{m:>5} {rep.value:>4} {op:>8} {d:>9} {gc:>10} {db:>9} {gb:>10}")
-                printed += 1
+    if not specs:
+        raise ValueError("no supported representation for the requested degrees")
+    header = f"{'m':>5} {'rep':>4} {'op':>8} {'depth':>9} {'gates':>10} {'depth<=':>9} {'gates<=':>10}"
+    print(header)
+    print("-" * len(header))
+    for spec in specs:
+        m, rep_name = spec.m, spec.representation.value
+        for op, d, gc, db, gb in _table_rows_for(spec):
+            print(f"{m:>5} {rep_name:>4} {op:>8} {d:>9} {gc:>10} {db:>9} {gb:>10}")
     print()
     print("asymptotics: representation | add depth/gates | mult | invert")
     print("  polynomial basis | O(1) / O(m) | O(m) / O(m^2) | O(m^2) / O(m^3), extended Euclid")
     print("  ghost-bit        | O(1) / O(m) | O(m) / O(m^2) | O(m log m) / O(m^2 log m)")
     print("  normal basis     | O(1) / O(m) | O(m) / O(m^2) | O(m log m) / O(m^2 log m)")
-    if printed == 0:
-        raise ValueError("no supported representation for the requested degrees")
     return 0
 
 

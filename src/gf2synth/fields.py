@@ -41,9 +41,10 @@ Gauss-period product in F_2[x]/(x^p - 1) for the normal basis), so it reads
 neither the index table nor the stage bases; it yields the product's
 coordinates one at a time, so a caller that folds them holds one at a time.
 ``packed_frobenius`` moves coordinates as ``frobenius`` moves the basis
-vectors, and ``packed_inverse_misses`` is the normal basis's
-product-equals-identity check. The ghost-bit inverse has no packed form:
-extended Euclid, per pattern, is its independent check.
+vectors, and ``packed_inverse_misses`` is the product-equals-identity check
+in both representations (for ghost-bit, up to the ring's two representatives
+of each element). The per-pattern ``inverse_ok`` stays the second, separate
+derivation: extended Euclid for ghost-bit.
 
 ``addition_chain`` owns the Itoh-Tsujii chain: its ``MultiplierBlock``s,
 one per multiplication, are the blocks the inverter synthesizes and the
@@ -254,8 +255,12 @@ def _build_f_table(m: int, t: int, p: int, u: int) -> tuple[int, ...]:
 def make_gnb_params(m: int, t: int) -> GnbParams:
     """Checked construction of the type-t normal basis parameters for m.
 
-    Picks the smallest u of order exactly t mod p = t*m + 1.
+    Picks the smallest u of order exactly t mod p = t*m + 1. A type above
+    GNB_MAX_TYPE is refused before anything is built: the index table has
+    p - 1 entries.
     """
+    if t > GNB_MAX_TYPE:
+        raise InvalidParams(f"type t={t} is above the largest supported type {GNB_MAX_TYPE}")
     problem = _gnb_violation(m, t)
     if problem:
         raise InvalidParams(problem)
@@ -599,10 +604,22 @@ class GhostBit:
     def packed_frobenius(self, a: Sequence[int], r: int) -> list[int]:
         return _packed_frobenius(self, a, r)
 
-    def packed_inverse_misses(self, v: Sequence[int], got: Sequence[int]) -> None:
-        """No packed form: the ghost-bit inverse is checked per pattern by
-        extended Euclid (``inverse_ok``), its independent check."""
-        return None
+    def packed_inverse_misses(self, v: Sequence[int], got: Sequence[int]) -> int:
+        """``inverse_ok`` on packed coordinates, by product-equals-identity.
+
+        x^(m+1) + 1 = (x + 1) * f, so the vectors that retract to zero are
+        the multiples of f, 0 and all ones: those with all coordinates
+        equal. And c = v * got retracts to 1 iff c is 1 or its complement,
+        that is iff every c_k with k >= 1 differs from c_0. The misses are
+        the patterns (as set bits) where v is nonzero and some c_k equals
+        c_0, or v is zero and got is not.
+        """
+        v0, got0 = v[0], got[0]
+        nonzero = reduce(or_, (x ^ v0 for x in v), 0)
+        product = self.packed_mult(v, got)
+        one = next(product) ^ nonzero  # c_0, flipped where v is nonzero
+        misses = reduce(or_, (c ^ one for c in product), 0)
+        return misses | reduce(or_, (x ^ got0 for x in got), 0) & ~nonzero
 
     def inverse_ok(self, v: int, got: int) -> bool:
         """Does ``got`` retract to the inverse of what the representative v

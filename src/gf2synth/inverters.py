@@ -29,15 +29,8 @@ from typing import Iterator, Optional
 
 from .circuits import Batch, Circuit, Gate, ResourceEstimate, flat_gates, measure_stream
 from .errors import DegreeTooSmall
-from .fields import (  # noqa: F401  (the block type and bounds are re-exported from here)
-    FieldSpec,
-    MultiplierBlock,
-    Representation,
-    ResourceBound,
-    addition_chain,
-    bounds_ghost,
-    bounds_gnb,
-)
+from .fields import FieldSpec, MultiplierBlock, Representation, addition_chain
+from .fields import ResourceBound, bounds_ghost, bounds_gnb  # noqa: F401  (re-exported from here)
 from .multipliers import mult_batches, self_mult_batches
 
 

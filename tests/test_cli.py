@@ -2,10 +2,11 @@
 
 import pytest
 
-from gf2synth import cli
+from gf2synth import cli, fields
 from gf2synth.circuits import Circuit, emit, measure_stream, parse, read_netlist, toffoli
 from gf2synth.cli import main, verify_kind
-from gf2synth.fields import FieldSpec
+from gf2synth.errors import InvalidParams
+from gf2synth.fields import GNB_MAX_TYPE, FieldSpec, make_gnb_params
 
 
 def run(capsys, *argv):
@@ -149,6 +150,20 @@ def test_synth_t_override(capsys):
     assert "toffoli=60" in out
 
 
+@pytest.mark.parametrize("t", [GNB_MAX_TYPE + 1, 1000009, 10000005])
+def test_type_above_the_search_limit_is_refused_before_building(capsys, monkeypatch, t):
+    # the index table has t*m entries; t=1000009 used to take seconds and 100 MB
+    def no_table(*args):
+        raise AssertionError("the index table was built")
+
+    monkeypatch.setattr(fields, "_build_f_table", no_table)
+    with pytest.raises(InvalidParams, match=f"above the largest supported type {GNB_MAX_TYPE}"):
+        make_gnb_params(4, t)
+    code, out, err = run(capsys, "synth", "add", "-m", "4", "--rep", "gnb", "-t", str(t))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: type t={t} is above")
+
+
 def test_synth_unsupported_degree(capsys):
     code, _, err = run(capsys, "synth", "mult", "-m", "8", "--rep", "gnb")
     assert code == 2
@@ -206,6 +221,18 @@ def test_verify_rejects_a_negative_seed(capsys, seed):
     assert f"error: argument --seed: the seed must be non-negative, got {seed}" in err
     with pytest.raises(ValueError):
         verify_kind(FieldSpec.ghost_bit(4), "mult", mode="random", samples=3, seed=-5)
+
+
+@pytest.mark.parametrize("mode", ["bogus", "Random", "", "exhaustive "])
+def test_verify_rejects_an_unknown_mode(monkeypatch, mode):
+    # refused before a pattern is packed or a gate drawn, so no width can blow up
+    def drawn(*args):
+        raise AssertionError("patterns were packed")
+
+    monkeypatch.setattr(cli, "_pack_patterns", drawn)
+    for spec in (FieldSpec.ghost_bit(4), FieldSpec.gnb(409)):
+        with pytest.raises(ValueError, match=r"auto\|exhaustive\|random"):
+            verify_kind(spec, "add", mode=mode)
 
 
 def test_verify_exhaustive_cap(capsys):
@@ -389,9 +416,12 @@ def test_table_rep_filter(capsys):
 
 
 def test_table_no_supported_degrees(capsys):
-    code, _, err = run(capsys, "table", "-m", "8")
-    assert code == 2
-    assert "no supported representation" in err
+    # like every other domain error, nothing goes to stdout
+    for degrees in ("8", "2", "8,16"):
+        code, out, err = run(capsys, "table", "-m", degrees)
+        assert code == 2
+        assert out == ""
+        assert "no supported representation" in err
 
 
 # -- misc -------------------------------------------------------------------

@@ -2,13 +2,13 @@
 
 ``verify`` checks every pattern at once with the representation objects'
 packed forms and falls back on the per-pattern oracles only for the
-counterexample text (and for the ghost-bit inverse, checked by extended
-Euclid). So the packed forms must agree with the per-pattern oracles bit
-for bit: on every valid normal basis with m <= 40 and t <= 6, on every
-ghost-bit degree m <= 40, for each kind, on random batches of one pattern
-and of PACK_SLICE + 1 patterns and on exhaustive batches. The last tests
-check that a failing netlist gets the counterexample a plain per-pattern
-scan, kept here as it was before the packed check, reports.
+counterexample text (for the ghost-bit inverse, extended Euclid). So the
+packed forms must agree with the per-pattern oracles bit for bit: on every
+valid normal basis with m <= 40 and t <= 6, on every ghost-bit degree
+m <= 40, for each kind, the inverse included, on random batches of one
+pattern and of PACK_SLICE + 1 patterns and on exhaustive batches. The last
+tests check that a failing netlist gets the counterexample a plain
+per-pattern scan, kept here as it was before the packed check, reports.
 """
 
 import random
@@ -126,8 +126,7 @@ def _expected_output(spec, kind, r, pattern):
 
 def _row_agrees(spec, kind, r, patterns, rng):
     """Half the outputs right, half off by a random nonzero flip; the packed
-    misses must be exactly the patterns the per-pattern check rejects (for
-    the ghost-bit inverse, a scan, the first of them)."""
+    misses must be exactly the patterns the per-pattern check rejects."""
     w = spec.width
     row = cli._verify_row(spec, kind, r)
     outputs = []
@@ -139,11 +138,7 @@ def _row_agrees(spec, kind, r, patterns, rng):
     inputs = pack_patterns(row.nbits, range(row.nbits), patterns)
     packed_outputs = pack_patterns(w, range(w), outputs)
     rejected = sum(1 << b for b, pair in enumerate(zip(patterns, outputs)) if row.check(*pair))
-    misses = row.misses(inputs, packed_outputs, patterns)
-    if kind == "invert" and spec.rep.t is None:
-        assert misses == rejected & -rejected
-    else:
-        assert misses == rejected
+    assert row.misses(inputs, packed_outputs) == rejected
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=_key)
@@ -156,9 +151,10 @@ def test_packed_checks_agree_with_the_per_pattern_checks(spec):
         n_in = 1 if kind == "selfmult" else 2
         for patterns in _batches(spec, n_in * w, rng, wide=r is None):
             _row_agrees(spec, kind, r, patterns, rng)
-    if spec.m >= 3 and spec.rep.t is not None:  # the ghost-bit inverse is a per-pattern scan
+    if spec.m >= 3:  # the smallest inverter
+        zeros = [0, 0, (1 << w) - 1]  # all ones is the other ghost-bit zero
         for patterns in _batches(spec, w, rng, wide=False):
-            _row_agrees(spec, "invert", None, patterns + [0, 0], rng)
+            _row_agrees(spec, "invert", None, patterns + zeros, rng)
 
 
 def test_gnb_inverse_misses_zero_and_identity():
@@ -168,7 +164,18 @@ def test_gnb_inverse_misses_zero_and_identity():
     v = pack_patterns(w, range(w), [0, one, 0, one])
     got = pack_patterns(w, range(w), [0, one, one, 0])
     assert rep.packed_inverse_misses(v, got) == 0b1100
-    assert FieldSpec.ghost_bit(4).rep.packed_inverse_misses(v, got) is None
+    # ghost-bit: zero is 0 or all ones, one is 1 or its complement
+    rep = FieldSpec.ghost_bit(4).rep
+    w = rep.width
+    zero, one = (0, (1 << w) - 1), (1, (1 << w) - 2)
+    passing = [(a, b) for a in zero for b in zero] + [(a, b) for a in one for b in one]
+    failing = [(0, 1), (zero[1], one[1]), (1, 0), (one[1], zero[1]), (zero[1], 0b00110)]
+    pairs = passing + failing
+    v = pack_patterns(w, range(w), [a for a, _ in pairs])
+    got = pack_patterns(w, range(w), [b for _, b in pairs])
+    expected = sum(1 << b for b, pair in enumerate(pairs) if not rep.inverse_ok(*pair))
+    assert expected == ((1 << len(failing)) - 1) << len(passing)
+    assert rep.packed_inverse_misses(v, got) == expected
 
 
 # -- the first failing pattern ------------------------------------------------
@@ -179,7 +186,7 @@ def per_pattern_scan(spec, kind, r, batches, patterns):
     pattern's output back and ask the per-pattern check in order. Returns
     (first failing pattern's slot, counterexample)."""
     row = cli._verify_row(spec, kind, r)
-    state, count = cli._pack_patterns(row.width, list(range(row.nbits)), patterns, row.nbits)
+    state, count = cli._pack_patterns(row.width, patterns, row.nbits)
     kept_start, kept_length = row.kept
     before = state[kept_start : kept_start + kept_length]
     run_packed(batches, state)
