@@ -18,8 +18,8 @@ Commands
   XORed with the packed oracle's wires for the same patterns, so a pass
   reads nothing back. The simulator, ``run_packed``, takes column batches
   only: ``--in`` streams the file's batches from ``read_netlist``; without
-  it mult and selfmult simulate the multiplier cores' batches, and add and
-  invert their flat gates cut by ``gate_runs``.
+  it every kind simulates the batches ``synth_circuit`` gives, the stream
+  ``synth`` writes (for invert, the inverter's own wire-disjoint stages).
 * ``table``: measured depth/gates next to the closed-form bounds for a list
   of degrees, plus the asymptotic comparison against a polynomial basis.
 
@@ -72,7 +72,7 @@ from .fields import (
     find_gnb_type,
     make_gnb_params,
 )
-from .inverters import inverter_batches, inverter_gates, inverter_structure
+from .inverters import inverter_batches, inverter_structure
 from .inverters import synth_inverter  # noqa: F401  (kept for the benchmark tracer)
 from .multipliers import check_exponent, mult_netlist, self_mult_netlist, synth_add
 from .multipliers import (  # kept for the benchmark tracer
@@ -146,7 +146,6 @@ class _Row:
     nbits: int  # simulated input bits, on wires 0..nbits-1
     width: int  # wires the circuit must have
     name: str  # what a width mismatch calls the circuit
-    batches: Callable[[], Iterable[Batch]]  # the synthesized gates, if no netlist is given
     kept: tuple[int, int]  # span that must come back unchanged
     kept_label: str  # how a counterexample names a wire of that span
     ancillas: tuple[tuple[int, int], ...]  # spans that must return to zero
@@ -197,10 +196,8 @@ def _verify_row(spec: FieldSpec, kind: str, r: Optional[int]) -> _Row:
                 return None
             return f"input={_bitstr(v, w)} output={_bitstr(got, w)}"
 
-        # inverter_gates, not inverter_batches: the benchmark tracer times generation there only
         return _Row(
             nbits=w, width=s.width, name="inverter",
-            batches=lambda: gate_runs(inverter_gates(spec)),
             kept=regs["input"], kept_label="input wire", ancillas=ancillas,
             output=regs["output"][0], misses=rep.packed_inverse_misses, check=inverse,
         )
@@ -215,7 +212,6 @@ def _verify_row(spec: FieldSpec, kind: str, r: Optional[int]) -> _Row:
     }[kind]
     return _Row(
         nbits=n_in * w, width=out + w, name=kind,
-        batches=lambda: synth_circuit(spec, kind, r).batches,
         kept=(0, out), kept_label="wire", ancillas=(), output=out,
         misses=_register_misses(w, n_in, packed), check=_register_check(w, n_in, expected),
     )
@@ -261,7 +257,7 @@ def verify_kind(
         raise ValueError(f"unknown verification mode {mode!r}; use {'|'.join(MODES)}")
     if kind == "selfmult" and r is None:
         raise ValueError("selfmult verification needs the exponent r")
-    if not 1 <= samples <= EXHAUSTIVE_CAP:
+    if mode != "exhaustive" and not 1 <= samples <= EXHAUSTIVE_CAP:
         raise ValueError(f"random mode draws 1 to 2^20 samples, got {samples}")
     row = _verify_row(spec, kind, r)
     nbits = row.nbits
@@ -289,7 +285,7 @@ def verify_kind(
     if netlist is not None and netlist.width != row.width:
         deque(netlist.batches, 0)
         raise WidthMismatch(f"netlist has {netlist.width} wires, {row.name} needs {row.width}")
-    batches = row.batches() if netlist is None else netlist.batches
+    batches = synth_circuit(spec, kind, r).batches if netlist is None else netlist.batches
 
     state, count = _pack_patterns(row.width, patterns, nbits)
     inputs = state[:nbits]

@@ -2,8 +2,18 @@
 
 import pytest
 
-from gf2synth import cli, fields
-from gf2synth.circuits import Circuit, emit, measure_stream, parse, read_netlist, toffoli
+from gf2synth import cli, fields, inverters
+from gf2synth.circuits import (
+    Circuit,
+    Netlist,
+    emit,
+    flat_gates,
+    gate_runs,
+    measure_stream,
+    parse,
+    read_netlist,
+    toffoli,
+)
 from gf2synth.cli import main, verify_kind
 from gf2synth.errors import InvalidParams
 from gf2synth.fields import GNB_MAX_TYPE, FieldSpec, make_gnb_params
@@ -277,6 +287,9 @@ def test_verify_random_cap(capsys):
     for samples in (0, -3):
         with pytest.raises(ValueError):
             verify_kind(FieldSpec.gnb(163), "invert", mode="random", samples=samples)
+    # exhaustive mode draws no samples, so their count is not checked
+    result = verify_kind(FieldSpec.ghost_bit(4), "add", mode="exhaustive", samples=0)
+    assert (result.passed, result.tested) == (True, 1 << 10)
 
 
 def test_verify_gbb_invert_feeds_ghost_bit(capsys, tmp_path):
@@ -300,6 +313,54 @@ def test_verify_invert_roundtrip_through_file(capsys, tmp_path):
     )
     assert code == 0
     assert "result=pass" in out
+
+
+def test_verify_invert_simulates_the_inverter_batches(monkeypatch):
+    """verify reads the inverter's own stages, never its flat gate view."""
+
+    def no_flat_view(*_):
+        raise AssertionError("the flat gate view was drawn")
+
+    monkeypatch.setattr(inverters, "flat_gates", no_flat_view)
+    monkeypatch.setattr(cli, "gate_runs", no_flat_view)
+    assert verify_kind(FieldSpec.ghost_bit(10), "invert", mode="exhaustive").passed
+    assert verify_kind(FieldSpec.gnb(5), "invert").passed
+
+
+def _inverter_stream(spec, phase):
+    """The inverter's batches as a list, with one target moved to wire t ^ 1
+    in the middle batch of the forward blocks or of the uncompute blocks
+    (``phase`` None leaves the stream as synthesized)."""
+    s = inverters.inverter_structure(spec)
+    batches = list(inverters.inverter_batches(spec))
+    n_forward = sum(
+        1 for block in s.forward for _ in inverters._block_batches(spec, block, s.reg_width)
+    )
+    if phase is None:
+        return s, batches
+    k = n_forward // 2 if phase == "forward" else (n_forward + len(batches)) // 2
+    ca, cb, ct = batches[k]
+    i = next(i for i, t in enumerate(ct) if t ^ 1 != ca[i] and (cb is None or t ^ 1 != cb[i]))
+    batches[k] = (ca, cb, (*ct[:i], ct[i] ^ 1, *ct[i + 1 :]))
+    return s, batches
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [FieldSpec.ghost_bit(4), FieldSpec.ghost_bit(10), FieldSpec.gnb(5), FieldSpec.gnb(7, t=4)],
+    ids=lambda spec: f"{spec.representation.value}{spec.m}",
+)
+@pytest.mark.parametrize("phase", [None, "forward", "uncompute"])
+def test_verify_batches_and_flat_gates_agree(spec, phase):
+    """The inverter stream as batches and as its flat gates cut by
+    gate_runs give one verdict and one counterexample."""
+    s, batches = _inverter_stream(spec, phase)
+    as_batches = verify_kind(spec, "invert", netlist=Netlist(s.width, s.registers, iter(batches)))
+    as_runs = verify_kind(
+        spec, "invert", netlist=Netlist(s.width, s.registers, gate_runs(flat_gates(batches)))
+    )
+    assert as_batches == as_runs
+    assert as_batches.passed == (phase is None)
 
 
 def tamper(path):

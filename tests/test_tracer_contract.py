@@ -8,7 +8,9 @@ kind and one ``check_bounds``. The traced ``open`` hands out a reader
 with nothing but ``read``, so the netlist round trip (``synth invert --out``
 then ``verify --in``) also shows that the streamed reader only calls
 ``read(n)``, and ``verify mult`` / ``verify selfmult`` feed the traced
-simulator the multiplier cores' batch generators.
+simulator the multiplier cores' batch generators. No command draws the
+inverter's flat gate view, so the script drains ``inverter_gates`` once
+itself, through the module name the tracer wraps.
 """
 
 import json
@@ -20,12 +22,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 SCRIPT = """
-import contextlib, io, json
+import collections, contextlib, io, json
 from tracing import END, Tracer
 
 tracer = Tracer()
 tracer.install()
-from gf2synth import FieldSpec, check_bounds, cli
+from gf2synth import FieldSpec, check_bounds, cli, inverters
 
 rcs = []
 for argv in (
@@ -40,6 +42,7 @@ for argv in (
     with contextlib.redirect_stdout(io.StringIO()):
         rcs.append(cli.main(argv))
 report = check_bounds(FieldSpec.gnb(7))
+collections.deque(inverters.inverter_gates(FieldSpec.gnb(5)), 0)
 print(json.dumps({
     "rcs": rcs,
     "passed": report.passed,
