@@ -62,6 +62,7 @@ from .inverters import (
     bounds_gnb,
     check_bounds,
     inverter_batches,
+    inverter_estimate,
     inverter_gates,
     inverter_structure,
     synth_inverter,

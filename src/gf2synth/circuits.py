@@ -20,8 +20,8 @@ names the gate at fault. ``validated_batches`` is the gate rule on a batch
 stream, built that way. ``Circuit``, the gate factories and the netlist
 reader all go through these rules, and the multiplier cores check their
 register layout with the second. The streamed consumers
-(``measure_stream``, ``run_packed``) trust their gates: the cores emit
-valid gates whenever that per-block precondition holds.
+(``layer_batches``, ``measure_stream``, ``run_packed``) trust their gates:
+the cores emit valid gates whenever that per-block precondition holds.
 
 Netlist text is read by one reader, ``read_netlist``: it pulls a file
 READ_SIZE characters at a time, cut after the last "\n" of each read,
@@ -258,6 +258,21 @@ class ResourceEstimate:
     def gate_count(self) -> int:
         return self.toffoli_count + self.cnot_count
 
+    @classmethod
+    def layered(
+        cls, toffoli_count: int, cnot_count: int, depth: int, toffoli_depth: int, qubits: int
+    ) -> ResourceEstimate:
+        """The estimate of a layered circuit, with its T figures."""
+        return cls(
+            toffoli_count=toffoli_count,
+            cnot_count=cnot_count,
+            depth=depth,
+            toffoli_depth=toffoli_depth,
+            qubits=qubits,
+            t_count=T_PER_TOFFOLI * toffoli_count,
+            t_depth=T_DEPTH_PER_TOFFOLI * toffoli_depth,
+        )
+
     def summary_lines(self) -> list[str]:
         return [
             f"toffoli={self.toffoli_count}",
@@ -299,21 +314,14 @@ def _peek_flat(stream: Iterable[Union[Batch, Gate]]) -> tuple[bool, Iterator]:
     return isinstance(first[0], int), chain((first,), items)
 
 
-def measure_stream(width: int, stream: Iterable[Union[Batch, Gate]]) -> ResourceEstimate:
-    """Single-pass resource count over column batches (nothing is stored).
-
-    This is what the bound checks use for inverters with millions of gates:
-    the greedy layering only needs one per-wire counter, so the stream never
-    has to be materialized. Gates are applied one at a time in stream order,
-    so the count is exact whether or not a batch is wire-disjoint. A flat
-    gate stream is accepted too and cut into runs by ``gate_runs``: the
-    benchmark's certifier (``perfbench/certify.py``) measures flat gates.
-    """
-    flat, batches = _peek_flat(stream)
-    if flat:
-        batches = gate_runs(batches)
-    ready = [0] * width  # earliest free layer per wire
-    tof_ready = [0] * width  # same, counting only Toffolis
+def layer_batches(
+    batches: Iterable[Batch], ready: list[int], tof_ready: list[int]
+) -> tuple[int, int]:
+    """Greedy ASAP layering of column batches onto the caller's per-wire
+    counters: ``ready[w]`` is the earliest free layer of wire w, and
+    ``tof_ready[w]`` the same counting only Toffolis. Both lists are advanced
+    in place, one gate at a time in stream order, so the result is exact
+    whether or not a batch is wire-disjoint. Returns (Toffolis, CNOTs)."""
     n_tof = 0
     n_cnot = 0
     for ca, cb, ct in batches:
@@ -339,15 +347,26 @@ def measure_stream(width: int, stream: Iterable[Union[Batch, Gate]]) -> Resource
             if tof_ready[t] > layer:
                 layer = tof_ready[t]
             tof_ready[a] = tof_ready[b] = tof_ready[t] = layer + 1
-    tof_depth = max(tof_ready, default=0)
-    return ResourceEstimate(
-        toffoli_count=n_tof,
-        cnot_count=n_cnot,
-        depth=max(ready, default=0),
-        toffoli_depth=tof_depth,
-        qubits=width,
-        t_count=T_PER_TOFFOLI * n_tof,
-        t_depth=T_DEPTH_PER_TOFFOLI * tof_depth,
+    return n_tof, n_cnot
+
+
+def measure_stream(width: int, stream: Iterable[Union[Batch, Gate]]) -> ResourceEstimate:
+    """Single-pass resource count over column batches (nothing is stored).
+
+    This is what ``synth`` uses on inverters with millions of gates: the
+    greedy layering (``layer_batches``) only needs one per-wire counter, so
+    the stream never has to be materialized. A flat gate stream is accepted
+    too and cut into runs by ``gate_runs``: the benchmark's certifier
+    (``perfbench/certify.py``) measures flat gates.
+    """
+    flat, batches = _peek_flat(stream)
+    if flat:
+        batches = gate_runs(batches)
+    ready = [0] * width
+    tof_ready = [0] * width
+    n_tof, n_cnot = layer_batches(batches, ready, tof_ready)
+    return ResourceEstimate.layered(
+        n_tof, n_cnot, max(ready, default=0), max(tof_ready, default=0), width
     )
 
 

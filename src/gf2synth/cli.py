@@ -22,15 +22,18 @@ Commands
   ``synth`` writes (for invert, the inverter's own wire-disjoint stages).
 * ``table``: measured depth/gates next to the closed-form bounds for a list
   of degrees, plus the asymptotic comparison against a polynomial basis.
+  The invert row is ``inverter_estimate``, measured from the forward pass
+  alone; it equals measuring every gate ``synth invert`` writes.
 
 Field oracles, inverse checks and bounds come from the spec's
 representation object (``spec.rep``), so the commands never branch on the
 representation. ``synth_circuit`` is the kind table: for each kind it gives
-the width, the register map and the column batches, which ``synth``,
-``verify`` and ``table`` all draw from. ``verify_kind`` is a single path
-driven by a per-kind table row: input bits, kept wires, ancilla spans that
-must return to zero, output span, the packed check, and the same check on
-one pattern, which words the counterexample of the first failing pattern.
+the width, the register map and the column batches, which ``synth`` and
+``verify`` draw every kind from, and ``table`` its add and mult rows.
+``verify_kind`` is a single path driven by a per-kind table row: input
+bits, kept wires, ancilla spans that must return to zero, output span, the
+packed check, and the same check on one pattern, which words the
+counterexample of the first failing pattern.
 
 Exit codes: 0 success / verification passed, 1 verification failed,
 2 domain error (unsupported degree, bad parameters, bad usage) or out of
@@ -54,6 +57,7 @@ from .circuits import parse  # noqa: F401  (kept for the benchmark tracer)
 from .circuits import (
     Batch,
     Netlist,
+    ResourceEstimate,
     emit_lines,
     gate_runs,
     measure_stream,
@@ -72,7 +76,7 @@ from .fields import (
     find_gnb_type,
     make_gnb_params,
 )
-from .inverters import inverter_batches, inverter_structure
+from .inverters import inverter_batches, inverter_estimate, inverter_structure
 from .inverters import synth_inverter  # noqa: F401  (kept for the benchmark tracer)
 from .multipliers import check_exponent, mult_netlist, self_mult_netlist, synth_add
 from .multipliers import (  # kept for the benchmark tracer
@@ -444,17 +448,20 @@ def cmd_verify(args) -> int:
 
 def _table_rows_for(spec: FieldSpec) -> list[tuple]:
     """(op, depth, gates, depth_bound, gate_bound) rows for one spec."""
-    inv_bound = spec.rep.inverter_bounds()
-    rows = []
-    for op, bound in (
-        ("add", (1, spec.width)),
-        ("mult", spec.rep.mult_bounds()),
-        ("invert", (inv_bound.depth_bound, inv_bound.gate_bound)),
-    ):
+
+    def measured(op: str) -> ResourceEstimate:
         netlist = synth_circuit(spec, op)
-        est = measure_stream(netlist.width, netlist.batches)
-        rows.append((op, est.depth, est.gate_count, *bound))
-    return rows
+        return measure_stream(netlist.width, netlist.batches)
+
+    inv_bound = spec.rep.inverter_bounds()
+    return [
+        (op, est.depth, est.gate_count, *bound)
+        for op, est, bound in (
+            ("add", measured("add"), (1, spec.width)),
+            ("mult", measured("mult"), spec.rep.mult_bounds()),
+            ("invert", inverter_estimate(spec), (inv_bound.depth_bound, inv_bound.gate_bound)),
+        )
+    ]
 
 
 def cmd_table(args) -> int:

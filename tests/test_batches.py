@@ -24,7 +24,13 @@ from gf2synth.circuits import (
 )
 from gf2synth.errors import CircuitRuleError, InvalidParams
 from gf2synth.fields import FieldSpec, Representation, check_ghost_bit_support, make_gnb_params
-from gf2synth.inverters import check_bounds, inverter_gates, inverter_structure
+from gf2synth.inverters import (
+    check_bounds,
+    inverter_batches,
+    inverter_estimate,
+    inverter_gates,
+    inverter_structure,
+)
 from gf2synth.multipliers import mult_batches, self_mult_batches
 
 
@@ -86,6 +92,38 @@ def test_check_bounds_matches_reference_on_materialized_inverters():
         gates = list(inverter_gates(spec))
         expected = reference_estimate(inverter_structure(spec).width, gates)
         assert summary(check_bounds(spec).estimate) == expected, (spec.m, spec.rep.t)
+
+
+# odd types (the cyclotomic stages wrap) and m = 3, whose chain is one block,
+# so the forward pass has no head and the inverter no uncompute
+MIRROR_EDGE_SPECS = [
+    FieldSpec.gnb(4, t=3),
+    FieldSpec.gnb(6, t=3),
+    FieldSpec.gnb(12, t=5),
+    FieldSpec.gnb(3),
+]
+
+
+def test_inverter_estimate_matches_measuring_every_gate():
+    """``inverter_estimate`` layers the forward pass only and reads the
+    uncompute's share off the head's per-wire counters; it must equal
+    ``measure_stream`` over the whole stream, field by field."""
+    assert len(inverter_structure(FieldSpec.gnb(3)).forward) == 1
+    for spec in [*small_specs(), *MIRROR_EDGE_SPECS]:
+        s = inverter_structure(spec)
+        assert inverter_estimate(spec) == measure_stream(s.width, inverter_batches(spec)), (
+            spec.m,
+            spec.rep.t,
+        )
+
+
+def test_uncompute_is_the_forward_head_reversed():
+    """The precondition of ``inverter_estimate``'s mirror shortcut: the
+    uncompute blocks are the forward blocks but the last, in reverse order.
+    Changing the uncompute order breaks that shortcut, not just this test."""
+    for spec in [*small_specs(), *MIRROR_EDGE_SPECS]:
+        s = inverter_structure(spec)
+        assert s.uncompute == tuple(reversed(s.forward[:-1])), (spec.m, spec.rep.t)
 
 
 def test_batch_sharing_wires_measures_like_its_flat_form():
@@ -213,11 +251,16 @@ def _block_gates(spec, block, w):
         FieldSpec.ghost_bit(18),
         FieldSpec.gnb(5),
         FieldSpec.gnb(7, t=4),
+        FieldSpec.gnb(6, t=3),
+        FieldSpec.gnb(3),
         FieldSpec.gnb(163),
     ],
-    ids=["gbb10", "gbb18", "gnb5", "gnb7t4", "gnb163"],
+    ids=["gbb10", "gbb18", "gnb5", "gnb7t4", "gnb6t3", "gnb3", "gnb163"],
 )
 def test_inverter_stream_is_forward_then_reversed_uncompute(spec):
+    """The stream is X L rev(X), every uncompute block its forward gates
+    reversed. ``inverter_estimate``'s mirror shortcut measures only X L and
+    relies on this order."""
     s = inverter_structure(spec)
     w = s.reg_width
 

@@ -116,6 +116,21 @@ def test_synth_out_summary_describes_the_file(argv, capsys, tmp_path):
     assert run(capsys, "synth", *argv)[1].splitlines()[-len(expected):] == expected
 
 
+@pytest.mark.parametrize(
+    "rep, m, spec",
+    [("gbb", "10", FieldSpec.ghost_bit(10)), ("gnb", "11", FieldSpec.gnb(11))],
+    ids=["gbb10", "gnb11"],
+)
+def test_synth_invert_prints_the_inverter_estimate(rep, m, spec, capsys):
+    """``synth invert`` passes every gate through the gate rule and measures
+    the whole stream; ``check_bounds`` and ``table`` measure the forward pass
+    only (``inverter_estimate``). Both must print the same numbers."""
+    code, out, _ = run(capsys, "synth", "invert", "-m", m, "--rep", rep)
+    assert code == 0
+    expected = inverters.inverter_estimate(spec).summary_lines()
+    assert out.splitlines()[-len(expected):] == expected
+
+
 def test_synth_deterministic_bytes(capsys, tmp_path):
     a, b = tmp_path / "a.qc", tmp_path / "b.qc"
     run(capsys, "synth", "invert", "-m", "7", "--rep", "gnb", "--out", str(a))
