@@ -261,6 +261,9 @@ def verify_kind(
         raise ValueError(f"unknown verification mode {mode!r}; use {'|'.join(MODES)}")
     if kind == "selfmult" and r is None:
         raise ValueError("selfmult verification needs the exponent r")
+    _refuse_exponent(kind, r)
+    if kind == "selfmult":
+        check_exponent(r, spec.m)  # a netlist file does not carry its exponent
     if mode != "exhaustive" and not 1 <= samples <= EXHAUSTIVE_CAP:
         raise ValueError(f"random mode draws 1 to 2^20 samples, got {samples}")
     row = _verify_row(spec, kind, r)
@@ -282,8 +285,6 @@ def verify_kind(
         patterns = None
         used_seed = None
 
-    if kind == "selfmult":
-        check_exponent(r, spec.m)  # a netlist file does not carry its exponent
     # The positional layout is part of the netlist contract, so verification
     # derives spans from the spec, not the file.
     if netlist is not None and netlist.width != row.width:
@@ -323,9 +324,17 @@ def verify_kind(
 # synthesis dispatch
 
 
+def _refuse_exponent(kind: str, r: Optional[int]) -> None:
+    """Only selfmult takes an exponent: r on another kind is refused, never
+    dropped."""
+    if r is not None and kind != "selfmult":
+        raise ValueError(f"{kind} takes no exponent; -r applies to selfmult only")
+
+
 def synth_circuit(spec: FieldSpec, kind: str, r: Optional[int] = None) -> Netlist:
     """The kind table: one kind's width, register map and column batches for
     ``spec.rep``. A domain error raises now; batches are built as drawn."""
+    _refuse_exponent(kind, r)
     if kind == "add":
         adder = synth_add(spec.width)
         return Netlist(adder.width, adder.registers, gate_runs(adder.gates))

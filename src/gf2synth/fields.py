@@ -57,7 +57,7 @@ import enum
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from math import gcd
-from operator import and_, or_, xor
+from operator import and_, itemgetter, or_, xor
 from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 from .errors import (
@@ -559,7 +559,16 @@ def gnb_read_perm(m: int, e: int) -> tuple[int, ...]:
 # A run of index gates as equal-length columns (x, y, c): Toffolis on input
 # coefficients x[i] < y[i] into output coefficient c[i], or CNOTs from x[i]
 # into c[i] when y is None.
-IndexBatch = tuple[list[int], Optional[list[int]], list[int]]
+IndexBatch = tuple[Sequence[int], Optional[Sequence[int]], Sequence[int]]
+
+
+def gather(values: Sequence[int], col: Sequence[int]) -> Sequence[int]:
+    """values[i] for each index i of ``col``, in order, gathered in C by one
+    ``itemgetter`` call. A one-index column still gives a sequence:
+    ``itemgetter(i)`` on its own returns the bare item."""
+    if len(col) > 1:
+        return itemgetter(*col)(values)
+    return [values[i] for i in col]
 
 
 class SelfPowerStage(NamedTuple):
@@ -653,6 +662,18 @@ class GhostBit:
         unique self-paired j (n is odd) degenerates to a CNOT that is
         wire-disjoint from the first color class and rides along after its
         Toffolis.
+
+        Every column is built from ranges and slices. The lower ends x are
+        the j with j < (sigma - j) mod n: for j <= sigma that is 2j < sigma,
+        so j < (sigma+1)//2; for j > sigma the partner is sigma - j + n, so
+        j < (sigma+n+1)//2. Hence x = (*range((sigma+1)//2),
+        *range(sigma+1, (sigma+n+1)//2)), and the partners y = sigma - j
+        (mod n) run down the two matching ranges, from sigma and from n-1.
+        The first orientation writes j + 2^r (sigma - j) = (1 - 2^r) j +
+        2^r sigma, the second sigma - j + 2^r j = (2^r - 1) j + sigma: both
+        affine in j mod n. So each column is the block's table ((1-2^r) j)
+        % n, or ((2^r-1) j) % n, sliced at the two ranges of x and read
+        through range(n) rotated by 2^r sigma, or by sigma.
         """
         n = self.width
         p2r = pow(2, r, n)
@@ -661,13 +682,20 @@ class GhostBit:
             yield SelfPowerStage("squaring", "cnot", None, ((layer,),))
             return
         inv2 = pow(2, -1, n)
+        ring = [*range(n), *range(n)]  # ring[s:s + n] is range(n) rotated by s
+        first_table = [(1 - p2r) * j % n for j in range(n)]
+        second_table = [(p2r - 1) * j % n for j in range(n)]
         for sigma in range(n - 1, -1, -1) if reverse else range(n):
-            x = [j for j in range(n) if j < (sigma - j) % n]
-            y = [(sigma - j) % n for j in x]
+            low, high = (sigma + 1) // 2, (sigma + n + 1) // 2
+            x = (*range(low), *range(sigma + 1, high))
+            y = (*range(sigma, sigma // 2, -1), *range(n - 1, (sigma + n) // 2, -1))
+            s = p2r * sigma % n
+            first_c = gather(ring[s:s + n], first_table[:low] + first_table[sigma + 1:high])
+            second_c = gather(ring[sigma:sigma + n], second_table[:low] + second_table[sigma + 1:high])
             jstar = sigma * inv2 % n
-            first = (x, y, [(j + p2r * c) % n for j, c in zip(x, y)])
+            first = (x, y, first_c)
             fixed = ([jstar], None, [jstar * (1 + p2r) % n])
-            second = (x, y, [(c + p2r * j) % n for j, c in zip(x, y)])
+            second = (x, y, second_c)
             yield SelfPowerStage(f"sigma={sigma}", "toffoli", None, ((first, fixed), (second,)))
 
     def mult_bounds(self) -> tuple[int, int]:
@@ -683,7 +711,7 @@ class GhostBit:
 # entries (a few MB) are kept per basis.
 _COLORING_CACHE = 1 << 18
 
-Coloring = tuple[tuple[list[int], list[int], list[int]], ...]
+Coloring = tuple[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]], ...]
 
 
 def _coset_colors(idx: list[int], d: int) -> Coloring:
@@ -691,7 +719,8 @@ def _coset_colors(idx: list[int], d: int) -> Coloring:
     cycle from its least element, alternating two colors, with a third color
     picking up the closing edge of an odd-length cycle. Returns, per
     non-empty color in order, the columns (lower end, upper end, f) in walk
-    order. ``idx`` is list(range(m)); the columns share its int objects."""
+    order, as tuples (``gather`` takes a tuple column without copying it).
+    ``idx`` is list(range(m)); the columns share its int objects."""
     m = len(idx)
     g = gcd(d, m)
     cycle_len = m // g
@@ -705,7 +734,7 @@ def _coset_colors(idx: list[int], d: int) -> Coloring:
             hi.append(nxt if f < nxt else f)
             at.append(f)
             f = nxt
-    return tuple(c for c in colors if c[0])
+    return tuple(tuple(map(tuple, c)) for c in colors if c[0])
 
 
 class Gnb:
@@ -724,6 +753,7 @@ class Gnb:
         self.t = gnb_params.t
         self.identity = (1 << m) - 1
         self._idx = list(range(m))  # index columns hold these int objects
+        self._ring = self._idx * 2  # _ring[s:s + m] is _idx rotated by s
         self._colorings: dict[int, Coloring] = {}
 
     def mult(self, a: int, b: int) -> int:
@@ -776,16 +806,18 @@ class Gnb:
         ``_coset_colors``; that coloring depends on delta mod m only, so it is
         kept per delta while colorings * m < _COLORING_CACHE (three m-long
         columns each, so at most about 3 * 2^18 index entries per basis).
+        Each color's output column is its f column read through out[f] =
+        (f - first) mod m by ``gather``.
         """
         m = self.m
-        idx = self._idx
+        idx, ring = self._idx, self._ring
         bases = gnb_stage_bases(self.params, r)
         for label, fa, fb in reversed(bases) if reverse else bases:
             delta = fb - fa
             d = delta % m
             k = fa % m
             if d == 0:
-                layer = (idx[k:] + idx[:k], None, idx)
+                layer = (ring[k:k + m], None, idx)
                 yield SelfPowerStage(label, "cnot", delta, ((layer,),))
                 continue
             colors = self._colorings.get(d)
@@ -793,8 +825,8 @@ class Gnb:
                 colors = _coset_colors(idx, d)
                 if len(self._colorings) * m < _COLORING_CACHE:
                     self._colorings[d] = colors
-            out = idx[m - k:] + idx[:m - k]  # out[f] = (f - fa) mod m
-            classes = tuple(((x, y, list(map(out.__getitem__, f))),) for x, y, f in colors)
+            out = ring[m - k:2 * m - k]  # out[f] = (f - fa) mod m
+            classes = tuple(((x, y, gather(out, f)),) for x, y, f in colors)
             yield SelfPowerStage(label, "toffoli", delta, classes)
 
     def mult_bounds(self) -> tuple[int, int]:

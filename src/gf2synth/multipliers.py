@@ -37,11 +37,14 @@ The cores (``mult_batches``, ``self_mult_batches``) produce column batches
 Toffoli batch whose wire lists are rotations of the registers' wire lists,
 and a self-power color class is the representation's index columns mapped
 onto wires (the ghost-bit first class is a Toffoli batch followed by a
-one-CNOT batch). With ``reverse`` a core yields the inverse block: stages
-last-first, each stage's batches last-first, every list reversed. The
-batches go as they are to measurement (``measure_stream``) and simulation
-(``run_packed``), and through the inverter's block chain to the netlist
-writer; ``mult_netlist`` and ``self_mult_netlist`` hold their register maps.
+one-CNOT batch). ``fields.gather`` is the one translation from index
+columns to wire columns: one ``itemgetter`` call per column, in C, which
+still gives a sequence for a column of one gate. With ``reverse`` a core
+yields the inverse block: stages last-first, each stage's batches
+last-first, every list reversed. The batches go as they are to
+measurement (``measure_stream``) and simulation (``run_packed``), and
+through the inverter's block chain to the netlist writer; ``mult_netlist``
+and ``self_mult_netlist`` hold their register maps.
 
 The cores check no gate on its own. Each block first checks its register
 layout with the register rule of ``circuits`` (non-negative, pairwise
@@ -56,7 +59,7 @@ from typing import Iterable, Iterator, Union
 
 from .circuits import UNBOUNDED, Batch, Circuit, Cnot, Netlist, validated_registers
 from .errors import ExponentOutOfRange
-from .fields import GhostBit, Gnb, GnbParams
+from .fields import GhostBit, Gnb, GnbParams, gather
 
 Rep = Union[GhostBit, Gnb]
 
@@ -122,15 +125,15 @@ def self_mult_batches(
     check_exponent(r, rep.m)
     n = rep.width
     validated_registers({"a": (a0, n), "c": (c0, n)}, UNBOUNDED)  # the precondition
-    a = _wires(a0, range(n)).__getitem__
-    tgt = _targets(rep, c0, square_write).__getitem__
+    a = _wires(a0, range(n))
+    tgt = _targets(rep, c0, square_write)
     # Index Toffolis name their controls lower-first and the wires of a
     # increase, so the wire controls are lower-first too.
 
     def stages() -> Iterator[Batch]:
         for stage in rep.self_mult_stages(r, reverse):
             batches = [
-                (list(map(a, x)), None if y is None else list(map(a, y)), list(map(tgt, c)))
+                (gather(a, x), None if y is None else gather(a, y), gather(tgt, c))
                 for cls in stage.classes
                 for x, y, c in cls
             ]

@@ -162,6 +162,37 @@ def test_synth_domain_error_opens_no_file(argv, capsys, tmp_path):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("command", ["synth", "verify"])
+@pytest.mark.parametrize("kind", ["add", "mult", "invert"])
+def test_exponent_refused_on_kinds_that_take_none(command, kind, capsys, tmp_path):
+    # -r used to be dropped silently; like -t on gbb it is a usage error
+    path = tmp_path / "F"
+    extra = ("--out", str(path)) if command == "synth" else ()
+    code, out, err = run(capsys, command, kind, "-m", "4", "--rep", "gbb", "-r", "2", *extra)
+    assert (code, out) == (2, "")
+    assert err == f"error: {kind} takes no exponent; -r applies to selfmult only\n"
+    assert not path.exists()
+
+
+def test_verify_refuses_an_exponent_before_packing(monkeypatch, tmp_path, capsys):
+    def no_patterns(*args):
+        raise AssertionError("patterns were drawn or packed")
+
+    monkeypatch.setattr(cli, "_pack_patterns", no_patterns)
+    monkeypatch.setattr(cli.random, "Random", no_patterns)
+    with pytest.raises(ValueError, match="mult takes no exponent"):
+        verify_kind(FieldSpec.ghost_bit(4), "mult", r=3)
+    # an out-of-range exponent is refused before 2^20 samples are drawn
+    with pytest.raises(ValueError, match="outside 0..409"):
+        verify_kind(FieldSpec.gnb(409), "selfmult", r=999, mode="random", samples=1 << 20)
+    monkeypatch.undo()
+    path = tmp_path / "mult.qc"
+    assert run(capsys, "synth", "mult", "-m", "4", "--rep", "gbb", "--out", str(path))[0] == 0
+    code, out, err = run(capsys, "verify", "mult", "-m", "4", "--rep", "gbb", "--in", str(path), "-r", "3")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: mult takes no exponent")
+
+
 def test_synth_t_rejected_for_ghost(capsys):
     code, _, err = run(capsys, "synth", "mult", "-m", "4", "--rep", "gbb", "-t", "1")
     assert code == 2
