@@ -27,20 +27,29 @@ Netlist text is read by one reader, ``read_netlist``: it pulls a file
 READ_SIZE characters at a time, cut after the last "\n" of each read,
 checks the header (the register rule applied once) and then yields the
 gates as column batches, one per same-kind run of a read, as they are
-drawn, so a file of any length is read in constant memory. A read of
-strict gate lines (``ccx a b t`` / ``cx c t``, single spaces, plain
-decimal wires) is matched by one regular expression, the wire tokens of
-each same-kind run are looked up in a name-to-wire table and cut into
+drawn, so a file of any length is read in constant memory. Whether a
+read is gate lines only is told by counts on its ``str.split`` tokens, not
+by matching it whole: per same-kind run of n lines of directive ``op``,
+the run starts with ``op`` and a space and ends with "\n", has step * n
+tokens (step 3 for ``cx``, 4 for ``ccx``), every step-th of them is
+``op``, and its other n - 1 "\n" are each followed by ``op``; a read that
+holds both kinds must be covered by its runs (``_strict_batches``). The
+wire tokens of each run are looked up in a name-to-wire table and cut into
 columns by slicing, and its batches go through the width-free part of the
-column check; any other read, or one the table or the check refuses, goes
-line by line through the gate rule, so every ParseError keeps its text
-and line number. ``Netlist.gates`` is the flat view, and ``parse`` is a
-``Circuit`` over the reader.
+column check. Those lines are the line reader's lines with the same
+tokens, so wire tokens ``int`` reads but that are not plain decimal
+(``+5``, ``007``, ``1_0``, non-ASCII digits), a "\r" before the "\n" and a
+tab or other separator between wire tokens may take this path, with the
+same result. Any other read (comments, blank or indented lines, a
+last line without "\n"), or one the table or the check refuses, goes line
+by line through the gate rule, so every ParseError keeps its text and line
+number. ``Netlist.gates`` is the flat view, and ``parse`` is a ``Circuit``
+over the reader.
 
 Wire names go through a wire-name table (``_NameTable``) both ways: the
 reader's maps a token to its wire, calling ``int`` and refusing a wire
-past the width the first time it sees the token, so a lookup is the range
-check; ``emit_lines``' maps a wire to its ``str``. A netlist has few
+outside 0..width-1 the first time it sees the token, so a lookup is the
+range check; ``emit_lines``' maps a wire to its ``str``. A netlist has few
 distinct wires however many gates it has, so almost every token costs one
 dict lookup. A table stores at most NAME_TABLE_SIZE names, and only those
 it has seen, so its size never follows the width.
@@ -155,19 +164,30 @@ def batch_passes(batch: Batch, width: Union[int, float]) -> bool:
     a, b, t = batch
     if not t:
         return True
-    if min(a) < 0 or min(t) < 0 or max(a) >= width or max(t) >= width:
+    if b is None:
+        top = a
+    elif all(map(lt, a, b)):
+        top = b  # every a is below its b, so max(a) < max(b): a needs no max
+    else:
         return False
-    return (b is None or max(b) < width) and _shape_passes(batch)
+    return (
+        min(a) >= 0 and min(t) >= 0 and max(top) < width and max(t) < width
+        and _targets_apart(batch)
+    )
 
 
 def _shape_passes(batch: Batch) -> bool:
     """The part of ``batch_passes`` that needs no width: the wires of each
     gate are distinct and Toffoli controls come lower-first (so a control b
     is never below 0 when its a is not)."""
+    a, b, _ = batch
+    return (b is None or all(map(lt, a, b))) and _targets_apart(batch)
+
+
+def _targets_apart(batch: Batch) -> bool:
+    """Every gate's target differs from its controls."""
     a, b, t = batch
-    if b is None:
-        return all(map(ne, a, t))
-    return all(map(lt, a, b)) and all(map(ne, a, t)) and all(map(ne, b, t))
+    return all(map(ne, a, t)) and (b is None or all(map(ne, b, t)))
 
 
 def validated_batches(batches: Iterable[Batch], width: Union[int, float]) -> Iterator[Batch]:
@@ -475,10 +495,11 @@ class _NameTable(dict):
 
 
 def _wire_named(width: int, name: str) -> int:
-    """The wire a canonical decimal name stands for; KeyError when it is not
-    below the width, ValueError when ``int`` refuses it (too many digits)."""
+    """The wire a name stands for, read by ``int`` as the line reader reads
+    it; KeyError when the wire is outside 0..width-1, ValueError when
+    ``int`` refuses the name."""
     wire = int(name)
-    if wire >= width:
+    if not 0 <= wire < width:
         raise KeyError(name)
     return wire
 
@@ -628,31 +649,51 @@ def read_netlist(fh: TextIO) -> Netlist:
     return Netlist(width, registers, _gate_batches(chain((rest,), chunks), lineno, width))
 
 
-# A piece of strict gate lines: "ccx a b t" or "cx c t", single spaces,
-# wires in decimal without a sign or leading zero, each line ended by "\n".
-_WIRE = "(?:[1-9][0-9]*|0)"
-_STRICT_GATE_LINES = re.compile(f"(?:(?:ccx {_WIRE}|cx) {_WIRE} {_WIRE}\n)*")
+# The same-kind runs of lines of a piece that holds both gate kinds.
 _KIND_RUNS = re.compile(r"(?:ccx [^\n]*\n)+|(?:cx [^\n]*\n)+")
 
 
 def _strict_batches(chunk: str, wires: _NameTable) -> Optional[list[Batch]]:
-    """The gates of a piece of strict gate lines as column batches, one per
-    same-kind run, or None unless the piece is strict lines only and every
-    batch passes the gate rule unchanged: then the line reader would yield
-    the same gates. ``wires`` is the reader's name-to-wire table; looking a
-    token up in it is the range check, so the column check left is
-    ``_shape_passes``."""
-    if not _STRICT_GATE_LINES.fullmatch(chunk):
+    """The gates of a piece of gate lines as column batches, one per
+    same-kind run, or None unless the line reader would yield the same
+    gates from it. A run of n lines of directive ``op`` (4 tokens per
+    ``ccx`` line, 3 per ``cx`` line) passes when it starts with ``op + " "``
+    and ends with "\\n", its ``str.split`` tokens number step * n, every
+    step-th of them is ``op``, and each of its other n - 1 "\\n" is followed
+    by ``op``. Then every line starts with a token that begins with ``op``;
+    ``int`` refuses such a token, so once every wire token has passed
+    ``int`` the line starts are exactly the n directive slots, and each line
+    is ``op`` and its wires, the line reader's tokens in its order (a "#"
+    would sit in some token, and neither ``op`` nor ``int`` takes one, so
+    no comment is cut). A piece that holds both kinds is cut into runs
+    by ``_KIND_RUNS``, and the runs must cover it. ``wires`` is the reader's
+    name-to-wire table; looking a token up in it is ``int`` and the range
+    check, so the column check left is ``_shape_passes``."""
+    if chunk.startswith("cx "):
+        mixed = "\nccx " in chunk
+    else:
+        mixed = "\ncx " in chunk
+    runs = _KIND_RUNS.findall(chunk) if mixed else (chunk,)
+    if mixed and sum(map(len, runs)) != len(chunk):
         return None
     batches: list[Batch] = []
     wire = wires.__getitem__
-    for run in _KIND_RUNS.findall(chunk):
+    for run in runs:
+        op, step = ("ccx", 4) if run.startswith("ccx ") else ("cx", 3)
+        n = run.count("\n")
         toks = run.split()
-        step = 4 if toks[0] == "ccx" else 3  # tokens per line
+        if not (
+            run.startswith(op + " ")
+            and run.endswith("\n")
+            and len(toks) == step * n
+            and toks[::step].count(op) == n
+            and run.count("\n" + op) == n - 1
+        ):
+            return None
         del toks[::step]
         try:
             cols = list(map(wire, toks))
-        except (KeyError, ValueError):  # a wire past the width, or too long for int()
+        except (KeyError, ValueError):  # a wire outside 0..width-1, or a token int() refuses
             return None
         if step == 4:
             batch: Batch = (cols[0::3], cols[1::3], cols[2::3])

@@ -48,29 +48,6 @@ def gf2_mod(a: int, b: int) -> int:
     return gf2_divmod(a, b)[1]
 
 
-def gf2_mulmod(a: int, b: int, mod: int) -> int:
-    return gf2_mod(gf2_mul(a, b), mod)
-
-
-def gf2_gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, gf2_mod(a, b)
-    return a
-
-
-def gf2_ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, s, t) with s*a + t*b == g == gcd(a, b)."""
-    r0, r1 = a, b
-    s0, s1 = 1, 0
-    t0, t1 = 0, 1
-    while r1:
-        q, r = gf2_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 ^ gf2_mul(q, s1)
-        t0, t1 = t1, t0 ^ gf2_mul(q, t1)
-    return r0, s0, t0
-
-
 def gf2_inv_mod(a: int, mod: int) -> int:
     """Multiplicative inverse of a modulo `mod`; a must be a unit. The
     shift-and-add extended Euclid (Hankerson, Menezes and Vanstone, Guide to
@@ -89,31 +66,6 @@ def gf2_inv_mod(a: int, mod: int) -> int:
         u ^= v << j
         g1 ^= g2 << j
     return g1
-
-
-def gf2_is_irreducible(f: int) -> bool:
-    """Rabin's test: f of degree n is irreducible iff x^(2^n) == x mod f and
-    gcd(x^(2^(n/q)) - x, f) == 1 for every prime divisor q of n."""
-    n = gf2_degree(f)
-    if n <= 0:
-        return False
-    if n == 1:
-        return True
-    if f & 1 == 0:  # divisible by x
-        return False
-    x = 0b10
-    h = x
-    for _ in range(n):
-        h = gf2_mulmod(h, h, f)
-    if h != gf2_mod(x, f):
-        return False
-    for q in prime_divisors(n):
-        h = x
-        for _ in range(n // q):
-            h = gf2_mulmod(h, h, f)
-        if gf2_gcd(h ^ x, f) != 1:
-            return False
-    return True
 
 
 def prime_divisors(n: int) -> list[int]:

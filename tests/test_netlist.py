@@ -3,6 +3,7 @@
 import io
 import random
 import tracemalloc
+from functools import partial
 
 import pytest
 
@@ -17,6 +18,7 @@ from gf2synth.circuits import (
     read_netlist,
     toffoli,
 )
+from gf2synth.cli import main
 from gf2synth.errors import PARSE_MESSAGE_LIMIT, ParseError
 
 
@@ -156,6 +158,8 @@ def read_outcome(text, monkeypatch, read_size, per_line=False):
 CLEAN = emit(random_circuit(8, n=400))
 # wires of one to three digits, so the digit count varies from token to token
 WIDE = emit(random_circuit(8, width=1000, n=400))
+# CNOTs only, so that every piece holds one gate kind
+CNOTS = emit(Circuit(9, tuple(cnot(i % 8, 8) for i in range(400))))
 
 
 def _with_line(line, at=200, base=CLEAN):
@@ -191,6 +195,17 @@ def _with_line(line, at=200, base=CLEAN):
         _with_line("ccx 10 9 999", base=WIDE),
         _with_line("cx 0100 99", base=WIDE),
         _with_line("cx \u0661\u0660 2", base=WIDE),
+        _with_line("ccx -1 2 3"),
+        _with_line("cx -1 2"),
+        _with_line("cx -5 99", base=WIDE),
+        _with_line("ccx 1 2\n3 ccx 4 5 6"),
+        _with_line("ccx 1 2 3 ccx\n4 5 6"),
+        _with_line("ccx1 2 3"),
+        _with_line("cx 0\x1c1"),
+        _with_line("ccx 1 2\x0c3"),
+        _with_line("cx 0 1\nfoo 1 2\nccx 1 2 3"),
+        _with_line("cx 0 1 cx 1 2\n", base=CNOTS),
+        _with_line("cxx 1 2", base=CNOTS),
     ],
     ids=[
         "clean", "leading-zeros", "plus-sign", "tab", "crlf", "trailing-comment",
@@ -198,7 +213,10 @@ def _with_line(line, at=200, base=CLEAN):
         "control-equal-to-width", "no-final-newline", "first-of-two-faults", "last-line-unended",
         "over-long-wire", "unicode-digit", "underscore", "wide-clean", "wide-wire-equal-to-width",
         "wide-control-equal-to-width", "wide-reversed-controls", "wide-leading-zero",
-        "wide-unicode-digits",
+        "wide-unicode-digits", "negative-control", "negative-cnot-control", "wide-negative-control",
+        "newline-inside-a-gate", "directive-as-a-wire", "glued-directive", "file-separator",
+        "form-feed", "unknown-line-between-kinds", "two-cnots-on-a-line",
+        "longer-directive",
     ],
 )
 @pytest.mark.parametrize("read_size", [3, 64, circuits.READ_SIZE])
@@ -208,19 +226,40 @@ def test_batched_reader_agrees_with_the_line_reader(text, read_size, monkeypatch
     )
 
 
-def assert_read_as_columns(text, c, monkeypatch):
-    """Every piece of ``text`` (the netlist of ``c``) takes the column path."""
-    cut = []
+@pytest.mark.parametrize(
+    "chunk",
+    [
+        "\ncx\t0 1 cx 1 2\n",  # every count holds; only the first line's start tells
+        "cx 0\n1\ncx 2 3",  # every count holds; only the missing final "\n" tells
+    ],
+)
+def test_strict_batches_refuses_what_the_line_reader_refuses(chunk):
+    wires = circuits._NameTable(partial(circuits._wire_named, 9))
+    assert circuits._strict_batches(chunk, wires) is None
+    with pytest.raises(ParseError):
+        parse("qubits 9\n" + chunk)
+
+
+def recorded_pieces(monkeypatch):
+    """Patch ``_strict_batches`` to record every piece it is handed and
+    whether that piece took the column path; returns the record."""
+    pieces = []
     strict = circuits._strict_batches
 
-    def counted(chunk, wires):
+    def recorded(chunk, wires):
         batches = strict(chunk, wires)
-        cut.append(batches is not None)
+        pieces.append((chunk, batches is not None))
         return batches
 
-    monkeypatch.setattr(circuits, "_strict_batches", counted)
+    monkeypatch.setattr(circuits, "_strict_batches", recorded)
+    return pieces
+
+
+def assert_read_as_columns(text, c, monkeypatch):
+    """Every piece of ``text`` (the netlist of ``c``) takes the column path."""
+    pieces = recorded_pieces(monkeypatch)
     assert read_outcome(text, monkeypatch, 64) == (c.width, c.registers, list(c.gates))
-    assert len(cut) > 50 and all(cut)
+    assert len(pieces) > 50 and all(columns for _, columns in pieces)
 
 
 def test_clean_pieces_are_read_as_columns(monkeypatch):
@@ -229,6 +268,25 @@ def test_clean_pieces_are_read_as_columns(monkeypatch):
 
 def test_wide_clean_pieces_are_read_as_columns(monkeypatch):
     assert_read_as_columns(WIDE, random_circuit(8, width=1000, n=400), monkeypatch)
+
+
+@pytest.mark.parametrize("rep,m", [("gnb", 23), ("gbb", 10)])
+@pytest.mark.parametrize("read_size", [64, circuits.READ_SIZE])
+def test_written_inverters_are_read_as_columns(rep, m, read_size, tmp_path, monkeypatch, capsys):
+    """A written inverter has pieces that mix cx and ccx lines; every piece
+    that ends in "\\n" still takes the column path."""
+    path = tmp_path / "inv.qc"
+    assert main(["synth", "invert", "-m", str(m), "--rep", rep, "--out", str(path)]) == 0
+    capsys.readouterr()
+    text = path.read_text()
+    pieces = recorded_pieces(monkeypatch)
+    assert read_outcome(text, monkeypatch, read_size) == read_outcome(
+        text, monkeypatch, read_size, per_line=True
+    )
+    ended = [columns for chunk, columns in pieces if chunk.endswith("\n")]
+    assert ended and all(ended)
+    kinds = [{line.split(" ", 1)[0] for line in chunk.splitlines()} for chunk, _ in pieces]
+    assert {"cx", "ccx"} in kinds
 
 
 def test_batch_emit_is_flat_emit_on_wide_circuits():
