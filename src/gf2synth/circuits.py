@@ -716,9 +716,10 @@ def _gate_batches(chunks: Iterator[str], lineno: int, width: int) -> Iterator[Ba
         batches = _strict_batches(chunk, wires)
         if batches is None:
             yield from gate_runs(_gate_lines(chunk.split("\n"), lineno, width))
+            lineno += chunk.count("\n")
         else:
             yield from batches
-        lineno += chunk.count("\n")
+            lineno += sum(len(t) for _, _, t in batches)  # one gate per strict line
 
 
 def _gate_lines(lines: Iterable[str], lineno: int, width: int) -> Iterator[Gate]:

@@ -30,10 +30,11 @@ representation object (``spec.rep``), so the commands never branch on the
 representation. ``synth_circuit`` is the kind table: for each kind it gives
 the width, the register map and the column batches, which ``synth`` and
 ``verify`` draw every kind from, and ``table`` its add and mult rows.
-``verify_kind`` is a single path driven by a per-kind table row: input
-bits, kept wires, ancilla spans that must return to zero, output span, the
-packed check, and the same check on one pattern, which words the
-counterexample of the first failing pattern.
+``verify_kind`` lays every kind out from that register map (the ``input``
+registers packed from wire 0, the output last, every other register an
+ancilla), so what ``synth`` writes is what ``verify`` checks; a per-kind
+row adds only the oracles: the packed check, and the same check on one
+pattern, which words the counterexample of the first failing pattern.
 
 Exit codes: 0 success / verification passed, 1 verification failed,
 2 domain error (unsupported degree, bad parameters, bad usage) or out of
@@ -78,7 +79,7 @@ from .fields import (
 )
 from .inverters import inverter_batches, inverter_estimate, inverter_structure
 from .inverters import synth_inverter  # noqa: F401  (kept for the benchmark tracer)
-from .multipliers import check_exponent, mult_netlist, self_mult_netlist, synth_add
+from .multipliers import mult_netlist, self_mult_netlist, synth_add
 from .multipliers import (  # kept for the benchmark tracer
     synth_gbb_mult,  # noqa: F401
     synth_gbb_self_mult,  # noqa: F401
@@ -138,7 +139,8 @@ def _bitstr(v: int, n: int) -> str:
 
 @dataclass(frozen=True)
 class _Row:
-    """One row of the verification table; spans are (start, length).
+    """The oracle half of one kind's verification; the layout comes from
+    the kind's register map in ``synth_circuit``.
 
     ``misses`` gets the packed input bits (as packed, before the gates ran)
     and the packed output register, and returns an int whose lowest set bit
@@ -147,13 +149,8 @@ class _Row:
     the counterexample.
     """
 
-    nbits: int  # simulated input bits, on wires 0..nbits-1
-    width: int  # wires the circuit must have
     name: str  # what a width mismatch calls the circuit
-    kept: tuple[int, int]  # span that must come back unchanged
-    kept_label: str  # how a counterexample names a wire of that span
-    ancillas: tuple[tuple[int, int], ...]  # spans that must return to zero
-    output: int  # first wire of the register-wide output
+    kept_label: str  # how a counterexample names a kept input wire
     misses: Callable[[list[int], list[int]], int]  # (inputs, outputs)
     check: Callable[[int, int], Optional[str]]  # (pattern, output) -> counterexample
 
@@ -185,40 +182,29 @@ def _register_misses(w: int, n_in: int, expected: Callable[..., Iterable[int]]):
     return misses
 
 
-def _verify_row(spec: FieldSpec, kind: str, r: Optional[int]) -> _Row:
-    """The verification table, one row per kind. Every kind is checked on
-    raw register patterns; an invert input may be either ghost-bit
+def _verify_row(spec: FieldSpec, kind: str, r: Optional[int], n_in: int) -> _Row:
+    """The oracles of one kind, whose ``n_in`` operands are w-bit raw
+    register patterns; an invert input may be either ghost-bit
     representative of its element."""
     rep, w = spec.rep, spec.width
     if kind == "invert":
-        s = inverter_structure(spec)
-        regs = s.registers
-        ancillas = tuple(span for name, span in regs.items() if name not in ("input", "output"))
 
         def inverse(v: int, got: int) -> Optional[str]:
             if rep.inverse_ok(v, got):
                 return None
             return f"input={_bitstr(v, w)} output={_bitstr(got, w)}"
 
-        return _Row(
-            nbits=w, width=s.width, name="inverter",
-            kept=regs["input"], kept_label="input wire", ancillas=ancillas,
-            output=regs["output"][0], misses=rep.packed_inverse_misses, check=inverse,
-        )
-    # (operands, wires kept = first output wire, expected output, packed expected output)
-    n_in, out, expected, packed = {
-        "add": (2, w, lambda a, b: a ^ b, partial(map, xor)),
-        "mult": (2, 2 * w, rep.mult, rep.packed_mult),
+        return _Row("inverter", "input wire", rep.packed_inverse_misses, inverse)
+    # (expected output, packed expected output)
+    expected, packed = {
+        "add": (lambda a, b: a ^ b, partial(map, xor)),
+        "mult": (rep.mult, rep.packed_mult),
         "selfmult": (
-            1, w, lambda a: rep.mult(a, rep.frobenius(a, r)),
+            lambda a: rep.mult(a, rep.frobenius(a, r)),
             lambda a: rep.packed_mult(a, rep.packed_frobenius(a, r)),
         ),
     }[kind]
-    return _Row(
-        nbits=n_in * w, width=out + w, name=kind,
-        kept=(0, out), kept_label="wire", ancillas=(), output=out,
-        misses=_register_misses(w, n_in, packed), check=_register_check(w, n_in, expected),
-    )
+    return _Row(kind, "wire", _register_misses(w, n_in, packed), _register_check(w, n_in, expected))
 
 
 def verify_kind(
@@ -233,14 +219,20 @@ def verify_kind(
 ) -> VerifyResult:
     """Check a netlist against the classical oracles.
 
+    The layout is the register map of ``synth_circuit(spec, kind, r)``, so
+    what ``synth`` writes is what is checked, and an unknown kind or a
+    missing, stray or out-of-range exponent is refused there, before a
+    pattern is drawn (a netlist file does not carry its exponent). The
+    ``input`` registers are packed from wire 0, the last register is the
+    output, the input wires below it must come back unchanged and every
+    other register is an ancilla that must return to zero.
+
     Inputs are raw register patterns (the convolution identities hold on
     every bit vector, embedded or not), so a ghost-bit inverter is also fed
-    inputs whose ghost bit is 1. invert has three checks per input: the
-    output register inverts the input (product-equals-identity, on either
-    ghost-bit representative), the input register is preserved, and every
-    ancilla register returns to zero. ``mode`` is auto, exhaustive or
-    random; random mode draws 1 to 2^20 samples, the exhaustive cap, from
-    a non-negative seed.
+    inputs whose ghost bit is 1; its output must invert the input on either
+    ghost-bit representative (product-equals-identity). ``mode`` is auto,
+    exhaustive or random; random mode draws 1 to 2^20 samples, the
+    exhaustive cap, from a non-negative seed.
 
     All patterns are packed, simulated in one bit-sliced pass and checked
     at once: the kept and ancilla wires first, then the output against the
@@ -255,19 +247,16 @@ def verify_kind(
     wrong width is read to its end before WidthMismatch is raised, so that
     a malformed line still raises its ParseError first.
     """
-    if kind not in KINDS:
-        raise ValueError(f"unknown verification kind {kind!r}")
     if mode not in MODES:
         raise ValueError(f"unknown verification mode {mode!r}; use {'|'.join(MODES)}")
-    if kind == "selfmult" and r is None:
-        raise ValueError("selfmult verification needs the exponent r")
-    _refuse_exponent(kind, r)
-    if kind == "selfmult":
-        check_exponent(r, spec.m)  # a netlist file does not carry its exponent
+    width, registers, batches = synth_circuit(spec, kind, r)
     if mode != "exhaustive" and not 1 <= samples <= EXHAUSTIVE_CAP:
         raise ValueError(f"random mode draws 1 to 2^20 samples, got {samples}")
-    row = _verify_row(spec, kind, r)
-    nbits = row.nbits
+    operands = [span for name, span in registers.items() if name.startswith("input")]
+    nbits = sum(length for _, length in operands)
+    *others, (out, _) = registers.values()
+    ancillas = [span for span in others if span not in operands]
+    row = _verify_row(spec, kind, r, len(operands))
 
     if mode == "auto":
         mode = "exhaustive" if (1 << nbits) <= EXHAUSTIVE_CAP else "random"
@@ -285,30 +274,27 @@ def verify_kind(
         patterns = None
         used_seed = None
 
-    # The positional layout is part of the netlist contract, so verification
-    # derives spans from the spec, not the file.
-    if netlist is not None and netlist.width != row.width:
-        deque(netlist.batches, 0)
-        raise WidthMismatch(f"netlist has {netlist.width} wires, {row.name} needs {row.width}")
-    batches = synth_circuit(spec, kind, r).batches if netlist is None else netlist.batches
+    if netlist is not None:
+        if netlist.width != width:
+            deque(netlist.batches, 0)
+            raise WidthMismatch(f"netlist has {netlist.width} wires, {row.name} needs {width}")
+        batches = netlist.batches
 
-    state, count = _pack_patterns(row.width, patterns, nbits)
+    state, count = _pack_patterns(width, patterns, nbits)
     inputs = state[:nbits]
-    kept_start, kept_length = row.kept
-    before = state[kept_start : kept_start + kept_length]
     run_packed(batches, state)
 
     def fail(reason: str) -> VerifyResult:
         return VerifyResult(False, count, mode, used_seed, reason)
 
-    for wire, value in enumerate(before, kept_start):
+    for wire, value in enumerate(inputs[:out]):
         if state[wire] != value:
             return fail(f"{row.kept_label} {wire} modified")
-    for start, length in row.ancillas:
+    for start, length in ancillas:
         for wire in range(start, start + length):
             if state[wire] != 0:
                 return fail(f"ancilla wire {wire} not returned to zero")
-    outputs = state[row.output : row.output + spec.width]
+    outputs = state[out : out + spec.width]
     misses = row.misses(inputs, outputs)
     if misses:
         first = (misses & -misses).bit_length() - 1
@@ -324,17 +310,13 @@ def verify_kind(
 # synthesis dispatch
 
 
-def _refuse_exponent(kind: str, r: Optional[int]) -> None:
-    """Only selfmult takes an exponent: r on another kind is refused, never
+def synth_circuit(spec: FieldSpec, kind: str, r: Optional[int] = None) -> Netlist:
+    """The kind table: one kind's width, register map and column batches for
+    ``spec.rep``. A domain error raises now; batches are built as drawn.
+    Only selfmult takes an exponent: r on another kind is refused, never
     dropped."""
     if r is not None and kind != "selfmult":
         raise ValueError(f"{kind} takes no exponent; -r applies to selfmult only")
-
-
-def synth_circuit(spec: FieldSpec, kind: str, r: Optional[int] = None) -> Netlist:
-    """The kind table: one kind's width, register map and column batches for
-    ``spec.rep``. A domain error raises now; batches are built as drawn."""
-    _refuse_exponent(kind, r)
     if kind == "add":
         adder = synth_add(spec.width)
         return Netlist(adder.width, adder.registers, gate_runs(adder.gates))

@@ -211,12 +211,6 @@ class GnbParams:
     u: int
     f_table: tuple[int, ...]
 
-    def F(self, k: int) -> int:
-        """The index function on 1 <= k <= p-1."""
-        if not 1 <= k <= self.p - 1:
-            raise ValueError(f"F is defined on 1..{self.p - 1}, got {k}")
-        return self.f_table[k - 1]
-
 
 def _gnb_violation(m: int, t: int) -> Optional[str]:
     """Why no type-t Gaussian normal basis exists for m, or None if one does.

@@ -158,8 +158,9 @@ def synth_add(width: int) -> Circuit:
 
 def check_exponent(r: int, m: int) -> None:
     """The self-power exponent's range, 0..m: the one check of it, which
-    ``self_mult_batches`` runs at its call and ``cli.verify_kind`` runs
-    before it draws a netlist, since a netlist file does not carry r."""
+    ``self_mult_batches`` runs at its call, so ``cli.synth_circuit`` refuses
+    r for ``synth`` and ``verify`` alike before a gate or pattern is drawn
+    (a netlist file does not carry r)."""
     if not 0 <= r <= m:
         raise ExponentOutOfRange(f"exponent r={r} outside 0..{m}")
 

@@ -185,6 +185,14 @@ def test_verify_refuses_an_exponent_before_packing(monkeypatch, tmp_path, capsys
     # an out-of-range exponent is refused before 2^20 samples are drawn
     with pytest.raises(ValueError, match="outside 0..409"):
         verify_kind(FieldSpec.gnb(409), "selfmult", r=999, mode="random", samples=1 << 20)
+    # a missing exponent and an unknown kind are refused by the kind table too
+    with pytest.raises(ValueError, match="selfmult needs -r"):
+        verify_kind(FieldSpec.ghost_bit(4), "selfmult")
+    with pytest.raises(ValueError, match="unknown synthesis kind 'bogus'"):
+        verify_kind(FieldSpec.ghost_bit(4), "bogus")
+    refused = run(capsys, "verify", "selfmult", "-m", "4", "--rep", "gbb")
+    assert refused == (2, "", "error: selfmult needs -r <exponent>\n")
+    assert refused == run(capsys, "synth", "selfmult", "-m", "4", "--rep", "gbb")
     monkeypatch.undo()
     path = tmp_path / "mult.qc"
     assert run(capsys, "synth", "mult", "-m", "4", "--rep", "gbb", "--out", str(path))[0] == 0
@@ -545,13 +553,19 @@ def test_help_exits_zero(capsys):
 
 
 def test_module_entry_point():
+    import os
     import subprocess
     import sys
+    from pathlib import Path
 
+    # the package's own source tree, so the child finds it without PYTHONPATH
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "gf2synth", "params", "-m", "4"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "ghost_bit=yes" in proc.stdout

@@ -289,6 +289,19 @@ def test_written_inverters_are_read_as_columns(rep, m, read_size, tmp_path, monk
     assert {"cx", "ccx"} in kinds
 
 
+def test_column_path_pieces_advance_the_line_count(monkeypatch):
+    """A bad line after several column-path pieces, one of them holding
+    both gate kinds, reports its own line: a column-path piece advances the
+    count by the gates it yields, one per strict line."""
+    gates = [cnot(i % 8, 8) for i in range(20)] + [toffoli(i % 4, 4 + i % 4, 8) for i in range(20)]
+    text = emit(Circuit(9, tuple(gates + gates))) + "cx 0 9\n"
+    pieces = recorded_pieces(monkeypatch)
+    assert read_outcome(text, monkeypatch, 64)[1] == text.count("\n")
+    columns = [chunk for chunk, columns in pieces if columns]
+    assert len(columns) >= 3 and not pieces[-1][1]  # the bad line's piece: the line reader
+    assert any("\ncx " in chunk and "ccx " in chunk for chunk in columns)
+
+
 def test_batch_emit_is_flat_emit_on_wide_circuits():
     c = random_circuit(5, width=1000, n=3000)
     flat = list(emit_lines(c.width, c.registers, c.gates, ["wide"]))

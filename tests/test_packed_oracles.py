@@ -12,6 +12,7 @@ per-pattern scan, kept here as it was before the packed check, reports.
 """
 
 import random
+from collections import namedtuple
 
 import pytest
 
@@ -31,6 +32,7 @@ from gf2synth.errors import InvalidParams
 from gf2synth.fields import (
     FieldSpec,
     GnbParams,
+    addition_chain,
     check_ghost_bit_support,
     gnb_packed_mult,
     itoh_tsujii_inverse,
@@ -74,6 +76,28 @@ def _batches(spec, nbits, rng, wide=True):
     if wide and spec in LARGEST:
         out.append([rng.getrandbits(nbits) for _ in range(PACK_SLICE + 1)])
     return out
+
+
+# verify's layout of a kind: input bits on wires 0..nbits-1, the circuit's
+# width, the span that must come back unchanged, the spans that must return
+# to zero, and the first wire of the w-wide output register
+Layout = namedtuple("Layout", "nbits width kept ancillas output")
+
+
+def layout(spec, kind):
+    """Each kind's layout written out by hand: the reference that the
+    register maps verify reads from ``synth_circuit`` must agree with."""
+    w = spec.width
+    if kind == "invert":  # input, ladder and work registers, output last
+        count = addition_chain(spec.m).register_count
+        return Layout(w, count * w, (0, w), ((w, (count - 2) * w),), (count - 1) * w)
+    n_in, out = {"add": (2, w), "mult": (2, 2 * w), "selfmult": (1, w)}[kind]
+    return Layout(n_in * w, out + w, (0, out), (), out)
+
+
+def _row(spec, kind, r):
+    """verify's oracle row for one kind, its operand count from ``layout``."""
+    return cli._verify_row(spec, kind, r, layout(spec, kind).nbits // spec.width)
 
 
 def _operands(patterns, w, n_in):
@@ -128,14 +152,14 @@ def _row_agrees(spec, kind, r, patterns, rng):
     """Half the outputs right, half off by a random nonzero flip; the packed
     misses must be exactly the patterns the per-pattern check rejects."""
     w = spec.width
-    row = cli._verify_row(spec, kind, r)
+    row, nbits = _row(spec, kind, r), layout(spec, kind).nbits
     outputs = []
     for pattern in patterns:
         value = _expected_output(spec, kind, r, pattern)
         if rng.random() < 0.5:
             value ^= rng.randrange(1, 1 << w)
         outputs.append(value)
-    inputs = pack_patterns(row.nbits, range(row.nbits), patterns)
+    inputs = pack_patterns(nbits, range(nbits), patterns)
     packed_outputs = pack_patterns(w, range(w), outputs)
     rejected = sum(1 << b for b, pair in enumerate(zip(patterns, outputs)) if row.check(*pair))
     assert row.misses(inputs, packed_outputs) == rejected
@@ -185,19 +209,19 @@ def per_pattern_scan(spec, kind, r, batches, patterns):
     """verify's check as it ran before the packed oracles: read every
     pattern's output back and ask the per-pattern check in order. Returns
     (first failing pattern's slot, counterexample)."""
-    row = cli._verify_row(spec, kind, r)
-    state, count = cli._pack_patterns(row.width, patterns, row.nbits)
-    kept_start, kept_length = row.kept
+    row, lay = _row(spec, kind, r), layout(spec, kind)
+    state, count = cli._pack_patterns(lay.width, patterns, lay.nbits)
+    kept_start, kept_length = lay.kept
     before = state[kept_start : kept_start + kept_length]
     run_packed(batches, state)
     for wire, value in enumerate(before, kept_start):
         if state[wire] != value:
             return None, f"{row.kept_label} {wire} modified"
-    for start, length in row.ancillas:
+    for start, length in lay.ancillas:
         for wire in range(start, start + length):
             if state[wire] != 0:
                 return None, f"ancilla wire {wire} not returned to zero"
-    outputs = register_values(state, count, row.output, spec.width)
+    outputs = register_values(state, count, lay.output, spec.width)
     for slot, (pattern, got) in enumerate(zip(range(count) if patterns is None else patterns, outputs)):
         problem = row.check(pattern, got)
         if problem:
@@ -211,9 +235,9 @@ def _tampered(spec, kind, r, edit):
     ("append", (a, b)) adds a Toffoli from input wires a and b into the
     first output wire, which fires first at pattern 2^a + 2^b of an
     exhaustive run."""
-    row = cli._verify_row(spec, kind, r)
+    output = layout(spec, kind).output
     netlist = cli.synth_circuit(spec, kind, r)
-    out = range(row.output, row.output + spec.width)
+    out = range(output, output + spec.width)
     how, arg = edit
     gates, seen = [], -1
     for gate in flat_gates(netlist.batches):
@@ -223,7 +247,7 @@ def _tampered(spec, kind, r, edit):
                 gate = Cnot(gate.control_a, gate.target)
         gates.append(gate)
     if how == "append":
-        gates.append(Toffoli(*arg, row.output))
+        gates.append(Toffoli(*arg, output))
     else:
         assert seen >= arg
     return netlist.width, netlist.registers, gates
@@ -254,7 +278,7 @@ def test_first_failure_matches_the_per_pattern_scan(spec, kind, r, edit, mode, s
     patterns = None
     if mode == "random":
         rng = random.Random(seed)
-        nbits = cli._verify_row(spec, kind, r).nbits
+        nbits = layout(spec, kind).nbits
         patterns = [rng.getrandbits(nbits) for _ in range(samples)]
     slot, problem = per_pattern_scan(spec, kind, r, gate_runs(gates), patterns)
     assert slot is not None and slot > 0  # the edit is caught by the output check, late
@@ -262,3 +286,39 @@ def test_first_failure_matches_the_per_pattern_scan(spec, kind, r, edit, mode, s
         assert slot == (1 << edit[1][0]) + (1 << edit[1][1])
     assert not result.passed
     assert result.counterexample == problem
+
+
+# -- the kept span --------------------------------------------------------------
+
+
+def _verified(spec, kind, r, gates):
+    """verify_kind on ``gates`` laid out as the synthesized netlist of the kind."""
+    netlist = cli.synth_circuit(spec, kind, r)
+    return cli.verify_kind(
+        spec, kind, r=r, netlist=Netlist(netlist.width, netlist.registers, gate_runs(gates))
+    )
+
+
+@pytest.mark.parametrize("spec", [FieldSpec.ghost_bit(4), FieldSpec.gnb(5)], ids=_key)
+@pytest.mark.parametrize(
+    "kind, r, label",
+    [("add", None, "wire"), ("mult", None, "wire"), ("selfmult", 1, "wire"),
+     ("invert", None, "input wire")],
+)
+def test_a_modified_kept_wire_is_named(spec, kind, r, label):
+    """A CNOT into the last wire of the kept span fails with that wire named."""
+    wire = sum(layout(spec, kind).kept) - 1
+    gates = [*flat_gates(cli.synth_circuit(spec, kind, r).batches), Cnot(0, wire)]
+    result = _verified(spec, kind, r, gates)
+    assert (result.passed, result.counterexample) == (False, f"{label} {wire} modified")
+
+
+def test_add_writes_its_output_register_and_passes():
+    """add's output is input_b, so the kept span stops below it: a netlist
+    that writes every wire of input_b passes."""
+    spec = FieldSpec.ghost_bit(4)
+    w, netlist = spec.width, cli.synth_circuit(spec, "add")
+    gates = list(flat_gates(netlist.batches))
+    assert netlist.registers["input_b"] == (w, w) == (layout(spec, "add").output, w)
+    assert sorted(gate.target for gate in gates) == list(range(w, 2 * w))
+    assert _verified(spec, "add", None, gates).passed
