@@ -401,8 +401,8 @@ def resources(c: Circuit) -> ResourceEstimate:
 def run_packed(batches: Iterable[Batch], state: list[int]) -> list[int]:
     """Apply column batches to a bit-sliced state in place (state[w] packs
     wire w across all patterns), gate by gate in stream order. Gates are
-    trusted; callers validate beforehand. A flat gate stream goes through
-    ``gate_runs`` first."""
+    trusted; callers validate beforehand. It takes column batches only; a
+    caller with a flat gate list turns it into batches with ``gate_runs``."""
     for ca, cb, ct in batches:
         if cb is None:
             for c, t in zip(ca, ct):

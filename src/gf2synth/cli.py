@@ -30,11 +30,14 @@ representation object (``spec.rep``), so the commands never branch on the
 representation. ``synth_circuit`` is the kind table: for each kind it gives
 the width, the register map and the column batches, which ``synth`` and
 ``verify`` draw every kind from, and ``table`` its add and mult rows.
-``verify_kind`` lays every kind out from that register map (the ``input``
-registers packed from wire 0, the output last, every other register an
-ancilla), so what ``synth`` writes is what ``verify`` checks; a per-kind
-row adds only the oracles: the packed check, and the same check on one
-pattern, which words the counterexample of the first failing pattern.
+``verify_kind`` lays every kind out from that register map: the ``input``
+registers are packed from wire 0, the last register is the output, and
+every other wire must come back as it was packed. So what ``synth`` writes
+is what ``verify`` checks. A per-kind row adds only the oracles, and takes
+its operands from the register map too (each ``input`` register's span):
+the packed check on every pattern's operand wires, and the same check on
+one pattern's operands, which words the counterexample of the first
+failing pattern.
 
 Exit codes: 0 success / verification passed, 1 verification failed,
 2 domain error (unsupported degree, bad parameters, bad usage) or out of
@@ -50,9 +53,9 @@ from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial, reduce
-from itertools import islice, tee
+from itertools import chain, islice, tee
 from operator import or_, xor
-from typing import Callable, Iterable, Iterator, Optional, TextIO
+from typing import Callable, Iterator, Optional, TextIO
 
 from .circuits import parse  # noqa: F401  (kept for the benchmark tracer)
 from .circuits import (
@@ -70,13 +73,7 @@ from .circuits import (
     validated_registers,
 )
 from .errors import ParseError, WidthMismatch
-from .fields import (
-    FieldSpec,
-    Representation,
-    check_ghost_bit_support,
-    find_gnb_type,
-    make_gnb_params,
-)
+from .fields import FieldSpec, Representation, check_ghost_bit_support
 from .inverters import inverter_batches, inverter_estimate, inverter_structure
 from .inverters import synth_inverter  # noqa: F401  (kept for the benchmark tracer)
 from .multipliers import mult_netlist, self_mult_netlist, synth_add
@@ -142,59 +139,33 @@ class _Row:
     """The oracle half of one kind's verification; the layout comes from
     the kind's register map in ``synth_circuit``.
 
-    ``misses`` gets the packed input bits (as packed, before the gates ran)
-    and the packed output register, and returns an int whose lowest set bit
-    is the first pattern that fails (0 if none does).
-    ``check`` is the same check on one pattern and its output, and words
-    the counterexample.
+    ``misses`` gets the packed operands (each an ``input`` register's wires,
+    as packed, before the gates ran) and the packed output register, and
+    returns an int whose lowest set bit is the first pattern that fails (0
+    if none does). ``check`` is the same check on one pattern's operands and
+    its output, and words the counterexample.
     """
 
     name: str  # what a width mismatch calls the circuit
     kept_label: str  # how a counterexample names a kept input wire
-    misses: Callable[[list[int], list[int]], int]  # (inputs, outputs)
-    check: Callable[[int, int], Optional[str]]  # (pattern, output) -> counterexample
+    misses: Callable[[list[list[int]], list[int]], int]  # (operands, outputs)
+    check: Callable[[list[int], int], Optional[str]]  # (operands, output) -> counterexample
 
 
-def _register_check(w: int, n_in: int, expected: Callable[..., int]):
-    """Check of a raw-register kind: the output equals ``expected`` of the
-    n_in w-bit operands packed into the pattern."""
-    mask = (1 << w) - 1
-
-    def check(pat: int, got: int) -> Optional[str]:
-        ops = [(pat >> (i * w)) & mask for i in range(n_in)]
-        exp = expected(*ops)
-        if got == exp:
-            return None
-        shown = " ".join(f"{name}={_bitstr(v, w)}" for name, v in zip("ab", ops))
-        return f"{shown} got={_bitstr(got, w)} expected={_bitstr(exp, w)}"
-
-    return check
-
-
-def _register_misses(w: int, n_in: int, expected: Callable[..., Iterable[int]]):
-    """``_register_check`` on every pattern at once: the output wires XOR
-    ``expected`` of the operands' packed wires, ORed together."""
-
-    def misses(inputs: list[int], outputs: list[int]) -> int:
-        ops = [inputs[i * w : (i + 1) * w] for i in range(n_in)]
-        return reduce(or_, map(xor, expected(*ops), outputs), 0)
-
-    return misses
-
-
-def _verify_row(spec: FieldSpec, kind: str, r: Optional[int], n_in: int) -> _Row:
-    """The oracles of one kind, whose ``n_in`` operands are w-bit raw
-    register patterns; an invert input may be either ghost-bit
-    representative of its element."""
+def _verify_row(spec: FieldSpec, kind: str, r: Optional[int]) -> _Row:
+    """The oracles of one kind, on its operands as raw register patterns;
+    an invert input may be either ghost-bit representative of its element."""
     rep, w = spec.rep, spec.width
     if kind == "invert":
 
-        def inverse(v: int, got: int) -> Optional[str]:
+        def inverse(ops: list[int], got: int) -> Optional[str]:
+            (v,) = ops
             if rep.inverse_ok(v, got):
                 return None
             return f"input={_bitstr(v, w)} output={_bitstr(got, w)}"
 
-        return _Row("inverter", "input wire", rep.packed_inverse_misses, inverse)
+        misses = lambda ops, outputs: rep.packed_inverse_misses(*ops, outputs)  # noqa: E731
+        return _Row("inverter", "input wire", misses, inverse)
     # (expected output, packed expected output)
     expected, packed = {
         "add": (lambda a, b: a ^ b, partial(map, xor)),
@@ -204,7 +175,18 @@ def _verify_row(spec: FieldSpec, kind: str, r: Optional[int], n_in: int) -> _Row
             lambda a: rep.packed_mult(a, rep.packed_frobenius(a, r)),
         ),
     }[kind]
-    return _Row(kind, "wire", _register_misses(w, n_in, packed), _register_check(w, n_in, expected))
+
+    def misses(ops: list[list[int]], outputs: list[int]) -> int:
+        return reduce(or_, map(xor, packed(*ops), outputs), 0)
+
+    def check(ops: list[int], got: int) -> Optional[str]:
+        exp = expected(*ops)
+        if got == exp:
+            return None
+        shown = " ".join(f"{name}={_bitstr(v, w)}" for name, v in zip("ab", ops))
+        return f"{shown} got={_bitstr(got, w)} expected={_bitstr(exp, w)}"
+
+    return _Row(kind, "wire", misses, check)
 
 
 def verify_kind(
@@ -223,9 +205,9 @@ def verify_kind(
     what ``synth`` writes is what is checked, and an unknown kind or a
     missing, stray or out-of-range exponent is refused there, before a
     pattern is drawn (a netlist file does not carry its exponent). The
-    ``input`` registers are packed from wire 0, the last register is the
-    output, the input wires below it must come back unchanged and every
-    other register is an ancilla that must return to zero.
+    ``input`` registers are packed from wire 0 and are the operands, the
+    last register is the output, and every wire outside it must come back
+    as it was packed: an input wire unchanged, any other wire zero.
 
     Inputs are raw register patterns (the convolution identities hold on
     every bit vector, embedded or not), so a ghost-bit inverter is also fed
@@ -235,7 +217,7 @@ def verify_kind(
     exhaustive cap, from a non-negative seed.
 
     All patterns are packed, simulated in one bit-sliced pass and checked
-    at once: the kept and ancilla wires first, then the output against the
+    at once: every wire outside the output first, then the output against the
     representation's packed oracle, whose lowest differing bit is the
     first failing pattern. Only that pattern is read back, and its
     counterexample comes from the per-pattern oracle (for the ghost-bit
@@ -254,9 +236,8 @@ def verify_kind(
         raise ValueError(f"random mode draws 1 to 2^20 samples, got {samples}")
     operands = [span for name, span in registers.items() if name.startswith("input")]
     nbits = sum(length for _, length in operands)
-    *others, (out, _) = registers.values()
-    ancillas = [span for span in others if span not in operands]
-    row = _verify_row(spec, kind, r, len(operands))
+    *_, (out, w) = registers.values()
+    row = _verify_row(spec, kind, r)
 
     if mode == "auto":
         mode = "exhaustive" if (1 << nbits) <= EXHAUSTIVE_CAP else "random"
@@ -287,19 +268,19 @@ def verify_kind(
     def fail(reason: str) -> VerifyResult:
         return VerifyResult(False, count, mode, used_seed, reason)
 
-    for wire, value in enumerate(inputs[:out]):
-        if state[wire] != value:
-            return fail(f"{row.kept_label} {wire} modified")
-    for start, length in ancillas:
-        for wire in range(start, start + length):
-            if state[wire] != 0:
-                return fail(f"ancilla wire {wire} not returned to zero")
-    outputs = state[out : out + spec.width]
-    misses = row.misses(inputs, outputs)
+    for wire in chain(range(out), range(out + w, width)):
+        if wire < nbits:
+            if state[wire] != inputs[wire]:
+                return fail(f"{row.kept_label} {wire} modified")
+        elif state[wire]:
+            return fail(f"ancilla wire {wire} not returned to zero")
+    outputs = state[out : out + w]
+    misses = row.misses([inputs[s : s + n] for s, n in operands], outputs)
     if misses:
         first = (misses & -misses).bit_length() - 1
-        (got,) = register_values(outputs, 1, 0, spec.width, first)
-        problem = row.check(first if patterns is None else patterns[first], got)
+        (got,) = register_values(outputs, 1, 0, w, first)
+        pattern = first if patterns is None else patterns[first]
+        problem = row.check([pattern >> s & (1 << n) - 1 for s, n in operands], got)
         if problem is None:
             raise RuntimeError(f"packed and per-pattern oracles disagree on pattern {first}")
         return fail(problem)
@@ -344,7 +325,7 @@ def _context_lines(spec: FieldSpec, kind: str, r: Optional[int]) -> list[str]:
     out = [f"command={kind}", f"rep={spec.representation.value}", f"m={spec.m}"]
     if spec.rep.t is not None:
         out.append(f"t={spec.rep.t}")
-    if kind == "selfmult" and r is not None:
+    if r is not None:
         out.append(f"r={r}")
     return out
 
@@ -356,9 +337,9 @@ def cmd_params(args) -> int:
     gnb_params = None
     if args.rep != "gbb":
         try:
-            gnb_params = make_gnb_params(m, args.t) if args.t is not None else find_gnb_type(m)
+            gnb_params = FieldSpec.of(Representation.GNB, m, t=args.t).gnb_params
         except ValueError:
-            gnb_params = None
+            pass
 
     if args.rep in (None, "gbb"):
         lines.append(f"ghost_bit={'yes' if ghost_ok else 'no'}")

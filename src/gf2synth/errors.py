@@ -34,7 +34,8 @@ class DegreeTooSmall(ValueError):
 
 
 class WidthMismatch(ValueError):
-    """An input vector's length does not match the circuit width."""
+    """A netlist's qubit count differs from the width of the kind it is
+    checked as."""
 
 
 class CircuitRuleError(ValueError):

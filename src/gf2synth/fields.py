@@ -159,14 +159,6 @@ def gbb_mult(m: int, a: int, b: int) -> int:
     return (c ^ (c >> n)) & ((1 << n) - 1)
 
 
-def gbb_packed_mult(a: Sequence[int], b: Sequence[int]) -> Iterator[int]:
-    """Cyclic convolution of packed coordinates, n = len(a) = len(b):
-    c_k = XOR over i of a_i & b_(k-i mod n), yielded for k = 0..n-1."""
-    n = len(a)
-    back = list(b[::-1]) * 2  # back[n-1-k+i] is b_(k-i mod n)
-    return (reduce(xor, map(and_, a, back[n - 1 - k : 2 * n - 1 - k])) for k in range(n))
-
-
 def _packed_image(columns: Sequence[int], a: Sequence[int], size: int) -> list[int]:
     """Packed image of a under the F_2-linear map that sends basis vector i to
     columns[i], an int whose set bits are its coordinates (of ``size``). A
@@ -241,8 +233,7 @@ def _build_f_table(m: int, t: int, p: int, u: int) -> tuple[int, ...]:
                     f"index table collision at residue {idx} (m={m}, t={t}, u={u})"
                 )
             table[idx - 1] = i
-    if any(v is None for v in table):  # cannot happen once no slot collides
-        raise InvalidParams(f"index table does not cover all residues (m={m}, t={t})")
+    # m*t = p - 1 writes and no collision: every slot is filled
     return tuple(table)  # type: ignore[arg-type]
 
 
@@ -273,8 +264,6 @@ def validate_gnb_params(params: GnbParams) -> None:
         raise InvalidParams(f"p={p} is not t*m + 1 = {t * m + 1}")
     if not 1 <= u < p or multiplicative_order(u, p) != t:
         raise InvalidParams(f"u={u} does not have order {t} mod {p}")
-    if len(params.f_table) != p - 1:
-        raise InvalidParams("index table length must be p - 1")
     if params.f_table != _build_f_table(m, t, p, u):
         raise InvalidParams("index table does not match its defining construction")
 
@@ -538,18 +527,6 @@ class Representation(enum.Enum):
     GNB = "gnb"
 
 
-def ghost_read_perm(m: int, e: int) -> tuple[int, ...]:
-    """Where coefficient x of b^(2^e) sits in b's ghost-bit register: x * 2^-e."""
-    n = m + 1
-    inv = pow(2, -e, n)
-    return tuple(x * inv % n for x in range(n))
-
-
-def gnb_read_perm(m: int, e: int) -> tuple[int, ...]:
-    """Where coefficient x of b^(2^e) sits in b's normal-basis register: x - e."""
-    return tuple((x - e) % m for x in range(m))
-
-
 # A run of index gates as equal-length columns (x, y, c): Toffolis on input
 # coefficients x[i] < y[i] into output coefficient c[i], or CNOTs from x[i]
 # into c[i] when y is None.
@@ -578,7 +555,25 @@ class SelfPowerStage(NamedTuple):
     classes: tuple[tuple[IndexBatch, ...], ...]
 
 
-class GhostBit:
+class _Basis:
+    """What both representations compute alike: squaring permutes the
+    coefficients in either basis, so the packed Frobenius and the squared
+    write follow from each one's ``frobenius`` and ``read_permutation``."""
+
+    def packed_frobenius(self, a: Sequence[int], r: int) -> list[int]:
+        """a^(2^r) on packed coordinates: each coordinate goes where
+        ``frobenius`` sends its basis vector."""
+        w = self.width
+        return _packed_image([self.frobenius(1 << i, r) for i in range(w)], a, w)
+
+    @property
+    def write_permutation(self) -> tuple[int, ...]:
+        """Squared write: coefficient i lands where b^2 reads it, on wire 2i
+        mod (m+1) in the ghost-bit basis and i+1 mod m in the normal basis."""
+        return self.read_permutation(-1)
+
+
+class GhostBit(_Basis):
     """The ghost-bit representation: m+1 coefficients mod x^(m+1) + 1."""
 
     representation = Representation.GHOST_BIT
@@ -602,10 +597,11 @@ class GhostBit:
         return gbb_frobenius(self.m, a, r)
 
     def packed_mult(self, a: Sequence[int], b: Sequence[int]) -> Iterator[int]:
-        return gbb_packed_mult(a, b)
-
-    def packed_frobenius(self, a: Sequence[int], r: int) -> list[int]:
-        return _packed_frobenius(self, a, r)
+        """Cyclic convolution of packed coordinates: c_k = XOR over i of
+        a_i & b_(k-i mod n), yielded for k = 0..n-1."""
+        n = self.width
+        back = list(b[::-1]) * 2  # back[n-1-k+i] is b_(k-i mod n)
+        return (reduce(xor, map(and_, a, back[n - 1 - k : 2 * n - 1 - k])) for k in range(n))
 
     def packed_inverse_misses(self, v: Sequence[int], got: Sequence[int]) -> int:
         """``inverse_ok`` on packed coordinates, by product-equals-identity.
@@ -633,12 +629,10 @@ class GhostBit:
         return phi_retract(m, got) == (poly_inverse(m, a) if a else 0)
 
     def read_permutation(self, e: int) -> tuple[int, ...]:
-        return ghost_read_perm(self.m, e)
-
-    @property
-    def write_permutation(self) -> tuple[int, ...]:
-        """Squared write: coefficient i lands on wire 2i mod (m+1)."""
-        return self.read_permutation(-1)
+        """Where coefficient x of b^(2^e) sits in b's register: x * 2^-e mod (m+1)."""
+        n = self.width
+        inv = pow(2, -e, n)
+        return tuple(x * inv % n for x in range(n))
 
     def mult_stages(self) -> list[tuple[int, int, int, int]]:
         """General product stages as (a, b, c, c_step): gate j of a stage
@@ -731,7 +725,7 @@ def _coset_colors(idx: list[int], d: int) -> Coloring:
     return tuple(tuple(map(tuple, c)) for c in colors if c[0])
 
 
-class Gnb:
+class Gnb(_Basis):
     """A type-t Gaussian normal basis: m coordinates, squaring is a shift."""
 
     representation = Representation.GNB
@@ -765,9 +759,6 @@ class Gnb:
     def packed_mult(self, a: Sequence[int], b: Sequence[int]) -> Iterator[int]:
         return gnb_packed_mult(self.params, a, b)
 
-    def packed_frobenius(self, a: Sequence[int], r: int) -> list[int]:
-        return _packed_frobenius(self, a, r)
-
     def packed_inverse_misses(self, v: Sequence[int], got: Sequence[int]) -> int:
         """``inverse_ok`` on packed coordinates: the patterns (as set bits)
         where v * got is not all ones although v is nonzero, or got is
@@ -777,12 +768,9 @@ class Gnb:
         return product | reduce(or_, got, 0) & ~nonzero
 
     def read_permutation(self, e: int) -> tuple[int, ...]:
-        return gnb_read_perm(self.m, e)
-
-    @property
-    def write_permutation(self) -> tuple[int, ...]:
-        """Squared write: coefficient i lands on wire i+1 mod m."""
-        return self.read_permutation(-1)
+        """Where coefficient x of b^(2^e) sits in b's register: x - e mod m."""
+        m = self.m
+        return tuple((x - e) % m for x in range(m))
 
     def mult_stages(self) -> list[tuple[int, int, int, int]]:
         """General product stages as (a, b, c, c_step), one depth-1 stage per
@@ -830,13 +818,6 @@ class Gnb:
 
     def inverter_bounds(self) -> ResourceBound:
         return bounds_gnb(self.m, self.t)
-
-
-def _packed_frobenius(rep: Union[GhostBit, Gnb], a: Sequence[int], r: int) -> list[int]:
-    """a^(2^r) on packed coordinates: each coordinate goes where ``frobenius``
-    sends its basis vector."""
-    w = rep.width
-    return _packed_image([rep.frobenius(1 << i, r) for i in range(w)], a, w)
 
 
 _REPRESENTATIONS = {cls.representation: cls for cls in (GhostBit, Gnb)}

@@ -43,7 +43,6 @@ from .multipliers import mult_batches, self_mult_batches
 class InverterStructure:
     """Block-level layout of an inverter for one field spec."""
 
-    reg_width: int
     width: int
     registers: dict[str, tuple[int, int]]
     forward: tuple[MultiplierBlock, ...]
@@ -68,7 +67,6 @@ def inverter_structure(spec: FieldSpec) -> InverterStructure:
     *head, last = plan.ladder + plan.combine
     forward = (*head, replace(last, squared_write=True))
     return InverterStructure(
-        reg_width=w,
         width=width,
         registers=registers,
         forward=forward,
@@ -76,9 +74,8 @@ def inverter_structure(spec: FieldSpec) -> InverterStructure:
     )
 
 
-def _block_batches(
-    spec: FieldSpec, block: MultiplierBlock, w: int, reverse: bool = False
-) -> Iterator[Batch]:
+def _block_batches(spec: FieldSpec, block: MultiplierBlock, reverse: bool = False) -> Iterator[Batch]:
+    w = spec.width
     src = block.source_reg * w
     tgt = block.target_reg * w
     if block.kind == "self_power":
@@ -96,9 +93,9 @@ def inverter_batches(spec: FieldSpec) -> Iterator[Batch]:
     in memory."""
     s = inverter_structure(spec)
     for block in s.forward:
-        yield from _block_batches(spec, block, s.reg_width)
+        yield from _block_batches(spec, block)
     for block in s.uncompute:
-        yield from _block_batches(spec, block, s.reg_width, reverse=True)
+        yield from _block_batches(spec, block, reverse=True)
 
 
 def inverter_gates(spec: FieldSpec) -> Iterator[Gate]:
@@ -126,12 +123,10 @@ def inverter_estimate(spec: FieldSpec) -> ResourceEstimate:
     *head, last = s.forward
     ready = [0] * s.width
     tof_ready = [0] * s.width
-    head_batches = chain.from_iterable(_block_batches(spec, b, s.reg_width) for b in head)
+    head_batches = chain.from_iterable(_block_batches(spec, b) for b in head)
     head_tof, head_cnot = layer_batches(head_batches, ready, tof_ready)
     mirror, tof_mirror = ready[:], tof_ready[:]
-    last_tof, last_cnot = layer_batches(
-        _block_batches(spec, last, s.reg_width), ready, tof_ready
-    )
+    last_tof, last_cnot = layer_batches(_block_batches(spec, last), ready, tof_ready)
     return ResourceEstimate.layered(
         2 * head_tof + last_tof,
         2 * head_cnot + last_cnot,

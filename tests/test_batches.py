@@ -262,7 +262,7 @@ def test_inverter_stream_is_forward_then_reversed_uncompute(spec):
     reversed. ``inverter_estimate``'s mirror shortcut measures only X L and
     relies on this order."""
     s = inverter_structure(spec)
-    w = s.reg_width
+    w = spec.width
 
     def expected():
         for block in s.forward:

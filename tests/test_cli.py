@@ -388,7 +388,7 @@ def _inverter_stream(spec, phase):
     s = inverters.inverter_structure(spec)
     batches = list(inverters.inverter_batches(spec))
     n_forward = sum(
-        1 for block in s.forward for _ in inverters._block_batches(spec, block, s.reg_width)
+        1 for block in s.forward for _ in inverters._block_batches(spec, block)
     )
     if phase is None:
         return s, batches

@@ -2,15 +2,25 @@
 
 import random
 import time
+from dataclasses import replace
 
 import pytest
 
 from gf2synth import fields
 from gf2synth.cli import verify_kind
-from gf2synth.errors import ConstructionFailed, InvalidParams, NoGnbFound
+from gf2synth.errors import (
+    ConstructionFailed,
+    DegreeTooSmall,
+    InvalidParams,
+    NoGnbFound,
+    UnsupportedDegree,
+)
 from gf2synth.fields import (
     FieldSpec,
     GnbParams,
+    Representation,
+    bounds_ghost,
+    bounds_gnb,
     find_gnb_type,
     gnb_frobenius,
     gnb_mult,
@@ -219,6 +229,7 @@ def test_isomorphism_verifier_rejects_corrupt_table():
     bad = GnbParams(good.m, good.t, good.p, good.u, tuple(bad_table))
     assert bad.f_table != good.f_table
     assert not gnb_verify_isomorphism(bad)
+    assert gnb_verify_isomorphism(replace(good, u=1)) is False  # u of order 1, not 2
 
 
 def test_isomorphism_verifier_rejects_wrong_prime():
@@ -232,3 +243,45 @@ def test_large_params_validate():
         params = find_gnb_type(m)
         validate_gnb_params(params)
         validate_gnb_params(make_gnb_params(m, params.t))
+
+
+M5 = make_gnb_params(5, 2)  # p = 11, u = 10
+GNB, GHOST_BIT = Representation.GNB, Representation.GHOST_BIT
+
+
+@pytest.mark.parametrize(
+    "refused, error",
+    [
+        (lambda: validate_gnb_params(replace(M5, t=3)), InvalidParams),  # 16 is not prime
+        (lambda: validate_gnb_params(replace(M5, p=13)), InvalidParams),
+        (lambda: validate_gnb_params(replace(M5, u=0)), InvalidParams),
+        (lambda: validate_gnb_params(replace(M5, u=11)), InvalidParams),
+        (lambda: validate_gnb_params(replace(M5, u=1)), InvalidParams),  # order 1, not 2
+        (lambda: validate_gnb_params(replace(M5, f_table=M5.f_table[:-1])), InvalidParams),
+        (lambda: validate_gnb_params(replace(M5, f_table=(1, 0) + M5.f_table[2:])), InvalidParams),
+        (lambda: FieldSpec(5, GNB), InvalidParams),
+        (lambda: FieldSpec(7, GNB, gnb_params=M5), InvalidParams),
+        (lambda: FieldSpec(4, GHOST_BIT, gnb_params=make_gnb_params(4, 1)), ValueError),
+        (lambda: FieldSpec(1, GHOST_BIT), UnsupportedDegree),
+        (lambda: FieldSpec(1, GNB), UnsupportedDegree),
+        (lambda: find_gnb_type(1), UnsupportedDegree),
+        (lambda: make_gnb_params(1, 1), InvalidParams),
+        (lambda: make_gnb_params(5, 0), InvalidParams),
+        (lambda: bounds_ghost(2), DegreeTooSmall),
+        (lambda: bounds_gnb(2, 1), DegreeTooSmall),
+        (lambda: gnb_verify_isomorphism(replace(M5, u=0)), ConstructionFailed),
+        (lambda: gnb_verify_isomorphism(replace(M5, f_table=M5.f_table[:-1])), ConstructionFailed),
+    ],
+    ids=[
+        "validate-no-basis-of-type", "validate-wrong-p", "validate-u-zero", "validate-u-is-p", "validate-u-wrong-order",
+        "validate-short-table", "validate-wrong-table", "gnb-spec-without-params",
+        "gnb-spec-params-of-another-degree", "ghost-bit-spec-with-params", "ghost-bit-spec-m1",
+        "gnb-spec-m1", "find-type-m1", "make-params-m1", "make-params-t0", "bounds-ghost-m2",
+        "bounds-gnb-m2", "isomorphism-u-zero", "isomorphism-short-table",
+    ],
+)
+def test_refusals(refused, error):
+    """Each refusal raises exactly its own class, not a subclass or a parent."""
+    with pytest.raises(ValueError) as exc:
+        refused()
+    assert type(exc.value) is error

@@ -59,7 +59,7 @@ def check_inverter(spec, values):
     register is preserved, and every ancilla returns to zero."""
     circ = synth_inverter(spec)
     s = inverter_structure(spec)
-    w = s.reg_width
+    w = spec.width
     out_lo = s.registers["output"][0]
     one = spec.rep.identity
     # the input register is wires 0..w-1, so a value is its own circuit input
@@ -110,7 +110,7 @@ def check_complemented_ghost_inputs(m, values):
     spec = FieldSpec.ghost_bit(m)
     circ = synth_inverter(spec)
     s = inverter_structure(spec)
-    w = s.reg_width
+    w = spec.width
     out_lo = s.registers["output"][0]
     full = (1 << w) - 1
     inputs = [v ^ full for v in values]
@@ -143,7 +143,7 @@ def test_inverse_of_inverse_is_identity_map():
     circ = synth_inverter(spec)
     s = inverter_structure(spec)
     lo = s.registers["output"][0]
-    w = s.reg_width
+    w = spec.width
     rng = random.Random(99)
     for _ in range(10):
         v = rng.getrandbits(7) or 1

@@ -419,6 +419,9 @@ def test_parse_normalizes_toffoli_controls():
         ("qubits 4\ncx 0 4\nfoo\n", 2),  # the first bad line, whatever its fault
         ("qubits 4\nreg a 0 3\nreg b 2 2\ncx 0 1\ncx 0 9\n", 3),
         ("qubits 4\ncx 0 1\ncx 2 3\n\n# end\nccx 3 2 3", 6),
+        ("qubits 5 6\n", 1),  # header arity
+        ("qubits 4\nreg a 0\n", 2),
+        ("qubits 4\nreg a x 1\n", 2),  # register start not an integer
         pytest.param("qubits 4\n" + "f" * 10_000 + " 0 1\n", 2, id="long-unknown-directive"),
         pytest.param("qubits " + "x" * 10_000 + "\n", 1, id="long-bad-qubit-count"),
     ],
@@ -434,6 +437,21 @@ def test_parse_errors_carry_line_numbers(text, lineno, tmp_path, monkeypatch):
     with pytest.raises(ParseError) as exc:
         read_file(path, monkeypatch)
     assert exc.value.line == lineno
+
+
+@pytest.mark.parametrize(
+    "text,lineno", [("qubits 5 6\n", 1), ("qubits 4\nreg a 0\n", 2), ("qubits 4\nreg a x 1\n", 2)]
+)
+def test_a_bad_header_exits_3_through_verify(text, lineno, tmp_path, capsys):
+    path = tmp_path / "bad.qc"
+    path.write_text(text)
+    assert main(["verify", "add", "-m", "4", "--rep", "gbb", "--in", str(path)]) == 3
+    assert capsys.readouterr().err.startswith(f"error: line {lineno}: ")
+
+
+def test_a_seed_that_is_not_an_int_exits_2(capsys):
+    assert main(["verify", "mult", "-m", "4", "--rep", "gbb", "--seed", "zz"]) == 2
+    assert "--seed: invalid int value: 'zz'" in capsys.readouterr().err
 
 
 def test_parse_requires_qubits_line():

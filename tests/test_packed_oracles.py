@@ -95,9 +95,11 @@ def layout(spec, kind):
     return Layout(n_in * w, out + w, (0, out), (), out)
 
 
-def _row(spec, kind, r):
-    """verify's oracle row for one kind, its operand count from ``layout``."""
-    return cli._verify_row(spec, kind, r, layout(spec, kind).nbits // spec.width)
+def _split(spec, kind, pattern):
+    """One pattern's operands as ``layout`` packs them: w-bit slices from
+    wire 0 up to its input bits."""
+    w = spec.width
+    return [(pattern >> i) & ((1 << w) - 1) for i in range(0, layout(spec, kind).nbits, w)]
 
 
 def _operands(patterns, w, n_in):
@@ -152,17 +154,22 @@ def _row_agrees(spec, kind, r, patterns, rng):
     """Half the outputs right, half off by a random nonzero flip; the packed
     misses must be exactly the patterns the per-pattern check rejects."""
     w = spec.width
-    row, nbits = _row(spec, kind, r), layout(spec, kind).nbits
+    row = cli._verify_row(spec, kind, r)
     outputs = []
     for pattern in patterns:
         value = _expected_output(spec, kind, r, pattern)
         if rng.random() < 0.5:
             value ^= rng.randrange(1, 1 << w)
         outputs.append(value)
-    inputs = pack_patterns(nbits, range(nbits), patterns)
+    operands = zip(*(_split(spec, kind, pattern) for pattern in patterns))
+    packed_operands = [pack_patterns(w, range(w), operand) for operand in operands]
     packed_outputs = pack_patterns(w, range(w), outputs)
-    rejected = sum(1 << b for b, pair in enumerate(zip(patterns, outputs)) if row.check(*pair))
-    assert row.misses(inputs, packed_outputs) == rejected
+    rejected = sum(
+        1 << b
+        for b, (pattern, got) in enumerate(zip(patterns, outputs))
+        if row.check(_split(spec, kind, pattern), got)
+    )
+    assert row.misses(packed_operands, packed_outputs) == rejected
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=_key)
@@ -209,7 +216,7 @@ def per_pattern_scan(spec, kind, r, batches, patterns):
     """verify's check as it ran before the packed oracles: read every
     pattern's output back and ask the per-pattern check in order. Returns
     (first failing pattern's slot, counterexample)."""
-    row, lay = _row(spec, kind, r), layout(spec, kind)
+    row, lay = cli._verify_row(spec, kind, r), layout(spec, kind)
     state, count = cli._pack_patterns(lay.width, patterns, lay.nbits)
     kept_start, kept_length = lay.kept
     before = state[kept_start : kept_start + kept_length]
@@ -223,7 +230,7 @@ def per_pattern_scan(spec, kind, r, batches, patterns):
                 return None, f"ancilla wire {wire} not returned to zero"
     outputs = register_values(state, count, lay.output, spec.width)
     for slot, (pattern, got) in enumerate(zip(range(count) if patterns is None else patterns, outputs)):
-        problem = row.check(pattern, got)
+        problem = row.check(_split(spec, kind, pattern), got)
         if problem:
             return slot, problem
     return None, None

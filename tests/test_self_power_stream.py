@@ -116,7 +116,7 @@ def frozen_self_mult_batches(rep, r, a0, c0, square_write=False, reverse=False, 
 def frozen_inverter_batches(spec):
     """``inverter_batches`` with the self-power blocks from the frozen core."""
     s = inverter_structure(spec)
-    w = s.reg_width
+    w = spec.width
 
     def block(b, reverse):
         src, tgt = b.source_reg * w, b.target_reg * w
