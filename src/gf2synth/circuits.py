@@ -373,11 +373,11 @@ def layer_batches(
 def measure_stream(width: int, stream: Iterable[Union[Batch, Gate]]) -> ResourceEstimate:
     """Single-pass resource count over column batches (nothing is stored).
 
-    This is what ``synth`` uses on inverters with millions of gates: the
-    greedy layering (``layer_batches``) only needs one per-wire counter, so
-    the stream never has to be materialized. A flat gate stream is accepted
-    too and cut into runs by ``gate_runs``: the benchmark's certifier
-    (``perfbench/certify.py``) measures flat gates.
+    ``synth`` and ``table`` measure every kind but the inverter this way
+    (``inverter_estimate`` measures that): the greedy layering
+    (``layer_batches``) needs one per-wire counter. A flat gate stream is
+    accepted too and cut into runs by ``gate_runs``: the benchmark's
+    certifier (``perfbench/certify.py``) measures flat gates.
     """
     flat, batches = _peek_flat(stream)
     if flat:

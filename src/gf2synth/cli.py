@@ -4,12 +4,12 @@ Commands
 --------
 * ``params``: report which representations a degree supports.
 * ``synth {add|mult|selfmult|invert}``: emit a netlist and its resource
-  summary as key=value lines. Every kind is streamed as column batches from
-  ``synth_circuit``: each batch goes through the gate rule
-  (``validated_batches``) into ``measure_stream`` as it is generated, and
-  with ``--out`` into the file first, one string per batch, in the same
-  pass, so the printed numbers describe exactly what was written and
-  neither the circuit nor the file is ever held whole.
+  summary as key=value lines. With ``--out``, ``synth_circuit``'s column
+  batches go through the gate rule (``validated_batches``) into the file,
+  one string per batch, never held whole. The summary is ``kind_estimate``,
+  which ``table`` prints too: ``inverter_estimate`` for invert (forward pass
+  only, so without ``--out`` the uncompute is never generated), else
+  ``measure_stream`` over the kind's batches.
 * ``verify {add|mult|selfmult|invert}``: check a synthesized (or, with
   ``--in``, previously emitted) netlist against the classical field oracles,
   exhaustively or on seeded random samples (``--seed`` is non-negative).
@@ -22,8 +22,8 @@ Commands
   ``synth`` writes (for invert, the inverter's own wire-disjoint stages).
 * ``table``: measured depth/gates next to the closed-form bounds for a list
   of degrees, plus the asymptotic comparison against a polynomial basis.
-  The invert row is ``inverter_estimate``, measured from the forward pass
-  alone; it equals measuring every gate ``synth invert`` writes.
+  Each row is ``kind_estimate``, what ``synth`` prints; the invert row
+  equals measuring every gate ``synth invert`` writes.
 
 Field oracles, inverse checks and bounds come from the spec's
 representation object (``spec.rep``), so the commands never branch on the
@@ -53,13 +53,12 @@ from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial, reduce
-from itertools import chain, islice, tee
+from itertools import chain
 from operator import or_, xor
-from typing import Callable, Iterator, Optional, TextIO
+from typing import Callable, Optional
 
 from .circuits import parse  # noqa: F401  (kept for the benchmark tracer)
 from .circuits import (
-    Batch,
     Netlist,
     ResourceEstimate,
     emit_lines,
@@ -313,6 +312,17 @@ def synth_circuit(spec: FieldSpec, kind: str, r: Optional[int] = None) -> Netlis
     raise ValueError(f"unknown synthesis kind {kind!r}")
 
 
+def kind_estimate(spec: FieldSpec, kind: str, r: Optional[int] = None) -> ResourceEstimate:
+    """The resource summary ``synth`` and ``table`` print for one kind: the
+    inverter's is ``inverter_estimate``, exact from its forward pass alone;
+    every other kind is measured over its ``synth_circuit`` batches. The
+    kind table refuses a domain error either way."""
+    width, _, batches = synth_circuit(spec, kind, r)
+    if kind == "invert":
+        return inverter_estimate(spec)
+    return measure_stream(width, batches)
+
+
 # ---------------------------------------------------------------------------
 # command implementations
 
@@ -332,6 +342,8 @@ def _context_lines(spec: FieldSpec, kind: str, r: Optional[int]) -> list[str]:
 
 def cmd_params(args) -> int:
     m = args.m
+    if args.t is not None and args.rep == "gbb":
+        raise ValueError("a type t only applies to the gnb representation")
     lines = [f"m={m}"]
     ghost_ok = check_ghost_bit_support(m)
     gnb_params = None
@@ -358,30 +370,18 @@ def cmd_params(args) -> int:
     return 0 if available else 2
 
 
-def _written(fh: TextIO, netlist: Netlist, header: list[str]) -> Iterator[Batch]:
-    """``netlist``'s batches, one per line ``emit_lines`` writes to ``fh``:
-    measuring them writes the file, at most a header's length behind."""
-    to_file, batches = tee(netlist.batches)
-    for text in emit_lines(netlist.width, netlist.registers, to_file, header):
-        fh.write(text)
-        fh.write("\n")
-        yield from islice(batches, 1)
-    yield from batches
-
-
 def cmd_synth(args) -> int:
     spec = _spec_from_args(args)
-    width, registers, batches = synth_circuit(spec, args.kind, r=args.r)
-    registers = validated_registers(registers, width)
-    batches = validated_batches(batches, width)
     header = _context_lines(spec, args.kind, args.r)
     if args.out:
+        width, registers, batches = synth_circuit(spec, args.kind, r=args.r)
+        registers = validated_registers(registers, width)
         with open(args.out, "w") as fh:
-            est = measure_stream(width, _written(fh, Netlist(width, registers, batches), header))
+            for text in emit_lines(width, registers, validated_batches(batches, width), header):
+                fh.write(text)
+                fh.write("\n")
         header.append(f"out={args.out}")
-    else:
-        est = measure_stream(width, batches)
-    print("\n".join(header + est.summary_lines()))
+    print("\n".join(header + kind_estimate(spec, args.kind, args.r).summary_lines()))
     return 0
 
 
@@ -420,19 +420,15 @@ def cmd_verify(args) -> int:
 
 def _table_rows_for(spec: FieldSpec) -> list[tuple]:
     """(op, depth, gates, depth_bound, gate_bound) rows for one spec."""
-
-    def measured(op: str) -> ResourceEstimate:
-        netlist = synth_circuit(spec, op)
-        return measure_stream(netlist.width, netlist.batches)
-
     inv_bound = spec.rep.inverter_bounds()
     return [
         (op, est.depth, est.gate_count, *bound)
-        for op, est, bound in (
-            ("add", measured("add"), (1, spec.width)),
-            ("mult", measured("mult"), spec.rep.mult_bounds()),
-            ("invert", inverter_estimate(spec), (inv_bound.depth_bound, inv_bound.gate_bound)),
+        for op, bound in (
+            ("add", (1, spec.width)),
+            ("mult", spec.rep.mult_bounds()),
+            ("invert", (inv_bound.depth_bound, inv_bound.gate_bound)),
         )
+        for est in [kind_estimate(spec, op)]
     ]
 
 

@@ -15,14 +15,14 @@ layout (and the ``registers`` map of the emitted circuit) is: input, ladder
 ancillas in exponent order, merge ancillas, output = last written register.
 
 ``inverter_batches`` streams the inverter as column batches (see
-``circuits``). Uncompute blocks are generated backwards, stage by stage, so
-none is ever held in memory; ``inverter_gates`` is the flat view.
-``inverter_estimate`` measures the inverter from its forward pass alone:
-the uncompute mirrors the head of that pass, so its share of the depth is
-read off the per-wire layer counters the head leaves behind, and it is
-never generated. The result is exact, equal to layering every gate of
-``inverter_batches``; ``check_bounds`` holds it against the closed-form
-bounds, in memory proportional to the width.
+``circuits``) for ``synth --out`` and ``verify``. Uncompute blocks are
+generated backwards, stage by stage, so none is ever held in memory;
+``inverter_gates`` is the flat view. ``inverter_estimate`` is the one
+measurement of the inverter (``synth``, ``table``, ``check_bounds``), from
+its forward pass alone: the uncompute mirrors the head of that pass, so its
+share of the depth is read off the per-wire layer counters the head leaves
+behind, and it is never generated. The result is exact, equal to layering
+every gate of ``inverter_batches``, in memory proportional to the width.
 """
 
 from __future__ import annotations

@@ -49,8 +49,8 @@ and ``self_mult_netlist`` hold their register maps.
 The cores check no gate on its own. Each block first checks its register
 layout with the register rule of ``circuits`` (non-negative, pairwise
 disjoint spans); the stage formulas then give every gate distinct wires
-with Toffoli controls lower-first. ``Circuit`` applies the gate rule when a
-netlist is materialized, ``synth`` as it streams one; the rest trust the cores.
+with Toffoli controls lower-first. ``Circuit`` applies the gate rule when
+a netlist is materialized, ``synth --out`` as it writes one; all else trusts.
 """
 
 from __future__ import annotations

@@ -59,6 +59,14 @@ def test_params_scoped_to_one_rep(capsys):
     assert "ghost_bit" not in out
 
 
+def test_params_refuses_a_type_on_gbb(capsys):
+    # refused as synth and verify refuse it, not dropped
+    refused = (2, "", "error: a type t only applies to the gnb representation\n")
+    assert run(capsys, "params", "-m", "4", "--rep", "gbb", "-t", "3") == refused
+    assert run(capsys, "synth", "add", "-m", "4", "--rep", "gbb", "-t", "3") == refused
+    assert run(capsys, "params", "-m", "4", "-t", "3")[0] == 0
+
+
 # -- synth ------------------------------------------------------------------
 
 
@@ -122,13 +130,53 @@ def test_synth_out_summary_describes_the_file(argv, capsys, tmp_path):
     ids=["gbb10", "gnb11"],
 )
 def test_synth_invert_prints_the_inverter_estimate(rep, m, spec, capsys):
-    """``synth invert`` passes every gate through the gate rule and measures
-    the whole stream; ``check_bounds`` and ``table`` measure the forward pass
-    only (``inverter_estimate``). Both must print the same numbers."""
+    """``synth invert`` prints ``inverter_estimate``, measured from the
+    forward pass alone, as ``check_bounds`` and ``table`` do; it equals
+    measuring every gate ``synth invert --out`` writes."""
     code, out, _ = run(capsys, "synth", "invert", "-m", m, "--rep", rep)
     assert code == 0
     expected = inverters.inverter_estimate(spec).summary_lines()
     assert out.splitlines()[-len(expected):] == expected
+
+
+@pytest.mark.parametrize(
+    "rep, m, spec",
+    [("gbb", "10", FieldSpec.ghost_bit(10)), ("gnb", "11", FieldSpec.gnb(11))],
+    ids=["gbb10", "gnb11"],
+)
+def test_synth_invert_draws_the_uncompute_only_to_write_it(
+    rep, m, spec, capsys, monkeypatch, tmp_path
+):
+    drawn = []
+    block_batches = inverters._block_batches
+
+    def recorded(spec, block, reverse=False):
+        drawn.append((block, reverse))
+        return block_batches(spec, block, reverse)
+
+    monkeypatch.setattr(inverters, "_block_batches", recorded)
+    assert run(capsys, "synth", "invert", "-m", m, "--rep", rep)[0] == 0
+    assert drawn and not any(reverse for _, reverse in drawn)
+    drawn.clear()
+    path = tmp_path / "inv.qc"
+    assert run(capsys, "synth", "invert", "-m", m, "--rep", rep, "--out", str(path))[0] == 0
+    uncompute = inverters.inverter_structure(spec).uncompute
+    assert [block for block, reverse in drawn if reverse] == list(uncompute)
+
+
+def test_synth_out_keeps_the_gate_rule(capsys, monkeypatch, tmp_path):
+    # a generated gate that breaks the rule is refused, not written
+    kind_table = cli.synth_circuit
+
+    def bad_mult(spec, kind, r=None):
+        width, registers, _ = kind_table(spec, kind, r)
+        return Netlist(width, registers, iter([([0], [1], [1])]))
+
+    monkeypatch.setattr(cli, "synth_circuit", bad_mult)
+    path = tmp_path / "F"
+    code, out, err = run(capsys, "synth", "mult", "-m", "4", "--rep", "gbb", "--out", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: gate (0, 1, 1) is not 2 or 3 distinct wires in 0..14\n"
 
 
 def test_synth_deterministic_bytes(capsys, tmp_path):
