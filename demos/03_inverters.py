@@ -38,7 +38,7 @@ for spec in (FieldSpec.ghost_bit(10), FieldSpec.gnb(11), FieldSpec.gnb(163)):
 
 # the gate stream never has to be materialized: measure_stream reads the
 # m=233 inverter's two million gates in a single pass, as column batches (one
-# run of one gate kind per batch) that no Toffoli tuple is built for.
+# run of one gate kind per batch) that no gate tuple is built for.
 # inverter_estimate layers only the forward pass: the uncompute mirrors its
 # head, so the uncompute's share of the depth is read off the per-wire
 # counters the head leaves, and the uncompute is never generated.

@@ -11,11 +11,7 @@ do the synthesis; ``cli`` wires it into a command-line tool.
 
 from .circuits import (
     Circuit,
-    Cnot,
-    Gate,
     ResourceEstimate,
-    Toffoli,
-    cnot,
     emit,
     emit_lines,
     measure_stream,
@@ -23,7 +19,6 @@ from .circuits import (
     read_netlist,
     resources,
     simulate,
-    toffoli,
 )
 from .errors import (
     ConstructionFailed,

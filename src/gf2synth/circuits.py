@@ -1,10 +1,13 @@
 """Reversible-circuit intermediate representation.
 
 A circuit is a wire count, a flat gate sequence (CNOT / Toffoli only, both
-self-inverse), and an optional named register map. Depth is defined by greedy
-as-soon-as-possible layering: gates are taken in sequence order and each is
-placed in the earliest layer where all of its wires are free. ``toffoli_depth``
-applies the same rule to the Toffoli subsequence with CNOTs transparent.
+self-inverse), and an optional named register map. A gate is the plain
+tuple of its wires, as a netlist line names them: ``(control, target)`` for
+a CNOT, ``(control_a, control_b, target)`` for a Toffoli. Depth is defined
+by greedy as-soon-as-possible layering: gates are taken in sequence order
+and each is placed in the earliest layer where all of its wires are free.
+``toffoli_depth`` applies the same rule to the Toffoli subsequence with
+CNOTs transparent.
 
 Two rules say what a circuit may hold, each written once, here:
 ``validated_gates`` (a CNOT has two distinct wires, a Toffoli three, all in
@@ -17,9 +20,9 @@ stream costs no memory, and ``Circuit`` stores what it yields as a tuple.
 passes the gate rule as it stands, a few C-level passes per column, and
 anything it refuses goes to the gate rule itself, which normalizes it or
 names the gate at fault. ``validated_batches`` is the gate rule on a batch
-stream, built that way. ``Circuit``, the gate factories and the netlist
-reader all go through these rules, and the multiplier cores check their
-register layout with the second. The streamed consumers
+stream, built that way. ``Circuit`` and the netlist reader both go through
+these rules, and the multiplier cores check their register layout with the
+second. The streamed consumers
 (``layer_batches``, ``measure_stream``, ``run_packed``) trust their gates:
 the cores emit valid gates whenever that per-block precondition holds.
 
@@ -63,8 +66,8 @@ writes one string per batch, the reader yields them, and
 tuple built. ``run_packed`` takes batches only; ``measure_stream`` and
 ``emit_lines`` also take a flat gate stream, the form the benchmark's
 certifier hands them. ``flat_gates`` is the flat view, the
-``Cnot``/``Toffoli`` sequence that ``Circuit`` holds; ``gate_runs`` cuts a
-flat sequence back into batches.
+wire tuples that ``Circuit`` holds, zipped out of the columns; ``gate_runs``
+cuts a flat sequence back into batches, its exact transpose.
 
 Simulation is bit-sliced: one Python int per wire, bit b of that int holding
 wire's value for input pattern b, so a whole batch of inputs costs a single
@@ -94,24 +97,10 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, TextIO, U
 
 from .errors import CircuitRuleError, ParseError
 
-
-class Cnot(NamedTuple):
-    control: int
-    target: int
-
-
-class Toffoli(NamedTuple):
-    control_a: int
-    control_b: int
-    target: int
-
-
-Gate = Union[Cnot, Toffoli]
-_new = tuple.__new__  # builds a Cnot or Toffoli without the slower generated __new__
-
+Gate = tuple[int, ...]  # (control, target) or (control_a, control_b, target)
 # One run of gates of one kind as equal-length wire columns (controls_a,
-# controls_b, targets): gate i is Toffoli(a[i], b[i], t[i]), or Cnot(a[i], t[i])
-# when the middle column is None.
+# controls_b, targets): gate i is the Toffoli (a[i], b[i], t[i]), or the
+# CNOT (a[i], t[i]) when the middle column is None.
 Batch = tuple[Sequence[int], Optional[Sequence[int]], Sequence[int]]
 RUN_CHUNK = 1 << 8  # gates per batch when gate_runs cuts a flat stream; fastest of 2^6..2^12
 # Characters per read when a netlist file is streamed. The wire tokens of a
@@ -128,28 +117,25 @@ PACK_SLICE = 1 << 12
 T_PER_TOFFOLI = 7
 T_DEPTH_PER_TOFFOLI = 6
 
-UNBOUNDED = float("inf")  # the width of a gate or register that belongs to no circuit yet
+UNBOUNDED = float("inf")  # the width of a register map that belongs to no circuit yet
 
 
 def validated_gates(gates: Iterable[Gate], width: Union[int, float]) -> Iterator[Gate]:
     """The gate rule, in one loop: every gate is a CNOT of two or a Toffoli
     of three distinct wires in 0..width-1. Yields the gates as they are
-    drawn, as Cnot and Toffoli tuples with Toffoli controls lower-first;
-    raises CircuitRuleError at the first gate that breaks the rule."""
+    drawn, as plain tuples with Toffoli controls lower-first; raises
+    CircuitRuleError at the first gate that breaks the rule."""
     for i, g in enumerate(gates):
         n = len(g)
         if n == 3:
             a, b, t = g
             if a != b != t != a and 0 <= a < width and 0 <= b < width and 0 <= t < width:
-                if a < b:
-                    yield g if type(g) is Toffoli else _new(Toffoli, (a, b, t))
-                else:
-                    yield _new(Toffoli, (b, a, t))
+                yield (a, b, t) if a < b else (b, a, t)
                 continue
         elif n == 2:
             c, t = g
             if c != t and 0 <= c < width and 0 <= t < width:
-                yield g if type(g) is Cnot else _new(Cnot, (c, t))
+                yield (c, t)
                 continue
         raise CircuitRuleError(
             f"gate {tuple(g)} is not 2 or 3 distinct wires in 0..{width - 1}", i
@@ -236,20 +222,11 @@ def validated_registers(
     return clean
 
 
-def cnot(control: int, target: int) -> Cnot:
-    return next(validated_gates(((control, target),), UNBOUNDED))
-
-
-def toffoli(control_a: int, control_b: int, target: int) -> Toffoli:
-    """Toffoli with controls stored lower-index-first (they commute)."""
-    return next(validated_gates(((control_a, control_b, target),), UNBOUNDED))
-
-
 @dataclass(frozen=True, eq=True)
 class Circuit:
     """Immutable gate list over ``width`` wires with named register spans.
-    ``gates`` may be any iterable; it is validated and stored once, as a
-    tuple."""
+    ``gates`` may be any iterable of wire tuples or lists; it is validated
+    and stored once, as a tuple of plain tuples."""
 
     width: int
     gates: tuple[Gate, ...]
@@ -271,27 +248,18 @@ class ResourceEstimate:
     depth: int
     toffoli_depth: int
     qubits: int
-    t_count: int
-    t_depth: int
 
     @property
     def gate_count(self) -> int:
         return self.toffoli_count + self.cnot_count
 
-    @classmethod
-    def layered(
-        cls, toffoli_count: int, cnot_count: int, depth: int, toffoli_depth: int, qubits: int
-    ) -> ResourceEstimate:
-        """The estimate of a layered circuit, with its T figures."""
-        return cls(
-            toffoli_count=toffoli_count,
-            cnot_count=cnot_count,
-            depth=depth,
-            toffoli_depth=toffoli_depth,
-            qubits=qubits,
-            t_count=T_PER_TOFFOLI * toffoli_count,
-            t_depth=T_DEPTH_PER_TOFFOLI * toffoli_depth,
-        )
+    @property
+    def t_count(self) -> int:
+        return T_PER_TOFFOLI * self.toffoli_count
+
+    @property
+    def t_depth(self) -> int:
+        return T_DEPTH_PER_TOFFOLI * self.toffoli_depth
 
     def summary_lines(self) -> list[str]:
         return [
@@ -315,13 +283,10 @@ def gate_runs(gates: Iterable[Gate]) -> Iterator[Batch]:
 
 
 def flat_gates(batches: Iterable[Batch]) -> Iterator[Gate]:
-    """The flat view of column batches: their gates in order, as Cnot and
-    Toffoli tuples, each built in C by ``_new`` from its zipped columns."""
+    """The flat view of column batches: their gates in order, as the wire
+    tuples their columns zip to. The exact transpose of ``gate_runs``."""
     for a, b, t in batches:
-        if b is None:
-            yield from map(_new, repeat(Cnot), zip(a, t))
-        else:
-            yield from map(_new, repeat(Toffoli), zip(a, b, t))
+        yield from zip(a, t) if b is None else zip(a, b, t)
 
 
 def _peek_flat(stream: Iterable[Union[Batch, Gate]]) -> tuple[bool, Iterator]:
@@ -385,7 +350,7 @@ def measure_stream(width: int, stream: Iterable[Union[Batch, Gate]]) -> Resource
     ready = [0] * width
     tof_ready = [0] * width
     n_tof, n_cnot = layer_batches(batches, ready, tof_ready)
-    return ResourceEstimate.layered(
+    return ResourceEstimate(
         n_tof, n_cnot, max(ready, default=0), max(tof_ready, default=0), width
     )
 
@@ -554,7 +519,8 @@ class Netlist(NamedTuple):
 
     @property
     def gates(self) -> Iterator[Gate]:
-        """The flat view of ``batches``, drawing on the same one-pass stream."""
+        """The flat view of ``batches`` (``flat_gates``: one wire tuple per
+        gate), drawing on the same one-pass stream."""
         return flat_gates(self.batches)
 
 

@@ -6,9 +6,11 @@ Commands
 * ``synth {add|mult|selfmult|invert}``: emit a netlist and its resource
   summary as key=value lines. With ``--out``, ``synth_circuit``'s column
   batches go through the gate rule (``validated_batches``) into the file,
-  one string per batch, never held whole. The summary is ``kind_estimate``,
-  which ``table`` prints too: ``inverter_estimate`` for invert (forward pass
-  only, so without ``--out`` the uncompute is never generated), else
+  one string per batch, never held whole; if a gate is refused or the write
+  fails, the file is removed (a regular file only), so no partial netlist
+  is left to verify. The summary is ``kind_estimate``, which ``table``
+  prints too: ``inverter_estimate`` for invert (forward pass only, so
+  without ``--out`` the uncompute is never generated), else
   ``measure_stream`` over the kind's batches.
 * ``verify {add|mult|selfmult|invert}``: check a synthesized (or, with
   ``--in``, previously emitted) netlist against the classical field oracles,
@@ -47,10 +49,11 @@ memory, 3 I/O or netlist parse failure.
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import sys
 from collections import deque
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 from dataclasses import dataclass
 from functools import partial, reduce
 from itertools import chain
@@ -376,10 +379,17 @@ def cmd_synth(args) -> int:
     if args.out:
         width, registers, batches = synth_circuit(spec, args.kind, r=args.r)
         registers = validated_registers(registers, width)
-        with open(args.out, "w") as fh:
-            for text in emit_lines(width, registers, validated_batches(batches, width), header):
-                fh.write(text)
-                fh.write("\n")
+        fh = open(args.out, "w")
+        try:
+            with fh:
+                for text in emit_lines(width, registers, validated_batches(batches, width), header):
+                    fh.write(text)
+                    fh.write("\n")
+        except BaseException:  # no partial netlist is left; a device is never removed
+            if os.path.isfile(args.out):
+                with suppress(OSError):
+                    os.remove(os.path.realpath(args.out))  # the file written, through a symlink
+            raise
         header.append(f"out={args.out}")
     print("\n".join(header + kind_estimate(spec, args.kind, args.r).summary_lines()))
     return 0
@@ -541,10 +551,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return args.func(args)
-    except ParseError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except OSError as e:
+    except (ParseError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
     except ValueError as e:

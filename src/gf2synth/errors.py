@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
 All domain errors derive from ValueError so callers can catch broadly; the
-distinct classes exist because the CLI maps them to specific exit codes and
-tests pin which failure mode fires.
+distinct classes let tests pin which failure mode fires. The CLI exits 3 on
+``ParseError`` (as on an I/O error) and 2 on every other class.
 """
 
 

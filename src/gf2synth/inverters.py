@@ -127,7 +127,7 @@ def inverter_estimate(spec: FieldSpec) -> ResourceEstimate:
     head_tof, head_cnot = layer_batches(head_batches, ready, tof_ready)
     mirror, tof_mirror = ready[:], tof_ready[:]
     last_tof, last_cnot = layer_batches(_block_batches(spec, last), ready, tof_ready)
-    return ResourceEstimate.layered(
+    return ResourceEstimate(
         2 * head_tof + last_tof,
         2 * head_cnot + last_cnot,
         max(map(add, ready, mirror)),

@@ -50,14 +50,16 @@ The cores check no gate on its own. Each block first checks its register
 layout with the register rule of ``circuits`` (non-negative, pairwise
 disjoint spans); the stage formulas then give every gate distinct wires
 with Toffoli controls lower-first. ``Circuit`` applies the gate rule when
-a netlist is materialized, ``synth --out`` as it writes one; all else trusts.
+a netlist is materialized (``synth_add`` hands it plain ``(control,
+target)`` tuples), and ``synth --out`` applies it batch by batch as it
+writes one; all else trusts.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator, Union
 
-from .circuits import UNBOUNDED, Batch, Circuit, Cnot, Netlist, validated_registers
+from .circuits import UNBOUNDED, Batch, Circuit, Netlist, validated_registers
 from .errors import ExponentOutOfRange
 from .fields import GhostBit, Gnb, GnbParams, gather
 
@@ -148,9 +150,7 @@ def self_mult_batches(
 
 def synth_add(width: int) -> Circuit:
     """|a>|b> -> |a>|a+b>: transversal CNOTs, depth 1."""
-    if width < 1:
-        raise ValueError("width must be positive")
-    gates = tuple(Cnot(i, width + i) for i in range(width))
+    gates = [(i, width + i) for i in range(width)]
     return Circuit(
         2 * width, gates, {"input_a": (0, width), "input_b": (width, width)}
     )

@@ -5,11 +5,8 @@ import random
 import pytest
 
 from gf2synth.circuits import (
-    Circuit,
-    Cnot,
     PACK_SLICE,
-    Toffoli,
-    cnot,
+    Circuit,
     flat_gates,
     gate_runs,
     measure_stream,
@@ -18,32 +15,22 @@ from gf2synth.circuits import (
     resources,
     run_packed,
     simulate,
-    toffoli,
+    validated_gates,
 )
 
 
-def test_gate_factories_validate():
-    assert cnot(0, 1) == Cnot(0, 1)
-    with pytest.raises(ValueError):
-        cnot(2, 2)
-    with pytest.raises(ValueError):
-        cnot(-1, 0)
-    with pytest.raises(ValueError):
-        toffoli(0, 1, 1)
-    with pytest.raises(ValueError):
-        toffoli(0, 0, 1)
-
-
 def test_toffoli_controls_normalized():
-    assert toffoli(5, 2, 7) == Toffoli(2, 5, 7)
-    assert toffoli(2, 5, 7) == Toffoli(2, 5, 7)
+    assert Circuit(8, [(5, 2, 7), (2, 5, 7), (0, 1)]).gates == ((2, 5, 7), (2, 5, 7), (0, 1))
 
 
 def test_circuit_validates_wires():
+    for gate in [(2, 2), (-1, 0), (0, 1, 1), (0, 0, 1)]:
+        with pytest.raises(ValueError):
+            Circuit(8, [gate])
     with pytest.raises(ValueError):
-        Circuit(2, (cnot(0, 2),))
+        Circuit(2, ((0, 2),))
     with pytest.raises(ValueError):
-        Circuit(3, (toffoli(0, 1, 3),))
+        Circuit(3, ((0, 1, 3),))
     with pytest.raises(ValueError):
         Circuit(4, (), {"a": (0, 3), "b": (2, 2)})  # overlap
     with pytest.raises(ValueError):
@@ -58,14 +45,14 @@ def test_depth_greedy_layering():
         est = resources(c)
         return est.depth, est.toffoli_depth
 
-    assert depths(Circuit(4, (cnot(0, 1), cnot(2, 3)))) == (1, 0)
-    assert depths(Circuit(3, (cnot(0, 1), cnot(1, 2)))) == (2, 0)
+    assert depths(Circuit(4, ((0, 1), (2, 3)))) == (1, 0)
+    assert depths(Circuit(3, ((0, 1), (1, 2)))) == (2, 0)
     # control reuse also serializes under the unit-cost model
-    assert depths(Circuit(3, (cnot(0, 1), cnot(0, 2)))) == (2, 0)
+    assert depths(Circuit(3, ((0, 1), (0, 2)))) == (2, 0)
 
 
 def test_resources_counts():
-    c = Circuit(5, (toffoli(0, 1, 2), cnot(3, 4), toffoli(0, 1, 3)))
+    c = Circuit(5, ((0, 1, 2), (3, 4), (0, 1, 3)))
     r = resources(c)
     assert r.toffoli_count == 2
     assert r.cnot_count == 1
@@ -77,7 +64,7 @@ def test_resources_counts():
 
 def test_toffoli_depth_ignores_cnot_layers():
     # one Toffoli sandwiched between CNOT layers still has toffoli_depth 1
-    c = Circuit(3, (cnot(0, 1), toffoli(0, 1, 2), cnot(0, 1)))
+    c = Circuit(3, ((0, 1), (0, 1, 2), (0, 1)))
     r = resources(c)
     assert r.depth == 3
     assert r.toffoli_depth == 1
@@ -88,7 +75,7 @@ def test_measure_stream_matches_resources():
     gates = []
     for _ in range(300):
         a, b, t = rng.sample(range(12), 3)
-        gates.append(toffoli(a, b, t) if rng.random() < 0.4 else cnot(a, t))
+        gates.append((a, b, t) if rng.random() < 0.4 else (a, t))
     c = Circuit(12, tuple(gates))
     streamed = measure_stream(12, iter(gates))
     assert streamed == resources(c)
@@ -96,7 +83,7 @@ def test_measure_stream_matches_resources():
 
 def test_simulate_cnot_toffoli():
     # inputs and outputs are whole-width ints, bit w is wire w
-    c = Circuit(3, (cnot(0, 1), toffoli(0, 1, 2)))
+    c = Circuit(3, ((0, 1), (0, 1, 2)))
     assert simulate(c, [0b001, 0b010, 0b011]) == [0b111, 0b010, 0b001]
     assert simulate(c, []) == []
     with pytest.raises(ValueError):
@@ -109,7 +96,7 @@ def random_gates(rng, width, n):
     gates = []
     for _ in range(n):
         a, b, t = rng.sample(range(width), 3)
-        gates.append(toffoli(a, b, t) if rng.random() < 0.5 else cnot(a, t))
+        gates.append((a, b, t) if rng.random() < 0.5 else (a, t))
     return tuple(gates)
 
 
@@ -194,17 +181,32 @@ def test_read_back_from_a_later_pattern(first):
     assert register_values(state, 5, 0, 12, first) == reference_values(state, count, 0, 12)[first : first + 5]
 
 
-def test_flat_gates_builds_the_gate_types():
+def test_flat_gates_zips_the_columns():
     batches = [([0, 1], [2, 3], [4, 5]), ([6], None, [7]), ([], None, [])]
     flat = list(flat_gates(batches))
-    assert flat == [*map(Toffoli, [0, 1], [2, 3], [4, 5]), *map(Cnot, [6], [7])]
-    assert [type(g) for g in flat] == [Toffoli, Toffoli, Cnot]
-    assert flat[0].target == 4 and flat[2].control == 6
+    assert flat == [(0, 2, 4), (1, 3, 5), (6, 7)]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_flat_view_is_the_transpose_of_the_batches(seed):
+    rng = random.Random(seed)
+    width = 10
+    gates = []
+    for _ in range(rng.randint(1, 700)):
+        a, b, t = rng.sample(range(width), 3)
+        gate = (a, b, t) if rng.random() < 0.5 else (a, t)  # Toffoli controls in either order
+        gates.append(list(gate) if rng.random() < 0.2 else gate)
+    assert list(flat_gates(gate_runs(gates))) == [tuple(g) for g in gates]
+    stored = Circuit(width, gates).gates
+    checked = tuple(validated_gates(gates, width))
+    assert stored == checked
+    flat = tuple(flat_gates(gate_runs(stored)))
+    assert all(type(g) is tuple for g in stored + checked + flat)
 
 
 def test_run_packed_patterns():
     # packed wires carry one bit pattern per wire, gate action is bitwise
-    gates = [cnot(0, 1), toffoli(0, 1, 2)]
+    gates = [(0, 1), (0, 1, 2)]
     wires = [0b1010, 0b0110, 0b0000]
     out = run_packed(gate_runs(gates), wires)
     assert out[0] == 0b1010

@@ -1,5 +1,7 @@
 """Command-line interface: params/synth/verify/table, exit codes, files."""
 
+from itertools import chain
+
 import pytest
 
 from gf2synth import cli, fields, inverters
@@ -12,7 +14,6 @@ from gf2synth.circuits import (
     measure_stream,
     parse,
     read_netlist,
-    toffoli,
 )
 from gf2synth.cli import main, verify_kind
 from gf2synth.errors import InvalidParams
@@ -165,18 +166,27 @@ def test_synth_invert_draws_the_uncompute_only_to_write_it(
 
 
 def test_synth_out_keeps_the_gate_rule(capsys, monkeypatch, tmp_path):
-    # a generated gate that breaks the rule is refused, not written
+    # a generated gate that breaks the rule is refused, and no file is left,
+    # also once the valid gates before it have been written
     kind_table = cli.synth_circuit
+    for after_valid_gates in (False, True):
 
-    def bad_mult(spec, kind, r=None):
-        width, registers, _ = kind_table(spec, kind, r)
-        return Netlist(width, registers, iter([([0], [1], [1])]))
+        def bad_mult(spec, kind, r=None):
+            width, registers, batches = kind_table(spec, kind, r)
+            bad = iter([([0], [1], [1])])
+            return Netlist(width, registers, chain(batches, bad) if after_valid_gates else bad)
 
-    monkeypatch.setattr(cli, "synth_circuit", bad_mult)
-    path = tmp_path / "F"
-    code, out, err = run(capsys, "synth", "mult", "-m", "4", "--rep", "gbb", "--out", str(path))
-    assert (code, out) == (2, "")
-    assert err == "error: gate (0, 1, 1) is not 2 or 3 distinct wires in 0..14\n"
+        monkeypatch.setattr(cli, "synth_circuit", bad_mult)
+        path = tmp_path / f"F{after_valid_gates}"
+        code, out, err = run(capsys, "synth", "mult", "-m", "4", "--rep", "gbb", "--out", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: gate (0, 1, 1) is not 2 or 3 distinct wires in 0..14\n"
+        assert not path.exists()
+    # through a symlink, the file written is the link's target: that goes
+    link, target = tmp_path / "link", tmp_path / "target"
+    link.symlink_to(target)
+    assert run(capsys, "synth", "mult", "-m", "4", "--rep", "gbb", "--out", str(link))[0] == 2
+    assert not target.exists()
 
 
 def test_synth_deterministic_bytes(capsys, tmp_path):
@@ -474,7 +484,7 @@ def tamper(path):
             a, b, t = g
             for nt in range(c.width):
                 if nt not in (a, b, t):
-                    gates[i] = toffoli(a, b, nt)
+                    gates[i] = (a, b, nt)
                     path.write_text(emit(Circuit(c.width, tuple(gates), c.registers)))
                     return
     raise AssertionError("no Toffoli found to tamper with")

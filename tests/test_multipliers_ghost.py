@@ -34,6 +34,12 @@ def test_add_circuit():
     assert out >> 5 == a ^ b
 
 
+@pytest.mark.parametrize("width", [0, -1])
+def test_add_refuses_a_width_below_one(width):
+    with pytest.raises(ValueError, match="^width must be positive$"):
+        synth_add(width)
+
+
 def test_mult_m4_resources():
     c = synth_gbb_mult(4)
     r = resources(c)

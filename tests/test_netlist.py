@@ -10,13 +10,11 @@ import pytest
 from gf2synth import circuits
 from gf2synth.circuits import (
     Circuit,
-    cnot,
     emit,
     emit_lines,
     gate_runs,
     parse,
     read_netlist,
-    toffoli,
 )
 from gf2synth.cli import main
 from gf2synth.errors import PARSE_MESSAGE_LIMIT, ParseError
@@ -27,7 +25,7 @@ def random_circuit(seed, width=9, n=120):
     gates = []
     for _ in range(n):
         a, b, t = rng.sample(range(width), 3)
-        gates.append(toffoli(a, b, t) if rng.random() < 0.5 else cnot(a, t))
+        gates.append((a, b, t) if rng.random() < 0.5 else (a, t))
     return Circuit(width, tuple(gates), {"in": (0, 4), "out": (4, 4)})
 
 
@@ -41,7 +39,7 @@ def read_file(path, monkeypatch, read_size=3):
 
 
 def test_emit_shape():
-    c = Circuit(3, (cnot(0, 1), toffoli(0, 1, 2)), {"x": (0, 2)})
+    c = Circuit(3, ((0, 1), (0, 1, 2)), {"x": (0, 2)})
     text = emit(c)
     assert text.splitlines() == [
         "qubits 3",
@@ -52,7 +50,7 @@ def test_emit_shape():
 
 
 def test_emit_header_comments():
-    c = Circuit(2, (cnot(0, 1),))
+    c = Circuit(2, ((0, 1),))
     lines = list(emit_lines(c.width, c.registers, c.gates, ["hello", "", "bye"]))
     assert lines[:3] == ["# hello", "#", "# bye"]
     assert parse("\n".join(lines)) == c
@@ -80,7 +78,7 @@ def test_parse_tolerates_comments_blanks_whitespace():
     c = parse(text)
     assert c.width == 4
     assert c.registers == {"a": (0, 2)}
-    assert c.gates == (cnot(0, 1), toffoli(1, 2, 3))
+    assert c.gates == ((0, 1), (1, 2, 3))
 
 
 @pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
@@ -159,7 +157,7 @@ CLEAN = emit(random_circuit(8, n=400))
 # wires of one to three digits, so the digit count varies from token to token
 WIDE = emit(random_circuit(8, width=1000, n=400))
 # CNOTs only, so that every piece holds one gate kind
-CNOTS = emit(Circuit(9, tuple(cnot(i % 8, 8) for i in range(400))))
+CNOTS = emit(Circuit(9, tuple((i % 8, 8) for i in range(400))))
 
 
 def _with_line(line, at=200, base=CLEAN):
@@ -293,7 +291,7 @@ def test_column_path_pieces_advance_the_line_count(monkeypatch):
     """A bad line after several column-path pieces, one of them holding
     both gate kinds, reports its own line: a column-path piece advances the
     count by the gates it yields, one per strict line."""
-    gates = [cnot(i % 8, 8) for i in range(20)] + [toffoli(i % 4, 4 + i % 4, 8) for i in range(20)]
+    gates = [(i % 8, 8) for i in range(20)] + [(i % 4, 4 + i % 4, 8) for i in range(20)]
     text = emit(Circuit(9, tuple(gates + gates))) + "cx 0 9\n"
     pieces = recorded_pieces(monkeypatch)
     assert read_outcome(text, monkeypatch, 64)[1] == text.count("\n")
@@ -322,9 +320,9 @@ class CountedTable(circuits._NameTable):
 
 def test_read_table_holds_only_the_wires_seen_up_to_its_size(monkeypatch):
     width = 10**9
-    few = [cnot(width - 1, 7), toffoli(3, width - 2, 7)]
+    few = [(width - 1, 7), (3, width - 2, 7)]
     n = circuits.NAME_TABLE_SIZE  # gates, over 2n distinct wires
-    many = [cnot(width - 1 - 2 * i, width - 2 - 2 * i) for i in range(n)]
+    many = [(width - 1 - 2 * i, width - 2 - 2 * i) for i in range(n)]
     for gates, size in ((few, 4), (many, circuits.NAME_TABLE_SIZE)):
         monkeypatch.setattr(circuits, "_NameTable", CountedTable)
         CountedTable.made.clear()
@@ -337,7 +335,7 @@ def test_read_table_holds_only_the_wires_seen_up_to_its_size(monkeypatch):
 
 def test_emit_table_stays_bounded_at_a_huge_width(monkeypatch):
     width = 10**9
-    c = Circuit(width, [cnot(width - 1, 0), toffoli(1, width - 2, width - 1)], {"x": (0, width)})
+    c = Circuit(width, [(width - 1, 0), (1, width - 2, width - 1)], {"x": (0, width)})
     tracemalloc.start()
     try:
         text = emit(c)
@@ -366,7 +364,7 @@ HUGE_LINE = 1 << 22  # characters of the one long comment line below
         pytest.param("qubits 2\n#" + "x" * HUGE_LINE, [], id="in-the-header"),
         pytest.param(
             "qubits 2\ncx 0 1\n#" + "x" * HUGE_LINE + "\ncx 1 0\n",
-            [cnot(0, 1), cnot(1, 0)],
+            [(0, 1), (1, 0)],
             id="between-gates",
         ),
     ],
@@ -391,7 +389,7 @@ def test_a_huge_comment_line_is_held_about_once(text, outcome, tmp_path):
 
 def test_parse_normalizes_toffoli_controls():
     c = parse("qubits 3\nccx 2 0 1\n")
-    assert c.gates == (toffoli(0, 2, 1),)
+    assert c.gates == ((0, 2, 1),)
 
 
 @pytest.mark.parametrize(
