@@ -19,14 +19,21 @@ from gf2synth.circuits import (
 )
 
 
+def test_gate_factories_validate():
+    # the gate rule on single gates, as the deleted cnot/toffoli factories applied it
+    assert tuple(validated_gates([(0, 1)], 8)) == ((0, 1),)
+    for gate in [(2, 2), (-1, 0), (0, 1, 1), (0, 0, 1)]:
+        with pytest.raises(ValueError):
+            tuple(validated_gates([gate], 8))
+        with pytest.raises(ValueError):
+            Circuit(8, [gate])
+
+
 def test_toffoli_controls_normalized():
     assert Circuit(8, [(5, 2, 7), (2, 5, 7), (0, 1)]).gates == ((2, 5, 7), (2, 5, 7), (0, 1))
 
 
 def test_circuit_validates_wires():
-    for gate in [(2, 2), (-1, 0), (0, 1, 1), (0, 0, 1)]:
-        with pytest.raises(ValueError):
-            Circuit(8, [gate])
     with pytest.raises(ValueError):
         Circuit(2, ((0, 2),))
     with pytest.raises(ValueError):
