@@ -338,8 +338,9 @@ def layer_batches(
 def measure_stream(width: int, stream: Iterable[Union[Batch, Gate]]) -> ResourceEstimate:
     """Single-pass resource count over column batches (nothing is stored).
 
-    ``synth`` and ``table`` measure every kind but the inverter this way
-    (``inverter_estimate`` measures that): the greedy layering
+    ``synth`` and ``table`` measure ``add`` this way (the inverter and the
+    multipliers are layered block by block by ``inverters.layer_block``,
+    which this function is the reference for): the greedy layering
     (``layer_batches``) needs one per-wire counter. A flat gate stream is
     accepted too and cut into runs by ``gate_runs``: the benchmark's
     certifier (``perfbench/certify.py``) measures flat gates.

@@ -10,8 +10,9 @@ Commands
   fails, the file is removed (a regular file only), so no partial netlist
   is left to verify. The summary is ``kind_estimate``, which ``table``
   prints too: ``inverter_estimate`` for invert (forward pass only, so
-  without ``--out`` the uncompute is never generated), else
-  ``measure_stream`` over the kind's batches.
+  without ``--out`` the uncompute is never generated), ``layer_block``
+  for mult and selfmult (a product is in closed form, so without
+  ``--out`` no stage of it is generated), ``measure_stream`` for add.
 * ``verify {add|mult|selfmult|invert}``: check a synthesized (or, with
   ``--in``, previously emitted) netlist against the classical field oracles,
   exhaustively or on seeded random samples (``--seed`` is non-negative).
@@ -75,8 +76,8 @@ from .circuits import (
     validated_registers,
 )
 from .errors import ParseError, WidthMismatch
-from .fields import FieldSpec, Representation, check_ghost_bit_support
-from .inverters import inverter_batches, inverter_estimate, inverter_structure
+from .fields import FieldSpec, MultiplierBlock, Representation, check_ghost_bit_support
+from .inverters import inverter_batches, inverter_estimate, inverter_structure, layer_block
 from .inverters import synth_inverter  # noqa: F401  (kept for the benchmark tracer)
 from .multipliers import mult_netlist, self_mult_netlist, synth_add
 from .multipliers import (  # kept for the benchmark tracer
@@ -318,12 +319,24 @@ def synth_circuit(spec: FieldSpec, kind: str, r: Optional[int] = None) -> Netlis
 def kind_estimate(spec: FieldSpec, kind: str, r: Optional[int] = None) -> ResourceEstimate:
     """The resource summary ``synth`` and ``table`` print for one kind: the
     inverter's is ``inverter_estimate``, exact from its forward pass alone;
-    every other kind is measured over its ``synth_circuit`` batches. The
-    kind table refuses a domain error either way."""
-    width, _, batches = synth_circuit(spec, kind, r)
+    mult and selfmult are each one block on fresh counters, on the
+    registers of their ``synth_circuit`` netlists, through ``layer_block``
+    (so a product draws no stage at all); add is measured over its
+    ``synth_circuit`` batches. The kind table refuses a domain error either
+    way."""
+    width, registers, batches = synth_circuit(spec, kind, r)
     if kind == "invert":
         return inverter_estimate(spec)
-    return measure_stream(width, batches)
+    if kind == "add":
+        return measure_stream(width, batches)
+    at = {name: start // spec.width for name, (start, _) in registers.items()}
+    if kind == "mult":
+        block = MultiplierBlock("general", at["input_a"], at["output"], operand_reg=at["input_b"])
+    else:
+        block = MultiplierBlock("self_power", at["input"], at["output"], r=r)
+    ready, tof_ready = [0] * width, [0] * width
+    n_tof, n_cnot = layer_block(spec, block, ready, tof_ready)
+    return ResourceEstimate(n_tof, n_cnot, max(ready), max(tof_ready), width)
 
 
 # ---------------------------------------------------------------------------

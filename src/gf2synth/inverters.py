@@ -21,16 +21,19 @@ generated backwards, stage by stage, so none is ever held in memory;
 measurement of the inverter (``synth``, ``table``, ``check_bounds``), from
 its forward pass alone: the uncompute mirrors the head of that pass, so its
 share of the depth is read off the per-wire layer counters the head leaves
-behind, and it is never generated. The result is exact, equal to layering
-every gate of ``inverter_batches``, in memory proportional to the width.
+behind, and it is never generated. The forward pass is layered block by
+block (``layer_block``): a general block goes in closed form once its
+counters are level, and a self-power block carries its Toffoli counter as
+one offset from the other. The result is exact, equal to layering every
+gate of ``inverter_batches``, in memory proportional to the width.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import chain
-from operator import add
-from typing import Iterator, Optional
+from itertools import repeat
+from operator import add, sub
+from typing import Iterable, Iterator, Optional
 
 from .circuits import Batch, Circuit, Gate, ResourceEstimate, flat_gates, layer_batches
 from .errors import DegreeTooSmall
@@ -104,6 +107,136 @@ def inverter_gates(spec: FieldSpec) -> Iterator[Gate]:
     return flat_gates(inverter_batches(spec))
 
 
+def layer_block(
+    spec: FieldSpec, block: MultiplierBlock, ready: list[int], tof_ready: list[int]
+) -> tuple[int, int]:
+    """Layer one block onto the per-wire counters: ``ready`` and
+    ``tof_ready`` end exactly as ``layer_batches`` over
+    ``_block_batches(spec, block)`` leaves them, and the result is the same
+    (Toffolis, CNOTs). The cores check the register layout (and a
+    self-power block its exponent) at the call, even when no stage is
+    drawn. Two shortcuts, each exact:
+
+    (a) A general block in closed form once level. Each stage of
+    ``mult_batches`` is one Toffoli batch whose three columns are ``_walk``
+    rotations of the a, b and c wire lists (the target step 2 of the
+    ghost-bit product permutes too, as m+1 is odd): one gate on every wire
+    of the three registers, and on no other wire. If before a stage
+    ``ready`` is L on all those wires and ``tof_ready`` is T, every gate
+    sees L and T on its three wires and sets them to L+1 and T+1, so both
+    counters are level again, one higher. By induction the S stages not
+    yet drawn add S to every wire of the block and touch nothing else. So
+    the counters are tested before each stage, and once both are level the
+    rest of the block is one slice assignment, and those stages are never
+    generated. A fresh ``mult`` is level at stage 0.
+
+    (b) A self-power block's Toffoli counter carried as one offset. If
+    ready - tof_ready is one value o on every wire of the block's
+    registers, a Toffoli (x, y, t) inside them keeps it o: greedy layering
+    sets ready on x, y, t to max(ready[x], ready[y], ready[t]) + 1, and
+    tof_ready to max(tof_ready[x], ...) + 1 = max(ready[x] - o, ...) + 1,
+    the new ready minus o; no other wire moves, and the ready update never
+    reads tof_ready. So while the difference is level, Toffoli batches are
+    layered on ``ready`` alone, and tof_ready = ready - o, written back
+    before anything reads tof_ready, is what full layering gives
+    (``_layer_self_power``).
+    """
+    w = spec.width
+    batches = _block_batches(spec, block)
+    if block.kind == "self_power":
+        starts = (block.source_reg * w, block.target_reg * w)
+        return _layer_self_power(batches, starts, w, ready, tof_ready)
+    starts = (block.source_reg * w, block.operand_reg * w, block.target_reg * w)
+    stages = left = len(spec.rep.mult_stages())
+    while left and not (_level(ready, starts, w) and _level(tof_ready, starts, w)):
+        layer_batches((next(batches),), ready, tof_ready)
+        left -= 1
+    if left:
+        for s in starts:
+            ready[s:s + w] = [ready[s] + left] * w
+            tof_ready[s:s + w] = [tof_ready[s] + left] * w
+    return stages * w, 0
+
+
+def _level(counter: list[int], starts: tuple[int, ...], w: int) -> bool:
+    """Does ``counter`` hold one value on all the registers at ``starts``?"""
+    v = counter[starts[0]]
+    return all(counter[s:s + w].count(v) == w for s in starts)
+
+
+def _offset(
+    ready: list[int], tof_ready: list[int], starts: tuple[int, ...], w: int
+) -> Optional[int]:
+    """The one value of ready - tof_ready on all the registers at
+    ``starts``, or None if the difference is not level there."""
+    o = ready[starts[0]] - tof_ready[starts[0]]
+    for s in starts:
+        if list(map(sub, ready[s:s + w], tof_ready[s:s + w])).count(o) != w:
+            return None
+    return o
+
+
+def _write_back(
+    ready: list[int], tof_ready: list[int], starts: tuple[int, ...], w: int, o: int
+) -> None:
+    for s in starts:
+        tof_ready[s:s + w] = map(sub, ready[s:s + w], repeat(o))
+
+
+def _layer_self_power(
+    batches: Iterable[Batch], starts: tuple[int, ...], w: int, ready: list[int],
+    tof_ready: list[int],
+) -> tuple[int, int]:
+    """``layer_batches`` for a stream whose gates all lie in the registers
+    of width w at ``starts``, with the Toffoli counter carried as one
+    offset (lemma (b) of ``layer_block``) wherever it can be.
+
+    While ready - tof_ready is level, Toffoli batches are layered on
+    ``ready`` alone. A CNOT moves ready alone, so tof_ready is written back
+    before a CNOT batch, and the batches after it are layered in full until
+    the difference is found level again; it is written back at the end too,
+    before the caller reads either list. When to look is decided from the
+    stream, not from the representation: the difference is tested at the
+    start, then at most once per 2w gates layered in full, and never again
+    once CNOT batches come more often than once per 2w gates, after one of
+    grace (every ghost-bit stage holds a one-gate CNOT; normal-basis CNOT
+    stages are rare).
+    """
+    n_tof = n_cnot = gates = cnot_batches = unchecked = 0
+    offset = _offset(ready, tof_ready, starts, w)
+    hopeful = True
+    for batch in batches:
+        ca, cb, ct = batch
+        if cb is not None and offset is not None:
+            for a, b, t in zip(ca, cb, ct):
+                layer = ready[a]
+                if ready[b] > layer:
+                    layer = ready[b]
+                if ready[t] > layer:
+                    layer = ready[t]
+                ready[a] = ready[b] = ready[t] = layer + 1
+            n_tof += len(ct)
+            gates += len(ct)
+            continue
+        if cb is None:
+            if offset is not None:
+                _write_back(ready, tof_ready, starts, w, offset)
+                offset = None
+            cnot_batches += 1
+            hopeful = hopeful and cnot_batches <= 1 + gates // (2 * w)
+        tof, cnot = layer_batches((batch,), ready, tof_ready)
+        n_tof += tof
+        n_cnot += cnot
+        gates += len(ct)
+        unchecked += len(ct)
+        if hopeful and unchecked >= 2 * w:
+            unchecked = 0
+            offset = _offset(ready, tof_ready, starts, w)
+    if offset is not None:
+        _write_back(ready, tof_ready, starts, w, offset)
+    return n_tof, n_cnot
+
+
 def inverter_estimate(spec: FieldSpec) -> ResourceEstimate:
     """The inverter's ``ResourceEstimate``, exact, from its forward pass alone.
 
@@ -117,16 +250,21 @@ def inverter_estimate(spec: FieldSpec) -> ResourceEstimate:
     maximum over w of ready[w] after X L plus ready[w] after X; the Toffoli
     depth is the same on the Toffoli counters, and each count is twice X's
     plus L's. Relies on ``uncompute`` being the head of ``forward``
-    reversed, which ``inverter_structure`` builds.
+    reversed, which ``inverter_structure`` builds. X and L are layered
+    block by block with ``layer_block``, which leaves the counters exactly
+    as layering every gate would, without drawing every stage.
     """
     s = inverter_structure(spec)
     *head, last = s.forward
     ready = [0] * s.width
     tof_ready = [0] * s.width
-    head_batches = chain.from_iterable(_block_batches(spec, b) for b in head)
-    head_tof, head_cnot = layer_batches(head_batches, ready, tof_ready)
+    head_tof = head_cnot = 0
+    for block in head:
+        tof, cnot = layer_block(spec, block, ready, tof_ready)
+        head_tof += tof
+        head_cnot += cnot
     mirror, tof_mirror = ready[:], tof_ready[:]
-    last_tof, last_cnot = layer_batches(_block_batches(spec, last), ready, tof_ready)
+    last_tof, last_cnot = layer_block(spec, last, ready, tof_ready)
     return ResourceEstimate(
         2 * head_tof + last_tof,
         2 * head_cnot + last_cnot,

@@ -42,9 +42,11 @@ columns to wire columns: one ``itemgetter`` call per column, in C, which
 still gives a sequence for a column of one gate. With ``reverse`` a core
 yields the inverse block: stages last-first, each stage's batches
 last-first, every list reversed. The batches go as they are to
-measurement (``measure_stream``) and simulation (``run_packed``), and
-through the inverter's block chain to the netlist writer; ``mult_netlist``
-and ``self_mult_netlist`` hold their register maps.
+simulation (``run_packed``), and through the inverter's block chain to
+the netlist writer; ``mult_netlist`` and ``self_mult_netlist`` hold their
+register maps. Measurement (``inverters.layer_block``) draws them block
+by block and stops drawing a general block once its layer counters are
+level, since every general stage is one gate on each of its wires.
 
 The cores check no gate on its own. Each block first checks its register
 layout with the register rule of ``circuits`` (non-negative, pairwise
@@ -103,7 +105,8 @@ def mult_batches(
 ) -> Iterator[Batch]:
     """|a>|b>|c>  ->  |a>|b>|c + a * b^(2^b_exp)>, one batch per stage; a
     stage is one depth-1 layer whose controls and targets are all distinct.
-    With ``reverse`` the inverse block: stages last-first, columns reversed."""
+    The register layout is checked at the call. With ``reverse`` the
+    inverse block: stages last-first, columns reversed."""
     n = rep.width
     validated_registers({"a": (a0, n), "b": (b0, n), "c": (c0, n)}, UNBOUNDED)  # the precondition
     a = _wires(a0, range(n))
@@ -111,10 +114,14 @@ def mult_batches(
     tgt = _targets(rep, c0, square_write)
     lower_first = a0 < b0  # the lower register's wire is the first control of every gate
     x, y = (a, b) if lower_first else (b, a)
-    stages = rep.mult_stages()
-    for sa, sb, sc, step in reversed(stages) if reverse else stages:
-        sx, sy = (sa, sb) if lower_first else (sb, sa)
-        yield from _stage([(_walk(x, sx), _walk(y, sy), _walk(tgt, sc, step))], reverse)
+
+    def stages() -> Iterator[Batch]:
+        table = rep.mult_stages()
+        for sa, sb, sc, step in reversed(table) if reverse else table:
+            sx, sy = (sa, sb) if lower_first else (sb, sa)
+            yield from _stage([(_walk(x, sx), _walk(y, sy), _walk(tgt, sc, step))], reverse)
+
+    return stages()
 
 
 def self_mult_batches(

@@ -14,16 +14,25 @@ from itertools import zip_longest
 
 import pytest
 
+from gf2synth import inverters
 from gf2synth.circuits import (
     batch_passes,
     flat_gates,
+    layer_batches,
     measure_stream,
     run_packed,
     validated_batches,
     validated_gates,
 )
 from gf2synth.errors import CircuitRuleError, InvalidParams
-from gf2synth.fields import FieldSpec, Representation, check_ghost_bit_support, make_gnb_params
+from gf2synth.cli import kind_estimate, synth_circuit
+from gf2synth.fields import (
+    FieldSpec,
+    Representation,
+    addition_chain,
+    check_ghost_bit_support,
+    make_gnb_params,
+)
 from gf2synth.inverters import (
     check_bounds,
     inverter_batches,
@@ -115,6 +124,97 @@ def test_inverter_estimate_matches_measuring_every_gate():
             spec.m,
             spec.rep.t,
         )
+
+
+LEMMA_SPECS = [*small_specs(), FieldSpec.gnb(163), FieldSpec.gnb(233, t=2), FieldSpec.gnb(409)]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    LEMMA_SPECS,
+    ids=[f"{s.representation.value}{s.m}" + (f"t{s.rep.t}" if s.rep.t else "") for s in LEMMA_SPECS],
+)
+def test_every_general_stage_is_one_gate_on_every_wire_of_its_registers(spec):
+    """Lemma (a) of ``layer_block``: a general stage moves every wire of the
+    block's three registers by exactly one layer, so a block whose counters
+    are level stays level. Both operand orders occur in the chain's combine
+    blocks, and the last block writes squared."""
+    rep, w = spec.rep, spec.width
+    stages = len(rep.mult_stages())
+    exponents = {0} | {b.operand_exponent for b in addition_chain(spec.m).combine}
+    every_wire = set(range(3 * w))
+    for src, operand in ((0, w), (w, 0)):  # the operand register below and above the source
+        for e in sorted(exponents):
+            for squared in (False, True):
+                drawn = 0
+                for a, b, t in mult_batches(rep, src, operand, 2 * w, e, squared):
+                    assert b is not None and len(a) + len(b) + len(t) == 3 * w
+                    assert set(a).union(b, t) == every_wire, (src, e, squared, drawn)
+                    drawn += 1
+                assert drawn == stages
+
+
+def test_toffoli_counter_carried_as_one_offset_matches_full_layering():
+    """Lemma (b) of ``layer_block``: Toffolis inside registers whose
+    ready - tof_ready is level, layered on ready alone and written back,
+    leave both counters as ``layer_batches`` does; and so does any stream
+    inside the registers, CNOTs and uneven counters included."""
+    rng = random.Random(27)
+    for trial in range(300):
+        w = rng.randint(2, 7)  # three distinct wires in two registers
+        starts = tuple(w * k for k in sorted(rng.sample(range(4), 2)))
+        inside = [s + i for s in starts for i in range(w)]
+        ready = [rng.randint(0, 30) for _ in range(4 * w)]
+        tof_ready = [v - rng.randint(0, 30) for v in ready]
+        level = trial % 2 == 0
+        if level:
+            o = rng.randint(0, 9)
+            for u in inside:
+                tof_ready[u] = ready[u] - o
+        cnot_share = 0.0 if level else rng.choice([0.05, 0.3, 0.9])
+        batches = []
+        for _ in range(rng.randint(0, 40)):
+            cols = [rng.sample(inside, 3) for _ in range(rng.randint(1, 3 * w))]
+            a, b, t = (list(col) for col in zip(*cols))
+            batches.append((a, None, t) if rng.random() < cnot_share else (a, b, t))
+        got_ready, got_tof = ready[:], tof_ready[:]
+        got = inverters._layer_self_power(iter(batches), starts, w, got_ready, got_tof)
+        want = layer_batches(batches, ready, tof_ready)
+        assert (got, got_ready, got_tof) == (want, ready, tof_ready), trial
+
+
+def test_kind_estimates_equal_measuring_every_gate():
+    """mult and selfmult are estimated as one block on fresh counters
+    (``layer_block``), without drawing every stage; that must equal
+    measuring every gate their netlists hold."""
+    for spec in [*small_specs(), FieldSpec.gnb(163)]:
+        kinds = [("mult", None)]
+        if spec.m < 163:
+            kinds += [("selfmult", r) for r in range(spec.m + 1)]
+        for kind, r in kinds:
+            width, _, batches = synth_circuit(spec, kind, r)
+            assert kind_estimate(spec, kind, r) == measure_stream(width, batches), (
+                spec.m,
+                spec.rep.t,
+                kind,
+                r,
+            )
+
+
+def test_inverter_estimate_leaves_the_level_general_stages_undrawn(monkeypatch):
+    # At gnb 163 the forward pass holds 955,017 gates; 211,085 of them sit in
+    # general stages drawn after their block's counters are level.
+    drawn = []
+    block_batches = inverters._block_batches
+
+    def counted(spec, block, reverse=False):
+        for batch in block_batches(spec, block, reverse):
+            drawn.append(len(batch[2]))
+            yield batch
+
+    monkeypatch.setattr(inverters, "_block_batches", counted)
+    assert summary(inverter_estimate(FieldSpec.gnb(163))) == PINNED[0][1]
+    assert 0 < sum(drawn) <= 955_017 - 211_000
 
 
 def test_uncompute_is_the_forward_head_reversed():

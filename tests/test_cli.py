@@ -4,7 +4,7 @@ from itertools import chain
 
 import pytest
 
-from gf2synth import cli, fields, inverters
+from gf2synth import cli, fields, inverters, multipliers
 from gf2synth.circuits import (
     Circuit,
     Netlist,
@@ -163,6 +163,56 @@ def test_synth_invert_draws_the_uncompute_only_to_write_it(
     assert run(capsys, "synth", "invert", "-m", m, "--rep", rep, "--out", str(path))[0] == 0
     uncompute = inverters.inverter_structure(spec).uncompute
     assert [block for block, reverse in drawn if reverse] == list(uncompute)
+
+
+@pytest.mark.parametrize(
+    "rep, m, spec",
+    [("gbb", "10", FieldSpec.ghost_bit(10)), ("gnb", "11", FieldSpec.gnb(11))],
+    ids=["gbb10", "gnb11"],
+)
+def test_synth_mult_draws_the_multiplier_only_to_write_it(
+    rep, m, spec, capsys, monkeypatch, tmp_path
+):
+    # every stage of either core goes through multipliers._stage once as it
+    # is drawn; the product's estimate is in closed form and draws none
+    drawn = []
+    stage = multipliers._stage
+
+    def recorded(batches, reverse):
+        drawn.append(batches)
+        return stage(batches, reverse)
+
+    monkeypatch.setattr(multipliers, "_stage", recorded)
+    code, out, _ = run(capsys, "synth", "mult", "-m", m, "--rep", rep)
+    assert code == 0 and f"toffoli={len(spec.rep.mult_stages()) * spec.width}" in out
+    assert drawn == []
+    path = tmp_path / "mult.qc"
+    assert run(capsys, "synth", "mult", "-m", m, "--rep", rep, "--out", str(path))[0] == 0
+    assert len(drawn) == len(spec.rep.mult_stages())
+
+
+def test_benchmarked_commands_import_no_numpy():
+    # importing numpy alone costs about 13.7 MB of peak RSS, more than the
+    # benchmark's 5 % peak_rss_mb bound on its workloads
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys\n"
+        "from gf2synth import cli\n"
+        "from gf2synth.fields import FieldSpec\n"
+        "from gf2synth.inverters import check_bounds\n"
+        "assert cli.main(['table', '-m', '5,163']) == 0\n"
+        "assert check_bounds(FieldSpec.gnb(23)).passed\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 def test_synth_out_keeps_the_gate_rule(capsys, monkeypatch, tmp_path):
