@@ -46,7 +46,7 @@ params = make_gnb_params(5, 2)
 print("\nnormal basis m=5: type", params.t, "p =", params.p, "u =", params.u)
 print("index table", params.f_table)
 
-one = FieldSpec.gnb(5).rep.identity
+one = FieldSpec.gnb(5).identity
 print("identity   ", bits(one, 5))  # all ones over a normal basis
 assert gnb_frobenius(5, one, 1) == one
 
@@ -57,6 +57,8 @@ assert x == one
 for m in (7, 10, 163, 233):
     print(f"smallest type for m={m}:", find_gnb_type(m).t)
 
-# FieldSpec bundles degree + representation for the synthesis entry points
+# a FieldSpec is its representation: FieldSpec.gnb gives a Gnb, ghost_bit a
+# GhostBit, and the synthesis entry points take either
 spec = FieldSpec.gnb(5)
-print("\nspec:", spec.m, spec.representation.value, "width", spec.width)
+print("\nspec:", type(spec).__name__, spec.m, spec.representation.value, "t", spec.t, "width", spec.width)
+print("inverter bounds:", spec.inverter_bounds())

@@ -35,6 +35,7 @@ from .fields import (
     GnbParams,
     InverterPlan,
     Representation,
+    ResourceBound,
     addition_chain,
     check_ghost_bit_support,
     find_gnb_type,
@@ -52,9 +53,6 @@ from .inverters import (
     BoundsReport,
     InverterStructure,
     MultiplierBlock,
-    ResourceBound,
-    bounds_ghost,
-    bounds_gnb,
     check_bounds,
     inverter_batches,
     inverter_estimate,

@@ -28,8 +28,8 @@ Commands
   Each row is ``kind_estimate``, what ``synth`` prints; the invert row
   equals measuring every gate ``synth invert`` writes.
 
-Field oracles, inverse checks and bounds come from the spec's
-representation object (``spec.rep``), so the commands never branch on the
+Field oracles, inverse checks and bounds come from the field spec, a
+``GhostBit`` or a ``Gnb``, so the commands never branch on the
 representation. ``synth_circuit`` is the kind table: for each kind it gives
 the width, the register map and the column batches, which ``synth`` and
 ``verify`` draw every kind from, and ``table`` its add and mult rows.
@@ -41,6 +41,9 @@ its operands from the register map too (each ``input`` register's span):
 the packed check on every pattern's operand wires, and the same check on
 one pattern's operands, which words the counterexample of the first
 failing pattern.
+
+Every command refuses a degree above ``fields.MAX_DEGREE`` before any
+parameter search is run.
 
 Exit codes: 0 success / verification passed, 1 verification failed,
 2 domain error (unsupported degree, bad parameters, bad usage) or out of
@@ -75,8 +78,8 @@ from .circuits import (
     validated_batches,
     validated_registers,
 )
-from .errors import ParseError, WidthMismatch
-from .fields import FieldSpec, MultiplierBlock, Representation, check_ghost_bit_support
+from .errors import ParseError, UnsupportedDegree, WidthMismatch
+from .fields import MAX_DEGREE, FieldSpec, MultiplierBlock, Representation, check_ghost_bit_support
 from .inverters import inverter_batches, inverter_estimate, inverter_structure, layer_block
 from .inverters import synth_inverter  # noqa: F401  (kept for the benchmark tracer)
 from .multipliers import mult_netlist, self_mult_netlist, synth_add
@@ -158,24 +161,24 @@ class _Row:
 def _verify_row(spec: FieldSpec, kind: str, r: Optional[int]) -> _Row:
     """The oracles of one kind, on its operands as raw register patterns;
     an invert input may be either ghost-bit representative of its element."""
-    rep, w = spec.rep, spec.width
+    w = spec.width
     if kind == "invert":
 
         def inverse(ops: list[int], got: int) -> Optional[str]:
             (v,) = ops
-            if rep.inverse_ok(v, got):
+            if spec.inverse_ok(v, got):
                 return None
             return f"input={_bitstr(v, w)} output={_bitstr(got, w)}"
 
-        misses = lambda ops, outputs: rep.packed_inverse_misses(*ops, outputs)  # noqa: E731
+        misses = lambda ops, outputs: spec.packed_inverse_misses(*ops, outputs)  # noqa: E731
         return _Row("inverter", "input wire", misses, inverse)
     # (expected output, packed expected output)
     expected, packed = {
         "add": (lambda a, b: a ^ b, partial(map, xor)),
-        "mult": (rep.mult, rep.packed_mult),
+        "mult": (spec.mult, spec.packed_mult),
         "selfmult": (
-            lambda a: rep.mult(a, rep.frobenius(a, r)),
-            lambda a: rep.packed_mult(a, rep.packed_frobenius(a, r)),
+            lambda a: spec.mult(a, spec.frobenius(a, r)),
+            lambda a: spec.packed_mult(a, spec.packed_frobenius(a, r)),
         ),
     }[kind]
 
@@ -296,7 +299,7 @@ def verify_kind(
 
 def synth_circuit(spec: FieldSpec, kind: str, r: Optional[int] = None) -> Netlist:
     """The kind table: one kind's width, register map and column batches for
-    ``spec.rep``. A domain error raises now; batches are built as drawn.
+    ``spec``. A domain error raises now; batches are built as drawn.
     Only selfmult takes an exponent: r on another kind is refused, never
     dropped."""
     if r is not None and kind != "selfmult":
@@ -305,11 +308,11 @@ def synth_circuit(spec: FieldSpec, kind: str, r: Optional[int] = None) -> Netlis
         adder = synth_add(spec.width)
         return Netlist(adder.width, adder.registers, gate_runs(adder.gates))
     if kind == "mult":
-        return mult_netlist(spec.rep)
+        return mult_netlist(spec)
     if kind == "selfmult":
         if r is None:
             raise ValueError("selfmult needs -r <exponent>")
-        return self_mult_netlist(spec.rep, r)
+        return self_mult_netlist(spec, r)
     if kind == "invert":
         s = inverter_structure(spec)
         return Netlist(s.width, s.registers, inverter_batches(spec))
@@ -343,35 +346,42 @@ def kind_estimate(spec: FieldSpec, kind: str, r: Optional[int] = None) -> Resour
 # command implementations
 
 
+def _degree(m: int) -> int:
+    """m, refused above MAX_DEGREE before any parameter search is run."""
+    if m > MAX_DEGREE:
+        raise UnsupportedDegree(f"degree m={m} is above the largest supported degree {MAX_DEGREE}")
+    return m
+
+
 def _spec_from_args(args) -> FieldSpec:
-    return FieldSpec.of(args.rep, args.m, t=args.t)
+    return FieldSpec.of(args.representation, _degree(args.m), t=args.t)
 
 
 def _context_lines(spec: FieldSpec, kind: str, r: Optional[int]) -> list[str]:
     out = [f"command={kind}", f"rep={spec.representation.value}", f"m={spec.m}"]
-    if spec.rep.t is not None:
-        out.append(f"t={spec.rep.t}")
+    if spec.t is not None:
+        out.append(f"t={spec.t}")
     if r is not None:
         out.append(f"r={r}")
     return out
 
 
 def cmd_params(args) -> int:
-    m = args.m
-    if args.t is not None and args.rep == "gbb":
+    m = _degree(args.m)
+    if args.t is not None and args.representation == "gbb":
         raise ValueError("a type t only applies to the gnb representation")
     lines = [f"m={m}"]
     ghost_ok = check_ghost_bit_support(m)
     gnb_params = None
-    if args.rep != "gbb":
+    if args.representation != "gbb":
         try:
             gnb_params = FieldSpec.of(Representation.GNB, m, t=args.t).gnb_params
         except ValueError:
             pass
 
-    if args.rep in (None, "gbb"):
+    if args.representation in (None, "gbb"):
         lines.append(f"ghost_bit={'yes' if ghost_ok else 'no'}")
-    if args.rep in (None, "gnb"):
+    if args.representation in (None, "gnb"):
         if gnb_params is not None:
             lines.append(f"gnb_type={gnb_params.t}")
             lines.append(f"gnb_p={gnb_params.p}")
@@ -379,8 +389,8 @@ def cmd_params(args) -> int:
         else:
             lines.append("gnb_type=none")
 
-    available = (args.rep != "gnb" and ghost_ok) or (
-        args.rep != "gbb" and gnb_params is not None
+    available = (args.representation != "gnb" and ghost_ok) or (
+        args.representation != "gbb" and gnb_params is not None
     )
     print("\n".join(lines))
     return 0 if available else 2
@@ -443,12 +453,12 @@ def cmd_verify(args) -> int:
 
 def _table_rows_for(spec: FieldSpec) -> list[tuple]:
     """(op, depth, gates, depth_bound, gate_bound) rows for one spec."""
-    inv_bound = spec.rep.inverter_bounds()
+    inv_bound = spec.inverter_bounds()
     return [
         (op, est.depth, est.gate_count, *bound)
         for op, bound in (
             ("add", (1, spec.width)),
-            ("mult", spec.rep.mult_bounds()),
+            ("mult", spec.mult_bounds()),
             ("invert", (inv_bound.depth_bound, inv_bound.gate_bound)),
         )
         for est in [kind_estimate(spec, op)]
@@ -456,10 +466,11 @@ def _table_rows_for(spec: FieldSpec) -> list[tuple]:
 
 
 def cmd_table(args) -> int:
+    degrees = [_degree(m) for m in args.m]  # every one, before any search
     specs = []
-    for m in args.m:
+    for m in degrees:
         for rep in Representation:
-            if m < 3 or args.rep not in (None, rep.value):
+            if m < 3 or args.representation not in (None, rep.value):
                 continue
             try:
                 specs.append(FieldSpec.of(rep, m))
@@ -490,6 +501,7 @@ def _add_common(p: argparse.ArgumentParser, need_rep: bool) -> None:
     p.add_argument("-m", type=int, required=True, help="field degree")
     p.add_argument(
         "--rep",
+        dest="representation",
         choices=("gbb", "gnb"),
         required=need_rep,
         help="representation: gbb (ghost-bit) or gnb (Gaussian normal basis)",
@@ -551,7 +563,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="comma-separated degrees",
     )
-    p.add_argument("--rep", choices=("gbb", "gnb"), default=None)
+    p.add_argument("--rep", dest="representation", choices=("gbb", "gnb"), default=None)
     p.set_defaults(func=cmd_table)
     return ap
 

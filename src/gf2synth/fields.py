@@ -21,29 +21,30 @@ multiplier circuits are built from that table through ``gnb_stage_bases``,
 and ``gnb_verify_isomorphism`` certifies a table by comparing the two on m
 products.
 
-A ``FieldSpec`` hands out its representation object (``spec.rep``, a
-``GhostBit`` or a ``Gnb``). That object is the one place where the two
-representations differ: register width, int-level product, Frobenius and
-identity, the inverse check, the read/write wire permutations, the stage
-structure of the two multiplier cores (as coefficient indices, which
-``multipliers`` places on wires as column batches) and the closed-form
-bounds. Everything else is shared. ``self_mult_stages(r)`` is the one
-description of a self-power multiplier's stages: each ``SelfPowerStage``
-carries its label, index delta (normal basis) and color classes as index
-columns, and nothing rebuilds it from gates.
+A ``FieldSpec`` is its representation: ``FieldSpec.ghost_bit``, ``gnb``
+and ``of`` return a ``GhostBit`` or a ``Gnb``, both subclasses of
+``FieldSpec``. That object is the one place where the two representations
+differ: register width, int-level product, Frobenius and identity, the
+inverse check, the read/write wire permutations, the stage structure of
+the two multiplier cores (as coefficient indices, which ``multipliers``
+places on wires as column batches) and the closed-form bounds
+(``inverter_bounds``). Everything else is shared. ``self_mult_stages(r)``
+is the one description of a self-power multiplier's stages: each
+``SelfPowerStage`` carries its label, index delta (normal basis) and color
+classes as index columns, and nothing rebuilds it from gates.
 
-Each representation object also has the oracles' packed (bit-sliced)
-forms, which check a whole batch of patterns at once in the simulator's
-layout: a packed element is a list of ints, one per coordinate, whose bit b
-is that coordinate in pattern b. ``packed_mult`` is built from the same
-definitions as ``mult`` (the cyclic convolution for ghost-bit, the
-Gauss-period product in F_2[x]/(x^p - 1) for the normal basis), so it reads
-neither the index table nor the stage bases; it yields the product's
-coordinates one at a time, so a caller that folds them holds one at a time.
-``packed_frobenius`` moves coordinates as ``frobenius`` moves the basis
-vectors, and ``packed_inverse_misses`` is the product-equals-identity check
-in both representations (for ghost-bit, up to the ring's two representatives
-of each element). The per-pattern ``inverse_ok`` stays the second, separate
+Each spec also has the oracles' packed (bit-sliced) forms, which check a
+whole batch of patterns at once in the simulator's layout: a packed element
+is a list of ints, one per coordinate, whose bit b is that coordinate in
+pattern b. ``packed_mult`` is built from the same definitions as ``mult``
+(the cyclic convolution for ghost-bit, the Gauss-period product in
+F_2[x]/(x^p - 1) for the normal basis), so it reads neither the index table
+nor the stage bases; it yields the product's coordinates one at a time, so
+a caller that folds them holds one at a time. ``packed_frobenius`` moves
+coordinates as ``frobenius`` moves the basis vectors, and
+``packed_inverse_misses`` is the product-equals-identity check in both
+representations (for ghost-bit, up to the ring's two representatives of
+each element). The per-pattern ``inverse_ok`` stays the second, separate
 derivation: extended Euclid for ghost-bit.
 
 ``addition_chain`` owns the Itoh-Tsujii chain: its ``MultiplierBlock``s,
@@ -54,7 +55,7 @@ steps ``itoh_tsujii_inverse`` and the closed-form bounds read.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache, reduce
 from math import gcd
 from operator import and_, itemgetter, or_, xor
@@ -74,6 +75,11 @@ from .gf2poly import all_one_poly, gf2_inv_mod, gf2_mul, prime_divisors
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 GNB_MAX_TYPE = 30  # largest normal-basis type ``find_gnb_type`` tries
+# Largest field degree the command line searches parameters for. The search
+# for u in ``make_gnb_params`` grows faster than m: its slowest case up to
+# here, m = 9314 (type 30, u = 128170), takes 1.4-2.0 s on a 2-vCPU x86
+# host, and m = 100019 takes 11.7 s.
+MAX_DEGREE = 10_000
 
 
 def is_prime(n: int) -> bool:
@@ -456,7 +462,7 @@ def addition_chain(m: int) -> InverterPlan:
 
 
 # ---------------------------------------------------------------------------
-# closed-form inverter bounds
+# closed-form inverter bounds (the formulas are each spec's ``inverter_bounds``)
 
 
 @dataclass(frozen=True)
@@ -481,45 +487,8 @@ def _chain_shape(m: int) -> tuple[int, int]:
     return plan.floor_log, plan.hamming_weight
 
 
-def bounds_ghost(m: int) -> ResourceBound:
-    """Ghost-bit inverter bounds: the ladder is counted twice (compute and
-    uncompute) at the self-power costs, the merges twice at the general
-    multiplier costs, and one register per chain value."""
-    if not check_ghost_bit_support(m):
-        raise UnsupportedDegree(f"m={m} has no ghost-bit representation")
-    log2, hw = _chain_shape(m)
-    n = m + 1
-    toffoli = 2 * log2 * (m * m + m) + 2 * (hw - 1) * (m * m + 2 * m + 1)
-    cnot_b = 2 * log2 * n
-    return ResourceBound(
-        m=m,
-        depth_bound=2 * log2 * (2 * m + 2) + 2 * (hw - 1) * n,
-        gate_bound=toffoli + cnot_b,
-        qubit_bound=(1 + log2) * n + (hw - 1) * n,
-        t_depth_bound=12 * log2 * (2 * m + 2) + 12 * (hw - 1) * n,
-        t_count_bound=14 * log2 * (m * m + m) + 14 * (hw - 1) * (m * m + 2 * m + 1),
-        toffoli_bound=toffoli,
-        cnot_bound=cnot_b,
-    )
-
-
-def bounds_gnb(m: int, t: int) -> ResourceBound:
-    """Normal-basis inverter bounds with T = t rounded up to even."""
-    log2, hw = _chain_shape(m)
-    T = t + (t % 2)
-    per_block = T * m * m - m
-    return ResourceBound(
-        m=m,
-        depth_bound=log2 * (6 * T * m - 6) + 2 * (hw - 1) * (T * m - 1),
-        gate_bound=2 * log2 * per_block + 2 * (hw - 1) * per_block,
-        qubit_bound=(1 + log2) * m + (hw - 1) * m,
-        t_depth_bound=6 * log2 * (6 * T * m - 6) + (12 * hw - 6) * (T * m - 1),
-        t_count_bound=14 * log2 * per_block + 14 * (hw - 1) * per_block,
-    )
-
-
 # ---------------------------------------------------------------------------
-# representation objects
+# field specs: one class per representation
 
 
 class Representation(enum.Enum):
@@ -555,10 +524,38 @@ class SelfPowerStage(NamedTuple):
     classes: tuple[tuple[IndexBatch, ...], ...]
 
 
-class _Basis:
-    """What both representations compute alike: squaring permutes the
+class FieldSpec:
+    """A field degree in one circuit representation: a ``GhostBit`` or a
+    ``Gnb``, built by ``ghost_bit``, ``gnb`` or ``of``. The two subclasses
+    hold everything the representations do differently (see the module
+    docstring); what they compute alike lives here: squaring permutes the
     coefficients in either basis, so the packed Frobenius and the squared
     write follow from each one's ``frobenius`` and ``read_permutation``."""
+
+    m: int
+    width: int  # wires per register: m+1 ghost-bit, m normal basis
+    t: Optional[int]  # the normal-basis type, None for ghost-bit
+    representation: Representation
+    gnb_params: Optional[GnbParams]
+    identity: int
+
+    @classmethod
+    def ghost_bit(cls, m: int) -> "GhostBit":
+        return GhostBit(m)
+
+    @classmethod
+    def gnb(cls, m: int, t: Optional[int] = None) -> "Gnb":
+        return Gnb(make_gnb_params(m, t) if t is not None else find_gnb_type(m))
+
+    @classmethod
+    def of(cls, representation: Union[Representation, str], m: int, t: Optional[int] = None) -> "FieldSpec":
+        """Spec for a representation given by member or name ("gbb"/"gnb");
+        a type t only applies to the normal basis."""
+        if Representation(representation) is Representation.GNB:
+            return cls.gnb(m, t=t)
+        if t is not None:
+            raise ValueError("a type t only applies to the gnb representation")
+        return cls.ghost_bit(m)
 
     def packed_frobenius(self, a: Sequence[int], r: int) -> list[int]:
         """a^(2^r) on packed coordinates: each coordinate goes where
@@ -573,19 +570,19 @@ class _Basis:
         return self.read_permutation(-1)
 
 
-class GhostBit(_Basis):
+class GhostBit(FieldSpec):
     """The ghost-bit representation: m+1 coefficients mod x^(m+1) + 1."""
 
     representation = Representation.GHOST_BIT
-    t = None
+    t = gnb_params = None
 
-    def __init__(self, m: int, gnb_params: Optional[GnbParams] = None):
+    def __init__(self, m: int):
+        if m < 2:
+            raise UnsupportedDegree("field degree must be at least 2")
         if not check_ghost_bit_support(m):
             raise UnsupportedDegree(
                 f"m={m} has no ghost-bit representation (need m+1 prime with 2 primitive)"
             )
-        if gnb_params is not None:
-            raise ValueError("ghost-bit spec must not carry normal-basis params")
         self.m = m
         self.width = m + 1
         self.identity = 1
@@ -691,7 +688,24 @@ class GhostBit(_Basis):
         return self.width, self.width * self.width
 
     def inverter_bounds(self) -> ResourceBound:
-        return bounds_ghost(self.m)
+        """Inverter bounds: the ladder is counted twice (compute and
+        uncompute) at the self-power costs, the merges twice at the general
+        multiplier costs, and one register per chain value."""
+        m = self.m
+        log2, hw = _chain_shape(m)
+        n = m + 1
+        toffoli = 2 * log2 * (m * m + m) + 2 * (hw - 1) * (m * m + 2 * m + 1)
+        cnot_b = 2 * log2 * n
+        return ResourceBound(
+            m=m,
+            depth_bound=2 * log2 * (2 * m + 2) + 2 * (hw - 1) * n,
+            gate_bound=toffoli + cnot_b,
+            qubit_bound=(1 + log2) * n + (hw - 1) * n,
+            t_depth_bound=12 * log2 * (2 * m + 2) + 12 * (hw - 1) * n,
+            t_count_bound=14 * log2 * (m * m + m) + 14 * (hw - 1) * (m * m + 2 * m + 1),
+            toffoli_bound=toffoli,
+            cnot_bound=cnot_b,
+        )
 
 
 # One Gnb keeps delta colorings while their count times m stays below this;
@@ -725,27 +739,25 @@ def _coset_colors(idx: list[int], d: int) -> Coloring:
     return tuple(tuple(map(tuple, c)) for c in colors if c[0])
 
 
-class Gnb(_Basis):
-    """A type-t Gaussian normal basis: m coordinates, squaring is a shift."""
+class Gnb(FieldSpec):
+    """A type-t Gaussian normal basis: m coordinates, squaring is a shift.
+    The params are validated here."""
 
     representation = Representation.GNB
 
-    def __init__(self, m: int, gnb_params: Optional[GnbParams]):
-        if gnb_params is None:
-            raise InvalidParams("normal-basis spec needs GnbParams")
-        if gnb_params.m != m:
-            raise InvalidParams(f"params are for m={gnb_params.m}, spec says m={m}")
-        validate_gnb_params(gnb_params)
-        self.params = gnb_params
+    def __init__(self, params: GnbParams):
+        validate_gnb_params(params)
+        self.gnb_params = params
+        m = params.m
         self.m = self.width = m
-        self.t = gnb_params.t
+        self.t = params.t
         self.identity = (1 << m) - 1
         self._idx = list(range(m))  # index columns hold these int objects
         self._ring = self._idx * 2  # _ring[s:s + m] is _idx rotated by s
         self._colorings: dict[int, Coloring] = {}
 
     def mult(self, a: int, b: int) -> int:
-        return gnb_mult(self.params, a, b)
+        return gnb_mult(self.gnb_params, a, b)
 
     def frobenius(self, a: int, r: int) -> int:
         return gnb_frobenius(self.m, a, r)
@@ -757,7 +769,7 @@ class Gnb(_Basis):
         return self.mult(v, got) == self.identity
 
     def packed_mult(self, a: Sequence[int], b: Sequence[int]) -> Iterator[int]:
-        return gnb_packed_mult(self.params, a, b)
+        return gnb_packed_mult(self.gnb_params, a, b)
 
     def packed_inverse_misses(self, v: Sequence[int], got: Sequence[int]) -> int:
         """``inverse_ok`` on packed coordinates: the patterns (as set bits)
@@ -775,7 +787,7 @@ class Gnb(_Basis):
     def mult_stages(self) -> list[tuple[int, int, int, int]]:
         """General product stages as (a, b, c, c_step), one depth-1 stage per
         index-table term: gate i multiplies a_(a+i) by b_(b+i) into c_i."""
-        return [(fa, fb, 0, 1) for _, fa, fb in gnb_stage_bases(self.params)]
+        return [(fa, fb, 0, 1) for _, fa, fb in gnb_stage_bases(self.gnb_params)]
 
     def self_mult_stages(self, r: int, reverse: bool = False) -> Iterator[SelfPowerStage]:
         """Stages of a * a^(2^r), colored along the cosets of each delta; last
@@ -793,7 +805,7 @@ class Gnb(_Basis):
         """
         m = self.m
         idx, ring = self._idx, self._ring
-        bases = gnb_stage_bases(self.params, r)
+        bases = gnb_stage_bases(self.gnb_params, r)
         for label, fa, fb in reversed(bases) if reverse else bases:
             delta = fb - fa
             d = delta % m
@@ -817,55 +829,22 @@ class Gnb(_Basis):
         return T * self.m - 1, T * self.m * self.m - self.m
 
     def inverter_bounds(self) -> ResourceBound:
-        return bounds_gnb(self.m, self.t)
-
-
-_REPRESENTATIONS = {cls.representation: cls for cls in (GhostBit, Gnb)}
+        """Inverter bounds with T = t rounded up to even."""
+        m, T = self.m, self.t + self.t % 2
+        log2, hw = _chain_shape(m)
+        per_block = T * m * m - m
+        return ResourceBound(
+            m=m,
+            depth_bound=log2 * (6 * T * m - 6) + 2 * (hw - 1) * (T * m - 1),
+            gate_bound=2 * log2 * per_block + 2 * (hw - 1) * per_block,
+            qubit_bound=(1 + log2) * m + (hw - 1) * m,
+            t_depth_bound=6 * log2 * (6 * T * m - 6) + (12 * hw - 6) * (T * m - 1),
+            t_count_bound=14 * log2 * per_block + 14 * (hw - 1) * per_block,
+        )
 
 
 # ---------------------------------------------------------------------------
-# field specification and the inversion plan on classical values
-
-
-@dataclass(frozen=True)
-class FieldSpec:
-    """A field degree together with the chosen circuit representation;
-    ``rep`` is the representation object built from them."""
-
-    m: int
-    representation: Representation
-    gnb_params: Optional[GnbParams] = None
-    rep: Union[GhostBit, Gnb] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.m < 2:
-            raise UnsupportedDegree("field degree must be at least 2")
-        rep = _REPRESENTATIONS[self.representation](self.m, self.gnb_params)
-        object.__setattr__(self, "rep", rep)
-
-    @classmethod
-    def ghost_bit(cls, m: int) -> "FieldSpec":
-        return cls(m=m, representation=Representation.GHOST_BIT)
-
-    @classmethod
-    def gnb(cls, m: int, t: Optional[int] = None) -> "FieldSpec":
-        params = make_gnb_params(m, t) if t is not None else find_gnb_type(m)
-        return cls(m=m, representation=Representation.GNB, gnb_params=params)
-
-    @classmethod
-    def of(cls, representation: Union[Representation, str], m: int, t: Optional[int] = None) -> "FieldSpec":
-        """Spec for a representation given by member or name ("gbb"/"gnb");
-        a type t only applies to the normal basis."""
-        if Representation(representation) is Representation.GNB:
-            return cls.gnb(m, t=t)
-        if t is not None:
-            raise ValueError("a type t only applies to the gnb representation")
-        return cls.ghost_bit(m)
-
-    @property
-    def width(self) -> int:
-        """Wires per register: m+1 ghost-bit, m normal basis."""
-        return self.rep.width
+# the inversion plan on classical values
 
 
 def itoh_tsujii_inverse(spec: FieldSpec, a: int) -> int:
@@ -876,17 +855,16 @@ def itoh_tsujii_inverse(spec: FieldSpec, a: int) -> int:
     plan itself (independent tests check it against extended-Euclid and
     product-equals-identity oracles).
     """
-    rep = spec.rep
     plan = addition_chain(spec.m)
     regs = [0] * plan.register_count
     regs[0] = a
     for b in plan.ladder + plan.combine:
         if b.kind == "self_power":
-            operand = rep.frobenius(regs[b.source_reg], b.r)
+            operand = spec.frobenius(regs[b.source_reg], b.r)
         else:
-            operand = rep.frobenius(regs[b.operand_reg], b.operand_exponent)
-        regs[b.target_reg] = rep.mult(regs[b.source_reg], operand)
-    return rep.frobenius(regs[plan.output_reg], 1)
+            operand = spec.frobenius(regs[b.operand_reg], b.operand_exponent)
+        regs[b.target_reg] = spec.mult(regs[b.source_reg], operand)
+    return spec.frobenius(regs[plan.output_reg], 1)
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,6 @@ from typing import Iterable, Iterator, Optional
 from .circuits import Batch, Circuit, Gate, ResourceEstimate, flat_gates, layer_batches
 from .errors import DegreeTooSmall
 from .fields import FieldSpec, MultiplierBlock, Representation, addition_chain
-from .fields import ResourceBound, bounds_ghost, bounds_gnb  # noqa: F401  (re-exported from here)
 from .multipliers import mult_batches, self_mult_batches
 
 
@@ -82,10 +81,10 @@ def _block_batches(spec: FieldSpec, block: MultiplierBlock, reverse: bool = Fals
     src = block.source_reg * w
     tgt = block.target_reg * w
     if block.kind == "self_power":
-        return self_mult_batches(spec.rep, block.r, src, tgt, block.squared_write, reverse)
+        return self_mult_batches(spec, block.r, src, tgt, block.squared_write, reverse)
     operand = block.operand_reg * w
     return mult_batches(
-        spec.rep, src, operand, tgt, block.operand_exponent, block.squared_write, reverse
+        spec, src, operand, tgt, block.operand_exponent, block.squared_write, reverse
     )
 
 
@@ -147,7 +146,7 @@ def layer_block(
         starts = (block.source_reg * w, block.target_reg * w)
         return _layer_self_power(batches, starts, w, ready, tof_ready)
     starts = (block.source_reg * w, block.operand_reg * w, block.target_reg * w)
-    stages = left = len(spec.rep.mult_stages())
+    stages = left = len(spec.mult_stages())
     while left and not (_level(ready, starts, w) and _level(tof_ready, starts, w)):
         layer_batches((next(batches),), ready, tof_ready)
         left -= 1
@@ -281,7 +280,7 @@ def synth_inverter(spec: FieldSpec) -> Circuit:
 
 
 # ---------------------------------------------------------------------------
-# closed-form resource bounds (the formulas live with the representations)
+# checking the closed-form resource bounds (each spec's ``inverter_bounds``)
 
 
 @dataclass(frozen=True)
@@ -321,7 +320,7 @@ def check_bounds(spec: FieldSpec) -> BoundsReport:
     """Measure the inverter (``inverter_estimate``) against the closed-form
     bounds."""
     est = inverter_estimate(spec)
-    b = spec.rep.inverter_bounds()
+    b = spec.inverter_bounds()
     checks = [
         BoundCheck("depth", est.depth, b.depth_bound),
         BoundCheck("gates", est.gate_count, b.gate_bound),
@@ -335,7 +334,7 @@ def check_bounds(spec: FieldSpec) -> BoundsReport:
     return BoundsReport(
         m=spec.m,
         representation=spec.representation,
-        t=spec.rep.t,
+        t=spec.t,
         estimate=est,
         checks=tuple(checks),
     )

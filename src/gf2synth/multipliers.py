@@ -4,8 +4,8 @@ Every multiplier here maps |a>|b>|c> to |a>|b>|c + a*b> (or |a>|c> to
 |a>|c + a * a^(2^r)> for the self-power variants): targets are only ever
 XORed into, so the circuits add the product onto whatever the output register
 holds. All constructions schedule their Toffolis into explicit wire-disjoint
-stages, which the representation object (``fields.GhostBit`` /
-``fields.Gnb``) describes as coefficient indices:
+stages, which the field spec (a ``fields.GhostBit`` or ``fields.Gnb``)
+describes as coefficient indices:
 
 * Ghost-bit product: cyclic convolution, one stage per output-shift class,
   m+1 stages of m+1 parallel Toffolis.
@@ -21,12 +21,12 @@ stages, which the representation object (``fields.GhostBit`` /
 
 Those index stages are the only description of the stage structure: to
 inspect a self-power stage (its label, index delta and color classes), read
-``rep.self_mult_stages(r)`` directly; this module only places stages on
+``spec.self_mult_stages(r)`` directly; this module only places stages on
 wires.
 
 The two gate cores below (general and self-power) place those stages on
 wires for any representation. They take register offsets, an operand
-exponent (the second operand is read through the representation's read
+exponent (the second operand is read through the spec's read
 permutation, which yields its power-of-two Frobenius image) and a
 squared-write flag (the output is written through the write permutation),
 which is what lets the inverter fold Frobenius maps and its final squaring
@@ -35,7 +35,7 @@ into the wiring for free.
 The cores (``mult_batches``, ``self_mult_batches``) produce column batches
 (see ``circuits``), one per run of one gate kind: a general stage is one
 Toffoli batch whose wire lists are rotations of the registers' wire lists,
-and a self-power color class is the representation's index columns mapped
+and a self-power color class is the spec's index columns mapped
 onto wires (the ghost-bit first class is a Toffoli batch followed by a
 one-CNOT batch). ``fields.gather`` is the one translation from index
 columns to wire columns: one ``itemgetter`` call per column, in C, which
@@ -59,13 +59,11 @@ writes one; all else trusts.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator
 
 from .circuits import UNBOUNDED, Batch, Circuit, Netlist, validated_registers
 from .errors import ExponentOutOfRange
-from .fields import GhostBit, Gnb, GnbParams, gather
-
-Rep = Union[GhostBit, Gnb]
+from .fields import FieldSpec, GhostBit, Gnb, GnbParams, gather
 
 
 # ---------------------------------------------------------------------------
@@ -78,9 +76,9 @@ def _wires(start: int, perm: Iterable[int]) -> list[int]:
     return [start + i for i in perm]
 
 
-def _targets(rep: Rep, c0: int, square_write: bool) -> list[int]:
+def _targets(spec: FieldSpec, c0: int, square_write: bool) -> list[int]:
     """Output wire of each logical coefficient, optionally pre-squared."""
-    return _wires(c0, rep.write_permutation if square_write else range(rep.width))
+    return _wires(c0, spec.write_permutation if square_write else range(spec.width))
 
 
 def _walk(wires: list[int], start: int, step: int = 1) -> list[int]:
@@ -100,23 +98,23 @@ def _stage(batches: list[Batch], reverse: bool) -> list[Batch]:
 
 
 def mult_batches(
-    rep: Rep, a0: int, b0: int, c0: int, b_exp: int = 0, square_write: bool = False,
+    spec: FieldSpec, a0: int, b0: int, c0: int, b_exp: int = 0, square_write: bool = False,
     reverse: bool = False,
 ) -> Iterator[Batch]:
     """|a>|b>|c>  ->  |a>|b>|c + a * b^(2^b_exp)>, one batch per stage; a
     stage is one depth-1 layer whose controls and targets are all distinct.
     The register layout is checked at the call. With ``reverse`` the
     inverse block: stages last-first, columns reversed."""
-    n = rep.width
+    n = spec.width
     validated_registers({"a": (a0, n), "b": (b0, n), "c": (c0, n)}, UNBOUNDED)  # the precondition
     a = _wires(a0, range(n))
-    b = _wires(b0, rep.read_permutation(b_exp))
-    tgt = _targets(rep, c0, square_write)
+    b = _wires(b0, spec.read_permutation(b_exp))
+    tgt = _targets(spec, c0, square_write)
     lower_first = a0 < b0  # the lower register's wire is the first control of every gate
     x, y = (a, b) if lower_first else (b, a)
 
     def stages() -> Iterator[Batch]:
-        table = rep.mult_stages()
+        table = spec.mult_stages()
         for sa, sb, sc, step in reversed(table) if reverse else table:
             sx, sy = (sa, sb) if lower_first else (sb, sa)
             yield from _stage([(_walk(x, sx), _walk(y, sy), _walk(tgt, sc, step))], reverse)
@@ -125,22 +123,22 @@ def mult_batches(
 
 
 def self_mult_batches(
-    rep: Rep, r: int, a0: int, c0: int, square_write: bool = False, reverse: bool = False
+    spec: FieldSpec, r: int, a0: int, c0: int, square_write: bool = False, reverse: bool = False
 ) -> Iterator[Batch]:
     """|a>|c>  ->  |a>|c + a * a^(2^r)>, stage by stage, color class by
     class, one batch per run of one gate kind. The exponent must lie in
     0..m, checked at the call. With ``reverse`` the inverse block: stages
     last-first, each stage's batches last-first, columns reversed."""
-    check_exponent(r, rep.m)
-    n = rep.width
+    check_exponent(r, spec.m)
+    n = spec.width
     validated_registers({"a": (a0, n), "c": (c0, n)}, UNBOUNDED)  # the precondition
     a = _wires(a0, range(n))
-    tgt = _targets(rep, c0, square_write)
+    tgt = _targets(spec, c0, square_write)
     # Index Toffolis name their controls lower-first and the wires of a
     # increase, so the wire controls are lower-first too.
 
     def stages() -> Iterator[Batch]:
-        for stage in rep.self_mult_stages(r, reverse):
+        for stage in spec.self_mult_stages(r, reverse):
             batches = [
                 (gather(a, x), None if y is None else gather(a, y), gather(tgt, c))
                 for cls in stage.classes
@@ -172,17 +170,17 @@ def check_exponent(r: int, m: int) -> None:
         raise ExponentOutOfRange(f"exponent r={r} outside 0..{m}")
 
 
-def mult_netlist(rep: Rep) -> Netlist:
+def mult_netlist(spec: FieldSpec) -> Netlist:
     """The general product on 3w wires as registers and streamed batches."""
-    w = rep.width
+    w = spec.width
     registers = {"input_a": (0, w), "input_b": (w, w), "output": (2 * w, w)}
-    return Netlist(3 * w, registers, mult_batches(rep, 0, w, 2 * w))
+    return Netlist(3 * w, registers, mult_batches(spec, 0, w, 2 * w))
 
 
-def self_mult_netlist(rep: Rep, r: int) -> Netlist:
+def self_mult_netlist(spec: FieldSpec, r: int) -> Netlist:
     """a * a^(2^r) on 2w wires as registers and streamed batches."""
-    w = rep.width
-    return Netlist(2 * w, {"input": (0, w), "output": (w, w)}, self_mult_batches(rep, r, 0, w))
+    w = spec.width
+    return Netlist(2 * w, {"input": (0, w), "output": (w, w)}, self_mult_batches(spec, r, 0, w))
 
 
 def _circuit(netlist: Netlist) -> Circuit:
@@ -203,10 +201,10 @@ def synth_gbb_self_mult(m: int, r: int) -> Circuit:
 def synth_gnb_mult(params: GnbParams) -> Circuit:
     """Normal-basis product on 3m wires: Tm^2 - m Toffolis in Tm - 1 layers
     (T = t rounded up to even)."""
-    return _circuit(mult_netlist(Gnb(params.m, params)))
+    return _circuit(mult_netlist(Gnb(params)))
 
 
 def synth_gnb_self_mult(params: GnbParams, r: int) -> Circuit:
     """Normal-basis a * a^(2^r) on 2m wires; stage depth follows the coset
     structure of each stage's index delta (1, 2 or 3 layers per stage)."""
-    return _circuit(self_mult_netlist(Gnb(params.m, params), r))
+    return _circuit(self_mult_netlist(Gnb(params), r))

@@ -50,7 +50,7 @@ def test_criterion_02_ghost_self_mult_stages():
     assert r.depth == 10
     assert r.toffoli_count == 20
     assert r.cnot_count == 5
-    stages = FieldSpec.ghost_bit(4).rep.self_mult_stages(2)
+    stages = FieldSpec.ghost_bit(4).self_mult_stages(2)
     stage = next(st for st in stages if st.label == "sigma=0")
     assert len(stage.classes) == 2
     (x, y, _), (diag, _, _) = stage.classes[0]
@@ -87,7 +87,7 @@ def test_criterion_06_delta_table_and_coloring():
     assert {k: deltas[f"k={k}"] for k in (2, 5, 6, 7, 8)} == {
         2: -3, 5: -1, 6: 1, 7: -2, 8: 1,
     }
-    stage = next(st for st in spec.rep.self_mult_stages(1) if st.label == "k=5")
+    stage = next(st for st in spec.self_mult_stages(1) if st.label == "k=5")
     assert stage.delta == -1
     assert len(stage.classes) == 3
     ok(6, "self-power index deltas and odd-cycle coloring")

@@ -28,7 +28,7 @@ from gf2synth.errors import CircuitRuleError, InvalidParams
 from gf2synth.cli import kind_estimate, synth_circuit
 from gf2synth.fields import (
     FieldSpec,
-    Representation,
+    Gnb,
     addition_chain,
     check_ghost_bit_support,
     make_gnb_params,
@@ -71,7 +71,7 @@ def small_specs():
     for m in range(3, 41):
         for t in (1, 2):
             try:
-                yield FieldSpec(m, Representation.GNB, make_gnb_params(m, t))
+                yield Gnb(make_gnb_params(m, t))
             except InvalidParams:
                 continue
 
@@ -95,12 +95,12 @@ def test_check_bounds_estimates_are_pinned(spec, expected):
 
 def test_check_bounds_matches_reference_on_materialized_inverters():
     specs = list(small_specs())
-    assert sum(s.rep.t is None for s in specs) == 5  # gbb m = 4, 10, 12, 18, 28
-    assert sum(s.rep.t is not None for s in specs) >= 20
+    assert sum(s.t is None for s in specs) == 5  # gbb m = 4, 10, 12, 18, 28
+    assert sum(s.t is not None for s in specs) >= 20
     for spec in specs:
         gates = list(inverter_gates(spec))
         expected = reference_estimate(inverter_structure(spec).width, gates)
-        assert summary(check_bounds(spec).estimate) == expected, (spec.m, spec.rep.t)
+        assert summary(check_bounds(spec).estimate) == expected, (spec.m, spec.t)
 
 
 # odd types (the cyclotomic stages wrap) and m = 3, whose chain is one block,
@@ -122,7 +122,7 @@ def test_inverter_estimate_matches_measuring_every_gate():
         s = inverter_structure(spec)
         assert inverter_estimate(spec) == measure_stream(s.width, inverter_batches(spec)), (
             spec.m,
-            spec.rep.t,
+            spec.t,
         )
 
 
@@ -132,22 +132,22 @@ LEMMA_SPECS = [*small_specs(), FieldSpec.gnb(163), FieldSpec.gnb(233, t=2), Fiel
 @pytest.mark.parametrize(
     "spec",
     LEMMA_SPECS,
-    ids=[f"{s.representation.value}{s.m}" + (f"t{s.rep.t}" if s.rep.t else "") for s in LEMMA_SPECS],
+    ids=[f"{s.representation.value}{s.m}" + (f"t{s.t}" if s.t else "") for s in LEMMA_SPECS],
 )
 def test_every_general_stage_is_one_gate_on_every_wire_of_its_registers(spec):
     """Lemma (a) of ``layer_block``: a general stage moves every wire of the
     block's three registers by exactly one layer, so a block whose counters
     are level stays level. Both operand orders occur in the chain's combine
     blocks, and the last block writes squared."""
-    rep, w = spec.rep, spec.width
-    stages = len(rep.mult_stages())
+    w = spec.width
+    stages = len(spec.mult_stages())
     exponents = {0} | {b.operand_exponent for b in addition_chain(spec.m).combine}
     every_wire = set(range(3 * w))
     for src, operand in ((0, w), (w, 0)):  # the operand register below and above the source
         for e in sorted(exponents):
             for squared in (False, True):
                 drawn = 0
-                for a, b, t in mult_batches(rep, src, operand, 2 * w, e, squared):
+                for a, b, t in mult_batches(spec, src, operand, 2 * w, e, squared):
                     assert b is not None and len(a) + len(b) + len(t) == 3 * w
                     assert set(a).union(b, t) == every_wire, (src, e, squared, drawn)
                     drawn += 1
@@ -195,7 +195,7 @@ def test_kind_estimates_equal_measuring_every_gate():
             width, _, batches = synth_circuit(spec, kind, r)
             assert kind_estimate(spec, kind, r) == measure_stream(width, batches), (
                 spec.m,
-                spec.rep.t,
+                spec.t,
                 kind,
                 r,
             )
@@ -223,7 +223,7 @@ def test_uncompute_is_the_forward_head_reversed():
     Changing the uncompute order breaks that shortcut, not just this test."""
     for spec in [*small_specs(), *MIRROR_EDGE_SPECS]:
         s = inverter_structure(spec)
-        assert s.uncompute == tuple(reversed(s.forward[:-1])), (spec.m, spec.rep.t)
+        assert s.uncompute == tuple(reversed(s.forward[:-1])), (spec.m, spec.t)
 
 
 def test_batch_sharing_wires_measures_like_its_flat_form():
@@ -334,10 +334,10 @@ def test_run_packed_on_batches_matches_the_flat_stream():
 def _block_gates(spec, block, w):
     src, tgt = block.source_reg * w, block.target_reg * w
     if block.kind == "self_power":
-        return flat_gates(self_mult_batches(spec.rep, block.r, src, tgt, block.squared_write))
+        return flat_gates(self_mult_batches(spec, block.r, src, tgt, block.squared_write))
     operand = block.operand_reg * w
     return flat_gates(
-        mult_batches(spec.rep, src, operand, tgt, block.operand_exponent, block.squared_write)
+        mult_batches(spec, src, operand, tgt, block.operand_exponent, block.squared_write)
     )
 
 

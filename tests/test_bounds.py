@@ -6,15 +6,11 @@ import pytest
 
 from gf2synth.errors import InvalidParams, UnsupportedDegree
 from gf2synth.fields import FieldSpec
-from gf2synth.inverters import (
-    bounds_ghost,
-    bounds_gnb,
-    check_bounds,
-)
+from gf2synth.inverters import check_bounds
 
 
 def test_ghost_bounds_m4():
-    b = bounds_ghost(4)
+    b = FieldSpec.ghost_bit(4).inverter_bounds()
     assert b.depth_bound == 30
     assert b.qubit_bound == 15
     assert b.toffoli_bound == 90
@@ -23,23 +19,24 @@ def test_ghost_bounds_m4():
 
 
 def test_ghost_bounds_m10():
-    b = bounds_ghost(10)
+    b = FieldSpec.ghost_bit(10).inverter_bounds()
     assert b.toffoli_bound == 902
     assert b.qubit_bound == 55
 
 
 def test_ghost_bounds_reject_unsupported():
+    # m = 5 has no ghost-bit spec to ask for bounds
     with pytest.raises(UnsupportedDegree):
-        bounds_ghost(5)
+        FieldSpec.ghost_bit(5)
 
 
 def test_gnb_bounds_m163():
-    assert bounds_gnb(163, 4).depth_bound == 29946
+    assert FieldSpec.gnb(163, t=4).inverter_bounds().depth_bound == 29946
 
 
 def test_t_bounds():
     def t_bounds(*args):
-        b = FieldSpec.of(*args).rep.inverter_bounds()
+        b = FieldSpec.of(*args).inverter_bounds()
         return b.t_depth_bound, b.t_count_bound
 
     assert t_bounds("gbb", 4) == (180, 630)

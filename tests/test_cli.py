@@ -1,5 +1,6 @@
 """Command-line interface: params/synth/verify/table, exit codes, files."""
 
+import time
 from itertools import chain
 
 import pytest
@@ -184,11 +185,11 @@ def test_synth_mult_draws_the_multiplier_only_to_write_it(
 
     monkeypatch.setattr(multipliers, "_stage", recorded)
     code, out, _ = run(capsys, "synth", "mult", "-m", m, "--rep", rep)
-    assert code == 0 and f"toffoli={len(spec.rep.mult_stages()) * spec.width}" in out
+    assert code == 0 and f"toffoli={len(spec.mult_stages()) * spec.width}" in out
     assert drawn == []
     path = tmp_path / "mult.qc"
     assert run(capsys, "synth", "mult", "-m", m, "--rep", rep, "--out", str(path))[0] == 0
-    assert len(drawn) == len(spec.rep.mult_stages())
+    assert len(drawn) == len(spec.mult_stages())
 
 
 def test_benchmarked_commands_import_no_numpy():
@@ -334,6 +335,67 @@ def test_type_above_the_search_limit_is_refused_before_building(capsys, monkeypa
     code, out, err = run(capsys, "synth", "add", "-m", "4", "--rep", "gnb", "-t", str(t))
     assert (code, out) == (2, "")
     assert err.startswith(f"error: type t={t} is above")
+
+
+SPEC_REFUSALS = [
+    ("synth add -m 1 --rep gbb", 2, "", "error: field degree must be at least 2\n"),
+    ("synth add -m 0 --rep gnb", 2, "", "error: field degree must be at least 2\n"),
+    ("verify add -m 1 --rep gbb", 2, "", "error: field degree must be at least 2\n"),
+    (
+        "synth mult -m 5 --rep gbb", 2, "",
+        "error: m=5 has no ghost-bit representation (need m+1 prime with 2 primitive)\n",
+    ),
+    (
+        "synth mult -m 8 --rep gnb", 2, "",
+        "error: no Gaussian normal basis of type <= 30 exists for m=8\n",
+    ),
+    (
+        "synth mult -m 5 --rep gnb -t 31", 2, "",
+        "error: type t=31 is above the largest supported type 30\n",
+    ),
+    ("synth mult -m 5 --rep gnb -t 3", 2, "", "error: p = t*m + 1 = 16 is not prime\n"),
+    ("params -m 1", 2, "m=1\nghost_bit=no\ngnb_type=none\n", ""),
+    ("params -m 8 --rep gnb", 2, "m=8\ngnb_type=none\n", ""),
+    ("table -m 1", 2, "", "error: no supported representation for the requested degrees\n"),
+]
+
+
+@pytest.mark.parametrize("argv,code,out,err", SPEC_REFUSALS, ids=[r[0] for r in SPEC_REFUSALS])
+def test_spec_refusals_are_pinned(argv, code, out, err, capsys):
+    # the exact words of every refusal the field spec layer makes
+    assert run(capsys, *argv.split()) == (code, out, err)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "params -m {m}",
+        "params --rep gnb -m {m}",
+        "synth add --rep gbb -m {m}",
+        "synth mult --rep gnb -m {m}",
+        "verify add --rep gnb -m {m}",
+        "table -m 5,{m}",
+    ],
+)
+def test_degree_above_the_cap_is_refused_before_any_search(argv, capsys, monkeypatch):
+    # uncapped, the ghost-bit check alone spends 6-7 s factoring this m
+    # by trial division; above MAX_DEGREE nothing is searched
+    def no_search(*args):
+        raise AssertionError("a parameter search ran")
+
+    m = 10**16 + 4446
+    monkeypatch.setattr(fields, "multiplicative_order", no_search)
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv.format(m=m).split())
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == f"error: degree m={m} is above the largest supported degree {fields.MAX_DEGREE}\n"
+
+
+def test_the_degree_cap_itself_is_searched(capsys):
+    code, out, err = run(capsys, "params", "-m", str(fields.MAX_DEGREE))
+    assert err == ""
+    assert out.startswith(f"m={fields.MAX_DEGREE}\n")
 
 
 def test_synth_unsupported_degree(capsys):

@@ -59,7 +59,7 @@ def test_retract_collapses_redundancy():
 
 def test_square_is_coordinate_permutation():
     m = 4
-    perm = FieldSpec.ghost_bit(m).rep.write_permutation
+    perm = FieldSpec.ghost_bit(m).write_permutation
     assert perm == (0, 2, 4, 1, 3)  # bit i lands at position 2i mod 5
     a = 0b01011  # (1, 1, 0, 1, 0)
     sq = bits(gbb_frobenius(m, a, 1), m + 1)
@@ -100,7 +100,7 @@ def test_mult_matches_oracle_random_m10():
 def test_add_identity_zero():
     m = 4
     z = 0
-    one = FieldSpec.ghost_bit(m).rep.identity
+    one = FieldSpec.ghost_bit(m).identity
     a = 0b1011
     assert phi_retract(m, a ^ z) == 0b1011
     assert phi_retract(m, gbb_mult(m, a, one)) == 0b1011
@@ -144,4 +144,4 @@ def test_unsupported_degree_raises():
     with pytest.raises(UnsupportedDegree):
         FieldSpec.ghost_bit(5)
     with pytest.raises(UnsupportedDegree):
-        FieldSpec.ghost_bit(8).rep.write_permutation
+        FieldSpec.ghost_bit(8).write_permutation

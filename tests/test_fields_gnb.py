@@ -18,9 +18,6 @@ from gf2synth.errors import (
 from gf2synth.fields import (
     FieldSpec,
     GnbParams,
-    Representation,
-    bounds_ghost,
-    bounds_gnb,
     find_gnb_type,
     gnb_frobenius,
     gnb_mult,
@@ -95,7 +92,7 @@ def test_square_is_right_rotation():
     a = 0b01011  # (1, 1, 0, 1, 0)
     assert bits(gnb_frobenius(5, a, 1), 5) == (0, 1, 1, 0, 1)
     # identity is the all-ones vector and is fixed by squaring
-    one = FieldSpec.gnb(5).rep.identity
+    one = FieldSpec.gnb(5).identity
     assert bits(one, 5) == (1, 1, 1, 1, 1)
     assert gnb_frobenius(5, one, 1) == one
 
@@ -103,7 +100,7 @@ def test_square_is_right_rotation():
 def test_mult_identity_and_zero():
     p = make_gnb_params(5, 2)
     rng = random.Random(5)
-    one, zero = FieldSpec.gnb(5).rep.identity, 0
+    one, zero = FieldSpec.gnb(5).identity, 0
     for _ in range(32):
         a = rand_elem(rng, 5)
         assert gnb_mult(p, a, one) == a
@@ -246,7 +243,6 @@ def test_large_params_validate():
 
 
 M5 = make_gnb_params(5, 2)  # p = 11, u = 10
-GNB, GHOST_BIT = Representation.GNB, Representation.GHOST_BIT
 
 
 @pytest.mark.parametrize(
@@ -259,25 +255,21 @@ GNB, GHOST_BIT = Representation.GNB, Representation.GHOST_BIT
         (lambda: validate_gnb_params(replace(M5, u=1)), InvalidParams),  # order 1, not 2
         (lambda: validate_gnb_params(replace(M5, f_table=M5.f_table[:-1])), InvalidParams),
         (lambda: validate_gnb_params(replace(M5, f_table=(1, 0) + M5.f_table[2:])), InvalidParams),
-        (lambda: FieldSpec(5, GNB), InvalidParams),
-        (lambda: FieldSpec(7, GNB, gnb_params=M5), InvalidParams),
-        (lambda: FieldSpec(4, GHOST_BIT, gnb_params=make_gnb_params(4, 1)), ValueError),
-        (lambda: FieldSpec(1, GHOST_BIT), UnsupportedDegree),
-        (lambda: FieldSpec(1, GNB), UnsupportedDegree),
+        (lambda: FieldSpec.ghost_bit(1), UnsupportedDegree),
+        (lambda: FieldSpec.gnb(1), UnsupportedDegree),
         (lambda: find_gnb_type(1), UnsupportedDegree),
         (lambda: make_gnb_params(1, 1), InvalidParams),
         (lambda: make_gnb_params(5, 0), InvalidParams),
-        (lambda: bounds_ghost(2), DegreeTooSmall),
-        (lambda: bounds_gnb(2, 1), DegreeTooSmall),
+        (lambda: FieldSpec.ghost_bit(2).inverter_bounds(), DegreeTooSmall),
+        (lambda: FieldSpec.gnb(2, t=1).inverter_bounds(), DegreeTooSmall),
         (lambda: gnb_verify_isomorphism(replace(M5, u=0)), ConstructionFailed),
         (lambda: gnb_verify_isomorphism(replace(M5, f_table=M5.f_table[:-1])), ConstructionFailed),
     ],
     ids=[
         "validate-no-basis-of-type", "validate-wrong-p", "validate-u-zero", "validate-u-is-p", "validate-u-wrong-order",
-        "validate-short-table", "validate-wrong-table", "gnb-spec-without-params",
-        "gnb-spec-params-of-another-degree", "ghost-bit-spec-with-params", "ghost-bit-spec-m1",
-        "gnb-spec-m1", "find-type-m1", "make-params-m1", "make-params-t0", "bounds-ghost-m2",
-        "bounds-gnb-m2", "isomorphism-u-zero", "isomorphism-short-table",
+        "validate-short-table", "validate-wrong-table", "ghost-bit-spec-m1", "gnb-spec-m1",
+        "find-type-m1", "make-params-m1", "make-params-t0", "bounds-ghost-m2", "bounds-gnb-m2",
+        "isomorphism-u-zero", "isomorphism-short-table",
     ],
 )
 def test_refusals(refused, error):

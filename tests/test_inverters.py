@@ -61,7 +61,7 @@ def check_inverter(spec, values):
     s = inverter_structure(spec)
     w = spec.width
     out_lo = s.registers["output"][0]
-    one = spec.rep.identity
+    one = spec.identity
     # the input register is wires 0..w-1, so a value is its own circuit input
     for v, out in zip(values, simulate(circ, values)):
         assert register(out, 0, w) == v, "input register was not preserved"

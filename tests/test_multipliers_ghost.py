@@ -127,10 +127,10 @@ def test_unsupported_degree():
 def test_schedule_matches_circuit():
     # the stages' index columns, input on wires 0..n-1 and output on n..2n-1,
     # are the circuit's gates in emission order
-    rep = GhostBit(4)
-    n = rep.width
+    spec = GhostBit(4)
+    n = spec.width
     for r in (1, 2, 3):
-        stages = list(rep.self_mult_stages(r))
+        stages = list(spec.self_mult_stages(r))
         shifted = (
             (x, y, [n + k for k in c]) for st in stages for cls in st.classes for x, y, c in cls
         )
@@ -179,9 +179,9 @@ def test_read_permutation_is_frobenius_lookup():
     # wire perm(x) of the raw operand carries coefficient x of its 2^e power
     m = 10
     rng = random.Random(7)
-    rep = FieldSpec.ghost_bit(m).rep
+    spec = FieldSpec.ghost_bit(m)
     for e in range(m + 1):
-        perm = rep.read_permutation(e)
+        perm = spec.read_permutation(e)
         b = rng.getrandbits(m + 1)
         fb = bits(m, gbb_frobenius(m, b, e))
         for x in range(m + 1):
@@ -199,7 +199,7 @@ def route(perm, values):
 def test_write_permutation_is_square_movement():
     m = 10
     rng = random.Random(8)
-    perm = FieldSpec.ghost_bit(m).rep.write_permutation
+    perm = FieldSpec.ghost_bit(m).write_permutation
     inverse = route(perm, range(len(perm)))  # inverse[perm[i]] == i
     b = rng.getrandbits(m + 1)
     assert route(perm, bits(m, b)) == bits(m, gbb_frobenius(m, b, 1))

@@ -27,7 +27,7 @@ P43 = make_gnb_params(4, 3)  # odd type exercises the wrap stages
 
 
 def stages(params, r):
-    return list(Gnb(params.m, params).self_mult_stages(r))
+    return list(Gnb(params).self_mult_stages(r))
 
 
 def stage(params, r, label):
@@ -169,9 +169,9 @@ def test_greedy_depth_at_most_stage_sum():
 def test_read_permutation_is_frobenius_lookup():
     m = 7
     rng = random.Random(11)
-    rep = FieldSpec.gnb(m).rep
+    spec = FieldSpec.gnb(m)
     for e in range(m + 1):
-        perm = rep.read_permutation(e)
+        perm = spec.read_permutation(e)
         b = rng.getrandbits(m)
         fb = bits(m, gnb_frobenius(m, b, e))
         for x in range(m):
@@ -181,7 +181,7 @@ def test_read_permutation_is_frobenius_lookup():
 def test_write_permutation_is_square_movement():
     m = 7
     rng = random.Random(12)
-    perm = FieldSpec.gnb(m).rep.write_permutation
+    perm = FieldSpec.gnb(m).write_permutation
     b = rng.getrandbits(m)
     moved = [0] * m
     for i, v in enumerate(bits(m, b)):  # coefficient i moves to wire perm[i]
@@ -192,10 +192,10 @@ def test_write_permutation_is_square_movement():
 @pytest.mark.parametrize("spec", [FieldSpec.ghost_bit(4), FieldSpec.gnb(5)], ids=["gbb", "gnb"])
 def test_cores_reject_bad_register_layout(spec):
     # the precondition is checked once per block, before the first gate
-    rep, w = spec.rep, spec.width
+    w = spec.width
     for a0, b0, c0 in [(0, w - 1, 2 * w), (0, w, w + 1), (-1, w, 2 * w), (0, w, -w)]:
         with pytest.raises(ValueError):
-            next(mult_batches(rep, a0, b0, c0))
+            next(mult_batches(spec, a0, b0, c0))
     for a0, c0 in [(0, w - 1), (w, 1), (-1, w), (0, -w)]:
         with pytest.raises(ValueError):
-            next(self_mult_batches(rep, 1, a0, c0))
+            next(self_mult_batches(spec, 1, a0, c0))

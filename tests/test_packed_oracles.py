@@ -1,6 +1,6 @@
 """The packed (bit-sliced) field oracles against the per-pattern ones.
 
-``verify`` checks every pattern at once with the representation objects'
+``verify`` checks every pattern at once with the field specs'
 packed forms and falls back on the per-pattern oracles only for the
 counterexample text (for the ghost-bit inverse, extended Euclid). So the
 packed forms must agree with the per-pattern oracles bit for bit: on every
@@ -52,12 +52,12 @@ def _specs():
 
 SPECS = _specs()
 # the largest degree of each normal-basis type and of ghost-bit
-LARGEST = list({spec.rep.t: spec for spec in SPECS}.values())
+LARGEST = list({spec.t: spec for spec in SPECS}.values())
 EXHAUSTIVE_BITS = 10  # exhaustive batches up to 2^10 patterns
 
 
 def _key(spec):
-    return f"{spec.representation.value}{spec.m}" + (f"_t{spec.rep.t}" if spec.rep.t else "")
+    return f"{spec.representation.value}{spec.m}" + (f"_t{spec.t}" if spec.t else "")
 
 
 def _exponents(m):
@@ -105,21 +105,21 @@ def _operands(patterns, w, n_in):
     return [[(p >> (i * w)) & mask for p in patterns] for i in range(n_in)]
 
 
-# -- the representation objects' packed products -----------------------------
+# -- the field specs' packed products ----------------------------------------
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=_key)
 def test_packed_mult_and_frobenius_agree_with_the_oracles(spec):
-    rep, w = spec.rep, spec.width
-    rng = random.Random(spec.m * 8 + (rep.t or 0))
+    w = spec.width
+    rng = random.Random(spec.m * 8 + (spec.t or 0))
     for patterns in _batches(spec, 2 * w, rng):
         a, b = _operands(patterns, w, 2)
         pa, pb = pack_patterns(w, range(w), a), pack_patterns(w, range(w), b)
-        product = list(rep.packed_mult(pa, pb))
-        assert register_values(product, len(patterns), 0, w) == list(map(rep.mult, a, b))
+        product = list(spec.packed_mult(pa, pb))
+        assert register_values(product, len(patterns), 0, w) == list(map(spec.mult, a, b))
         for r in _exponents(spec.m):
-            image = rep.packed_frobenius(pa, r)
-            assert register_values(image, len(patterns), 0, w) == [rep.frobenius(x, r) for x in a]
+            image = spec.packed_frobenius(pa, r)
+            assert register_values(image, len(patterns), 0, w) == [spec.frobenius(x, r) for x in a]
 
 
 def test_gnb_packed_mult_ignores_index_table():
@@ -136,7 +136,7 @@ def test_gnb_packed_mult_ignores_index_table():
 
 
 def _expected_output(spec, kind, r, pattern):
-    rep, w = spec.rep, spec.width
+    w = spec.width
     if kind == "invert":
         return itoh_tsujii_inverse(spec, pattern)
     a, b = _operands([pattern], w, 2)
@@ -144,8 +144,8 @@ def _expected_output(spec, kind, r, pattern):
     if kind == "add":
         return a ^ b
     if kind == "mult":
-        return rep.mult(a, b)
-    return rep.mult(a, rep.frobenius(a, r))
+        return spec.mult(a, b)
+    return spec.mult(a, spec.frobenius(a, r))
 
 
 def _row_agrees(spec, kind, r, patterns, rng):
@@ -172,7 +172,7 @@ def _row_agrees(spec, kind, r, patterns, rng):
 
 @pytest.mark.parametrize("spec", SPECS, ids=_key)
 def test_packed_checks_agree_with_the_per_pattern_checks(spec):
-    rng = random.Random(spec.m * 16 + (spec.rep.t or 0))
+    rng = random.Random(spec.m * 16 + (spec.t or 0))
     w = spec.width
     # wide batches cost much per pattern: add and mult take them here, and
     # the packed Frobenius is checked on them above
@@ -187,24 +187,24 @@ def test_packed_checks_agree_with_the_per_pattern_checks(spec):
 
 
 def test_gnb_inverse_misses_zero_and_identity():
-    rep = FieldSpec.gnb(5).rep
-    one, w = rep.identity, rep.width
+    spec = FieldSpec.gnb(5)
+    one, w = spec.identity, spec.width
     # (input, output): 0 -> 0 and 1 -> 1 pass; 0 -> 1 and 1 -> 0 fail
     v = pack_patterns(w, range(w), [0, one, 0, one])
     got = pack_patterns(w, range(w), [0, one, one, 0])
-    assert rep.packed_inverse_misses(v, got) == 0b1100
+    assert spec.packed_inverse_misses(v, got) == 0b1100
     # ghost-bit: zero is 0 or all ones, one is 1 or its complement
-    rep = FieldSpec.ghost_bit(4).rep
-    w = rep.width
+    spec = FieldSpec.ghost_bit(4)
+    w = spec.width
     zero, one = (0, (1 << w) - 1), (1, (1 << w) - 2)
     passing = [(a, b) for a in zero for b in zero] + [(a, b) for a in one for b in one]
     failing = [(0, 1), (zero[1], one[1]), (1, 0), (one[1], zero[1]), (zero[1], 0b00110)]
     pairs = passing + failing
     v = pack_patterns(w, range(w), [a for a, _ in pairs])
     got = pack_patterns(w, range(w), [b for _, b in pairs])
-    expected = sum(1 << b for b, pair in enumerate(pairs) if not rep.inverse_ok(*pair))
+    expected = sum(1 << b for b, pair in enumerate(pairs) if not spec.inverse_ok(*pair))
     assert expected == ((1 << len(failing)) - 1) << len(passing)
-    assert rep.packed_inverse_misses(v, got) == expected
+    assert spec.packed_inverse_misses(v, got) == expected
 
 
 # -- the first failing pattern ------------------------------------------------

@@ -87,19 +87,19 @@ def frozen_gnb_stages(params, r, reverse):
         yield label, "toffoli", delta, classes
 
 
-def frozen_stages(rep, r, reverse):
-    if isinstance(rep, GhostBit):
-        return frozen_ghost_stages(rep.width, r, reverse)
-    return frozen_gnb_stages(rep.params, r, reverse)
+def frozen_stages(spec, r, reverse):
+    if isinstance(spec, GhostBit):
+        return frozen_ghost_stages(spec.width, r, reverse)
+    return frozen_gnb_stages(spec.gnb_params, r, reverse)
 
 
-def frozen_self_mult_batches(rep, r, a0, c0, square_write=False, reverse=False, stages=None):
+def frozen_self_mult_batches(spec, r, a0, c0, square_write=False, reverse=False, stages=None):
     """The core's translation: every column mapped by list(map(...)), on
     ``stages`` (the frozen stages of r when not given)."""
-    a = [a0 + i for i in range(rep.width)].__getitem__
-    perm = rep.write_permutation if square_write else range(rep.width)
+    a = [a0 + i for i in range(spec.width)].__getitem__
+    perm = spec.write_permutation if square_write else range(spec.width)
     tgt = [c0 + i for i in perm].__getitem__
-    for _, _, _, classes in frozen_stages(rep, r, reverse) if stages is None else stages:
+    for _, _, _, classes in frozen_stages(spec, r, reverse) if stages is None else stages:
         batches = [
             (list(map(a, x)), None if y is None else list(map(a, y)), list(map(tgt, c)))
             for cls in classes
@@ -121,10 +121,10 @@ def frozen_inverter_batches(spec):
     def block(b, reverse):
         src, tgt = b.source_reg * w, b.target_reg * w
         if b.kind == "self_power":
-            return frozen_self_mult_batches(spec.rep, b.r, src, tgt, b.squared_write, reverse)
+            return frozen_self_mult_batches(spec, b.r, src, tgt, b.squared_write, reverse)
         operand = b.operand_reg * w
         return mult_batches(
-            spec.rep, src, operand, tgt, b.operand_exponent, b.squared_write, reverse
+            spec, src, operand, tgt, b.operand_exponent, b.squared_write, reverse
         )
 
     for b in s.forward:
@@ -155,19 +155,19 @@ def assert_same_stream(got, expected):
     assert list(map(as_lists, got)) == list(expected)
 
 
-def check_rep(rep):
+def check_spec(spec):
     """Stages and core batches equal the frozen ones for every r, both
     directions and both write permutations."""
-    w = rep.width
-    for r in range(rep.m + 1):
+    w = spec.width
+    for r in range(spec.m + 1):
         for reverse in (False, True):
-            frozen = list(frozen_stages(rep, r, reverse))
-            assert stage_rows(rep.self_mult_stages(r, reverse)) == frozen, (r, reverse)
+            frozen = list(frozen_stages(spec, r, reverse))
+            assert stage_rows(spec.self_mult_stages(r, reverse)) == frozen, (r, reverse)
             for square_write in (False, True):
                 a0, c0 = (3, w + 5) if square_write else (w + 1, 0)
                 assert_same_stream(
-                    self_mult_batches(rep, r, a0, c0, square_write, reverse),
-                    frozen_self_mult_batches(rep, r, a0, c0, square_write, reverse, frozen),
+                    self_mult_batches(spec, r, a0, c0, square_write, reverse),
+                    frozen_self_mult_batches(spec, r, a0, c0, square_write, reverse, frozen),
                 )
 
 
@@ -177,7 +177,7 @@ def check_rep(rep):
 
 @pytest.mark.parametrize("m", GHOST_DEGREES)
 def test_ghost_stream_matches_the_frozen_formulas(m):
-    check_rep(GhostBit(m))
+    check_spec(GhostBit(m))
 
 
 GNB_UP_TO_40 = [(m, t) for m in range(2, 41) for t in range(1, 7) if _gnb_violation(m, t) is None]
@@ -185,7 +185,7 @@ GNB_UP_TO_40 = [(m, t) for m in range(2, 41) for t in range(1, 7) if _gnb_violat
 
 @pytest.mark.parametrize("m, t", GNB_UP_TO_40, ids=lambda v: str(v))
 def test_gnb_stream_matches_the_frozen_formulas(m, t):
-    check_rep(Gnb(m, make_gnb_params(m, t)))
+    check_spec(Gnb(make_gnb_params(m, t)))
 
 
 @pytest.mark.parametrize(
@@ -219,10 +219,10 @@ def assert_columns_are_sequences(batches):
 @pytest.mark.parametrize("reverse", [False, True])
 def test_ghost_m2_one_element_pair_columns(r, reverse):
     # n = 3: every stage pairs a single {j, sigma-j}
-    rep = GhostBit(2)
-    for st in rep.self_mult_stages(r, reverse):
+    spec = GhostBit(2)
+    for st in spec.self_mult_stages(r, reverse):
         assert_columns_are_sequences(b for cls in st.classes for b in cls)
-    lengths = assert_columns_are_sequences(self_mult_batches(rep, r, 0, 3, reverse=reverse))
+    lengths = assert_columns_are_sequences(self_mult_batches(spec, r, 0, 3, reverse=reverse))
     if r in (0, 2):  # 2^r = 1 mod 3: one squaring layer
         assert lengths == [3]
     else:
@@ -230,10 +230,10 @@ def test_ghost_m2_one_element_pair_columns(r, reverse):
 
 
 def test_the_fixed_cnot_is_a_one_gate_batch():
-    rep = GhostBit(10)
-    fixed = [st.classes[0][1] for st in rep.self_mult_stages(3)]
+    spec = GhostBit(10)
+    fixed = [st.classes[0][1] for st in spec.self_mult_stages(3)]
     assert all(len(x) == len(c) == 1 and y is None for x, y, c in fixed)
-    lengths = assert_columns_are_sequences(self_mult_batches(rep, 3, 0, 11, True, True))
+    lengths = assert_columns_are_sequences(self_mult_batches(spec, 3, 0, 11, True, True))
     assert lengths.count(1) == 11
 
 
@@ -241,10 +241,10 @@ def test_the_fixed_cnot_is_a_one_gate_batch():
 def test_gnb_odd_cycle_third_color_is_a_one_gate_batch(m):
     # m prime: every nonzero delta walks one odd cycle of length m, whose
     # closing edge is a third color of one gate
-    rep = FieldSpec.gnb(m).rep
+    spec = FieldSpec.gnb(m)
     for r in range(m + 1):
         singles = [
-            cls for st in rep.self_mult_stages(r) if st.kind == "toffoli" for cls in st.classes
+            cls for st in spec.self_mult_stages(r) if st.kind == "toffoli" for cls in st.classes
             if len(cls[0][2]) == 1
         ]
         assert singles
@@ -252,7 +252,7 @@ def test_gnb_odd_cycle_third_color_is_a_one_gate_batch(m):
             assert_columns_are_sequences(cls)
         for reverse in (False, True):
             lengths = assert_columns_are_sequences(
-                self_mult_batches(rep, r, m, 0, r % 2 == 1, reverse)
+                self_mult_batches(spec, r, m, 0, r % 2 == 1, reverse)
             )
             assert 1 in lengths
 

@@ -1,11 +1,13 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package, the tests or the demos imports a name it never
+uses.
 
 No linter ships with the project, so this is pyflakes' F401 check, narrowed
-to what the package needs: every name an import statement in
-``src/gf2synth/*.py`` binds (``__init__.py``, which re-exports, aside) must
-appear as a name somewhere else in the module. A ``# noqa: F401`` comment
-exempts the names on its own line only, so a name that is kept for an outside
-caller does not shield its neighbours in the same statement.
+to what the project needs: every name an import statement in
+``src/gf2synth/*.py`` (``__init__.py``, which re-exports, aside),
+``tests/*.py`` or ``demos/*.py`` binds must appear as a name somewhere else
+in the module. A ``# noqa: F401`` comment exempts the names on its own line
+only, so a name that is kept for an outside caller does not shield its
+neighbours in the same statement.
 """
 
 import ast
@@ -13,8 +15,18 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "gf2synth"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "gf2synth"
+MODULES = [
+    *sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"),
+    *sorted((ROOT / "tests").glob("*.py")),
+    *sorted((ROOT / "demos").glob("*.py")),
+]
+
+
+def _module_id(path: Path) -> str:
+    """A package module by its file name, a test or demo by its path."""
+    return path.name if path.parent == SRC else path.relative_to(ROOT).as_posix()
 
 
 def unused_imports(source: str) -> list[str]:
@@ -46,7 +58,7 @@ def unused_imports(source: str) -> list[str]:
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES, ids=_module_id)
 def test_every_imported_name_is_used(path):
     assert unused_imports(path.read_text()) == []
 
