@@ -50,22 +50,23 @@ from .fields import (
     validate_gnb_params,
 )
 from .inverters import (
+    BlockChain,
     BoundsReport,
-    InverterStructure,
     MultiplierBlock,
+    chain_batches,
+    chain_estimate,
     check_bounds,
     inverter_batches,
     inverter_estimate,
     inverter_gates,
     inverter_structure,
-    synth_inverter,
-)
-from .multipliers import (
-    synth_add,
+    kind_structure,
     synth_gbb_mult,
     synth_gbb_self_mult,
     synth_gnb_mult,
     synth_gnb_self_mult,
+    synth_inverter,
 )
+from .multipliers import synth_add
 
 __version__ = "0.1.0"

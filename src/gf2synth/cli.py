@@ -9,10 +9,10 @@ Commands
   one string per batch, never held whole; if a gate is refused or the write
   fails, the file is removed (a regular file only), so no partial netlist
   is left to verify. The summary is ``kind_estimate``, which ``table``
-  prints too: ``inverter_estimate`` for invert (forward pass only, so
-  without ``--out`` the uncompute is never generated), ``layer_block``
-  for mult and selfmult (a product is in closed form, so without
-  ``--out`` no stage of it is generated), ``measure_stream`` for add.
+  prints too: ``measure_stream`` for add, and for every other kind
+  ``chain_estimate`` of its block chain, from the forward pass only (so
+  without ``--out`` the inverter's uncompute is never generated, and no
+  stage of a product, which is in closed form).
 * ``verify {add|mult|selfmult|invert}``: check a synthesized (or, with
   ``--in``, previously emitted) netlist against the classical field oracles,
   exhaustively or on seeded random samples (``--seed`` is non-negative).
@@ -33,6 +33,8 @@ Field oracles, inverse checks and bounds come from the field spec, a
 representation. ``synth_circuit`` is the kind table: for each kind it gives
 the width, the register map and the column batches, which ``synth`` and
 ``verify`` draw every kind from, and ``table`` its add and mult rows.
+Every kind but add is a block chain (``inverters.kind_structure``, where
+the layouts are written).
 ``verify_kind`` lays every kind out from that register map: the ``input``
 registers are packed from wire 0, the last register is the output, and
 every other wire must come back as it was packed. So what ``synth`` writes
@@ -79,16 +81,16 @@ from .circuits import (
     validated_registers,
 )
 from .errors import ParseError, UnsupportedDegree, WidthMismatch
-from .fields import MAX_DEGREE, FieldSpec, MultiplierBlock, Representation, check_ghost_bit_support
-from .inverters import inverter_batches, inverter_estimate, inverter_structure, layer_block
-from .inverters import synth_inverter  # noqa: F401  (kept for the benchmark tracer)
-from .multipliers import mult_netlist, self_mult_netlist, synth_add
-from .multipliers import (  # kept for the benchmark tracer
+from .fields import MAX_DEGREE, FieldSpec, Representation, check_ghost_bit_support
+from .inverters import chain_batches, chain_estimate, kind_structure
+from .inverters import (  # kept for the benchmark tracer
     synth_gbb_mult,  # noqa: F401
     synth_gbb_self_mult,  # noqa: F401
     synth_gnb_mult,  # noqa: F401
     synth_gnb_self_mult,  # noqa: F401
+    synth_inverter,  # noqa: F401
 )
+from .multipliers import synth_add
 
 DEFAULT_SEED = 0xB10F
 DEFAULT_SAMPLES = 100
@@ -299,47 +301,29 @@ def verify_kind(
 
 def synth_circuit(spec: FieldSpec, kind: str, r: Optional[int] = None) -> Netlist:
     """The kind table: one kind's width, register map and column batches for
-    ``spec``. A domain error raises now; batches are built as drawn.
-    Only selfmult takes an exponent: r on another kind is refused, never
+    ``spec``. A domain error raises now; batches are built as drawn. Every
+    kind but add is a block chain (``inverters.kind_structure``). Only
+    selfmult takes an exponent: r on another kind is refused, never
     dropped."""
     if r is not None and kind != "selfmult":
         raise ValueError(f"{kind} takes no exponent; -r applies to selfmult only")
     if kind == "add":
         adder = synth_add(spec.width)
         return Netlist(adder.width, adder.registers, gate_runs(adder.gates))
-    if kind == "mult":
-        return mult_netlist(spec)
-    if kind == "selfmult":
-        if r is None:
-            raise ValueError("selfmult needs -r <exponent>")
-        return self_mult_netlist(spec, r)
-    if kind == "invert":
-        s = inverter_structure(spec)
-        return Netlist(s.width, s.registers, inverter_batches(spec))
-    raise ValueError(f"unknown synthesis kind {kind!r}")
+    c = kind_structure(spec, kind, r)
+    return Netlist(c.width, c.registers, chain_batches(spec, c))
 
 
 def kind_estimate(spec: FieldSpec, kind: str, r: Optional[int] = None) -> ResourceEstimate:
-    """The resource summary ``synth`` and ``table`` print for one kind: the
-    inverter's is ``inverter_estimate``, exact from its forward pass alone;
-    mult and selfmult are each one block on fresh counters, on the
-    registers of their ``synth_circuit`` netlists, through ``layer_block``
-    (so a product draws no stage at all); add is measured over its
-    ``synth_circuit`` batches. The kind table refuses a domain error either
-    way."""
-    width, registers, batches = synth_circuit(spec, kind, r)
-    if kind == "invert":
-        return inverter_estimate(spec)
+    """The resource summary ``synth`` and ``table`` print for one kind: add
+    is measured over its ``synth_circuit`` batches; every other kind is
+    ``chain_estimate`` of its block chain, exact from the forward pass alone
+    (so the inverter's uncompute is never generated, and a product draws no
+    stage at all). The kind table refuses a domain error either way."""
+    width, _, batches = synth_circuit(spec, kind, r)
     if kind == "add":
         return measure_stream(width, batches)
-    at = {name: start // spec.width for name, (start, _) in registers.items()}
-    if kind == "mult":
-        block = MultiplierBlock("general", at["input_a"], at["output"], operand_reg=at["input_b"])
-    else:
-        block = MultiplierBlock("self_power", at["input"], at["output"], r=r)
-    ready, tof_ready = [0] * width, [0] * width
-    n_tof, n_cnot = layer_block(spec, block, ready, tof_ready)
-    return ResourceEstimate(n_tof, n_cnot, max(ready), max(tof_ready), width)
+    return chain_estimate(spec, kind_structure(spec, kind, r))
 
 
 # ---------------------------------------------------------------------------

@@ -75,10 +75,10 @@ from .gf2poly import all_one_poly, gf2_inv_mod, gf2_mul, prime_divisors
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 GNB_MAX_TYPE = 30  # largest normal-basis type ``find_gnb_type`` tries
-# Largest field degree the command line searches parameters for. The search
-# for u in ``make_gnb_params`` grows faster than m: its slowest case up to
-# here, m = 9314 (type 30, u = 128170), takes 1.4-2.0 s on a 2-vCPU x86
-# host, and m = 100019 takes 11.7 s.
+# Largest field degree the command line searches parameters for. The normal-
+# basis search grows with m: its slowest case up to here, m = 9314 (type 30,
+# u = 128170), takes 0.10 s in process (``params -m 9314`` 0.23-0.27 s) on a
+# 2-vCPU x86 host, and m = 100019 (type 18) takes 0.6 s.
 MAX_DEGREE = 10_000
 
 
@@ -121,6 +121,12 @@ def multiplicative_order(a: int, p: int) -> int:
         while order % q == 0 and pow(a, order // q, p) == 1:
             order //= q
     return order
+
+
+def _has_order(a: int, t: int, p: int) -> bool:
+    """Is t the order of a in (Z/pZ)* for prime p? a^t = 1 and a^(t/q) != 1
+    for every prime q dividing t: only t is factored, never p - 1."""
+    return pow(a, t, p) == 1 and all(pow(a, t // q, p) != 1 for q in prime_divisors(t))
 
 
 # ---------------------------------------------------------------------------
@@ -230,15 +236,17 @@ def _gnb_violation(m: int, t: int) -> Optional[str]:
 
 def _build_f_table(m: int, t: int, p: int, u: int) -> tuple[int, ...]:
     table: list[Optional[int]] = [None] * (p - 1)
+    pi = 1  # 2^i mod p
     for i in range(m):
-        pi = pow(2, i, p)
-        for j in range(t):
-            idx = pi * pow(u, j, p) % p
+        idx = pi  # 2^i * u^j mod p
+        for _ in range(t):
             if table[idx - 1] is not None:
                 raise InvalidParams(
                     f"index table collision at residue {idx} (m={m}, t={t}, u={u})"
                 )
             table[idx - 1] = i
+            idx = idx * u % p
+        pi = pi * 2 % p
     # m*t = p - 1 writes and no collision: every slot is filled
     return tuple(table)  # type: ignore[arg-type]
 
@@ -256,7 +264,7 @@ def make_gnb_params(m: int, t: int) -> GnbParams:
     if problem:
         raise InvalidParams(problem)
     p = t * m + 1
-    u = next(c for c in range(1, p) if multiplicative_order(c, p) == t)
+    u = next(c for c in range(1, p) if _has_order(c, t, p))
     return GnbParams(m=m, t=t, p=p, u=u, f_table=_build_f_table(m, t, p, u))
 
 
@@ -268,7 +276,7 @@ def validate_gnb_params(params: GnbParams) -> None:
         raise InvalidParams(problem)
     if p != t * m + 1:
         raise InvalidParams(f"p={p} is not t*m + 1 = {t * m + 1}")
-    if not 1 <= u < p or multiplicative_order(u, p) != t:
+    if not 1 <= u < p or not _has_order(u, t, p):
         raise InvalidParams(f"u={u} does not have order {t} mod {p}")
     if params.f_table != _build_f_table(m, t, p, u):
         raise InvalidParams("index table does not match its defining construction")
@@ -382,7 +390,8 @@ def gnb_stage_bases(params: GnbParams, second_shift: int = 0) -> list[tuple[str,
 
 @dataclass(frozen=True)
 class MultiplierBlock:
-    """One multiplication of the inversion chain.
+    """One multiplication of a block chain: the inversion chain, or a lone
+    product (``inverters.kind_structure``).
 
     ``self_power`` blocks compute target += source * source^(2^r); ``general``
     blocks compute target += source * operand^(2^operand_exponent). The
@@ -894,7 +903,7 @@ def gnb_verify_isomorphism(params: GnbParams) -> bool:
         raise ConstructionFailed(f"u={u} is not a unit mod {p}")
     if len(params.f_table) != p - 1:
         raise ConstructionFailed("index table length must be p - 1")
-    if _gnb_violation(m, t) or multiplicative_order(u, p) != t:
+    if _gnb_violation(m, t) or not _has_order(u, t, p):
         return False
     stage_products = [0] * m
     for _, fa, fb in gnb_stage_bases(params):

@@ -1,12 +1,20 @@
-"""Out-of-place field inversion and the closed-form resource bounds.
+"""Block chains: the inverter, and every multiplying kind, as a chain of
+multiplier blocks; and the closed-form resource bounds.
+
+A ``BlockChain`` is registers of one width and a forward chain of
+multiplier blocks (``fields.MultiplierBlock``); its uncompute is every
+forward block but the last, run backwards in reverse order, which returns
+the ancilla registers to zero. ``kind_structure`` is the one place each
+kind's layout is written: a product (``mult``) or a self-power product
+(``selfmult``) is a chain of one block, with no uncompute, over the
+registers its netlist names; ``invert`` is ``inverter_structure``.
 
 The inverter raises the input to 2^m - 2 by an addition chain on the exponent:
 floor(log2(m-1)) doubling multiplications, then HW(m-1) - 1 merges, every
 operand power-of-two read folded into wiring. The chain's blocks come from
 ``fields.addition_chain`` unchanged; this module adds the register layout,
 the final squaring folded into the last block's write permutation, and the
-uncompute: after the forward pass, all blocks except the final one are run
-backwards to return the ancilla registers to zero, so the circuit maps
+uncompute, so the circuit maps
 
     |a> |0...0>  ->  |a> |0...0> |a^-1>
 
@@ -14,18 +22,20 @@ with the inverse in the last register and the input untouched. Register
 layout (and the ``registers`` map of the emitted circuit) is: input, ladder
 ancillas in exponent order, merge ancillas, output = last written register.
 
-``inverter_batches`` streams the inverter as column batches (see
-``circuits``) for ``synth --out`` and ``verify``. Uncompute blocks are
-generated backwards, stage by stage, so none is ever held in memory;
-``inverter_gates`` is the flat view. ``inverter_estimate`` is the one
-measurement of the inverter (``synth``, ``table``, ``check_bounds``), from
-its forward pass alone: the uncompute mirrors the head of that pass, so its
-share of the depth is read off the per-wire layer counters the head leaves
-behind, and it is never generated. The forward pass is layered block by
-block (``layer_block``): a general block goes in closed form once its
-counters are level, and a self-power block carries its Toffoli counter as
-one offset from the other. The result is exact, equal to layering every
-gate of ``inverter_batches``, in memory proportional to the width.
+``chain_batches`` streams a chain as column batches (see ``circuits``) for
+``synth --out`` and ``verify``. Uncompute blocks are generated backwards,
+stage by stage, so none is ever held in memory; ``inverter_batches`` is the
+inverter's stream and ``inverter_gates`` its flat view. ``chain_estimate``
+is the one measurement of every multiplying kind (``synth``, ``table``,
+``check_bounds``), from the forward pass alone: the uncompute mirrors the
+head of that pass, so its share of the depth is read off the per-wire layer
+counters the head leaves behind, and it is never generated. The forward
+pass is layered block by block (``layer_block``): a general block goes in
+closed form once its counters are level, and a self-power block carries its
+Toffoli counter as one offset from the other. The result is exact, equal to
+layering every gate of ``chain_batches``, in memory proportional to the
+width. The ``Circuit`` synthesizers (``synth_gbb_mult`` and the rest) are
+each one materialized chain.
 """
 
 from __future__ import annotations
@@ -37,26 +47,31 @@ from typing import Iterable, Iterator, Optional
 
 from .circuits import Batch, Circuit, Gate, ResourceEstimate, flat_gates, layer_batches
 from .errors import DegreeTooSmall
-from .fields import FieldSpec, MultiplierBlock, Representation, addition_chain
-from .multipliers import mult_batches, self_mult_batches
+from .fields import FieldSpec, GhostBit, Gnb, GnbParams, MultiplierBlock, Representation, addition_chain
+from .multipliers import check_exponent, mult_batches, self_mult_batches
 
 
 @dataclass(frozen=True)
-class InverterStructure:
-    """Block-level layout of an inverter for one field spec."""
+class BlockChain:
+    """Block-level layout of one multiplying kind for one field spec."""
 
     width: int
     registers: dict[str, tuple[int, int]]
     forward: tuple[MultiplierBlock, ...]
-    uncompute: tuple[MultiplierBlock, ...]  # execution order; gates reversed
+
+    @property
+    def uncompute(self) -> tuple[MultiplierBlock, ...]:
+        """The head of ``forward`` reversed, in execution order (each
+        block's gates run reversed): the mirror ``chain_estimate`` relies
+        on."""
+        return tuple(reversed(self.forward[:-1]))
 
 
-def inverter_structure(spec: FieldSpec) -> InverterStructure:
+def inverter_structure(spec: FieldSpec) -> BlockChain:
     if spec.m < 3:
         raise DegreeTooSmall("inverter synthesis needs m >= 3")
     plan = addition_chain(spec.m)
     w = spec.width
-    width = plan.register_count * w
 
     names = {0: "input"}
     for j in range(1, plan.k_list[0] + 1):
@@ -67,13 +82,26 @@ def inverter_structure(spec: FieldSpec) -> InverterStructure:
     registers = {names[i]: (i * w, w) for i in range(plan.register_count)}
 
     *head, last = plan.ladder + plan.combine
-    forward = (*head, replace(last, squared_write=True))
-    return InverterStructure(
-        width=width,
-        registers=registers,
-        forward=forward,
-        uncompute=tuple(reversed(head)),
-    )
+    return BlockChain(plan.register_count * w, registers, (*head, replace(last, squared_write=True)))
+
+
+def kind_structure(spec: FieldSpec, kind: str, r: Optional[int] = None) -> BlockChain:
+    """The block chain of one multiplying kind: the one place the mult and
+    selfmult layouts are written. A missing or out-of-range exponent and an
+    unknown kind are refused here, before any stage is drawn."""
+    w = spec.width
+    if kind == "mult":
+        registers = {"input_a": (0, w), "input_b": (w, w), "output": (2 * w, w)}
+        return BlockChain(3 * w, registers, (MultiplierBlock("general", 0, 2, operand_reg=1),))
+    if kind == "selfmult":
+        if r is None:
+            raise ValueError("selfmult needs -r <exponent>")
+        check_exponent(r, spec.m)
+        registers = {"input": (0, w), "output": (w, w)}
+        return BlockChain(2 * w, registers, (MultiplierBlock("self_power", 0, 1, r=r),))
+    if kind == "invert":
+        return inverter_structure(spec)
+    raise ValueError(f"unknown synthesis kind {kind!r}")
 
 
 def _block_batches(spec: FieldSpec, block: MultiplierBlock, reverse: bool = False) -> Iterator[Batch]:
@@ -88,16 +116,20 @@ def _block_batches(spec: FieldSpec, block: MultiplierBlock, reverse: bool = Fals
     )
 
 
-def inverter_batches(spec: FieldSpec) -> Iterator[Batch]:
-    """Stream the inverter as column batches: the forward blocks, then each
+def chain_batches(spec: FieldSpec, chain: BlockChain) -> Iterator[Batch]:
+    """Stream a chain as column batches: the forward blocks, then each
     uncompute block generated backwards (stages last-first, every batch
     reversed). Batches are built as they are drawn, so no block is ever held
     in memory."""
-    s = inverter_structure(spec)
-    for block in s.forward:
+    for block in chain.forward:
         yield from _block_batches(spec, block)
-    for block in s.uncompute:
+    for block in chain.uncompute:
         yield from _block_batches(spec, block, reverse=True)
+
+
+def inverter_batches(spec: FieldSpec) -> Iterator[Batch]:
+    """The inverter's ``chain_batches``."""
+    return chain_batches(spec, inverter_structure(spec))
 
 
 def inverter_gates(spec: FieldSpec) -> Iterator[Gate]:
@@ -236,27 +268,27 @@ def _layer_self_power(
     return n_tof, n_cnot
 
 
-def inverter_estimate(spec: FieldSpec) -> ResourceEstimate:
-    """The inverter's ``ResourceEstimate``, exact, from its forward pass alone.
+def chain_estimate(spec: FieldSpec, chain: BlockChain) -> ResourceEstimate:
+    """A chain's ``ResourceEstimate``, exact, from its forward pass alone.
 
     The stream is X L rev(X): X the head blocks, L the last block, rev(X)
-    the uncompute. Greedy ASAP layering gives each gate its longest chain of
-    gates sharing a wire, in stream order. A chain that enters rev(X) crosses
-    from the last gate on some wire w before it to the first gate on w in
-    it. The longest chain in rev(X) that starts at its first gate on w is
-    the longest chain in X that ends at its last gate on w, and that is
-    ``ready[w]`` after layering X alone from zeros. So the depth is the
-    maximum over w of ready[w] after X L plus ready[w] after X; the Toffoli
-    depth is the same on the Toffoli counters, and each count is twice X's
-    plus L's. Relies on ``uncompute`` being the head of ``forward``
-    reversed, which ``inverter_structure`` builds. X and L are layered
-    block by block with ``layer_block``, which leaves the counters exactly
-    as layering every gate would, without drawing every stage.
+    the uncompute (empty for a chain of one block). Greedy ASAP layering
+    gives each gate its longest chain of gates sharing a wire, in stream
+    order. A chain that enters rev(X) crosses from the last gate on some
+    wire w before it to the first gate on w in it. The longest chain in
+    rev(X) that starts at its first gate on w is the longest chain in X
+    that ends at its last gate on w, and that is ``ready[w]`` after
+    layering X alone from zeros. So the depth is the maximum over w of
+    ready[w] after X L plus ready[w] after X; the Toffoli depth is the same
+    on the Toffoli counters, and each count is twice X's plus L's.
+    ``BlockChain.uncompute`` is the head of ``forward`` reversed by
+    construction. X and L are layered block by block with ``layer_block``,
+    which leaves the counters exactly as layering every gate would, without
+    drawing every stage.
     """
-    s = inverter_structure(spec)
-    *head, last = s.forward
-    ready = [0] * s.width
-    tof_ready = [0] * s.width
+    *head, last = chain.forward
+    ready = [0] * chain.width
+    tof_ready = [0] * chain.width
     head_tof = head_cnot = 0
     for block in head:
         tof, cnot = layer_block(spec, block, ready, tof_ready)
@@ -269,14 +301,50 @@ def inverter_estimate(spec: FieldSpec) -> ResourceEstimate:
         2 * head_cnot + last_cnot,
         max(map(add, ready, mirror)),
         max(map(add, tof_ready, tof_mirror)),
-        s.width,
+        chain.width,
     )
+
+
+def inverter_estimate(spec: FieldSpec) -> ResourceEstimate:
+    """The inverter's ``chain_estimate``."""
+    return chain_estimate(spec, inverter_structure(spec))
+
+
+# ---------------------------------------------------------------------------
+# public synthesizers: each one materialized chain
+
+
+def _kind_circuit(spec: FieldSpec, kind: str, r: Optional[int] = None) -> Circuit:
+    chain = kind_structure(spec, kind, r)
+    return Circuit(chain.width, flat_gates(chain_batches(spec, chain)), chain.registers)
+
+
+def synth_gbb_mult(m: int) -> Circuit:
+    """Ghost-bit product on 3(m+1) wires: (m+1)^2 Toffolis in m+1 layers."""
+    return _kind_circuit(GhostBit(m), "mult")
+
+
+def synth_gbb_self_mult(m: int, r: int) -> Circuit:
+    """Ghost-bit a * a^(2^r) on 2(m+1) wires; depth 2(m+1) in the generic
+    case, depth 1 when the power collapses to a squaring (r in {0, m})."""
+    return _kind_circuit(GhostBit(m), "selfmult", r)
+
+
+def synth_gnb_mult(params: GnbParams) -> Circuit:
+    """Normal-basis product on 3m wires: Tm^2 - m Toffolis in Tm - 1 layers
+    (T = t rounded up to even)."""
+    return _kind_circuit(Gnb(params), "mult")
+
+
+def synth_gnb_self_mult(params: GnbParams, r: int) -> Circuit:
+    """Normal-basis a * a^(2^r) on 2m wires; stage depth follows the coset
+    structure of each stage's index delta (1, 2 or 3 layers per stage)."""
+    return _kind_circuit(Gnb(params), "selfmult", r)
 
 
 def synth_inverter(spec: FieldSpec) -> Circuit:
     """Materialize the inverter netlist."""
-    s = inverter_structure(spec)
-    return Circuit(s.width, inverter_gates(spec), s.registers)
+    return _kind_circuit(spec, "invert")
 
 
 # ---------------------------------------------------------------------------

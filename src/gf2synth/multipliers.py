@@ -42,11 +42,12 @@ columns to wire columns: one ``itemgetter`` call per column, in C, which
 still gives a sequence for a column of one gate. With ``reverse`` a core
 yields the inverse block: stages last-first, each stage's batches
 last-first, every list reversed. The batches go as they are to
-simulation (``run_packed``), and through the inverter's block chain to
-the netlist writer; ``mult_netlist`` and ``self_mult_netlist`` hold their
-register maps. Measurement (``inverters.layer_block``) draws them block
-by block and stops drawing a general block once its layer counters are
-level, since every general stage is one gate on each of its wires.
+simulation (``run_packed``) and to the netlist writer, through the
+block chains of ``inverters``: ``inverters.kind_structure`` holds every
+multiplying kind's register map, a product or a self-power product being
+a chain of one block. Measurement (``inverters.layer_block``) draws them
+block by block and stops drawing a general block once its layer counters
+are level, since every general stage is one gate on each of its wires.
 
 The cores check no gate on its own. Each block first checks its register
 layout with the register rule of ``circuits`` (non-negative, pairwise
@@ -61,9 +62,9 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .circuits import UNBOUNDED, Batch, Circuit, Netlist, validated_registers
+from .circuits import UNBOUNDED, Batch, Circuit, validated_registers
 from .errors import ExponentOutOfRange
-from .fields import FieldSpec, GhostBit, Gnb, GnbParams, gather
+from .fields import FieldSpec, gather
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +151,7 @@ def self_mult_batches(
 
 
 # ---------------------------------------------------------------------------
-# public synthesizers
+# the adder and the exponent check
 
 
 def synth_add(width: int) -> Circuit:
@@ -163,48 +164,9 @@ def synth_add(width: int) -> Circuit:
 
 def check_exponent(r: int, m: int) -> None:
     """The self-power exponent's range, 0..m: the one check of it, which
-    ``self_mult_batches`` runs at its call, so ``cli.synth_circuit`` refuses
-    r for ``synth`` and ``verify`` alike before a gate or pattern is drawn
-    (a netlist file does not carry r)."""
+    ``self_mult_batches`` runs at its call and ``inverters.kind_structure``
+    before it lays a selfmult out, so ``synth`` and ``verify`` refuse r
+    alike before a gate or pattern is drawn (a netlist file does not carry
+    r)."""
     if not 0 <= r <= m:
         raise ExponentOutOfRange(f"exponent r={r} outside 0..{m}")
-
-
-def mult_netlist(spec: FieldSpec) -> Netlist:
-    """The general product on 3w wires as registers and streamed batches."""
-    w = spec.width
-    registers = {"input_a": (0, w), "input_b": (w, w), "output": (2 * w, w)}
-    return Netlist(3 * w, registers, mult_batches(spec, 0, w, 2 * w))
-
-
-def self_mult_netlist(spec: FieldSpec, r: int) -> Netlist:
-    """a * a^(2^r) on 2w wires as registers and streamed batches."""
-    w = spec.width
-    return Netlist(2 * w, {"input": (0, w), "output": (w, w)}, self_mult_batches(spec, r, 0, w))
-
-
-def _circuit(netlist: Netlist) -> Circuit:
-    return Circuit(netlist.width, netlist.gates, netlist.registers)
-
-
-def synth_gbb_mult(m: int) -> Circuit:
-    """Ghost-bit product on 3(m+1) wires: (m+1)^2 Toffolis in m+1 layers."""
-    return _circuit(mult_netlist(GhostBit(m)))
-
-
-def synth_gbb_self_mult(m: int, r: int) -> Circuit:
-    """Ghost-bit a * a^(2^r) on 2(m+1) wires; depth 2(m+1) in the generic
-    case, depth 1 when the power collapses to a squaring (r in {0, m})."""
-    return _circuit(self_mult_netlist(GhostBit(m), r))
-
-
-def synth_gnb_mult(params: GnbParams) -> Circuit:
-    """Normal-basis product on 3m wires: Tm^2 - m Toffolis in Tm - 1 layers
-    (T = t rounded up to even)."""
-    return _circuit(mult_netlist(Gnb(params)))
-
-
-def synth_gnb_self_mult(params: GnbParams, r: int) -> Circuit:
-    """Normal-basis a * a^(2^r) on 2m wires; stage depth follows the coset
-    structure of each stage's index delta (1, 2 or 3 layers per stage)."""
-    return _circuit(self_mult_netlist(Gnb(params), r))

@@ -25,7 +25,7 @@ from gf2synth.fields import (
 )
 from gf2synth.cli import main, verify_kind
 from gf2synth.inverters import check_bounds, inverter_gates, inverter_structure
-from gf2synth.multipliers import (
+from gf2synth.inverters import (
     synth_gbb_mult,
     synth_gbb_self_mult,
     synth_gnb_mult,

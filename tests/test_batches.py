@@ -201,6 +201,21 @@ def test_kind_estimates_equal_measuring_every_gate():
             )
 
 
+def test_kind_table_layouts_match_a_hand_written_reference():
+    """The kind table lays mult and selfmult out as one block each, on the
+    registers written here by hand, and streams exactly the core's batches
+    for that layout."""
+    for spec in small_specs():
+        w = spec.width
+        width, registers, batches = synth_circuit(spec, "mult")
+        assert (width, registers) == (3 * w, {"input_a": (0, w), "input_b": (w, w), "output": (2 * w, w)})
+        assert list(batches) == list(mult_batches(spec, 0, w, 2 * w)), (spec.m, spec.t)
+        for r in range(spec.m + 1):
+            width, registers, batches = synth_circuit(spec, "selfmult", r)
+            assert (width, registers) == (2 * w, {"input": (0, w), "output": (w, w)})
+            assert list(batches) == list(self_mult_batches(spec, r, 0, w)), (spec.m, spec.t, r)
+
+
 def test_inverter_estimate_leaves_the_level_general_stages_undrawn(monkeypatch):
     # At gnb 163 the forward pass holds 955,017 gates; 211,085 of them sit in
     # general stages drawn after their block's counters are level.

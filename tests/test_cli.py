@@ -310,6 +310,29 @@ def test_verify_refuses_an_exponent_before_packing(monkeypatch, tmp_path, capsys
     assert err.startswith("error: mult takes no exponent")
 
 
+@pytest.mark.parametrize(
+    "spec", [FieldSpec.ghost_bit(4), FieldSpec.gnb(5)], ids=["gbb4", "gnb5"]
+)
+def test_every_refusal_comes_before_any_stage_is_drawn(spec, monkeypatch):
+    def no_stage(*args):
+        raise AssertionError("a stage was drawn")
+
+    monkeypatch.setattr(inverters, "_block_batches", no_stage)
+    m = spec.m
+    refusals = [
+        *[(kind, 2, f"{kind} takes no exponent; -r applies to selfmult only") for kind in ("add", "mult", "invert")],
+        ("selfmult", None, "selfmult needs -r <exponent>"),
+        ("selfmult", -1, f"exponent r=-1 outside 0..{m}"),
+        ("selfmult", m + 1, f"exponent r={m + 1} outside 0..{m}"),
+        ("bogus", None, "unknown synthesis kind 'bogus'"),
+    ]
+    for kind, r, message in refusals:
+        for entry in (cli.synth_circuit, cli.kind_estimate):
+            with pytest.raises(ValueError) as refused:
+                entry(spec, kind, r)
+            assert str(refused.value) == message, (entry.__name__, kind, r)
+
+
 def test_synth_t_rejected_for_ghost(capsys):
     code, _, err = run(capsys, "synth", "mult", "-m", "4", "--rep", "gbb", "-t", "1")
     assert code == 2

@@ -242,6 +242,49 @@ def test_large_params_validate():
         validate_gnb_params(make_gnb_params(m, params.t))
 
 
+def _reference_u_and_table(m, t):
+    """The search as first written: the smallest u whose order, found by
+    factoring p - 1, is t, and the index table with one pow per entry."""
+    p = t * m + 1
+    u = next(c for c in range(1, p) if multiplicative_order(c, p) == t)
+    table = [None] * (p - 1)
+    for i in range(m):
+        for j in range(t):
+            table[pow(2, i, p) * pow(u, j, p) % p - 1] = i
+    return u, tuple(table)
+
+
+def test_u_search_and_table_match_the_order_factoring_reference():
+    pairs = 0
+    for m in range(2, 201):
+        for t in range(1, 31):
+            if fields._gnb_violation(m, t) is not None:
+                continue
+            params = make_gnb_params(m, t)
+            assert (params.u, params.f_table) == _reference_u_and_table(m, t), (m, t)
+            pairs += 1
+    assert pairs == 785
+
+
+def test_order_checks_accept_exactly_the_units_of_order_t():
+    # every unit of order t generates the same subgroup, so its table is the
+    # table; any other unit is refused by validation and by the certifier
+    for m in range(2, 21):
+        for t in range(1, 7):
+            if fields._gnb_violation(m, t) is not None:
+                continue
+            params = make_gnb_params(m, t)
+            for c in range(1, params.p):
+                other = replace(params, u=c)
+                of_order_t = multiplicative_order(c, params.p) == t
+                assert gnb_verify_isomorphism(other) == of_order_t, (m, t, c)
+                if of_order_t:
+                    validate_gnb_params(other)
+                else:
+                    with pytest.raises(InvalidParams, match=f"does not have order {t}"):
+                        validate_gnb_params(other)
+
+
 M5 = make_gnb_params(5, 2)  # p = 11, u = 10
 
 

@@ -12,11 +12,8 @@ import pytest
 from gf2synth.circuits import flat_gates, resources, simulate
 from gf2synth.errors import ExponentOutOfRange, UnsupportedDegree
 from gf2synth.fields import FieldSpec, GhostBit, gbb_frobenius, gbb_mult
-from gf2synth.multipliers import (
-    synth_add,
-    synth_gbb_mult,
-    synth_gbb_self_mult,
-)
+from gf2synth.inverters import synth_gbb_mult, synth_gbb_self_mult
+from gf2synth.multipliers import synth_add
 
 
 def bits(m, v):

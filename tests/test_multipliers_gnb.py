@@ -15,12 +15,8 @@ from gf2synth.fields import (
     gnb_stage_bases,
     make_gnb_params,
 )
-from gf2synth.multipliers import (
-    mult_batches,
-    self_mult_batches,
-    synth_gnb_mult,
-    synth_gnb_self_mult,
-)
+from gf2synth.inverters import synth_gnb_mult, synth_gnb_self_mult
+from gf2synth.multipliers import mult_batches, self_mult_batches
 
 P52 = make_gnb_params(5, 2)
 P43 = make_gnb_params(4, 3)  # odd type exercises the wrap stages
