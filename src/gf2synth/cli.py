@@ -45,7 +45,9 @@ one pattern's operands, which words the counterexample of the first
 failing pattern.
 
 Every command refuses a degree above ``fields.MAX_DEGREE`` before any
-parameter search is run.
+parameter search is run. ``synth``, ``verify`` and ``table`` refuse a kind
+whose closed-form gate count (``gate_bound``) is above ``MAX_GATES``, the
+generation budget, before any stage is drawn.
 
 Exit codes: 0 success / verification passed, 1 verification failed,
 2 domain error (unsupported degree, bad parameters, bad usage) or out of
@@ -95,6 +97,14 @@ from .multipliers import synth_add
 DEFAULT_SEED = 0xB10F
 DEFAULT_SAMPLES = 100
 EXHAUSTIVE_CAP = 1 << 20
+
+# The generation budget: the largest closed-form gate count (``gate_bound``)
+# of a kind that ``synth``, ``verify`` and ``table`` generate or measure. The
+# largest NIST degree, the gnb 571 inverter, bounds 84,755,814 gates, and its
+# estimate draws about half of them. Above the budget a kind is refused
+# before any stage is drawn: gnb 9973's inverter bounds 4.77e10 gates, which
+# at about 100 ns a gate would be more than an hour of generation.
+MAX_GATES = 100_000_000
 
 KINDS = ("add", "mult", "selfmult", "invert")
 MODES = ("auto", "exhaustive", "random")
@@ -301,17 +311,40 @@ def verify_kind(
 
 def synth_circuit(spec: FieldSpec, kind: str, r: Optional[int] = None) -> Netlist:
     """The kind table: one kind's width, register map and column batches for
-    ``spec``. A domain error raises now; batches are built as drawn. Every
+    ``spec``. A domain error raises now, and so does a kind above the
+    generation budget (``MAX_GATES``); batches are built as drawn. Every
     kind but add is a block chain (``inverters.kind_structure``). Only
     selfmult takes an exponent: r on another kind is refused, never
     dropped."""
     if r is not None and kind != "selfmult":
         raise ValueError(f"{kind} takes no exponent; -r applies to selfmult only")
     if kind == "add":
+        _within_budget(spec, kind)
         adder = synth_add(spec.width)
         return Netlist(adder.width, adder.registers, gate_runs(adder.gates))
     c = kind_structure(spec, kind, r)
+    _within_budget(spec, kind)
     return Netlist(c.width, c.registers, chain_batches(spec, c))
+
+
+def gate_bound(spec: FieldSpec, kind: str) -> int:
+    """A kind's closed-form gate count, from the spec's bounds alone: w for
+    add, the general product's for mult and selfmult, and the inverter's."""
+    if kind == "add":
+        return spec.width
+    if kind == "invert":
+        return spec.inverter_bounds().gate_bound
+    return spec.mult_bounds()[1]
+
+
+def _within_budget(spec: FieldSpec, kind: str) -> None:
+    """Refuse a kind whose ``gate_bound`` is above MAX_GATES."""
+    gates = gate_bound(spec, kind)
+    if gates > MAX_GATES:
+        raise ValueError(
+            f"{kind} at m={spec.m} ({spec.representation.value}) bounds {gates} gates,"
+            f" above the generation budget of {MAX_GATES}"
+        )
 
 
 def kind_estimate(spec: FieldSpec, kind: str, r: Optional[int] = None) -> ResourceEstimate:
@@ -462,6 +495,9 @@ def cmd_table(args) -> int:
                 continue
     if not specs:
         raise ValueError("no supported representation for the requested degrees")
+    for spec in specs:  # every row, before any is printed
+        for op in ("add", "mult", "invert"):
+            _within_budget(spec, op)
     header = f"{'m':>5} {'rep':>4} {'op':>8} {'depth':>9} {'gates':>10} {'depth<=':>9} {'gates<=':>10}"
     print(header)
     print("-" * len(header))

@@ -31,8 +31,9 @@ is the one measurement of every multiplying kind (``synth``, ``table``,
 head of that pass, so its share of the depth is read off the per-wire layer
 counters the head leaves behind, and it is never generated. The forward
 pass is layered block by block (``layer_block``): a general block goes in
-closed form once its counters are level, and a self-power block carries its
-Toffoli counter as one offset from the other. The result is exact, equal to
+closed form once its counters are level, and a self-power block is layered
+on its index columns, never placed on wires, with its Toffoli counter
+carried as one offset from the other. The result is exact, equal to
 layering every gate of ``chain_batches``, in memory proportional to the
 width. The ``Circuit`` synthesizers (``synth_gbb_mult`` and the rest) are
 each one materialized chain.
@@ -47,8 +48,10 @@ from typing import Iterable, Iterator, Optional
 
 from .circuits import Batch, Circuit, Gate, ResourceEstimate, flat_gates, layer_batches
 from .errors import DegreeTooSmall
-from .fields import FieldSpec, GhostBit, Gnb, GnbParams, MultiplierBlock, Representation, addition_chain
-from .multipliers import check_exponent, mult_batches, self_mult_batches
+from .fields import (
+    FieldSpec, GhostBit, Gnb, GnbParams, MultiplierBlock, Representation, addition_chain, gather,
+)
+from .multipliers import check_exponent, mult_batches, self_mult_batches, self_mult_wires
 
 
 @dataclass(frozen=True)
@@ -144,9 +147,9 @@ def layer_block(
     """Layer one block onto the per-wire counters: ``ready`` and
     ``tof_ready`` end exactly as ``layer_batches`` over
     ``_block_batches(spec, block)`` leaves them, and the result is the same
-    (Toffolis, CNOTs). The cores check the register layout (and a
-    self-power block its exponent) at the call, even when no stage is
-    drawn. Two shortcuts, each exact:
+    (Toffolis, CNOTs). The cores' precondition (the register layout, and a
+    self-power block's exponent) is checked at the call, even when no stage
+    is drawn. Three shortcuts, each exact:
 
     (a) A general block in closed form once level. Each stage of
     ``mult_batches`` is one Toffoli batch whose three columns are ``_walk``
@@ -171,13 +174,40 @@ def layer_block(
     layered on ``ready`` alone, and tof_ready = ready - o, written back
     before anything reads tof_ready, is what full layering gives
     (``_layer_self_power``).
+
+    (c) A self-power block layered on its index columns, never placed on
+    wires. Greedy layering reads only which gates share a wire: relabel
+    the wires by any injective map that covers every wire the stream
+    touches, layer the relabeled stream on counters read through the map,
+    and write them back through it, and every counter ends as layering the
+    stream itself leaves it, while the counters of the wires it misses
+    never move. ``self_mult_batches`` places index column x (and y) on
+    a[x] and output column c on tgt[c], with a the source register's wires
+    and tgt the target's through the write permutation; the 2w wires a +
+    tgt are distinct, as the registers are disjoint. So the block is
+    layered on a window of 2w counters, the source's and then the
+    target's read through tgt, fed ``spec.self_mult_stages(r)`` as it is:
+    x and y index the window's first half, and c, shifted by w into the
+    second half by one ``gather``, is the only column translated. Lemma
+    (b) holds on the window unchanged, since the window is exactly the
+    wires of the block's registers.
     """
     w = spec.width
-    batches = _block_batches(spec, block)
+    src = block.source_reg * w
+    tgt = block.target_reg * w
     if block.kind == "self_power":
-        starts = (block.source_reg * w, block.target_reg * w)
-        return _layer_self_power(batches, starts, w, ready, tof_ready)
-    starts = (block.source_reg * w, block.operand_reg * w, block.target_reg * w)
+        a, out = self_mult_wires(spec, block.r, src, tgt, block.squared_write)
+        wires = a + out  # the window, lemma (c)
+        window, tof_window = list(gather(ready, wires)), list(gather(tof_ready, wires))
+        upper = list(range(w, 2 * w))  # output coefficient c sits at window index w + c
+        index_stages = spec.self_mult_stages(block.r)
+        batches = ((x, y, gather(upper, c)) for st in index_stages for cls in st.classes for x, y, c in cls)
+        counts = _layer_self_power(batches, window, tof_window)
+        for u, v, t in zip(wires, window, tof_window):
+            ready[u], tof_ready[u] = v, t
+        return counts
+    batches = _block_batches(spec, block)
+    starts = (src, block.operand_reg * w, tgt)
     stages = left = len(spec.mult_stages())
     while left and not (_level(ready, starts, w) and _level(tof_ready, starts, w)):
         layer_batches((next(batches),), ready, tof_ready)
@@ -195,32 +225,19 @@ def _level(counter: list[int], starts: tuple[int, ...], w: int) -> bool:
     return all(counter[s:s + w].count(v) == w for s in starts)
 
 
-def _offset(
-    ready: list[int], tof_ready: list[int], starts: tuple[int, ...], w: int
-) -> Optional[int]:
-    """The one value of ready - tof_ready on all the registers at
-    ``starts``, or None if the difference is not level there."""
-    o = ready[starts[0]] - tof_ready[starts[0]]
-    for s in starts:
-        if list(map(sub, ready[s:s + w], tof_ready[s:s + w])).count(o) != w:
-            return None
-    return o
-
-
-def _write_back(
-    ready: list[int], tof_ready: list[int], starts: tuple[int, ...], w: int, o: int
-) -> None:
-    for s in starts:
-        tof_ready[s:s + w] = map(sub, ready[s:s + w], repeat(o))
+def _offset(ready: list[int], tof_ready: list[int]) -> Optional[int]:
+    """The one value of ready - tof_ready, or None if it is not level."""
+    o = ready[0] - tof_ready[0]
+    return o if list(map(sub, ready, tof_ready)).count(o) == len(ready) else None
 
 
 def _layer_self_power(
-    batches: Iterable[Batch], starts: tuple[int, ...], w: int, ready: list[int],
-    tof_ready: list[int],
+    batches: Iterable[Batch], ready: list[int], tof_ready: list[int]
 ) -> tuple[int, int]:
-    """``layer_batches`` for a stream whose gates all lie in the registers
-    of width w at ``starts``, with the Toffoli counter carried as one
-    offset (lemma (b) of ``layer_block``) wherever it can be.
+    """``layer_batches`` for a stream whose gates touch only the wires of
+    ``ready`` and ``tof_ready`` (a block's window), with the Toffoli counter
+    carried as one offset (lemma (b) of ``layer_block``) wherever it can
+    be.
 
     While ready - tof_ready is level, Toffoli batches are layered on
     ``ready`` alone. A CNOT moves ready alone, so tof_ready is written back
@@ -228,13 +245,14 @@ def _layer_self_power(
     the difference is found level again; it is written back at the end too,
     before the caller reads either list. When to look is decided from the
     stream, not from the representation: the difference is tested at the
-    start, then at most once per 2w gates layered in full, and never again
-    once CNOT batches come more often than once per 2w gates, after one of
-    grace (every ghost-bit stage holds a one-gate CNOT; normal-basis CNOT
-    stages are rare).
+    start, then at most once per window of gates layered in full, and
+    never again once CNOT batches come more often than once per window,
+    after one of grace (every ghost-bit stage holds a one-gate CNOT;
+    normal-basis CNOT stages are rare).
     """
+    n = len(ready)
     n_tof = n_cnot = gates = cnot_batches = unchecked = 0
-    offset = _offset(ready, tof_ready, starts, w)
+    offset = _offset(ready, tof_ready)
     hopeful = True
     for batch in batches:
         ca, cb, ct = batch
@@ -251,20 +269,20 @@ def _layer_self_power(
             continue
         if cb is None:
             if offset is not None:
-                _write_back(ready, tof_ready, starts, w, offset)
+                tof_ready[:] = map(sub, ready, repeat(offset))
                 offset = None
             cnot_batches += 1
-            hopeful = hopeful and cnot_batches <= 1 + gates // (2 * w)
+            hopeful = hopeful and cnot_batches <= 1 + gates // n
         tof, cnot = layer_batches((batch,), ready, tof_ready)
         n_tof += tof
         n_cnot += cnot
         gates += len(ct)
         unchecked += len(ct)
-        if hopeful and unchecked >= 2 * w:
+        if hopeful and unchecked >= n:
             unchecked = 0
-            offset = _offset(ready, tof_ready, starts, w)
+            offset = _offset(ready, tof_ready)
     if offset is not None:
-        _write_back(ready, tof_ready, starts, w, offset)
+        tof_ready[:] = map(sub, ready, repeat(offset))
     return n_tof, n_cnot
 
 

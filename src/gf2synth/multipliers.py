@@ -45,9 +45,12 @@ last-first, every list reversed. The batches go as they are to
 simulation (``run_packed``) and to the netlist writer, through the
 block chains of ``inverters``: ``inverters.kind_structure`` holds every
 multiplying kind's register map, a product or a self-power product being
-a chain of one block. Measurement (``inverters.layer_block``) draws them
-block by block and stops drawing a general block once its layer counters
-are level, since every general stage is one gate on each of its wires.
+a chain of one block. Measurement (``inverters.layer_block``) draws the
+general batches block by block and stops once a block's layer counters are
+level, since every general stage is one gate on each of its wires; it
+places no self-power stage on wires at all, but layers the index columns
+of ``spec.self_mult_stages`` on the block's counters, read through
+``self_mult_wires``, the one placement both routes share.
 
 The cores check no gate on its own. Each block first checks its register
 layout with the register rule of ``circuits`` (non-negative, pairwise
@@ -123,6 +126,22 @@ def mult_batches(
     return stages()
 
 
+def self_mult_wires(
+    spec: FieldSpec, r: int, a0: int, c0: int, square_write: bool = False
+) -> tuple[list[int], list[int]]:
+    """Where a self-power block puts its index columns: the wire of each
+    input coefficient, and the output wire of each coefficient (through the
+    write permutation with ``square_write``). Checks the block's
+    precondition first, the exponent in 0..m and two disjoint registers, so
+    every route to the block (``self_mult_batches``, and
+    ``inverters.layer_block``, which layers the index columns without
+    placing them) refuses alike."""
+    check_exponent(r, spec.m)
+    n = spec.width
+    validated_registers({"a": (a0, n), "c": (c0, n)}, UNBOUNDED)
+    return _wires(a0, range(n)), _targets(spec, c0, square_write)
+
+
 def self_mult_batches(
     spec: FieldSpec, r: int, a0: int, c0: int, square_write: bool = False, reverse: bool = False
 ) -> Iterator[Batch]:
@@ -130,11 +149,7 @@ def self_mult_batches(
     class, one batch per run of one gate kind. The exponent must lie in
     0..m, checked at the call. With ``reverse`` the inverse block: stages
     last-first, each stage's batches last-first, columns reversed."""
-    check_exponent(r, spec.m)
-    n = spec.width
-    validated_registers({"a": (a0, n), "c": (c0, n)}, UNBOUNDED)  # the precondition
-    a = _wires(a0, range(n))
-    tgt = _targets(spec, c0, square_write)
+    a, tgt = self_mult_wires(spec, r, a0, c0, square_write)
     # Index Toffolis name their controls lower-first and the wires of a
     # increase, so the wire controls are lower-first too.
 
@@ -164,9 +179,9 @@ def synth_add(width: int) -> Circuit:
 
 def check_exponent(r: int, m: int) -> None:
     """The self-power exponent's range, 0..m: the one check of it, which
-    ``self_mult_batches`` runs at its call and ``inverters.kind_structure``
-    before it lays a selfmult out, so ``synth`` and ``verify`` refuse r
-    alike before a gate or pattern is drawn (a netlist file does not carry
-    r)."""
+    ``self_mult_wires`` runs for every self-power block and
+    ``inverters.kind_structure`` before it lays a selfmult out, so
+    ``synth`` and ``verify`` refuse r alike before a gate or pattern is
+    drawn (a netlist file does not carry r)."""
     if not 0 <= r <= m:
         raise ExponentOutOfRange(f"exponent r={r} outside 0..{m}")

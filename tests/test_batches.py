@@ -29,6 +29,7 @@ from gf2synth.cli import kind_estimate, synth_circuit
 from gf2synth.fields import (
     FieldSpec,
     Gnb,
+    MultiplierBlock,
     addition_chain,
     check_ghost_bit_support,
     make_gnb_params,
@@ -126,14 +127,14 @@ def test_inverter_estimate_matches_measuring_every_gate():
         )
 
 
+def spec_id(spec):
+    return f"{spec.representation.value}{spec.m}" + (f"t{spec.t}" if spec.t else "")
+
+
 LEMMA_SPECS = [*small_specs(), FieldSpec.gnb(163), FieldSpec.gnb(233, t=2), FieldSpec.gnb(409)]
 
 
-@pytest.mark.parametrize(
-    "spec",
-    LEMMA_SPECS,
-    ids=[f"{s.representation.value}{s.m}" + (f"t{s.t}" if s.t else "") for s in LEMMA_SPECS],
-)
+@pytest.mark.parametrize("spec", LEMMA_SPECS, ids=spec_id)
 def test_every_general_stage_is_one_gate_on_every_wire_of_its_registers(spec):
     """Lemma (a) of ``layer_block``: a general stage moves every wire of the
     block's three registers by exactly one layer, so a block whose counters
@@ -177,10 +178,65 @@ def test_toffoli_counter_carried_as_one_offset_matches_full_layering():
             cols = [rng.sample(inside, 3) for _ in range(rng.randint(1, 3 * w))]
             a, b, t = (list(col) for col in zip(*cols))
             batches.append((a, None, t) if rng.random() < cnot_share else (a, b, t))
+        # the window of the two registers: wire inside[i] is window index i
+        at = {u: i for i, u in enumerate(inside)}
+        local = [tuple(None if col is None else [at[u] for u in col] for col in batch) for batch in batches]
+        window = [ready[u] for u in inside]
+        tof_window = [tof_ready[u] for u in inside]
+        got = inverters._layer_self_power(iter(local), window, tof_window)
         got_ready, got_tof = ready[:], tof_ready[:]
-        got = inverters._layer_self_power(iter(batches), starts, w, got_ready, got_tof)
+        for u, v, t in zip(inside, window, tof_window):
+            got_ready[u], got_tof[u] = v, t
         want = layer_batches(batches, ready, tof_ready)
         assert (got, got_ready, got_tof) == (want, ready, tof_ready), trial
+
+
+@pytest.mark.parametrize("spec", [*small_specs(), FieldSpec.gnb(163)], ids=spec_id)
+def test_self_power_block_layered_on_its_window_matches_full_layering(spec):
+    """Lemma (c) of ``layer_block``: a self-power block layered on the
+    window of its 2w counters, fed the index columns, leaves every counter
+    and the counts as ``layer_batches`` over the block's wire batches does,
+    for every exponent, with and without the squared write, from zero and
+    from uneven counters; a wire outside the block's registers keeps its
+    nonzero counter."""
+    rng = random.Random(30)
+    w = spec.width
+    exponents = range(spec.m + 1) if spec.m < 163 else (5,)
+    for r in exponents:
+        for squared in (False, True):
+            src, spare = (0, 2) if r % 2 else (2, 0)  # the source below and above the target
+            block = MultiplierBlock("self_power", src, 1, r=r, squared_write=squared)
+            uneven = [rng.randint(0, 40) for _ in range(3 * w)]
+            for ready in ([0] * 3 * w, uneven):
+                tof_ready = [v - rng.randint(0, v) for v in ready]
+                ready[spare * w] = tof_ready[spare * w] = 7  # outside the window
+                outside = ready[spare * w:(spare + 1) * w], tof_ready[spare * w:(spare + 1) * w]
+                got_ready, got_tof = ready[:], tof_ready[:]
+                got = inverters.layer_block(spec, block, got_ready, got_tof)
+                want = layer_batches(inverters._block_batches(spec, block), ready, tof_ready)
+                assert (got, got_ready, got_tof) == (want, ready, tof_ready), (spec.m, spec.t, r, squared)
+                assert (ready[spare * w:(spare + 1) * w], tof_ready[spare * w:(spare + 1) * w]) == outside
+
+
+@pytest.mark.parametrize("spec", [FieldSpec.ghost_bit(4), FieldSpec.gnb(5)], ids=spec_id)
+def test_self_power_window_refuses_what_the_wire_core_refuses(spec):
+    """The window route checks the self-power precondition at the call, as
+    ``self_mult_batches`` does: overlapping registers break the register
+    rule, and an exponent outside 0..m is refused; no counter moves."""
+    w = spec.width
+    for block, core in (
+        (MultiplierBlock("self_power", 1, 1, r=1), lambda: self_mult_batches(spec, 1, w, w)),
+        (MultiplierBlock("self_power", 0, 1, r=spec.m + 1), lambda: self_mult_batches(spec, spec.m + 1, 0, w)),
+    ):
+        ready, tof_ready = list(range(2 * w)), [0] * 2 * w
+        with pytest.raises(ValueError) as refused:
+            inverters.layer_block(spec, block, ready, tof_ready)
+        with pytest.raises(ValueError) as expected:
+            core()
+        assert (type(refused.value), str(refused.value)) == (type(expected.value), str(expected.value))
+        assert (ready, tof_ready) == (list(range(2 * w)), [0] * 2 * w)
+    with pytest.raises(CircuitRuleError, match="register c overlaps a"):
+        inverters.layer_block(spec, MultiplierBlock("self_power", 1, 1, r=1), [0] * 2 * w, [0] * 2 * w)
 
 
 def test_kind_estimates_equal_measuring_every_gate():
@@ -217,19 +273,24 @@ def test_kind_table_layouts_match_a_hand_written_reference():
 
 
 def test_inverter_estimate_leaves_the_level_general_stages_undrawn(monkeypatch):
-    # At gnb 163 the forward pass holds 955,017 gates; 211,085 of them sit in
-    # general stages drawn after their block's counters are level.
-    drawn = []
+    # At gnb 163 the forward pass holds 955,017 gates: 742,791 in self-power
+    # blocks, layered on their index columns and never placed on wires, and
+    # 211,085 in general stages drawn after their block's counters are
+    # level. What is drawn is the 1,141 general gates before that.
+    drawn = {"general": 0, "self_power": 0}
     block_batches = inverters._block_batches
 
     def counted(spec, block, reverse=False):
         for batch in block_batches(spec, block, reverse):
-            drawn.append(len(batch[2]))
+            drawn[block.kind] += len(batch[2])
             yield batch
 
     monkeypatch.setattr(inverters, "_block_batches", counted)
     assert summary(inverter_estimate(FieldSpec.gnb(163))) == PINNED[0][1]
-    assert 0 < sum(drawn) <= 955_017 - 211_000
+    assert drawn == {"general": 1_141, "self_power": 0}
+    spec = FieldSpec.gnb(163)
+    assert kind_estimate(spec, "selfmult", 3).gate_count == spec.mult_bounds()[1]
+    assert drawn == {"general": 1_141, "self_power": 0}
 
 
 def test_uncompute_is_the_forward_head_reversed():

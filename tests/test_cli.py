@@ -192,6 +192,32 @@ def test_synth_mult_draws_the_multiplier_only_to_write_it(
     assert len(drawn) == len(spec.mult_stages())
 
 
+@pytest.mark.parametrize(
+    "rep, m, spec",
+    [("gbb", "10", FieldSpec.ghost_bit(10)), ("gnb", "11", FieldSpec.gnb(11))],
+    ids=["gbb10", "gnb11"],
+)
+def test_synth_selfmult_draws_the_self_power_wires_only_to_write_it(
+    rep, m, spec, capsys, monkeypatch, tmp_path
+):
+    # the estimate layers the self-power block on its index columns, so no
+    # stage is placed on wires through multipliers._stage but to write it
+    drawn = []
+    stage = multipliers._stage
+
+    def recorded(batches, reverse):
+        drawn.append(batches)
+        return stage(batches, reverse)
+
+    monkeypatch.setattr(multipliers, "_stage", recorded)
+    code, out, _ = run(capsys, "synth", "selfmult", "-m", m, "--rep", rep, "-r", "3")
+    assert code == 0 and f"toffoli={cli.kind_estimate(spec, 'selfmult', 3).toffoli_count}" in out
+    assert drawn == []
+    path = tmp_path / "selfmult.qc"
+    assert run(capsys, "synth", "selfmult", "-m", m, "--rep", rep, "-r", "3", "--out", str(path))[0] == 0
+    assert len(drawn) == len(list(spec.self_mult_stages(3)))
+
+
 def test_benchmarked_commands_import_no_numpy():
     # importing numpy alone costs about 13.7 MB of peak RSS, more than the
     # benchmark's 5 % peak_rss_mb bound on its workloads
@@ -318,6 +344,7 @@ def test_every_refusal_comes_before_any_stage_is_drawn(spec, monkeypatch):
         raise AssertionError("a stage was drawn")
 
     monkeypatch.setattr(inverters, "_block_batches", no_stage)
+    monkeypatch.setattr(type(spec), "self_mult_stages", no_stage)
     m = spec.m
     refusals = [
         *[(kind, 2, f"{kind} takes no exponent; -r applies to selfmult only") for kind in ("add", "mult", "invert")],
@@ -419,6 +446,31 @@ def test_the_degree_cap_itself_is_searched(capsys):
     code, out, err = run(capsys, "params", "-m", str(fields.MAX_DEGREE))
     assert err == ""
     assert out.startswith(f"m={fields.MAX_DEGREE}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, kind",
+    [("synth invert", "invert"), ("verify invert --random 1", "invert"), ("table", "mult")],
+)
+def test_a_kind_above_the_generation_budget_is_refused_before_any_draw(argv, kind, capsys, monkeypatch):
+    # gnb 9973's inverter bounds 4.77e10 gates; every NIST degree fits
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a stage or pattern was drawn")
+
+    monkeypatch.setattr(inverters, "_block_batches", no_draw)
+    monkeypatch.setattr(inverters, "layer_block", no_draw)
+    monkeypatch.setattr(fields.Gnb, "self_mult_stages", no_draw)
+    monkeypatch.setattr(cli, "_pack_patterns", no_draw)
+    spec = FieldSpec.gnb(9973)
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv.split(), "-m", "9973", "--rep", "gnb")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    gates = cli.gate_bound(spec, kind)
+    assert gates > cli.MAX_GATES >= FieldSpec.gnb(571).inverter_bounds().gate_bound == 84_755_814
+    assert err == (
+        f"error: {kind} at m=9973 (gnb) bounds {gates} gates, above the generation budget of {cli.MAX_GATES}\n"
+    )
 
 
 def test_synth_unsupported_degree(capsys):
