@@ -19,10 +19,12 @@ Commands
   The route is pack, run, packed oracle, XOR: every pattern is packed into
   one bit-sliced state and simulated in one pass, and the output wires are
   XORed with the packed oracle's wires for the same patterns, so a pass
-  reads nothing back. The simulator, ``run_packed``, takes column batches
-  only: ``--in`` streams the file's batches from ``read_netlist``; without
-  it every kind simulates the batches ``synth_circuit`` gives, the stream
-  ``synth`` writes (for invert, the inverter's own wire-disjoint stages).
+  reads nothing back. With ``--in``, ``run_packed`` simulates the file's
+  batches as ``read_netlist`` streams them, and without it the add
+  batches ``synth_circuit`` gives; every other kind is a block chain, which
+  ``inverters.chain_simulate`` runs block by block on windows of the
+  packed state, from the spec's index columns, leaving the state as
+  ``run_packed`` over the stream ``synth`` writes would.
 * ``table``: measured depth/gates next to the closed-form bounds for a list
   of degrees, plus the asymptotic comparison against a polynomial basis.
   Each row is ``kind_estimate``, what ``synth`` prints; the invert row
@@ -47,7 +49,9 @@ failing pattern.
 Every command refuses a degree above ``fields.MAX_DEGREE`` before any
 parameter search is run. ``synth``, ``verify`` and ``table`` refuse a kind
 whose closed-form gate count (``gate_bound``) is above ``MAX_GATES``, the
-generation budget, before any stage is drawn.
+generation budget, before any stage is drawn. ``verify`` also refuses a run
+whose pattern count times ``gate_bound`` is above ``MAX_GATE_PATTERNS``, the
+verification budget, before any pattern is drawn.
 
 Exit codes: 0 success / verification passed, 1 verification failed,
 2 domain error (unsupported degree, bad parameters, bad usage) or out of
@@ -84,7 +88,7 @@ from .circuits import (
 )
 from .errors import ParseError, UnsupportedDegree, WidthMismatch
 from .fields import MAX_DEGREE, FieldSpec, Representation, check_ghost_bit_support
-from .inverters import chain_batches, chain_estimate, kind_structure
+from .inverters import chain_batches, chain_estimate, chain_simulate, kind_structure
 from .inverters import (  # kept for the benchmark tracer
     synth_gbb_mult,  # noqa: F401
     synth_gbb_self_mult,  # noqa: F401
@@ -105,6 +109,14 @@ EXHAUSTIVE_CAP = 1 << 20
 # before any stage is drawn: gnb 9973's inverter bounds 4.77e10 gates, which
 # at about 100 ns a gate would be more than an hour of generation.
 MAX_GATES = 100_000_000
+
+# The verification budget: the largest count of patterns times ``gate_bound``
+# that ``verify`` simulates. Simulation costs about 26 ps per gate and
+# pattern (the gnb 163 inverter on 65,536 samples, 1.25e11, took 3.2 s), so
+# the budget is about half a minute. Above it a run is refused before any
+# pattern is drawn or packed: the gnb 409 inverter on 2^20 samples, 1.54e13,
+# would be about 7 minutes on a 613 MiB packed state.
+MAX_GATE_PATTERNS = 10**12
 
 KINDS = ("add", "mult", "selfmult", "invert")
 MODES = ("auto", "exhaustive", "random")
@@ -232,10 +244,15 @@ def verify_kind(
     inputs whose ghost bit is 1; its output must invert the input on either
     ghost-bit representative (product-equals-identity). ``mode`` is auto,
     exhaustive or random; random mode draws 1 to 2^20 samples, the
-    exhaustive cap, from a non-negative seed.
+    exhaustive cap, from a non-negative seed. A run whose pattern count
+    times ``gate_bound`` is above MAX_GATE_PATTERNS is refused before a
+    pattern is drawn.
 
     All patterns are packed, simulated in one bit-sliced pass and checked
-    at once: every wire outside the output first, then the output against the
+    at once. The pass is ``run_packed`` over the netlist's batches, or over
+    add's; a generated block chain runs on windows of the state
+    (``inverters.chain_simulate``), to the same state. Then every wire
+    outside the output is checked first, and the output against the
     representation's packed oracle, whose lowest differing bit is the
     first failing pattern. Only that pattern is read back, and its
     counterexample comes from the per-pattern oracle (for the ghost-bit
@@ -263,6 +280,12 @@ def verify_kind(
         raise ValueError(
             f"exhaustive mode needs 2^{nbits} simulated inputs; the cap is 2^20"
         )
+    cost = (samples if mode == "random" else 1 << nbits) * gate_bound(spec, kind)
+    if cost > MAX_GATE_PATTERNS:
+        raise ValueError(
+            f"verifying {kind} at m={spec.m} ({spec.representation.value}) would simulate"
+            f" {cost} gate-patterns, above the verification budget of {MAX_GATE_PATTERNS}"
+        )
     if mode == "random":
         if seed < 0:
             raise ValueError(f"the seed must be non-negative, got {seed}")
@@ -281,7 +304,10 @@ def verify_kind(
 
     state, count = _pack_patterns(width, patterns, nbits)
     inputs = state[:nbits]
-    run_packed(batches, state)
+    if netlist is None and kind != "add":
+        chain_simulate(spec, kind_structure(spec, kind, r), state)
+    else:
+        run_packed(batches, state)
 
     def fail(reason: str) -> VerifyResult:
         return VerifyResult(False, count, mode, used_seed, reason)

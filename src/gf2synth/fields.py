@@ -60,6 +60,7 @@ from functools import lru_cache, reduce
 from math import gcd
 from operator import and_, itemgetter, or_, xor
 from typing import Iterator, NamedTuple, Optional, Sequence, Union
+from weakref import WeakSet
 
 from .errors import (
     ConstructionFailed,
@@ -216,6 +217,13 @@ class GnbParams:
     f_table: tuple[int, ...]
 
 
+# The params ``make_gnb_params`` built, and so checked. ``Gnb`` takes these
+# without rebuilding their index table, so a spec from ``FieldSpec.gnb``
+# builds it once. Held weakly and found by value: only params equal to
+# built ones skip the check, and a tampered table, u or p is not equal.
+_BUILT: "WeakSet[GnbParams]" = WeakSet()
+
+
 def _gnb_violation(m: int, t: int) -> Optional[str]:
     """Why no type-t Gaussian normal basis exists for m, or None if one does.
 
@@ -256,7 +264,7 @@ def make_gnb_params(m: int, t: int) -> GnbParams:
 
     Picks the smallest u of order exactly t mod p = t*m + 1. A type above
     GNB_MAX_TYPE is refused before anything is built: the index table has
-    p - 1 entries.
+    p - 1 entries. ``Gnb`` takes the result without building it again.
     """
     if t > GNB_MAX_TYPE:
         raise InvalidParams(f"type t={t} is above the largest supported type {GNB_MAX_TYPE}")
@@ -265,7 +273,9 @@ def make_gnb_params(m: int, t: int) -> GnbParams:
         raise InvalidParams(problem)
     p = t * m + 1
     u = next(c for c in range(1, p) if _has_order(c, t, p))
-    return GnbParams(m=m, t=t, p=p, u=u, f_table=_build_f_table(m, t, p, u))
+    params = GnbParams(m=m, t=t, p=p, u=u, f_table=_build_f_table(m, t, p, u))
+    _BUILT.add(params)
+    return params
 
 
 def validate_gnb_params(params: GnbParams) -> None:
@@ -750,12 +760,13 @@ def _coset_colors(idx: list[int], d: int) -> Coloring:
 
 class Gnb(FieldSpec):
     """A type-t Gaussian normal basis: m coordinates, squaring is a shift.
-    The params are validated here."""
+    The params are validated here, unless ``make_gnb_params`` built them."""
 
     representation = Representation.GNB
 
     def __init__(self, params: GnbParams):
-        validate_gnb_params(params)
+        if params not in _BUILT:
+            validate_gnb_params(params)
         self.gnb_params = params
         m = params.m
         self.m = self.width = m

@@ -23,7 +23,7 @@ layout (and the ``registers`` map of the emitted circuit) is: input, ladder
 ancillas in exponent order, merge ancillas, output = last written register.
 
 ``chain_batches`` streams a chain as column batches (see ``circuits``) for
-``synth --out`` and ``verify``. Uncompute blocks are generated backwards,
+``synth --out``. Uncompute blocks are generated backwards,
 stage by stage, so none is ever held in memory; ``inverter_batches`` is the
 inverter's stream and ``inverter_gates`` its flat view. ``chain_estimate``
 is the one measurement of every multiplying kind (``synth``, ``table``,
@@ -36,14 +36,17 @@ on its index columns, never placed on wires, with its Toffoli counter
 carried as one offset from the other. The result is exact, equal to
 layering every gate of ``chain_batches``, in memory proportional to the
 width. The ``Circuit`` synthesizers (``synth_gbb_mult`` and the rest) are
-each one materialized chain.
+each one materialized chain. ``chain_simulate`` is streamed ``verify``'s
+simulator: it applies a chain to a packed state block by block, each on
+windows of its registers, and leaves the state as ``run_packed`` over
+``chain_batches`` would.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import repeat
-from operator import add, sub
+from operator import add, and_, sub, xor
 from typing import Iterable, Iterator, Optional
 
 from .circuits import Batch, Circuit, Gate, ResourceEstimate, flat_gates, layer_batches
@@ -51,7 +54,9 @@ from .errors import DegreeTooSmall
 from .fields import (
     FieldSpec, GhostBit, Gnb, GnbParams, MultiplierBlock, Representation, addition_chain, gather,
 )
-from .multipliers import check_exponent, mult_batches, self_mult_batches, self_mult_wires
+from .multipliers import (
+    check_exponent, mult_batches, mult_wires, self_mult_batches, self_mult_wires, walk,
+)
 
 
 @dataclass(frozen=True)
@@ -130,6 +135,96 @@ def chain_batches(spec: FieldSpec, chain: BlockChain) -> Iterator[Batch]:
         yield from _block_batches(spec, block, reverse=True)
 
 
+def chain_simulate(spec: FieldSpec, chain: BlockChain, state: list[int]) -> list[int]:
+    """Apply a chain to a bit-sliced state in place (state[w] packs wire w
+    across all patterns), leaving every wire as ``run_packed`` over
+    ``chain_batches(spec, chain)`` leaves it, without placing a gate on
+    wires: each block runs on windows of its registers, from the spec's
+    index columns (self-power) or ``walk`` rotations (general). Each
+    block's register layout is checked at the call, by the placement the
+    wire cores use (``self_mult_wires``, ``mult_wires``).
+
+    Lemma. In every block, controls lie only in the source and operand
+    registers and targets only in the target register, and the register
+    rule keeps those registers disjoint. So no gate of a block writes a
+    wire any gate of it reads: gate i XORs a product p_i of source and
+    operand values, fixed for the whole block, into one target wire, and
+    XOR is commutative. The block maps target to target ^ Q(source,
+    operand), Q the XOR of its p_i onto their targets, in any gate order;
+    reversed, as ``chain_batches`` draws an uncompute block, it is the same
+    map. So an uncompute block runs through the forward routine, recomputed
+    from its source as it stands then. And since a gate reads and writes
+    only the wires it names, the block runs on copies of those wires'
+    values: the source window read through the source wires (and the
+    operand's through its read permutation), the target window through the
+    write permutation, so that index column x (and y) reads the source
+    window and output column c writes the target window at c, as
+    ``self_mult_batches`` places them on a[x] and tgt[c]. Writing the
+    target window back through the same wires gives each target wire its
+    value under the wire batches, and no other wire moves. (The target
+    window is taken out of the state, so that a register is never held
+    twice; its wires hold 0 until it is written back.)
+
+    A block's contribution is never kept from its forward run for its
+    uncompute: recomputing it from the current source is what makes a
+    wrong uncompute (a block dropped, or two swapped) leave an ancilla
+    nonzero.
+    """
+    for block in (*chain.forward, *chain.uncompute):
+        _simulate_block(spec, block, state)
+    return state
+
+
+def _simulate_block(spec: FieldSpec, block: MultiplierBlock, state: list[int]) -> None:
+    """One block of ``chain_simulate``: target ^= Q(source, operand), on
+    windows of the block's registers."""
+    w = spec.width
+    src, tgt = block.source_reg * w, block.target_reg * w
+    if block.kind == "self_power":
+        a, out = self_mult_wires(spec, block.r, src, tgt, block.squared_write)
+        source, target = list(gather(state, a)), _take(state, out)
+        for stage in spec.self_mult_stages(block.r):
+            for cls in stage.classes:
+                for x, y, c in cls:
+                    if y is None:
+                        for i, t in zip(x, c):
+                            target[t] ^= source[i]
+                    else:
+                        for i, j, t in zip(x, y, c):
+                            target[t] ^= source[i] & source[j]
+    else:
+        op = block.operand_reg * w
+        a, b, out = mult_wires(spec, src, op, tgt, block.operand_exponent, block.squared_write)
+        source, operand, target = gather(state, a), gather(state, b), _take(state, out)
+        # Gate j of a stage (sa, sb, c, step) multiplies source coefficient
+        # sa + j by operand coefficient sb + j into target coefficient
+        # c + step*j. With s the inverse of step mod w, target coefficient k
+        # takes j = s*(k - c), so source coefficient s*(k - c + step*sa):
+        # position k - c + step*sa of the source read at s*i for i = 0..w-1,
+        # a rotation of that window, and likewise for the operand.
+        idx = list(range(w))
+        strided = {}
+        for sa, sb, sc, step in spec.mult_stages():
+            if step not in strided:
+                order = walk(idx, 0, pow(step, -1, w))
+                strided[step] = list(gather(source, order)), list(gather(operand, order))
+            xs, ys = strided[step]
+            x, y = walk(xs, step * sa - sc), walk(ys, step * sb - sc)
+            target = list(map(xor, target, map(and_, x, y)))
+    for u, v in zip(out, target):
+        state[u] = v
+
+
+def _take(state: list[int], wires: list[int]) -> list[int]:
+    """The values on ``wires``, left as 0 in the state: a window then holds
+    its register's only copy (at 65,536 patterns, a register of the gnb 163
+    inverter is 1.3 MB)."""
+    window = list(gather(state, wires))
+    for u in wires:
+        state[u] = 0
+    return window
+
+
 def inverter_batches(spec: FieldSpec) -> Iterator[Batch]:
     """The inverter's ``chain_batches``."""
     return chain_batches(spec, inverter_structure(spec))
@@ -152,7 +247,7 @@ def layer_block(
     is drawn. Three shortcuts, each exact:
 
     (a) A general block in closed form once level. Each stage of
-    ``mult_batches`` is one Toffoli batch whose three columns are ``_walk``
+    ``mult_batches`` is one Toffoli batch whose three columns are ``walk``
     rotations of the a, b and c wire lists (the target step 2 of the
     ghost-bit product permutes too, as m+1 is odd): one gate on every wire
     of the three registers, and on no other wire. If before a stage

@@ -41,16 +41,19 @@ one-CNOT batch). ``fields.gather`` is the one translation from index
 columns to wire columns: one ``itemgetter`` call per column, in C, which
 still gives a sequence for a column of one gate. With ``reverse`` a core
 yields the inverse block: stages last-first, each stage's batches
-last-first, every list reversed. The batches go as they are to
-simulation (``run_packed``) and to the netlist writer, through the
-block chains of ``inverters``: ``inverters.kind_structure`` holds every
-multiplying kind's register map, a product or a self-power product being
-a chain of one block. Measurement (``inverters.layer_block``) draws the
+last-first, every list reversed. The batches go as they are to the
+netlist writer, through the block chains of ``inverters``:
+``inverters.kind_structure`` holds every multiplying kind's register map,
+a product or a self-power product being a chain of one block. Streamed
+simulation (``inverters.chain_simulate``) places no stage on wires: it
+runs each block on windows of the packed state, read through
+``self_mult_wires`` and ``mult_wires``, from the index columns and
+``walk`` rotations. Measurement (``inverters.layer_block``) draws the
 general batches block by block and stops once a block's layer counters are
 level, since every general stage is one gate on each of its wires; it
 places no self-power stage on wires at all, but layers the index columns
 of ``spec.self_mult_stages`` on the block's counters, read through
-``self_mult_wires``, the one placement both routes share.
+``self_mult_wires``, the one placement all three routes share.
 
 The cores check no gate on its own. Each block first checks its register
 layout with the register rule of ``circuits`` (non-negative, pairwise
@@ -85,7 +88,7 @@ def _targets(spec: FieldSpec, c0: int, square_write: bool) -> list[int]:
     return _wires(c0, spec.write_permutation if square_write else range(spec.width))
 
 
-def _walk(wires: list[int], start: int, step: int = 1) -> list[int]:
+def walk(wires: list[int], start: int, step: int = 1) -> list[int]:
     """wires[(start + step * j) % n] for j in 0..n-1, by slicing: position
     step * j of the rotation laid out step times is rotation[step * j % n]."""
     k = start % len(wires)
@@ -109,11 +112,7 @@ def mult_batches(
     stage is one depth-1 layer whose controls and targets are all distinct.
     The register layout is checked at the call. With ``reverse`` the
     inverse block: stages last-first, columns reversed."""
-    n = spec.width
-    validated_registers({"a": (a0, n), "b": (b0, n), "c": (c0, n)}, UNBOUNDED)  # the precondition
-    a = _wires(a0, range(n))
-    b = _wires(b0, spec.read_permutation(b_exp))
-    tgt = _targets(spec, c0, square_write)
+    a, b, tgt = mult_wires(spec, a0, b0, c0, b_exp, square_write)
     lower_first = a0 < b0  # the lower register's wire is the first control of every gate
     x, y = (a, b) if lower_first else (b, a)
 
@@ -121,9 +120,23 @@ def mult_batches(
         table = spec.mult_stages()
         for sa, sb, sc, step in reversed(table) if reverse else table:
             sx, sy = (sa, sb) if lower_first else (sb, sa)
-            yield from _stage([(_walk(x, sx), _walk(y, sy), _walk(tgt, sc, step))], reverse)
+            yield from _stage([(walk(x, sx), walk(y, sy), walk(tgt, sc, step))], reverse)
 
     return stages()
+
+
+def mult_wires(
+    spec: FieldSpec, a0: int, b0: int, c0: int, b_exp: int = 0, square_write: bool = False
+) -> tuple[list[int], list[int], list[int]]:
+    """Where a general block puts its stages: the wire of each coefficient
+    of a, of b^(2^b_exp) (b read through the read permutation) and of the
+    output (through the write permutation with ``square_write``). Checks
+    the block's precondition first, three disjoint registers, so every
+    route to the block (``mult_batches``, and ``inverters.chain_simulate``,
+    which runs the stages on windows of the state) refuses alike."""
+    n = spec.width
+    validated_registers({"a": (a0, n), "b": (b0, n), "c": (c0, n)}, UNBOUNDED)
+    return _wires(a0, range(n)), _wires(b0, spec.read_permutation(b_exp)), _targets(spec, c0, square_write)
 
 
 def self_mult_wires(
@@ -134,8 +147,8 @@ def self_mult_wires(
     write permutation with ``square_write``). Checks the block's
     precondition first, the exponent in 0..m and two disjoint registers, so
     every route to the block (``self_mult_batches``, and
-    ``inverters.layer_block``, which layers the index columns without
-    placing them) refuses alike."""
+    ``inverters.layer_block`` and ``inverters.chain_simulate``, which run
+    the index columns without placing them) refuses alike."""
     check_exponent(r, spec.m)
     n = spec.width
     validated_registers({"a": (a0, n), "c": (c0, n)}, UNBOUNDED)

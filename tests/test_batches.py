@@ -35,6 +35,9 @@ from gf2synth.fields import (
     make_gnb_params,
 )
 from gf2synth.inverters import (
+    BlockChain,
+    chain_batches,
+    chain_simulate,
     check_bounds,
     inverter_batches,
     inverter_estimate,
@@ -446,3 +449,75 @@ def test_inverter_stream_is_forward_then_reversed_uncompute(spec):
     pairs = zip_longest(inverter_gates(spec), expected(), fillvalue=None)
     for i, (got, want) in enumerate(pairs):
         assert got == want, (i, got, want)
+
+
+@pytest.mark.parametrize("spec", [*small_specs(), FieldSpec.gnb(163)], ids=spec_id)
+def test_chain_simulate_leaves_the_state_run_packed_leaves(spec):
+    """``chain_simulate`` runs each block on windows of its registers (the
+    lemma in its docstring); the whole packed state must end as
+    ``run_packed`` over the chain's wire batches leaves it, for mult,
+    selfmult at every exponent and invert. The states are random on every
+    wire, so that outputs and ancillas start nonzero and XOR-accumulation is
+    checked, and as ``verify`` packs them, the inputs alone; gnb 163 runs
+    at 64 patterns, without the selfmult sweep."""
+    rng = random.Random(31)
+    kinds = [("mult", None), ("invert", None)]
+    kinds += [("selfmult", r) for r in (range(spec.m + 1) if spec.m < 163 else ())]
+    for kind, r in kinds:
+        chain = inverters.kind_structure(spec, kind, r)
+        n_inputs = sum(n for name, (_, n) in chain.registers.items() if name.startswith("input"))
+        everywhere = [rng.getrandbits(64) for _ in range(chain.width)]
+        inputs_only = everywhere[:n_inputs] + [0] * (chain.width - n_inputs)
+        for state in (everywhere, inputs_only):
+            got = list(state)
+            assert chain_simulate(spec, chain, got) is got
+            assert got == run_packed(chain_batches(spec, chain), list(state)), (spec.m, spec.t, kind, r)
+
+
+@pytest.mark.parametrize("spec", [*small_specs(), FieldSpec.gnb(163)], ids=spec_id)
+def test_single_blocks_simulate_on_windows_like_their_wire_batches(spec):
+    """One block at a time, on a random state of three registers: every
+    self-power exponents 0, 1, 2, m/2 and m (0 and m square in the ghost-bit
+    basis) and general operand exponents 0, 1 and m - 1, with and without
+    the squared write, the source below and above the target (and the
+    operand); the register the block leaves alone keeps its values."""
+    rng = random.Random(32)
+    w = spec.width
+    exponents = sorted({0, 1, 2, spec.m // 2, spec.m})
+    blocks = [
+        MultiplierBlock("self_power", src, tgt, r=r, squared_write=squared)
+        for r in exponents
+        for squared in (False, True)
+        for src, tgt in ((0, 1), (2, 0))
+    ]
+    blocks += [
+        MultiplierBlock("general", src, tgt, operand_reg=op, operand_exponent=e, squared_write=squared)
+        for e in (0, 1, spec.m - 1)
+        for squared in (False, True)
+        for src, op, tgt in ((0, 1, 2), (2, 0, 1), (1, 2, 0))
+    ]
+    for block in blocks:
+        chain = BlockChain(3 * w, {}, (block,))
+        state = [rng.getrandbits(64) for _ in range(3 * w)]
+        got = chain_simulate(spec, chain, list(state))
+        assert got == run_packed(chain_batches(spec, chain), list(state)), (spec.m, spec.t, block)
+
+
+@pytest.mark.parametrize("spec", [FieldSpec.ghost_bit(4), FieldSpec.gnb(5)], ids=spec_id)
+def test_chain_simulate_refuses_what_the_wire_cores_refuse(spec):
+    """The window route checks each block's precondition at the call, with
+    the placement the cores use: overlapping registers and an exponent
+    outside 0..m are refused alike, and no wire moves."""
+    w = spec.width
+    for block, core in (
+        (MultiplierBlock("self_power", 1, 1, r=1), lambda: self_mult_batches(spec, 1, w, w)),
+        (MultiplierBlock("self_power", 0, 1, r=spec.m + 1), lambda: self_mult_batches(spec, spec.m + 1, 0, w)),
+        (MultiplierBlock("general", 0, 1, operand_reg=1), lambda: mult_batches(spec, 0, w, w)),
+    ):
+        state = list(range(3 * w))
+        with pytest.raises(ValueError) as refused:
+            chain_simulate(spec, BlockChain(3 * w, {}, (block,)), state)
+        with pytest.raises(ValueError) as expected:
+            core()
+        assert (type(refused.value), str(refused.value)) == (type(expected.value), str(expected.value))
+        assert state == list(range(3 * w))

@@ -591,6 +591,39 @@ def test_verify_random_cap(capsys):
     assert (result.passed, result.tested) == (True, 1 << 10)
 
 
+class _Packed(Exception):
+    """Raised in place of packing: the run got past every refusal."""
+
+
+def test_verify_budget_refuses_before_drawing_a_pattern(capsys, monkeypatch):
+    # samples x gate_bound above MAX_GATE_PATTERNS is refused before any
+    # pattern is drawn or packed; the 65,536-sample baseline run at
+    # gnb 163 is under it and gets as far as packing
+    def no_patterns(*args):
+        raise AssertionError("patterns were drawn or packed")
+
+    def packed(*args):
+        raise _Packed
+
+    gnb409, gnb163 = FieldSpec.gnb(409), FieldSpec.gnb(163)
+    assert (1 << 20) * cli.gate_bound(gnb409, "invert") > cli.MAX_GATE_PATTERNS
+    assert 65536 * cli.gate_bound(gnb163, "invert") <= cli.MAX_GATE_PATTERNS
+    monkeypatch.setattr(cli, "_pack_patterns", no_patterns)
+    monkeypatch.setattr(cli.random, "Random", no_patterns)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "invert", "-m", "409", "--rep", "gnb", "--random", "1048576")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: verifying invert at m=409 (gnb) would simulate 15426366996480 gate-patterns,"
+        f" above the verification budget of {cli.MAX_GATE_PATTERNS}\n"
+    )
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "_pack_patterns", packed)
+    with pytest.raises(_Packed):
+        verify_kind(gnb163, "invert", mode="random", samples=65536)
+
+
 def test_verify_gbb_invert_feeds_ghost_bit(capsys, tmp_path):
     """A gate that only fires when the input's ghost wire is 1 must be caught."""
     path = tmp_path / "inv.qc"
@@ -660,6 +693,106 @@ def test_verify_batches_and_flat_gates_agree(spec, phase):
     )
     assert as_batches == as_runs
     assert as_batches.passed == (phase is None)
+
+
+STREAMED_SPECS = [FieldSpec.ghost_bit(10), FieldSpec.gnb(11)]
+
+
+def _move_one_output_index(monkeypatch, spec):
+    """Patch the spec class's ``self_mult_stages`` so that the first index
+    batch of the first color class of the first stage writes its first
+    product one output coefficient further on."""
+    original = type(spec).self_mult_stages
+
+    def moved(self, r, reverse=False):
+        stage, *rest = original(self, r, reverse)
+        (first, *batches), *classes = stage.classes
+        x, y, c = first
+        first = (x, y, ((c[0] + 1) % self.width, *c[1:]))
+        return iter([stage._replace(classes=((first, *batches), *classes)), *rest])
+
+    monkeypatch.setattr(type(spec), "self_mult_stages", moved)
+
+
+@pytest.mark.parametrize("spec", STREAMED_SPECS, ids=lambda spec: f"{spec.representation.value}{spec.m}")
+@pytest.mark.parametrize("kind, r", [("selfmult", 3), ("invert", None)])
+def test_streamed_verify_fails_a_moved_output_index(spec, kind, r, monkeypatch):
+    """Streamed verify runs the self-power blocks on the spec's index
+    columns as they are, so one output index moved in one color class
+    fails it (every input is checked at these degrees)."""
+    assert verify_kind(spec, kind, r=r).passed
+    _move_one_output_index(monkeypatch, spec)
+    result = verify_kind(spec, kind, r=r)
+    assert (result.passed, result.mode) == (False, "exhaustive")
+
+
+@pytest.mark.parametrize("rep, m", [("gbb", "10"), ("gnb", "11")])
+@pytest.mark.parametrize(
+    "wrong",
+    [
+        lambda blocks: blocks[1:],  # the first uncompute block dropped
+        lambda blocks: (*blocks[:-2], blocks[-1], blocks[-2]),  # the last two swapped
+    ],
+    ids=["dropped", "swapped"],
+)
+def test_streamed_verify_fails_a_wrong_uncompute(rep, m, wrong, capsys, monkeypatch):
+    """Each uncompute block is recomputed from its source as it stands, so
+    an uncompute chain with a block dropped or two dependent blocks
+    swapped leaves an ancilla nonzero. (A simulator that kept each block's
+    forward contribution and XORed it back would pass the swap.)"""
+    right = inverters.BlockChain.uncompute
+    monkeypatch.setattr(inverters.BlockChain, "uncompute", property(lambda c: wrong(right.fget(c))))
+    code, out, _ = run(capsys, "verify", "invert", "-m", m, "--rep", rep)
+    assert code == 1
+    assert "result=fail\ncounterexample=ancilla wire " in out
+    assert out.endswith(" not returned to zero\n")
+
+
+@pytest.mark.parametrize("kind, r", [("mult", None), ("selfmult", "3"), ("invert", None)])
+@pytest.mark.parametrize("rep, m", [("gbb", "10"), ("gnb", "11")])
+def test_streamed_verify_places_no_gate_on_wires(rep, m, kind, r, capsys, monkeypatch):
+    # every stage of either wire core goes through multipliers._stage as it
+    # is drawn; streamed verify runs each block on windows of its registers
+    # and draws none, nor hands anything to run_packed
+    drawn = []
+    stage = multipliers._stage
+
+    def recorded(batches, reverse):
+        drawn.append(batches)
+        return stage(batches, reverse)
+
+    def no_wire_path(*args):
+        raise AssertionError("run_packed was called")
+
+    monkeypatch.setattr(multipliers, "_stage", recorded)
+    monkeypatch.setattr(cli, "run_packed", no_wire_path)
+    argv = ["verify", kind, "-m", m, "--rep", rep] + (["-r", r] if r else [])
+    code, out, _ = run(capsys, *argv)
+    assert (code, drawn) == (0, [])
+    assert "result=pass" in out
+
+
+@pytest.mark.parametrize("spec", STREAMED_SPECS, ids=lambda spec: f"{spec.representation.value}{spec.m}")
+def test_verify_of_a_given_netlist_runs_the_wire_path(spec, monkeypatch):
+    """A netlist handed in (the ``--in`` route) is simulated gate by gate by
+    ``run_packed``, never by the window route, so the uncompute tamper fails
+    there."""
+    simulated = []
+    run_packed = cli.run_packed
+
+    def recorded(batches, state):
+        simulated.append(len(state))
+        return run_packed(batches, state)
+
+    def no_windows(*args):
+        raise AssertionError("the window route ran")
+
+    monkeypatch.setattr(cli, "run_packed", recorded)
+    monkeypatch.setattr(cli, "chain_simulate", no_windows)
+    s, batches = _inverter_stream(spec, "uncompute")
+    result = verify_kind(spec, "invert", netlist=Netlist(s.width, s.registers, iter(batches)))
+    assert not result.passed
+    assert simulated == [s.width]
 
 
 def tamper(path):

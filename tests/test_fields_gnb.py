@@ -17,6 +17,7 @@ from gf2synth.errors import (
 )
 from gf2synth.fields import (
     FieldSpec,
+    Gnb,
     GnbParams,
     find_gnb_type,
     gnb_frobenius,
@@ -217,6 +218,29 @@ def test_dropped_stage_fails_verification_m163(monkeypatch):
         fields, "gnb_stage_bases", lambda params, shift=0: original(params, shift)[1:]
     )
     assert not verify_kind(FieldSpec.gnb(163), "mult").passed
+
+
+@pytest.mark.parametrize("m, t", [(163, None), (5, 2), (233, 2)])
+def test_a_spec_builds_its_index_table_once(monkeypatch, m, t):
+    # make_gnb_params builds and checks the table; Gnb takes those params
+    # without rebuilding it, and still checks any other params it is handed
+    builds = []
+    original = fields._build_f_table
+
+    def counted(*args):
+        builds.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(fields, "_build_f_table", counted)
+    spec = FieldSpec.gnb(m, t=t)
+    assert len(builds) == 1
+    params = replace(spec.gnb_params)  # an equal copy is as valid
+    assert Gnb(params).gnb_params == spec.gnb_params and len(builds) == 1
+    table = list(params.f_table)
+    table[1], table[2] = table[2], table[1]
+    with pytest.raises(InvalidParams, match="index table"):
+        Gnb(replace(params, f_table=tuple(table)))
+    assert len(builds) == 2
 
 
 def test_isomorphism_verifier_rejects_corrupt_table():
