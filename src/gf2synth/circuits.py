@@ -148,17 +148,9 @@ def batch_passes(batch: Batch, width: Union[int, float]) -> bool:
     distinct, Toffoli controls already lower-first). False says only that
     some gate does not; the gate rule decides which one, and how."""
     a, b, t = batch
-    if not t:
-        return True
-    if b is None:
-        top = a
-    elif all(map(lt, a, b)):
-        top = b  # every a is below its b, so max(a) < max(b): a needs no max
-    else:
-        return False
-    return (
-        min(a) >= 0 and min(t) >= 0 and max(top) < width and max(t) < width
-        and _targets_apart(batch)
+    top = a if b is None else b  # once every a is below its b, max(a) < max(b)
+    return not t or (
+        _shape_passes(batch) and min(a) >= 0 and min(t) >= 0 and max(top) < width and max(t) < width
     )
 
 
@@ -166,14 +158,8 @@ def _shape_passes(batch: Batch) -> bool:
     """The part of ``batch_passes`` that needs no width: the wires of each
     gate are distinct and Toffoli controls come lower-first (so a control b
     is never below 0 when its a is not)."""
-    a, b, _ = batch
-    return (b is None or all(map(lt, a, b))) and _targets_apart(batch)
-
-
-def _targets_apart(batch: Batch) -> bool:
-    """Every gate's target differs from its controls."""
     a, b, t = batch
-    return all(map(ne, a, t)) and (b is None or all(map(ne, b, t)))
+    return (b is None or all(map(lt, a, b)) and all(map(ne, b, t))) and all(map(ne, a, t))
 
 
 def validated_batches(batches: Iterable[Batch], width: Union[int, float]) -> Iterator[Batch]:

@@ -23,7 +23,8 @@ Commands
   batches as ``read_netlist`` streams them, and without it the add
   batches ``synth_circuit`` gives; every other kind is a block chain, which
   ``inverters.chain_simulate`` runs block by block on windows of the
-  packed state, from the spec's index columns, leaving the state as
+  packed state (a self-power block as ``run_packed`` over the spec's index
+  columns, which address its window as they stand), leaving the state as
   ``run_packed`` over the stream ``synth`` writes would.
 * ``table``: measured depth/gates next to the closed-form bounds for a list
   of degrees, plus the asymptotic comparison against a polynomial basis.
@@ -51,7 +52,8 @@ parameter search is run. ``synth``, ``verify`` and ``table`` refuse a kind
 whose closed-form gate count (``gate_bound``) is above ``MAX_GATES``, the
 generation budget, before any stage is drawn. ``verify`` also refuses a run
 whose pattern count times ``gate_bound`` is above ``MAX_GATE_PATTERNS``, the
-verification budget, before any pattern is drawn.
+verification budget, or whose pattern count times input bits is above
+``MAX_PATTERN_BITS``, the pattern budget, before any pattern is drawn.
 
 Exit codes: 0 success / verification passed, 1 verification failed,
 2 domain error (unsupported degree, bad parameters, bad usage) or out of
@@ -117,6 +119,14 @@ MAX_GATES = 100_000_000
 # pattern is drawn or packed: the gnb 409 inverter on 2^20 samples, 1.54e13,
 # would be about 7 minutes on a 613 MiB packed state.
 MAX_GATE_PATTERNS = 10**12
+
+# The pattern budget: the largest count of patterns times input bits that
+# ``verify`` draws and packs, whatever the gate count. Drawing and packing
+# cost about 1.2 bytes and 25 ns per input bit: ``verify add -m 9973 --rep
+# gnb`` (19,946 input bits) at the cap, 5,013 samples, took 2.0-2.6 s and
+# 140 MB peak RSS on a 2-vCPU x86 host, where 2^20 samples would need about
+# 24 GB. The gnb 163 inverter on 65,536 samples is 1.07e7 input bits.
+MAX_PATTERN_BITS = 10**8
 
 KINDS = ("add", "mult", "selfmult", "invert")
 MODES = ("auto", "exhaustive", "random")
@@ -245,8 +255,8 @@ def verify_kind(
     ghost-bit representative (product-equals-identity). ``mode`` is auto,
     exhaustive or random; random mode draws 1 to 2^20 samples, the
     exhaustive cap, from a non-negative seed. A run whose pattern count
-    times ``gate_bound`` is above MAX_GATE_PATTERNS is refused before a
-    pattern is drawn.
+    times ``gate_bound`` is above MAX_GATE_PATTERNS, or times the input
+    bits above MAX_PATTERN_BITS, is refused before a pattern is drawn.
 
     All patterns are packed, simulated in one bit-sliced pass and checked
     at once. The pass is ``run_packed`` over the netlist's batches, or over
@@ -280,11 +290,18 @@ def verify_kind(
         raise ValueError(
             f"exhaustive mode needs 2^{nbits} simulated inputs; the cap is 2^20"
         )
-    cost = (samples if mode == "random" else 1 << nbits) * gate_bound(spec, kind)
+    drawn = samples if mode == "random" else 1 << nbits
+    what = f"verifying {kind} at m={spec.m} ({spec.representation.value}) would"
+    cost = drawn * gate_bound(spec, kind)
     if cost > MAX_GATE_PATTERNS:
         raise ValueError(
-            f"verifying {kind} at m={spec.m} ({spec.representation.value}) would simulate"
-            f" {cost} gate-patterns, above the verification budget of {MAX_GATE_PATTERNS}"
+            f"{what} simulate {cost} gate-patterns,"
+            f" above the verification budget of {MAX_GATE_PATTERNS}"
+        )
+    if drawn * nbits > MAX_PATTERN_BITS:
+        raise ValueError(
+            f"{what} draw and pack {drawn * nbits} input bits,"
+            f" above the pattern budget of {MAX_PATTERN_BITS}"
         )
     if mode == "random":
         if seed < 0:

@@ -31,7 +31,10 @@ places on wires as column batches) and the closed-form bounds
 (``inverter_bounds``). Everything else is shared. ``self_mult_stages(r)``
 is the one description of a self-power multiplier's stages: each
 ``SelfPowerStage`` carries its label, index delta (normal basis) and color
-classes as index columns, and nothing rebuilds it from gates.
+classes as index columns, and nothing rebuilds it from gates. The columns
+address the block's window of 2w wires: x and y index source coefficients
+0..w-1, and c is w + the output coefficient, so every consumer reads them
+as they stand.
 
 Each spec also has the oracles' packed (bit-sliced) forms, which check a
 whole batch of patterns at once in the simulator's layout: a packed element
@@ -515,9 +518,10 @@ class Representation(enum.Enum):
     GNB = "gnb"
 
 
-# A run of index gates as equal-length columns (x, y, c): Toffolis on input
-# coefficients x[i] < y[i] into output coefficient c[i], or CNOTs from x[i]
-# into c[i] when y is None.
+# A run of index gates as equal-length columns (x, y, c) on a self-power
+# block's window of 2w wires, the source's coefficients 0..w-1 and then the
+# output's: Toffolis on input coefficients x[i] < y[i] into window index c[i]
+# = w + output coefficient, or CNOTs from x[i] into c[i] when y is None.
 IndexBatch = tuple[Sequence[int], Optional[Sequence[int]], Sequence[int]]
 
 
@@ -677,16 +681,17 @@ class GhostBit(FieldSpec):
         2^r sigma, the second sigma - j + 2^r j = (2^r - 1) j + sigma: both
         affine in j mod n. So each column is the block's table ((1-2^r) j)
         % n, or ((2^r-1) j) % n, sliced at the two ranges of x and read
-        through range(n) rotated by 2^r sigma, or by sigma.
+        through the window's output half range(n, 2n) rotated by 2^r sigma,
+        or by sigma.
         """
         n = self.width
         p2r = pow(2, r, n)
+        ring = [*range(n, 2 * n)] * 2  # ring[s:s + n] is the output half rotated by s
         if p2r == 1:
-            layer = (list(range(n)), None, [2 * i % n for i in range(n)])
+            layer = (list(range(n)), None, ring[::2])  # ring[2i] = n + 2i mod n
             yield SelfPowerStage("squaring", "cnot", None, ((layer,),))
             return
         inv2 = pow(2, -1, n)
-        ring = [*range(n), *range(n)]  # ring[s:s + n] is range(n) rotated by s
         first_table = [(1 - p2r) * j % n for j in range(n)]
         second_table = [(p2r - 1) * j % n for j in range(n)]
         for sigma in range(n - 1, -1, -1) if reverse else range(n):
@@ -698,7 +703,7 @@ class GhostBit(FieldSpec):
             second_c = gather(ring[sigma:sigma + n], second_table[:low] + second_table[sigma + 1:high])
             jstar = sigma * inv2 % n
             first = (x, y, first_c)
-            fixed = ([jstar], None, [jstar * (1 + p2r) % n])
+            fixed = ([jstar], None, [ring[jstar * (1 + p2r) % n]])
             second = (x, y, second_c)
             yield SelfPowerStage(f"sigma={sigma}", "toffoli", None, ((first, fixed), (second,)))
 
@@ -774,6 +779,7 @@ class Gnb(FieldSpec):
         self.identity = (1 << m) - 1
         self._idx = list(range(m))  # index columns hold these int objects
         self._ring = self._idx * 2  # _ring[s:s + m] is _idx rotated by s
+        self._out_ring = [*range(m, 2 * m)] * 2  # the same for the output half of a window
         self._colorings: dict[int, Coloring] = {}
 
     def mult(self, a: int, b: int) -> int:
@@ -814,24 +820,25 @@ class Gnb(FieldSpec):
         stage first with ``reverse``.
 
         A stage's products pair coefficient f with f + delta for every f, into
-        output coefficient f - first. A zero delta (mod m) collapses each
-        product to a single coefficient: a layer of CNOTs. Otherwise the
-        pairs are the edges of the shift-by-delta cycles on Z_m, colored by
-        ``_coset_colors``; that coloring depends on delta mod m only, so it is
-        kept per delta while colorings * m < _COLORING_CACHE (three m-long
-        columns each, so at most about 3 * 2^18 index entries per basis).
+        output coefficient f - first (window index m + (f - first) mod m).
+        A zero delta (mod m) collapses each product to a single coefficient:
+        a layer of CNOTs. Otherwise the pairs are the edges of the
+        shift-by-delta cycles on Z_m, colored by ``_coset_colors``; that
+        coloring depends on delta mod m only, so it is kept per delta while
+        colorings * m < _COLORING_CACHE (three m-long columns each, so at
+        most about 3 * 2^18 index entries per basis).
         Each color's output column is its f column read through out[f] =
-        (f - first) mod m by ``gather``.
+        m + (f - first) mod m by ``gather``.
         """
         m = self.m
-        idx, ring = self._idx, self._ring
+        idx, ring, out_ring = self._idx, self._ring, self._out_ring
         bases = gnb_stage_bases(self.gnb_params, r)
         for label, fa, fb in reversed(bases) if reverse else bases:
             delta = fb - fa
             d = delta % m
             k = fa % m
             if d == 0:
-                layer = (ring[k:k + m], None, idx)
+                layer = (ring[k:k + m], None, out_ring[:m])  # f + k into m + f
                 yield SelfPowerStage(label, "cnot", delta, ((layer,),))
                 continue
             colors = self._colorings.get(d)
@@ -839,7 +846,7 @@ class Gnb(FieldSpec):
                 colors = _coset_colors(idx, d)
                 if len(self._colorings) * m < _COLORING_CACHE:
                     self._colorings[d] = colors
-            out = ring[m - k:2 * m - k]  # out[f] = (f - fa) mod m
+            out = out_ring[m - k:2 * m - k]  # out[f] = m + (f - fa) mod m
             classes = tuple(((x, y, gather(out, f)),) for x, y, f in colors)
             yield SelfPowerStage(label, "toffoli", delta, classes)
 

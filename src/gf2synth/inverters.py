@@ -38,7 +38,8 @@ layering every gate of ``chain_batches``, in memory proportional to the
 width. The ``Circuit`` synthesizers (``synth_gbb_mult`` and the rest) are
 each one materialized chain. ``chain_simulate`` is streamed ``verify``'s
 simulator: it applies a chain to a packed state block by block, each on
-windows of its registers, and leaves the state as ``run_packed`` over
+windows of its registers (a self-power block is ``run_packed`` over its
+index columns on its window), and leaves the state as ``run_packed`` over
 ``chain_batches`` would.
 """
 
@@ -49,7 +50,7 @@ from itertools import repeat
 from operator import add, and_, sub, xor
 from typing import Iterable, Iterator, Optional
 
-from .circuits import Batch, Circuit, Gate, ResourceEstimate, flat_gates, layer_batches
+from .circuits import Batch, Circuit, Gate, ResourceEstimate, flat_gates, layer_batches, run_packed
 from .errors import DegreeTooSmall
 from .fields import (
     FieldSpec, GhostBit, Gnb, GnbParams, MultiplierBlock, Representation, addition_chain, gather,
@@ -155,15 +156,14 @@ def chain_simulate(spec: FieldSpec, chain: BlockChain, state: list[int]) -> list
     map. So an uncompute block runs through the forward routine, recomputed
     from its source as it stands then. And since a gate reads and writes
     only the wires it names, the block runs on copies of those wires'
-    values: the source window read through the source wires (and the
-    operand's through its read permutation), the target window through the
-    write permutation, so that index column x (and y) reads the source
-    window and output column c writes the target window at c, as
-    ``self_mult_batches`` places them on a[x] and tgt[c]. Writing the
-    target window back through the same wires gives each target wire its
-    value under the wire batches, and no other wire moves. (The target
-    window is taken out of the state, so that a register is never held
-    twice; its wires hold 0 until it is written back.)
+    values, read through the wires the cores place it on: a self-power
+    block's window (``self_mult_wires``), on which ``run_packed`` runs its
+    index columns as they stand, and a general block's source, operand and
+    target windows (``mult_wires``). Writing the target window back
+    through the same wires gives each target wire its value under the wire
+    batches, and no other wire moves. (The target window is taken out of
+    the state, so that a register is never held twice; its wires hold 0
+    until it is written back.)
 
     A block's contribution is never kept from its forward run for its
     uncompute: recomputing it from the current source is what makes a
@@ -181,17 +181,11 @@ def _simulate_block(spec: FieldSpec, block: MultiplierBlock, state: list[int]) -
     w = spec.width
     src, tgt = block.source_reg * w, block.target_reg * w
     if block.kind == "self_power":
-        a, out = self_mult_wires(spec, block.r, src, tgt, block.squared_write)
-        source, target = list(gather(state, a)), _take(state, out)
-        for stage in spec.self_mult_stages(block.r):
-            for cls in stage.classes:
-                for x, y, c in cls:
-                    if y is None:
-                        for i, t in zip(x, c):
-                            target[t] ^= source[i]
-                    else:
-                        for i, j, t in zip(x, y, c):
-                            target[t] ^= source[i] & source[j]
+        wires = self_mult_wires(spec, block.r, src, tgt, block.squared_write)
+        out = wires[w:]
+        window = [*gather(state, wires[:w]), *_take(state, out)]
+        stages = spec.self_mult_stages(block.r)
+        target = run_packed((batch for st in stages for cls in st.classes for batch in cls), window)[w:]
     else:
         op = block.operand_reg * w
         a, b, out = mult_wires(spec, src, op, tgt, block.operand_exponent, block.squared_write)
@@ -276,27 +270,22 @@ def layer_block(
     touches, layer the relabeled stream on counters read through the map,
     and write them back through it, and every counter ends as layering the
     stream itself leaves it, while the counters of the wires it misses
-    never move. ``self_mult_batches`` places index column x (and y) on
-    a[x] and output column c on tgt[c], with a the source register's wires
-    and tgt the target's through the write permutation; the 2w wires a +
-    tgt are distinct, as the registers are disjoint. So the block is
-    layered on a window of 2w counters, the source's and then the
-    target's read through tgt, fed ``spec.self_mult_stages(r)`` as it is:
-    x and y index the window's first half, and c, shifted by w into the
-    second half by one ``gather``, is the only column translated. Lemma
-    (b) holds on the window unchanged, since the window is exactly the
-    wires of the block's registers.
+    never move. ``self_mult_batches`` places every index column on the
+    block's window (``self_mult_wires``: the source's wires, then the
+    target's through the write permutation), 2w wires that are distinct as
+    the registers are disjoint. So the block is layered on the window's
+    counters, fed ``spec.self_mult_stages(r)`` as it is. Lemma (b) holds on
+    the window unchanged, since the window is exactly the wires of the
+    block's registers.
     """
     w = spec.width
     src = block.source_reg * w
     tgt = block.target_reg * w
     if block.kind == "self_power":
-        a, out = self_mult_wires(spec, block.r, src, tgt, block.squared_write)
-        wires = a + out  # the window, lemma (c)
+        wires = self_mult_wires(spec, block.r, src, tgt, block.squared_write)  # lemma (c)
         window, tof_window = list(gather(ready, wires)), list(gather(tof_ready, wires))
-        upper = list(range(w, 2 * w))  # output coefficient c sits at window index w + c
-        index_stages = spec.self_mult_stages(block.r)
-        batches = ((x, y, gather(upper, c)) for st in index_stages for cls in st.classes for x, y, c in cls)
+        stages = spec.self_mult_stages(block.r)
+        batches = (batch for st in stages for cls in st.classes for batch in cls)
         counts = _layer_self_power(batches, window, tof_window)
         for u, v, t in zip(wires, window, tof_window):
             ready[u], tof_ready[u] = v, t
@@ -336,19 +325,14 @@ def _layer_self_power(
 
     While ready - tof_ready is level, Toffoli batches are layered on
     ``ready`` alone. A CNOT moves ready alone, so tof_ready is written back
-    before a CNOT batch, and the batches after it are layered in full until
-    the difference is found level again; it is written back at the end too,
-    before the caller reads either list. When to look is decided from the
-    stream, not from the representation: the difference is tested at the
-    start, then at most once per window of gates layered in full, and
-    never again once CNOT batches come more often than once per window,
-    after one of grace (every ghost-bit stage holds a one-gate CNOT;
-    normal-basis CNOT stages are rare).
+    before a CNOT batch, and the batches after it are layered in full; the
+    difference is tested at the start and then once per window of gates
+    layered in full. tof_ready is written back at the end too, before the
+    caller reads either list.
     """
     n = len(ready)
-    n_tof = n_cnot = gates = cnot_batches = unchecked = 0
+    n_tof = n_cnot = unchecked = 0
     offset = _offset(ready, tof_ready)
-    hopeful = True
     for batch in batches:
         ca, cb, ct = batch
         if cb is not None and offset is not None:
@@ -360,20 +344,15 @@ def _layer_self_power(
                     layer = ready[t]
                 ready[a] = ready[b] = ready[t] = layer + 1
             n_tof += len(ct)
-            gates += len(ct)
             continue
-        if cb is None:
-            if offset is not None:
-                tof_ready[:] = map(sub, ready, repeat(offset))
-                offset = None
-            cnot_batches += 1
-            hopeful = hopeful and cnot_batches <= 1 + gates // n
+        if cb is None and offset is not None:
+            tof_ready[:] = map(sub, ready, repeat(offset))
+            offset = None
         tof, cnot = layer_batches((batch,), ready, tof_ready)
         n_tof += tof
         n_cnot += cnot
-        gates += len(ct)
         unchecked += len(ct)
-        if hopeful and unchecked >= n:
+        if unchecked >= n:
             unchecked = 0
             offset = _offset(ready, tof_ready)
     if offset is not None:

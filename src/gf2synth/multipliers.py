@@ -37,9 +37,12 @@ The cores (``mult_batches``, ``self_mult_batches``) produce column batches
 Toffoli batch whose wire lists are rotations of the registers' wire lists,
 and a self-power color class is the spec's index columns mapped
 onto wires (the ghost-bit first class is a Toffoli batch followed by a
-one-CNOT batch). ``fields.gather`` is the one translation from index
-columns to wire columns: one ``itemgetter`` call per column, in C, which
-still gives a sequence for a column of one gate. With ``reverse`` a core
+one-CNOT batch). The index columns address the block's window
+(``self_mult_wires``): the source wires, then the target wires through the
+write permutation, so all three columns are gathered through one list.
+``fields.gather`` is the one translation from index columns to wire
+columns: one ``itemgetter`` call per column, in C, which still gives a
+sequence for a column of one gate. With ``reverse`` a core
 yields the inverse block: stages last-first, each stage's batches
 last-first, every list reversed. The batches go as they are to the
 netlist writer, through the block chains of ``inverters``:
@@ -52,8 +55,8 @@ runs each block on windows of the packed state, read through
 general batches block by block and stops once a block's layer counters are
 level, since every general stage is one gate on each of its wires; it
 places no self-power stage on wires at all, but layers the index columns
-of ``spec.self_mult_stages`` on the block's counters, read through
-``self_mult_wires``, the one placement all three routes share.
+of ``spec.self_mult_stages`` as they stand on the window's counters, read
+through ``self_mult_wires``, the one placement all three routes share.
 
 The cores check no gate on its own. Each block first checks its register
 layout with the register rule of ``circuits`` (non-negative, pairwise
@@ -141,18 +144,18 @@ def mult_wires(
 
 def self_mult_wires(
     spec: FieldSpec, r: int, a0: int, c0: int, square_write: bool = False
-) -> tuple[list[int], list[int]]:
-    """Where a self-power block puts its index columns: the wire of each
-    input coefficient, and the output wire of each coefficient (through the
-    write permutation with ``square_write``). Checks the block's
-    precondition first, the exponent in 0..m and two disjoint registers, so
-    every route to the block (``self_mult_batches``, and
+) -> list[int]:
+    """The block's window, the wires its index columns address: the wire
+    of each input coefficient, then the output wire of each coefficient
+    (through the write permutation with ``square_write``). Checks the
+    block's precondition first, the exponent in 0..m and two disjoint
+    registers, so every route to the block (``self_mult_batches``, and
     ``inverters.layer_block`` and ``inverters.chain_simulate``, which run
     the index columns without placing them) refuses alike."""
     check_exponent(r, spec.m)
     n = spec.width
     validated_registers({"a": (a0, n), "c": (c0, n)}, UNBOUNDED)
-    return _wires(a0, range(n)), _targets(spec, c0, square_write)
+    return _wires(a0, range(n)) + _targets(spec, c0, square_write)
 
 
 def self_mult_batches(
@@ -162,14 +165,14 @@ def self_mult_batches(
     class, one batch per run of one gate kind. The exponent must lie in
     0..m, checked at the call. With ``reverse`` the inverse block: stages
     last-first, each stage's batches last-first, columns reversed."""
-    a, tgt = self_mult_wires(spec, r, a0, c0, square_write)
-    # Index Toffolis name their controls lower-first and the wires of a
+    window = self_mult_wires(spec, r, a0, c0, square_write)
+    # Index Toffolis name their controls lower-first and the source wires
     # increase, so the wire controls are lower-first too.
 
     def stages() -> Iterator[Batch]:
         for stage in spec.self_mult_stages(r, reverse):
             batches = [
-                (gather(a, x), None if y is None else gather(a, y), gather(tgt, c))
+                (gather(window, x), None if y is None else gather(window, y), gather(window, c))
                 for cls in stage.classes
                 for x, y, c in cls
             ]

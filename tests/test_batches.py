@@ -134,6 +134,20 @@ def spec_id(spec):
     return f"{spec.representation.value}{spec.m}" + (f"t{spec.t}" if spec.t else "")
 
 
+@pytest.mark.parametrize("spec", list(small_specs()), ids=spec_id)
+def test_self_power_columns_address_the_block_window(spec):
+    """x and y index source coefficients 0..w-1 and c is w + the output
+    coefficient, for every r and both directions: the columns index the
+    block's window, which every consumer reads them through untranslated."""
+    w = spec.width
+    for r in range(spec.m + 1):
+        for reverse in (False, True):
+            for st in spec.self_mult_stages(r, reverse):
+                for x, y, c in (batch for cls in st.classes for batch in cls):
+                    assert all(0 <= i < w for i in (*x, *(y or ()))), (r, reverse, st.label)
+                    assert all(w <= k < 2 * w for k in c), (r, reverse, st.label)
+
+
 LEMMA_SPECS = [*small_specs(), FieldSpec.gnb(163), FieldSpec.gnb(233, t=2), FieldSpec.gnb(409)]
 
 

@@ -624,6 +624,27 @@ def test_verify_budget_refuses_before_drawing_a_pattern(capsys, monkeypatch):
         verify_kind(gnb163, "invert", mode="random", samples=65536)
 
 
+def test_verify_pattern_budget_refuses_a_wide_kind_with_few_gates(capsys, monkeypatch):
+    # add at gnb 9973 is under the gate-pattern budget at 2^20 samples, but
+    # its 19,946 input bits a pattern are above the pattern budget: refused
+    # before any pattern is drawn or packed
+    def no_patterns(*args):
+        raise AssertionError("patterns were drawn or packed")
+
+    spec = FieldSpec.gnb(9973)
+    assert (1 << 20) * cli.gate_bound(spec, "add") <= cli.MAX_GATE_PATTERNS
+    monkeypatch.setattr(cli, "_pack_patterns", no_patterns)
+    monkeypatch.setattr(cli.random, "Random", no_patterns)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "add", "-m", "9973", "--rep", "gnb", "--random", "1048576")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: verifying add at m=9973 (gnb) would draw and pack 20914896896 input bits,"
+        f" above the pattern budget of {cli.MAX_PATTERN_BITS}\n"
+    )
+
+
 def test_verify_gbb_invert_feeds_ghost_bit(capsys, tmp_path):
     """A gate that only fires when the input's ghost wire is 1 must be caught."""
     path = tmp_path / "inv.qc"

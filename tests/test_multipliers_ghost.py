@@ -122,17 +122,15 @@ def test_unsupported_degree():
 
 
 def test_schedule_matches_circuit():
-    # the stages' index columns, input on wires 0..n-1 and output on n..2n-1,
-    # are the circuit's gates in emission order
+    # the stages' index columns address the window, input on wires 0..n-1
+    # and output on n..2n-1, so they are the circuit's gates in emission order
     spec = GhostBit(4)
     n = spec.width
     for r in (1, 2, 3):
         stages = list(spec.self_mult_stages(r))
-        shifted = (
-            (x, y, [n + k for k in c]) for st in stages for cls in st.classes for x, y, c in cls
-        )
+        columns = (batch for st in stages for cls in st.classes for batch in cls)
         circ = synth_gbb_self_mult(4, r)
-        assert tuple(flat_gates(shifted)) == circ.gates
+        assert tuple(flat_gates(columns)) == circ.gates
         assert circ.width == 2 * n
         assert len(stages) == 5
 

@@ -30,9 +30,9 @@ def stage(params, r, label):
     return next(st for st in stages(params, r) if st.label == label)
 
 
-def terms(st):
-    """The stage's products by output coefficient: {c: {x, y}}."""
-    return {k: {i, j} for cls in st.classes for x, y, c in cls for i, j, k in zip(x, y, c)}
+def terms(st, m):
+    """The stage's products by output coefficient: {c - m: {x, y}}."""
+    return {k - m: {i, j} for cls in st.classes for x, y, c in cls for i, j, k in zip(x, y, c)}
 
 
 def bits(m, v):
@@ -100,17 +100,13 @@ def test_delta_table_m5_t2_r1():
 
 
 def test_schedule_matches_circuit():
-    # the stages' index columns, input on wires 0..m-1 and output on m..2m-1,
-    # are the circuit's gates in emission order
+    # the stages' index columns address the window, input on wires 0..m-1
+    # and output on m..2m-1, so they are the circuit's gates in emission order
     for params, rs in ((P52, (0, 1, 2, 5)), (P43, (0, 1, 3))):
-        m = params.m
         for r in rs:
-            shifted = (
-                (x, y, [m + k for k in c])
-                for st in stages(params, r) for cls in st.classes for x, y, c in cls
-            )
+            columns = (batch for st in stages(params, r) for cls in st.classes for batch in cls)
             circ = synth_gnb_self_mult(params, r)
-            assert tuple(flat_gates(shifted)) == circ.gates
+            assert tuple(flat_gates(columns)) == circ.gates
 
 
 def test_schedule_stage_kinds_m5_t2_r1():
@@ -128,7 +124,7 @@ def test_schedule_odd_cycle_needs_three_colors():
     st = stage(P52, 1, "k=5")
     assert st.delta == -1
     assert len(st.classes) == 3
-    assert terms(st) == {i: {(4 + i) % 5, (3 + i) % 5} for i in range(5)}
+    assert terms(st, 5) == {i: {(4 + i) % 5, (3 + i) % 5} for i in range(5)}
     assert [sum(len(t) for _, _, t in cls) for cls in st.classes] == [2, 2, 1]
 
 
@@ -138,7 +134,7 @@ def test_schedule_tail_stages_for_odd_type():
     assert labels[11:] == ["tail=1a", "tail=1b", "tail=2a", "tail=2b"]
     # wrap stages pair offsets k-1 and k-1+m/2 (before the shift by r)
     st = stage(P43, 1, "tail=1a")
-    assert terms(st) == {i: {(0 + i) % 4, (1 + i) % 4} for i in range(4)}
+    assert terms(st, 4) == {i: {(0 + i) % 4, (1 + i) % 4} for i in range(4)}
 
 
 def test_stage_color_classes_are_wire_disjoint():

@@ -37,7 +37,7 @@ def frozen_ghost_stages(n, r, reverse):
     """Ghost-bit stages as (label, kind, delta, classes), by comprehension."""
     p2r = pow(2, r, n)
     if p2r == 1:
-        layer = (list(range(n)), None, [2 * i % n for i in range(n)])
+        layer = (list(range(n)), None, [n + 2 * i % n for i in range(n)])
         yield "squaring", "cnot", None, ((layer,),)
         return
     inv2 = pow(2, -1, n)
@@ -45,9 +45,9 @@ def frozen_ghost_stages(n, r, reverse):
         x = [j for j in range(n) if j < (sigma - j) % n]
         y = [(sigma - j) % n for j in x]
         jstar = sigma * inv2 % n
-        first = (x, y, [(j + p2r * c) % n for j, c in zip(x, y)])
-        fixed = ([jstar], None, [jstar * (1 + p2r) % n])
-        second = (x, y, [(c + p2r * j) % n for j, c in zip(x, y)])
+        first = (x, y, [n + (j + p2r * c) % n for j, c in zip(x, y)])
+        fixed = ([jstar], None, [n + jstar * (1 + p2r) % n])
+        second = (x, y, [n + (c + p2r * j) % n for j, c in zip(x, y)])
         yield f"sigma={sigma}", "toffoli", None, ((first, fixed), (second,))
 
 
@@ -69,7 +69,8 @@ def frozen_coset_colors(m, d):
 
 
 def frozen_gnb_stages(params, r, reverse):
-    """Normal-basis stages, the output column mapped through the out list."""
+    """Normal-basis stages, the output column mapped through the out list
+    into the window's output half."""
     m = params.m
     idx = list(range(m))
     bases = gnb_stage_bases(params, r)
@@ -78,9 +79,9 @@ def frozen_gnb_stages(params, r, reverse):
         d = delta % m
         k = fa % m
         if d == 0:
-            yield label, "cnot", delta, (((idx[k:] + idx[:k], None, idx),),)
+            yield label, "cnot", delta, (((idx[k:] + idx[:k], None, [m + i for i in idx]),),)
             continue
-        out = idx[m - k:] + idx[:m - k]
+        out = [m + i for i in idx[m - k:] + idx[:m - k]]
         classes = tuple(
             ((x, y, list(map(out.__getitem__, f))),) for x, y, f in frozen_coset_colors(m, d)
         )
@@ -94,14 +95,14 @@ def frozen_stages(spec, r, reverse):
 
 
 def frozen_self_mult_batches(spec, r, a0, c0, square_write=False, reverse=False, stages=None):
-    """The core's translation: every column mapped by list(map(...)), on
-    ``stages`` (the frozen stages of r when not given)."""
-    a = [a0 + i for i in range(spec.width)].__getitem__
+    """The core's translation: every column mapped by list(map(...)) through
+    the window list (the source wires, then the target wires), on ``stages``
+    (the frozen stages of r when not given)."""
     perm = spec.write_permutation if square_write else range(spec.width)
-    tgt = [c0 + i for i in perm].__getitem__
+    window = ([a0 + i for i in range(spec.width)] + [c0 + i for i in perm]).__getitem__
     for _, _, _, classes in frozen_stages(spec, r, reverse) if stages is None else stages:
         batches = [
-            (list(map(a, x)), None if y is None else list(map(a, y)), list(map(tgt, c)))
+            (list(map(window, x)), None if y is None else list(map(window, y)), list(map(window, c)))
             for cls in classes
             for x, y, c in cls
         ]
