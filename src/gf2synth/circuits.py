@@ -19,11 +19,16 @@ stream costs no memory, and ``Circuit`` stores what it yields as a tuple.
 ``batch_passes`` is the column check: it says whether a whole column batch
 passes the gate rule as it stands, a few C-level passes per column, and
 anything it refuses goes to the gate rule itself, which normalizes it or
-names the gate at fault. ``validated_batches`` is the gate rule on a batch
-stream, built that way. ``Circuit`` and the netlist reader both go through
-these rules, and the multiplier cores check their register layout with the
-second. The streamed consumers
-(``layer_batches``, ``measure_stream``, ``run_packed``) trust their gates:
+names the gate at fault. It tells distinct wires by register ranges: when
+every control lies below every target, or above every target, each gate's
+wires are distinct, and only a batch whose control and target spans meet
+has its targets compared with their controls gate by gate. A generated
+block's controls sit in its source and operand registers and its targets
+in a later one, so the spans alone decide every batch of the inverter.
+``validated_batches`` is the gate rule on a batch stream, built that way.
+``Circuit`` and the netlist reader both go through these rules, and the
+multiplier cores check their register layout with the second. The streamed
+consumers (``layer_batches``, ``measure_stream``, ``run_packed``) trust their gates:
 the cores emit valid gates whenever that per-block precondition holds.
 
 Netlist text is read by one reader, ``read_netlist``: it pulls a file
@@ -49,13 +54,20 @@ by line through the gate rule, so every ParseError keeps its text and line
 number. ``Netlist.gates`` is the flat view, and ``parse`` is a ``Circuit``
 over the reader.
 
-Wire names go through a wire-name table (``_NameTable``) both ways: the
-reader's maps a token to its wire, calling ``int`` and refusing a wire
-outside 0..width-1 the first time it sees the token, so a lookup is the
-range check; ``emit_lines``' maps a wire to its ``str``. A netlist has few
+Wire names are looked up, not converted, in both directions. The reader
+goes through a wire-name table (``_NameTable``) that maps a token to its
+wire, calling ``int`` and refusing a wire outside 0..width-1 the first time
+it sees the token, so a lookup is the range check. A netlist has few
 distinct wires however many gates it has, so almost every token costs one
-dict lookup. A table stores at most NAME_TABLE_SIZE names, and only those
-it has seen, so its size never follows the width.
+dict lookup, and the table stores at most NAME_TABLE_SIZE names, only
+those it has seen, so its size never follows the width. ``emit_lines``
+names the wires of a batch through tables built once per netlist for the
+wires 0..k-1, k = min(width, NAME_TABLE_SIZE): one of their names, and one
+per directive of each name followed by "\n" and that directive, for the
+targets. Each column is named by one ``gather`` (an ``itemgetter`` call, in
+C), the columns are laid into one token list by slice assignment and
+joined once; a column holding a wire the tables lack is named by ``str``,
+wire by wire.
 
 Gates travel as column batches (``Batch``) from generator to file and
 back: one run of a single gate kind as equal-length wire lists
@@ -91,8 +103,8 @@ import re
 from bisect import bisect
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain, groupby, islice, repeat
-from operator import lt, ne
+from itertools import chain, groupby, islice
+from operator import itemgetter, lt, ne
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, TextIO, Union
 
 from .errors import CircuitRuleError, ParseError
@@ -107,8 +119,9 @@ RUN_CHUNK = 1 << 8  # gates per batch when gate_runs cuts a flat stream; fastest
 # whole read are held at once, so reads are kept small: at 1 << 16 they
 # raised the peak RSS of reading the m=163 inverter back by about 3.5 MB.
 READ_SIZE = 1 << 12
-# Entries a wire-name table stores before it converts without storing: a
-# table grows only with the distinct wires it sees, never with the width.
+# Entries the reader's wire-name table stores before it converts without
+# storing: it grows only with the distinct wires it sees, never with the
+# width. The writer's name tables cover the wires 0..k-1, k at most this.
 NAME_TABLE_SIZE = 1 << 14
 # Patterns packed or read back per transpose: one slice's binary strings are
 # held at a time, however many patterns a batch has.
@@ -144,34 +157,68 @@ def validated_gates(gates: Iterable[Gate], width: Union[int, float]) -> Iterator
 
 def batch_passes(batch: Batch, width: Union[int, float]) -> bool:
     """The gate rule on a whole column batch at once: True when every gate
-    of the batch passes ``validated_gates`` unchanged (wires in 0..width-1,
-    distinct, Toffoli controls already lower-first). False says only that
-    some gate does not; the gate rule decides which one, and how."""
+    of the batch passes ``validated_gates`` unchanged (columns of one
+    length, wires in 0..width-1, distinct, Toffoli controls already
+    lower-first). False says only that some gate does not; the gate rule
+    decides which one, and how. Once every a is below its b, the controls
+    span min(a)..max(b); when that span lies wholly below or above the
+    targets' span, every gate's wires are distinct."""
     a, b, t = batch
-    top = a if b is None else b  # once every a is below its b, max(a) < max(b)
-    return not t or (
-        _shape_passes(batch) and min(a) >= 0 and min(t) >= 0 and max(top) < width and max(t) < width
+    n = len(t)
+    if len(a) != n or b is not None and len(b) != n:
+        return False
+    if not n:
+        return True
+    if b is None:
+        low, high = min(a), max(a)
+    elif all(map(lt, a, b)):
+        low, high = min(a), max(b)
+    else:
+        return False
+    t_low, t_high = min(t), max(t)
+    return (
+        low >= 0 and t_low >= 0 and high < width and t_high < width
+        and (high < t_low or low > t_high or _targets_apart(batch))
     )
 
 
 def _shape_passes(batch: Batch) -> bool:
-    """The part of ``batch_passes`` that needs no width: the wires of each
-    gate are distinct and Toffoli controls come lower-first (so a control b
-    is never below 0 when its a is not)."""
+    """The part of ``batch_passes`` that needs no width, on a non-empty
+    batch of equal-length columns: the wires of each gate are distinct and
+    Toffoli controls come lower-first (so a control b is never below 0 when
+    its a is not). Controls below the targets are told by two passes."""
     a, b, t = batch
-    return (b is None or all(map(lt, a, b)) and all(map(ne, b, t))) and all(map(ne, a, t))
+    if b is None:
+        high = max(a)
+    elif all(map(lt, a, b)):
+        high = max(b)
+    else:
+        return False
+    return high < min(t) or min(a) > max(t) or _targets_apart(batch)
+
+
+def _targets_apart(batch: Batch) -> bool:
+    """Every gate's target differs from its controls, compared gate by
+    gate: the column check's fallback when the control and target spans
+    meet."""
+    a, b, t = batch
+    return all(map(ne, a, t)) and (b is None or all(map(ne, b, t)))
 
 
 def validated_batches(batches: Iterable[Batch], width: Union[int, float]) -> Iterator[Batch]:
     """The gate rule on a stream of column batches. A batch that passes
     ``batch_passes`` is yielded as it is; any other goes gate by gate through
     ``validated_gates``, which yields it normalized (re-cut into batches) or
-    raises CircuitRuleError carrying the gate's index in the whole stream."""
+    raises CircuitRuleError carrying the gate's index in the whole stream.
+    A batch whose columns differ in length raises at its first gate."""
     done = 0
     for batch in batches:
         if batch_passes(batch, width):
             yield batch
         else:
+            lengths = [len(col) for col in batch if col is not None]
+            if len(set(lengths)) > 1:
+                raise CircuitRuleError(f"batch columns differ in length: {lengths}", done)
             try:
                 gates = list(validated_gates(flat_gates((batch,)), width))
             except CircuitRuleError as e:
@@ -273,6 +320,15 @@ def flat_gates(batches: Iterable[Batch]) -> Iterator[Gate]:
     tuples their columns zip to. The exact transpose of ``gate_runs``."""
     for a, b, t in batches:
         yield from zip(a, t) if b is None else zip(a, b, t)
+
+
+def gather(values: Sequence, col: Sequence[int]) -> Sequence:
+    """values[i] for each index i of ``col``, in order, gathered in C by one
+    ``itemgetter`` call. A one-index column still gives a sequence:
+    ``itemgetter(i)`` on its own returns the bare item."""
+    if len(col) > 1:
+        return itemgetter(*col)(values)
+    return [values[i] for i in col]
 
 
 def _peek_flat(stream: Iterable[Union[Batch, Gate]]) -> tuple[bool, Iterator]:
@@ -430,10 +486,10 @@ def simulate(c: Circuit, inputs: Sequence[int]) -> list[int]:
 
 
 class _NameTable(dict):
-    """One direction of the map between wires and their decimal names (see
-    the module docstring): a key is converted the first time it is looked
-    up, and stored while the table holds fewer than NAME_TABLE_SIZE
-    entries; past that it is converted on every lookup."""
+    """The reader's map from wire names to wires (see the module
+    docstring): a key is converted the first time it is looked up, and
+    stored while the table holds fewer than NAME_TABLE_SIZE entries; past
+    that it is converted on every lookup."""
 
     def __init__(self, convert):
         super().__init__()
@@ -481,14 +537,33 @@ def emit_lines(
             else:
                 yield f"cx {g[0]} {g[1]}"
         return
-    name = _NameTable(str).__getitem__
+    # dicts, not lists: a list would also answer a negative wire, with the
+    # name of the wire a whole list length above it
+    wires = range(min(width, NAME_TABLE_SIZE))
+    names = {w: str(w) for w in wires}
+    # a target's name with the "\n" and the directive of the line after it
+    tails = {op: {w: f"{w}\n{op}" for w in wires} for op in ("cx", "ccx")}
     for a, b, t in items:
         if t:  # an empty batch writes no line, as an empty flat stream
-            if b is None:
-                cols = zip(repeat("cx"), map(name, a), map(name, t))
-            else:
-                cols = zip(repeat("ccx"), map(name, a), map(name, b), map(name, t))
-            yield "\n".join(map(" ".join, cols))
+            op, controls = ("cx", (a,)) if b is None else ("ccx", (a, b))
+            step = len(controls) + 1
+            # op, then each gate's wires, each target carrying the next line's
+            # op; the op after the last target is cut off the joined string
+            tokens = [op] * (step * len(t) + 1)
+            for i, col in enumerate(controls, 1):
+                tokens[i::step] = _names(names, str, col)
+            tokens[step::step] = _names(tails[op], f"{{}}\n{op}".format, t)
+            yield " ".join(tokens)[: -len(op) - 1]
+
+
+def _names(table: dict[int, str], name, col: Sequence[int]) -> Sequence[str]:
+    """The names of a column's wires: gathered from ``table`` (see
+    ``emit_lines``), or made by ``name`` wire by wire when the table lacks
+    some wire of the column."""
+    try:
+        return gather(table, col)
+    except KeyError:
+        return list(map(name, col))
 
 
 def emit(c: Circuit, header: Iterable[str] = ()) -> str:

@@ -61,10 +61,11 @@ import enum
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from math import gcd
-from operator import and_, itemgetter, or_, xor
+from operator import and_, or_, xor
 from typing import Iterator, NamedTuple, Optional, Sequence, Union
 from weakref import WeakSet
 
+from .circuits import gather
 from .errors import (
     ConstructionFailed,
     DegreeTooSmall,
@@ -523,15 +524,6 @@ class Representation(enum.Enum):
 # output's: Toffolis on input coefficients x[i] < y[i] into window index c[i]
 # = w + output coefficient, or CNOTs from x[i] into c[i] when y is None.
 IndexBatch = tuple[Sequence[int], Optional[Sequence[int]], Sequence[int]]
-
-
-def gather(values: Sequence[int], col: Sequence[int]) -> Sequence[int]:
-    """values[i] for each index i of ``col``, in order, gathered in C by one
-    ``itemgetter`` call. A one-index column still gives a sequence:
-    ``itemgetter(i)`` on its own returns the bare item."""
-    if len(col) > 1:
-        return itemgetter(*col)(values)
-    return [values[i] for i in col]
 
 
 class SelfPowerStage(NamedTuple):

@@ -50,10 +50,12 @@ from itertools import repeat
 from operator import add, and_, sub, xor
 from typing import Iterable, Iterator, Optional
 
-from .circuits import Batch, Circuit, Gate, ResourceEstimate, flat_gates, layer_batches, run_packed
+from .circuits import (
+    Batch, Circuit, Gate, ResourceEstimate, flat_gates, gather, layer_batches, run_packed,
+)
 from .errors import DegreeTooSmall
 from .fields import (
-    FieldSpec, GhostBit, Gnb, GnbParams, MultiplierBlock, Representation, addition_chain, gather,
+    FieldSpec, GhostBit, Gnb, GnbParams, MultiplierBlock, Representation, addition_chain,
 )
 from .multipliers import (
     check_exponent, mult_batches, mult_wires, self_mult_batches, self_mult_wires, walk,

@@ -40,7 +40,7 @@ onto wires (the ghost-bit first class is a Toffoli batch followed by a
 one-CNOT batch). The index columns address the block's window
 (``self_mult_wires``): the source wires, then the target wires through the
 write permutation, so all three columns are gathered through one list.
-``fields.gather`` is the one translation from index columns to wire
+``circuits.gather`` is the one translation from index columns to wire
 columns: one ``itemgetter`` call per column, in C, which still gives a
 sequence for a column of one gate. With ``reverse`` a core
 yields the inverse block: stages last-first, each stage's batches
@@ -71,9 +71,9 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .circuits import UNBOUNDED, Batch, Circuit, validated_registers
+from .circuits import UNBOUNDED, Batch, Circuit, gather, validated_registers
 from .errors import ExponentOutOfRange
-from .fields import FieldSpec, gather
+from .fields import FieldSpec
 
 
 # ---------------------------------------------------------------------------

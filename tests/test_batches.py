@@ -11,10 +11,11 @@ gate order.
 
 import random
 from itertools import zip_longest
+from operator import lt, ne
 
 import pytest
 
-from gf2synth import inverters
+from gf2synth import circuits, inverters
 from gf2synth.circuits import (
     batch_passes,
     flat_gates,
@@ -372,6 +373,86 @@ def test_column_check_passes_only_batches_the_gate_rule_keeps_as_they_are():
     assert not batch_passes(([0, 1], None, [1, 4]), 4)
     assert not batch_passes(([3], None, [3]), 4)
     assert not batch_passes(([0], [1], [0]), 4)
+
+
+def element_wise_shape(batch):
+    """The width-free column check compared gate by gate: Toffoli controls
+    lower-first and every target apart from its controls."""
+    a, b, t = batch
+    return (b is None or all(map(lt, a, b)) and all(map(ne, b, t))) and all(map(ne, a, t))
+
+
+def register_shaped_batches(seed, width=60, n=400):
+    """Batches whose controls and targets are drawn from register-like
+    spans: controls below the targets, above them, overlapping them, or
+    meeting them on one wire, with wires -1 and ``width`` now and then, a
+    few reversed or equal Toffoli controls, and some single-gate batches."""
+    rng = random.Random(seed)
+    batches = []
+    for _ in range(n):
+        size = rng.randint(4, 12)
+        low = rng.randint(size, width - 2 * size)
+        control_span = range(low, low + size)
+        target_span = rng.choice(
+            [
+                range(low + size, low + 2 * size),  # controls below the targets
+                range(max(low - size, 0), low),  # controls above the targets
+                range(low + size // 2, low + size // 2 + size),  # overlapping spans
+                range(low + size - 1, low + 2 * size - 1),  # one shared wire
+            ]
+        )
+        gates = []
+        for _ in range(1 if rng.random() < 0.15 else rng.randint(2, 10)):
+            x, y = sorted(rng.sample(control_span, 2))
+            if rng.random() < 0.05:  # reversed or equal controls
+                x, y = (y, x) if rng.random() < 0.5 else (y, y)
+            z = rng.choice(target_span)
+            gate = [x, y, z]
+            if rng.random() < 0.05:
+                gate[rng.randrange(3)] = rng.choice([-1, width])
+            gates.append(gate)
+        a, b, t = (list(col) for col in zip(*gates))
+        batches.append((a, None, t) if rng.random() < 0.3 else (a, b, t))
+    return batches
+
+
+def test_range_shortcut_agrees_with_the_gate_rule_on_register_shaped_batches():
+    width = 60
+    apart = meet = 0
+    for batch in register_shaped_batches(13, width):
+        a, b, t = batch
+        flat = list(flat_gates([batch]))
+        try:
+            unchanged = list(validated_gates(flat, width)) == flat
+        except CircuitRuleError:
+            unchanged = False
+        assert batch_passes(batch, width) == unchanged, batch
+        assert circuits._shape_passes(batch) == element_wise_shape(batch), batch
+        controls = a if b is None else a + b
+        if max(controls) < min(t) or min(controls) > max(t):
+            apart += 1
+        else:
+            meet += 1
+    assert apart > 100 and meet > 100  # both the shortcut and the gate-by-gate passes ran
+
+
+@pytest.mark.parametrize(
+    "batch",
+    [
+        ([0, 1, 2], None, [5]),
+        ([0], None, [5, 6]),
+        ([], None, [5]),
+        ([0, 1], [2], [5, 6]),
+        ([0, 1], [2, 3, 4], [5, 6]),
+    ],
+)
+def test_batch_whose_columns_differ_in_length_fails_at_its_first_gate(batch):
+    assert not batch_passes(batch, 9)
+    before = [([0, 1], None, [2, 3]), ([0], [1], [2])]
+    with pytest.raises(CircuitRuleError) as err:
+        list(validated_batches(before + [batch], 9))
+    assert err.value.index == 3
+    assert "differ in length" in str(err.value)
 
 
 def test_generated_batches_with_reversed_controls_come_out_as_the_gate_rule_gives_them():

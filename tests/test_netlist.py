@@ -12,6 +12,7 @@ from gf2synth.circuits import (
     Circuit,
     emit,
     emit_lines,
+    flat_gates,
     gate_runs,
     parse,
     read_netlist,
@@ -333,7 +334,43 @@ def test_read_table_holds_only_the_wires_seen_up_to_its_size(monkeypatch):
         assert all(isinstance(k, str) for k in read_table)
 
 
-def test_emit_table_stays_bounded_at_a_huge_width(monkeypatch):
+def flat_emit(width, batches):
+    """The netlist text of column batches as the flat writer gives it."""
+    return "\n".join(emit_lines(width, {}, list(flat_gates(batches))))
+
+
+def batch_emit(width, batches):
+    return "\n".join(emit_lines(width, {}, batches))
+
+
+@pytest.mark.parametrize(
+    "width,batches",
+    [
+        pytest.param(10, [([3], None, [4])], id="one-cnot"),
+        pytest.param(10, [([0], [1], [9])], id="one-toffoli"),
+        pytest.param(10, [([], None, []), ([0], None, [9]), ([], [], []), ([1], [2], [3])], id="empty"),
+        pytest.param(10, [([0, 9, 0], None, [9, 0, 5]), ([0, 0], [9, 8], [9, 9])], id="wires-0-and-top"),
+        pytest.param(10, [([-1, 2], None, [3, -10]), ([-11, 0], [1, -2], [5, -12])], id="negative"),
+        pytest.param(10, [([-25, 2], None, [3, -1]), ([0, -10], [1, -2], [5, -21])], id="negative-past-width"),
+        pytest.param(10, [([0, 1], [2, 3], [4.5, 5]), ([2, 2.5], None, [3, 4])], id="not-int"),
+        pytest.param(
+            10**9,
+            [
+                ([10**9 - 1, 0], None, [circuits.NAME_TABLE_SIZE, 1]),
+                ([circuits.NAME_TABLE_SIZE - 1], [circuits.NAME_TABLE_SIZE], [10**9 - 2]),
+            ],
+            id="past-the-tables",
+        ),
+    ],
+)
+def test_batch_emit_is_flat_emit_at_the_name_tables_edges(width, batches):
+    """The writer names a batch's wires through tables that cover 0..k-1
+    (k = min(width, NAME_TABLE_SIZE)) and any other wire by ``str``; either
+    way its text is the flat writer's, byte for byte."""
+    assert batch_emit(width, batches) == flat_emit(width, batches)
+
+
+def test_emit_table_stays_bounded_at_a_huge_width():
     width = 10**9
     c = Circuit(width, [(width - 1, 0), (1, width - 2, width - 1)], {"x": (0, width)})
     tracemalloc.start()
@@ -344,14 +381,21 @@ def test_emit_table_stays_bounded_at_a_huge_width(monkeypatch):
         tracemalloc.stop()
     assert text == f"qubits {width}\nreg x 0 {width}\ncx {width - 1} 0\nccx 1 {width - 2} {width - 1}\n"
     assert peak < 1 << 16
-    monkeypatch.setattr(circuits, "_NameTable", CountedTable)
-    CountedTable.made.clear()
+    # a batch stream at the same width: the writer's name tables cover at most
+    # NAME_TABLE_SIZE wires each, so what it holds does not follow the width
     n = circuits.NAME_TABLE_SIZE
     a = [width - 1 - 2 * i for i in range(n)]
     t = [w - 1 for w in a]
-    lines = list(emit_lines(width, {}, [(a, None, t)]))
-    assert lines[1:] == ["\n".join(f"cx {x} {y}" for x, y in zip(a, t))]
-    assert [len(table) for table in CountedTable.made] == [circuits.NAME_TABLE_SIZE]
+    low = list(range(n))
+    batches = [(a, None, t), (low, None, low[1:] + [0]), (low[:-1], low[1:], [width - 1] * (n - 1))]
+    tracemalloc.start()
+    try:
+        written = batch_emit(width, batches)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert written == flat_emit(width, batches)
+    assert peak < 1 << 24
 
 
 HUGE_LINE = 1 << 22  # characters of the one long comment line below

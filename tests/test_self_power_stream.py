@@ -1,6 +1,6 @@
 """Self-power stage and batch streams: column shapes and byte identity.
 
-The self-power columns are gathered by ``fields.gather`` (one ``itemgetter``
+The self-power columns are gathered by ``circuits.gather`` (one ``itemgetter``
 call per column) and the ghost-bit stages are built from ranges and slices.
 These tests pin that stream, column for column, to a frozen copy of the
 comprehension formulas it replaced (``frozen_*`` below), and check that a
