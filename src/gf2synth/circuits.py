@@ -101,6 +101,7 @@ from __future__ import annotations
 import io
 import re
 from bisect import bisect
+from collections.abc import Sized
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, groupby, islice
@@ -332,13 +333,15 @@ def gather(values: Sequence, col: Sequence[int]) -> Sequence:
 
 
 def _peek_flat(stream: Iterable[Union[Batch, Gate]]) -> tuple[bool, Iterator]:
-    """Whether a stream holds flat gates rather than column batches (told by
-    its first item), and the stream itself, whole."""
+    """Whether a stream holds flat gates rather than column batches, and the
+    stream itself, whole. The first item's shape tells: a batch starts with
+    a column, which has a length, and a gate with a wire, which has none,
+    whatever int-like type it is."""
     items = iter(stream)
     first = next(items, None)
     if first is None:
         return False, items
-    return isinstance(first[0], int), chain((first,), items)
+    return not isinstance(first[0], Sized), chain((first,), items)
 
 
 def layer_batches(

@@ -24,8 +24,10 @@ Commands
   batches ``synth_circuit`` gives; every other kind is a block chain, which
   ``inverters.chain_simulate`` runs block by block on windows of the
   packed state (a self-power block as ``run_packed`` over the spec's index
-  columns, which address its window as they stand), leaving the state as
-  ``run_packed`` over the stream ``synth`` writes would.
+  columns, which address its window as they stand), restoring each
+  uncompute block from its forward run while its windows match it, and
+  leaving the state as ``run_packed`` over the stream ``synth`` writes
+  would.
 * ``table``: measured depth/gates next to the closed-form bounds for a list
   of degrees, plus the asymptotic comparison against a polynomial basis.
   Each row is ``kind_estimate``, what ``synth`` prints; the invert row
@@ -113,11 +115,15 @@ EXHAUSTIVE_CAP = 1 << 20
 MAX_GATES = 100_000_000
 
 # The verification budget: the largest count of patterns times ``gate_bound``
-# that ``verify`` simulates. Simulation costs about 26 ps per gate and
-# pattern (the gnb 163 inverter on 65,536 samples, 1.25e11, took 3.2 s), so
-# the budget is about half a minute. Above it a run is refused before any
-# pattern is drawn or packed: the gnb 409 inverter on 2^20 samples, 1.54e13,
-# would be about 7 minutes on a 613 MiB packed state.
+# that ``verify`` simulates. Streamed simulation costs about 12 ps per gate
+# and pattern by that count (the gnb 163 inverter on 65,536 samples,
+# 1.25e11, took 1.4-1.8 s and 34.1-35.1 MiB on a 2-vCPU x86 host, against
+# 2.7-3.5 s and 35.4-36.4 MiB when every uncompute block was simulated
+# again and general blocks stage by stage), and ``--in`` about 27 ps (3.4 s
+# on the same netlist read from its file, every gate simulated), so the
+# budget is at most about half a minute. Above it a run is refused before
+# any pattern is drawn or packed: the gnb 409 inverter on 2^20 samples,
+# 1.54e13, would be minutes on a 613 MiB packed state.
 MAX_GATE_PATTERNS = 10**12
 
 # The pattern budget: the largest count of patterns times input bits that

@@ -40,14 +40,17 @@ each one materialized chain. ``chain_simulate`` is streamed ``verify``'s
 simulator: it applies a chain to a packed state block by block, each on
 windows of its registers (a self-power block is ``run_packed`` over its
 index columns on its window), and leaves the state as ``run_packed`` over
-``chain_batches`` would.
+``chain_batches`` would. It uses the same mirror as ``chain_estimate``: an
+uncompute block whose windows still hold what its forward run wrote is
+restored from that run, not simulated again, so about half of the
+inverter's gates are never run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import repeat
-from operator import add, and_, sub, xor
+from operator import add, itemgetter, sub
 from typing import Iterable, Iterator, Optional
 
 from .circuits import (
@@ -155,60 +158,108 @@ def chain_simulate(spec: FieldSpec, chain: BlockChain, state: list[int]) -> list
     XOR is commutative. The block maps target to target ^ Q(source,
     operand), Q the XOR of its p_i onto their targets, in any gate order;
     reversed, as ``chain_batches`` draws an uncompute block, it is the same
-    map. So an uncompute block runs through the forward routine, recomputed
-    from its source as it stands then. And since a gate reads and writes
-    only the wires it names, the block runs on copies of those wires'
-    values, read through the wires the cores place it on: a self-power
-    block's window (``self_mult_wires``), on which ``run_packed`` runs its
-    index columns as they stand, and a general block's source, operand and
-    target windows (``mult_wires``). Writing the target window back
-    through the same wires gives each target wire its value under the wire
-    batches, and no other wire moves. (The target window is taken out of
-    the state, so that a register is never held twice; its wires hold 0
-    until it is written back.)
+    map. So an uncompute block can run through the forward routine,
+    recomputed from its source as it stands then. And since a gate reads
+    and writes only the wires it names, the block runs on copies of those
+    wires' values, read through the wires the cores place it on: a
+    self-power block's window (``self_mult_wires``), on which
+    ``run_packed`` runs its index columns as they stand, and a general
+    block's source, operand and target windows (``mult_wires``). Writing
+    the whole windows back through the same wires gives each of their
+    wires its value under the wire batches, and no other wire moves; on a
+    self-power window that holds for any index column in 0..2w-1, a target
+    in the source half included. (The windows are taken out of the state,
+    so that a register is never held twice; their wires hold 0 until they
+    are written back.)
 
-    A block's contribution is never kept from its forward run for its
-    uncompute: recomputing it from the current source is what makes a
-    wrong uncompute (a block dropped, or two swapped) leave an ancilla
-    nonzero.
+    Mirror. Q is a pure function of the block and its inputs. So each
+    forward run keeps its windows as it read them and as it wrote them
+    back (references, no int is copied), keyed by the block; if an
+    uncompute block finds its windows holding, by value, what its forward
+    run wrote (source s, operand and target t1 = t0 ^ Q(s)), the run it
+    skips would leave t1 ^ Q(s) = t0, and the kept "before" windows are
+    written back. If anything differs, the block is recomputed from the
+    windows as they stand. The state is the recompute's in every case, so
+    a wrong uncompute still leaves an ancilla nonzero: two blocks swapped
+    change some block's source before its uncompute, which sends that
+    block to the recompute, and a dropped block leaves its target as it is.
     """
-    for block in (*chain.forward, *chain.uncompute):
-        _simulate_block(spec, block, state)
+    kept = {block: _simulate_block(spec, block, state) for block in chain.forward}
+    for block in chain.uncompute:
+        run = kept.pop(block, None)
+        if run is None or not _restore(spec, block, state, *run):
+            _simulate_block(spec, block, state)
     return state
 
 
-def _simulate_block(spec: FieldSpec, block: MultiplierBlock, state: list[int]) -> None:
-    """One block of ``chain_simulate``: target ^= Q(source, operand), on
-    windows of the block's registers."""
+def _window(spec: FieldSpec, block: MultiplierBlock) -> list[int]:
+    """Every wire a block's gates touch, where the wire cores place them: a
+    self-power block's window (``self_mult_wires``), or a general block's
+    source, operand and target wires (``mult_wires``), w each. The block's
+    register layout is checked here."""
     w = spec.width
     src, tgt = block.source_reg * w, block.target_reg * w
     if block.kind == "self_power":
-        wires = self_mult_wires(spec, block.r, src, tgt, block.squared_write)
-        out = wires[w:]
-        window = [*gather(state, wires[:w]), *_take(state, out)]
+        return self_mult_wires(spec, block.r, src, tgt, block.squared_write)
+    op = block.operand_reg * w
+    a, b, out = mult_wires(spec, src, op, tgt, block.operand_exponent, block.squared_write)
+    return a + b + out
+
+
+def _simulate_block(
+    spec: FieldSpec, block: MultiplierBlock, state: list[int]
+) -> tuple[list[int], list[int]]:
+    """One block of ``chain_simulate``: target ^= Q(source, operand), on
+    the block's ``_window``. Returns the window's values before and after,
+    for ``_restore``."""
+    w = spec.width
+    wires = _window(spec, block)
+    before = _take(state, wires)
+    if block.kind == "self_power":
         stages = spec.self_mult_stages(block.r)
-        target = run_packed((batch for st in stages for cls in st.classes for batch in cls), window)[w:]
+        after = run_packed((batch for st in stages for cls in st.classes for batch in cls), before[:])
     else:
-        op = block.operand_reg * w
-        a, b, out = mult_wires(spec, src, op, tgt, block.operand_exponent, block.squared_write)
-        source, operand, target = gather(state, a), gather(state, b), _take(state, out)
+        source, operand, target = before[:w], before[w:2 * w], before[2 * w:]
         # Gate j of a stage (sa, sb, c, step) multiplies source coefficient
         # sa + j by operand coefficient sb + j into target coefficient
         # c + step*j. With s the inverse of step mod w, target coefficient k
         # takes j = s*(k - c), so source coefficient s*(k - c + step*sa):
-        # position k - c + step*sa of the source read at s*i for i = 0..w-1,
-        # a rotation of that window, and likewise for the operand.
-        idx = list(range(w))
-        strided = {}
+        # position k + (step*sa - c) of the source read at s*i for i = 0..w-1,
+        # and likewise for the operand. So target coefficient k XORs in the
+        # products at one fixed set of offsets from k in those reads, per
+        # step, gathered from the reads rotated by k; accumulating one
+        # coefficient at a time holds no second copy of the target register.
+        offsets = {}
         for sa, sb, sc, step in spec.mult_stages():
-            if step not in strided:
-                order = walk(idx, 0, pow(step, -1, w))
-                strided[step] = list(gather(source, order)), list(gather(operand, order))
-            xs, ys = strided[step]
-            x, y = walk(xs, step * sa - sc), walk(ys, step * sb - sc)
-            target = list(map(xor, target, map(and_, x, y)))
-    for u, v in zip(out, target):
+            ox, oy = offsets.setdefault(step, ([], []))
+            ox.append((step * sa - sc) % w)
+            oy.append((step * sb - sc) % w)
+        idx = list(range(w))
+        for step, (ox, oy) in offsets.items():
+            order = walk(idx, 0, pow(step, -1, w))
+            xs, ys = gather(source, order) * 2, gather(operand, order) * 2  # xs[k:k + w]: rotated by k
+            gx, gy = itemgetter(*ox), itemgetter(*oy)
+            for k, t in enumerate(target):
+                for x, y in zip(gx(xs[k:k + w]), gy(ys[k:k + w])):
+                    t ^= x & y
+                target[k] = t
+        after = [*source, *operand, *target]
+    for u, v in zip(wires, after):
         state[u] = v
+    return before, after
+
+
+def _restore(
+    spec: FieldSpec, block: MultiplierBlock, state: list[int], before: list[int], after: list[int]
+) -> bool:
+    """The mirror of ``chain_simulate``: if the block's window holds
+    ``after``, put ``before`` back on it."""
+    wires = _window(spec, block)
+    if list(gather(state, wires)) != after:
+        return False
+    for u, v in zip(wires, before):
+        state[u] = v
+    return True
 
 
 def _take(state: list[int], wires: list[int]) -> list[int]:

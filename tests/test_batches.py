@@ -10,6 +10,7 @@ gate order.
 """
 
 import random
+from dataclasses import replace
 from itertools import zip_longest
 from operator import lt, ne
 
@@ -616,3 +617,99 @@ def test_chain_simulate_refuses_what_the_wire_cores_refuse(spec):
             core()
         assert (type(refused.value), str(refused.value)) == (type(expected.value), str(expected.value))
         assert state == list(range(3 * w))
+
+
+def test_a_self_power_target_in_the_source_half_is_written_back(monkeypatch):
+    """A self-power block runs on its whole 2w window and writes all of it
+    back, so an index column that targets the source half (c < w) leaves
+    the state as its wire batch does: here one target of the first class of
+    gnb 11 ``selfmult -r 3`` moved to window wire 5, on a chain of one
+    block."""
+    spec = FieldSpec.gnb(11)
+    chain = inverters.kind_structure(spec, "selfmult", 3)
+    state = [random.Random(34).getrandbits(64) for _ in range(chain.width)]
+    untampered = run_packed(chain_batches(spec, chain), list(state))
+    original = Gnb.self_mult_stages
+
+    def tampered(self, r, reverse=False):
+        stage, *rest = original(self, r, reverse)
+        (first, *batches), *classes = stage.classes
+        x, y, c = first
+        i = next(i for i in range(len(c)) if 5 not in (x[i], y[i]))
+        first = (x, y, (*c[:i], 5, *c[i + 1:]))
+        return iter([stage._replace(classes=((first, *batches), *classes)), *rest])
+
+    monkeypatch.setattr(Gnb, "self_mult_stages", tampered)
+    want = run_packed(chain_batches(spec, chain), list(state))
+    assert want != untampered  # the tamper moves a wire
+    assert chain_simulate(spec, chain, list(state)) == want
+
+
+def _counted_forward_runs(monkeypatch):
+    """Count the runs of ``chain_simulate``'s forward routine."""
+    runs = []
+    simulate_block = inverters._simulate_block
+
+    def counted(spec, block, state):
+        runs.append(block)
+        return simulate_block(spec, block, state)
+
+    monkeypatch.setattr(inverters, "_simulate_block", counted)
+    return runs
+
+
+MIRROR_SPECS = [FieldSpec.gnb(11), FieldSpec.ghost_bit(10)]
+
+
+@pytest.mark.parametrize("spec", MIRROR_SPECS, ids=spec_id)
+def test_chain_simulate_restores_each_uncompute_block_from_its_forward_run(spec, monkeypatch):
+    """On the inverter's own uncompute every block finds its windows as its
+    forward run left them and is restored, so the forward routine runs once
+    per forward block; from random states (every target nonzero) and from
+    inputs alone, the state is ``run_packed``'s."""
+    chain = inverter_structure(spec)
+    rng = random.Random(35)
+    everywhere = [rng.getrandbits(64) for _ in range(chain.width)]
+    inputs_only = everywhere[:spec.width] + [0] * (chain.width - spec.width)
+    runs = _counted_forward_runs(monkeypatch)
+    for state in (everywhere, inputs_only):
+        runs.clear()
+        assert chain_simulate(spec, chain, list(state)) == run_packed(chain_batches(spec, chain), list(state))
+        assert runs == list(chain.forward)
+
+
+@pytest.mark.parametrize("spec", MIRROR_SPECS, ids=spec_id)
+@pytest.mark.parametrize(
+    "wrong, recomputed",
+    [
+        # the first uncompute block dropped: no other block's windows move,
+        # so every block left is still restored
+        (lambda blocks, forward: blocks[1:], 0),
+        # the last two swapped: the first block is restored before the
+        # second, whose source it zeroes, so the second is recomputed
+        (lambda blocks, forward: (*blocks[:-2], blocks[-1], blocks[-2]), 1),
+        # a block with no forward run first, into the first block's target:
+        # it runs, and the second block (whose source that is) and the first
+        # (whose target it is) find their windows changed and are recomputed
+        (lambda blocks, forward: (replace(forward[0], r=0), *blocks), 3),
+    ],
+    ids=["dropped", "swapped", "source-changed"],
+)
+def test_chain_simulate_recomputes_an_uncompute_block_whose_windows_changed(
+    spec, wrong, recomputed, monkeypatch
+):
+    """Under a wrong uncompute, a block whose windows no longer hold what
+    its forward run wrote runs the forward routine again, and the state is
+    still ``run_packed``'s over the same wrong chain, from random states
+    and from inputs alone."""
+    right = BlockChain.uncompute
+    monkeypatch.setattr(BlockChain, "uncompute", property(lambda c: wrong(right.fget(c), c.forward)))
+    chain = inverter_structure(spec)
+    rng = random.Random(36)
+    everywhere = [rng.getrandbits(64) for _ in range(chain.width)]
+    inputs_only = everywhere[:spec.width] + [0] * (chain.width - spec.width)
+    runs = _counted_forward_runs(monkeypatch)
+    for state in (everywhere, inputs_only):
+        runs.clear()
+        assert chain_simulate(spec, chain, list(state)) == run_packed(chain_batches(spec, chain), list(state))
+        assert len(runs) == len(chain.forward) + recomputed

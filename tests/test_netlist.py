@@ -14,6 +14,7 @@ from gf2synth.circuits import (
     emit_lines,
     flat_gates,
     gate_runs,
+    measure_stream,
     parse,
     read_netlist,
 )
@@ -307,6 +308,32 @@ def test_batch_emit_is_flat_emit_on_wide_circuits():
     batched = list(emit_lines(c.width, c.registers, gate_runs(c.gates), ["wide"]))
     assert len(batched) < len(flat)
     assert "\n".join(batched) == "\n".join(flat)
+
+
+class Wire:
+    """An int-like wire that is not an ``int``, as numpy's integers are."""
+
+    def __init__(self, i):
+        self.i = i
+
+    def __index__(self):
+        return self.i
+
+    def __str__(self):
+        return str(self.i)
+
+
+@pytest.mark.parametrize(
+    "gates",
+    [[(Wire(0), Wire(1))], [(0, Wire(1))], [(Wire(0), Wire(1), Wire(2)), (Wire(2), 0)]],
+    ids=["all-int-like", "first-int", "toffoli-first"],
+)
+def test_a_flat_stream_is_told_by_its_shape_not_its_wire_type(gates):
+    """A flat gate stream whose first wire is int-like but not an ``int``
+    is still flat, for the writer and for the measurement."""
+    plain = [tuple(map(int, g)) for g in gates]
+    assert list(emit_lines(3, {}, gates)) == list(emit_lines(3, {}, plain))
+    assert measure_stream(3, gates) == measure_stream(3, plain)
 
 
 class CountedTable(circuits._NameTable):
