@@ -26,10 +26,11 @@ has its targets compared with their controls gate by gate. A generated
 block's controls sit in its source and operand registers and its targets
 in a later one, so the spans alone decide every batch of the inverter.
 ``validated_batches`` is the gate rule on a batch stream, built that way.
-``Circuit`` and the netlist reader both go through these rules, and the
-multiplier cores check their register layout with the second. The streamed
-consumers (``layer_batches``, ``measure_stream``, ``run_packed``) trust their gates:
-the cores emit valid gates whenever that per-block precondition holds.
+``Circuit`` and the netlist reader both go through these rules, and
+``multipliers.block_window`` checks each block's register layout with the
+second. The streamed consumers (``layer_batches``, ``measure_stream``,
+``run_packed``) trust their gates: ``multipliers.block_batches`` emits
+valid gates whenever that per-block precondition holds.
 
 Netlist text is read by one reader, ``read_netlist``: it pulls a file
 READ_SIZE characters at a time, cut after the last "\n" of each read,
@@ -72,8 +73,8 @@ wire by wire.
 Gates travel as column batches (``Batch``) from generator to file and
 back: one run of a single gate kind as equal-length wire lists
 ``(controls_a, controls_b, targets)``, with ``controls_b`` None for a run
-of CNOTs. The multiplier cores produce them stage by stage, ``emit_lines``
-writes one string per batch, the reader yields them, and
+of CNOTs. ``multipliers.block_batches`` produces them stage by stage,
+``emit_lines`` writes one string per batch, the reader yields them, and
 ``measure_stream`` and ``run_packed`` read them as they come, with no gate
 tuple built. ``run_packed`` takes batches only; ``measure_stream`` and
 ``emit_lines`` also take a flat gate stream, the form the benchmark's

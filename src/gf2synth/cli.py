@@ -5,10 +5,10 @@ Commands
 * ``params``: report which representations a degree supports.
 * ``synth {add|mult|selfmult|invert}``: emit a netlist and its resource
   summary as key=value lines. With ``--out``, ``synth_circuit``'s column
-  batches go through the gate rule (``validated_batches``) into the file,
-  one string per batch, never held whole; if a gate is refused or the write
-  fails, the file is removed (a regular file only), so no partial netlist
-  is left to verify. The summary is ``kind_estimate``, which ``table``
+  batches (each block's ``multipliers.block_batches``) go through the gate
+  rule (``validated_batches``) into the file, one string per batch, never
+  held whole; if a gate is refused or the write fails, the file is removed
+  (a regular file only), so no partial netlist is left to verify. The summary is ``kind_estimate``, which ``table``
   prints too: ``measure_stream`` for add, and for every other kind
   ``chain_estimate`` of its block chain, from the forward pass only (so
   without ``--out`` the inverter's uncompute is never generated, and no
@@ -22,12 +22,12 @@ Commands
   reads nothing back. With ``--in``, ``run_packed`` simulates the file's
   batches as ``read_netlist`` streams them, and without it the add
   batches ``synth_circuit`` gives; every other kind is a block chain, which
-  ``inverters.chain_simulate`` runs block by block on windows of the
-  packed state (a self-power block as ``run_packed`` over the spec's index
-  columns, which address its window as they stand), restoring each
-  uncompute block from its forward run while its windows match it, and
-  leaving the state as ``run_packed`` over the stream ``synth`` writes
-  would.
+  ``inverters.chain_simulate`` runs block by block, each on its window of
+  the packed state (``multipliers.block_window``; a self-power block as
+  ``run_packed`` over the spec's index columns, which address the window
+  as they stand), restoring each uncompute block from its forward run
+  while its window matches it, and leaving the state as ``run_packed``
+  over the stream ``synth`` writes would.
 * ``table``: measured depth/gates next to the closed-form bounds for a list
   of degrees, plus the asymptotic comparison against a polynomial basis.
   Each row is ``kind_estimate``, what ``synth`` prints; the invert row

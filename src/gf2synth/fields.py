@@ -26,7 +26,7 @@ and ``of`` return a ``GhostBit`` or a ``Gnb``, both subclasses of
 ``FieldSpec``. That object is the one place where the two representations
 differ: register width, int-level product, Frobenius and identity, the
 inverse check, the read/write wire permutations, the stage structure of
-the two multiplier cores (as coefficient indices, which ``multipliers``
+the two multiplier kinds (as coefficient indices, which ``multipliers``
 places on wires as column batches) and the closed-form bounds
 (``inverter_bounds``). Everything else is shared. ``self_mult_stages(r)``
 is the one description of a self-power multiplier's stages: each

@@ -22,10 +22,12 @@ with the inverse in the last register and the input untouched. Register
 layout (and the ``registers`` map of the emitted circuit) is: input, ladder
 ancillas in exponent order, merge ancillas, output = last written register.
 
-``chain_batches`` streams a chain as column batches (see ``circuits``) for
-``synth --out``. Uncompute blocks are generated backwards,
-stage by stage, so none is ever held in memory; ``inverter_batches`` is the
-inverter's stream and ``inverter_gates`` its flat view. ``chain_estimate``
+``chain_batches`` streams a chain as column batches for ``synth --out``,
+each block's from ``multipliers.block_batches``, the one placement of a
+block on wires (``multipliers.block_window``). Uncompute blocks are
+generated backwards, stage by stage, so none is ever held in memory;
+``inverter_batches`` is the inverter's stream and ``inverter_gates`` its
+flat view. ``chain_estimate``
 is the one measurement of every multiplying kind (``synth``, ``table``,
 ``check_bounds``), from the forward pass alone: the uncompute mirrors the
 head of that pass, so its share of the depth is read off the per-wire layer
@@ -38,10 +40,10 @@ layering every gate of ``chain_batches``, in memory proportional to the
 width. The ``Circuit`` synthesizers (``synth_gbb_mult`` and the rest) are
 each one materialized chain. ``chain_simulate`` is streamed ``verify``'s
 simulator: it applies a chain to a packed state block by block, each on
-windows of its registers (a self-power block is ``run_packed`` over its
-index columns on its window), and leaves the state as ``run_packed`` over
-``chain_batches`` would. It uses the same mirror as ``chain_estimate``: an
-uncompute block whose windows still hold what its forward run wrote is
+its window (a self-power block is ``run_packed`` over its index columns
+there), and leaves the state as ``run_packed`` over ``chain_batches``
+would. It uses the same mirror as ``chain_estimate``: an uncompute block
+whose window still holds what its forward run wrote is
 restored from that run, not simulated again, so about half of the
 inverter's gates are never run.
 """
@@ -51,7 +53,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from itertools import repeat
 from operator import add, itemgetter, sub
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .circuits import (
     Batch, Circuit, Gate, ResourceEstimate, flat_gates, gather, layer_batches, run_packed,
@@ -60,9 +62,7 @@ from .errors import DegreeTooSmall
 from .fields import (
     FieldSpec, GhostBit, Gnb, GnbParams, MultiplierBlock, Representation, addition_chain,
 )
-from .multipliers import (
-    check_exponent, mult_batches, mult_wires, self_mult_batches, self_mult_wires, walk,
-)
+from .multipliers import block_batches, block_window, check_exponent, walk
 
 
 @dataclass(frozen=True)
@@ -118,37 +118,24 @@ def kind_structure(spec: FieldSpec, kind: str, r: Optional[int] = None) -> Block
     raise ValueError(f"unknown synthesis kind {kind!r}")
 
 
-def _block_batches(spec: FieldSpec, block: MultiplierBlock, reverse: bool = False) -> Iterator[Batch]:
-    w = spec.width
-    src = block.source_reg * w
-    tgt = block.target_reg * w
-    if block.kind == "self_power":
-        return self_mult_batches(spec, block.r, src, tgt, block.squared_write, reverse)
-    operand = block.operand_reg * w
-    return mult_batches(
-        spec, src, operand, tgt, block.operand_exponent, block.squared_write, reverse
-    )
-
-
 def chain_batches(spec: FieldSpec, chain: BlockChain) -> Iterator[Batch]:
     """Stream a chain as column batches: the forward blocks, then each
     uncompute block generated backwards (stages last-first, every batch
     reversed). Batches are built as they are drawn, so no block is ever held
     in memory."""
     for block in chain.forward:
-        yield from _block_batches(spec, block)
+        yield from block_batches(spec, block)
     for block in chain.uncompute:
-        yield from _block_batches(spec, block, reverse=True)
+        yield from block_batches(spec, block, reverse=True)
 
 
 def chain_simulate(spec: FieldSpec, chain: BlockChain, state: list[int]) -> list[int]:
     """Apply a chain to a bit-sliced state in place (state[w] packs wire w
     across all patterns), leaving every wire as ``run_packed`` over
     ``chain_batches(spec, chain)`` leaves it, without placing a gate on
-    wires: each block runs on windows of its registers, from the spec's
-    index columns (self-power) or ``walk`` rotations (general). Each
-    block's register layout is checked at the call, by the placement the
-    wire cores use (``self_mult_wires``, ``mult_wires``).
+    wires: each block runs on its window (``multipliers.block_window``,
+    which checks the block's precondition at the call), from the spec's
+    index columns (self-power) or ``walk`` rotations (general).
 
     Lemma. In every block, controls lie only in the source and operand
     registers and targets only in the target register, and the register
@@ -160,66 +147,49 @@ def chain_simulate(spec: FieldSpec, chain: BlockChain, state: list[int]) -> list
     reversed, as ``chain_batches`` draws an uncompute block, it is the same
     map. So an uncompute block can run through the forward routine,
     recomputed from its source as it stands then. And since a gate reads
-    and writes only the wires it names, the block runs on copies of those
-    wires' values, read through the wires the cores place it on: a
-    self-power block's window (``self_mult_wires``), on which
-    ``run_packed`` runs its index columns as they stand, and a general
-    block's source, operand and target windows (``mult_wires``). Writing
-    the whole windows back through the same wires gives each of their
-    wires its value under the wire batches, and no other wire moves; on a
-    self-power window that holds for any index column in 0..2w-1, a target
-    in the source half included. (The windows are taken out of the state,
-    so that a register is never held twice; their wires hold 0 until they
-    are written back.)
+    and writes only the wires it names, the block runs on a copy of its
+    window's values, where ``block_batches`` places it: ``run_packed``
+    runs a self-power block's index columns on it as they stand, and a
+    general block's stages rotate its thirds. Writing the whole window
+    back gives each of its wires its value under the wire batches, and no
+    other wire moves; on a self-power window that holds for any index
+    column in 0..2w-1, a target in the source half included.
 
     Mirror. Q is a pure function of the block and its inputs. So each
-    forward run keeps its windows as it read them and as it wrote them
-    back (references, no int is copied), keyed by the block; if an
-    uncompute block finds its windows holding, by value, what its forward
-    run wrote (source s, operand and target t1 = t0 ^ Q(s)), the run it
-    skips would leave t1 ^ Q(s) = t0, and the kept "before" windows are
-    written back. If anything differs, the block is recomputed from the
-    windows as they stand. The state is the recompute's in every case, so
-    a wrong uncompute still leaves an ancilla nonzero: two blocks swapped
-    change some block's source before its uncompute, which sends that
-    block to the recompute, and a dropped block leaves its target as it is.
+    forward run keeps its window's wires and values as it read them and
+    as it wrote them back (references, no int is copied), keyed by the
+    block; if an uncompute block finds those wires holding, by value, what
+    its forward run wrote (source s, operand and target t1 = t0 ^ Q(s)),
+    the run it skips would leave t1 ^ Q(s) = t0, and the kept "before"
+    values are written back. If anything differs, the block is recomputed
+    from its window as it stands. The state is the recompute's in every
+    case, so a wrong uncompute still leaves an ancilla nonzero: two blocks
+    swapped change some block's source before its uncompute, which sends
+    that block to the recompute, and a dropped block leaves its target as
+    it is.
     """
     kept = {block: _simulate_block(spec, block, state) for block in chain.forward}
     for block in chain.uncompute:
         run = kept.pop(block, None)
-        if run is None or not _restore(spec, block, state, *run):
+        if run is None or not _restore(state, *run):
             _simulate_block(spec, block, state)
     return state
 
 
-def _window(spec: FieldSpec, block: MultiplierBlock) -> list[int]:
-    """Every wire a block's gates touch, where the wire cores place them: a
-    self-power block's window (``self_mult_wires``), or a general block's
-    source, operand and target wires (``mult_wires``), w each. The block's
-    register layout is checked here."""
-    w = spec.width
-    src, tgt = block.source_reg * w, block.target_reg * w
-    if block.kind == "self_power":
-        return self_mult_wires(spec, block.r, src, tgt, block.squared_write)
-    op = block.operand_reg * w
-    a, b, out = mult_wires(spec, src, op, tgt, block.operand_exponent, block.squared_write)
-    return a + b + out
-
-
 def _simulate_block(
     spec: FieldSpec, block: MultiplierBlock, state: list[int]
-) -> tuple[list[int], list[int]]:
+) -> tuple[list[int], Sequence[int], list[int]]:
     """One block of ``chain_simulate``: target ^= Q(source, operand), on
-    the block's ``_window``. Returns the window's values before and after,
-    for ``_restore``."""
+    the block's window. Returns the window's wires and its values before
+    and after, for ``_restore``."""
     w = spec.width
-    wires = _window(spec, block)
-    before = _take(state, wires)
+    wires = block_window(spec, block)
+    before = gather(state, wires)
     if block.kind == "self_power":
         stages = spec.self_mult_stages(block.r)
-        after = run_packed((batch for st in stages for cls in st.classes for batch in cls), before[:])
+        after = run_packed((batch for st in stages for cls in st.classes for batch in cls), list(before))
     else:
-        source, operand, target = before[:w], before[w:2 * w], before[2 * w:]
+        source, operand, target = before[:w], before[w:2 * w], list(before[2 * w:])
         # Gate j of a stage (sa, sb, c, step) multiplies source coefficient
         # sa + j by operand coefficient sb + j into target coefficient
         # c + step*j. With s the inverse of step mod w, target coefficient k
@@ -246,30 +216,17 @@ def _simulate_block(
         after = [*source, *operand, *target]
     for u, v in zip(wires, after):
         state[u] = v
-    return before, after
+    return wires, before, after
 
 
-def _restore(
-    spec: FieldSpec, block: MultiplierBlock, state: list[int], before: list[int], after: list[int]
-) -> bool:
-    """The mirror of ``chain_simulate``: if the block's window holds
-    ``after``, put ``before`` back on it."""
-    wires = _window(spec, block)
+def _restore(state: list[int], wires: list[int], before: Sequence[int], after: list[int]) -> bool:
+    """The mirror of ``chain_simulate``: if a forward run's ``wires`` hold
+    ``after``, put ``before`` back on them."""
     if list(gather(state, wires)) != after:
         return False
     for u, v in zip(wires, before):
         state[u] = v
     return True
-
-
-def _take(state: list[int], wires: list[int]) -> list[int]:
-    """The values on ``wires``, left as 0 in the state: a window then holds
-    its register's only copy (at 65,536 patterns, a register of the gnb 163
-    inverter is 1.3 MB)."""
-    window = list(gather(state, wires))
-    for u in wires:
-        state[u] = 0
-    return window
 
 
 def inverter_batches(spec: FieldSpec) -> Iterator[Batch]:
@@ -288,22 +245,22 @@ def layer_block(
 ) -> tuple[int, int]:
     """Layer one block onto the per-wire counters: ``ready`` and
     ``tof_ready`` end exactly as ``layer_batches`` over
-    ``_block_batches(spec, block)`` leaves them, and the result is the same
-    (Toffolis, CNOTs). The cores' precondition (the register layout, and a
-    self-power block's exponent) is checked at the call, even when no stage
-    is drawn. Three shortcuts, each exact:
+    ``block_batches(spec, block)`` leaves them, and the result is the same
+    (Toffolis, CNOTs). The block's precondition is checked at the call
+    (``block_window``), even when no stage is drawn. Three shortcuts, each
+    exact:
 
-    (a) A general block in closed form once level. Each stage of
-    ``mult_batches`` is one Toffoli batch whose three columns are ``walk``
-    rotations of the a, b and c wire lists (the target step 2 of the
-    ghost-bit product permutes too, as m+1 is odd): one gate on every wire
-    of the three registers, and on no other wire. If before a stage
-    ``ready`` is L on all those wires and ``tof_ready`` is T, every gate
-    sees L and T on its three wires and sets them to L+1 and T+1, so both
-    counters are level again, one higher. By induction the S stages not
-    yet drawn add S to every wire of the block and touch nothing else. So
-    the counters are tested before each stage, and once both are level the
-    rest of the block is one slice assignment, and those stages are never
+    (a) A general block in closed form once level. Each general stage of
+    ``block_batches`` is one Toffoli batch whose three columns are ``walk``
+    rotations of the window's thirds (the target step 2 of the ghost-bit
+    product permutes too, as m+1 is odd): one gate on every wire of the
+    window, and on no other wire. If before a stage ``ready`` is L on all
+    those wires and ``tof_ready`` is T, every gate sees L and T on its
+    three wires and sets them to L+1 and T+1, so both counters are level
+    again, one higher. By induction the S stages not yet drawn add S to
+    every wire of the window and touch nothing else. So the counters are
+    tested on the window before each stage, and once both are level the
+    rest of the block is one assignment, and those stages are never
     generated. A fresh ``mult`` is level at stage 0.
 
     (b) A self-power block's Toffoli counter carried as one offset. If
@@ -323,19 +280,15 @@ def layer_block(
     touches, layer the relabeled stream on counters read through the map,
     and write them back through it, and every counter ends as layering the
     stream itself leaves it, while the counters of the wires it misses
-    never move. ``self_mult_batches`` places every index column on the
-    block's window (``self_mult_wires``: the source's wires, then the
-    target's through the write permutation), 2w wires that are distinct as
-    the registers are disjoint. So the block is layered on the window's
-    counters, fed ``spec.self_mult_stages(r)`` as it is. Lemma (b) holds on
-    the window unchanged, since the window is exactly the wires of the
-    block's registers.
+    never move. ``block_batches`` places every index column on the
+    block's window, 2w wires that are distinct as the registers are
+    disjoint. So the block is layered on the window's counters, fed
+    ``spec.self_mult_stages(r)`` as it is. Lemma (b) holds on the window
+    unchanged, since the window is exactly the wires of the block's
+    registers.
     """
-    w = spec.width
-    src = block.source_reg * w
-    tgt = block.target_reg * w
-    if block.kind == "self_power":
-        wires = self_mult_wires(spec, block.r, src, tgt, block.squared_write)  # lemma (c)
+    wires = block_window(spec, block)
+    if block.kind == "self_power":  # lemma (c)
         window, tof_window = list(gather(ready, wires)), list(gather(tof_ready, wires))
         stages = spec.self_mult_stages(block.r)
         batches = (batch for st in stages for cls in st.classes for batch in cls)
@@ -343,23 +296,22 @@ def layer_block(
         for u, v, t in zip(wires, window, tof_window):
             ready[u], tof_ready[u] = v, t
         return counts
-    batches = _block_batches(spec, block)
-    starts = (src, block.operand_reg * w, tgt)
+    batches = block_batches(spec, block)
     stages = left = len(spec.mult_stages())
-    while left and not (_level(ready, starts, w) and _level(tof_ready, starts, w)):
+    while left and not (_level(ready, wires) and _level(tof_ready, wires)):
         layer_batches((next(batches),), ready, tof_ready)
         left -= 1
     if left:
-        for s in starts:
-            ready[s:s + w] = [ready[s] + left] * w
-            tof_ready[s:s + w] = [tof_ready[s] + left] * w
-    return stages * w, 0
+        top, tof_top = ready[wires[0]] + left, tof_ready[wires[0]] + left
+        for u in wires:
+            ready[u], tof_ready[u] = top, tof_top
+    return stages * spec.width, 0
 
 
-def _level(counter: list[int], starts: tuple[int, ...], w: int) -> bool:
-    """Does ``counter`` hold one value on all the registers at ``starts``?"""
-    v = counter[starts[0]]
-    return all(counter[s:s + w].count(v) == w for s in starts)
+def _level(counter: list[int], wires: list[int]) -> bool:
+    """Does ``counter`` hold one value on all of ``wires``?"""
+    values = gather(counter, wires)
+    return values.count(values[0]) == len(values)
 
 
 def _offset(ready: list[int], tof_ready: list[int]) -> Optional[int]:

@@ -24,45 +24,43 @@ inspect a self-power stage (its label, index delta and color classes), read
 ``spec.self_mult_stages(r)`` directly; this module only places stages on
 wires.
 
-The two gate cores below (general and self-power) place those stages on
-wires for any representation. They take register offsets, an operand
-exponent (the second operand is read through the spec's read
-permutation, which yields its power-of-two Frobenius image) and a
-squared-write flag (the output is written through the write permutation),
-which is what lets the inverter fold Frobenius maps and its final squaring
-into the wiring for free.
+Every block is placed on wires in one place, ``block_window(spec,
+block)``. A block's window is every wire its gates touch, in the order
+its columns address them: the wires of the source register, then (a
+general block only) those of the operand register read through the spec's
+read permutation, which yields the operand's power-of-two Frobenius image,
+then those of the target register, through the write permutation when the
+block writes squared. That is what lets the inverter fold its Frobenius
+maps and its final squaring into the wiring for free. A self-power
+block's window is 2w wires, and its index columns address it as they
+stand (x and y a source coefficient, c w plus an output coefficient); a
+general block's is three thirds of w wires.
 
-The cores (``mult_batches``, ``self_mult_batches``) produce column batches
-(see ``circuits``), one per run of one gate kind: a general stage is one
-Toffoli batch whose wire lists are rotations of the registers' wire lists,
-and a self-power color class is the spec's index columns mapped
-onto wires (the ghost-bit first class is a Toffoli batch followed by a
-one-CNOT batch). The index columns address the block's window
-(``self_mult_wires``): the source wires, then the target wires through the
-write permutation, so all three columns are gathered through one list.
-``circuits.gather`` is the one translation from index columns to wire
-columns: one ``itemgetter`` call per column, in C, which still gives a
-sequence for a column of one gate. With ``reverse`` a core
+``block_batches(spec, block, reverse)`` gives a block's column batches
+(see ``circuits``), one per run of one gate kind: a self-power color class
+is the spec's index columns gathered through the window (the ghost-bit
+first class is a Toffoli batch followed by a one-CNOT batch), and a
+general stage is one Toffoli batch whose columns are ``walk`` rotations of
+the window's thirds. ``circuits.gather`` is the one translation from index
+columns to wire columns: one ``itemgetter`` call per column, in C, which
+still gives a sequence for a column of one gate. With ``reverse`` it
 yields the inverse block: stages last-first, each stage's batches
 last-first, every list reversed. The batches go as they are to the
-netlist writer, through the block chains of ``inverters``:
-``inverters.kind_structure`` holds every multiplying kind's register map,
-a product or a self-power product being a chain of one block. Streamed
-simulation (``inverters.chain_simulate``) places no stage on wires: it
-runs each block on windows of the packed state, read through
-``self_mult_wires`` and ``mult_wires``, from the index columns and
-``walk`` rotations. Measurement (``inverters.layer_block``) draws the
-general batches block by block and stops once a block's layer counters are
-level, since every general stage is one gate on each of its wires; it
-places no self-power stage on wires at all, but layers the index columns
-of ``spec.self_mult_stages`` as they stand on the window's counters, read
-through ``self_mult_wires``, the one placement all three routes share.
+netlist writer, through the block chains of ``inverters``
+(``inverters.kind_structure`` holds every multiplying kind's register map,
+a product or a self-power product being a chain of one block).
+Measurement (``inverters.layer_block``) and streamed simulation
+(``inverters.chain_simulate``) read the same window: they run a
+self-power block's index columns on the window's counters or packed
+values, never placed on wires, and read a general block's registers
+through it.
 
-The cores check no gate on its own. Each block first checks its register
-layout with the register rule of ``circuits`` (non-negative, pairwise
-disjoint spans); the stage formulas then give every gate distinct wires
-with Toffoli controls lower-first. ``Circuit`` applies the gate rule when
-a netlist is materialized (``synth_add`` hands it plain ``(control,
+The batches check no gate on their own. ``block_window`` first checks the
+block's precondition, a self-power exponent in 0..m and the register rule
+of ``circuits`` (non-negative, pairwise disjoint spans), so every route to
+a block refuses alike; the stage formulas then give every gate distinct
+wires with Toffoli controls lower-first. ``Circuit`` applies the gate rule
+when a netlist is materialized (``synth_add`` hands it plain ``(control,
 target)`` tuples), and ``synth --out`` applies it batch by batch as it
 writes one; all else trusts.
 """
@@ -73,22 +71,17 @@ from typing import Iterable, Iterator
 
 from .circuits import UNBOUNDED, Batch, Circuit, gather, validated_registers
 from .errors import ExponentOutOfRange
-from .fields import FieldSpec
+from .fields import FieldSpec, MultiplierBlock
 
 
 # ---------------------------------------------------------------------------
-# gate cores
+# block placement
 
 
 def _wires(start: int, perm: Iterable[int]) -> list[int]:
     """Wire of each logical coefficient of the register at ``start``. Gates
     share these int objects, which keeps materialized netlists smaller."""
     return [start + i for i in perm]
-
-
-def _targets(spec: FieldSpec, c0: int, square_write: bool) -> list[int]:
-    """Output wire of each logical coefficient, optionally pre-squared."""
-    return _wires(c0, spec.write_permutation if square_write else range(spec.width))
 
 
 def walk(wires: list[int], start: int, step: int = 1) -> list[int]:
@@ -107,70 +100,36 @@ def _stage(batches: list[Batch], reverse: bool) -> list[Batch]:
     return [(a[::-1], None if b is None else b[::-1], t[::-1]) for a, b, t in reversed(batches)]
 
 
-def mult_batches(
-    spec: FieldSpec, a0: int, b0: int, c0: int, b_exp: int = 0, square_write: bool = False,
-    reverse: bool = False,
-) -> Iterator[Batch]:
-    """|a>|b>|c>  ->  |a>|b>|c + a * b^(2^b_exp)>, one batch per stage; a
-    stage is one depth-1 layer whose controls and targets are all distinct.
-    The register layout is checked at the call. With ``reverse`` the
-    inverse block: stages last-first, columns reversed."""
-    a, b, tgt = mult_wires(spec, a0, b0, c0, b_exp, square_write)
-    lower_first = a0 < b0  # the lower register's wire is the first control of every gate
-    x, y = (a, b) if lower_first else (b, a)
-
-    def stages() -> Iterator[Batch]:
-        table = spec.mult_stages()
-        for sa, sb, sc, step in reversed(table) if reverse else table:
-            sx, sy = (sa, sb) if lower_first else (sb, sa)
-            yield from _stage([(walk(x, sx), walk(y, sy), walk(tgt, sc, step))], reverse)
-
-    return stages()
-
-
-def mult_wires(
-    spec: FieldSpec, a0: int, b0: int, c0: int, b_exp: int = 0, square_write: bool = False
-) -> tuple[list[int], list[int], list[int]]:
-    """Where a general block puts its stages: the wire of each coefficient
-    of a, of b^(2^b_exp) (b read through the read permutation) and of the
-    output (through the write permutation with ``square_write``). Checks
-    the block's precondition first, three disjoint registers, so every
-    route to the block (``mult_batches``, and ``inverters.chain_simulate``,
-    which runs the stages on windows of the state) refuses alike."""
+def block_window(spec: FieldSpec, block: MultiplierBlock) -> list[int]:
+    """The block's window (see the module docstring), after checking the
+    block's precondition: a self-power exponent in 0..m, and disjoint
+    registers."""
     n = spec.width
-    validated_registers({"a": (a0, n), "b": (b0, n), "c": (c0, n)}, UNBOUNDED)
-    return _wires(a0, range(n)), _wires(b0, spec.read_permutation(b_exp)), _targets(spec, c0, square_write)
+    source, target = block.source_reg * n, block.target_reg * n
+    if block.kind == "self_power":
+        check_exponent(block.r, spec.m)
+        validated_registers({"a": (source, n), "c": (target, n)}, UNBOUNDED)
+        window = _wires(source, range(n))
+    else:
+        operand = block.operand_reg * n
+        validated_registers({"a": (source, n), "b": (operand, n), "c": (target, n)}, UNBOUNDED)
+        window = _wires(source, range(n)) + _wires(operand, spec.read_permutation(block.operand_exponent))
+    return window + _wires(target, spec.write_permutation if block.squared_write else range(n))
 
 
-def self_mult_wires(
-    spec: FieldSpec, r: int, a0: int, c0: int, square_write: bool = False
-) -> list[int]:
-    """The block's window, the wires its index columns address: the wire
-    of each input coefficient, then the output wire of each coefficient
-    (through the write permutation with ``square_write``). Checks the
-    block's precondition first, the exponent in 0..m and two disjoint
-    registers, so every route to the block (``self_mult_batches``, and
-    ``inverters.layer_block`` and ``inverters.chain_simulate``, which run
-    the index columns without placing them) refuses alike."""
-    check_exponent(r, spec.m)
-    n = spec.width
-    validated_registers({"a": (a0, n), "c": (c0, n)}, UNBOUNDED)
-    return _wires(a0, range(n)) + _targets(spec, c0, square_write)
-
-
-def self_mult_batches(
-    spec: FieldSpec, r: int, a0: int, c0: int, square_write: bool = False, reverse: bool = False
-) -> Iterator[Batch]:
-    """|a>|c>  ->  |a>|c + a * a^(2^r)>, stage by stage, color class by
-    class, one batch per run of one gate kind. The exponent must lie in
-    0..m, checked at the call. With ``reverse`` the inverse block: stages
+def block_batches(spec: FieldSpec, block: MultiplierBlock, reverse: bool = False) -> Iterator[Batch]:
+    """target += source * source^(2^r) (self-power) or source *
+    operand^(2^operand_exponent) (general), stage by stage, color class by
+    class (a general stage is one class), one batch per run of one gate
+    kind; the gates of a class have distinct wires. The precondition is
+    checked at the call. With ``reverse`` the inverse block: stages
     last-first, each stage's batches last-first, columns reversed."""
-    window = self_mult_wires(spec, r, a0, c0, square_write)
-    # Index Toffolis name their controls lower-first and the source wires
-    # increase, so the wire controls are lower-first too.
+    window = block_window(spec, block)
 
-    def stages() -> Iterator[Batch]:
-        for stage in spec.self_mult_stages(r, reverse):
+    def self_power() -> Iterator[Batch]:
+        # Index Toffolis name their controls lower-first and the source
+        # wires increase, so the wire controls are lower-first too.
+        for stage in spec.self_mult_stages(block.r, reverse):
             batches = [
                 (gather(window, x), None if y is None else gather(window, y), gather(window, c))
                 for cls in stage.classes
@@ -178,7 +137,16 @@ def self_mult_batches(
             ]
             yield from _stage(batches, reverse)
 
-    return stages()
+    def general() -> Iterator[Batch]:
+        n = spec.width
+        a, b, t = window[:n], window[n:2 * n], window[2 * n:]
+        swap = block.operand_reg < block.source_reg  # the lower register's wire is the first control
+        table = spec.mult_stages()
+        for sa, sb, sc, step in reversed(table) if reverse else table:
+            x, y = (walk(b, sb), walk(a, sa)) if swap else (walk(a, sa), walk(b, sb))
+            yield from _stage([(x, y, walk(t, sc, step))], reverse)
+
+    return self_power() if block.kind == "self_power" else general()
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +163,7 @@ def synth_add(width: int) -> Circuit:
 
 def check_exponent(r: int, m: int) -> None:
     """The self-power exponent's range, 0..m: the one check of it, which
-    ``self_mult_wires`` runs for every self-power block and
+    ``block_window`` runs for every self-power block and
     ``inverters.kind_structure`` before it lays a selfmult out, so
     ``synth`` and ``verify`` refuse r alike before a gate or pattern is
     drawn (a netlist file does not carry r)."""

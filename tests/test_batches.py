@@ -5,7 +5,7 @@ The inverters are measured from column batches. These tests hold that
 measurement to a reference written here from the definition of greedy ASAP
 layering, applied one flat gate at a time, hold the column check to the
 flat gate rule and the batch simulator to a one-gate-at-a-time simulator
-written here, and pin the flat stream against the multiplier cores' own
+written here, and pin the flat stream against the multiplier blocks' own
 gate order.
 """
 
@@ -26,7 +26,7 @@ from gf2synth.circuits import (
     validated_batches,
     validated_gates,
 )
-from gf2synth.errors import CircuitRuleError, InvalidParams
+from gf2synth.errors import CircuitRuleError, ExponentOutOfRange, InvalidParams
 from gf2synth.cli import kind_estimate, synth_circuit
 from gf2synth.fields import (
     FieldSpec,
@@ -46,7 +46,7 @@ from gf2synth.inverters import (
     inverter_gates,
     inverter_structure,
 )
-from gf2synth.multipliers import mult_batches, self_mult_batches
+from gf2synth.multipliers import block_batches, block_window
 
 
 def reference_estimate(width, gates):
@@ -163,11 +163,14 @@ def test_every_general_stage_is_one_gate_on_every_wire_of_its_registers(spec):
     stages = len(spec.mult_stages())
     exponents = {0} | {b.operand_exponent for b in addition_chain(spec.m).combine}
     every_wire = set(range(3 * w))
-    for src, operand in ((0, w), (w, 0)):  # the operand register below and above the source
+    for src, operand in ((0, 1), (1, 0)):  # the operand register below and above the source
         for e in sorted(exponents):
             for squared in (False, True):
+                block = MultiplierBlock(
+                    "general", src, 2, operand_reg=operand, operand_exponent=e, squared_write=squared
+                )
                 drawn = 0
-                for a, b, t in mult_batches(spec, src, operand, 2 * w, e, squared):
+                for a, b, t in block_batches(spec, block):
                     assert b is not None and len(a) + len(b) + len(t) == 3 * w
                     assert set(a).union(b, t) == every_wire, (src, e, squared, drawn)
                     drawn += 1
@@ -232,30 +235,9 @@ def test_self_power_block_layered_on_its_window_matches_full_layering(spec):
                 outside = ready[spare * w:(spare + 1) * w], tof_ready[spare * w:(spare + 1) * w]
                 got_ready, got_tof = ready[:], tof_ready[:]
                 got = inverters.layer_block(spec, block, got_ready, got_tof)
-                want = layer_batches(inverters._block_batches(spec, block), ready, tof_ready)
+                want = layer_batches(block_batches(spec, block), ready, tof_ready)
                 assert (got, got_ready, got_tof) == (want, ready, tof_ready), (spec.m, spec.t, r, squared)
                 assert (ready[spare * w:(spare + 1) * w], tof_ready[spare * w:(spare + 1) * w]) == outside
-
-
-@pytest.mark.parametrize("spec", [FieldSpec.ghost_bit(4), FieldSpec.gnb(5)], ids=spec_id)
-def test_self_power_window_refuses_what_the_wire_core_refuses(spec):
-    """The window route checks the self-power precondition at the call, as
-    ``self_mult_batches`` does: overlapping registers break the register
-    rule, and an exponent outside 0..m is refused; no counter moves."""
-    w = spec.width
-    for block, core in (
-        (MultiplierBlock("self_power", 1, 1, r=1), lambda: self_mult_batches(spec, 1, w, w)),
-        (MultiplierBlock("self_power", 0, 1, r=spec.m + 1), lambda: self_mult_batches(spec, spec.m + 1, 0, w)),
-    ):
-        ready, tof_ready = list(range(2 * w)), [0] * 2 * w
-        with pytest.raises(ValueError) as refused:
-            inverters.layer_block(spec, block, ready, tof_ready)
-        with pytest.raises(ValueError) as expected:
-            core()
-        assert (type(refused.value), str(refused.value)) == (type(expected.value), str(expected.value))
-        assert (ready, tof_ready) == (list(range(2 * w)), [0] * 2 * w)
-    with pytest.raises(CircuitRuleError, match="register c overlaps a"):
-        inverters.layer_block(spec, MultiplierBlock("self_power", 1, 1, r=1), [0] * 2 * w, [0] * 2 * w)
 
 
 def test_kind_estimates_equal_measuring_every_gate():
@@ -284,11 +266,13 @@ def test_kind_table_layouts_match_a_hand_written_reference():
         w = spec.width
         width, registers, batches = synth_circuit(spec, "mult")
         assert (width, registers) == (3 * w, {"input_a": (0, w), "input_b": (w, w), "output": (2 * w, w)})
-        assert list(batches) == list(mult_batches(spec, 0, w, 2 * w)), (spec.m, spec.t)
+        product = MultiplierBlock("general", 0, 2, operand_reg=1)
+        assert list(batches) == list(block_batches(spec, product)), (spec.m, spec.t)
         for r in range(spec.m + 1):
             width, registers, batches = synth_circuit(spec, "selfmult", r)
             assert (width, registers) == (2 * w, {"input": (0, w), "output": (w, w)})
-            assert list(batches) == list(self_mult_batches(spec, r, 0, w)), (spec.m, spec.t, r)
+            self_power = MultiplierBlock("self_power", 0, 1, r=r)
+            assert list(batches) == list(block_batches(spec, self_power)), (spec.m, spec.t, r)
 
 
 def test_inverter_estimate_leaves_the_level_general_stages_undrawn(monkeypatch):
@@ -297,14 +281,12 @@ def test_inverter_estimate_leaves_the_level_general_stages_undrawn(monkeypatch):
     # 211,085 in general stages drawn after their block's counters are
     # level. What is drawn is the 1,141 general gates before that.
     drawn = {"general": 0, "self_power": 0}
-    block_batches = inverters._block_batches
-
     def counted(spec, block, reverse=False):
         for batch in block_batches(spec, block, reverse):
             drawn[block.kind] += len(batch[2])
             yield batch
 
-    monkeypatch.setattr(inverters, "_block_batches", counted)
+    monkeypatch.setattr(inverters, "block_batches", counted)
     assert summary(inverter_estimate(FieldSpec.gnb(163))) == PINNED[0][1]
     assert drawn == {"general": 1_141, "self_power": 0}
     spec = FieldSpec.gnb(163)
@@ -506,16 +488,6 @@ def test_run_packed_on_batches_matches_the_flat_stream():
     assert run_packed(iter(()), list(state)) == state
 
 
-def _block_gates(spec, block, w):
-    src, tgt = block.source_reg * w, block.target_reg * w
-    if block.kind == "self_power":
-        return flat_gates(self_mult_batches(spec, block.r, src, tgt, block.squared_write))
-    operand = block.operand_reg * w
-    return flat_gates(
-        mult_batches(spec, src, operand, tgt, block.operand_exponent, block.squared_write)
-    )
-
-
 @pytest.mark.parametrize(
     "spec",
     [
@@ -534,13 +506,12 @@ def test_inverter_stream_is_forward_then_reversed_uncompute(spec):
     reversed. ``inverter_estimate``'s mirror shortcut measures only X L and
     relies on this order."""
     s = inverter_structure(spec)
-    w = spec.width
 
     def expected():
         for block in s.forward:
-            yield from _block_gates(spec, block, w)
+            yield from flat_gates(block_batches(spec, block))
         for block in s.uncompute:
-            yield from reversed(list(_block_gates(spec, block, w)))
+            yield from reversed(list(flat_gates(block_batches(spec, block))))
 
     pairs = zip_longest(inverter_gates(spec), expected(), fillvalue=None)
     for i, (got, want) in enumerate(pairs):
@@ -599,24 +570,51 @@ def test_single_blocks_simulate_on_windows_like_their_wire_batches(spec):
         assert got == run_packed(chain_batches(spec, chain), list(state)), (spec.m, spec.t, block)
 
 
+def _self_power(source, target, r=1):
+    return MultiplierBlock("self_power", source, target, r=r)
+
+
+def _general(source, operand, target):
+    return MultiplierBlock("general", source, target, operand_reg=operand)
+
+
+# case: (the block at degree m, its error, the message it matches)
+MALFORMED_BLOCKS = {
+    "self-power-source-is-target": (lambda m: _self_power(1, 1), CircuitRuleError, "register c overlaps a"),
+    "general-source-is-target": (lambda m: _general(1, 0, 1), CircuitRuleError, "register c overlaps a"),
+    "operand-is-target": (lambda m: _general(0, 1, 1), CircuitRuleError, "register c overlaps b"),
+    "operand-is-source": (lambda m: _general(0, 0, 2), CircuitRuleError, "register b overlaps a"),
+    "negative-source": (lambda m: _self_power(-1, 1), CircuitRuleError, r"register a spans \[-\d+, 0\)"),
+    "negative-target": (lambda m: _general(0, 1, -2), CircuitRuleError, r"register c spans \[-\d+, -\d+\)"),
+    "r-above-m": (lambda m: _self_power(0, 1, m + 1), ExponentOutOfRange, r"exponent r=\d+ outside 0\.\."),
+    "r-below-0": (lambda m: _self_power(0, 1, -1), ExponentOutOfRange, r"exponent r=-1 outside 0\.\."),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_BLOCKS))
 @pytest.mark.parametrize("spec", [FieldSpec.ghost_bit(4), FieldSpec.gnb(5)], ids=spec_id)
-def test_chain_simulate_refuses_what_the_wire_cores_refuse(spec):
-    """The window route checks each block's precondition at the call, with
-    the placement the cores use: overlapping registers and an exponent
-    outside 0..m are refused alike, and no wire moves."""
+def test_every_route_refuses_a_malformed_block_alike(spec, case):
+    """A block's precondition (disjoint, non-negative registers; a
+    self-power exponent in 0..m) is checked once, in ``block_window``, so
+    the window, the batches (at the call, before any draw), the estimate
+    and streamed simulation raise the same exception with the same
+    message, and neither the layer counters nor the state move."""
+    make, error, message = MALFORMED_BLOCKS[case]
+    block = make(spec.m)
     w = spec.width
-    for block, core in (
-        (MultiplierBlock("self_power", 1, 1, r=1), lambda: self_mult_batches(spec, 1, w, w)),
-        (MultiplierBlock("self_power", 0, 1, r=spec.m + 1), lambda: self_mult_batches(spec, spec.m + 1, 0, w)),
-        (MultiplierBlock("general", 0, 1, operand_reg=1), lambda: mult_batches(spec, 0, w, w)),
-    ):
-        state = list(range(3 * w))
+    with pytest.raises(error, match=message) as expected:
+        block_window(spec, block)
+    ready, tof_ready, state = list(range(3 * w)), [0] * 3 * w, list(range(3 * w))
+    routes = {
+        "block_batches": lambda: block_batches(spec, block),
+        "layer_block": lambda: inverters.layer_block(spec, block, ready, tof_ready),
+        "chain_simulate": lambda: chain_simulate(spec, BlockChain(3 * w, {}, (block,)), state),
+    }
+    for name, route in routes.items():
         with pytest.raises(ValueError) as refused:
-            chain_simulate(spec, BlockChain(3 * w, {}, (block,)), state)
-        with pytest.raises(ValueError) as expected:
-            core()
-        assert (type(refused.value), str(refused.value)) == (type(expected.value), str(expected.value))
-        assert state == list(range(3 * w))
+            route()
+        assert (type(refused.value), str(refused.value)) == (type(expected.value), str(expected.value)), name
+    assert (ready, tof_ready, state) == (list(range(3 * w)), [0] * 3 * w, list(range(3 * w)))
 
 
 def test_a_self_power_target_in_the_source_half_is_written_back(monkeypatch):

@@ -1,5 +1,6 @@
 """Command-line interface: params/synth/verify/table, exit codes, files."""
 
+import re
 import time
 from itertools import chain
 
@@ -150,13 +151,13 @@ def test_synth_invert_draws_the_uncompute_only_to_write_it(
     rep, m, spec, capsys, monkeypatch, tmp_path
 ):
     drawn = []
-    block_batches = inverters._block_batches
+    block_batches = inverters.block_batches
 
     def recorded(spec, block, reverse=False):
         drawn.append((block, reverse))
         return block_batches(spec, block, reverse)
 
-    monkeypatch.setattr(inverters, "_block_batches", recorded)
+    monkeypatch.setattr(inverters, "block_batches", recorded)
     assert run(capsys, "synth", "invert", "-m", m, "--rep", rep)[0] == 0
     assert drawn and not any(reverse for _, reverse in drawn)
     drawn.clear()
@@ -174,8 +175,8 @@ def test_synth_invert_draws_the_uncompute_only_to_write_it(
 def test_synth_mult_draws_the_multiplier_only_to_write_it(
     rep, m, spec, capsys, monkeypatch, tmp_path
 ):
-    # every stage of either core goes through multipliers._stage once as it
-    # is drawn; the product's estimate is in closed form and draws none
+    # every stage block_batches draws goes through multipliers._stage once
+    # as it is drawn; the product's estimate is in closed form and draws none
     drawn = []
     stage = multipliers._stage
 
@@ -343,7 +344,7 @@ def test_every_refusal_comes_before_any_stage_is_drawn(spec, monkeypatch):
     def no_stage(*args):
         raise AssertionError("a stage was drawn")
 
-    monkeypatch.setattr(inverters, "_block_batches", no_stage)
+    monkeypatch.setattr(inverters, "block_batches", no_stage)
     monkeypatch.setattr(type(spec), "self_mult_stages", no_stage)
     m = spec.m
     refusals = [
@@ -457,7 +458,7 @@ def test_a_kind_above_the_generation_budget_is_refused_before_any_draw(argv, kin
     def no_draw(*args, **kwargs):
         raise AssertionError("a stage or pattern was drawn")
 
-    monkeypatch.setattr(inverters, "_block_batches", no_draw)
+    monkeypatch.setattr(inverters, "block_batches", no_draw)
     monkeypatch.setattr(inverters, "layer_block", no_draw)
     monkeypatch.setattr(fields.Gnb, "self_mult_stages", no_draw)
     monkeypatch.setattr(cli, "_pack_patterns", no_draw)
@@ -687,7 +688,7 @@ def _inverter_stream(spec, phase):
     s = inverters.inverter_structure(spec)
     batches = list(inverters.inverter_batches(spec))
     n_forward = sum(
-        1 for block in s.forward for _ in inverters._block_batches(spec, block)
+        1 for block in s.forward for _ in inverters.block_batches(spec, block)
     )
     if phase is None:
         return s, batches
@@ -719,32 +720,74 @@ def test_verify_batches_and_flat_gates_agree(spec, phase):
 STREAMED_SPECS = [FieldSpec.ghost_bit(10), FieldSpec.gnb(11)]
 
 
-def _move_one_output_index(monkeypatch, spec):
+def _move_one_output_index(monkeypatch, spec, move):
     """Patch the spec class's ``self_mult_stages`` so that the first index
     batch of the first color class of the first stage writes its first
-    product one output coefficient further on."""
+    product to window index ``move(w, c)`` instead of c (a window index:
+    w + the output coefficient)."""
     original = type(spec).self_mult_stages
 
     def moved(self, r, reverse=False):
         stage, *rest = original(self, r, reverse)
         (first, *batches), *classes = stage.classes
         x, y, c = first
-        first = (x, y, ((c[0] + 1) % self.width, *c[1:]))
+        first = (x, y, (move(self.width, c[0]), *c[1:]))
         return iter([stage._replace(classes=((first, *batches), *classes)), *rest])
 
     monkeypatch.setattr(type(spec), "self_mult_stages", moved)
+
+
+def _one_output_coefficient_on(w, c):
+    return w + (c - w + 1) % w
+
+
+def _onto_a_source_wire(w, c):
+    return (c + 1) % w
+
+
+# the shape of the first counterexample: selfmult words the failing operand
+# and product, invert the failing input and output
+MOVED_OUTPUT_COUNTEREXAMPLES = {
+    "selfmult": r"a=[01]+ got=[01]+ expected=[01]+",
+    "invert": r"input=[01]+ output=[01]+",
+}
 
 
 @pytest.mark.parametrize("spec", STREAMED_SPECS, ids=lambda spec: f"{spec.representation.value}{spec.m}")
 @pytest.mark.parametrize("kind, r", [("selfmult", 3), ("invert", None)])
 def test_streamed_verify_fails_a_moved_output_index(spec, kind, r, monkeypatch):
     """Streamed verify runs the self-power blocks on the spec's index
-    columns as they are, so one output index moved in one color class
-    fails it (every input is checked at these degrees)."""
+    columns as they are, so one output index moved one output coefficient
+    on, within the output half, fails it with a wrong product (every input
+    is checked at these degrees)."""
     assert verify_kind(spec, kind, r=r).passed
-    _move_one_output_index(monkeypatch, spec)
+    _move_one_output_index(monkeypatch, spec, _one_output_coefficient_on)
     result = verify_kind(spec, kind, r=r)
     assert (result.passed, result.mode) == (False, "exhaustive")
+    assert re.fullmatch(MOVED_OUTPUT_COUNTEREXAMPLES[kind], result.counterexample)
+
+
+@pytest.mark.parametrize(
+    "spec, modified",
+    [(FieldSpec.ghost_bit(10), "wire 5 modified"), (FieldSpec.gnb(11), "wire 0 modified")],
+    ids=["gbb10", "gnb11"],
+)
+@pytest.mark.parametrize("kind, r", [("selfmult", 3), ("invert", None)])
+def test_streamed_verify_fails_an_output_index_moved_onto_a_source_wire(
+    spec, modified, kind, r, monkeypatch
+):
+    """One output index moved into the window's source half writes a
+    product onto an input wire: the first target, window index 15 at gbb 10
+    and 21 at gnb 11, goes to (c + 1) mod w, wire 5 and wire 0. selfmult
+    reports that input wire modified, and the inverter, whose input feeds
+    every later block, a wrong output."""
+    _move_one_output_index(monkeypatch, spec, _onto_a_source_wire)
+    result = verify_kind(spec, kind, r=r)
+    assert (result.passed, result.mode) == (False, "exhaustive")
+    if kind == "selfmult":
+        assert result.counterexample == modified
+    else:
+        assert re.fullmatch(MOVED_OUTPUT_COUNTEREXAMPLES[kind], result.counterexample)
 
 
 @pytest.mark.parametrize("rep, m", [("gbb", "10"), ("gnb", "11")])
@@ -757,10 +800,11 @@ def test_streamed_verify_fails_a_moved_output_index(spec, kind, r, monkeypatch):
     ids=["dropped", "swapped"],
 )
 def test_streamed_verify_fails_a_wrong_uncompute(rep, m, wrong, capsys, monkeypatch):
-    """Each uncompute block is recomputed from its source as it stands, so
-    an uncompute chain with a block dropped or two dependent blocks
-    swapped leaves an ancilla nonzero. (A simulator that kept each block's
-    forward contribution and XORed it back would pass the swap.)"""
+    """An uncompute block is restored from its forward run while its window
+    holds what that run wrote, and recomputed from its window as it stands
+    otherwise, so an uncompute chain with a block dropped or two dependent
+    blocks swapped leaves an ancilla nonzero. (A simulator that kept each
+    block's forward contribution and XORed it back would pass the swap.)"""
     right = inverters.BlockChain.uncompute
     monkeypatch.setattr(inverters.BlockChain, "uncompute", property(lambda c: wrong(right.fget(c))))
     code, out, _ = run(capsys, "verify", "invert", "-m", m, "--rep", rep)
@@ -772,8 +816,8 @@ def test_streamed_verify_fails_a_wrong_uncompute(rep, m, wrong, capsys, monkeypa
 @pytest.mark.parametrize("kind, r", [("mult", None), ("selfmult", "3"), ("invert", None)])
 @pytest.mark.parametrize("rep, m", [("gbb", "10"), ("gnb", "11")])
 def test_streamed_verify_places_no_gate_on_wires(rep, m, kind, r, capsys, monkeypatch):
-    # every stage of either wire core goes through multipliers._stage as it
-    # is drawn; streamed verify runs each block on windows of its registers
+    # every stage block_batches draws goes through multipliers._stage as it
+    # is drawn; streamed verify runs each block on its window
     # and draws none, nor hands anything to run_packed
     drawn = []
     stage = multipliers._stage

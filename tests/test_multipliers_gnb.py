@@ -16,7 +16,6 @@ from gf2synth.fields import (
     make_gnb_params,
 )
 from gf2synth.inverters import synth_gnb_mult, synth_gnb_self_mult
-from gf2synth.multipliers import mult_batches, self_mult_batches
 
 P52 = make_gnb_params(5, 2)
 P43 = make_gnb_params(4, 3)  # odd type exercises the wrap stages
@@ -179,15 +178,3 @@ def test_write_permutation_is_square_movement():
     for i, v in enumerate(bits(m, b)):  # coefficient i moves to wire perm[i]
         moved[perm[i]] = v
     assert tuple(moved) == bits(m, gnb_frobenius(m, b, 1))
-
-
-@pytest.mark.parametrize("spec", [FieldSpec.ghost_bit(4), FieldSpec.gnb(5)], ids=["gbb", "gnb"])
-def test_cores_reject_bad_register_layout(spec):
-    # the precondition is checked once per block, before the first gate
-    w = spec.width
-    for a0, b0, c0 in [(0, w - 1, 2 * w), (0, w, w + 1), (-1, w, 2 * w), (0, w, -w)]:
-        with pytest.raises(ValueError):
-            next(mult_batches(spec, a0, b0, c0))
-    for a0, c0 in [(0, w - 1), (w, 1), (-1, w), (0, -w)]:
-        with pytest.raises(ValueError):
-            next(self_mult_batches(spec, 1, a0, c0))

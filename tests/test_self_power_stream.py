@@ -18,13 +18,14 @@ from gf2synth.fields import (
     FieldSpec,
     GhostBit,
     Gnb,
+    MultiplierBlock,
     _gnb_violation,
     check_ghost_bit_support,
     gnb_stage_bases,
     make_gnb_params,
 )
 from gf2synth.inverters import inverter_batches, inverter_structure
-from gf2synth.multipliers import mult_batches, self_mult_batches
+from gf2synth.multipliers import block_batches
 
 GHOST_DEGREES = [m for m in range(2, 61) if check_ghost_bit_support(m)]
 
@@ -120,13 +121,10 @@ def frozen_inverter_batches(spec):
     w = spec.width
 
     def block(b, reverse):
-        src, tgt = b.source_reg * w, b.target_reg * w
         if b.kind == "self_power":
+            src, tgt = b.source_reg * w, b.target_reg * w
             return frozen_self_mult_batches(spec, b.r, src, tgt, b.squared_write, reverse)
-        operand = b.operand_reg * w
-        return mult_batches(
-            spec, src, operand, tgt, b.operand_exponent, b.squared_write, reverse
-        )
+        return block_batches(spec, b, reverse)
 
     for b in s.forward:
         yield from block(b, False)
@@ -157,18 +155,20 @@ def assert_same_stream(got, expected):
 
 
 def check_spec(spec):
-    """Stages and core batches equal the frozen ones for every r, both
-    directions and both write permutations."""
+    """Stages and block batches equal the frozen ones for every r, both
+    directions and both write permutations, the source register below and
+    above the target."""
     w = spec.width
     for r in range(spec.m + 1):
         for reverse in (False, True):
             frozen = list(frozen_stages(spec, r, reverse))
             assert stage_rows(spec.self_mult_stages(r, reverse)) == frozen, (r, reverse)
             for square_write in (False, True):
-                a0, c0 = (3, w + 5) if square_write else (w + 1, 0)
+                src, tgt = (0, 2) if square_write else (1, 0)
+                block = MultiplierBlock("self_power", src, tgt, r=r, squared_write=square_write)
                 assert_same_stream(
-                    self_mult_batches(spec, r, a0, c0, square_write, reverse),
-                    frozen_self_mult_batches(spec, r, a0, c0, square_write, reverse, frozen),
+                    block_batches(spec, block, reverse),
+                    frozen_self_mult_batches(spec, r, src * w, tgt * w, square_write, reverse, frozen),
                 )
 
 
@@ -223,7 +223,8 @@ def test_ghost_m2_one_element_pair_columns(r, reverse):
     spec = GhostBit(2)
     for st in spec.self_mult_stages(r, reverse):
         assert_columns_are_sequences(b for cls in st.classes for b in cls)
-    lengths = assert_columns_are_sequences(self_mult_batches(spec, r, 0, 3, reverse=reverse))
+    block = MultiplierBlock("self_power", 0, 1, r=r)
+    lengths = assert_columns_are_sequences(block_batches(spec, block, reverse))
     if r in (0, 2):  # 2^r = 1 mod 3: one squaring layer
         assert lengths == [3]
     else:
@@ -234,7 +235,8 @@ def test_the_fixed_cnot_is_a_one_gate_batch():
     spec = GhostBit(10)
     fixed = [st.classes[0][1] for st in spec.self_mult_stages(3)]
     assert all(len(x) == len(c) == 1 and y is None for x, y, c in fixed)
-    lengths = assert_columns_are_sequences(self_mult_batches(spec, 3, 0, 11, True, True))
+    block = MultiplierBlock("self_power", 0, 1, r=3, squared_write=True)
+    lengths = assert_columns_are_sequences(block_batches(spec, block, reverse=True))
     assert lengths.count(1) == 11
 
 
@@ -252,9 +254,8 @@ def test_gnb_odd_cycle_third_color_is_a_one_gate_batch(m):
         for cls in singles:
             assert_columns_are_sequences(cls)
         for reverse in (False, True):
-            lengths = assert_columns_are_sequences(
-                self_mult_batches(spec, r, m, 0, r % 2 == 1, reverse)
-            )
+            block = MultiplierBlock("self_power", 1, 0, r=r, squared_write=r % 2 == 1)
+            lengths = assert_columns_are_sequences(block_batches(spec, block, reverse))
             assert 1 in lengths
 
 
