@@ -90,11 +90,11 @@ patterns' values of a register back, from any pattern on. The two ends are
 bit-matrix transposes at C speed, PACK_SLICE patterns at a time: patterns
 (or wire ints) become fixed-width binary strings, ``zip`` turns their
 columns out, and ``int(column, 2)`` reads each column, so no loop runs per
-(pattern, bit) pair. ``verify`` checks the packed state itself and reads
-back only its first failing pattern (or, for the ghost-bit inverse, one
-slice at a time); ``simulate`` runs the route on a ``Circuit``'s gates, cut
-by ``gate_runs``, with whole-width ints (bit w is wire w) in and out. T-gate figures use the standard 7 T /
-T-depth 6 decomposition of the Toffoli.
+(pattern, bit) pair. ``verify`` checks the packed state itself, the
+ghost-bit inverse included, and reads back only its first failing pattern;
+``simulate`` runs the route on a ``Circuit``'s gates, cut by
+``gate_runs``, with whole-width ints (bit w is wire w) in and out. T-gate
+figures use the standard 7 T / T-depth 6 decomposition of the Toffoli.
 """
 
 from __future__ import annotations

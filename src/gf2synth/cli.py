@@ -8,11 +8,12 @@ Commands
   batches (each block's ``multipliers.block_batches``) go through the gate
   rule (``validated_batches``) into the file, one string per batch, never
   held whole; if a gate is refused or the write fails, the file is removed
-  (a regular file only), so no partial netlist is left to verify. The summary is ``kind_estimate``, which ``table``
-  prints too: ``measure_stream`` for add, and for every other kind
-  ``chain_estimate`` of its block chain, from the forward pass only (so
-  without ``--out`` the inverter's uncompute is never generated, and no
-  stage of a product, which is in closed form).
+  (a regular file only), so no partial netlist is left to verify. The
+  summary is ``kind_estimate``, which ``table`` prints too:
+  ``measure_stream`` for add, and for every other kind ``chain_estimate``
+  of its block chain, from the forward pass only (so without ``--out`` the
+  inverter's uncompute is never generated, and no stage of a product,
+  which is in closed form).
 * ``verify {add|mult|selfmult|invert}``: check a synthesized (or, with
   ``--in``, previously emitted) netlist against the classical field oracles,
   exhaustively or on seeded random samples (``--seed`` is non-negative).
@@ -51,11 +52,14 @@ failing pattern.
 
 Every command refuses a degree above ``fields.MAX_DEGREE`` before any
 parameter search is run. ``synth``, ``verify`` and ``table`` refuse a kind
-whose closed-form gate count (``gate_bound``) is above ``MAX_GATES``, the
-generation budget, before any stage is drawn. ``verify`` also refuses a run
-whose pattern count times ``gate_bound`` is above ``MAX_GATE_PATTERNS``, the
-verification budget, or whose pattern count times input bits is above
-``MAX_PATTERN_BITS``, the pattern budget, before any pattern is drawn.
+whose closed-form gate count (the gate half of ``kind_bounds``) is above
+``MAX_GATES``, the generation budget, before any stage is drawn. ``verify``
+also refuses a run whose pattern count times that gate count is above
+``MAX_GATE_PATTERNS``, the verification budget, or whose pattern count
+times input bits is above ``MAX_PATTERN_BITS``, the pattern budget, before
+any pattern is drawn. ``table`` also refuses a list whose rows' gate counts
+sum to more than ``MAX_TABLE_GATES``, the table budget, before any row is
+printed.
 
 Exit codes: 0 success / verification passed, 1 verification failed,
 2 domain error (unsupported degree, bad parameters, bad usage) or out of
@@ -106,7 +110,7 @@ DEFAULT_SEED = 0xB10F
 DEFAULT_SAMPLES = 100
 EXHAUSTIVE_CAP = 1 << 20
 
-# The generation budget: the largest closed-form gate count (``gate_bound``)
+# The generation budget: the largest closed-form gate count (``kind_bounds``)
 # of a kind that ``synth``, ``verify`` and ``table`` generate or measure. The
 # largest NIST degree, the gnb 571 inverter, bounds 84,755,814 gates, and its
 # estimate draws about half of them. Above the budget a kind is refused
@@ -114,9 +118,9 @@ EXHAUSTIVE_CAP = 1 << 20
 # at about 100 ns a gate would be more than an hour of generation.
 MAX_GATES = 100_000_000
 
-# The verification budget: the largest count of patterns times ``gate_bound``
-# that ``verify`` simulates. Streamed simulation costs about 12 ps per gate
-# and pattern by that count (the gnb 163 inverter on 65,536 samples,
+# The verification budget: the largest count of patterns times the gate
+# bound that ``verify`` simulates. Streamed simulation costs about 12 ps per
+# gate and pattern by that count (the gnb 163 inverter on 65,536 samples,
 # 1.25e11, took 1.4-1.8 s and 34.1-35.1 MiB on a 2-vCPU x86 host, against
 # 2.7-3.5 s and 35.4-36.4 MiB when every uncompute block was simulated
 # again and general blocks stage by stage), and ``--in`` about 27 ps (3.4 s
@@ -133,6 +137,13 @@ MAX_GATE_PATTERNS = 10**12
 # 140 MB peak RSS on a 2-vCPU x86 host, where 2^20 samples would need about
 # 24 GB. The gnb 163 inverter on 65,536 samples is 1.07e7 input bits.
 MAX_PATTERN_BITS = 10**8
+
+# The table budget: the largest sum of the add, mult and invert gate bounds
+# (``kind_bounds``) over a ``table``'s rows. The five NIST degrees sum to
+# 118,734,922 gates, 8.8e7 of it gnb 571, and take about 10 s. Above the
+# budget a table is refused before any row is printed: twenty specs that
+# each pass the generation budget, those of m = 1000..1099, sum to 1.19e9.
+MAX_TABLE_GATES = 4 * 10**8
 
 KINDS = ("add", "mult", "selfmult", "invert")
 MODES = ("auto", "exhaustive", "random")
@@ -261,7 +272,7 @@ def verify_kind(
     ghost-bit representative (product-equals-identity). ``mode`` is auto,
     exhaustive or random; random mode draws 1 to 2^20 samples, the
     exhaustive cap, from a non-negative seed. A run whose pattern count
-    times ``gate_bound`` is above MAX_GATE_PATTERNS, or times the input
+    times the gate bound is above MAX_GATE_PATTERNS, or times the input
     bits above MAX_PATTERN_BITS, is refused before a pattern is drawn.
 
     All patterns are packed, simulated in one bit-sliced pass and checked
@@ -298,7 +309,7 @@ def verify_kind(
         )
     drawn = samples if mode == "random" else 1 << nbits
     what = f"verifying {kind} at m={spec.m} ({spec.representation.value}) would"
-    cost = drawn * gate_bound(spec, kind)
+    cost = drawn * kind_bounds(spec, kind)[1]
     if cost > MAX_GATE_PATTERNS:
         raise ValueError(
             f"{what} simulate {cost} gate-patterns,"
@@ -376,24 +387,28 @@ def synth_circuit(spec: FieldSpec, kind: str, r: Optional[int] = None) -> Netlis
     return Netlist(c.width, c.registers, chain_batches(spec, c))
 
 
-def gate_bound(spec: FieldSpec, kind: str) -> int:
-    """A kind's closed-form gate count, from the spec's bounds alone: w for
-    add, the general product's for mult and selfmult, and the inverter's."""
+def kind_bounds(spec: FieldSpec, kind: str) -> tuple[int, int]:
+    """A kind's closed-form (depth, gates), from the spec's bounds alone:
+    (1, w) for add, the general product's for mult and selfmult, and the
+    inverter's."""
     if kind == "add":
-        return spec.width
+        return 1, spec.width
     if kind == "invert":
-        return spec.inverter_bounds().gate_bound
-    return spec.mult_bounds()[1]
+        bounds = spec.inverter_bounds()
+        return bounds.depth_bound, bounds.gate_bound
+    return spec.mult_bounds()
 
 
-def _within_budget(spec: FieldSpec, kind: str) -> None:
-    """Refuse a kind whose ``gate_bound`` is above MAX_GATES."""
-    gates = gate_bound(spec, kind)
+def _within_budget(spec: FieldSpec, kind: str) -> tuple[int, int]:
+    """A kind's ``kind_bounds``, refused if its gate bound is above
+    MAX_GATES."""
+    depth, gates = kind_bounds(spec, kind)
     if gates > MAX_GATES:
         raise ValueError(
             f"{kind} at m={spec.m} ({spec.representation.value}) bounds {gates} gates,"
             f" above the generation budget of {MAX_GATES}"
         )
+    return depth, gates
 
 
 def kind_estimate(spec: FieldSpec, kind: str, r: Optional[int] = None) -> ResourceEstimate:
@@ -517,20 +532,6 @@ def cmd_verify(args) -> int:
     return 0 if result.passed else 1
 
 
-def _table_rows_for(spec: FieldSpec) -> list[tuple]:
-    """(op, depth, gates, depth_bound, gate_bound) rows for one spec."""
-    inv_bound = spec.inverter_bounds()
-    return [
-        (op, est.depth, est.gate_count, *bound)
-        for op, bound in (
-            ("add", (1, spec.width)),
-            ("mult", spec.mult_bounds()),
-            ("invert", (inv_bound.depth_bound, inv_bound.gate_bound)),
-        )
-        for est in [kind_estimate(spec, op)]
-    ]
-
-
 def cmd_table(args) -> int:
     degrees = [_degree(m) for m in args.m]  # every one, before any search
     specs = []
@@ -544,16 +545,21 @@ def cmd_table(args) -> int:
                 continue
     if not specs:
         raise ValueError("no supported representation for the requested degrees")
-    for spec in specs:  # every row, before any is printed
-        for op in ("add", "mult", "invert"):
-            _within_budget(spec, op)
+    # every row's bounds, and both budgets, before any row is printed
+    rows = [(spec, op, _within_budget(spec, op)) for spec in specs for op in ("add", "mult", "invert")]
+    total = sum(gates for _, _, (_, gates) in rows)
+    if total > MAX_TABLE_GATES:
+        raise ValueError(
+            f"table of {len(specs)} field specs bounds {total} gates,"
+            f" above the table budget of {MAX_TABLE_GATES}"
+        )
     header = f"{'m':>5} {'rep':>4} {'op':>8} {'depth':>9} {'gates':>10} {'depth<=':>9} {'gates<=':>10}"
     print(header)
     print("-" * len(header))
-    for spec in specs:
+    for spec, op, (db, gb) in rows:
+        est = kind_estimate(spec, op)
         m, rep_name = spec.m, spec.representation.value
-        for op, d, gc, db, gb in _table_rows_for(spec):
-            print(f"{m:>5} {rep_name:>4} {op:>8} {d:>9} {gc:>10} {db:>9} {gb:>10}")
+        print(f"{m:>5} {rep_name:>4} {op:>8} {est.depth:>9} {est.gate_count:>10} {db:>9} {gb:>10}")
     print()
     print("asymptotics: representation | add depth/gates | mult | invert")
     print("  polynomial basis | O(1) / O(m) | O(m) / O(m^2) | O(m^2) / O(m^3), extended Euclid")

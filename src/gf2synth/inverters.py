@@ -60,7 +60,8 @@ from .circuits import (
 )
 from .errors import DegreeTooSmall
 from .fields import (
-    FieldSpec, GhostBit, Gnb, GnbParams, MultiplierBlock, Representation, addition_chain,
+    FieldSpec, GhostBit, Gnb, GnbParams, MultiplierBlock, Representation, SelfPowerStage,
+    addition_chain,
 )
 from .multipliers import block_batches, block_window, check_exponent, walk
 
@@ -271,8 +272,8 @@ def layer_block(
     the new ready minus o; no other wire moves, and the ready update never
     reads tof_ready. So while the difference is level, Toffoli batches are
     layered on ``ready`` alone, and tof_ready = ready - o, written back
-    before anything reads tof_ready, is what full layering gives
-    (``_layer_self_power``).
+    before anything reads tof_ready, is what full layering gives;
+    ``_layer_self_power`` decides this once per stage.
 
     (c) A self-power block layered on its index columns, never placed on
     wires. Greedy layering reads only which gates share a wire: relabel
@@ -290,9 +291,7 @@ def layer_block(
     wires = block_window(spec, block)
     if block.kind == "self_power":  # lemma (c)
         window, tof_window = list(gather(ready, wires)), list(gather(tof_ready, wires))
-        stages = spec.self_mult_stages(block.r)
-        batches = (batch for st in stages for cls in st.classes for batch in cls)
-        counts = _layer_self_power(batches, window, tof_window)
+        counts = _layer_self_power(spec.self_mult_stages(block.r), window, tof_window)
         for u, v, t in zip(wires, window, tof_window):
             ready[u], tof_ready[u] = v, t
         return counts
@@ -321,26 +320,38 @@ def _offset(ready: list[int], tof_ready: list[int]) -> Optional[int]:
 
 
 def _layer_self_power(
-    batches: Iterable[Batch], ready: list[int], tof_ready: list[int]
+    stages: Iterable[SelfPowerStage], ready: list[int], tof_ready: list[int]
 ) -> tuple[int, int]:
-    """``layer_batches`` for a stream whose gates touch only the wires of
-    ``ready`` and ``tof_ready`` (a block's window), with the Toffoli counter
-    carried as one offset (lemma (b) of ``layer_block``) wherever it can
-    be.
+    """``layer_batches`` for a self-power block's stages on the counters of
+    its window (lemma (c) of ``layer_block``), with the Toffoli counter
+    carried as one offset (lemma (b)) wherever it can be.
 
-    While ready - tof_ready is level, Toffoli batches are layered on
-    ``ready`` alone. A CNOT moves ready alone, so tof_ready is written back
-    before a CNOT batch, and the batches after it are layered in full; the
-    difference is tested at the start and then once per window of gates
-    layered in full. tof_ready is written back at the end too, before the
-    caller reads either list.
+    Lemma (b) is decided once per stage. A stage with no CNOT batch is
+    layered on ``ready`` alone whenever ready - tof_ready is level on the
+    window. That is tested at the start of such a stage, and only while the
+    offset is not already carried: a Toffoli inside the window keeps the
+    difference level. A CNOT moves ready alone, so before a stage that
+    holds one, tof_ready is written back and the stage is layered in full.
+    tof_ready is written back at the end too, before the caller reads
+    either list. Every ghost-bit stage holds a CNOT (the squaring, or the
+    self-paired coefficient), so a ghost-bit block never tests the offset.
     """
-    n = len(ready)
-    n_tof = n_cnot = unchecked = 0
-    offset = _offset(ready, tof_ready)
-    for batch in batches:
-        ca, cb, ct = batch
-        if cb is not None and offset is not None:
+    n_tof = n_cnot = 0
+    offset = None
+    for stage in stages:
+        batches = [batch for cls in stage.classes for batch in cls]
+        if any(cb is None for _, cb, _ in batches):
+            if offset is not None:
+                tof_ready[:] = map(sub, ready, repeat(offset))
+                offset = None
+        elif offset is None:
+            offset = _offset(ready, tof_ready)
+        if offset is None:
+            tof, cnot = layer_batches(batches, ready, tof_ready)
+            n_tof += tof
+            n_cnot += cnot
+            continue
+        for ca, cb, ct in batches:
             for a, b, t in zip(ca, cb, ct):
                 layer = ready[a]
                 if ready[b] > layer:
@@ -349,17 +360,6 @@ def _layer_self_power(
                     layer = ready[t]
                 ready[a] = ready[b] = ready[t] = layer + 1
             n_tof += len(ct)
-            continue
-        if cb is None and offset is not None:
-            tof_ready[:] = map(sub, ready, repeat(offset))
-            offset = None
-        tof, cnot = layer_batches((batch,), ready, tof_ready)
-        n_tof += tof
-        n_cnot += cnot
-        unchecked += len(ct)
-        if unchecked >= n:
-            unchecked = 0
-            offset = _offset(ready, tof_ready)
     if offset is not None:
         tof_ready[:] = map(sub, ready, repeat(offset))
     return n_tof, n_cnot

@@ -32,6 +32,7 @@ from gf2synth.fields import (
     FieldSpec,
     Gnb,
     MultiplierBlock,
+    SelfPowerStage,
     addition_chain,
     check_ghost_bit_support,
     make_gnb_params,
@@ -177,40 +178,78 @@ def test_every_general_stage_is_one_gate_on_every_wire_of_its_registers(spec):
                 assert drawn == stages
 
 
-def test_toffoli_counter_carried_as_one_offset_matches_full_layering():
-    """Lemma (b) of ``layer_block``: Toffolis inside registers whose
-    ready - tof_ready is level, layered on ready alone and written back,
-    leave both counters as ``layer_batches`` does; and so does any stream
-    inside the registers, CNOTs and uneven counters included."""
+def random_stage(rng, window, shape):
+    """A stage on the window's counters: 1-3 classes of random gates, all
+    Toffolis (``toffoli``), all CNOTs (``cnot``), or Toffolis with a one-CNOT
+    batch riding after the first class's (``rider``, the ghost-bit shape)."""
+    classes = []
+    for _ in range(rng.randint(1, 3)):
+        cols = [rng.sample(window, 3) for _ in range(rng.randint(1, len(window)))]
+        a, b, t = (list(col) for col in zip(*cols))
+        classes.append([(a, None, t) if shape == "cnot" else (a, b, t)])
+    if shape == "rider":
+        a, t = rng.sample(window, 2)
+        classes[0].append(([a], None, [t]))
+    return SelfPowerStage(shape, "cnot" if shape == "cnot" else "toffoli", None, tuple(map(tuple, classes)))
+
+
+def _counted_offsets(monkeypatch):
+    """Patch ``inverters._offset`` to record what each call returns."""
+    found, offset = [], inverters._offset
+
+    def counted(ready, tof_ready):
+        found.append(offset(ready, tof_ready))
+        return found[-1]
+
+    monkeypatch.setattr(inverters, "_offset", counted)
+    return found
+
+
+def test_toffoli_counter_carried_as_one_offset_matches_full_layering(monkeypatch):
+    """Lemma (b) of ``layer_block``, decided once per stage: random stages
+    on a window of 2w counters (Toffoli-only, CNOT-only and with a one-CNOT
+    rider), from a level or an uneven ready - tof_ready, leave both counters
+    and the counts as ``layer_batches`` over the same batches does. The
+    trials both find the difference level and find it uneven."""
+    found = _counted_offsets(monkeypatch)
     rng = random.Random(27)
     for trial in range(300):
-        w = rng.randint(2, 7)  # three distinct wires in two registers
-        starts = tuple(w * k for k in sorted(rng.sample(range(4), 2)))
-        inside = [s + i for s in starts for i in range(w)]
-        ready = [rng.randint(0, 30) for _ in range(4 * w)]
-        tof_ready = [v - rng.randint(0, 30) for v in ready]
-        level = trial % 2 == 0
-        if level:
-            o = rng.randint(0, 9)
-            for u in inside:
-                tof_ready[u] = ready[u] - o
-        cnot_share = 0.0 if level else rng.choice([0.05, 0.3, 0.9])
-        batches = []
-        for _ in range(rng.randint(0, 40)):
-            cols = [rng.sample(inside, 3) for _ in range(rng.randint(1, 3 * w))]
-            a, b, t = (list(col) for col in zip(*cols))
-            batches.append((a, None, t) if rng.random() < cnot_share else (a, b, t))
-        # the window of the two registers: wire inside[i] is window index i
-        at = {u: i for i, u in enumerate(inside)}
-        local = [tuple(None if col is None else [at[u] for u in col] for col in batch) for batch in batches]
-        window = [ready[u] for u in inside]
-        tof_window = [tof_ready[u] for u in inside]
-        got = inverters._layer_self_power(iter(local), window, tof_window)
+        w = rng.randint(2, 7)
+        window = range(2 * w)
+        ready = [rng.randint(0, 30) for _ in window]
+        o = rng.randint(0, 9)
+        tof_ready = [v - (o if trial % 2 == 0 else rng.randint(0, 30)) for v in ready]
+        shapes = rng.choices(("toffoli", "cnot", "rider"), k=rng.randint(0, 12))
+        stages = [random_stage(rng, window, shape) for shape in shapes]
+        batches = [batch for st in stages for cls in st.classes for batch in cls]
         got_ready, got_tof = ready[:], tof_ready[:]
-        for u, v, t in zip(inside, window, tof_window):
-            got_ready[u], got_tof[u] = v, t
+        got = inverters._layer_self_power(iter(stages), got_ready, got_tof)
         want = layer_batches(batches, ready, tof_ready)
         assert (got, got_ready, got_tof) == (want, ready, tof_ready), trial
+    assert None in found and len(found) > found.count(None)
+
+
+@pytest.mark.parametrize("spec", [FieldSpec.ghost_bit(10), FieldSpec.gnb(11)], ids=spec_id)
+def test_only_gnb_self_power_blocks_test_the_offset(spec, monkeypatch):
+    """Every ghost-bit self-power stage holds a CNOT, so a ghost-bit block
+    never tests lemma (b)'s offset: not for any r at gbb 10, and not in the
+    gbb 178 inverter. GNB blocks still test it. Either way the counters end
+    as ``layer_batches`` over the block's wire batches leaves them."""
+    found = _counted_offsets(monkeypatch)
+    rng = random.Random(36)
+    w = spec.width
+    for r in range(spec.m + 1):
+        block = MultiplierBlock("self_power", 0, 1, r=r)
+        ready = [rng.randint(0, 30) for _ in range(2 * w)]
+        o = rng.randint(0, 9)
+        tof_ready = [v - (o if r % 2 else rng.randint(0, 30)) for v in ready]
+        got_ready, got_tof = ready[:], tof_ready[:]
+        got = inverters.layer_block(spec, block, got_ready, got_tof)
+        want = layer_batches(block_batches(spec, block), ready, tof_ready)
+        assert (got, got_ready, got_tof) == (want, ready, tof_ready), r
+    big, expected = PINNED[0 if spec.t else 3]  # gnb 163 or gbb 178
+    assert summary(inverter_estimate(big)) == expected
+    assert bool(found) == (spec.t is not None)
 
 
 @pytest.mark.parametrize("spec", [*small_specs(), FieldSpec.gnb(163)], ids=spec_id)

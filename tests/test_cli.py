@@ -467,11 +467,36 @@ def test_a_kind_above_the_generation_budget_is_refused_before_any_draw(argv, kin
     code, out, err = run(capsys, *argv.split(), "-m", "9973", "--rep", "gnb")
     assert time.perf_counter() - start < 1
     assert (code, out) == (2, "")
-    gates = cli.gate_bound(spec, kind)
+    gates = cli.kind_bounds(spec, kind)[1]
     assert gates > cli.MAX_GATES >= FieldSpec.gnb(571).inverter_bounds().gate_bound == 84_755_814
     assert err == (
         f"error: {kind} at m=9973 (gnb) bounds {gates} gates, above the generation budget of {cli.MAX_GATES}\n"
     )
+
+
+# the 17 degrees of 1000..1099 whose 20 field specs each pass the
+# generation budget
+ADMITTED_ONE_BY_ONE = "1013,1014,1018,1019,1026,1031,1033,1034,1041,1043,1049,1055,1057,1060,1065,1070,1090"
+
+
+def test_a_table_above_the_table_budget_is_refused_before_any_row(capsys, monkeypatch):
+    # each spec fits the generation budget, but the rows sum to 1.19e9 gates;
+    # the five NIST degrees, 1.19e8, must still fit
+    def no_row(*args, **kwargs):
+        raise AssertionError("a row was drawn")
+
+    monkeypatch.setattr(cli, "kind_estimate", no_row)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "table", "-m", ADMITTED_ONE_BY_ONE)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: table of 20 field specs bounds 1185375344 gates,"
+        f" above the table budget of {cli.MAX_TABLE_GATES}\n"
+    )
+    nist = [FieldSpec.gnb(m) for m in (163, 233, 283, 409, 571)]
+    assert sum(cli.kind_bounds(s, k)[1] for s in nist for k in ("add", "mult", "invert")) == 118_734_922
+    assert 118_734_922 <= cli.MAX_TABLE_GATES < 1_185_375_344
 
 
 def test_synth_unsupported_degree(capsys):
@@ -597,7 +622,7 @@ class _Packed(Exception):
 
 
 def test_verify_budget_refuses_before_drawing_a_pattern(capsys, monkeypatch):
-    # samples x gate_bound above MAX_GATE_PATTERNS is refused before any
+    # samples x the gate bound above MAX_GATE_PATTERNS is refused before any
     # pattern is drawn or packed; the 65,536-sample baseline run at
     # gnb 163 is under it and gets as far as packing
     def no_patterns(*args):
@@ -607,8 +632,8 @@ def test_verify_budget_refuses_before_drawing_a_pattern(capsys, monkeypatch):
         raise _Packed
 
     gnb409, gnb163 = FieldSpec.gnb(409), FieldSpec.gnb(163)
-    assert (1 << 20) * cli.gate_bound(gnb409, "invert") > cli.MAX_GATE_PATTERNS
-    assert 65536 * cli.gate_bound(gnb163, "invert") <= cli.MAX_GATE_PATTERNS
+    assert (1 << 20) * cli.kind_bounds(gnb409, "invert")[1] > cli.MAX_GATE_PATTERNS
+    assert 65536 * cli.kind_bounds(gnb163, "invert")[1] <= cli.MAX_GATE_PATTERNS
     monkeypatch.setattr(cli, "_pack_patterns", no_patterns)
     monkeypatch.setattr(cli.random, "Random", no_patterns)
     start = time.perf_counter()
@@ -633,7 +658,7 @@ def test_verify_pattern_budget_refuses_a_wide_kind_with_few_gates(capsys, monkey
         raise AssertionError("patterns were drawn or packed")
 
     spec = FieldSpec.gnb(9973)
-    assert (1 << 20) * cli.gate_bound(spec, "add") <= cli.MAX_GATE_PATTERNS
+    assert (1 << 20) * cli.kind_bounds(spec, "add")[1] <= cli.MAX_GATE_PATTERNS
     monkeypatch.setattr(cli, "_pack_patterns", no_patterns)
     monkeypatch.setattr(cli.random, "Random", no_patterns)
     start = time.perf_counter()
