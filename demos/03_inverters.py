@@ -13,9 +13,14 @@ from gf2synth import (
 # Inversion is exponentiation by 2^m - 2; the chain doubles through the
 # binary expansion of m - 1.
 
-plan = addition_chain(163)
-print("m=163: set bits of m-1 at", plan.k_list)
-print("multiplications:", plan.multiplications, "(7 ladder + 2 merge)")
+# addition_chain returns the chain's blocks: the ladder's self-power blocks
+# count up to the top set bit, and each general block reads the ladder
+# register of one lower set bit.
+chain = addition_chain(163)
+ladder = sum(b.kind == "self_power" for b in chain)
+bits = (ladder, *(b.operand_reg for b in chain if b.kind == "general"))
+print("m=163: set bits of m-1 at", bits)
+print("multiplications:", len(chain), "(7 ladder + 2 merge)")
 
 s = inverter_structure(FieldSpec.gnb(7))
 print("\nm=7 blocks:")

@@ -33,7 +33,6 @@ from .errors import (
 from .fields import (
     FieldSpec,
     GnbParams,
-    InverterPlan,
     Representation,
     ResourceBound,
     addition_chain,

@@ -27,9 +27,9 @@ class ExponentOutOfRange(ValueError):
 
 
 class DegreeTooSmall(ValueError):
-    """The degree is too small for the operation. An inversion plan
+    """The degree is too small for the operation. The inversion chain
     (``addition_chain``, ``itoh_tsujii_inverse``) needs m >= 2; at m = 2 it
-    has no block and the inverse is one squaring. Inverter synthesis and the
+    is empty and the inverse is one squaring. Inverter synthesis and the
     closed-form bounds need m >= 3, at least one block."""
 
 

@@ -50,9 +50,11 @@ representations (for ghost-bit, up to the ring's two representatives of
 each element). The per-pattern ``inverse_ok`` stays the second, separate
 derivation: extended Euclid for ghost-bit.
 
-``addition_chain`` owns the Itoh-Tsujii chain: its ``MultiplierBlock``s,
-one per multiplication, are the blocks the inverter synthesizes and the
-steps ``itoh_tsujii_inverse`` and the closed-form bounds read.
+``addition_chain`` is the Itoh-Tsujii chain: a tuple of
+``MultiplierBlock``s, one per multiplication, which the inverter
+synthesizes and ``itoh_tsujii_inverse`` runs on ints. The closed-form
+bounds take the chain's shape from the bits of m - 1 (``_chain_shape``),
+not from the chain they bound.
 """
 
 from __future__ import annotations
@@ -399,7 +401,7 @@ def gnb_stage_bases(params: GnbParams, second_shift: int = 0) -> list[tuple[str,
 
 
 # ---------------------------------------------------------------------------
-# inversion plan (addition-chain exponentiation to alpha^(2^m - 2))
+# the inversion chain (addition-chain exponentiation to alpha^(2^m - 2))
 
 
 @dataclass(frozen=True)
@@ -410,7 +412,7 @@ class MultiplierBlock:
     ``self_power`` blocks compute target += source * source^(2^r); ``general``
     blocks compute target += source * operand^(2^operand_exponent). The
     inverter sets ``squared_write`` on its final forward block so the result
-    lands pre-squared; a plan's blocks leave it False.
+    lands pre-squared; ``addition_chain``'s blocks leave it False.
     """
 
     kind: str  # "self_power" | "general"
@@ -422,66 +424,38 @@ class MultiplierBlock:
     squared_write: bool = False
 
 
-@dataclass(frozen=True)
-class InverterPlan:
-    """Multiplication schedule computing alpha^(2^m - 2) = alpha^(-1).
+def addition_chain(m: int) -> tuple[MultiplierBlock, ...]:
+    """The Itoh-Tsujii chain computing alpha^(2^m - 2) = alpha^(-1): its
+    blocks in execution order, empty at m = 2.
 
-    ``k_list`` holds the exponents of the set bits of m-1 in decreasing
-    order. The ladder's self-power blocks double beta_1 = alpha up to
-    beta_(2^k1); the combine's general blocks fold in beta_(2^k) for the
-    remaining set bits, reading each operand through a power-of-two Frobenius
-    shift. A single final squaring (free in both representations) turns
-    alpha^(2^(m-1) - 1) into the inverse; circuit synthesis folds it into the
-    last block's write permutation.
+    With beta_n = alpha^(2^n - 1) and k1 > k2 > ... the set bits of m - 1,
+    the floor(log2(m-1)) self-power blocks come first: block j reads
+    register j, which holds beta_(2^j), through 2^j squarings and writes
+    beta_(2^(j+1)) to register j + 1, doubling up to beta_(2^k1) in register
+    k1. Then HW(m-1) - 1 general blocks fold in beta_(2^k) for the remaining
+    set bits k, each read from ladder register k through a Frobenius shift
+    by the sum P of the powers already folded in (``operand_exponent``):
+    beta_P * beta_(2^k)^(2^P) = beta_(P + 2^k). Each writes the register
+    after its source, so the last register holds beta_(m-1), which is
+    alpha^(2^(m-1) - 1). A single squaring (free in both representations)
+    turns it into the inverse; circuit synthesis folds that squaring into
+    the last block's write permutation.
 
     Register indices: 0 is the input, 1..k1 the ladder targets, then one
-    register per combine block. The overall product lands in ``output_reg``.
+    register per general block; block i writes register i + 1.
     """
-
-    m: int
-    k_list: tuple[int, ...]
-    ladder: tuple[MultiplierBlock, ...]
-    combine: tuple[MultiplierBlock, ...]
-
-    @property
-    def floor_log(self) -> int:
-        return self.k_list[0]
-
-    @property
-    def hamming_weight(self) -> int:
-        return len(self.k_list)
-
-    @property
-    def multiplications(self) -> int:
-        return len(self.ladder) + len(self.combine)
-
-    @property
-    def register_count(self) -> int:
-        return 1 + len(self.ladder) + len(self.combine)
-
-    @property
-    def output_reg(self) -> int:
-        return self.register_count - 1
-
-
-def addition_chain(m: int) -> InverterPlan:
-    """Plan for inverting in F_{2^m}: floor(log2(m-1)) doublings plus
-    HW(m-1)-1 merges, one multiplication each."""
     if m < 2:
-        raise DegreeTooSmall("inversion plans need m >= 2")
+        raise DegreeTooSmall("inversion chains need m >= 2")
     e = m - 1
-    k_list = tuple(k for k in range(e.bit_length() - 1, -1, -1) if (e >> k) & 1)
-    k1 = k_list[0]
-    ladder = tuple(MultiplierBlock("self_power", j, j + 1, r=1 << j) for j in range(k1))
-    combine = []
+    k1 = e.bit_length() - 1
+    chain = [MultiplierBlock("self_power", j, j + 1, r=1 << j) for j in range(k1)]
     partial = 1 << k1
-    for s, k in enumerate(k_list[1:], start=1):
-        combine.append(
-            MultiplierBlock("general", k1 + s - 1, k1 + s, operand_reg=k, operand_exponent=partial)
-        )
-        partial += 1 << k
-    assert partial == e
-    return InverterPlan(m=m, k_list=k_list, ladder=ladder, combine=tuple(combine))
+    for k in range(k1 - 1, -1, -1):
+        if e >> k & 1:
+            n = len(chain)
+            chain.append(MultiplierBlock("general", n, n + 1, operand_reg=k, operand_exponent=partial))
+            partial += 1 << k
+    return tuple(chain)
 
 
 # ---------------------------------------------------------------------------
@@ -504,10 +478,11 @@ class ResourceBound:
 
 
 def _chain_shape(m: int) -> tuple[int, int]:
+    """(floor(log2(m-1)), HW(m-1)), read off the bits of m - 1 and not off
+    the chain the bounds are checked against."""
     if m < 3:
         raise DegreeTooSmall("inversion bounds need m >= 3")
-    plan = addition_chain(m)
-    return plan.floor_log, plan.hamming_weight
+    return (m - 1).bit_length() - 1, (m - 1).bit_count()
 
 
 # ---------------------------------------------------------------------------
@@ -863,27 +838,26 @@ class Gnb(FieldSpec):
 
 
 # ---------------------------------------------------------------------------
-# the inversion plan on classical values
+# the inversion chain on classical values
 
 
 def itoh_tsujii_inverse(spec: FieldSpec, a: int) -> int:
-    """Run the inversion plan on classical values; zero maps to zero.
+    """Run the inversion chain on classical values; zero maps to zero.
 
-    This follows the multiplication schedule register by register, exactly
-    like the synthesized circuit does, and serves as the reference for the
-    plan itself (independent tests check it against extended-Euclid and
+    This follows the chain's blocks register by register, exactly like the
+    synthesized circuit does, and serves as the reference for the chain
+    itself (independent tests check it against extended-Euclid and
     product-equals-identity oracles).
     """
-    plan = addition_chain(spec.m)
-    regs = [0] * plan.register_count
-    regs[0] = a
-    for b in plan.ladder + plan.combine:
+    chain = addition_chain(spec.m)
+    regs = [a] + [0] * len(chain)
+    for b in chain:
         if b.kind == "self_power":
             operand = spec.frobenius(regs[b.source_reg], b.r)
         else:
             operand = spec.frobenius(regs[b.operand_reg], b.operand_exponent)
         regs[b.target_reg] = spec.mult(regs[b.source_reg], operand)
-    return spec.frobenius(regs[plan.output_reg], 1)
+    return spec.frobenius(regs[-1], 1)
 
 
 # ---------------------------------------------------------------------------

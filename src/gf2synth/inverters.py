@@ -9,12 +9,12 @@ kind's layout is written: a product (``mult``) or a self-power product
 (``selfmult``) is a chain of one block, with no uncompute, over the
 registers its netlist names; ``invert`` is ``inverter_structure``.
 
-The inverter raises the input to 2^m - 2 by an addition chain on the exponent:
-floor(log2(m-1)) doubling multiplications, then HW(m-1) - 1 merges, every
-operand power-of-two read folded into wiring. The chain's blocks come from
-``fields.addition_chain`` unchanged; this module adds the register layout,
-the final squaring folded into the last block's write permutation, and the
-uncompute, so the circuit maps
+The inverter raises the input to 2^m - 2 by an addition chain on the
+exponent: floor(log2(m-1)) doubling multiplications, then HW(m-1) - 1
+merges, every operand power-of-two read folded into wiring. The chain's
+blocks are the tuple ``fields.addition_chain`` returns; this module adds
+the register names, the final squaring folded into the last block's write
+permutation, and the uncompute, so the circuit maps
 
     |a> |0...0>  ->  |a> |0...0> |a^-1>
 
@@ -27,25 +27,24 @@ each block's from ``multipliers.block_batches``, the one placement of a
 block on wires (``multipliers.block_window``). Uncompute blocks are
 generated backwards, stage by stage, so none is ever held in memory;
 ``inverter_batches`` is the inverter's stream and ``inverter_gates`` its
-flat view. ``chain_estimate``
-is the one measurement of every multiplying kind (``synth``, ``table``,
-``check_bounds``), from the forward pass alone: the uncompute mirrors the
-head of that pass, so its share of the depth is read off the per-wire layer
-counters the head leaves behind, and it is never generated. The forward
-pass is layered block by block (``layer_block``): a general block goes in
-closed form once its counters are level, and a self-power block is layered
-on its index columns, never placed on wires, with its Toffoli counter
-carried as one offset from the other. The result is exact, equal to
-layering every gate of ``chain_batches``, in memory proportional to the
-width. The ``Circuit`` synthesizers (``synth_gbb_mult`` and the rest) are
-each one materialized chain. ``chain_simulate`` is streamed ``verify``'s
-simulator: it applies a chain to a packed state block by block, each on
-its window (a self-power block is ``run_packed`` over its index columns
-there), and leaves the state as ``run_packed`` over ``chain_batches``
-would. It uses the same mirror as ``chain_estimate``: an uncompute block
-whose window still holds what its forward run wrote is
-restored from that run, not simulated again, so about half of the
-inverter's gates are never run.
+flat view. ``chain_estimate`` is the one measurement of every multiplying
+kind (``synth``, ``table``, ``check_bounds``), from the forward pass alone:
+the uncompute mirrors the head of that pass, so its share of the depth is
+read off the per-wire layer counters the head leaves behind, and it is
+never generated. The forward pass is layered block by block
+(``layer_block``): a general block goes in closed form once its counters
+are level, and a self-power block is layered on its index columns, never
+placed on wires, with its Toffoli counter carried as one offset from the
+other. The result is exact, equal to layering every gate of
+``chain_batches``, in memory proportional to the width. The ``Circuit``
+synthesizers (``synth_gbb_mult`` and the rest) are each one materialized
+chain. ``chain_simulate`` is streamed ``verify``'s simulator: it applies a
+chain to a packed state block by block, each on its window (a self-power
+block is ``run_packed`` over its index columns there), and leaves the state
+as ``run_packed`` over ``chain_batches`` would. It uses the same mirror as
+``chain_estimate``: an uncompute block whose window still holds what its
+forward run wrote is restored from that run, not simulated again, so about
+half of the inverter's gates are never run.
 """
 
 from __future__ import annotations
@@ -83,21 +82,21 @@ class BlockChain:
 
 
 def inverter_structure(spec: FieldSpec) -> BlockChain:
+    """The inverter: ``addition_chain``'s L self-power and G general blocks,
+    the last one writing squared. Its registers are the input, then the
+    target of each block (ladder1..ladderL, work1..workG), the last renamed
+    output."""
     if spec.m < 3:
         raise DegreeTooSmall("inverter synthesis needs m >= 3")
-    plan = addition_chain(spec.m)
+    chain = addition_chain(spec.m)
+    ladder = sum(b.kind == "self_power" for b in chain)
+    names = ["input", *(f"ladder{j}" for j in range(1, ladder + 1))]
+    names += (f"work{s}" for s in range(1, len(chain) - ladder + 1))
+    names[-1] = "output"
     w = spec.width
-
-    names = {0: "input"}
-    for j in range(1, plan.k_list[0] + 1):
-        names[j] = f"ladder{j}"
-    for s in range(1, plan.hamming_weight):
-        names[plan.k_list[0] + s] = f"work{s}"
-    names[plan.output_reg] = "output"
-    registers = {names[i]: (i * w, w) for i in range(plan.register_count)}
-
-    *head, last = plan.ladder + plan.combine
-    return BlockChain(plan.register_count * w, registers, (*head, replace(last, squared_write=True)))
+    *head, last = chain
+    registers = {name: (i * w, w) for i, name in enumerate(names)}
+    return BlockChain(len(names) * w, registers, (*head, replace(last, squared_write=True)))
 
 
 def kind_structure(spec: FieldSpec, kind: str, r: Optional[int] = None) -> BlockChain:

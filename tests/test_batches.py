@@ -158,11 +158,11 @@ LEMMA_SPECS = [*small_specs(), FieldSpec.gnb(163), FieldSpec.gnb(233, t=2), Fiel
 def test_every_general_stage_is_one_gate_on_every_wire_of_its_registers(spec):
     """Lemma (a) of ``layer_block``: a general stage moves every wire of the
     block's three registers by exactly one layer, so a block whose counters
-    are level stays level. Both operand orders occur in the chain's combine
+    are level stays level. Both operand orders occur in the chain's general
     blocks, and the last block writes squared."""
     w = spec.width
     stages = len(spec.mult_stages())
-    exponents = {0} | {b.operand_exponent for b in addition_chain(spec.m).combine}
+    exponents = {0} | {b.operand_exponent for b in addition_chain(spec.m) if b.kind == "general"}
     every_wire = set(range(3 * w))
     for src, operand in ((0, 1), (1, 0)):  # the operand register below and above the source
         for e in sorted(exponents):

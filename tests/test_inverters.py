@@ -6,8 +6,8 @@ import random
 import pytest
 
 from gf2synth.circuits import resources, simulate
-from gf2synth.errors import DegreeTooSmall
-from gf2synth.fields import FieldSpec, gnb_mult, phi_retract, poly_inverse
+from gf2synth.errors import DegreeTooSmall, NoGnbFound
+from gf2synth.fields import FieldSpec, check_ghost_bit_support, gnb_mult, phi_retract, poly_inverse
 from gf2synth.inverters import inverter_gates, inverter_structure, synth_inverter
 
 
@@ -37,6 +37,38 @@ def test_structure_register_names():
     assert set(s.registers) == {"input", "ladder1", "ladder2", "ladder3", "output"}
     assert s.registers["input"] == (0, 11)
     assert s.registers["output"][1] == 11
+
+
+def reference_registers(spec):
+    """The inverter's register map written from the bits of m - 1: the
+    input, the ladder's floor(log2(m-1)) registers, then one work register
+    per general block but the last, which writes the output."""
+    m, w = spec.m, spec.width
+    ladder = (m - 1).bit_length() - 1
+    general = (m - 1).bit_count() - 1
+    if general == 0:  # m - 1 a power of two: the last ladder block writes the output
+        names = ["input", *(f"ladder{j}" for j in range(1, ladder)), "output"]
+    else:
+        names = ["input", *(f"ladder{j}" for j in range(1, ladder + 1))]
+        names += [*(f"work{s}" for s in range(1, general)), "output"]
+    return [(name, (i * w, w)) for i, name in enumerate(names)]
+
+
+def test_register_map_matches_reference_from_bits():
+    checked = 0
+    for m in range(3, 201):
+        specs = [FieldSpec.ghost_bit(m)] if check_ghost_bit_support(m) else []
+        try:
+            specs.append(FieldSpec.gnb(m))
+        except NoGnbFound:
+            pass
+        for spec in specs:
+            s = inverter_structure(spec)
+            expected = reference_registers(spec)
+            assert list(s.registers.items()) == expected, (m, spec.width)
+            assert s.width == len(expected) * spec.width
+            checked += 1
+    assert checked == 194
 
 
 def test_structure_rejects_tiny_degrees():

@@ -87,7 +87,7 @@ def layout(spec, kind):
     register maps verify reads from ``synth_circuit`` must agree with."""
     w = spec.width
     if kind == "invert":  # input, ladder and work registers, output last
-        count = addition_chain(spec.m).register_count
+        count = len(addition_chain(spec.m)) + 1
         return Layout(w, count * w, (0, w), ((w, (count - 2) * w),), (count - 1) * w)
     n_in, out = {"add": (2, w), "mult": (2, 2 * w), "selfmult": (1, w)}[kind]
     return Layout(n_in * w, out + w, (0, out), (), out)
