@@ -62,7 +62,8 @@ also refuses a run whose pattern count times that gate count is above
 times input bits is above ``MAX_PATTERN_BITS``, the pattern budget, before
 any pattern is drawn. ``table`` also refuses a list whose rows' gate counts
 sum to more than ``MAX_TABLE_GATES``, the table budget, before any row is
-printed.
+printed. The four budgets are one check, ``_budget``, and one message
+shape: what the command would do, then the budget's name and cap.
 
 Exit codes: 0 success / verification passed, 1 verification failed,
 2 domain error (unsupported degree, bad parameters, bad usage) or out of
@@ -128,13 +129,11 @@ MAX_GATES = 100_000_000
 # The verification budget: the largest count of patterns times the gate
 # bound that ``verify`` simulates. Streamed simulation costs about 12 ps per
 # gate and pattern by that count (the gnb 163 inverter on 65,536 samples,
-# 1.25e11, took 1.4-1.8 s and 34.1-35.1 MiB on a 2-vCPU x86 host, against
-# 2.7-3.5 s and 35.4-36.4 MiB when every uncompute block was simulated
-# again and general blocks stage by stage), and ``--in`` about 27 ps (3.4 s
-# on the same netlist read from its file, every gate simulated), so the
-# budget is at most about half a minute. Above it a run is refused before
-# any pattern is drawn or packed: the gnb 409 inverter on 2^20 samples,
-# 1.54e13, would be minutes on a 613 MiB packed state.
+# 1.25e11, took 1.4-1.8 s and 34.1-35.1 MiB on a 2-vCPU x86 host), and
+# ``--in`` about 27 ps (3.4 s on the same netlist read from its file, every
+# gate simulated), so the budget is at most about half a minute. Above it a
+# run is refused before any pattern is drawn or packed: the gnb 409 inverter
+# on 2^20 samples, 1.54e13, would be minutes on a 613 MiB packed state.
 MAX_GATE_PATTERNS = 10**12
 
 # The pattern budget: the largest count of patterns times input bits that
@@ -317,16 +316,8 @@ def verify_kind(
     drawn = samples if mode == "random" else 1 << nbits
     what = f"verifying {kind} at m={spec.m} ({spec.representation.value}) would"
     cost = drawn * kind_bounds(spec, kind)[1]
-    if cost > MAX_GATE_PATTERNS:
-        raise ValueError(
-            f"{what} simulate {cost} gate-patterns,"
-            f" above the verification budget of {MAX_GATE_PATTERNS}"
-        )
-    if drawn * nbits > MAX_PATTERN_BITS:
-        raise ValueError(
-            f"{what} draw and pack {drawn * nbits} input bits,"
-            f" above the pattern budget of {MAX_PATTERN_BITS}"
-        )
+    _budget(cost, MAX_GATE_PATTERNS, "verification", f"{what} simulate {cost} gate-patterns")
+    _budget(drawn * nbits, MAX_PATTERN_BITS, "pattern", f"{what} draw and pack {drawn * nbits} input bits")
     if mode == "random":
         if seed < 0:
             raise ValueError(f"the seed must be non-negative, got {seed}")
@@ -385,12 +376,11 @@ def synth_circuit(spec: FieldSpec, kind: str, r: Optional[int] = None) -> Netlis
     dropped."""
     if r is not None and kind != "selfmult":
         raise ValueError(f"{kind} takes no exponent; -r applies to selfmult only")
-    if kind == "add":
-        _within_budget(spec, kind)
+    c = None if kind == "add" else kind_structure(spec, kind, r)
+    _within_budget(spec, kind)
+    if c is None:
         adder = synth_add(spec.width)
         return Netlist(adder.width, adder.registers, gate_runs(adder.gates))
-    c = kind_structure(spec, kind, r)
-    _within_budget(spec, kind)
     return Netlist(c.width, c.registers, chain_batches(spec, c))
 
 
@@ -406,15 +396,20 @@ def kind_bounds(spec: FieldSpec, kind: str) -> tuple[int, int]:
     return spec.mult_bounds()
 
 
+def _budget(amount: int, budget: int, name: str, claim: str) -> None:
+    """The one budget check: ``claim``, what a command would do with its
+    ``amount``, is refused as a ValueError when ``amount`` is above
+    ``budget``; the message appends the budget's name and cap to the claim."""
+    if amount > budget:
+        raise ValueError(f"{claim}, above the {name} budget of {budget}")
+
+
 def _within_budget(spec: FieldSpec, kind: str) -> tuple[int, int]:
     """A kind's ``kind_bounds``, refused if its gate bound is above
     MAX_GATES."""
     depth, gates = kind_bounds(spec, kind)
-    if gates > MAX_GATES:
-        raise ValueError(
-            f"{kind} at m={spec.m} ({spec.representation.value}) bounds {gates} gates,"
-            f" above the generation budget of {MAX_GATES}"
-        )
+    claim = f"{kind} at m={spec.m} ({spec.representation.value}) bounds {gates} gates"
+    _budget(gates, MAX_GATES, "generation", claim)
     return depth, gates
 
 
@@ -455,31 +450,22 @@ def _context_lines(spec: FieldSpec, kind: str, r: Optional[int]) -> list[str]:
 
 
 def cmd_params(args) -> int:
-    m = _degree(args.m)
-    if args.t is not None and args.representation == "gbb":
+    m, rep = _degree(args.m), args.representation
+    if args.t is not None and rep == "gbb":
         raise ValueError("a type t only applies to the gnb representation")
     lines = [f"m={m}"]
-    ghost_ok = check_ghost_bit_support(m)
-    gnb_params = None
-    if args.representation != "gbb":
+    available = False
+    if rep != "gnb":
+        available = check_ghost_bit_support(m)
+        lines.append(f"ghost_bit={'yes' if available else 'no'}")
+    if rep != "gbb":
         try:
-            gnb_params = FieldSpec.of(Representation.GNB, m, t=args.t).gnb_params
+            gnb = FieldSpec.gnb(m, t=args.t).gnb_params
         except ValueError:
-            pass
-
-    if args.representation in (None, "gbb"):
-        lines.append(f"ghost_bit={'yes' if ghost_ok else 'no'}")
-    if args.representation in (None, "gnb"):
-        if gnb_params is not None:
-            lines.append(f"gnb_type={gnb_params.t}")
-            lines.append(f"gnb_p={gnb_params.p}")
-            lines.append(f"gnb_u={gnb_params.u}")
-        else:
             lines.append("gnb_type=none")
-
-    available = (args.representation != "gnb" and ghost_ok) or (
-        args.representation != "gbb" and gnb_params is not None
-    )
+        else:
+            lines += [f"gnb_type={gnb.t}", f"gnb_p={gnb.p}", f"gnb_u={gnb.u}"]
+            available = True
     print("\n".join(lines))
     return 0 if available else 2
 
@@ -622,11 +608,7 @@ def cmd_table(args) -> int:
     # every row's bounds, and both budgets, before any row is printed
     rows = [(spec, op, _within_budget(spec, op)) for spec in specs for op in ("add", "mult", "invert")]
     total = sum(gates for _, _, (_, gates) in rows)
-    if total > MAX_TABLE_GATES:
-        raise ValueError(
-            f"table of {len(specs)} field specs bounds {total} gates,"
-            f" above the table budget of {MAX_TABLE_GATES}"
-        )
+    _budget(total, MAX_TABLE_GATES, "table", f"table of {len(specs)} field specs bounds {total} gates")
     header = f"{'m':>5} {'rep':>4} {'op':>8} {'depth':>9} {'gates':>10} {'depth<=':>9} {'gates<=':>10}"
     print(header)
     print("-" * len(header))

@@ -702,8 +702,7 @@ class GhostBit(FieldSpec):
 # One Gnb keeps delta colorings while their count times m stays below this;
 # a coloring holds three m-long columns, so at most about 3 * 2^20 index
 # entries (a few MB) are kept per basis. There are at most m - 1 deltas, so
-# the cap binds only for m above about 1024; at 2^18 it bound from about
-# m = 513, and the m = 571 inverter colored 10,359 times.
+# the cap binds only for m above about 1024.
 _COLORING_CACHE = 1 << 20
 
 Coloring = tuple[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]], ...]

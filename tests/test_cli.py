@@ -24,7 +24,7 @@ from gf2synth.circuits import (
 )
 from gf2synth.cli import main, verify_kind
 from gf2synth.errors import InvalidParams
-from gf2synth.fields import GNB_MAX_TYPE, FieldSpec, make_gnb_params
+from gf2synth.fields import GNB_MAX_TYPE, FieldSpec, check_ghost_bit_support, make_gnb_params
 from gf2synth.inverters import chain_batches
 
 
@@ -74,6 +74,37 @@ def test_params_refuses_a_type_on_gbb(capsys):
     assert run(capsys, "params", "-m", "4", "--rep", "gbb", "-t", "3") == refused
     assert run(capsys, "synth", "add", "-m", "4", "--rep", "gbb", "-t", "3") == refused
     assert run(capsys, "params", "-m", "4", "-t", "3")[0] == 0
+
+
+def _params_reference(m, rep, t):
+    """What ``params`` prints and returns, from the two searches alone."""
+    if t is not None and rep == "gbb":
+        return 2, "", "error: a type t only applies to the gnb representation\n"
+    ghost = check_ghost_bit_support(m)
+    try:
+        gnb = FieldSpec.gnb(m, t=t).gnb_params
+    except ValueError:
+        gnb = None
+    gnb_lines = [f"gnb_type={gnb.t}", f"gnb_p={gnb.p}", f"gnb_u={gnb.u}"] if gnb else ["gnb_type=none"]
+    reports = {"gbb": (ghost, [f"ghost_bit={'yes' if ghost else 'no'}"]), "gnb": (gnb is not None, gnb_lines)}
+    shown = [reports[name] for name in ("gbb", "gnb") if rep in (None, name)]
+    lines = [f"m={m}"] + [line for _, report in shown for line in report]
+    return (0 if any(ok for ok, _ in shown) else 2), "\n".join(lines) + "\n", ""
+
+
+@pytest.mark.parametrize("rep", [None, "gbb", "gnb"])
+def test_params_on_every_small_degree_and_type(rep, capsys):
+    # every m in -1..70, with and without a type: each representation asked
+    # for is reported once, and the exit code says whether any is available
+    refused = 0
+    for m in range(-1, 71):
+        for t in (None, 1, 2, 3, 4, 31):
+            argv = ["params", "-m", str(m)] + (["--rep", rep] if rep else [])
+            argv += [] if t is None else ["-t", str(t)]
+            got = run(capsys, *argv)
+            assert got == _params_reference(m, rep, t), argv
+            refused += got[2] != ""
+    assert refused == (72 * 5 if rep == "gbb" else 0)
 
 
 # -- synth ------------------------------------------------------------------
@@ -303,6 +334,34 @@ def test_a_file_that_cannot_be_read_back_is_generated(capsys, monkeypatch, tmp_p
     assert run(capsys, "synth", "invert", "-m", "11", "--rep", "gnb", "--out", str(path))[0] == 0
     assert opened == [str(path)]
     assert path.read_bytes() == _generated(FieldSpec.gnb(11), "invert")
+
+
+def test_a_read_back_that_opens_another_file_is_closed_unused(capsys, monkeypatch, tmp_path):
+    # the output path, opened again to read, names another file by then: that
+    # descriptor is closed unread, and every gate is generated
+    decoy = tmp_path / "decoy"
+    decoy.write_bytes(b"qubits 1\n" * 64)
+    path = tmp_path / "inv.qc"
+    real_open, real_close = os.open, os.close
+    decoys, closed = [], []
+
+    def elsewhere(name, flags, *args):
+        if name == str(path) and flags & (os.O_WRONLY | os.O_RDWR) == 0:
+            decoys.append(real_open(decoy, flags, *args))
+            return decoys[-1]
+        return real_open(name, flags, *args)
+
+    def recorded_close(fd):
+        closed.append(fd)
+        real_close(fd)
+
+    monkeypatch.setattr(os, "open", elsewhere)
+    monkeypatch.setattr(os, "close", recorded_close)
+    assert run(capsys, "synth", "invert", "-m", "11", "--rep", "gnb", "--out", str(path))[0] == 0
+    monkeypatch.undo()
+    assert path.read_bytes() == _generated(FieldSpec.gnb(11), "invert")
+    assert decoy.read_bytes() == b"qubits 1\n" * 64
+    assert len(decoys) == 1 and decoys[0] in closed
 
 
 @pytest.mark.parametrize(
@@ -635,6 +694,46 @@ def test_a_table_above_the_table_budget_is_refused_before_any_row(capsys, monkey
     nist = [FieldSpec.gnb(m) for m in (163, 233, 283, 409, 571)]
     assert sum(cli.kind_bounds(s, k)[1] for s in nist for k in ("add", "mult", "invert")) == 118_734_922
     assert 118_734_922 <= cli.MAX_TABLE_GATES < 1_185_375_344
+
+
+def _no_draw(*args, **kwargs):
+    raise AssertionError("a stage, pattern or row was drawn")
+
+
+_GNB11_INVERT = cli.kind_bounds(FieldSpec.gnb(11), "invert")[1]
+_TABLE_4_5 = sum(
+    cli.kind_bounds(spec, kind)[1]
+    for spec in (FieldSpec.ghost_bit(4), FieldSpec.gnb(4), FieldSpec.gnb(5))
+    for kind in ("add", "mult", "invert")
+)
+
+
+@pytest.mark.parametrize(
+    "cap, argv, amount, claim, name, draw",
+    [
+        ("MAX_GATES", "synth invert -m 11 --rep gnb", _GNB11_INVERT,
+         f"invert at m=11 (gnb) bounds {_GNB11_INVERT} gates", "generation", "chain_estimate"),
+        ("MAX_GATE_PATTERNS", "verify invert -m 11 --rep gnb --random 100", 100 * _GNB11_INVERT,
+         f"verifying invert at m=11 (gnb) would simulate {100 * _GNB11_INVERT} gate-patterns",
+         "verification", "_pack_patterns"),
+        ("MAX_PATTERN_BITS", "verify invert -m 11 --rep gnb --random 100", 100 * 11,
+         "verifying invert at m=11 (gnb) would draw and pack 1100 input bits", "pattern", "_pack_patterns"),
+        ("MAX_TABLE_GATES", "table -m 4,5", _TABLE_4_5,
+         f"table of 3 field specs bounds {_TABLE_4_5} gates", "table", "kind_estimate"),
+    ],
+    ids=["generation", "verification", "pattern", "table"],
+)
+def test_each_budget_admits_its_cap_and_refuses_one_above(
+    cap, argv, amount, claim, name, draw, capsys, monkeypatch
+):
+    # a command that needs exactly the cap runs; one unit less of cap and it
+    # is refused with its exact message, before anything is drawn
+    monkeypatch.setattr(cli, cap, amount)
+    code, out, err = run(capsys, *argv.split())
+    assert (code, err) == (0, "") and out
+    monkeypatch.setattr(cli, cap, amount - 1)
+    monkeypatch.setattr(cli, draw, _no_draw)
+    assert run(capsys, *argv.split()) == (2, "", f"error: {claim}, above the {name} budget of {amount - 1}\n")
 
 
 def test_synth_unsupported_degree(capsys):
