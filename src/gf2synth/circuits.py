@@ -12,10 +12,12 @@ CNOTs transparent.
 Two rules say what a circuit may hold, each written once, here:
 ``validated_gates`` (a CNOT has two distinct wires, a Toffoli three, all in
 0..width-1; Toffoli controls are stored lower-first) and
-``validated_registers`` (a name is one token the netlist format can carry,
-a span is non-empty and inside the width, spans do not overlap). The gate
-rule is a stream: it yields each gate as it checks it, so a checked gate
-stream costs no memory, and ``Circuit`` stores what it yields as a tuple.
+``validated_registers`` (a name is one token the netlist format can carry
+and is not repeated, a span is non-empty and inside the width, spans do not
+overlap). Both rules take streams and check each item as it is drawn: the
+gate rule yields each gate as it checks it, so a checked gate stream costs
+no memory, and ``Circuit`` stores what it yields as a tuple; the register
+rule takes (name, span) pairs and builds the register map.
 ``batch_passes`` is the column check: it says whether a whole column batch
 passes the gate rule as it stands, a few C-level passes per column, and
 anything it refuses goes to the gate rule itself, which normalizes it or
@@ -34,11 +36,12 @@ valid gates whenever that per-block precondition holds.
 
 Netlist text is read by one reader, ``read_netlist``: it pulls a file
 READ_SIZE characters at a time, cut after the last "\n" of each read,
-checks the header (the register rule applied once) and then yields the
-gates as column batches, one per same-kind run of a read, as they are
-drawn, so a file of any length is read in constant memory. Whether a
-read is gate lines only is told by counts on its ``str.split`` tokens, not
-by matching it whole: per same-kind run of n lines of directive ``op``,
+reads the header through the line scanner ``_lines``, each reg line
+through the register rule as it is read, and then yields the gates as
+column batches, one per same-kind run of a read, as they are drawn, so a
+file of any length is read in constant memory. Whether a read is gate
+lines only is told by counts on its ``str.split`` tokens, not by matching
+it whole: per same-kind run of n lines of directive ``op``,
 the run starts with ``op`` and a space and ends with "\n", has step * n
 tokens (step 3 for ``cx``, 4 for ``ccx``), every step-th of them is
 ``op``, and its other n - 1 "\n" are each followed by ``op``; a read that
@@ -51,9 +54,11 @@ tokens, so wire tokens ``int`` reads but that are not plain decimal
 tab or other separator between wire tokens may take this path, with the
 same result. Any other read (comments, blank or indented lines, a
 last line without "\n"), or one the table or the check refuses, goes line
-by line through the gate rule, so every ParseError keeps its text and line
-number. ``Netlist.gates`` is the flat view, and ``parse`` is a ``Circuit``
-over the reader.
+by line (``_lines`` again) through the gate rule, so every ParseError keeps
+its text and line number. In the header as among the gates, the first bad
+line is the one reported, and no read past the one that holds it is made.
+``Netlist.gates`` is the flat view, and ``parse`` is a ``Circuit`` over the
+reader.
 
 Wire names are looked up, not converted, in both directions. The reader
 goes through a wire-name table (``_NameTable``) that maps a token to its
@@ -87,14 +92,15 @@ wire's value for input pattern b, so a whole batch of inputs costs a single
 pass over the gates. There is one route: ``pack_patterns`` builds the state,
 ``run_packed`` applies the gates and ``register_values`` reads the
 patterns' values of a register back, from any pattern on. The two ends are
-bit-matrix transposes at C speed, PACK_SLICE patterns at a time: patterns
-(or wire ints) become fixed-width binary strings, ``zip`` turns their
-columns out, and ``int(column, 2)`` reads each column, so no loop runs per
-(pattern, bit) pair. ``verify`` checks the packed state itself, the
-ghost-bit inverse included, and reads back only its first failing pattern;
-``simulate`` runs the route on a ``Circuit``'s gates, cut by
-``gate_runs``, with whole-width ints (bit w is wire w) in and out. T-gate
-figures use the standard 7 T / T-depth 6 decomposition of the Toffoli.
+one bit-matrix transpose at C speed, ``_transpose``, PACK_SLICE patterns at
+a time: patterns (or wire ints) become fixed-width binary strings, ``zip``
+turns their columns out, and ``int(column, 2)`` reads each column, so no
+loop runs per (pattern, bit) pair. ``verify`` checks the packed state
+itself, the ghost-bit inverse included, and reads back only its first
+failing pattern; ``simulate`` runs the route on a ``Circuit``'s gates, cut
+by ``gate_runs``, with whole-width ints (bit w is wire w) in and out.
+T-gate figures use the standard 7 T / T-depth 6 decomposition of the
+Toffoli.
 """
 
 from __future__ import annotations
@@ -236,18 +242,23 @@ def validated_batches(batches: Iterable[Batch], width: Union[int, float]) -> Ite
 
 
 def validated_registers(
-    registers: dict[str, tuple[int, int]], width: Union[int, float]
+    registers: Iterable[tuple[str, tuple[int, int]]], width: Union[int, float]
 ) -> dict[str, tuple[int, int]]:
-    """The register rule: each name is one token without '#' (what a netlist
-    line can carry), each span (start, length) is non-empty and inside
-    0..width-1, and no span overlaps an earlier one. Raises CircuitRuleError
-    at the first register, in map order, that breaks the rule."""
+    """The register rule on (name, (start, length)) pairs, in the order
+    given: each name is one token without '#' (what a netlist line can
+    carry) and not a repeat of an earlier one, each span is non-empty and
+    inside 0..width-1, and no span overlaps an earlier one. Each pair is
+    checked as it is drawn, so a stream is read no further than its first
+    bad pair; raises CircuitRuleError carrying that pair's index. Returns
+    the register map."""
     clean: dict[str, tuple[int, int]] = {}
     taken: list[tuple[int, int, str]] = []  # accepted spans, disjoint and sorted
-    for i, (name, (start, length)) in enumerate(registers.items()):
+    for i, (name, (start, length)) in enumerate(registers):
         end = start + length
         k = bisect(taken, (start, end))
-        if name.split() != [name] or "#" in name:
+        if name in clean:
+            problem = f"duplicate register {name}"
+        elif name.split() != [name] or "#" in name:
             problem = f"register name {name!r} must be one token without '#'"
         elif length < 1 or start < 0 or end > width:
             problem = f"register {name} spans [{start}, {end}) outside 0..{width - 1}"
@@ -276,7 +287,7 @@ class Circuit:
     def __post_init__(self):
         if self.width < 1:
             raise ValueError("width must be positive")
-        object.__setattr__(self, "registers", validated_registers(self.registers, self.width))
+        object.__setattr__(self, "registers", validated_registers(self.registers.items(), self.width))
         object.__setattr__(self, "gates", tuple(validated_gates(self.gates, self.width)))
 
 
@@ -431,25 +442,30 @@ def run_packed(batches: Iterable[Batch], state: list[int]) -> list[int]:
     return state
 
 
+def _transpose(rows: Iterable[int], bits: int) -> list[int]:
+    """The bit-matrix transpose at C speed: each row, cut to its low
+    ``bits`` bits, becomes a fixed-width binary string, ``zip`` turns the
+    strings' columns out, and ``int(column, 2)`` reads each column. Returns
+    one int per bit position, top bit first, whose binary digits are that
+    bit of each row, the first row the top digit."""
+    mask = (1 << bits) - 1
+    row = f"{{:0{bits}b}}".format
+    return [int(column, 2) for column in map("".join, zip(*[row(r & mask) for r in rows]))]
+
+
 def pack_patterns(width: int, wires: Sequence[int], patterns: Iterable[int]) -> list[int]:
     """Bit-sliced state for a batch: bit i of the b-th pattern sits on wire
     wires[i] in pattern slot b; every other wire, and every pattern bit at or
-    above len(wires), is zero. Built by transpose, PACK_SLICE patterns at a
-    time: each pattern of a slice becomes a fixed-width binary string, the
-    strings' columns are zipped out, and each column is one
-    ``int(column, 2)`` ORed in at the slice's offset."""
+    above len(wires), is zero. Built by ``_transpose``, PACK_SLICE patterns
+    at a time, each slice's columns ORed in at its offset."""
     state = [0] * width
-    n = len(wires)
-    mask = (1 << n) - 1
-    row = f"{{:0{n}b}}".format
-    top_first = list(reversed(wires))  # a row's first character is its top bit
+    top_first = list(reversed(wires))  # columns come out top bit first
     items = iter(patterns)
     offset = 0
     while chunk := list(islice(items, PACK_SLICE)):
-        # last pattern first, so that each column's string reads slot k-1 down to 0
-        rows = [row(pat & mask) for pat in reversed(chunk)]
-        for wire, column in zip(top_first, map("".join, zip(*rows))):
-            state[wire] |= int(column, 2) << offset
+        # last pattern first, so that each column's bit k is pattern slot k
+        for wire, column in zip(top_first, _transpose(reversed(chunk), len(wires))):
+            state[wire] |= column << offset
         offset += len(chunk)
     return state
 
@@ -459,18 +475,14 @@ def register_values(
 ) -> list[int]:
     """Every pattern's value of the register on wires start..start+length-1,
     for patterns first..first+count-1: the transpose of ``pack_patterns``,
-    read PACK_SLICE patterns at a time."""
+    by ``_transpose``, PACK_SLICE patterns at a time."""
     wires = range(start + length - 1, start - 1, -1)  # top bit first
     values: list[int] = []
     end = first + count
     for offset in range(first, end, PACK_SLICE):
-        k = min(PACK_SLICE, end - offset)
-        mask = (1 << k) - 1
-        row = f"{{:0{k}b}}".format
-        # each wire's string reads slot offset+k-1 down to offset, so its
-        # columns come out last pattern first
-        rows = [row(state[w] >> offset & mask) for w in wires]
-        values += reversed([int(s, 2) for s in map("".join, zip(*rows))])
+        # columns come out top slot first, so last pattern first
+        columns = _transpose([state[w] >> offset for w in wires], min(PACK_SLICE, end - offset))
+        values += reversed(columns)
     return values
 
 
@@ -643,73 +655,71 @@ def reversed_lines(fd: int, start: int, end: int) -> Iterator[bytes]:
             yield b"\n".join(lines) + b"\n"
 
 
-def _tokens(text: str, start: int = 0, end: Optional[int] = None) -> list[str]:
-    """The tokens of the line text[start:end] once its comment is cut off.
-    The comment is cut by index, so it is never copied."""
-    cut = text.find("#", start, end)
-    return text[start : end if cut < 0 else cut].split()
+def _lines(chunks: Iterable[str], lineno: int = 0) -> Iterator[tuple[int, list[str], str, int]]:
+    """Every non-blank line of the pieces, numbered on from ``lineno``, as
+    (line number, tokens, piece, start of the line in the piece). A line's
+    tokens are those before its comment, which is cut by index, so it is
+    never copied; a line with no tokens is blank."""
+    for chunk in chunks:
+        pos = 0
+        while pos < len(chunk):
+            end = chunk.find("\n", pos) + 1 or len(chunk)
+            lineno += 1
+            cut = chunk.find("#", pos, end)
+            if toks := chunk[pos : end if cut < 0 else cut].split():
+                yield lineno, toks, chunk, pos
+            pos = end
 
 
 def read_netlist(fh: TextIO) -> Netlist:
     """Read the header of a netlist file and stream its gates.
 
     The header (the qubits line and the reg lines before the first gate) is
-    read now and its registers go through the register rule. The gates are
-    read as ``Netlist.batches`` is drawn, each through the gate rule, so no
-    more than one read of the file is held at a time. The reader checks the
-    format only: the header, directive names, arity, integer tokens,
-    register order and duplicate register names. Raises ParseError carrying
-    the 1-based line number of the first line that is malformed or holds a
-    gate or register that breaks a rule, except that the registers are
-    checked when the header ends.
+    read now, each reg line through the register rule as it is read. The
+    gates are read as ``Netlist.batches`` is drawn, each through the gate
+    rule, so no more than one read of the file is held at a time. The
+    reader checks the format only: the header, directive names, arity,
+    integer tokens and register order. Raises ParseError carrying the
+    1-based line number of the first line that is malformed or holds a gate
+    or register that breaks a rule; no read past the one holding that line
+    is made.
     """
     chunks = _chunks(fh)
-    lineno = 0
-    width: Optional[int] = None
-    registers: dict[str, tuple[int, int]] = {}
-    reg_lines: list[int] = []
+    lines = _lines(chunks)
+    first = next(lines, None)
+    if first is None:
+        raise ParseError("empty netlist: missing qubits line", 1)
+    lineno, toks, _, _ = first
+    if toks[0] != "qubits":
+        raise ParseError("netlist must start with a qubits line", lineno)
+    if len(toks) != 2:
+        raise ParseError("qubits line takes exactly one count", lineno)
+    try:
+        width = int(toks[1])
+    except ValueError:
+        raise ParseError(f"bad qubit count {toks[1]!r}", lineno) from None
+    if width < 1:
+        raise ParseError("qubit count must be positive", lineno)
     rest = ""  # the text from the first gate line (or line the gate reader refuses) on
-    for chunk in chunks:
-        pos = 0
-        while pos < len(chunk):
-            end = chunk.find("\n", pos) + 1 or len(chunk)
-            toks = _tokens(chunk, pos, end)
-            if toks and width is not None and toks[0] != "reg":
-                rest = chunk[pos:]
-                break
-            pos = end
-            lineno += 1
-            if not toks:
-                continue
-            if width is None:
-                if toks[0] != "qubits":
-                    raise ParseError("netlist must start with a qubits line", lineno)
-                if len(toks) != 2:
-                    raise ParseError("qubits line takes exactly one count", lineno)
-                try:
-                    width = int(toks[1])
-                except ValueError:
-                    raise ParseError(f"bad qubit count {toks[1]!r}", lineno) from None
-                if width < 1:
-                    raise ParseError("qubit count must be positive", lineno)
-                continue
+
+    def reg_pairs() -> Iterator[tuple[str, tuple[int, int]]]:
+        nonlocal lineno, rest
+        for lineno, toks, piece, start in lines:
+            if toks[0] != "reg":
+                rest, lineno = piece[start:], lineno - 1
+                return
             if len(toks) != 4:
                 raise ParseError("reg line needs: reg <name> <start> <len>", lineno)
-            if toks[1] in registers:
-                raise ParseError(f"duplicate register {toks[1]}", lineno)
             try:
-                registers[toks[1]] = (int(toks[2]), int(toks[3]))
+                span = (int(toks[2]), int(toks[3]))
             except ValueError:
                 raise ParseError("register bounds must be integers", lineno) from None
-            reg_lines.append(lineno)
-        if rest:
-            break
-    if width is None:
-        raise ParseError("empty netlist: missing qubits line", 1)
+            yield toks[1], span
+
     try:
-        registers = validated_registers(registers, width)
-    except CircuitRuleError as e:
-        raise ParseError(str(e), reg_lines[e.index]) from None
+        registers = validated_registers(reg_pairs(), width)
+    except CircuitRuleError as e:  # raised on the pair just drawn, at line lineno
+        raise ParseError(str(e), lineno) from None
     return Netlist(width, registers, _gate_batches(chain((rest,), chunks), lineno, width))
 
 
@@ -779,22 +789,18 @@ def _gate_batches(chunks: Iterator[str], lineno: int, width: int) -> Iterator[Ba
     for chunk in chunks:
         batches = _strict_batches(chunk, wires)
         if batches is None:
-            yield from gate_runs(_gate_lines(chunk.split("\n"), lineno, width))
+            yield from gate_runs(_gate_lines(_lines((chunk,), lineno), width))
             lineno += chunk.count("\n")
         else:
             yield from batches
             lineno += sum(len(t) for _, _, t in batches)  # one gate per strict line
 
 
-def _gate_lines(lines: Iterable[str], lineno: int, width: int) -> Iterator[Gate]:
-    """The gate of every gate line, each through the gate rule on its own
-    line, so a malformed line or a gate the rule refuses raises a ParseError
-    carrying that line's number."""
-    for raw in lines:
-        lineno += 1
-        toks = _tokens(raw)
-        if not toks:
-            continue
+def _gate_lines(lines: Iterable[tuple[int, list[str], str, int]], width: int) -> Iterator[Gate]:
+    """The gate of every line ``_lines`` yields, each through the gate rule
+    on its own line, so a malformed line or a gate the rule refuses raises a
+    ParseError carrying that line's number."""
+    for lineno, toks, _, _ in lines:
         op = toks[0]
         if op == "ccx":
             if len(toks) != 4:

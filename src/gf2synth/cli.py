@@ -67,7 +67,9 @@ shape: what the command would do, then the budget's name and cap.
 
 Exit codes: 0 success / verification passed, 1 verification failed,
 2 domain error (unsupported degree, bad parameters, bad usage) or out of
-memory, 3 I/O or netlist parse failure.
+memory, 3 I/O or netlist parse failure. ``verify --in`` reads its file as
+UTF-8 with bad bytes replaced (U+FFFD), so a byte that is not UTF-8 is a
+parse failure at its line, exit 3, or ignored inside a comment.
 """
 
 from __future__ import annotations
@@ -535,7 +537,7 @@ def cmd_synth(args) -> int:
     header = _context_lines(spec, args.kind, args.r)
     if args.out:
         width, registers, batches = synth_circuit(spec, args.kind, r=args.r)
-        registers = validated_registers(registers, width)
+        registers = validated_registers(registers.items(), width)
         c = None if args.kind == "add" else kind_structure(spec, args.kind, args.r)
         fh = open(args.out, "w")
         try:
@@ -570,7 +572,7 @@ def cmd_verify(args) -> int:
     samples = args.random if args.random is not None else DEFAULT_SAMPLES
     infile = getattr(args, "infile", None)
     # with --in, the file's gates are read as they are simulated
-    with open(infile) if infile else nullcontext() as fh:
+    with open(infile, encoding="utf-8", errors="replace") if infile else nullcontext() as fh:
         result = verify_kind(
             spec,
             args.kind,

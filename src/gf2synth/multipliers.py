@@ -108,11 +108,11 @@ def block_window(spec: FieldSpec, block: MultiplierBlock) -> list[int]:
     source, target = block.source_reg * n, block.target_reg * n
     if block.kind == "self_power":
         check_exponent(block.r, spec.m)
-        validated_registers({"a": (source, n), "c": (target, n)}, UNBOUNDED)
+        validated_registers((("a", (source, n)), ("c", (target, n))), UNBOUNDED)
         window = _wires(source, range(n))
     else:
         operand = block.operand_reg * n
-        validated_registers({"a": (source, n), "b": (operand, n), "c": (target, n)}, UNBOUNDED)
+        validated_registers((("a", (source, n)), ("b", (operand, n)), ("c", (target, n))), UNBOUNDED)
         window = _wires(source, range(n)) + _wires(operand, spec.read_permutation(block.operand_exponent))
     return window + _wires(target, spec.write_permutation if block.squared_write else range(n))
 

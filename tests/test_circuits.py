@@ -16,7 +16,17 @@ from gf2synth.circuits import (
     run_packed,
     simulate,
     validated_gates,
+    validated_registers,
 )
+from gf2synth.errors import CircuitRuleError
+
+
+def test_register_rule_refuses_a_repeated_name_at_its_pair():
+    pairs = iter([("a", (0, 2)), ("b", (2, 1)), ("a", (3, 1)), ("c", (4, 1))])
+    with pytest.raises(CircuitRuleError, match="^duplicate register a$") as exc:
+        validated_registers(pairs, 8)
+    assert exc.value.index == 2
+    assert next(pairs) == ("c", (4, 1))  # the pairs after the bad one are not drawn
 
 
 def test_gate_factories_validate():

@@ -480,6 +480,7 @@ def test_parse_normalizes_toffoli_controls():
         ("qubits 4\nfoo 0 1\n", 2),  # unknown directive
         ("qubits 4\nreg a 0 2\nreg a 2 2\n", 3),  # duplicate name
         ("qubits 4\nreg a 0 3\nreg b 2 2\n", 3),  # overlap
+        ("qubits 4\nreg a 0 3\nreg b 2 2\nreg c x 1\n", 3),  # the first bad reg line, whatever its fault
         ("qubits 4\nreg a 2 3\n", 2),  # past the end
         ("qubits 4\nreg a 0 0\n", 2),  # empty register
         ("qubits 4\ncx 0 1\nreg a 0 2\n", 3),  # reg after gates
@@ -516,6 +517,41 @@ def test_a_bad_header_exits_3_through_verify(text, lineno, tmp_path, capsys):
     path.write_text(text)
     assert main(["verify", "add", "-m", "4", "--rep", "gbb", "--in", str(path)]) == 3
     assert capsys.readouterr().err.startswith(f"error: line {lineno}: ")
+
+
+class CountingReader(io.StringIO):
+    """A text file that counts the reads made of it."""
+
+    reads = 0
+
+    def read(self, size=-1):
+        self.reads += 1
+        return super().read(size)
+
+
+def test_the_header_is_read_no_further_than_its_first_bad_line():
+    text = "qubits 4\nreg a 0 3\nreg b 2 2\n" + "".join(f"reg r{i} 0 1\n" for i in range(100_000))
+    fh = CountingReader(text)
+    with pytest.raises(ParseError, match="register b overlaps a") as exc:
+        read_netlist(fh)
+    assert exc.value.line == 3
+    assert fh.reads == 1
+
+
+def test_a_netlist_that_is_not_utf8_exits_3_at_its_line(tmp_path, capsys):
+    path = tmp_path / "bad.qc"
+    path.write_bytes(b"qubits 15\ncx 0 \xff\n")
+    assert main(["verify", "mult", "-m", "4", "--rep", "gbb", "--in", str(path)]) == 3
+    assert capsys.readouterr().err.startswith("error: line 2: ")
+
+
+def test_a_bad_byte_in_a_comment_is_ignored(tmp_path, capsys):
+    path = tmp_path / "mult.qc"
+    assert main(["synth", "mult", "-m", "4", "--rep", "gbb", "--out", str(path)]) == 0
+    path.write_bytes(b"# caf\xe9\n" + path.read_bytes())
+    capsys.readouterr()
+    assert main(["verify", "mult", "-m", "4", "--rep", "gbb", "--in", str(path)]) == 0
+    assert "result=pass" in capsys.readouterr().out
 
 
 def test_a_seed_that_is_not_an_int_exits_2(capsys):
